@@ -17,16 +17,11 @@ import json
 import shlex
 import sys
 
-from .errors import (
-    InsufficientPrecision,
-    InvalidSpec,
-    ParseError,
-    RamifyError,
-)
+from .errors import InsufficientPrecision, InvalidSpec, RamifyError
 from .extension import ASExtension
 from .fields import FieldSpec
 from .invariants import build_report
-from .parsing import parse_field_spec, parse_series
+from .parsing import factor_prime_power, parse_field_spec, parse_series
 from .selftest import DEFAULT_SEED, run_all
 from .tower import (
     TowerSpec,
@@ -40,8 +35,16 @@ from .tower import (
 SCHEMA = "ramify/1"
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    """Usage errors raise InvalidSpec instead of exiting, so that they
+    reach the caller like every other invalid input."""
+
+    def error(self, message):
+        raise InvalidSpec(f"{self.prog}: {message}")
+
+
 def make_parser():
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="ramify",
         description="ramification invariants of Artin-Schreier extensions of k((t))",
     )
@@ -74,22 +77,6 @@ def make_parser():
     st.add_argument("--format", choices=("text", "json"), default="text")
     st.add_argument("--out", metavar="PATH")
     return parser
-
-
-def _field_order(q):
-    p = 2
-    while p * p <= q:
-        if q % p == 0:
-            m = 0
-            qq = q
-            while qq % p == 0:
-                qq //= p
-                m += 1
-            if qq != 1:
-                raise InvalidSpec(f"{q} is not a prime power")
-            return p, m
-        p += 1
-    return q, 1
 
 
 def run_analyze(args):
@@ -134,15 +121,12 @@ def run_analyze(args):
 
 
 def run_tower(args):
-    p, m = _field_order(args.q)
+    p, m = factor_prime_power(args.q)
     if p != args.p:
         raise InvalidSpec(f"--q {args.q} is not a power of --p {args.p}")
     if m < 2:
         raise InvalidSpec("--q must be a proper power of p, so the constant a avoids F_p")
-    try:
-        field = FieldSpec.finite(p, m)
-    except ValueError as exc:
-        raise InvalidSpec(str(exc)) from None
+    field = FieldSpec.finite(p, m)
     spec = TowerSpec(field, args.n, args.depth)
     levels = tower_levels(spec)
     report = tower_report(spec)
@@ -227,17 +211,45 @@ def _dispatch(args):
     raise InvalidSpec("no subcommand given (try analyze, tower or selftest)")
 
 
-def _run_one(argv):
-    parser = make_parser()
+def run_batch(path):
+    """Run each configuration line of the file through ``_run_one``; a
+    failing line becomes that line's entry and the batch goes on."""
     try:
-        args = parser.parse_args(argv)
-        text, code = _dispatch(args)
-        out_path = getattr(args, "out", None)
-        return text, code, out_path
-    except ParseError as exc:
-        return f"error: {exc}", 2, None
-    except InvalidSpec as exc:
-        return f"error: {exc}", 2, None
+        with open(path) as fh:
+            lines = [ln.strip() for ln in fh]
+    except OSError as exc:
+        raise InvalidSpec(str(exc)) from None
+    outputs = []
+    worst = 0
+    for line in lines:
+        if not line or line.startswith("#"):
+            continue
+        text, code, _ = _run_one(shlex.split(line), nested=True)
+        outputs.append({"config": line, "exit": code, "output": text})
+        worst = max(worst, code)
+    rendered = json.dumps(
+        {"schema": SCHEMA, "command": "batch", "runs": outputs},
+        indent=2,
+        sort_keys=True,
+    )
+    return rendered, worst
+
+
+def _run_one(argv, nested=False):
+    """Parse and run one command line: (text, exit code, output path).
+    Every deliberate error is a RamifyError and maps to its exit code
+    here, argparse usage errors included."""
+    try:
+        args = make_parser().parse_args(argv)
+        if args.batch is None:
+            text, code = _dispatch(args)
+        elif nested or args.command is not None:
+            raise InvalidSpec(
+                "--batch FILE [--out PATH] takes no other arguments and does not nest"
+            )
+        else:
+            text, code = run_batch(args.batch)
+        return text, code, args.out
     except InsufficientPrecision as exc:
         return f"error: {exc} (raise --prec)", 3, None
     except RamifyError as exc:
@@ -245,46 +257,7 @@ def _run_one(argv):
 
 
 def main(argv=None):
-    argv = list(sys.argv[1:] if argv is None else argv)
-    if "--batch" in argv:
-        idx = argv.index("--batch")
-        try:
-            batch_path = argv[idx + 1]
-        except IndexError:
-            print("error: --batch needs a file", file=sys.stderr)
-            return 2
-        rest = argv[:idx] + argv[idx + 2 :]
-        out_path = None
-        if "--out" in rest:
-            oidx = rest.index("--out")
-            out_path = rest[oidx + 1]
-            rest = rest[:oidx] + rest[oidx + 2 :]
-        try:
-            with open(batch_path) as fh:
-                lines = [ln.strip() for ln in fh]
-        except OSError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-        outputs = []
-        worst = 0
-        for line in lines:
-            if not line or line.startswith("#"):
-                continue
-            text, code, _ = _run_one(shlex.split(line) + rest)
-            outputs.append({"config": line, "exit": code, "output": text})
-            worst = max(worst, code)
-        rendered = json.dumps(
-            {"schema": SCHEMA, "command": "batch", "runs": outputs},
-            indent=2,
-            sort_keys=True,
-        )
-        if out_path:
-            with open(out_path, "w") as fh:
-                fh.write(rendered + "\n")
-        else:
-            print(rendered)
-        return worst
-    text, code, out_path = _run_one(argv)
+    text, code, out_path = _run_one(sys.argv[1:] if argv is None else argv)
     if out_path:
         with open(out_path, "w") as fh:
             fh.write(text + "\n")

@@ -2,9 +2,10 @@
 
 Provides the reduction of f to its best representative modulo the map
 x -> x^p - x, the Swan conductor, the ramification classification,
-arithmetic in L with the Galois action, norm and trace through the
-multiplication matrix, valuations on L, the inductive difference
-operators, and the shape of the integral closure.
+arithmetic in L with the Galois action, the norm through the
+multiplication matrix and the trace from the power basis, valuations
+on L, the inductive difference operators, and the shape of the
+integral closure.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ from .errors import (
     ExtensionMismatch,
     FieldMismatch,
     InsufficientPrecision,
+    InvalidSpec,
     NotApplicable,
     ZeroElement,
 )
@@ -305,11 +307,8 @@ class LElement:
         return [[cols[j][i] for j in range(self.ext.p)] for i in range(self.ext.p)]
 
     def trace(self):
-        m = self.multiplication_matrix()
-        acc = m[0][0]
-        for i in range(1, self.ext.p):
-            acc = acc + m[i][i]
-        return acc
+        # Tr 1 = p = 0, Tr alpha^i = 0 for 0 < i < p-1, Tr alpha^(p-1) = -1
+        return -self.coeffs[-1]
 
     def norm(self):
         return _det(self.multiplication_matrix(), self.ext.field)
@@ -561,14 +560,11 @@ class DifferenceOperators:
                 )
             self._den_inv.append(den.inverse())
 
-    def denominator_inverse(self, i):
-        return self._den_inv[i]
-
     def apply(self, i, x):
         if i == 0:
             return x
         if i >= self.ext.p:
-            raise ValueError("index must be below p")
+            raise InvalidSpec("index must be below p")
         cur = x
         for j in range(1, i + 1):
             diff = cur.sigma(1) - cur

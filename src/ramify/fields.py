@@ -20,6 +20,7 @@ from .errors import (
     DivisionByZero,
     FieldMismatch,
     FieldTooSmall,
+    InvalidSpec,
     NotAPthPower,
     NotRationalFunctionField,
     ZeroInput,
@@ -204,24 +205,24 @@ class FieldSpec:
 
     def __init__(self, p, kind, degree=1, modulus=None, var=None):
         if not _is_prime(p):
-            raise ValueError(f"characteristic {p} is not prime")
+            raise InvalidSpec(f"characteristic {p} is not prime")
         if kind not in (self.FINITE, self.RATIONAL):
-            raise ValueError(f"unknown field kind {kind!r}")
+            raise InvalidSpec(f"unknown field kind {kind!r}")
         if kind == self.FINITE:
             if degree < 1:
-                raise ValueError("extension degree must be at least 1")
+                raise InvalidSpec("extension degree must be at least 1")
             if degree == 1:
                 modulus = None
             else:
                 if modulus is None:
-                    raise ValueError("degree > 1 needs an explicit modulus")
+                    raise InvalidSpec("degree > 1 needs an explicit modulus")
                 modulus = _trim(tuple(c % p for c in modulus))
                 if len(modulus) != degree + 1:
-                    raise ValueError("modulus degree does not match field degree")
+                    raise InvalidSpec("modulus degree does not match field degree")
                 if modulus[-1] != 1:
-                    raise ValueError("modulus must be monic")
+                    raise InvalidSpec("modulus must be monic")
                 if not _pirreducible(modulus, p):
-                    raise ValueError("modulus is reducible over F_p")
+                    raise InvalidSpec("modulus is reducible over F_p")
             var = var or "w"
         else:
             degree = 1
@@ -241,7 +242,7 @@ class FieldSpec:
         if degree > 1 and modulus is None:
             modulus = DEFAULT_MODULI.get((p, degree))
             if modulus is None:
-                raise ValueError(f"no built-in modulus for F_{p**degree}")
+                raise InvalidSpec(f"no built-in modulus for F_{p**degree}")
         return cls(p, cls.FINITE, degree, modulus, var)
 
     @classmethod
@@ -323,7 +324,7 @@ class FieldSpec:
             raise FieldMismatch("coefficient vectors describe finite fields only")
         vec = [c % self.p for c in vec]
         if len(vec) > self.degree:
-            raise ValueError("vector longer than field degree")
+            raise InvalidSpec("vector longer than field degree")
         vec += [0] * (self.degree - len(vec))
         return self._fin(vec)
 
@@ -336,7 +337,7 @@ class FieldSpec:
         """w for F_q with m >= 2, u for F_p(u)."""
         if self.is_finite:
             if self.degree < 2:
-                raise ValueError("prime fields have no distinguished generator")
+                raise InvalidSpec("prime fields have no distinguished generator")
             return self.from_vector((0, 1))
         return self.from_polys((0, 1))
 
@@ -533,27 +534,6 @@ class ResidueElem:
         return False
 
 
-def field_arith(a, b, op):
-    """Named dispatch over the basic field operations.
-
-    ``op`` is one of add/mul/neg/inv/pow; ``b`` is ignored for the unary
-    operations and must be an integer exponent for ``pow``.
-    """
-    if op == "add":
-        return a + b
-    if op == "mul":
-        return a * b
-    if op == "neg":
-        return -a
-    if op == "inv":
-        return a.inverse()
-    if op == "pow":
-        if not isinstance(b, int):
-            raise FieldMismatch("pow takes an integer exponent")
-        return a ** b
-    raise ValueError(f"unknown operation {op!r}")
-
-
 def is_pth_power(c):
     """Whether c lies in k^p; requires c != 0.
 
@@ -721,7 +701,7 @@ class Expr:
             return other
         if isinstance(other, (int, ResidueElem)):
             return Expr.const(other)
-        raise TypeError(f"cannot use {type(other).__name__} in an Expr")
+        raise FieldMismatch(f"cannot use {type(other).__name__} in an Expr")
 
     def __add__(self, other):
         return Expr("add", (self, self._lift(other)))
@@ -749,7 +729,7 @@ class Expr:
 
     def __pow__(self, n):
         if not isinstance(n, int) or n < 0:
-            raise ValueError("powers must be nonnegative integers")
+            raise InvalidSpec("powers must be nonnegative integers")
         return Expr("pow", (self,), payload=n)
 
     def __neg__(self):
@@ -788,7 +768,7 @@ class Expr:
             return vals[0] ** self.payload
         if self.op == "neg":
             return -vals[0]
-        raise ValueError(f"unknown node {self.op!r}")
+        raise InvalidSpec(f"unknown node {self.op!r}")
 
     def degree_pair(self):
         """(numerator degree, denominator degree) upper bounds."""
@@ -845,7 +825,7 @@ def check_identity(lhs, rhs, field, trials, seed, max_attempts=64):
     import random
 
     if trials < 1:
-        raise ValueError("trials must be at least 1")
+        raise InvalidSpec("trials must be at least 1")
     rng = random.Random(seed)
     names = sorted(lhs.variables() | rhs.variables())
     n1, d1 = lhs.degree_pair()

@@ -12,6 +12,7 @@ import random
 from fractions import Fraction
 
 from .errors import (
+    InvalidSpec,
     NotApplicable,
     RamifyError,
     SwanZero,
@@ -42,6 +43,12 @@ def _require_ramified(ext):
     if kind not in (RamificationType.WILD, RamificationType.FEROCIOUS):
         raise NotApplicable(f"operation needs a wild or ferocious extension, got {kind.value}")
     return kind
+
+
+def _require_samples(samples):
+    # a verifier that drew no samples has no evidence for a pass
+    if samples < 1:
+        raise InvalidSpec("samples must be at least 1")
 
 
 def ideal_h(ext):
@@ -324,6 +331,7 @@ def check_refined_swan_stability(ext, shifts=50, seed=0):
     candidate contributes (t dg/dt)/f dlog t + (dg/du)/f du, with the
     original f in the denominator on both sides.
     """
+    _require_samples(shifts)
     ext = ext.with_best_f()
     if ext.swan == 0:
         raise SwanZero("stability concerns extensions with positive swan")
@@ -362,6 +370,7 @@ def check_refined_swan_stability(ext, shifts=50, seed=0):
 def check_norm_additivity(ext, samples=100, seed=0):
     """The norm is additive on B modulo the contraction of the
     difference ideal to A."""
+    _require_samples(samples)
     if ext.classification() is RamificationType.TRIVIAL:
         raise TrivialExtension("nothing to verify for a trivial extension")
     ext = ext.with_best_f()
@@ -386,6 +395,7 @@ def check_diagram_commutativity(ext, samples=100, seed=0):
     """Both compositions around the square agree on random integral b:
     the normed logarithmic class of b matches the differential-form
     class of its norm, modulo the squared ideals."""
+    _require_samples(samples)
     _require_ramified(ext)
     ext = ext.with_best_f()
     rng = random.Random(seed)
@@ -425,6 +435,7 @@ def check_difference_product_rules(ext, samples=32, seed=0):
     """The two congruences behind the logarithmic comparison maps:
     sigma(bc)-bc splits modulo the squared difference ideal, and
     sigma(xy)/(xy)-1 splits modulo the squared logarithmic ideal."""
+    _require_samples(samples)
     _require_ramified(ext)
     ext = ext.with_best_f()
     rng = random.Random(seed)
@@ -528,6 +539,8 @@ class InvariantReport:
 
 def build_report(ext, samples=50, seed=0, run_checks=True):
     """Assemble the invariant bundle, running the verifiers when asked."""
+    if run_checks:
+        _require_samples(samples)
     kind = ext.classification()
     best = ext.best
     checks = {}

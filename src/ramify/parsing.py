@@ -9,9 +9,10 @@ over integers and the field variable.  Whitespace is ignored.
 
 from __future__ import annotations
 
+import math
 import re
 
-from .errors import FieldLiteralError, ParseError
+from .errors import FieldLiteralError, InvalidSpec, ParseError
 from .fields import FieldSpec
 from .series import LaurentSeries
 
@@ -242,17 +243,17 @@ def _parse_modulus(text, p):
     return [coeffs.get(i, 0) for i in range(degree + 1)], (var or "w")
 
 
-def _factor_prime_power(q):
-    for p in range(2, q + 1):
-        if q % p == 0:
-            m = 0
-            while q % p == 0:
-                q //= p
-                m += 1
-            if q != 1:
-                return None
+def factor_prime_power(q):
+    """(p, m) with q = p^m and p prime; InvalidSpec otherwise."""
+    if q >= 2:
+        p = next((d for d in range(2, math.isqrt(q) + 1) if q % d == 0), q)
+        m, rest = 0, q
+        while rest % p == 0:
+            rest //= p
+            m += 1
+        if rest == 1:
             return p, m
-    return None
+    raise InvalidSpec(f"{q} is not a prime power")
 
 
 def parse_field_spec(text):
@@ -266,29 +267,14 @@ def parse_field_spec(text):
         return FieldSpec.rational(int(m.group(2)), var=m.group(1))
     m = re.fullmatch(r"Fq:(\d+):(.+)", text)
     if m:
-        q = int(m.group(1))
-        pm = _factor_prime_power(q)
-        if pm is None:
-            raise ParseError(f"{q} is not a prime power")
-        p, deg = pm
+        p, deg = factor_prime_power(int(m.group(1)))
         coeffs, var = _parse_modulus(m.group(2), p)
         if deg == 1:
             return FieldSpec.finite(p)
-        try:
-            return FieldSpec.finite(p, deg, coeffs, var=var)
-        except ValueError as exc:
-            raise ParseError(str(exc)) from None
+        return FieldSpec.finite(p, deg, coeffs, var=var)
     m = re.fullmatch(r"Fq:(\d+)", text)
     if m:
-        q = int(m.group(1))
-        pm = _factor_prime_power(q)
-        if pm is None:
-            raise ParseError(f"{q} is not a prime power")
-        p, deg = pm
-        try:
-            return FieldSpec.finite(p, deg)
-        except ValueError as exc:
-            raise ParseError(str(exc)) from None
+        return FieldSpec.finite(*factor_prime_power(int(m.group(1))))
     raise ParseError(
         "field spec must look like Fp:3, Fq:9:w^2+1 or Fp(u):3"
     )

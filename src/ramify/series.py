@@ -15,6 +15,7 @@ from .errors import (
     AmbientMismatch,
     FieldMismatch,
     InsufficientPrecision,
+    InvalidSpec,
     ZeroSeries,
 )
 from .fields import ResidueElem
@@ -42,7 +43,7 @@ class ValueGroup:
     def discrete(cls, granularity=1):
         g = Fraction(granularity)
         if g <= 0:
-            raise ValueError("granularity must be positive")
+            raise InvalidSpec("granularity must be positive")
         return cls(cls.DISCRETE, granularity=g)
 
     @classmethod
@@ -233,7 +234,7 @@ class LaurentSeries:
         if isinstance(coeff, int):
             coeff = field.from_int(coeff)
         if prec is None:
-            raise ValueError("monomial needs an explicit precision")
+            raise InvalidSpec("monomial needs an explicit precision")
         return cls(field, {exponent: coeff}, prec)
 
     @classmethod

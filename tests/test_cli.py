@@ -1,12 +1,18 @@
+import contextlib
+import io
 import json
 import random
+import shlex
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ramify.cli import main
-from ramify.errors import FieldLiteralError, ParseError
+from ramify.errors import FieldLiteralError, InvalidSpec, ParseError
 from ramify.fields import FieldSpec
-from ramify.parsing import parse_field_spec, parse_series
+from ramify.parsing import factor_prime_power, parse_field_spec, parse_series
 from ramify.series import random_series
 
 
@@ -47,12 +53,24 @@ def test_parse_field_specs():
     assert f9.order == 9 and f9.degree == 2
     f3u = parse_field_spec("Fp(u):3")
     assert not f3u.is_finite and f3u.var == "u"
-    with pytest.raises(ParseError):
+    with pytest.raises(InvalidSpec):
         parse_field_spec("Fq:12:w^2+1")
     with pytest.raises(ParseError):
         parse_field_spec("nonsense")
-    with pytest.raises(ParseError):
+    with pytest.raises(InvalidSpec):
         parse_field_spec("Fq:4:w^2+1")  # reducible modulus over F_2
+
+
+def test_factor_prime_power():
+    assert factor_prime_power(9) == (3, 2)
+    assert factor_prime_power(64) == (2, 6)
+    assert factor_prime_power(1000000007) == (1000000007, 1)  # O(sqrt q) trial division
+    for q in (0, 1, 12, 1000000014):
+        with pytest.raises(InvalidSpec):
+            factor_prime_power(q)
+    assert parse_field_spec("Fq:1000000007") == FieldSpec.finite(1000000007)
+    with pytest.raises(InvalidSpec):
+        parse_field_spec("Fq:1000000014")
 
 
 def test_parse_print_roundtrip_random():
@@ -165,6 +183,117 @@ def test_tower_json_and_csv(tmp_path, capsys):
     lines = csv_path.read_text().strip().splitlines()
     assert lines[0] == "index,n_i,shift,v_x,v_y,neg_v_f"
     assert len(lines) == 6
+
+
+# -- invalid input ----------------------------------------------------------------
+
+GOOD_LINE = "analyze --field Fp:2 --f t^-1 --prec 12 --trials 2 --format json"
+
+
+@pytest.mark.parametrize(
+    "line",
+    [
+        "analyze --field Fp:4 --f t^-1 --prec 8",
+        "analyze --field Fp(u):4 --f t^-1 --prec 8",
+        "tower --p 3 --n 2 --q 9 --trials 0",
+        "analyze --field Fp:3 --f t^-2 --prec 16 --trials 0",
+        "analyze --field Fp:3 --prec 8",  # argparse: --f is missing
+        "--batch {batch} --out",
+    ],
+)
+def test_bad_input_exits_two_and_batch_goes_on(line, tmp_path, capsys):
+    batch = tmp_path / "batch.txt"
+    line = line.format(batch=batch)
+    batch.write_text(f"{GOOD_LINE}\n{line}\n{GOOD_LINE}\n")
+    assert main(shlex.split(line)) == 2
+    captured = capsys.readouterr()
+    assert captured.out.startswith("error: ") and captured.err == ""
+    code, out = run_cli(["--batch", str(batch)], capsys)
+    data = json.loads(out)
+    assert data["schema"] == "ramify/1"
+    assert [run["exit"] for run in data["runs"]] == [0, 2, 0]
+    assert data["runs"][1]["config"] == line
+    assert data["runs"][1]["output"].startswith("error: ")
+    assert code == 2
+
+
+def test_batch_takes_no_other_arguments(tmp_path, capsys):
+    batch = tmp_path / "batch.txt"
+    batch.write_text(GOOD_LINE + "\n")
+    code, out = run_cli(["--batch", str(batch), "analyze", "--field", "Fp:2"], capsys)
+    assert code == 2 and out.startswith("error: ")
+    code, out = run_cli(["--batch", str(tmp_path / "missing.txt")], capsys)
+    assert code == 2 and out.startswith("error: ")
+
+
+# -- fuzz of the whole command line -------------------------------------------------
+
+# valid fields (p <= 5, so the 2^p Laplace norm stays cheap) with their
+# variable, and specs the parser must reject
+VALID_FIELDS = [
+    ("Fp:2", None), ("Fp:3", None), ("Fp:5", None), ("Fq:4", "w"),
+    ("Fq:9:w^2+1", "w"), ("Fp(u):2", "u"), ("Fp(u):3", "u"),
+]
+INVALID_FIELDS = [
+    ("Fp:4", None), ("Fp:1", None), ("Fp(u):4", "u"), ("Fq:6", None),
+    ("Fq:4:w^2+1", "w"), ("Fq:1000000014", None), ("Zp:3", None), ("", None),
+]
+BAD_TERMS = ["t^", "(", "t^-", "", "*t", "1/0*t", "x*t", "0*t^-2", "t^-2*u", "w^-1*t"]
+
+
+@st.composite
+def analyze_argv(draw):
+    field, var = draw(st.sampled_from(VALID_FIELDS * 3 + INVALID_FIELDS))
+    coeffs = ["", "2*", "(-1)*"]
+    if var:
+        coeffs += [f"{var}*", f"({var}+1)*", f"{var}^2/({var}+1)*"]
+    terms = draw(st.lists(
+        st.builds("{}t^{}".format, st.sampled_from(coeffs), st.integers(-6, 3)),
+        min_size=1, max_size=3,
+    ))
+    if draw(st.integers(0, 4)) == 0:
+        terms.insert(draw(st.integers(0, len(terms))), draw(st.sampled_from(BAD_TERMS)))
+    f = " + ".join(terms)
+    return [
+        "analyze", "--field", field, "--f", f,
+        "--prec", str(draw(st.integers(0, 12))),
+        "--trials", str(draw(st.sampled_from([0, 1, 1, 2, 2]))),
+        "--seed", str(draw(st.integers(0, 99))),
+        "--format", draw(st.sampled_from(["json", "text"])),
+    ]
+
+
+def _main_quietly(argv):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(argv)
+    return code, out.getvalue()
+
+
+@settings(max_examples=150, deadline=None)
+@given(analyze_argv())
+def test_fuzz_main_single(argv):
+    code, out = _main_quietly(argv)
+    assert code in (0, 1, 2, 3)
+    if code >= 2:
+        assert out.startswith("error: ")
+    elif argv[-1] == "json":
+        assert json.loads(out)["schema"] == "ramify/1"
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(analyze_argv(), min_size=1, max_size=3))
+def test_fuzz_main_batch(configs):
+    with tempfile.TemporaryDirectory() as tmp:
+        batch = Path(tmp) / "batch.txt"
+        batch.write_text("".join(shlex.join(argv) + "\n" for argv in configs))
+        code, out = _main_quietly(["--batch", str(batch)])
+    data = json.loads(out)
+    assert data["schema"] == "ramify/1"
+    exits = [run["exit"] for run in data["runs"]]
+    assert len(exits) == len(configs)
+    assert set(exits) <= {0, 1, 2, 3}
+    assert code == max(exits)
 
 
 # -- batch and output files -----------------------------------------------------

@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ramify.errors import (
     DegenerateGenerator,
@@ -216,6 +217,26 @@ def test_trace_identities_exact():
                 assert tr.coeffs == {0: field.from_int(-1)}
             else:
                 assert tr.is_zero_known()
+
+
+TRACE_EXTS = (
+    ext_of(F2, -3), ext_of(F3, -2), ext_of(F5, -2, prec=24),
+    ext_of(F4, -3, F4.generator()), ext_of(F3u, -3, F3u.generator()),
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(TRACE_EXTS), st.integers(0, 2**32))
+def test_trace_matches_multiplication_matrix_diagonal(ext, seed):
+    # -c_{p-1} is exact, so it knows at least as much as the diagonal sum
+    x = unit_sample(ext, random.Random(seed))
+    m = x.multiplication_matrix()
+    diagonal = m[0][0]
+    for i in range(1, ext.p):
+        diagonal = diagonal + m[i][i]
+    tr = x.trace()
+    assert tr.prec >= diagonal.prec
+    assert tr.truncate(diagonal.prec) == diagonal
 
 
 def test_norm_multiplicative_trace_additive_sigma_invariant():

@@ -7,6 +7,7 @@ from ramify.errors import (
     DivisionByZero,
     FieldMismatch,
     FieldTooSmall,
+    InvalidSpec,
     NotAPthPower,
     NotRationalFunctionField,
     ZeroInput,
@@ -18,7 +19,6 @@ from ramify.fields import (
     check_identity,
     derivative_u,
     exhaustive_identity,
-    field_arith,
     frobenius_root,
     is_pth_power,
     trace_to_prime,
@@ -49,14 +49,10 @@ def test_rational_inverse_pair():
     assert (u / (u + 1)) * ((u + 1) / u) == F3u.one()
 
 
-def test_field_arith_dispatch():
-    w = F4.generator()
-    assert field_arith(w, w, "mul") == w + 1
-    assert field_arith(w, None, "neg") == -w
-    assert field_arith(w, None, "inv") * w == F4.one()
-    assert field_arith(w, 3, "pow") == w ** 3
-    with pytest.raises(DivisionByZero):
-        field_arith(F4.zero(), None, "inv")
+def test_inverse_of_zero():
+    for field in (F4, F3u):
+        with pytest.raises(DivisionByZero):
+            field.zero().inverse()
 
 
 def test_field_mismatch():
@@ -237,9 +233,9 @@ def test_exhaustive_identity_oracle():
 
 
 def test_modulus_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(InvalidSpec):
         FieldSpec.finite(2, 2, (1, 0, 1))  # w^2+1 = (w+1)^2 over F_2
-    with pytest.raises(ValueError):
+    with pytest.raises(InvalidSpec):
         FieldSpec(4, FieldSpec.FINITE)  # 4 is not prime
 
 
