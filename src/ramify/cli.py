@@ -150,13 +150,11 @@ def run_tower(args):
         "pass": identity.ok,
     }
     if args.csv:
-        with open(args.csv, "w") as fh:
-            fh.write("index,n_i,shift,v_x,v_y,neg_v_f\n")
-            for lv in levels:
-                d = lv.to_json()
-                fh.write(
-                    f"{d['index']},{d['n_i']},{d['shift']},{d['v_x']},{d['v_y']},{d['neg_v_f']}\n"
-                )
+        rows = ["index,n_i,shift,v_x,v_y,neg_v_f"]
+        for lv in levels:
+            d = lv.to_json()
+            rows.append(f"{d['index']},{d['n_i']},{d['shift']},{d['v_x']},{d['v_y']},{d['neg_v_f']}")
+        _write_file(args.csv, "\n".join(rows) + "\n")
     if args.format == "json":
         text = json.dumps(payload, indent=2, sort_keys=True)
     else:
@@ -211,6 +209,14 @@ def _dispatch(args):
     raise InvalidSpec("no subcommand given (try analyze, tower or selftest)")
 
 
+def _write_file(path, text):
+    try:
+        with open(path, "w") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise InvalidSpec(f"cannot write {path}: {exc.strerror}") from None
+
+
 def run_batch(path):
     """Run each configuration line of the file through ``_run_one``; a
     failing line becomes that line's entry and the batch goes on."""
@@ -224,7 +230,7 @@ def run_batch(path):
     for line in lines:
         if not line or line.startswith("#"):
             continue
-        text, code, _ = _run_one(shlex.split(line), nested=True)
+        text, code = _run_one(line, nested=True)
         outputs.append({"config": line, "exit": code, "output": text})
         worst = max(worst, code)
     rendered = json.dumps(
@@ -236,10 +242,17 @@ def run_batch(path):
 
 
 def _run_one(argv, nested=False):
-    """Parse and run one command line: (text, exit code, output path).
-    Every deliberate error is a RamifyError and maps to its exit code
-    here, argparse usage errors included."""
+    """Parse and run one command line: (text to print, exit code).  The
+    text is None when ``--out`` took the report.  A nested run gets its
+    batch line unsplit and ignores ``--out``.  Every deliberate error is
+    a RamifyError and maps to its exit code here, argparse usage errors,
+    batch lines shlex cannot split and unwritable output files included."""
     try:
+        if nested:
+            try:
+                argv = shlex.split(argv)
+            except ValueError as exc:  # e.g. an unclosed quote
+                raise InvalidSpec(f"cannot split the line: {exc}") from None
         args = make_parser().parse_args(argv)
         if args.batch is None:
             text, code = _dispatch(args)
@@ -249,19 +262,19 @@ def _run_one(argv, nested=False):
             )
         else:
             text, code = run_batch(args.batch)
-        return text, code, args.out
+        if args.out and not nested:
+            _write_file(args.out, text + "\n")
+            return None, code
+        return text, code
     except InsufficientPrecision as exc:
-        return f"error: {exc} (raise --prec)", 3, None
+        return f"error: {exc} (raise --prec)", 3
     except RamifyError as exc:
-        return f"error: {exc}", 2, None
+        return f"error: {exc}", 2
 
 
 def main(argv=None):
-    text, code, out_path = _run_one(sys.argv[1:] if argv is None else argv)
-    if out_path:
-        with open(out_path, "w") as fh:
-            fh.write(text + "\n")
-    else:
+    text, code = _run_one(sys.argv[1:] if argv is None else argv)
+    if text is not None:
         print(text)
     return code
 

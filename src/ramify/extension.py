@@ -109,7 +109,7 @@ class ASExtension:
     __slots__ = ("field", "p", "f", "best", "_cache")
 
     def __init__(self, field, f):
-        if f.field != field:
+        if f.field is not field:
             raise FieldMismatch("defining series must live over the declared field")
         if f.is_zero_known():
             raise ZeroElement("the defining series is zero on its known range")
@@ -125,7 +125,7 @@ class ASExtension:
     def __eq__(self, other):
         return (
             isinstance(other, ASExtension)
-            and self.field == other.field
+            and self.field is other.field
             and self.f == other.f
         )
 
@@ -173,7 +173,7 @@ class ASExtension:
         return self._cache[key]
 
     def from_series(self, s):
-        if s.field != self.field:
+        if s.field is not self.field:
             raise FieldMismatch("series over a different coefficient field")
         z = LaurentSeries.zero(self.field, s.prec)
         return LElement(self, (s,) + (z,) * (self.p - 1))

@@ -7,8 +7,16 @@ every element of F_q is a p-th power, while F_p(u) has elements (such
 as u) that are not.  Elements are immutable and written in a canonical
 form, so equality of representations is equality in the field.
 
-Polynomials over F_p are tuples of ints in [0, p), lowest degree first,
-with no trailing zeros; () is the zero polynomial.
+An element of F_q is one int, its *code*: the residue mod p in a prime
+field, and the base-p number whose digits are the coefficients of
+1, w, ..., w^(m-1) when m >= 2, so that ``element_at(i)`` has code i.
+Fields with m >= 2 multiply, invert and add through log/antilog and
+Zech tables built once per field, which bounds their order by 2^16.
+Field specs are interned, so two specs of one field are the same object.
+
+Polynomials over F_p (the elements of F_p(u), and the field moduli) are
+tuples of ints in [0, p), lowest degree first, with no trailing zeros;
+() is the zero polynomial.
 """
 
 from __future__ import annotations
@@ -28,15 +36,38 @@ from .errors import (
 
 _ONE = (1,)
 
+# Every field order lies below ORDER_LIMIT, where the Miller-Rabin test
+# below is exact; fields of degree >= 2 keep tables of q entries, so their
+# order is at most TABLE_LIMIT.
+ORDER_LIMIT = 2 ** 64
+TABLE_LIMIT = 2 ** 16
+
+# With these bases Miller-Rabin is exact below 3.3 * 10^24 (Sorenson and
+# Webster, "Strong pseudoprimes to twelve prime bases", 2017).
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
 
 def _is_prime(n):
+    """Deterministic Miller-Rabin primality test for n < ORDER_LIMIT."""
     if n < 2:
         return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
+    for b in _MR_BASES:
+        if n % b == 0:
+            return n == b
+    d, s = n - 1, 0
+    while not d & 1:
+        d >>= 1
+        s += 1
+    for b in _MR_BASES:
+        x = pow(b, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        d += 1
     return True
 
 
@@ -172,6 +203,64 @@ def _ppoly_str(cs, var):
     return "+".join(parts)
 
 
+def _digits(code, p, m):
+    """The coefficient vector of a code, without trailing zeros."""
+    out = []
+    for _ in range(m):
+        code, digit = divmod(code, p)
+        out.append(digit)
+    return _trim(out)
+
+
+def _field_tables(p, m, modulus):
+    """(log, exp, zech, neg) for F_p[w]/(modulus), m >= 2, q = p^m.
+
+    For a primitive element g and n = q - 1: ``exp[k]`` is the code of
+    g^k, stored twice over (length 2n) so that a sum of two logs indexes
+    it directly; ``log`` inverts it on nonzero codes.  ``zech[d]`` is
+    log(1 + g^d), or -1 where 1 + g^d = 0, so that g^i + g^j =
+    g^(i + zech[j - i]); a difference j - i in (-n, n) reads it through
+    Python's negative indexing, which is the reduction mod n.  ``neg``
+    maps a code to the code of its negative.
+
+    The powers of g are walked on digit lists: g has low degree, so one
+    step costs O(m) integer operations.
+    """
+    q = p ** m
+    n = q - 1
+    divisors = _prime_divisors(n)
+    g = next(
+        g for g in (_digits(c, p, m) for c in range(p, q))
+        if all(_ppow_mod(g, n // r, modulus, p) != _ONE for r in divisors)
+    )
+    red = [(-c) % p for c in modulus[:m]]  # w^m as a vector
+    weights = [p ** i for i in range(m)]
+    exp = [0] * (2 * n)
+    log = [0] * q
+    vec = [1] + [0] * (m - 1)
+    for k in range(n):
+        code = sum(d * wt for d, wt in zip(vec, weights))
+        exp[k] = exp[k + n] = code
+        log[code] = k
+        acc = [0] * m
+        for gi in g:  # vec * g, one power of w at a time
+            if gi:
+                acc = [a + gi * v for a, v in zip(acc, vec)]
+            top = vec[-1]
+            vec = [0] + vec[:-1]
+            if top:
+                vec = [(v + top * r) % p for v, r in zip(vec, red)]
+        vec = [a % p for a in acc]
+    zech = [0] * n
+    for d in range(n):
+        c = exp[d]
+        one_plus = c - c % p + (c + 1) % p  # + 1 changes the lowest digit only
+        zech[d] = log[one_plus] if one_plus else -1
+    minus_one = log[p - 1]  # the code of -1 is p - 1
+    neg = [0] + [exp[log[c] + minus_one] for c in range(1, q)]
+    return log, exp, zech, neg
+
+
 # Fixed moduli used when a field is requested by its order alone (the
 # CLI tower command).  These are constants of the artifact, not
 # discovered at runtime.
@@ -188,27 +277,34 @@ DEFAULT_MODULI = {
     (7, 2): (1, 0, 1),          # w^2+1
 }
 
+_INTERNED = {}  # (p, kind, degree, modulus, var) -> FieldSpec
+
 
 class FieldSpec:
     """Description of a coefficient field: F_q or F_p(u).
 
     Finite fields are F_p[w]/(modulus) for a fixed monic irreducible
     modulus of degree m supplied at construction time.  Instances are
-    immutable and hashable; two specs are equal when they describe the
-    same field presentation.
+    immutable, hashable and interned: constructing the same field
+    presentation twice returns the same object, so equality is identity.
     """
 
-    __slots__ = ("p", "kind", "degree", "modulus", "var")
+    __slots__ = (
+        "p", "kind", "degree", "modulus", "var", "is_finite", "order",
+        "_hash", "_log", "_exp", "_zech", "_neg", "_zero", "_one",
+    )
 
     FINITE = "finite"
     RATIONAL = "rational"
 
-    def __init__(self, p, kind, degree=1, modulus=None, var=None):
+    def __new__(cls, p, kind, degree=1, modulus=None, var=None):
+        if p >= ORDER_LIMIT:
+            raise InvalidSpec(f"characteristic {p} is not below 2^64")
         if not _is_prime(p):
             raise InvalidSpec(f"characteristic {p} is not prime")
-        if kind not in (self.FINITE, self.RATIONAL):
+        if kind not in (cls.FINITE, cls.RATIONAL):
             raise InvalidSpec(f"unknown field kind {kind!r}")
-        if kind == self.FINITE:
+        if kind == cls.FINITE:
             if degree < 1:
                 raise InvalidSpec("extension degree must be at least 1")
             if degree == 1:
@@ -216,23 +312,40 @@ class FieldSpec:
             else:
                 if modulus is None:
                     raise InvalidSpec("degree > 1 needs an explicit modulus")
+                if degree > 16 or p ** degree > TABLE_LIMIT:
+                    raise InvalidSpec("extension fields of degree >= 2 need q <= 2^16")
                 modulus = _trim(tuple(c % p for c in modulus))
-                if len(modulus) != degree + 1:
-                    raise InvalidSpec("modulus degree does not match field degree")
-                if modulus[-1] != 1:
-                    raise InvalidSpec("modulus must be monic")
-                if not _pirreducible(modulus, p):
-                    raise InvalidSpec("modulus is reducible over F_p")
             var = var or "w"
         else:
             degree = 1
             modulus = None
             var = var or "u"
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "degree", degree)
-        object.__setattr__(self, "modulus", modulus)
-        object.__setattr__(self, "var", var)
+        key = (p, kind, degree, modulus, var)
+        self = _INTERNED.get(key)
+        if self is not None:
+            return self
+        tables = (None,) * 4
+        if modulus is not None:
+            if len(modulus) != degree + 1:
+                raise InvalidSpec("modulus degree does not match field degree")
+            if modulus[-1] != 1:
+                raise InvalidSpec("modulus must be monic")
+            if not _pirreducible(modulus, p):
+                raise InvalidSpec("modulus is reducible over F_p")
+            tables = _field_tables(p, degree, modulus)
+        self = object.__new__(cls)
+        finite = kind == cls.FINITE
+        log, exp, zech, neg = tables
+        for name, value in (
+            ("p", p), ("kind", kind), ("degree", degree), ("modulus", modulus),
+            ("var", var), ("is_finite", finite), ("order", p ** degree if finite else None),
+            ("_hash", hash(key)), ("_log", log), ("_exp", exp), ("_zech", zech), ("_neg", neg),
+            ("_zero", _elem(self, 0) if finite else _elem(self, (), _ONE)),
+            ("_one", _elem(self, 1) if finite else _elem(self, _ONE, _ONE)),
+        ):
+            object.__setattr__(self, name, value)
+        _INTERNED[key] = self
+        return self
 
     def __setattr__(self, name, value):
         raise AttributeError("FieldSpec is immutable")
@@ -251,26 +364,11 @@ class FieldSpec:
 
     # -- basic structure ------------------------------------------------
 
-    @property
-    def is_finite(self):
-        return self.kind == self.FINITE
-
-    @property
-    def order(self):
-        return self.p ** self.degree if self.is_finite else None
-
     def __eq__(self, other):
-        return (
-            isinstance(other, FieldSpec)
-            and self.p == other.p
-            and self.kind == other.kind
-            and self.degree == other.degree
-            and self.modulus == other.modulus
-            and self.var == other.var
-        )
+        return self is other
 
     def __hash__(self):
-        return hash((self.p, self.kind, self.degree, self.modulus, self.var))
+        return self._hash
 
     def __repr__(self):
         if self.is_finite:
@@ -279,20 +377,17 @@ class FieldSpec:
 
     # -- element constructors -------------------------------------------
 
-    def _fin(self, vec):
-        return ResidueElem(self, tuple(vec), None)
-
     def _rat(self, num, den):
         num, den = _trim(num), _trim(den)
         if not den:
             raise DivisionByZero("zero denominator")
         if not num:
-            return ResidueElem(self, (), _ONE)
+            return self._zero
         if len(den) == 1:
             if den[0] != 1:
                 inv = pow(den[0], -1, self.p)
                 num = tuple((c * inv) % self.p for c in num)
-            return ResidueElem(self, num, _ONE)
+            return _elem(self, num, _ONE)
         g = _pgcd(num, den, self.p)
         if len(g) > 1:
             num = _pdivmod(num, g, self.p)[0]
@@ -301,23 +396,22 @@ class FieldSpec:
             if den[0] != 1:
                 inv = pow(den[0], -1, self.p)
                 num = tuple((c * inv) % self.p for c in num)
-            return ResidueElem(self, num, _ONE)
+            return _elem(self, num, _ONE)
         inv = pow(den[-1], -1, self.p)
         num = tuple((c * inv) % self.p for c in num)
         den = tuple((c * inv) % self.p for c in den)
-        return ResidueElem(self, num, den)
+        return _elem(self, num, den)
 
     def zero(self):
-        return self._fin((0,) * self.degree) if self.is_finite else self._rat((), _ONE)
+        return self._zero
 
     def one(self):
-        return self.from_int(1)
+        return self._one
 
     def from_int(self, n):
-        n %= self.p
         if self.is_finite:
-            return self._fin((n,) + (0,) * (self.degree - 1))
-        return self._rat((n,), _ONE)
+            return _elem(self, n % self.p)
+        return self._rat((n % self.p,), _ONE)
 
     def from_vector(self, vec):
         if not self.is_finite:
@@ -325,8 +419,7 @@ class FieldSpec:
         vec = [c % self.p for c in vec]
         if len(vec) > self.degree:
             raise InvalidSpec("vector longer than field degree")
-        vec += [0] * (self.degree - len(vec))
-        return self._fin(vec)
+        return _elem(self, sum(c * self.p ** i for i, c in enumerate(vec)))
 
     def from_polys(self, num, den=_ONE):
         if self.is_finite:
@@ -347,11 +440,7 @@ class FieldSpec:
         """The index-th element of F_q in base-p digit order."""
         if not self.is_finite:
             raise FieldMismatch("enumeration is for finite fields")
-        vec = []
-        for _ in range(self.degree):
-            index, digit = divmod(index, self.p)
-            vec.append(digit)
-        return self._fin(vec)
+        return _elem(self, index % self.order)
 
     def elements(self):
         if not self.is_finite:
@@ -375,18 +464,17 @@ class FieldSpec:
 
 
 class ResidueElem:
-    """An element of F_q (coefficient vector) or F_p(u) (num/den pair).
+    """An element of F_q (an int code) or F_p(u) (a num/den pair).
 
+    ``_a`` is the code of an F_q element, with ``_b`` None, or the
+    numerator of an F_p(u) element, with ``_b`` its denominator.
     Canonical form: F_p(u) elements are in lowest terms with a monic
     denominator, so ``==`` on representations decides field equality.
+    Zero is the only element whose ``_a`` is falsy.  Elements are made
+    by the field (``FieldSpec.from_int`` and friends), not directly.
     """
 
     __slots__ = ("field", "_a", "_b")
-
-    def __init__(self, field, a, b):
-        object.__setattr__(self, "field", field)
-        object.__setattr__(self, "_a", a)
-        object.__setattr__(self, "_b", b)
 
     def __setattr__(self, name, value):
         raise AttributeError("ResidueElem is immutable")
@@ -398,37 +486,50 @@ class ResidueElem:
             if isinstance(other, int):
                 return self.field.from_int(other)
             raise FieldMismatch(f"cannot combine ResidueElem with {type(other).__name__}")
-        if other.field != self.field:
+        if other.field is not self.field:
             raise FieldMismatch(f"{self.field!r} vs {other.field!r}")
         return other
 
     def is_zero(self):
-        if self.field.is_finite:
-            return all(c == 0 for c in self._a)
         return not self._a
 
     def __bool__(self):
-        return not self.is_zero()
+        return bool(self._a)
 
     # -- arithmetic -------------------------------------------------------
+    # Each operation branches on the representation: tables (F_q, m >= 2),
+    # residues mod p (F_p), or polynomial pairs (F_p(u)).
 
     def __add__(self, other):
-        other = self._check(other)
         f = self.field
-        if f.is_finite:
-            return f._fin((x + y) % f.p for x, y in zip(self._a, other._a))
+        if other.__class__ is not ResidueElem or other.field is not f:
+            other = self._check(other)
+        a, b = self._a, other._a
+        log = f._log
+        if log is not None:
+            if not a:
+                return other
+            if not b:
+                return self
+            la = log[a]
+            z = f._zech[log[b] - la]
+            return _elem(f, f._exp[la + z]) if z >= 0 else f._zero
+        if self._b is None:
+            return _elem(f, (a + b) % f.p)
         if self._b == _ONE and other._b == _ONE:
-            return ResidueElem(f, _padd(self._a, other._a, f.p), _ONE)
-        num = _padd(_pmul(self._a, other._b, f.p), _pmul(other._a, self._b, f.p), f.p)
+            return _elem(f, _padd(a, b, f.p), _ONE)
+        num = _padd(_pmul(a, other._b, f.p), _pmul(b, self._b, f.p), f.p)
         return f._rat(num, _pmul(self._b, other._b, f.p))
 
     __radd__ = __add__
 
     def __neg__(self):
         f = self.field
-        if f.is_finite:
-            return f._fin((-c) % f.p for c in self._a)
-        return ResidueElem(f, _pneg(self._a, f.p), self._b)
+        if f._neg is not None:
+            return _elem(f, f._neg[self._a])
+        if self._b is None:
+            return _elem(f, -self._a % f.p)
+        return _elem(f, _pneg(self._a, f.p), self._b)
 
     def __sub__(self, other):
         return self + (-self._check(other))
@@ -437,38 +538,31 @@ class ResidueElem:
         return (-self) + self.field.from_int(other)
 
     def __mul__(self, other):
-        other = self._check(other)
         f = self.field
-        if f.is_finite:
-            if f.degree == 1:
-                return f._fin(((self._a[0] * other._a[0]) % f.p,))
-            prod = _pmul(self._a, other._a, f.p)
-            rem = _pdivmod(prod, f.modulus, f.p)[1]
-            return f._fin(tuple(rem) + (0,) * (f.degree - len(rem)))
+        if other.__class__ is not ResidueElem or other.field is not f:
+            other = self._check(other)
+        a, b = self._a, other._a
+        log = f._log
+        if log is not None:
+            return _elem(f, f._exp[log[a] + log[b]]) if a and b else f._zero
+        if self._b is None:
+            return _elem(f, a * b % f.p)
         if self._b == _ONE and other._b == _ONE:
-            return ResidueElem(f, _pmul(self._a, other._a, f.p), _ONE)
-        return f._rat(_pmul(self._a, other._a, f.p), _pmul(self._b, other._b, f.p))
+            return _elem(f, _pmul(a, b, f.p), _ONE)
+        return f._rat(_pmul(a, b, f.p), _pmul(self._b, other._b, f.p))
 
     __rmul__ = __mul__
 
     def inverse(self):
-        if self.is_zero():
+        a = self._a
+        if not a:
             raise DivisionByZero("inverse of zero")
         f = self.field
-        if not f.is_finite:
-            return f._rat(self._b, self._a)
-        if f.degree == 1:
-            return f._fin((pow(self._a[0], -1, f.p),))
-        # extended Euclid in F_p[w] against the modulus
-        r0, r1 = f.modulus, _trim(self._a)
-        s0, s1 = (), _ONE
-        while r1:
-            q, r = _pdivmod(r0, r1, f.p)
-            r0, r1 = r1, r
-            s0, s1 = s1, _psub(s0, _pmul(q, s1, f.p), f.p)
-        inv_c = pow(r0[-1], -1, f.p)
-        inv = tuple((c * inv_c) % f.p for c in s0)
-        return f._fin(inv + (0,) * (f.degree - len(inv)))
+        if f._log is not None:
+            return _elem(f, f._exp[-f._log[a]])  # exp has period n: index -k is g^-k
+        if self._b is None:
+            return _elem(f, pow(a, -1, f.p))
+        return f._rat(self._b, a)
 
     def __truediv__(self, other):
         return self * self._check(other).inverse()
@@ -479,7 +573,7 @@ class ResidueElem:
     def __pow__(self, n):
         if n < 0:
             return self.inverse() ** (-n)
-        result = self.field.one()
+        result = self.field._one
         base = self
         while n:
             if n & 1:
@@ -493,7 +587,7 @@ class ResidueElem:
             other = self.field.from_int(other)
         return (
             isinstance(other, ResidueElem)
-            and self.field == other.field
+            and self.field is other.field
             and self._a == other._a
             and self._b == other._b
         )
@@ -506,7 +600,7 @@ class ResidueElem:
     def __str__(self):
         f = self.field
         if f.is_finite:
-            return _ppoly_str(_trim(self._a), f.var)
+            return _ppoly_str(_digits(self._a, f.p, f.degree), f.var)
         num = _ppoly_str(self._a, f.var)
         if self._b == _ONE:
             return num
@@ -532,6 +626,22 @@ class ResidueElem:
             elif depth == 0 and ch in "+-/":
                 return True
         return False
+
+
+_new_elem = object.__new__
+_set_field = ResidueElem.field.__set__
+_set_a = ResidueElem._a.__set__
+_set_b = ResidueElem._b.__set__
+
+
+def _elem(field, a, b=None):
+    """A ResidueElem from its representation, bypassing the immutability
+    guard through the slot descriptors."""
+    e = _new_elem(ResidueElem)
+    _set_field(e, field)
+    _set_a(e, a)
+    _set_b(e, b)
+    return e
 
 
 def is_pth_power(c):
@@ -599,7 +709,7 @@ def trace_to_prime(c):
     for _ in range(f.degree):
         acc = acc + x
         x = x ** f.p
-    return acc._a[0]
+    return acc._a
 
 
 def artin_schreier_solvable(c):
@@ -748,7 +858,7 @@ class Expr:
             v = self.payload
             if isinstance(v, int):
                 return field.from_int(v)
-            if v.field != field:
+            if v.field is not field:
                 raise FieldMismatch("constant from a different field")
             return v
         if self.op == "var":

@@ -9,11 +9,10 @@ over integers and the field variable.  Whitespace is ignored.
 
 from __future__ import annotations
 
-import math
 import re
 
 from .errors import FieldLiteralError, InvalidSpec, ParseError
-from .fields import FieldSpec
+from .fields import ORDER_LIMIT, FieldSpec, _is_prime
 from .series import LaurentSeries
 
 _TOKEN_RE = re.compile(
@@ -243,15 +242,27 @@ def _parse_modulus(text, p):
     return [coeffs.get(i, 0) for i in range(degree + 1)], (var or "w")
 
 
+def _iroot(q, m):
+    """The largest r with r^m <= q, for q >= 1."""
+    lo, hi = 1, 1 << (q.bit_length() // m + 1)
+    while lo < hi:
+        mid = (lo + hi + 1) // 2
+        if mid ** m <= q:
+            lo = mid
+        else:
+            hi = mid - 1
+    return lo
+
+
 def factor_prime_power(q):
-    """(p, m) with q = p^m and p prime; InvalidSpec otherwise."""
-    if q >= 2:
-        p = next((d for d in range(2, math.isqrt(q) + 1) if q % d == 0), q)
-        m, rest = 0, q
-        while rest % p == 0:
-            rest //= p
-            m += 1
-        if rest == 1:
+    """(p, m) with q = p^m and p prime; InvalidSpec otherwise, and for
+    q >= 2^64, beyond which primality is not decided exactly."""
+    if q >= ORDER_LIMIT:
+        raise InvalidSpec(f"field order {q} is not below 2^64")
+    # p >= 2 bounds m below the bit length of q
+    for m in range(1, q.bit_length()):
+        p = _iroot(q, m)
+        if p ** m == q and _is_prime(p):
             return p, m
     raise InvalidSpec(f"{q} is not a prime power")
 

@@ -279,7 +279,7 @@ class LaurentSeries:
             return LaurentSeries.constant(other, self.prec)
         if not isinstance(other, LaurentSeries):
             raise FieldMismatch(f"cannot combine series with {type(other).__name__}")
-        if other.field != self.field:
+        if other.field is not self.field:
             raise FieldMismatch(f"{self.field!r} vs {other.field!r}")
         return other
 
@@ -401,7 +401,7 @@ class LaurentSeries:
     def __eq__(self, other):
         return (
             isinstance(other, LaurentSeries)
-            and self.field == other.field
+            and self.field is other.field
             and self.coeffs == other.coeffs
             and self.prec == other.prec
         )

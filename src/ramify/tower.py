@@ -43,7 +43,7 @@ class TowerSpec:
             raise InvalidSpec("depth must be nonnegative")
         if a is None:
             a = field.generator()
-        if all(c == 0 for c in a._a[1:]):
+        if a._a < p:  # the codes below p are the prime field
             raise InvalidSpec("the shift constant a must lie outside F_p")
         self.p = p
         self.n = n

@@ -4,6 +4,7 @@ import json
 import random
 import shlex
 import tempfile
+import time
 from pathlib import Path
 
 import pytest
@@ -64,13 +65,28 @@ def test_parse_field_specs():
 def test_factor_prime_power():
     assert factor_prime_power(9) == (3, 2)
     assert factor_prime_power(64) == (2, 6)
-    assert factor_prime_power(1000000007) == (1000000007, 1)  # O(sqrt q) trial division
+    assert factor_prime_power(1000000007) == (1000000007, 1)
+    assert factor_prime_power(2 ** 63) == (2, 63)
+    assert factor_prime_power(18446744073709551557) == (18446744073709551557, 1)  # < 2^64
     for q in (0, 1, 12, 1000000014):
         with pytest.raises(InvalidSpec):
             factor_prime_power(q)
     assert parse_field_spec("Fq:1000000007") == FieldSpec.finite(1000000007)
     with pytest.raises(InvalidSpec):
         parse_field_spec("Fq:1000000014")
+    assert parse_field_spec("Fq:18446744073709551557").order == 18446744073709551557
+
+
+def test_huge_field_order_exits_two_at_once(capsys):
+    start = time.perf_counter()
+    code, out = run_cli(
+        ["analyze", "--field", "Fq:1000000000000000000000000000057", "--f", "t^-1"], capsys
+    )
+    assert code == 2 and out.startswith("error: ")
+    assert time.perf_counter() - start < 1.0
+    for q in (2 ** 64, 10 ** 30 + 57):
+        with pytest.raises(InvalidSpec):
+            factor_prime_power(q)
 
 
 def test_parse_print_roundtrip_random():
@@ -199,11 +215,12 @@ GOOD_LINE = "analyze --field Fp:2 --f t^-1 --prec 12 --trials 2 --format json"
         "analyze --field Fp:3 --f t^-2 --prec 16 --trials 0",
         "analyze --field Fp:3 --prec 8",  # argparse: --f is missing
         "--batch {batch} --out",
+        "tower --p 3 --n 2 --q 9 --depth 3 --csv {missing}/levels.csv",  # unwritable
     ],
 )
 def test_bad_input_exits_two_and_batch_goes_on(line, tmp_path, capsys):
     batch = tmp_path / "batch.txt"
-    line = line.format(batch=batch)
+    line = line.format(batch=batch, missing=tmp_path / "missing")
     batch.write_text(f"{GOOD_LINE}\n{line}\n{GOOD_LINE}\n")
     assert main(shlex.split(line)) == 2
     captured = capsys.readouterr()
@@ -215,6 +232,31 @@ def test_bad_input_exits_two_and_batch_goes_on(line, tmp_path, capsys):
     assert data["runs"][1]["config"] == line
     assert data["runs"][1]["output"].startswith("error: ")
     assert code == 2
+
+
+def test_batch_line_with_an_unclosed_quote(tmp_path, capsys):
+    batch = tmp_path / "batch.txt"
+    batch.write_text(f"{GOOD_LINE}\nanalyze --field Fp:2 --f 't^-1\n{GOOD_LINE}\n")
+    code, out = run_cli(["--batch", str(batch)], capsys)
+    assert capsys.readouterr().err == ""
+    data = json.loads(out)
+    assert [run["exit"] for run in data["runs"]] == [0, 2, 0]
+    assert data["runs"][1]["output"].startswith("error: ")
+    assert code == 2
+
+
+def test_unwritable_out_exits_two(tmp_path, capsys):
+    missing = tmp_path / "missing" / "report.json"
+    batch = tmp_path / "batch.txt"
+    batch.write_text(GOOD_LINE + "\n")
+    for argv in (
+        ["analyze", "--field", "Fp:2", "--f", "t^-1", "--prec", "12", "--trials", "2",
+         "--out", str(missing)],
+        ["--batch", str(batch), "--out", str(missing)],
+    ):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out.startswith("error: cannot write ") and captured.err == ""
 
 
 def test_batch_takes_no_other_arguments(tmp_path, capsys):
