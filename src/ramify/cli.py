@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import shlex
 import sys
 
@@ -22,8 +23,10 @@ from .extension import ASExtension
 from .fields import FieldSpec
 from .invariants import build_report
 from .parsing import factor_prime_power, parse_field_spec, parse_series
+from .records import encode
 from .selftest import DEFAULT_SEED, run_all
 from .tower import (
+    TowerLevel,
     TowerSpec,
     best_f_descent,
     check_step_identity,
@@ -102,7 +105,7 @@ def run_analyze(args):
             f"field:          {field!r}",
             f"f:              {f}",
             f"best f:         {ext.best.f_best}",
-            f"swan:           {report.to_json()['swan']}",
+            f"swan:           {encode(report.swan)}",
             f"case:           {report.case.value}",
             f"classification: {report.classification.value}",
             f"e, f, defect:   {report.e}, {report.f_inertia}, {report.defect}",
@@ -139,22 +142,13 @@ def run_tower(args):
         "levels": [lv.to_json() for lv in levels],
         "report": report.to_json(),
         "principality": principality_chain(report),
-        "step_identity": {
-            "ok": identity.ok,
-            "trials": identity.trials,
-            "witness": identity.witness,
-            "degree_bound": identity.degree_bound,
-            "sample_space": identity.sample_space,
-        },
+        "step_identity": identity.to_json(),
         "descent": None if descent is None else descent.to_json(),
         "pass": identity.ok,
     }
     if args.csv:
-        rows = ["index,n_i,shift,v_x,v_y,neg_v_f"]
-        for lv in levels:
-            d = lv.to_json()
-            rows.append(f"{d['index']},{d['n_i']},{d['shift']},{d['v_x']},{d['v_y']},{d['neg_v_f']}")
-        _write_file(args.csv, "\n".join(rows) + "\n")
+        rows = [TowerLevel._fields] + [d.values() for d in payload["levels"]]
+        _write_file(args.csv, "".join(",".join(map(str, row)) + "\n" for row in rows))
     if args.format == "json":
         text = json.dumps(payload, indent=2, sort_keys=True)
     else:
@@ -275,7 +269,11 @@ def _run_one(argv, nested=False):
 def main(argv=None):
     text, code = _run_one(sys.argv[1:] if argv is None else argv)
     if text is not None:
-        print(text)
+        try:
+            print(text)
+            sys.stdout.flush()
+        except BrokenPipeError:  # the reader left early, as in `ramify ... | head`
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     return code
 
 

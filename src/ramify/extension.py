@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from enum import Enum
 from fractions import Fraction
+from typing import NamedTuple
 
 from .errors import (
     DegenerateGenerator,
@@ -42,17 +43,14 @@ class RamificationType(Enum):
     UNKNOWN = "unknown"
 
 
-class BestForm:
+class BestForm(NamedTuple):
     """Result of the reduction: the normal form, its case, the Swan
     conductor, and the elements h used (f_best = f - sum(h^p - h))."""
 
-    __slots__ = ("f_best", "case", "swan", "reduction_log")
-
-    def __init__(self, f_best, case, swan, reduction_log):
-        self.f_best = f_best
-        self.case = case
-        self.swan = swan
-        self.reduction_log = tuple(reduction_log)
+    f_best: LaurentSeries
+    case: BestCase
+    swan: Fraction
+    reduction_log: tuple
 
     def __repr__(self):
         return f"BestForm({self.f_best!r}, {self.case.value}, swan={self.swan})"
@@ -96,10 +94,10 @@ def reduce_to_best(f):
     f_best = LaurentSeries(field, coeffs, f.prec)
     negatives = [e for e in coeffs if e < 0]
     if not negatives:
-        return BestForm(f_best, BestCase.INTEGRAL, Fraction(0), log)
+        return BestForm(f_best, BestCase.INTEGRAL, Fraction(0), tuple(log))
     n = -min(negatives)
     case = BestCase.WILD_POLE if n % p else BestCase.FEROCIOUS_POLE
-    return BestForm(f_best, case, Fraction(n), log)
+    return BestForm(f_best, case, Fraction(n), tuple(log))
 
 
 class ASExtension:
@@ -483,7 +481,7 @@ def classify(ext):
     return RamificationType.UNRAMIFIED
 
 
-class BasisDescription:
+class BasisDescription(NamedTuple):
     """Shape of the integral closure B over A = k[[t]].
 
     Wild: B = sum A_i alpha^i with A_i the coefficient ideal, recorded
@@ -491,13 +489,10 @@ class BasisDescription:
     for the recorded scaling gamma in K.
     """
 
-    __slots__ = ("kind", "cuts", "gamma", "ext")
-
-    def __init__(self, kind, ext, cuts=None, gamma=None):
-        self.kind = kind
-        self.ext = ext
-        self.cuts = cuts
-        self.gamma = gamma
+    kind: str
+    ext: ASExtension
+    cuts: tuple | None = None
+    gamma: LaurentSeries | None = None
 
     def generators(self):
         """Boundary generators of the A_i alpha^i (wild) or the powers

@@ -10,8 +10,9 @@ form, so equality of representations is equality in the field.
 An element of F_q is one int, its *code*: the residue mod p in a prime
 field, and the base-p number whose digits are the coefficients of
 1, w, ..., w^(m-1) when m >= 2, so that ``element_at(i)`` has code i.
-Fields with m >= 2 multiply, invert and add through log/antilog and
-Zech tables built once per field, which bounds their order by 2^16.
+Fields with m >= 2 multiply, invert, add and take powers through
+log/antilog and Zech tables built once per field, which bounds their
+order by 2^16.
 Field specs are interned, so two specs of one field are the same object.
 
 Polynomials over F_p (the elements of F_p(u), and the field moduli) are
@@ -23,6 +24,7 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
+from typing import NamedTuple
 
 from .errors import (
     DivisionByZero,
@@ -33,6 +35,7 @@ from .errors import (
     NotRationalFunctionField,
     ZeroInput,
 )
+from .records import encode
 
 _ONE = (1,)
 
@@ -571,9 +574,20 @@ class ResidueElem:
         return self.field.from_int(other) * self.inverse()
 
     def __pow__(self, n):
+        f = self.field
+        a = self._a
+        if self._b is None:
+            # F_q: one table lookup (degree >= 2) or one modular power
+            if not a:
+                if n < 0:
+                    raise DivisionByZero("inverse of zero")
+                return f._zero if n else f._one
+            if f._log is not None:
+                return _elem(f, f._exp[f._log[a] * n % (f.order - 1)])
+            return _elem(f, pow(a, n % (f.p - 1), f.p))
         if n < 0:
             return self.inverse() ** (-n)
-        result = self.field._one
+        result = f._one
         base = self
         while n:
             if n & 1:
@@ -901,17 +915,16 @@ class Expr:
         return self.args[0].degree_pair()
 
 
-class IdentityCheck:
+class IdentityCheck(NamedTuple):
     """Outcome of a randomized identity test."""
 
-    __slots__ = ("ok", "witness", "trials", "degree_bound", "sample_space")
+    ok: bool
+    witness: dict | None
+    trials: int
+    degree_bound: int
+    sample_space: int
 
-    def __init__(self, ok, witness, trials, degree_bound, sample_space):
-        self.ok = ok
-        self.witness = witness
-        self.trials = trials
-        self.degree_bound = degree_bound
-        self.sample_space = sample_space
+    to_json = encode
 
     @property
     def false_pass_bound(self):

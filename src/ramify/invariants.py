@@ -10,6 +10,7 @@ from __future__ import annotations
 import math
 import random
 from fractions import Fraction
+from typing import NamedTuple
 
 from .errors import (
     InvalidSpec,
@@ -19,12 +20,16 @@ from .errors import (
     TrivialExtension,
 )
 from .extension import (
+    ASExtension,
+    BestCase,
     LaurentSeries,
     RamificationType,
     integral_basis,
     integral_sample,
+    reduce_to_best,
     unit_sample,
 )
+from .records import encode
 from .series import Cut, ValueGroup, restrict_cut, series_in_cut
 
 Z_GROUP = ValueGroup.discrete(1)
@@ -95,37 +100,20 @@ def rsw_modulus(ext):
     return Cut.at_least(Fraction(ext.p - 1, ext.p) * ext.swan, Z_GROUP).normalize()
 
 
-class LogForm:
+class LogForm(NamedTuple):
     """A logarithmic differential form c_t * dlog t + c_u * du with an
     attached comparison ideal; equality means coefficientwise
     congruence modulo that ideal."""
 
-    __slots__ = ("dlog_t", "du", "modulus")
+    dlog_t: LaurentSeries
+    du: LaurentSeries | None
+    modulus: Cut
 
-    def __init__(self, dlog_t, du, modulus):
-        self.dlog_t = dlog_t
-        self.du = du
-        self.modulus = modulus
-
-    def congruent_to(self, other):
-        if (self.du is None) != (other.du is None):
-            raise NotApplicable("forms over different coefficient fields")
-        if not series_in_cut(self.dlog_t - other.dlog_t, self.modulus):
-            return False
-        if self.du is not None:
-            return series_in_cut(self.du - other.du, self.modulus)
-        return True
+    to_json = encode
 
     def __repr__(self):
         du = "" if self.du is None else f" + ({self.du})*du"
         return f"({self.dlog_t})*dlog t{du}  (mod {self.modulus!r})"
-
-    def to_json(self):
-        return {
-            "dlog_t": str(self.dlog_t),
-            "du": None if self.du is None else str(self.du),
-            "modulus": self.modulus.to_json(),
-        }
 
 
 def log_form_of(f, modulus):
@@ -272,21 +260,18 @@ def lefschetz_minimum(ext, samples=40, seed=0):
     return best
 
 
-class CheckResult:
-    """Verdict of a sampled or exact verifier."""
+class CheckResult(NamedTuple):
+    """Verdict of a sampled or exact verifier, with its evidence."""
 
-    __slots__ = ("name", "ok", "detail")
-
-    def __init__(self, name, ok, detail=None):
-        self.name = name
-        self.ok = ok
-        self.detail = detail or {}
+    name: str
+    ok: bool
+    detail: dict
 
     def __repr__(self):
         return f"CheckResult({self.name}: {'pass' if self.ok else 'FAIL'})"
 
     def to_json(self):
-        return {"ok": self.ok, **self.detail}
+        return {"ok": self.ok, **encode(self.detail)}
 
 
 def check_norm_ideal_identity(ext):
@@ -314,11 +299,7 @@ def check_norm_ideal_identity(ext):
     return CheckResult(
         "norm_ideal_identity",
         ok,
-        {
-            "h": h.to_json(),
-            "norm_of_j": nj.to_json(),
-            "generator_sign": sign,
-        },
+        {"h": h, "norm_of_j": nj, "generator_sign": sign},
     )
 
 
@@ -388,7 +369,7 @@ def check_norm_additivity(ext, samples=100, seed=0):
                 "norm_additivity", False,
                 {"trial": trial, "x": str(x), "y": str(y)},
             )
-    return CheckResult("norm_additivity", True, {"samples": samples, "bound": bound.to_json()})
+    return CheckResult("norm_additivity", True, {"samples": samples, "bound": bound})
 
 
 def check_diagram_commutativity(ext, samples=100, seed=0):
@@ -475,66 +456,63 @@ def check_difference_product_rules(ext, samples=32, seed=0):
     return CheckResult("difference_product_rules", True, {"samples": samples})
 
 
-def principality_chain(ext):
-    """The four equivalent flags in the discretely valued case: a best
-    representative exists, H and J are principal, and there is no
-    defect."""
-    _require_ramified(ext)
-    h = ideal_h(ext)
-    j = ideal_j(ext)
-    kind = ext.classification()
-    defect = 1  # k((t)) is complete, hence defectless here
+def principality_chain(subject):
+    """The four flags of the equivalence chain: a best representative
+    exists, H and J are principal, and there is no defect.  ``subject``
+    is an extension of k((t)) or the TowerReport of the defect tower,
+    and every flag is read off computed data.
+
+    Extension: f_best is best when reducing it again changes nothing,
+    and the extension is defectless when e * f = p for the e and f of
+    its ``build_report``.  Tower: a best representative exists when the
+    limit cut J is attained (closed).  An Artin-Schreier extension has
+    defect exactly when v(f) has no maximum over the presentations f of
+    the extension (Kuhlmann); H is the ideal the 1/f generate, so the
+    tower is defectless when H is closed.
+    """
+    if isinstance(subject, ASExtension):
+        _require_ramified(subject)
+        report = build_report(subject, run_checks=False)
+        f_best = subject.best.f_best
+        best_f_exists = reduce_to_best(f_best).f_best == f_best
+        defectless = report.e * report.f_inertia == subject.p
+        h, j = report.h, report.j_sigma
+    else:
+        best_f_exists = subject.best_f_exists
+        defectless = subject.h_cut.closed
+        h, j = subject.h_cut, subject.j_cut
     return {
-        "best_f_exists": True,
+        "best_f_exists": best_f_exists,
         "h_principal": h.normalize().is_principal(),
         "j_principal": j.is_principal(),
-        "defectless": defect == 1,
+        "defectless": defectless,
     }
 
 
-class InvariantReport:
-    """The full invariant bundle for one extension."""
+class InvariantReport(NamedTuple):
+    """The full invariant bundle for one extension; the ideals, the
+    form and the Lefschetz values are None where they are undefined."""
 
-    __slots__ = (
-        "swan", "case", "classification", "e", "f_inertia", "defect",
-        "i_sigma", "j_sigma", "h", "n_of_j", "rsw", "different",
-        "i_lefschetz", "j_lefschetz", "checks",
-    )
+    swan: Fraction
+    case: BestCase
+    classification: RamificationType
+    checks: dict
+    e: int = 1
+    f_inertia: int = 1
+    defect: int = 1
+    i_sigma: Cut | None = None
+    j_sigma: Cut | None = None
+    h: Cut | None = None
+    n_of_j: Cut | None = None
+    rsw: LogForm | None = None
+    different: Cut | None = None
+    i_lefschetz: Fraction | None = None
+    j_lefschetz: Fraction | None = None
 
-    def __init__(self, **kw):
-        for name in self.__slots__:
-            setattr(self, name, kw.get(name))
+    to_json = encode
 
     def all_checks_pass(self):
         return all(c.ok for c in self.checks.values())
-
-    def to_json(self):
-        def frac(x):
-            if x is None:
-                return None
-            x = Fraction(x)
-            return f"{x.numerator}/{x.denominator}"
-
-        def cut(c):
-            return None if c is None else c.to_json()
-
-        return {
-            "swan": frac(self.swan),
-            "case": self.case.value if self.case else None,
-            "classification": self.classification.value,
-            "e": self.e,
-            "f_inertia": self.f_inertia,
-            "defect": self.defect,
-            "i_sigma": cut(self.i_sigma),
-            "j_sigma": cut(self.j_sigma),
-            "h": cut(self.h),
-            "n_of_j": cut(self.n_of_j),
-            "rsw": None if self.rsw is None else self.rsw.to_json(),
-            "different": cut(self.different),
-            "i_lefschetz": frac(self.i_lefschetz),
-            "j_lefschetz": frac(self.j_lefschetz),
-            "checks": {name: c.to_json() for name, c in sorted(self.checks.items())},
-        }
 
 
 def build_report(ext, samples=50, seed=0, run_checks=True):
@@ -542,37 +520,29 @@ def build_report(ext, samples=50, seed=0, run_checks=True):
     if run_checks:
         _require_samples(samples)
     kind = ext.classification()
-    best = ext.best
     checks = {}
+    report = InvariantReport(ext.best.swan, ext.best.case, kind, checks)
     if kind is RamificationType.TRIVIAL:
-        return InvariantReport(
-            swan=best.swan, case=best.case, classification=kind,
-            e=1, f_inertia=1, defect=1, checks=checks,
-        )
+        return report
+    p = ext.p
+    e, f_inertia = (p, 1) if kind is RamificationType.WILD else (1, p)
+    report = report._replace(e=e, f_inertia=f_inertia, defect=p // (e * f_inertia))
     if kind is RamificationType.UNRAMIFIED:
         zero_cut = Cut.at_least(0, Z_GROUP)
         if run_checks:
             checks["norm_ideal_identity"] = check_norm_ideal_identity(ext)
             checks["norm_additivity"] = check_norm_additivity(ext, samples, seed)
-        return InvariantReport(
-            swan=best.swan, case=best.case, classification=kind,
-            e=1, f_inertia=ext.p, defect=1,
+        return report._replace(
             i_sigma=zero_cut, j_sigma=zero_cut, h=zero_cut, n_of_j=zero_cut,
-            rsw=None, different=zero_cut,
-            i_lefschetz=Fraction(0), j_lefschetz=Fraction(0),
-            checks=checks,
+            different=zero_cut, i_lefschetz=Fraction(0), j_lefschetz=Fraction(0),
         )
-    e, f_inertia = (ext.p, 1) if kind is RamificationType.WILD else (1, ext.p)
     i_cut = ideal_i_sigma(ext)
     j_cut = ideal_j(ext)
-    report = InvariantReport(
-        swan=best.swan, case=best.case, classification=kind,
-        e=e, f_inertia=f_inertia, defect=1,
+    report = report._replace(
         i_sigma=i_cut, j_sigma=j_cut,
         h=ideal_h(ext), n_of_j=norm_of_j(ext),
         rsw=refined_swan(ext), different=different_ideal(ext),
         i_lefschetz=i_cut.value, j_lefschetz=j_cut.value,
-        checks=checks,
     )
     if run_checks:
         checks["norm_ideal_identity"] = check_norm_ideal_identity(ext)
@@ -586,6 +556,6 @@ def build_report(ext, samples=50, seed=0, run_checks=True):
         checks["different_vs_trace_dual"] = CheckResult(
             "different_vs_trace_dual",
             oracle == report.different,
-            {"different": report.different.to_json(), "oracle": oracle.to_json()},
+            {"different": report.different, "oracle": oracle},
         )
     return report

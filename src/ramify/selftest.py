@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 import random
 from fractions import Fraction
+from typing import NamedTuple
 
 from .extension import (
     ASExtension,
@@ -39,7 +40,6 @@ from .tower import (
     check_step_identity,
     closed_form_n,
     closed_form_neg_v_f,
-    principality_chain as tower_chain,
     tower_levels,
     tower_report,
 )
@@ -63,14 +63,13 @@ TOWER_GRID = [(2, 3), (2, 5), (3, 2), (3, 4), (5, 2)]
 STEP_IDENTITY_GRID = [(3, 2, 9), (2, 3, 4), (5, 2, 25)]
 
 
-class CriterionResult:
-    __slots__ = ("ident", "name", "ok", "detail")
+class CriterionResult(NamedTuple):
+    """Verdict of one acceptance criterion."""
 
-    def __init__(self, ident, name, ok, detail=""):
-        self.ident = ident
-        self.name = name
-        self.ok = ok
-        self.detail = detail
+    ident: int
+    name: str
+    ok: bool
+    detail: str = ""
 
     def line(self):
         status = "PASS" if self.ok else "FAIL"
@@ -78,12 +77,7 @@ class CriterionResult:
         return f"criterion {self.ident:02d} {self.name}: {status}{suffix}"
 
     def to_json(self):
-        return {
-            "id": self.ident,
-            "name": self.name,
-            "ok": self.ok,
-            "detail": self.detail,
-        }
+        return {"id": self.ident, "name": self.name, "ok": self.ok, "detail": self.detail}
 
 
 def grid_extension(p, coeff_kind, n, prec):
@@ -368,7 +362,7 @@ def criterion_principality_chain(extensions, seed=DEFAULT_SEED):
             failures.append(f"{label}: {flags}")
     for p, n in TOWER_GRID:
         rep = tower_report(TowerSpec(FieldSpec.finite(p, 2), n, 4))
-        flags = tower_chain(rep)
+        flags = principality_chain(rep)
         if any(flags.values()):
             failures.append(f"tower (p={p},n={n}): {flags}")
     return CriterionResult(

@@ -184,12 +184,6 @@ class Cut:
         op = ">=" if self.closed else ">"
         return f"{{v {op} {self.value}}}"
 
-    def to_json(self):
-        return {
-            "value": f"{self.value.numerator}/{self.value.denominator}",
-            "bound": "closed" if self.closed else "open",
-        }
-
 
 def restrict_cut(cut, group):
     """The same valuation bound read in another value group.

@@ -12,14 +12,13 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from typing import NamedTuple
 
 from .errors import InvalidSpec
 from .fields import Expr, check_identity, frobenius_root
+from .invariants import principality_chain  # noqa: F401  (re-exported: one chain for both settings)
+from .records import encode
 from .series import Cut, ValueGroup
-
-
-def _frac(x):
-    return f"{x.numerator}/{x.denominator}"
 
 
 class TowerSpec:
@@ -55,29 +54,18 @@ class TowerSpec:
         return f"TowerSpec(p={self.p}, n={self.n}, q={self.field.order}, depth={self.depth})"
 
 
-class TowerLevel:
+class TowerLevel(NamedTuple):
     """One blow-up level: pole order, shifted constant, and the exact
     valuations of the level parameters."""
 
-    __slots__ = ("index", "n_i", "shift", "v_x", "v_y", "neg_v_f")
+    index: int
+    n_i: int
+    shift: int
+    v_x: Fraction
+    v_y: Fraction
+    neg_v_f: Fraction
 
-    def __init__(self, index, n_i, shift, v_x, v_y, neg_v_f):
-        self.index = index
-        self.n_i = n_i
-        self.shift = shift
-        self.v_x = v_x
-        self.v_y = v_y
-        self.neg_v_f = neg_v_f
-
-    def to_json(self):
-        return {
-            "index": self.index,
-            "n_i": self.n_i,
-            "shift": self.shift,
-            "v_x": _frac(self.v_x),
-            "v_y": _frac(self.v_y),
-            "neg_v_f": _frac(self.neg_v_f),
-        }
+    to_json = encode
 
 
 def tower_levels(spec, depth=None):
@@ -108,34 +96,27 @@ def closed_form_neg_v_f(spec, i):
     return spec.n - Fraction(1, p - 1) + Fraction(1, p ** i * (p - 1))
 
 
-class TowerReport:
+class TowerReport(NamedTuple):
     """Limit data of the tower: the logarithmic ideal bound, the norm
     image, the different, the two differential-module cuts, and the
     non-existence flags."""
 
-    __slots__ = (
-        "spec", "v_0", "mu", "j_cut", "h_cut", "n_of_j_cut",
-        "different_inv_cut", "different_cut", "t_cut", "t_prime_cut",
-        "j_principal", "best_f_exists",
-    )
+    p: int
+    n: int
+    q: int
+    v_0: Fraction
+    mu: Fraction
+    j_cut: Cut
+    h_cut: Cut
+    n_of_j_cut: Cut
+    different_inv_cut: Cut
+    different_cut: Cut
+    t_cut: Cut
+    t_prime_cut: Cut
+    j_principal: bool
+    best_f_exists: bool
 
-    def to_json(self):
-        return {
-            "p": self.spec.p,
-            "n": self.spec.n,
-            "q": self.spec.field.order,
-            "v_0": _frac(self.v_0),
-            "mu": _frac(self.mu),
-            "j_cut": self.j_cut.to_json(),
-            "h_cut": self.h_cut.to_json(),
-            "n_of_j_cut": self.n_of_j_cut.to_json(),
-            "different_inv_cut": self.different_inv_cut.to_json(),
-            "different_cut": self.different_cut.to_json(),
-            "t_cut": self.t_cut.to_json(),
-            "t_prime_cut": self.t_prime_cut.to_json(),
-            "j_principal": self.j_principal,
-            "best_f_exists": self.best_f_exists,
-        }
+    to_json = encode
 
 
 def tower_report(spec):
@@ -144,45 +125,33 @@ def tower_report(spec):
     All ideals here are open cuts: the 1/alpha_i have valuations
     strictly decreasing to v_0 = (n - 1/(p-1))/p without attaining it,
     so the logarithmic ideal is {v > v_0}, its norm image {v > p v_0},
-    and the different is the (p-1) power.
+    and the different is the (p-1) power.  A best representative would
+    attain v_0, so it exists exactly when J is closed.
     """
-    group = ValueGroup.z_one_over_p(spec.p)
-    v0 = Fraction(spec.n - Fraction(1, spec.p - 1), spec.p)
-    mu = Fraction(spec.n, spec.p)
-    report = TowerReport()
-    report.spec = spec
-    report.v_0 = v0
-    report.mu = mu
-    report.j_cut = Cut.above(v0, group)
-    report.n_of_j_cut = report.j_cut ** spec.p
-    report.h_cut = Cut.above(spec.p * v0, group)
-    report.different_cut = report.j_cut ** (spec.p - 1)
-    report.different_inv_cut = report.different_cut.inverse()
-    report.t_cut = Cut.above(v0 - mu, group)
-    report.t_prime_cut = Cut.above(spec.p * v0 - mu, group)
-    report.j_principal = report.j_cut.is_principal()
-    report.best_f_exists = False
-    return report
+    p = spec.p
+    group = ValueGroup.z_one_over_p(p)
+    v0 = Fraction(spec.n - Fraction(1, p - 1), p)
+    mu = Fraction(spec.n, p)
+    j_cut = Cut.above(v0, group)
+    different_cut = j_cut ** (p - 1)
+    return TowerReport(
+        p=p, n=spec.n, q=spec.field.order, v_0=v0, mu=mu,
+        j_cut=j_cut, h_cut=Cut.above(p * v0, group), n_of_j_cut=j_cut ** p,
+        different_inv_cut=different_cut.inverse(), different_cut=different_cut,
+        t_cut=Cut.above(v0 - mu, group), t_prime_cut=Cut.above(p * v0 - mu, group),
+        j_principal=j_cut.is_principal(), best_f_exists=j_cut.closed,
+    )
 
 
-class DescentReport:
+class DescentReport(NamedTuple):
     """Outcome of following -v(f_i) down the levels."""
 
-    __slots__ = ("monotone", "infimum", "infimum_attained", "values")
+    monotone: bool
+    infimum: Fraction
+    infimum_attained: bool
+    values: list
 
-    def __init__(self, monotone, infimum, infimum_attained, values):
-        self.monotone = monotone
-        self.infimum = infimum
-        self.infimum_attained = infimum_attained
-        self.values = values
-
-    def to_json(self):
-        return {
-            "monotone": self.monotone,
-            "infimum": _frac(self.infimum),
-            "infimum_attained": self.infimum_attained,
-            "values": [_frac(v) for v in self.values],
-        }
+    to_json = encode
 
 
 def best_f_descent(spec, depth=None):
@@ -229,14 +198,3 @@ def check_step_identity(spec, trials=32, seed=0):
     """Randomized verification of the one-step rewrite over F_q."""
     lhs, rhs = step_identity_exprs(spec)
     return check_identity(lhs, rhs, spec.field, trials, seed)
-
-
-def principality_chain(report):
-    """The four flags of the equivalence chain; the tower always has
-    defect, so every one of them is false."""
-    return {
-        "best_f_exists": report.best_f_exists,
-        "h_principal": report.h_cut.is_principal(),
-        "j_principal": report.j_principal,
-        "defectless": False,
-    }

@@ -1,8 +1,11 @@
 import contextlib
 import io
 import json
+import os
 import random
 import shlex
+import subprocess
+import sys
 import tempfile
 import time
 from pathlib import Path
@@ -385,3 +388,18 @@ def test_selftest_json_determinism_and_seed_independence(capsys):
     other = json.loads(out3)
     verdicts = [(c["id"], c["ok"]) for c in data["criteria"]]
     assert verdicts == [(c["id"], c["ok"]) for c in other["criteria"]]
+
+
+def test_closed_pipe_exits_quietly():
+    """A reader that leaves early (``ramify ... | head``) gets no traceback."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "ramify.cli", "analyze", "--field", "Fp:2", "--f", "1+t",
+         "--prec", "8", "--format", "json"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+    )
+    proc.stdout.close()  # the reader is gone before the report is printed
+    stderr = proc.stderr.read()
+    assert proc.wait() == 0
+    assert stderr == b""

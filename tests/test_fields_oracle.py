@@ -8,7 +8,7 @@ F_p[w]/(w).  Every operation of the table-driven core must agree with it.
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ramify.errors import InvalidSpec
+from ramify.errors import DivisionByZero, InvalidSpec
 from ramify.fields import (
     DEFAULT_MODULI,
     FieldSpec,
@@ -110,14 +110,25 @@ def test_arithmetic_matches_the_vector_oracle(case, n):
     _agree(x * y, oracle.mul(a, b), oracle)
     assert (x == y) == (a == b)
     assert (x + y == 0) == (oracle.add(a, b) == oracle.vec(0))
+    q = field.order
     if any(a):
         _agree(x.inverse(), oracle.inverse(a), oracle)
         _agree(y / x, oracle.mul(b, oracle.inverse(a)), oracle)
-        power = oracle.pow(a, n) if n >= 0 else oracle.pow(oracle.inverse(a), -n)
-        _agree(x ** n, power, oracle)
+        for k in (n, q - 1, 1 - q, q, -q):
+            power = oracle.pow(a, k) if k >= 0 else oracle.pow(oracle.inverse(a), -k)
+            _agree(x ** k, power, oracle)
     else:
         assert x.is_zero() and not x
-        _agree(x ** abs(n), oracle.pow(a, abs(n)), oracle)
+        for k in (abs(n), q - 1, q):
+            _agree(x ** k, oracle.pow(a, k), oracle)
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=repr)
+def test_powers_of_zero(field):
+    zero = field.zero()
+    assert zero ** 0 == field.one() and zero ** 3 == zero
+    with pytest.raises(DivisionByZero):
+        zero ** -1
 
 
 @settings(max_examples=200, deadline=None)

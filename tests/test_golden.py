@@ -1,7 +1,9 @@
-"""Golden-output regression: the JSON report of fixed command lines.
+"""Golden-output regression: the JSON and text reports of fixed command
+lines.
 
 ``tests/data/golden.json`` holds the exit code and stdout of each case
-below.  Any change to the arithmetic core must leave them byte-identical.
+below, and the file a ``--csv`` case writes.  Any change to the
+arithmetic core or to the report encoding must leave them byte-identical.
 To re-record after a deliberate change of output, run
 ``PYTHONPATH=src python tests/test_golden.py``.
 """
@@ -9,6 +11,7 @@ To re-record after a deliberate change of output, run
 import contextlib
 import io
 import json
+import tempfile
 from pathlib import Path
 
 import pytest
@@ -16,16 +19,18 @@ import pytest
 from ramify.cli import main
 
 DATA = Path(__file__).parent / "data" / "golden.json"
+# stands for a temporary --csv path in a case's argv
+CSV = "<csv>"
 
 
-def _analyze(field, f, prec=24, trials=2, seed=11):
+def _analyze(field, f, prec=24, trials=2, seed=11, fmt="json"):
     return ["analyze", "--field", field, "--f", f, "--prec", str(prec),
-            "--trials", str(trials), "--seed", str(seed), "--format", "json"]
+            "--trials", str(trials), "--seed", str(seed), "--format", fmt]
 
 
-def _tower(p, n, q, trials=40, seed=5):
+def _tower(p, n, q, trials=40, seed=5, fmt="json"):
     return ["tower", "--p", str(p), "--n", str(n), "--q", str(q), "--depth", "6",
-            "--trials", str(trials), "--seed", str(seed), "--format", "json"]
+            "--trials", str(trials), "--seed", str(seed), "--format", fmt]
 
 
 # Each analyze series is f_best plus an h^p - h the reduction must undo.
@@ -44,14 +49,26 @@ CASES = {
     "tower-q27": _tower(3, 4, 27),
     "tower-q49": _tower(7, 3, 49),
     "tower-q125": _tower(5, 7, 125),
+    # trivial (most report fields None) and unramified reports
+    "analyze-F2-trivial": _analyze("Fp:2", "t"),
+    "analyze-F2-trivial-text": _analyze("Fp:2", "t", fmt="text"),
+    "analyze-F2-unramified": _analyze("Fp:2", "1 + t"),
+    "analyze-F2-unramified-text": _analyze("Fp:2", "1 + t", fmt="text"),
+    "analyze-F3-text": _analyze("Fp:3", "2*t^-5 + t^-1 + t^-6 - t^-2 + 2*t^4", fmt="text"),
+    "tower-q9-text-csv": _tower(3, 2, 9, fmt="text") + ["--csv", CSV],
 }
 
 
 def run(argv):
     out = io.StringIO()
-    with contextlib.redirect_stdout(out):
-        code = main(argv)
-    return {"argv": argv, "exit": code, "stdout": out.getvalue()}
+    with tempfile.TemporaryDirectory() as tmp:
+        csv = Path(tmp) / "levels.csv"
+        with contextlib.redirect_stdout(out):
+            code = main([str(csv) if a == CSV else a for a in argv])
+        result = {"argv": argv, "exit": code, "stdout": out.getvalue()}
+        if CSV in argv:
+            result["csv"] = csv.read_text()
+    return result
 
 
 @pytest.fixture(scope="module")

@@ -272,3 +272,34 @@ def test_e_f_defect_product():
     for ext in GRID:
         rep = build_report(ext, run_checks=False)
         assert rep.e * rep.f_inertia * rep.defect == ext.p
+
+
+def _reduce_with_one_absorption():
+    """reduce_to_best mutated to stop after its first absorption."""
+    import inspect
+
+    from ramify import extension
+
+    source = inspect.getsource(extension.reduce_to_best)
+    assert "    while True:\n" in source
+    namespace = dict(vars(extension))
+    exec(source.replace("    while True:\n", "    for _ in range(1):\n"), namespace)
+    return namespace["reduce_to_best"]
+
+
+def test_principality_flags_follow_the_reduction(monkeypatch):
+    from ramify import extension, invariants
+    from ramify.selftest import criterion_principality_chain
+
+    f = mono(F2, -4)  # t^-4 -> t^-2 -> t^-1 takes two absorptions
+    extensions = [("t^-4", ASExtension(F2, f))]
+    assert invariants.principality_chain(extensions[0][1])["best_f_exists"]
+    assert criterion_principality_chain(extensions).ok
+    mutant = _reduce_with_one_absorption()
+    monkeypatch.setattr(extension, "reduce_to_best", mutant)
+    monkeypatch.setattr(invariants, "reduce_to_best", mutant)
+    extensions = [("t^-4", ASExtension(F2, f))]
+    assert extensions[0][1].best.f_best == mono(F2, -2)
+    assert not invariants.principality_chain(extensions[0][1])["best_f_exists"]
+    assert not criterion_principality_chain(extensions).ok
+
