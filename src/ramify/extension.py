@@ -6,6 +6,11 @@ arithmetic in L with the Galois action, the norm through the
 multiplication matrix and the trace from the power basis, valuations
 on L, the inductive difference operators, and the shape of the
 integral closure.
+
+Each coordinate of a product in L is a sum of series products, one
+``series.dot``: it is known below the minimum of its products' bounds
+and f's precision, and ``dot`` keeps that bound exactly, as if the
+products were added one at a time.
 """
 
 from __future__ import annotations
@@ -24,7 +29,7 @@ from .errors import (
     ZeroElement,
 )
 from .fields import artin_schreier_solvable, frobenius_root, is_pth_power
-from .series import Cut, LaurentSeries, ValueGroup, series_in_cut
+from .series import Cut, LaurentSeries, ValueGroup, dot, series_in_cut
 
 
 class BestCase(Enum):
@@ -115,6 +120,9 @@ class ASExtension:
         object.__setattr__(self, "p", field.p)
         object.__setattr__(self, "f", f)
         object.__setattr__(self, "best", reduce_to_best(f))
+        # elements are cached as coefficient tuples: a cached LElement
+        # would refer back to self, and the cycle would keep the
+        # extension alive until a full garbage collection
         object.__setattr__(self, "_cache", {})
 
     def __setattr__(self, name, value):
@@ -167,8 +175,8 @@ class ASExtension:
             z = LaurentSeries.zero(self.field, self.f.prec)
             coeffs = [z] * self.p
             coeffs[1] = LaurentSeries.one(self.field, self.f.prec)
-            self._cache[key] = LElement(self, tuple(coeffs))
-        return self._cache[key]
+            self._cache[key] = tuple(coeffs)
+        return LElement(self, self._cache[key])
 
     def from_series(self, s):
         if s.field is not self.field:
@@ -186,11 +194,36 @@ class ASExtension:
             raise ExtensionMismatch(f"need exactly {self.p} coefficients")
         return LElement(self, tuple(coeffs))
 
+    def alpha_power(self, i):
+        """alpha ** i for i >= 0, memoised; built by the product chain
+        of ``alpha ** i``, so the values and precisions are the same."""
+        if i < 0:
+            raise InvalidSpec("alpha_power takes a nonnegative exponent")
+        powers = self._cache.get("alpha_powers")
+        if powers is None:
+            powers = self._cache["alpha_powers"] = [self.one().coeffs, self.alpha().coeffs]
+        while len(powers) <= i:
+            powers.append((LElement(self, powers[-1]) * self.alpha()).coeffs)
+        return LElement(self, powers[i])
+
+    def integral_generators(self):
+        """The generators ``integral_sample`` draws from, memoised: the
+        alpha powers when unramified (B = A[alpha] with alpha a unit),
+        else the generators of the integral basis."""
+        key = "integral_generators"
+        if key not in self._cache:
+            if self.classification() is RamificationType.UNRAMIFIED:
+                gens = [self.alpha_power(i) for i in range(self.p)]
+            else:
+                gens = integral_basis(self).generators()
+            self._cache[key] = [g.coeffs for g in gens]
+        return [LElement(self, c) for c in self._cache[key]]
+
     def inverse_alpha(self):
         key = "inverse_alpha"
         if key not in self._cache:
-            self._cache[key] = self.alpha().inverse()
-        return self._cache[key]
+            self._cache[key] = self.alpha().inverse().coeffs
+        return LElement(self, self._cache[key])
 
 
 class LElement:
@@ -212,7 +245,7 @@ class LElement:
             return self.ext.from_series(other)
         if not isinstance(other, LElement):
             raise ExtensionMismatch(f"cannot combine LElement with {type(other).__name__}")
-        if other.ext != self.ext:
+        if other.ext is not self.ext and other.ext != self.ext:
             raise ExtensionMismatch("elements of different extensions")
         return other
 
@@ -244,20 +277,27 @@ class LElement:
             out.append(c)
         return LElement(self.ext, tuple(out))
 
+    def alpha_chain(self):
+        """self, self*alpha, ..., self*alpha^(p-1), by ``mul_alpha``."""
+        chain = [self]
+        for _ in range(self.ext.p - 1):
+            chain.append(chain[-1].mul_alpha())
+        return chain
+
     def __mul__(self, other):
+        """Coordinate j of the product is sum_i (self*alpha^i)_j * other_i,
+        one ``dot`` with f's precision as its start bound."""
         if isinstance(other, (int, LaurentSeries)):
             if isinstance(other, int):
                 return self.scale_int(other)
             return LElement(self.ext, tuple(c * other for c in self.coeffs))
         other = self._check(other)
-        acc = self.ext.zero()
-        power = self
-        for i in range(self.ext.p):
-            ci = other.coeffs[i]
-            acc = acc + LElement(self.ext, tuple(c * ci for c in power.coeffs))
-            if i < self.ext.p - 1:
-                power = power.mul_alpha()
-        return acc
+        chain = self.alpha_chain()
+        prec = self.ext.f.prec
+        return LElement(self.ext, tuple(
+            dot([(x.coeffs[j], c) for x, c in zip(chain, other.coeffs)], prec)
+            for j in range(self.ext.p)
+        ))
 
     __rmul__ = __mul__
 
@@ -295,21 +335,26 @@ class LElement:
 
     def multiplication_matrix(self):
         """Columns are self * alpha^j in the power basis."""
-        cols = []
-        cur = self
-        for j in range(self.ext.p):
-            cols.append(cur.coeffs)
-            if j < self.ext.p - 1:
-                cur = cur.mul_alpha()
+        cols = [x.coeffs for x in self.alpha_chain()]
         # entry [i][j] = coefficient of alpha^i in self*alpha^j
-        return [[cols[j][i] for j in range(self.ext.p)] for i in range(self.ext.p)]
+        return [[col[i] for col in cols] for i in range(self.ext.p)]
 
     def trace(self):
         # Tr 1 = p = 0, Tr alpha^i = 0 for 0 < i < p-1, Tr alpha^(p-1) = -1
         return -self.coeffs[-1]
 
+    def trace_of_product(self, other, chain=None):
+        """(self * other).trace() from the one coordinate it reads: the
+        same products and bound that make coordinate p-1 of the product.
+        ``chain`` is ``self.alpha_chain()``, shared across calls."""
+        other = self._check(other)
+        if chain is None:
+            chain = self.alpha_chain()
+        pairs = [(x.coeffs[-1], c) for x, c in zip(chain, other.coeffs)]
+        return -dot(pairs, self.ext.f.prec)
+
     def norm(self):
-        return _det(self.multiplication_matrix(), self.ext.field)
+        return _det(self.multiplication_matrix())
 
     def conjugate_product(self):
         """Product of sigma^i(self) over i = 1..p-1."""
@@ -406,7 +451,7 @@ class LElement:
     def __eq__(self, other):
         return (
             isinstance(other, LElement)
-            and self.ext == other.ext
+            and (self.ext is other.ext or self.ext == other.ext)
             and self.coeffs == other.coeffs
         )
 
@@ -430,35 +475,28 @@ def _binom(n, k):
     return out
 
 
-def _det(matrix, field):
+def _det(matrix):
     """Determinant by expansion over column subsets (Laplace with memo)."""
-    p = len(matrix)
-    if p == 1:
-        return matrix[0][0]
-    cols = tuple(range(p))
+    return _minor(matrix, tuple(range(len(matrix))), {})
 
-    def minor(row, remaining):
-        if row == p:
-            return None
-        key = (row, remaining)
-        if key in memo:
-            return memo[key]
-        acc = None
-        sign = 1
+
+def _minor(matrix, remaining, memo):
+    """The minor on the last len(remaining) rows and the columns in
+    ``remaining``: one ``dot`` over its first row, the alternating sign
+    folded into the entry.  A module function, not a closure: a closure
+    that calls itself is a reference cycle, which would hold the memo
+    until a full garbage collection."""
+    row = len(matrix) - len(remaining)
+    if len(remaining) == 1:
+        return matrix[row][remaining[0]]
+    if remaining not in memo:
+        pairs = []
         for idx, j in enumerate(remaining):
             entry = matrix[row][j]
-            rest = remaining[:idx] + remaining[idx + 1 :]
-            sub = minor(row + 1, rest)
-            term = entry if sub is None else entry * sub
-            if sign < 0:
-                term = -term
-            acc = term if acc is None else acc + term
-            sign = -sign
-        memo[key] = acc
-        return acc
-
-    memo = {}
-    return minor(0, cols)
+            sub = _minor(matrix, remaining[:idx] + remaining[idx + 1:], memo)
+            pairs.append((-entry if idx % 2 else entry, sub))
+        memo[remaining] = dot(pairs)
+    return memo[remaining]
 
 
 def classify(ext):
@@ -498,19 +536,17 @@ class BasisDescription(NamedTuple):
         """Boundary generators of the A_i alpha^i (wild) or the powers
         of the unit alpha*gamma (ferocious)."""
         ext = self.ext
-        field = ext.field
-        prec = ext.f.prec
-        alpha = ext.alpha()
-        out = []
         if self.kind == "wild":
-            for i in range(ext.p):
-                a_i = self.cuts[i].value
-                g = LaurentSeries.monomial(field, int(a_i), 1, prec)
-                out.append((alpha ** i) * g)
-        else:
-            unit = alpha * self.gamma
-            for i in range(ext.p):
-                out.append(unit ** i)
+            return [
+                ext.alpha_power(i)
+                * LaurentSeries.monomial(ext.field, int(cut.value), 1, ext.f.prec)
+                for i, cut in enumerate(self.cuts)
+            ]
+        # unit ** i for i < p, by the product chain of **
+        unit = ext.alpha() * self.gamma
+        out = [ext.one(), unit]
+        while len(out) < ext.p:
+            out.append(out[-1] * unit)
         return out
 
 
@@ -569,19 +605,11 @@ class DifferenceOperators:
 
 def integral_sample(ext, rng, span=2, terms=2):
     """A random integral element of the reduced presentation, built
-    from the shape of B.
-
-    Unramified extensions have B = A[alpha] with alpha a unit, so the
-    plain alpha powers serve as generators there.
-    """
+    from the shape of B (see ``ASExtension.integral_generators``)."""
     ext = ext.with_best_f()
     field = ext.field
     prec = ext.f.prec
-    if ext.classification() is RamificationType.UNRAMIFIED:
-        alpha = ext.alpha()
-        gens = [alpha ** i for i in range(ext.p)]
-    else:
-        gens = integral_basis(ext).generators()
+    gens = ext.integral_generators()
     acc = ext.zero()
     for g in gens:
         picks = {}

@@ -173,11 +173,10 @@ def trace_dual_cut(ext, sample_size=2, seed=0):
     rng = random.Random(seed)
     p = ext.p
     n = int(ext.swan)
-    basis = integral_basis(ext)
-    gens = basis.generators()
+    gens = ext.integral_generators()
     field = ext.field
     prec = ext.f.prec
-    alpha = ext.alpha()
+    integral = Cut.at_least(0, Z_GROUP)
 
     def element_of_valuation(w):
         if kind is RamificationType.WILD:
@@ -187,13 +186,11 @@ def trace_dual_cut(ext, sample_size=2, seed=0):
         else:
             r, s = 0, int(w)
         g = LaurentSeries.monomial(field, s, 1, prec)
-        return (alpha ** r) * g
+        return ext.alpha_power(r) * g
 
     def admissible(x):
-        for g in gens:
-            if not series_in_cut((x * g).trace(), Cut.at_least(0, Z_GROUP)):
-                return False
-        return True
+        chain = x.alpha_chain()
+        return all(series_in_cut(x.trace_of_product(g, chain), integral) for g in gens)
 
     step = Fraction(1, p) if kind is RamificationType.WILD else Fraction(1)
     lo = -Fraction(p - 1) * (n + p) / p - 1
@@ -229,15 +226,14 @@ def boundary_generator(ext):
     kind = _require_ramified(ext)
     ext = ext.with_best_f()
     basis = integral_basis(ext)
-    alpha = ext.alpha()
     if kind is RamificationType.FEROCIOUS:
-        return alpha * basis.gamma
+        return ext.alpha() * basis.gamma
     v0 = ext.swan / ext.p
     i_star = min(
         range(1, ext.p), key=lambda i: basis.cuts[i].value + (1 - i) * v0
     )
     g = LaurentSeries.monomial(ext.field, int(basis.cuts[i_star].value), 1, ext.f.prec)
-    return (alpha ** i_star) * g
+    return ext.alpha_power(i_star) * g
 
 
 def lefschetz_minimum(ext, samples=40, seed=0):
@@ -246,9 +242,8 @@ def lefschetz_minimum(ext, samples=40, seed=0):
     _require_ramified(ext)
     ext = ext.with_best_f()
     rng = random.Random(seed)
-    basis = integral_basis(ext)
     best = None
-    pool = list(basis.generators())
+    pool = list(ext.integral_generators())
     pool += [integral_sample(ext, rng) for _ in range(samples)]
     for b in pool:
         diff = b.sigma(1) - b

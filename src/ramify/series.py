@@ -298,19 +298,7 @@ class LaurentSeries:
         return (-self) + other
 
     def __mul__(self, other):
-        other = self._check(other)
-        va, vb = self.low_bound(), other.low_bound()
-        prec = min(self.prec + vb, other.prec + va)
-        out = {}
-        for e1, c1 in self.coeffs.items():
-            for e2, c2 in other.coeffs.items():
-                e = e1 + e2
-                if e >= prec:
-                    continue
-                c = c1 * c2
-                cur = out.get(e)
-                out[e] = c if cur is None else cur + c
-        return LaurentSeries(self.field, out, prec)
+        return dot(((self, self._check(other)),))
 
     __rmul__ = __mul__
 
@@ -428,6 +416,39 @@ class LaurentSeries:
 
     def __repr__(self):
         return f"<{self} + O(t^{self.prec})>"
+
+
+def dot(pairs, prec=None):
+    """The sum of a*b over a nonempty sequence of (a, b) pairs of series
+    over one field.
+
+    Value and precision equal those of the chain
+    ``zero(prec) + a0*b0 + a1*b1 + ...`` (with no zero term when
+    ``prec`` is None), but every product is accumulated into one dict.
+    The chain's precision is the minimum of ``prec`` and each product's
+    bound min(a.prec + v(b), b.prec + v(a)), with v the low bound; the
+    chain truncates at bounds no lower than that final one, field
+    elements are canonical and zeros are dropped at the end, so
+    skipping every term at or above the final bound gives the same
+    series.
+    """
+    bound = prec
+    for a, b in pairs:
+        pair_bound = min(a.prec + b.low_bound(), b.prec + a.low_bound())
+        if bound is None or pair_bound < bound:
+            bound = pair_bound
+    out = {}
+    get = out.get
+    for a, b in pairs:
+        b_terms = b.coeffs.items()
+        for e1, c1 in a.coeffs.items():
+            for e2, c2 in b_terms:
+                e = e1 + e2
+                if e < bound:
+                    c = c1 * c2
+                    cur = get(e)
+                    out[e] = c if cur is None else cur + c
+    return LaurentSeries(pairs[0][0].field, out, bound)
 
 
 def series_in_cut(s, cut):

@@ -403,3 +403,18 @@ def test_closed_pipe_exits_quietly():
     stderr = proc.stderr.read()
     assert proc.wait() == 0
     assert stderr == b""
+
+
+@pytest.mark.parametrize("argv, expected", [
+    (["analyze", "--field", "Fp:2", "--f", "t^-4", "--prec", "8"], 0),
+    (["analyze", "--field", "Fp:2", "--prec", "8"], 2),  # --f missing
+])
+def test_python_dash_m_matches_main(argv, expected, capsys):
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run([sys.executable, "-m", "ramify", *argv],
+                          capture_output=True, text=True, env=env)
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert (proc.returncode, proc.stdout, proc.stderr) == (code, captured.out, captured.err)
+    assert code == expected and proc.stdout

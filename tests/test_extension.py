@@ -1,3 +1,4 @@
+import gc
 import random
 from fractions import Fraction
 
@@ -398,3 +399,20 @@ def test_coeffwise_valuation_needs_reduced_presentation():
         ext.alpha().valuation_coeffwise()
     reduced = ext.with_best_f()
     assert reduced.alpha().valuation() == reduced.alpha().valuation_coeffwise()
+
+
+def test_cached_elements_leave_no_reference_cycle():
+    # an extension and its caches are freed by reference counting, not
+    # left for a full garbage collection to find
+    gc.collect()
+    gc.disable()
+    try:
+        ext = ext_of(F3, -2, prec=12)
+        ext.alpha_power(2)
+        ext.integral_generators()
+        ext.inverse_alpha()
+        ext.with_best_f()
+        del ext
+        assert gc.collect() == 0
+    finally:
+        gc.enable()

@@ -1,0 +1,210 @@
+"""The multiply-accumulate kernel ``series.dot`` and the L-arithmetic on
+it, against the plain operations they replace.
+
+Each reference below is the schoolbook form: a chain of series
+products and sums, an L-product as a sum of p scaled alpha-multiples,
+and a determinant whose minors are sums of signed products.  Results
+must agree on values and on ``prec``.
+"""
+
+import random
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from ramify.errors import ExtensionMismatch, InvalidSpec
+from ramify.extension import ASExtension, LElement
+from ramify.fields import FieldSpec
+from ramify.series import LaurentSeries, dot
+
+F2 = FieldSpec.finite(2)
+F3 = FieldSpec.finite(3)
+F5 = FieldSpec.finite(5)
+F9 = FieldSpec.finite(3, 2)
+F2u = FieldSpec.rational(2)
+F3u = FieldSpec.rational(3)
+FIELDS = (F2, F3, F5, F9, F2u, F3u)
+
+
+def schoolbook_mul(a, b):
+    va, vb = a.low_bound(), b.low_bound()
+    prec = min(a.prec + vb, b.prec + va)
+    out = {}
+    for e1, c1 in a.coeffs.items():
+        for e2, c2 in b.coeffs.items():
+            e = e1 + e2
+            if e >= prec:
+                continue
+            c = c1 * c2
+            out[e] = c if e not in out else out[e] + c
+    return LaurentSeries(a.field, out, prec)
+
+
+def chain_dot(pairs, prec=None):
+    acc = None if prec is None else LaurentSeries.zero(pairs[0][0].field, prec)
+    for a, b in pairs:
+        term = schoolbook_mul(a, b)
+        acc = term if acc is None else acc + term
+    return acc
+
+
+def coefficient(field, rng):
+    """Any element of F_q; for F_p(u) also quotients, so that
+    coefficients with nontrivial denominators occur."""
+    c = field.sample_point(rng, max_degree=1)
+    if not field.is_finite and rng.random() < 0.5:
+        den = field.sample_point(rng, max_degree=1)
+        if not den.is_zero():
+            c = c / den
+    return c
+
+
+def random_series(field, rng, lo=-5, width=7, prec_range=(-7, 12), density=0.6):
+    """Support in [lo, lo + width] (negative exponents included), a
+    precision that may cut into or below the support, and sometimes no
+    term at all."""
+    if rng.random() < 0.1:
+        density = 0.0
+    coeffs = {}
+    for e in range(lo, lo + width + 1):
+        if rng.random() < density:
+            coeffs[e] = coefficient(field, rng)
+    return LaurentSeries(field, coeffs, rng.randint(*prec_range))
+
+
+def ext_for(field, rng):
+    """An extension with a pole of random order and a random precision
+    for f, so that products meet f's bound at different places."""
+    prec = rng.randint(4, 12)
+    n = rng.choice([k for k in range(1, 5) if k % field.p or not field.is_finite])
+    f = LaurentSeries(field, {-n: coefficient(field, rng) or field.one(),
+                              1: coefficient(field, rng)}, prec)
+    if f.is_zero_known():
+        f = LaurentSeries.monomial(field, -n, 1, prec)
+    return ASExtension(field, f)
+
+
+def random_element(ext, rng):
+    coeffs = tuple(
+        random_series(ext.field, rng, lo=rng.randint(-4, 2), width=4, prec_range=(0, 14))
+        for _ in range(ext.p)
+    )
+    return LElement(ext, coeffs)
+
+
+def schoolbook_lmul(x, y):
+    acc = x.ext.zero()
+    power = x
+    for i in range(x.ext.p):
+        ci = y.coeffs[i]
+        acc = LElement(x.ext, tuple(
+            a + schoolbook_mul(b, ci) for a, b in zip(acc.coeffs, power.coeffs)
+        ))
+        if i < x.ext.p - 1:
+            power = power.mul_alpha()
+    return acc
+
+
+def laplace_det(matrix):
+    p = len(matrix)
+    if p == 1:
+        return matrix[0][0]
+    memo = {}
+
+    def minor(row, remaining):
+        if row == p:
+            return None
+        key = (row, remaining)
+        if key in memo:
+            return memo[key]
+        acc = None
+        sign = 1
+        for idx, j in enumerate(remaining):
+            entry = matrix[row][j]
+            sub = minor(row + 1, remaining[:idx] + remaining[idx + 1:])
+            term = entry if sub is None else schoolbook_mul(entry, sub)
+            if sign < 0:
+                term = -term
+            acc = term if acc is None else acc + term
+            sign = -sign
+        memo[key] = acc
+        return acc
+
+    return minor(0, tuple(range(p)))
+
+
+def same(a, b):
+    return a == b and a.prec == b.prec
+
+
+fields = st.sampled_from(FIELDS)
+seeds = st.integers(0, 2**32)
+
+
+@settings(max_examples=150, deadline=None)
+@given(fields, seeds, st.integers(1, 4), st.one_of(st.none(), st.integers(-10, 14)))
+def test_dot_matches_product_chain(field, seed, count, prec):
+    rng = random.Random(seed)
+    pairs = [(random_series(field, rng), random_series(field, rng)) for _ in range(count)]
+    assert same(dot(pairs, prec), chain_dot(pairs, prec))
+    a, b = pairs[0]
+    assert same(a * b, schoolbook_mul(a, b))
+
+
+@settings(max_examples=80, deadline=None)
+@given(fields, seeds)
+def test_lmul_matches_schoolbook_loop(field, seed):
+    rng = random.Random(seed)
+    ext = ext_for(field, rng)
+    x, y = random_element(ext, rng), random_element(ext, rng)
+    product = x * y
+    reference = schoolbook_lmul(x, y)
+    assert all(same(a, b) for a, b in zip(product.coeffs, reference.coeffs))
+
+
+@settings(max_examples=60, deadline=None)
+@given(fields, seeds)
+def test_norm_matches_laplace_expansion(field, seed):
+    rng = random.Random(seed)
+    ext = ext_for(field, rng)
+    x = random_element(ext, rng)
+    assert same(x.norm(), laplace_det(x.multiplication_matrix()))
+
+
+@settings(max_examples=80, deadline=None)
+@given(fields, seeds)
+def test_trace_of_product_matches_trace_of_full_product(field, seed):
+    rng = random.Random(seed)
+    ext = ext_for(field, rng)
+    x = random_element(ext, rng)
+    chain = x.alpha_chain()
+    for _ in range(3):
+        g = random_element(ext, rng)
+        expected = (x * g).trace()
+        assert same(x.trace_of_product(g), expected)
+        assert same(x.trace_of_product(g, chain), expected)
+
+
+@settings(max_examples=30, deadline=None)
+@given(fields, seeds)
+def test_alpha_power_matches_repeated_product(field, seed):
+    ext = ext_for(field, random.Random(seed))
+    alpha = ext.alpha()
+    for i in reversed(range(ext.p + 2)):  # the memo must not depend on call order
+        power, expected = ext.alpha_power(i), alpha ** i
+        assert all(same(a, b) for a, b in zip(power.coeffs, expected.coeffs))
+    with pytest.raises(InvalidSpec):
+        ext.alpha_power(-1)
+
+
+def test_equal_extensions_combine_and_others_do_not():
+    f = LaurentSeries.monomial(F3, -2, 1, 12)
+    ext, twin = ASExtension(F3, f), ASExtension(F3, f)
+    assert twin is not ext
+    x = ext.alpha()
+    assert x * twin.alpha() == x * x
+    assert x == twin.alpha()
+    other = ASExtension(F3, LaurentSeries.monomial(F3, -1, 1, 12))
+    assert x != other.alpha()
+    with pytest.raises(ExtensionMismatch):
+        x * other.alpha()
