@@ -47,24 +47,29 @@ class _ArgumentParser(argparse.ArgumentParser):
 
 
 def make_parser():
+    # one --out for the top level and every subcommand, so it is read
+    # before and after the subcommand; being suppressed by default, an
+    # --out given in neither place leaves no attribute at all
+    out = _ArgumentParser(add_help=False)
+    out.add_argument("--out", metavar="PATH", default=argparse.SUPPRESS,
+                     help="write the report here instead of stdout")
     parser = _ArgumentParser(
         prog="ramify",
         description="ramification invariants of Artin-Schreier extensions of k((t))",
+        parents=[out],
     )
     parser.add_argument("--batch", metavar="FILE", help="run one configuration per line")
-    parser.add_argument("--out", metavar="PATH", help="write the report here instead of stdout")
     sub = parser.add_subparsers(dest="command")
 
-    an = sub.add_parser("analyze", help="invariants of one extension")
+    an = sub.add_parser("analyze", parents=[out], help="invariants of one extension")
     an.add_argument("--field", required=True, help="Fp:3 | Fq:9:w^2+1 | Fp(u):3")
     an.add_argument("--f", required=True, help="defining series, e.g. 't^-4 + u*t^-2'")
     an.add_argument("--prec", type=int, default=24, help="series precision (default 24)")
     an.add_argument("--trials", type=int, default=50, help="samples per verifier")
     an.add_argument("--seed", type=int, default=DEFAULT_SEED)
     an.add_argument("--format", choices=("text", "json"), default="text")
-    an.add_argument("--out", metavar="PATH")
 
-    tw = sub.add_parser("tower", help="the rank-1 defect family")
+    tw = sub.add_parser("tower", parents=[out], help="the rank-1 defect family")
     tw.add_argument("--p", type=int, required=True)
     tw.add_argument("--n", type=int, required=True)
     tw.add_argument("--q", type=int, required=True, help="order of the residue field F_q")
@@ -73,12 +78,10 @@ def make_parser():
     tw.add_argument("--seed", type=int, default=DEFAULT_SEED)
     tw.add_argument("--format", choices=("text", "json"), default="text")
     tw.add_argument("--csv", metavar="PATH", help="also write the level table as CSV")
-    tw.add_argument("--out", metavar="PATH")
 
-    st = sub.add_parser("selftest", help="run the acceptance grid")
+    st = sub.add_parser("selftest", parents=[out], help="run the acceptance grid")
     st.add_argument("--seed", type=int, default=DEFAULT_SEED)
     st.add_argument("--format", choices=("text", "json"), default="text")
-    st.add_argument("--out", metavar="PATH")
     return parser
 
 
@@ -256,8 +259,9 @@ def _run_one(argv, nested=False):
             )
         else:
             text, code = run_batch(args.batch)
-        if args.out and not nested:
-            _write_file(args.out, text + "\n")
+        out = getattr(args, "out", None)
+        if out and not nested:
+            _write_file(out, text + "\n")
             return None, code
         return text, code
     except InsufficientPrecision as exc:

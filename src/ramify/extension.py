@@ -440,14 +440,6 @@ class LElement:
                 return False
         return True
 
-    def is_integral(self):
-        try:
-            return self.valuation() >= 0
-        except InsufficientPrecision:
-            if self._coeffwise_valid():
-                return self.valuation_coeffwise() >= 0
-            raise
-
     def __eq__(self, other):
         return (
             isinstance(other, LElement)
@@ -520,21 +512,29 @@ def classify(ext):
 
 
 class BasisDescription(NamedTuple):
-    """Shape of the integral closure B over A = k[[t]].
+    """The shape of the integral closure B = sum_i A_i alpha^i over
+    A = k[[t]]: the one record that every ideal of B, the different and
+    the verifiers read.
 
-    Wild: B = sum A_i alpha^i with A_i the coefficient ideal, recorded
-    as cuts over the value group of K.  Ferocious: B = A[alpha*gamma]
-    for the recorded scaling gamma in K.
+    ``ext`` is the reduced presentation and ``group`` the value group of
+    L in v_K units.  ``cuts`` holds the coefficient ideals A_i as cuts
+    over the value group of K: wild, A_0 = A and A_i = {v > i*swan/p};
+    ferocious, A_i = gamma^i A, because B = A[alpha*gamma] for the unit
+    alpha*gamma with gamma = t^(swan/p).  ``i_star`` is the index i >= 1
+    whose boundary element alpha^i * t^(A_i) has the difference
+    sigma(b) - b of least valuation, A_i + (1-i)*swan/p.
     """
 
     kind: str
     ext: ASExtension
-    cuts: tuple | None = None
+    group: ValueGroup
+    cuts: tuple
+    i_star: int
     gamma: LaurentSeries | None = None
 
     def generators(self):
-        """Boundary generators of the A_i alpha^i (wild) or the powers
-        of the unit alpha*gamma (ferocious)."""
+        """The boundary generators alpha^i * t^(A_i) of the A_i alpha^i;
+        ferocious, these are the powers of the unit alpha*gamma."""
         ext = self.ext
         if self.kind == "wild":
             return [
@@ -551,21 +551,26 @@ class BasisDescription(NamedTuple):
 
 
 def integral_basis(ext):
-    """Describe B per the ramification type; Swan-positive cases only."""
+    """The one record of the shape of B, for a wild or ferocious
+    extension: wild cuts A_i = {v > i*swan/p} with A_0 = A, ferocious
+    A_i = gamma^i A.  NotApplicable for the other kinds, so it is also
+    the guard of every operation that needs a ramified extension."""
     kind = ext.classification()
+    if kind not in (RamificationType.WILD, RamificationType.FEROCIOUS):
+        raise NotApplicable(f"operation needs a wild or ferocious extension, got {kind.value}")
     ext = ext.with_best_f()
-    n = ext.swan
     p = ext.p
-    zgroup = ValueGroup.discrete(1)
+    v0 = ext.swan / p
+    z = ValueGroup.discrete(1)
     if kind is RamificationType.WILD:
-        cuts = [Cut.at_least(0, zgroup)]
-        for i in range(1, p):
-            cuts.append(Cut.above(Fraction(i) * n / p, zgroup))
-        return BasisDescription("wild", ext, cuts=tuple(cuts))
-    if kind is RamificationType.FEROCIOUS:
-        gamma = LaurentSeries.monomial(ext.field, int(n / p), 1, ext.f.prec)
-        return BasisDescription("ferocious", ext, gamma=gamma)
-    raise NotApplicable(f"no integral basis description for {kind.value} extensions")
+        group, gamma = ValueGroup.discrete(Fraction(1, p)), None
+        cuts = (Cut.at_least(0, z),) + tuple(Cut.above(i * v0, z) for i in range(1, p))
+    else:
+        group = z
+        gamma = LaurentSeries.monomial(ext.field, int(v0), 1, ext.f.prec)
+        cuts = tuple(Cut.at_least(i * v0, z) for i in range(p))
+    i_star = min(range(1, p), key=lambda i: cuts[i].value + (1 - i) * v0)
+    return BasisDescription(kind.value, ext, group, cuts, i_star, gamma)
 
 
 class DifferenceOperators:

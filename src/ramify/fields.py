@@ -22,7 +22,6 @@ tuples of ints in [0, p), lowest degree first, with no trailing zeros;
 
 from __future__ import annotations
 
-import itertools
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -138,6 +137,15 @@ def _pgcd(a, b, p):
     while b:
         a, b = b, _pdivmod(a, b, p)[1]
     return _pmonic(a, p)
+
+
+def _proot(a, p):
+    """The r with r^p = a, or None when a is not a p-th power: over F_p,
+    r(u)^p = r(u^p), so r exists when every term of a has an exponent
+    divisible by p, and its coefficients are those of a at 0, p, 2p, ..."""
+    if any(x and i % p for i, x in enumerate(a)):
+        return None
+    return a[::p]
 
 
 def _pderiv(a, p):
@@ -671,9 +679,7 @@ def is_pth_power(c):
     if c.field.is_finite:
         return True
     p = c.field.p
-    return all(
-        x == 0 for i, x in enumerate(c._a) if i % p
-    ) and all(x == 0 for i, x in enumerate(c._b) if i % p)
+    return _proot(c._a, p) is not None and _proot(c._b, p) is not None
 
 
 def frobenius_root(c):
@@ -685,17 +691,9 @@ def frobenius_root(c):
         return c ** (f.order // f.p)
     if c.is_zero():
         return c
-    if not is_pth_power(c):
+    num, den = _proot(c._a, f.p), _proot(c._b, f.p)
+    if num is None or den is None:
         raise NotAPthPower(f"{c} is not a p-th power in {f!r}")
-    p = f.p
-    num = [0] * ((len(c._a) - 1) // p + 1) if c._a else []
-    for i, x in enumerate(c._a):
-        if x:
-            num[i // p] = x
-    den = [0] * ((len(c._b) - 1) // p + 1)
-    for i, x in enumerate(c._b):
-        if x:
-            den[i // p] = x
     return f.from_polys(num, den)
 
 
@@ -740,14 +738,9 @@ def artin_schreier_solvable(c):
         return trace_to_prime(c) == 0
     if c.is_zero():
         return True
-    den = c._b
-    if any(x and i % p for i, x in enumerate(den)):
+    q_poly = _proot(c._b, p)
+    if q_poly is None:
         return False
-    q_poly = [0] * ((len(den) - 1) // p + 1)
-    for i, x in enumerate(den):
-        if x:
-            q_poly[i // p] = x
-    q_poly = _trim(q_poly)
     g_poly = c._a
     deg_q = len(q_poly) - 1
     deg_g = len(g_poly) - 1
@@ -973,17 +966,3 @@ def check_identity(lhs, rhs, field, trials, seed, max_attempts=64):
             )
     return IdentityCheck(True, None, trials, degree_bound, space)
 
-
-def exhaustive_identity(lhs, rhs, field):
-    """Check an identity on every point of a finite field (test oracle)."""
-    names = sorted(lhs.variables() | rhs.variables())
-    for point in itertools.product(field.elements(), repeat=len(names)):
-        env = dict(zip(names, point))
-        try:
-            a = lhs.evaluate(env, field)
-            b = rhs.evaluate(env, field)
-        except DivisionByZero:
-            continue
-        if a != b:
-            return False
-    return True

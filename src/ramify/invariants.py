@@ -2,7 +2,11 @@
 
 Cuts for ideals of B are expressed in v_K units throughout, so the
 value group of L is (1/p)Z in the wild case and Z in the ferocious
-case, and taking norms scales cut values by p uniformly.
+case, and taking norms scales cut values by p uniformly.  Every ideal
+of B is read from one record of its shape, ``integral_basis``: the
+value group, the coefficient ideals A_i of B = sum_i A_i alpha^i and
+the decisive index i_star, so no function here re-decides between the
+wild and the ferocious shape.
 """
 
 from __future__ import annotations
@@ -14,7 +18,6 @@ from typing import NamedTuple
 
 from .errors import (
     InvalidSpec,
-    NotApplicable,
     RamifyError,
     SwanZero,
     TrivialExtension,
@@ -36,18 +39,8 @@ Z_GROUP = ValueGroup.discrete(1)
 
 
 def value_group_of_l(ext):
-    """Value group of L in v_K units."""
-    kind = ext.classification()
-    if kind is RamificationType.WILD:
-        return ValueGroup.discrete(Fraction(1, ext.p))
-    return ValueGroup.discrete(1)
-
-
-def _require_ramified(ext):
-    kind = ext.classification()
-    if kind not in (RamificationType.WILD, RamificationType.FEROCIOUS):
-        raise NotApplicable(f"operation needs a wild or ferocious extension, got {kind.value}")
-    return kind
+    """Value group of L in v_K units, for a wild or ferocious extension."""
+    return integral_basis(ext).group
 
 
 def _require_samples(samples):
@@ -66,26 +59,20 @@ def ideal_h(ext):
 def ideal_j(ext):
     """The ideal of B generated by sigma(b)/b - 1; in the defectless
     case it is generated by 1/alpha, of valuation swan/p."""
-    _require_ramified(ext)
-    v0 = ext.swan / ext.p
-    return Cut.at_least(v0, value_group_of_l(ext))
+    return Cut.at_least(ext.swan / ext.p, value_group_of_l(ext))
 
 
 def ideal_i_sigma(ext):
     """The ideal of B generated by sigma(b) - b.
 
-    Ferocious: equals the logarithmic ideal.  Wild: generated by the
-    images of the coefficient-ideal boundaries, so its value is
-    min over i of (A_i boundary + (1-i) * swan/p).
+    It is generated by the differences of the boundary elements
+    alpha^i * t^(A_i) of the coefficient ideals, so its value is the
+    least A_i + (1-i)*swan/p, attained at ``i_star``.  Ferocious, every
+    A_i = gamma^i A gives swan/p, and the ideal equals J.
     """
-    kind = _require_ramified(ext)
-    j = ideal_j(ext)
-    if kind is RamificationType.FEROCIOUS:
-        return j
     basis = integral_basis(ext)
-    v0 = ext.swan / ext.p
-    best = min(basis.cuts[i].value + (1 - i) * v0 for i in range(1, ext.p))
-    return Cut.at_least(best, value_group_of_l(ext))
+    i = basis.i_star
+    return Cut.at_least(basis.cuts[i].value + (1 - i) * ext.swan / ext.p, basis.group)
 
 
 def norm_of_j(ext):
@@ -139,27 +126,25 @@ def refined_swan(ext):
 def different_ideal(ext):
     """The different of B over A as a cut in v_K units.
 
-    Ferocious: the (p-1) power of the logarithmic ideal.  Wild: from
-    the trace pairing on the coefficient-ideal decomposition, the
-    inverse different is the union of the pieces below, and the
-    different is its inverse cut.
+    Under the trace the dual of alpha^i has valuation -(p-1-i)*swan/p,
+    so the inverse different is the sum of the A_i^(-1) times these
+    duals, and the different is the cut at the largest
+    A_i + (p-1-i)*swan/p.  Ferocious, every term is (p-1)*swan/p, and
+    the different is J^(p-1).
     """
-    kind = _require_ramified(ext)
+    basis = integral_basis(ext)
     p = ext.p
     v0 = ext.swan / p
-    group = value_group_of_l(ext)
-    if kind is RamificationType.FEROCIOUS:
-        return ideal_j(ext) ** (p - 1)
-    basis = integral_basis(ext)
-    candidates = [-(p - 1) * v0]
-    for i in range(0, p - 1):
-        a = basis.cuts[p - 1 - i].value
-        candidates.append(-a - i * v0)
-    inv_value = min(candidates)
-    return Cut.at_least(-inv_value, group)
+    return Cut.at_least(
+        max(cut.value + (p - 1 - i) * v0 for i, cut in enumerate(basis.cuts)), basis.group
+    )
 
 
-def trace_dual_cut(ext, sample_size=2, seed=0):
+# perturbations per scanned valuation in ``trace_dual_cut``
+TRACE_DUAL_PERTURBATIONS = 2
+
+
+def trace_dual_cut(ext, seed=0):
     """Brute-force inverse different, inverted.
 
     Scans candidate valuations on the value-group grid from below and
@@ -168,38 +153,35 @@ def trace_dual_cut(ext, sample_size=2, seed=0):
     perturbations double-check that the verdict depends on the
     valuation only.
     """
-    kind = _require_ramified(ext)
-    ext = ext.with_best_f()
+    basis = integral_basis(ext)
+    ext = basis.ext
     rng = random.Random(seed)
     p = ext.p
     n = int(ext.swan)
+    v0 = ext.swan / p
     gens = ext.integral_generators()
     field = ext.field
     prec = ext.f.prec
     integral = Cut.at_least(0, Z_GROUP)
 
     def element_of_valuation(w):
-        if kind is RamificationType.WILD:
-            m = int(w * p)  # w = m/p
-            r = (-m * pow(n, -1, p)) % p
-            s = (m + r * n) // p
-        else:
-            r, s = 0, int(w)
-        g = LaurentSeries.monomial(field, s, 1, prec)
+        # alpha^r * t^s with s - r*swan/p = w, for the least r making s integral
+        r = next(r for r in range(p) if (w + r * v0).denominator == 1)
+        g = LaurentSeries.monomial(field, int(w + r * v0), 1, prec)
         return ext.alpha_power(r) * g
 
     def admissible(x):
         chain = x.alpha_chain()
         return all(series_in_cut(x.trace_of_product(g, chain), integral) for g in gens)
 
-    step = Fraction(1, p) if kind is RamificationType.WILD else Fraction(1)
+    step = basis.group.granularity
     lo = -Fraction(p - 1) * (n + p) / p - 1
     w = math.floor(lo / step) * step
     first_pass = None
     while w <= 1:
         base = element_of_valuation(w)
         ok = admissible(base)
-        for _ in range(sample_size):
+        for _ in range(TRACE_DUAL_PERTURBATIONS):
             bump = integral_sample(ext, rng, span=1, terms=1)
             t1 = LaurentSeries.monomial(field, 1, 1, prec)
             perturbed = base + base * (bump * t1)
@@ -214,45 +196,17 @@ def trace_dual_cut(ext, sample_size=2, seed=0):
         w += step
     if first_pass is None:
         raise RamifyError("no admissible valuation found on the scanned grid")
-    inverse_cut = Cut.at_least(first_pass, value_group_of_l(ext))
+    inverse_cut = Cut.at_least(first_pass, basis.group)
     return inverse_cut.inverse()
 
 
 def boundary_generator(ext):
     """An integral b with sigma(b) - b of minimal valuation, so that its
-    difference generates the difference ideal: the boundary element of
-    the decisive coefficient ideal (wild) or the unit alpha*gamma
-    (ferocious)."""
-    kind = _require_ramified(ext)
-    ext = ext.with_best_f()
+    difference generates the difference ideal: the boundary generator of
+    the coefficient ideal at ``i_star``, which is the unit alpha*gamma
+    when ferocious."""
     basis = integral_basis(ext)
-    if kind is RamificationType.FEROCIOUS:
-        return ext.alpha() * basis.gamma
-    v0 = ext.swan / ext.p
-    i_star = min(
-        range(1, ext.p), key=lambda i: basis.cuts[i].value + (1 - i) * v0
-    )
-    g = LaurentSeries.monomial(ext.field, int(basis.cuts[i_star].value), 1, ext.f.prec)
-    return ext.alpha_power(i_star) * g
-
-
-def lefschetz_minimum(ext, samples=40, seed=0):
-    """Sampling oracle: min of v_L(sigma(b) - b) over random integral b,
-    seeded with the boundary generators themselves."""
-    _require_ramified(ext)
-    ext = ext.with_best_f()
-    rng = random.Random(seed)
-    best = None
-    pool = list(ext.integral_generators())
-    pool += [integral_sample(ext, rng) for _ in range(samples)]
-    for b in pool:
-        diff = b.sigma(1) - b
-        if diff.is_zero_known():
-            continue
-        v = diff.valuation_coeffwise()
-        if best is None or v < best:
-            best = v
-    return best
+    return basis.ext.integral_generators()[basis.i_star]
 
 
 class CheckResult(NamedTuple):
@@ -372,8 +326,7 @@ def check_diagram_commutativity(ext, samples=100, seed=0):
     the normed logarithmic class of b matches the differential-form
     class of its norm, modulo the squared ideals."""
     _require_samples(samples)
-    _require_ramified(ext)
-    ext = ext.with_best_f()
+    ext = integral_basis(ext).ext
     rng = random.Random(seed)
     f = ext.best.f_best
     n = int(ext.swan)
@@ -412,8 +365,7 @@ def check_difference_product_rules(ext, samples=32, seed=0):
     sigma(bc)-bc splits modulo the squared difference ideal, and
     sigma(xy)/(xy)-1 splits modulo the squared logarithmic ideal."""
     _require_samples(samples)
-    _require_ramified(ext)
-    ext = ext.with_best_f()
+    ext = integral_basis(ext).ext
     rng = random.Random(seed)
     i_cut = ideal_i_sigma(ext)
     j_cut = ideal_j(ext)
@@ -466,7 +418,7 @@ def principality_chain(subject):
     tower is defectless when H is closed.
     """
     if isinstance(subject, ASExtension):
-        _require_ramified(subject)
+        integral_basis(subject)  # NotApplicable unless wild or ferocious
         report = build_report(subject, run_checks=False)
         f_best = subject.best.f_best
         best_f_exists = reduce_to_best(f_best).f_best == f_best
@@ -520,20 +472,21 @@ def build_report(ext, samples=50, seed=0, run_checks=True):
     if kind is RamificationType.TRIVIAL:
         return report
     p = ext.p
-    e, f_inertia = (p, 1) if kind is RamificationType.WILD else (1, p)
-    report = report._replace(e=e, f_inertia=f_inertia, defect=p // (e * f_inertia))
     if kind is RamificationType.UNRAMIFIED:
         zero_cut = Cut.at_least(0, Z_GROUP)
         if run_checks:
             checks["norm_ideal_identity"] = check_norm_ideal_identity(ext)
             checks["norm_additivity"] = check_norm_additivity(ext, samples, seed)
         return report._replace(
-            i_sigma=zero_cut, j_sigma=zero_cut, h=zero_cut, n_of_j=zero_cut,
+            f_inertia=p, i_sigma=zero_cut, j_sigma=zero_cut, h=zero_cut, n_of_j=zero_cut,
             different=zero_cut, i_lefschetz=Fraction(0), j_lefschetz=Fraction(0),
         )
+    # the ramification index is the index of the value group of K in L's
+    e = int(1 / value_group_of_l(ext).granularity)
     i_cut = ideal_i_sigma(ext)
     j_cut = ideal_j(ext)
     report = report._replace(
+        e=e, f_inertia=p // e,
         i_sigma=i_cut, j_sigma=j_cut,
         h=ideal_h(ext), n_of_j=norm_of_j(ext),
         rsw=refined_swan(ext), different=different_ideal(ext),

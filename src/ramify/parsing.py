@@ -15,6 +15,9 @@ from .errors import FieldLiteralError, InvalidSpec, ParseError
 from .fields import ORDER_LIMIT, FieldSpec, _is_prime
 from .series import LaurentSeries
 
+# the largest degree a power of an F_p(u) literal may reach
+DEGREE_LIMIT = 4096
+
 _TOKEN_RE = re.compile(
     r"\s*(?:(?P<int>\d+)|(?P<name>[A-Za-z]\w*)|(?P<op>[-+*/^()]))"
 )
@@ -41,10 +44,14 @@ def _tokenize(text):
 
 
 class _Parser:
-    def __init__(self, text):
-        self.text = text
+    """Evaluates the restricted grammar directly: coefficients are exact
+    field elements and t-exponents are integers, so precision plays no
+    role until the final assembly."""
+
+    def __init__(self, text, field):
         self.tokens = _tokenize(text)
         self.i = 0
+        self.field = field
 
     def peek(self):
         return self.tokens[self.i]
@@ -77,16 +84,6 @@ class _Parser:
             raise ParseError("expected an integer", pos)
         self.next()
         return sign * val
-
-
-class _SeriesParser(_Parser):
-    """Evaluates the restricted grammar directly: coefficients are exact
-    field elements and t-exponents are integers, so precision plays no
-    role until the final assembly."""
-
-    def __init__(self, text, field):
-        super().__init__(text)
-        self.field = field
 
     def parse(self, prec):
         coeffs = {}
@@ -155,7 +152,12 @@ class _SeriesParser(_Parser):
             raise ParseError("expected a coefficient or t-power", pos)
         if self.at_op("^"):
             self.next()
-            out = out ** self.signed_int()
+            n = self.signed_int()
+            # a power in F_p(u) costs the square of its degree
+            degree = max(len(out._a), len(out._b)) - 1 if not self.field.is_finite else 0
+            if abs(n) * degree > DEGREE_LIMIT:
+                raise ParseError(f"a power of degree above {DEGREE_LIMIT}", pos)
+            out = out ** n
         return out
 
     def _finite_gen(self, pos):
@@ -175,9 +177,8 @@ class _SeriesParser(_Parser):
 
     def coef_term(self):
         negate = False
-        while self.at_op("-"):
-            self.next()
-            negate = not negate
+        while self.at_op("-", "+"):
+            negate ^= self.next()[1] == "-"
         acc = self.coef_factor()
         while self.at_op("*", "/"):
             op = self.next()[1]
@@ -191,55 +192,22 @@ def parse_series(text, field, prec):
     precision; raises ParseError/FieldLiteralError with offsets."""
     if prec < 1:
         raise ParseError("precision must be at least 1")
-    return _SeriesParser(text, field).parse(prec)
+    return _Parser(text, field).parse(prec)
 
 
 def _parse_modulus(text, p):
-    """A monic polynomial literal like ``w^2+1`` into (coeffs, var)."""
-    parser = _Parser(text)
-    coeffs = {}
-    var = None
-    negate = False
-    if parser.at_op("+", "-"):
-        negate = parser.next()[1] == "-"
-    while True:
-        c = 1
-        e = 0
-        kind, val, pos = parser.peek()
-        if kind == "int":
-            parser.next()
-            c = val
-            if parser.at_op("*"):
-                parser.next()
-                kind, val, pos = parser.peek()
-                if kind != "name":
-                    raise ParseError("expected the modulus variable", pos)
-        kind, val, pos = parser.peek()
-        if kind == "name":
-            if var is None:
-                var = val
-            elif var != val:
-                raise ParseError(f"mixed variables {var!r} and {val!r}", pos)
-            parser.next()
-            e = 1
-            if parser.at_op("^"):
-                parser.next()
-                e = parser.signed_int()
-                if e < 0:
-                    raise ParseError("modulus exponents must be nonnegative", pos)
-        coeffs[e] = (coeffs.get(e, 0) + (-c if negate else c)) % p
-        kind, val, pos = parser.peek()
-        if kind == "end":
-            break
-        if kind == "op" and val in "+-":
-            parser.next()
-            negate = val == "-"
-            continue
-        raise ParseError("expected '+', '-' or end of modulus", pos)
-    if not coeffs:
-        raise ParseError("empty modulus")
-    degree = max(coeffs)
-    return [coeffs.get(i, 0) for i in range(degree + 1)], (var or "w")
+    """A polynomial literal like ``w^2+1`` into (coeffs, var), read by
+    the coefficient grammar over F_p(var): ``var`` is the first name in
+    the text, or w when there is none."""
+    parser = _Parser(text, None)
+    var = next((val for kind, val, _ in parser.tokens if kind == "name"), "w")
+    parser.field = FieldSpec.rational(p, var)
+    poly = parser.coef_expr()
+    if parser.peek()[0] != "end":
+        parser.fail("expected '+', '-' or end of modulus")
+    if poly._b != (1,):
+        raise ParseError("the modulus must be a polynomial")
+    return list(poly._a), var
 
 
 def _iroot(q, m):
@@ -280,6 +248,8 @@ def parse_field_spec(text):
     if m:
         p, deg = factor_prime_power(int(m.group(1)))
         coeffs, var = _parse_modulus(m.group(2), p)
+        if len(coeffs) != deg + 1:
+            raise InvalidSpec(f"the modulus of F_{p ** deg} must have degree {deg}")
         if deg == 1:
             return FieldSpec.finite(p)
         return FieldSpec.finite(p, deg, coeffs, var=var)

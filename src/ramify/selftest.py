@@ -17,6 +17,7 @@ from .extension import (
     ASExtension,
     DifferenceOperators,
     LaurentSeries,
+    RamificationType,
     integral_sample,
     reduce_to_best,
 )
@@ -346,7 +347,7 @@ def criterion_different_cross_check(extensions, seed=DEFAULT_SEED):
         if d != oracle:
             failures.append(f"{label}: formula {d!r}, trace dual {oracle!r}")
         bext = ext.with_best_f()
-        if bext.classification().value == "ferocious":
+        if bext.classification() is RamificationType.FEROCIOUS:
             if d != ideal_j(bext) ** (bext.p - 1):
                 failures.append(f"{label}: ferocious different is not J^(p-1)")
     return CriterionResult(

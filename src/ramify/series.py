@@ -477,17 +477,6 @@ def series_in_cut(s, cut):
     return True
 
 
-def series_is_integral(s):
-    """No pole on the known range; needs the full negative range known."""
-    if any(e < 0 for e in s.coeffs):
-        return False
-    if s.prec < 0:
-        raise InsufficientPrecision(
-            f"integrality needs precision >= 0, series known below t^{s.prec}"
-        )
-    return True
-
-
 def random_series(field, rng, lo, hi, prec, density=0.7):
     """A random series supported in [lo, hi] (test/verifier sampling)."""
     coeffs = {}

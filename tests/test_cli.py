@@ -63,6 +63,12 @@ def test_parse_field_specs():
         parse_field_spec("nonsense")
     with pytest.raises(InvalidSpec):
         parse_field_spec("Fq:4:w^2+1")  # reducible modulus over F_2
+    assert parse_field_spec("Fq:27:a^3+2*a+2") == FieldSpec.finite(3, 3, (2, 2, 0, 1), var="a")
+    with pytest.raises(ParseError):
+        parse_field_spec("Fq:9:w^2+")  # a dangling '+'
+    for spec in ("Fq:5:w^7", "Fq:7:w^2+1"):  # a modulus of degree other than m
+        with pytest.raises(InvalidSpec):
+            parse_field_spec(spec)
 
 
 def test_factor_prime_power():
@@ -282,6 +288,7 @@ VALID_FIELDS = [
 INVALID_FIELDS = [
     ("Fp:4", None), ("Fp:1", None), ("Fp(u):4", "u"), ("Fq:6", None),
     ("Fq:4:w^2+1", "w"), ("Fq:1000000014", None), ("Zp:3", None), ("", None),
+    ("Fq:9:w^2+", "w"), ("Fq:5:w^7", "w"), ("Fq:7:w^2+1", "w"),
 ]
 BAD_TERMS = ["t^", "(", "t^-", "", "*t", "1/0*t", "x*t", "0*t^-2", "t^-2*u", "w^-1*t"]
 
@@ -371,6 +378,19 @@ def test_out_file(tmp_path, capsys):
     assert code == 0
     data = json.loads(out_path.read_text())
     assert data["schema"] == "ramify/1"
+
+
+@pytest.mark.parametrize("command", [
+    ["analyze", "--field", "Fp:2", "--f", "t^-1", "--prec", "12", "--trials", "2"],
+    ["tower", "--p", "3", "--n", "2", "--q", "9", "--depth", "3", "--trials", "4"],
+])
+def test_out_before_or_after_the_subcommand(command, tmp_path, capsys):
+    code, printed = run_cli(command, capsys)
+    out_path = tmp_path / "report.txt"
+    for argv in (["--out", str(out_path)] + command, command + ["--out", str(out_path)]):
+        out_path.unlink(missing_ok=True)
+        assert run_cli(argv, capsys) == (code, "")
+        assert out_path.read_text() == printed
 
 
 # -- selftest -------------------------------------------------------------------

@@ -18,11 +18,12 @@ from ramify.fields import (
     artin_schreier_solvable,
     check_identity,
     derivative_u,
-    exhaustive_identity,
     frobenius_root,
     is_pth_power,
     trace_to_prime,
 )
+
+from oracles import exhaustive_identity
 
 F2 = FieldSpec.finite(2)
 F3 = FieldSpec.finite(3)
@@ -108,6 +109,23 @@ def test_frobenius_root_exhaustive(p, m):
         assert frobenius_root(c ** p) == c
         if not c.is_zero():
             assert frobenius_root(c) ** p == c
+
+
+@pytest.mark.parametrize("field", [F2u, F3u])
+@given(data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_pth_root_laws_rational(field, data):
+    # nonzero polynomials of degree below 4
+    poly = st.lists(st.integers(0, field.p - 1), min_size=1, max_size=4).filter(any)
+    r = field.from_polys(data.draw(poly), data.draw(poly))
+    x = field.from_polys(data.draw(poly), data.draw(poly))
+    s = field.from_polys(data.draw(poly))
+    p = field.p
+    assert frobenius_root(r ** p) == r
+    assert is_pth_power(r ** p)
+    assert artin_schreier_solvable(x ** p - x)
+    # u divides the denominator u * s^p to an exponent prime to p
+    assert not artin_schreier_solvable(1 / (field.generator() * s ** p))
 
 
 def test_derivative_u_examples():

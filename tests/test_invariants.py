@@ -17,7 +17,6 @@ from ramify.invariants import (
     ideal_h,
     ideal_i_sigma,
     ideal_j,
-    lefschetz_minimum,
     norm_of_j,
     refined_swan,
     restrict_cut,
@@ -26,6 +25,8 @@ from ramify.invariants import (
     value_group_of_l,
 )
 from ramify.series import Cut, LaurentSeries, ValueGroup, series_in_cut
+
+from oracles import lefschetz_minimum
 
 F2 = FieldSpec.finite(2)
 F3 = FieldSpec.finite(3)

@@ -12,8 +12,9 @@ from ramify.series import (
     random_series,
     restrict_cut,
     series_in_cut,
-    series_is_integral,
 )
+
+from oracles import series_is_integral
 
 F2 = FieldSpec.finite(2)
 F3 = FieldSpec.finite(3)

@@ -1,0 +1,161 @@
+"""The ideals of B read from the one shape record ``integral_basis``,
+against the per-kind formulas they replace.
+
+Each reference below decides between the wild and the ferocious shape
+itself, as the ideal functions once did: the value group from the
+classification, the ferocious difference ideal as J, the ferocious
+different as J^(p-1), and the ferocious boundary generator as the unit
+alpha*gamma.  Results must agree on cuts, and generators on values and
+on ``prec``.
+"""
+
+from fractions import Fraction
+
+import pytest
+
+from ramify.extension import ASExtension, RamificationType, integral_basis
+from ramify.fields import FieldSpec
+from ramify.invariants import (
+    boundary_generator,
+    different_ideal,
+    ideal_i_sigma,
+    ideal_j,
+    value_group_of_l,
+)
+from ramify.series import Cut, LaurentSeries, ValueGroup
+
+F2 = FieldSpec.finite(2)
+F3 = FieldSpec.finite(3)
+F4 = FieldSpec.finite(2, 2)
+F5 = FieldSpec.finite(5)
+F9 = FieldSpec.finite(3, 2)
+F2u = FieldSpec.rational(2)
+F3u = FieldSpec.rational(3)
+Z = ValueGroup.discrete(1)
+
+
+def ext_of(field, terms, prec=32):
+    """The extension alpha^p - alpha = sum of c * t^e over ``terms``,
+    where c is the generator u when given as "u", else an integer."""
+    coeffs = {e: field.generator() if c == "u" else field.from_int(c) for e, c in terms.items()}
+    return ASExtension(field, LaurentSeries(field, coeffs, prec))
+
+
+EXTENSIONS = [
+    # the grid of tests/test_invariants.py
+    ext_of(F2, {-1: 1}),
+    ext_of(F2, {-3: 1}),
+    ext_of(F3, {-1: 1}),
+    ext_of(F3, {-2: 1}),
+    ext_of(F2u, {-2: "u"}),
+    ext_of(F3u, {-3: "u"}),
+    ext_of(F5, {-2: 1}, prec=24),
+    # ferocious poles 3 and 6 over F_3(u), a second F_5 pole 2
+    ext_of(F3u, {-3: "u", 2: 1}, prec=24),
+    ext_of(F3u, {-6: "u", -1: 1}, prec=24),
+    ext_of(F5, {-2: 3, -1: 1, 3: 2}, prec=20),
+    # presentations the reduction has to rewrite first
+    ext_of(F2, {-4: 1}, prec=16),
+    ext_of(F3, {-5: 2, -3: 1}, prec=24),
+    ext_of(F2u, {-6: "u", -4: 1}, prec=24),
+    ext_of(F4, {-3: 1}, prec=16),
+    ext_of(F9, {-4: 1}, prec=16),
+]
+
+
+# -- the per-kind formulas -----------------------------------------------------
+
+
+def _is_ferocious(ext):
+    return ext.classification() is RamificationType.FEROCIOUS
+
+
+def _wild_cuts(ext):
+    """A_0 = A and A_i = {v > i*swan/p} over the value group of K."""
+    n, p = ext.swan, ext.p
+    return [Cut.at_least(0, Z)] + [Cut.above(Fraction(i) * n / p, Z) for i in range(1, p)]
+
+
+def per_kind_value_group_of_l(ext):
+    if ext.classification() is RamificationType.WILD:
+        return ValueGroup.discrete(Fraction(1, ext.p))
+    return ValueGroup.discrete(1)
+
+
+def per_kind_ideal_j(ext):
+    return Cut.at_least(ext.swan / ext.p, per_kind_value_group_of_l(ext))
+
+
+def per_kind_ideal_i_sigma(ext):
+    j = per_kind_ideal_j(ext)
+    if _is_ferocious(ext):
+        return j
+    cuts = _wild_cuts(ext)
+    v0 = ext.swan / ext.p
+    best = min(cuts[i].value + (1 - i) * v0 for i in range(1, ext.p))
+    return Cut.at_least(best, per_kind_value_group_of_l(ext))
+
+
+def per_kind_different_ideal(ext):
+    p = ext.p
+    v0 = ext.swan / p
+    if _is_ferocious(ext):
+        return per_kind_ideal_j(ext) ** (p - 1)
+    cuts = _wild_cuts(ext)
+    candidates = [-(p - 1) * v0]
+    for i in range(0, p - 1):
+        candidates.append(-cuts[p - 1 - i].value - i * v0)
+    return Cut.at_least(-min(candidates), per_kind_value_group_of_l(ext))
+
+
+def per_kind_boundary_generator(ext):
+    ext = ext.with_best_f()
+    prec = ext.f.prec
+    if _is_ferocious(ext):
+        gamma = LaurentSeries.monomial(ext.field, int(ext.swan / ext.p), 1, prec)
+        return ext.alpha() * gamma
+    cuts = _wild_cuts(ext)
+    v0 = ext.swan / ext.p
+    i_star = min(range(1, ext.p), key=lambda i: cuts[i].value + (1 - i) * v0)
+    g = LaurentSeries.monomial(ext.field, int(cuts[i_star].value), 1, prec)
+    return ext.alpha_power(i_star) * g
+
+
+# -- agreement ---------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("ext", EXTENSIONS, ids=repr)
+def test_ideals_match_the_per_kind_formulas(ext):
+    pairs = [
+        (value_group_of_l(ext), per_kind_value_group_of_l(ext)),
+        (ideal_j(ext), per_kind_ideal_j(ext)),
+        (ideal_i_sigma(ext), per_kind_ideal_i_sigma(ext)),
+        (different_ideal(ext), per_kind_different_ideal(ext)),
+    ]
+    for got, want in pairs:
+        assert got == want and repr(got) == repr(want)
+
+
+@pytest.mark.parametrize("ext", EXTENSIONS, ids=repr)
+def test_boundary_generator_matches_values_and_prec(ext):
+    got = boundary_generator(ext).coeffs
+    want = per_kind_boundary_generator(ext).coeffs
+    assert got == want  # LaurentSeries equality includes prec
+    assert [c.prec for c in got] == [c.prec for c in want]
+
+
+@pytest.mark.parametrize("ext", EXTENSIONS, ids=repr)
+def test_record_cuts(ext):
+    basis = integral_basis(ext)
+    p, v0 = ext.p, ext.swan / ext.p
+    if basis.kind == "wild":
+        assert list(basis.cuts) == _wild_cuts(ext)
+        assert basis.gamma is None
+    else:
+        # B = A[alpha*gamma], so A_i = gamma^i A
+        assert basis.kind == "ferocious" and _is_ferocious(ext)
+        assert basis.gamma.coeffs == {int(v0): ext.field.one()}
+        assert list(basis.cuts) == [Cut.at_least(i * v0, Z) for i in range(p)]
+    assert basis.group == per_kind_value_group_of_l(ext)
+    values = [basis.cuts[i].value + (1 - i) * v0 for i in range(1, p)]
+    assert basis.i_star == 1 + values.index(min(values))

@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 
 from ramify.errors import InvalidSpec
-from ramify.fields import FieldSpec, exhaustive_identity
+from ramify.fields import FieldSpec
 from ramify.series import Cut, ValueGroup
 from ramify.tower import (
     TowerSpec,
@@ -16,6 +16,8 @@ from ramify.tower import (
     tower_levels,
     tower_report,
 )
+
+from oracles import exhaustive_identity
 
 F4 = FieldSpec.finite(2, 2)
 F9 = FieldSpec.finite(3, 2)
