@@ -2,10 +2,11 @@
 
 Provides the reduction of f to its best representative modulo the map
 x -> x^p - x, the Swan conductor, the ramification classification,
-arithmetic in L with the Galois action, the norm through the
-multiplication matrix and the trace from the power basis, valuations
-on L, the inductive difference operators, and the shape of the
-integral closure.
+arithmetic in L with the Galois action, the norm and the inverse from
+one Laplace expansion of the multiplication matrix (the inverse is the
+adjugate column over the norm), the trace from the power basis,
+valuations on L, the inductive difference operators, and the shape of
+the integral closure.
 
 Each coordinate of a product in L is a sum of series products, one
 ``series.dot``: it is known below the minimum of its products' bounds
@@ -354,34 +355,15 @@ class LElement:
         return -dot(pairs, self.ext.f.prec)
 
     def norm(self):
-        return _det(self.multiplication_matrix())
+        return _laplace(self.multiplication_matrix())[0]
 
-    def conjugate_product(self):
-        """Product of sigma^i(self) over i = 1..p-1."""
-        acc = None
-        for i in range(1, self.ext.p):
-            s = self.sigma(i)
-            acc = s if acc is None else acc * s
-        return acc if acc is not None else self.ext.one()
-
-    def inverse(self, window=None):
-        """1/x = (prod of the other conjugates) / N(x).
-
-        ``window`` caps how many terms above its leading exponent the
-        norm inverse carries; callers that only read the result below a
-        bound should pass one, since inverting to full available
-        precision can be much denser.  Membership checks downstream
-        still detect a window that was too tight, so this trades work,
-        never soundness.
-        """
-        n = self.norm()
-        target = None
-        if window is not None:
-            v = n.valuation()
-            target = min(n.prec - 2 * v, -v + window)
-        inv_n = n.inverse(target)
-        conj = self.conjugate_product()
-        return conj * inv_n
+    def inverse(self):
+        """1/x by Cramer's rule: coordinate j is the cofactor of entry
+        (0, j) of the multiplication matrix over N(x), both from one
+        Laplace expansion."""
+        norm, cofactors = _laplace(self.multiplication_matrix())
+        inv_n = norm.inverse()
+        return LElement(self.ext, tuple(c * inv_n for c in cofactors))
 
     def truncate(self, prec):
         """Forget knowledge above the given precision (cheapens inverses)."""
@@ -467,9 +449,17 @@ def _binom(n, k):
     return out
 
 
-def _det(matrix):
-    """Determinant by expansion over column subsets (Laplace with memo)."""
-    return _minor(matrix, tuple(range(len(matrix))), {})
+def _laplace(matrix):
+    """(det, first-row cofactors) by expansion along the first row: the
+    cofactor of entry (0, j) is (-1)^j times the minor without row 0
+    and column j, and all minors share one memo."""
+    full = tuple(range(len(matrix)))
+    memo = {}
+    cofactors = []
+    for j in full:
+        sub = _minor(matrix, full[:j] + full[j + 1:], memo)
+        cofactors.append(-sub if j % 2 else sub)
+    return dot(list(zip(matrix[0], cofactors))), cofactors
 
 
 def _minor(matrix, remaining, memo):

@@ -371,8 +371,8 @@ def check_difference_product_rules(ext, samples=32, seed=0):
     j_cut = ideal_j(ext)
     i_sq = i_cut ** 2
     j_sq = j_cut ** 2
-    # congruences are read below a fixed bound, so the per-sample
-    # inverses only need a short window of knowledge
+    # congruences are read below a fixed bound, so the units are
+    # truncated there: that bounds the work of each inverse
     n = int(ext.swan)
     working_prec = (ext.p + 1) * n // ext.p + 7
     for trial in range(samples):
@@ -390,9 +390,9 @@ def check_difference_product_rules(ext, samples=32, seed=0):
         x = x.truncate(math.floor(x.valuation_coeffwise()) + working_prec)
         y = y.truncate(math.floor(y.valuation_coeffwise()) + working_prec)
         xy = x * y
-        ix = x.inverse(window=working_prec)
-        iy = y.inverse(window=working_prec)
-        ixy = xy.inverse(window=working_prec)
+        ix = x.inverse()
+        iy = y.inverse()
+        ixy = xy.inverse()
         lhs2 = xy.sigma(1) * ixy - 1
         rhs2 = (x.sigma(1) * ix - 1) + (y.sigma(1) * iy - 1)
         if not (lhs2 - rhs2).in_cut(j_sq):

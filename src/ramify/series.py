@@ -459,13 +459,13 @@ def series_in_cut(s, cut):
     is raised (unless an offending coefficient is already visible).
     """
     for e in s.coeffs:
-        if not cut.contains(Fraction(e)):
+        if not cut.contains(e):
             return False
     v = cut.value
     if cut.closed:
         # excluded integer exponents are those < value
         top_excluded = v.numerator // v.denominator  # floor
-        if Fraction(top_excluded) == v:
+        if top_excluded == v:
             top_excluded -= 1
     else:
         top_excluded = v.numerator // v.denominator

@@ -163,6 +163,24 @@ def test_analyze_insufficient_precision_exit_three(capsys):
     assert "raise --prec" in out
 
 
+@pytest.mark.parametrize("field, f, prec, seed", [
+    ("Fp:5", "t^-2", 10, 0),
+    ("Fp:5", "t^-2", 10, 1),
+    ("Fp:5", "t^-2", 10, 2),
+    ("Fp:3", "t^-2", 6, 2),
+    ("Fp:3", "t^-2", 6, 3),
+])
+def test_unit_inverses_keep_the_precision_of_the_norm(field, f, prec, seed, capsys):
+    # the multiplicative product rule inverts sampled units; an inverse
+    # known less far than the norm's minors makes these runs exit 3
+    code, out = run_cli(
+        ["analyze", "--field", field, "--f", f, "--prec", str(prec),
+         "--trials", "1", "--seed", str(seed)],
+        capsys,
+    )
+    assert code == 0, out
+
+
 def test_analyze_determinism(capsys):
     argv = ["analyze", "--field", "Fp:3", "--f", "t^-2", "--prec", "16",
             "--format", "json", "--trials", "15", "--seed", "7"]

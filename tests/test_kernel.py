@@ -4,13 +4,15 @@ it, against the plain operations they replace.
 Each reference below is the schoolbook form: a chain of series
 products and sums, an L-product as a sum of p scaled alpha-multiples,
 and a determinant whose minors are sums of signed products.  Results
-must agree on values and on ``prec``.
+must agree on values and on ``prec``.  The inverse is compared with the
+product of the other conjugates over the norm: values agree, and its
+``prec`` may only be higher.
 """
 
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from ramify.errors import ExtensionMismatch, InvalidSpec
 from ramify.extension import ASExtension, LElement
@@ -133,6 +135,14 @@ def laplace_det(matrix):
     return minor(0, tuple(range(p)))
 
 
+def conjugate_product_inverse(x):
+    """1/x as the product of the other conjugates over N(x)."""
+    acc = x.sigma(1)
+    for i in range(2, x.ext.p):
+        acc = acc * x.sigma(i)
+    return acc * x.norm().inverse()
+
+
 def same(a, b):
     return a == b and a.prec == b.prec
 
@@ -169,6 +179,20 @@ def test_norm_matches_laplace_expansion(field, seed):
     ext = ext_for(field, rng)
     x = random_element(ext, rng)
     assert same(x.norm(), laplace_det(x.multiplication_matrix()))
+
+
+@settings(max_examples=60, deadline=None)
+@given(fields, seeds)
+def test_inverse_matches_conjugate_product_inverse(field, seed):
+    rng = random.Random(seed)
+    ext = ext_for(field, rng)
+    x = random_element(ext, rng)
+    assume(not x.norm().is_zero_known())
+    inverse, reference = x.inverse(), conjugate_product_inverse(x)
+    for a, b in zip(inverse.coeffs, reference.coeffs):
+        assert a.agrees_with(b)
+        assert a.prec >= b.prec
+    assert (x * inverse).agrees_with(ext.one())
 
 
 @settings(max_examples=80, deadline=None)
