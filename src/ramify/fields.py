@@ -525,12 +525,19 @@ class ResidueElem:
             la = log[a]
             z = f._zech[log[b] - la]
             return _elem(f, f._exp[la + z]) if z >= 0 else f._zero
-        if self._b is None:
+        da, db = self._b, other._b
+        if da is None:
             return _elem(f, (a + b) % f.p)
-        if self._b == _ONE and other._b == _ONE:
-            return _elem(f, _padd(a, b, f.p), _ONE)
-        num = _padd(_pmul(a, other._b, f.p), _pmul(b, self._b, f.p), f.p)
-        return f._rat(num, _pmul(self._b, other._b, f.p))
+        # With one denominator 1, n/d + c = (n + c*d)/d is in lowest terms
+        # already: gcd(n + c*d, d) = gcd(n, d) = 1, and d is monic.
+        if da == _ONE:
+            if db == _ONE:
+                return _elem(f, _padd(a, b, f.p), _ONE)
+            return _elem(f, _padd(_pmul(a, db, f.p), b, f.p), db)
+        if db == _ONE:
+            return _elem(f, _padd(a, _pmul(b, da, f.p), f.p), da)
+        num = _padd(_pmul(a, db, f.p), _pmul(b, da, f.p), f.p)
+        return f._rat(num, _pmul(da, db, f.p))
 
     __radd__ = __add__
 
@@ -664,6 +671,82 @@ def _elem(field, a, b=None):
     _set_a(e, a)
     _set_b(e, b)
     return e
+
+
+def dot_coeffs(field, pairs, bound):
+    """The coefficients below ``bound`` of the sum of a*b, for (a, b)
+    pairs of dicts from exponents to nonzero elements of ``field``.
+
+    No element arithmetic runs in the loop.  Each output exponent is
+    accumulated in the field's raw representation and becomes one
+    canonical element at the end: F_p sums plain ints and reduces mod p
+    once; F_q (m >= 2) multiplies codes through the log table and adds
+    them through the Zech table, code 0 meaning "nothing yet"; F_p(u)
+    adds unreduced numerator products that share a product denominator,
+    cross-multiplies the groups once and canonicalises with one
+    ``_rat``.  Zero sums are dropped.
+    """
+    p = field.p
+    acc = {}
+    get = acc.get
+    log = field._log
+    if log is not None:
+        exp, zech, n = field._exp, field._zech, field.order - 1
+        for a, b in pairs:
+            b_logs = [(e2, log[c._a]) for e2, c in b.items()]
+            for e1, c1 in a.items():
+                l1, lim = log[c1._a], bound - e1
+                for e2, l2 in b_logs:
+                    if e2 < lim:
+                        e = e1 + e2
+                        s = get(e, 0)
+                        if s:
+                            ls = log[s]
+                            k = l1 + l2 - ls  # g^ls + g^(ls + k) = g^(ls + zech[k])
+                            if k >= n:
+                                k -= n
+                            z = zech[k]
+                            acc[e] = exp[ls + z] if z >= 0 else 0
+                        else:
+                            acc[e] = exp[l1 + l2]
+        return {e: _elem(field, s) for e, s in acc.items() if s}
+    if field.is_finite:
+        for a, b in pairs:
+            b_vals = [(e2, c._a) for e2, c in b.items()]
+            for e1, c1 in a.items():
+                x, lim = c1._a, bound - e1
+                for e2, y in b_vals:
+                    if e2 < lim:
+                        e = e1 + e2
+                        acc[e] = get(e, 0) + x * y
+        return {e: _elem(field, r) for e, s in acc.items() if (r := s % p)}
+    for a, b in pairs:
+        b_fracs = [(e2, c._a, c._b) for e2, c in b.items()]
+        for e1, c1 in a.items():
+            n1, d1, lim = c1._a, c1._b, bound - e1
+            for e2, n2, d2 in b_fracs:
+                if e2 < lim:
+                    e = e1 + e2
+                    num = _pmul(n1, n2, p)
+                    den = d2 if d1 == _ONE else d1 if d2 == _ONE else _pmul(d1, d2, p)
+                    groups = get(e)
+                    if groups is None:
+                        acc[e] = {den: num}
+                    else:
+                        cur = groups.get(den)
+                        groups[den] = num if cur is None else _padd(cur, num, p)
+    out = {}
+    for e, groups in acc.items():
+        num, den = (), _ONE
+        for d, n in groups.items():
+            if n:
+                if num:
+                    num, den = _padd(_pmul(num, d, p), _pmul(n, den, p), p), _pmul(den, d, p)
+                else:
+                    num, den = n, d
+        if num:
+            out[e] = field._rat(num, den)
+    return out
 
 
 def is_pth_power(c):

@@ -18,7 +18,7 @@ from .errors import (
     InvalidSpec,
     ZeroSeries,
 )
-from .fields import ResidueElem
+from .fields import ResidueElem, dot_coeffs
 
 
 class ValueGroup:
@@ -324,24 +324,15 @@ class LaurentSeries:
             result = result * self
         return result
 
-    def inverse(self, target_prec=None):
-        """Multiplicative inverse via the geometric series.
-
-        The best achievable precision is prec - 2v where v is the
-        valuation; asking for more raises InsufficientPrecision.
-        """
+    def inverse(self):
+        """Multiplicative inverse via the geometric series, known below
+        prec - 2v where v is the valuation."""
         if not self.coeffs:
             raise ZeroSeries(
                 f"cannot invert a series with no known nonzero coefficient (prec {self.prec})"
             )
         v, lead = self.leading()
-        avail = self.prec - 2 * v
-        if target_prec is None:
-            target_prec = avail
-        elif target_prec > avail:
-            raise InsufficientPrecision(
-                f"inverse known below {avail}, requested {target_prec}"
-            )
+        unit_prec = self.prec - v
         lead_inv = lead.inverse()
         # self = lead*t^v * (1 + r), val(r) >= 1
         r = LaurentSeries(
@@ -349,17 +340,17 @@ class LaurentSeries:
             {e - v: c * lead_inv for e, c in self.coeffs.items() if e != v},
             self.prec - v,
         )
-        inv_unit = LaurentSeries.one(self.field, target_prec + v)
-        term = LaurentSeries.one(self.field, target_prec + v)
+        inv_unit = LaurentSeries.one(self.field, unit_prec)
+        term = LaurentSeries.one(self.field, unit_prec)
         if r.coeffs:
             step = -r
             while True:
                 term = term * step
-                term = term.truncate(target_prec + v)
+                term = term.truncate(unit_prec)
                 if term.is_zero_known():
                     break
                 inv_unit = inv_unit + term
-        return inv_unit.scale(lead_inv).shift(-v).truncate(target_prec)
+        return inv_unit.scale(lead_inv).shift(-v)
 
     def truncate(self, prec):
         if prec >= self.prec:
@@ -424,31 +415,24 @@ def dot(pairs, prec=None):
 
     Value and precision equal those of the chain
     ``zero(prec) + a0*b0 + a1*b1 + ...`` (with no zero term when
-    ``prec`` is None), but every product is accumulated into one dict.
-    The chain's precision is the minimum of ``prec`` and each product's
-    bound min(a.prec + v(b), b.prec + v(a)), with v the low bound; the
-    chain truncates at bounds no lower than that final one, field
-    elements are canonical and zeros are dropped at the end, so
-    skipping every term at or above the final bound gives the same
-    series.
+    ``prec`` is None).  The chain's precision is the minimum of ``prec``
+    and each product's bound min(a.prec + v(b), b.prec + v(a)), with v
+    the low bound; the chain truncates at bounds no lower than that
+    final one and drops zeros at the end, so skipping every term at or
+    above the final bound gives the same series.  The coefficients come
+    from ``fields.dot_coeffs``, which accumulates raw codes, ints and
+    unreduced F_p(u) fractions and canonicalises once per output
+    exponent; canonical forms make that equal to the chain's
+    element-by-element sums.
     """
     bound = prec
     for a, b in pairs:
         pair_bound = min(a.prec + b.low_bound(), b.prec + a.low_bound())
         if bound is None or pair_bound < bound:
             bound = pair_bound
-    out = {}
-    get = out.get
-    for a, b in pairs:
-        b_terms = b.coeffs.items()
-        for e1, c1 in a.coeffs.items():
-            for e2, c2 in b_terms:
-                e = e1 + e2
-                if e < bound:
-                    c = c1 * c2
-                    cur = get(e)
-                    out[e] = c if cur is None else cur + c
-    return LaurentSeries(pairs[0][0].field, out, bound)
+    field = pairs[0][0].field
+    coeffs = dot_coeffs(field, [(a.coeffs, b.coeffs) for a, b in pairs], bound)
+    return LaurentSeries(field, coeffs, bound)
 
 
 def series_in_cut(s, cut):

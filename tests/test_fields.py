@@ -15,6 +15,8 @@ from ramify.errors import (
 from ramify.fields import (
     Expr,
     FieldSpec,
+    _padd,
+    _pmul,
     artin_schreier_solvable,
     check_identity,
     derivative_u,
@@ -31,6 +33,7 @@ F4 = FieldSpec.finite(2, 2)
 F9 = FieldSpec.finite(3, 2)
 F2u = FieldSpec.rational(2)
 F3u = FieldSpec.rational(3)
+F5u = FieldSpec.rational(5)
 
 
 def test_f4_generator_square():
@@ -126,6 +129,22 @@ def test_pth_root_laws_rational(field, data):
     assert artin_schreier_solvable(x ** p - x)
     # u divides the denominator u * s^p to an exponent prime to p
     assert not artin_schreier_solvable(1 / (field.generator() * s ** p))
+
+
+@pytest.mark.parametrize("field", [F2u, F3u, F5u])
+@given(data=st.data())
+@settings(max_examples=80, deadline=None)
+def test_add_with_one_polynomial_operand_is_in_lowest_terms(field, data):
+    """n/d + c returns (n + c*d)/d without a gcd; it must equal the
+    canonical form ``_rat`` gives the cross-multiplied sum."""
+    p = field.p
+    poly = st.lists(st.integers(0, p - 1), max_size=5)
+    x = field.from_polys(data.draw(poly), data.draw(poly.filter(any)))
+    c = field.from_polys(data.draw(poly))
+    expected = field._rat(_padd(_pmul(x._a, c._b, p), _pmul(c._a, x._b, p), p),
+                          _pmul(x._b, c._b, p))
+    for total in (x + c, c + x):
+        assert (total._a, total._b) == (expected._a, expected._b)
 
 
 def test_derivative_u_examples():

@@ -44,6 +44,11 @@ CASES = {
     "analyze-F5": _analyze("Fp:5", "3*t^-4 + 2*t^-1 + t^-5 - t^-1 + 4*t^2", prec=28, trials=1),
     "analyze-F2u": _analyze("Fp(u):2", "u*t^-6 + t^-3 + (u+1)^2*t^-2 - (u+1)*t^-1 + u*t"),
     "analyze-F3u": _analyze("Fp(u):3", "(u+1)*t^-3 + 2*t^-1 + u^3*t^-6 - u*t^-2 + t^2"),
+    # F_p(u) coefficients with nontrivial denominators
+    "analyze-F2u-rational": _analyze(
+        "Fp(u):2", "(u^2/(u+1))*t^-6+(1/u)*t^-1+(u+1)^2*t^-2-(u+1)*t^-1+u*t", fmt="text"),
+    "analyze-F3u-rational": _analyze(
+        "Fp(u):3", "(u/(u^2+1))*t^-3+(2/(u+2))*t^-1+t^2", trials=1),
     "tower-q4": _tower(2, 5, 4),
     "tower-q9": _tower(3, 2, 9),
     "tower-q27": _tower(3, 4, 27),

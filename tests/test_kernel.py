@@ -16,7 +16,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from ramify.errors import ExtensionMismatch, InvalidSpec
 from ramify.extension import ASExtension, LElement
-from ramify.fields import FieldSpec
+from ramify.fields import FieldSpec, _pmul
 from ramify.series import LaurentSeries, dot
 
 F2 = FieldSpec.finite(2)
@@ -25,6 +25,8 @@ F5 = FieldSpec.finite(5)
 F9 = FieldSpec.finite(3, 2)
 F2u = FieldSpec.rational(2)
 F3u = FieldSpec.rational(3)
+F5u = FieldSpec.rational(5)
+F_MERSENNE = FieldSpec.finite(2**61 - 1)
 FIELDS = (F2, F3, F5, F9, F2u, F3u)
 
 
@@ -159,6 +161,55 @@ def test_dot_matches_product_chain(field, seed, count, prec):
     assert same(dot(pairs, prec), chain_dot(pairs, prec))
     a, b = pairs[0]
     assert same(a * b, schoolbook_mul(a, b))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from((F2u, F3u, F5u)), seeds, st.integers(3, 6))
+def test_dot_over_many_denominators_at_one_exponent(field, seed, count):
+    """Products at one exponent with at least three distinct product
+    denominators, and pairs that share one factor's denominator but not
+    the other's: the kernel must group by the product denominator."""
+    rng = random.Random(seed)
+    u = field.generator()
+    dens = (field.one(), u, u + 1, u * u, u * (u + 1))
+
+    def quotient():
+        return (field.sample_point(rng, max_degree=2) or field.one()) / rng.choice(dens)
+
+    pairs = []
+    for _ in range(count):
+        a, b = quotient(), quotient()
+        pairs.append((LaurentSeries(field, {0: a, rng.randint(-2, 2): quotient()}, 6),
+                      LaurentSeries(field, {0: b}, 6)))
+    assume(len({_pmul(a.coeffs[0]._b, b.coeffs[0]._b, field.p) for a, b in pairs}) >= 3)
+    assert same(dot(pairs), chain_dot(pairs))
+    assert same(dot(pairs, -1), chain_dot(pairs, -1))
+
+
+@settings(max_examples=80, deadline=None)
+@given(fields, seeds)
+def test_dot_drops_coefficients_that_cancel_and_keeps_prec(field, seed):
+    """(a, b) and (-a, b) cancel at every exponent: the sum is zero on its
+    known range with the products' precision.  A third pair then adds to
+    coefficients that have passed through zero."""
+    rng = random.Random(seed)
+    a, b = random_series(field, rng), random_series(field, rng)
+    assume(a.coeffs and b.coeffs)
+    cancelled = dot([(a, b), (-a, b)])
+    assert cancelled.is_zero_known()
+    assert same(cancelled, chain_dot([(a, b), (-a, b)]))
+    pairs = [(a, b), (-a, b), (random_series(field, rng), random_series(field, rng)), (a, b)]
+    assert same(dot(pairs), chain_dot(pairs))
+
+
+@settings(max_examples=40, deadline=None)
+@given(seeds, st.integers(1, 4))
+def test_dot_over_a_prime_near_2_to_the_61(seed, count):
+    """Unreduced sums of products near 2^122 are reduced once per exponent."""
+    rng = random.Random(seed)
+    pairs = [(random_series(F_MERSENNE, rng), random_series(F_MERSENNE, rng))
+             for _ in range(count)]
+    assert same(dot(pairs), chain_dot(pairs))
 
 
 @settings(max_examples=80, deadline=None)

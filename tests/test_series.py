@@ -136,20 +136,14 @@ def test_series_mul_precision_rule():
 
 def test_series_inverse_examples():
     t = mono(F2, 1)
-    assert t.inverse(4).coeffs == {-1: F2.one()}
+    assert t.inverse().truncate(4).coeffs == {-1: F2.one()}
     a = LaurentSeries(F2, {0: F2.one(), 1: F2.one()}, 16)
-    inv = a.inverse(4)
+    inv = a.inverse().truncate(4)
     assert inv.coeffs == {0: F2.one(), 1: F2.one(), 2: F2.one(), 3: F2.one()}
     assert inv.prec == 4
     empty = LaurentSeries.zero(F2, 6)
     with pytest.raises(InsufficientPrecision):
         empty.inverse()
-
-
-def test_series_inverse_target_too_deep():
-    a = mono(F2, -2, 1, prec=4)
-    with pytest.raises(InsufficientPrecision):
-        a.inverse(9)  # available is prec - 2v = 8
 
 
 def test_valuation_examples():
@@ -192,7 +186,7 @@ def test_inverse_roundtrip(i):
     a = random_series(F3, _r.Random(i), -2, 2, 12)
     if a.is_zero_known():
         return
-    inv = a.inverse(6)
+    inv = a.inverse().truncate(6)
     prod = a * inv
     one = LaurentSeries.one(F3, prod.prec)
     assert (prod - one).is_zero_known()
