@@ -600,12 +600,19 @@ class DifferenceOperators:
 
 def integral_sample(ext, rng, span=2, terms=2):
     """A random integral element of the reduced presentation, built
-    from the shape of B (see ``ASExtension.integral_generators``)."""
+    from the shape of B (see ``ASExtension.integral_generators``).
+
+    Each generator draws up to ``terms`` monomials t^e (0 <= e <=
+    ``span``) into a series s; coordinate j of the sample is one
+    ``dot`` of the pairs (g_j, s) with f's precision as its start
+    bound, which is the chain ``zero + g0*s0 + g1*s1 + ...`` in value
+    and ``prec``.  A sample that is zero on its known range is replaced
+    by one generator drawn at random."""
     ext = ext.with_best_f()
     field = ext.field
     prec = ext.f.prec
     gens = ext.integral_generators()
-    acc = ext.zero()
+    drawn = []
     for g in gens:
         picks = {}
         for _ in range(terms):
@@ -614,10 +621,14 @@ def integral_sample(ext, rng, span=2, terms=2):
             if not c.is_zero():
                 picks[e] = c
         if picks:
-            acc = acc + g * LaurentSeries(field, picks, prec)
-    if acc.is_zero_known():
-        return gens[rng.randrange(len(gens))]
-    return acc
+            drawn.append((g, LaurentSeries(field, picks, prec)))
+    if drawn:
+        x = LElement(ext, tuple(
+            dot([(g.coeffs[j], s) for g, s in drawn], prec) for j in range(ext.p)
+        ))
+        if not x.is_zero_known():
+            return x
+    return gens[rng.randrange(len(gens))]
 
 
 def unit_sample(ext, rng, span=2):

@@ -126,6 +126,21 @@ def _pdivmod(a, b, p):
     return _trim(quot), _trim(rem)
 
 
+def _prem(a, b, p):
+    """The remainder of ``_pdivmod(a, b, p)``, without building the
+    quotient."""
+    if not b:
+        raise DivisionByZero("polynomial division by zero")
+    inv_lead = pow(b[-1], -1, p)
+    rem = list(a)
+    for i in range(len(rem) - len(b), -1, -1):
+        c = (rem[i + len(b) - 1] * inv_lead) % p
+        if c:
+            for j, cb in enumerate(b):
+                rem[i + j] = (rem[i + j] - c * cb) % p
+    return _trim(rem)
+
+
 def _pmonic(a, p):
     if not a:
         return ()
@@ -135,7 +150,7 @@ def _pmonic(a, p):
 
 def _pgcd(a, b, p):
     while b:
-        a, b = b, _pdivmod(a, b, p)[1]
+        a, b = b, _prem(a, b, p)
     return _pmonic(a, p)
 
 
@@ -154,11 +169,11 @@ def _pderiv(a, p):
 
 def _ppow_mod(base, e, mod, p):
     result = _ONE
-    base = _pdivmod(base, mod, p)[1]
+    base = _prem(base, mod, p)
     while e:
         if e & 1:
-            result = _pdivmod(_pmul(result, base, p), mod, p)[1]
-        base = _pdivmod(_pmul(base, base, p), mod, p)[1]
+            result = _prem(_pmul(result, base, p), mod, p)
+        base = _prem(_pmul(base, base, p), mod, p)
         e >>= 1
     return result
 
@@ -186,7 +201,7 @@ def _pirreducible(f, p):
     xq = x
     for _ in range(m):
         xq = _ppow_mod(xq, p, f, p)
-    if _psub(xq, _pdivmod(x, f, p)[1], p):
+    if _psub(xq, _prem(x, f, p), p):
         return False
     for d in _prime_divisors(m):
         xq = x

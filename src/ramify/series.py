@@ -280,16 +280,27 @@ class LaurentSeries:
     def __add__(self, other):
         other = self._check(other)
         prec = min(self.prec, other.prec)
-        out = dict(self.coeffs)
+        if self.prec > prec:
+            out = {e: c for e, c in self.coeffs.items() if e < prec}
+        else:
+            out = dict(self.coeffs)
         for e, c in other.coeffs.items():
-            cur = out.get(e)
-            out[e] = c if cur is None else cur + c
-        return LaurentSeries(self.field, out, prec)
+            if e < prec:
+                cur = out.get(e)
+                if cur is None:
+                    out[e] = c
+                else:
+                    total = cur + c
+                    if total.is_zero():
+                        del out[e]
+                    else:
+                        out[e] = total
+        return _series(self.field, out, prec)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return LaurentSeries(self.field, {e: -c for e, c in self.coeffs.items()}, self.prec)
+        return _series(self.field, {e: -c for e, c in self.coeffs.items()}, self.prec)
 
     def __sub__(self, other):
         return self + (-self._check(other))
@@ -409,6 +420,24 @@ class LaurentSeries:
         return f"<{self} + O(t^{self.prec})>"
 
 
+_new_series = object.__new__
+_set_series_field = LaurentSeries.field.__set__
+_set_coeffs = LaurentSeries.coeffs.__set__
+_set_prec = LaurentSeries.prec.__set__
+
+
+def _series(field, coeffs, prec):
+    """A LaurentSeries from a dict the caller has already cleaned (every
+    exponent below ``prec``, every coefficient nonzero), built through
+    the slot descriptors without the constructor's re-validation.  The
+    dict is taken over, not copied."""
+    s = _new_series(LaurentSeries)
+    _set_series_field(s, field)
+    _set_coeffs(s, coeffs)
+    _set_prec(s, prec)
+    return s
+
+
 def dot(pairs, prec=None):
     """The sum of a*b over a nonempty sequence of (a, b) pairs of series
     over one field.
@@ -417,22 +446,32 @@ def dot(pairs, prec=None):
     ``zero(prec) + a0*b0 + a1*b1 + ...`` (with no zero term when
     ``prec`` is None).  The chain's precision is the minimum of ``prec``
     and each product's bound min(a.prec + v(b), b.prec + v(a)), with v
-    the low bound; the chain truncates at bounds no lower than that
-    final one and drops zeros at the end, so skipping every term at or
-    above the final bound gives the same series.  The coefficients come
-    from ``fields.dot_coeffs``, which accumulates raw codes, ints and
-    unreduced F_p(u) fractions and canonicalises once per output
-    exponent; canonical forms make that equal to the chain's
-    element-by-element sums.
+    the lowest exponent, or ``prec`` for a series with no known term;
+    the chain truncates at bounds no lower than that final one and
+    drops zeros at the end, so skipping every term at or above the
+    final bound gives the same series.  A pair with an empty operand
+    contributes its bound and nothing else: it is not passed on, and
+    when no pair is left no coefficient is computed.  The coefficients
+    of the others come from ``fields.dot_coeffs``, which accumulates
+    raw codes, ints and unreduced F_p(u) fractions and canonicalises
+    once per output exponent; canonical forms make that equal to the
+    chain's element-by-element sums.  Its output is already clean, so
+    the result is built by ``_series`` without re-validation.
     """
     bound = prec
+    live = []
     for a, b in pairs:
-        pair_bound = min(a.prec + b.low_bound(), b.prec + a.low_bound())
+        ac, bc = a.coeffs, b.coeffs
+        if ac and bc:
+            live.append((ac, bc))
+        pair_bound = a.prec + (min(bc) if bc else b.prec)
+        other_bound = b.prec + (min(ac) if ac else a.prec)
+        if other_bound < pair_bound:
+            pair_bound = other_bound
         if bound is None or pair_bound < bound:
             bound = pair_bound
     field = pairs[0][0].field
-    coeffs = dot_coeffs(field, [(a.coeffs, b.coeffs) for a, b in pairs], bound)
-    return LaurentSeries(field, coeffs, bound)
+    return _series(field, dot_coeffs(field, live, bound) if live else {}, bound)
 
 
 def series_in_cut(s, cut):

@@ -16,7 +16,9 @@ from ramify.fields import (
     Expr,
     FieldSpec,
     _padd,
+    _pdivmod,
     _pmul,
+    _prem,
     artin_schreier_solvable,
     check_identity,
     derivative_u,
@@ -145,6 +147,21 @@ def test_add_with_one_polynomial_operand_is_in_lowest_terms(field, data):
                           _pmul(x._b, c._b, p))
     for total in (x + c, c + x):
         assert (total._a, total._b) == (expected._a, expected._b)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+@pytest.mark.parametrize("longer", [False, True])
+@given(data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_remainder_matches_the_remainder_of_divmod(p, longer, data):
+    """Euclid and modular powers use the remainder alone; it must equal
+    the one the full division returns, whether a is shorter than b (a
+    comes back trimmed) or longer (reduction steps run)."""
+    coeff = st.integers(0, p - 1)
+    b = tuple(data.draw(st.lists(coeff, max_size=5))) + (data.draw(st.integers(1, p - 1)),)
+    n = data.draw(st.integers(len(b), len(b) + 6) if longer else st.integers(0, len(b) - 1))
+    a = tuple(data.draw(st.lists(coeff, min_size=n, max_size=n)))
+    assert _prem(a, b, p) == _pdivmod(a, b, p)[1]
 
 
 def test_derivative_u_examples():

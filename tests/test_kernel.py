@@ -15,8 +15,9 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from ramify.errors import ExtensionMismatch, InvalidSpec
-from ramify.extension import ASExtension, LElement
+from ramify.extension import ASExtension, LElement, integral_sample
 from ramify.fields import FieldSpec, _pmul
+from ramify.parsing import parse_field_spec, parse_series
 from ramify.series import LaurentSeries, dot
 
 F2 = FieldSpec.finite(2)
@@ -107,6 +108,32 @@ def schoolbook_lmul(x, y):
         if i < x.ext.p - 1:
             power = power.mul_alpha()
     return acc
+
+
+def chain_integral_sample(ext, rng, span=2, terms=2):
+    """``integral_sample`` as an L-sum: each generator times its drawn
+    series, added to the zero of L one at a time.  Also says whether the
+    result is the fallback generator."""
+    ext = ext.with_best_f()
+    field = ext.field
+    prec = ext.f.prec
+    gens = ext.integral_generators()
+    acc = ext.zero()
+    for g in gens:
+        picks = {}
+        for _ in range(terms):
+            e = rng.randrange(0, span + 1)
+            c = field.sample_point(rng, max_degree=1)
+            if not c.is_zero():
+                picks[e] = c
+        if picks:
+            s = LaurentSeries(field, picks, prec)
+            acc = LElement(ext, tuple(
+                a + schoolbook_mul(c, s) for a, c in zip(acc.coeffs, g.coeffs)
+            ))
+    if acc.is_zero_known():
+        return gens[rng.randrange(len(gens))], True
+    return acc, False
 
 
 def laplace_det(matrix):
@@ -210,6 +237,132 @@ def test_dot_over_a_prime_near_2_to_the_61(seed, count):
     pairs = [(random_series(F_MERSENNE, rng), random_series(F_MERSENNE, rng))
              for _ in range(count)]
     assert same(dot(pairs), chain_dot(pairs))
+
+
+def with_empty_operands(field, rng, count):
+    """Pairs whose operands are, in turn, both live, empty on the left,
+    empty on the right and both empty, each empty one at a random
+    precision."""
+    pairs = []
+    for i in range(count):
+        a, b = random_series(field, rng), random_series(field, rng)
+        if i % 4 in (1, 3):
+            a = LaurentSeries.zero(field, rng.randint(-7, 12))
+        if i % 4 in (2, 3):
+            b = LaurentSeries.zero(field, rng.randint(-7, 12))
+        pairs.append((a, b))
+    rng.shuffle(pairs)
+    return pairs
+
+
+@settings(max_examples=120, deadline=None)
+@given(fields, seeds, st.integers(2, 6), st.one_of(st.none(), st.integers(-10, 14)))
+def test_dot_mixing_empty_and_live_operands_matches_product_chain(field, seed, count, prec):
+    rng = random.Random(seed)
+    pairs = with_empty_operands(field, rng, count)
+    assert same(dot(pairs, prec), chain_dot(pairs, prec))
+
+
+@settings(max_examples=80, deadline=None)
+@given(fields, seeds, st.integers(1, 4), st.one_of(st.none(), st.integers(-10, 14)))
+def test_dot_of_empty_pairs_only_keeps_their_bound(field, seed, count, prec):
+    """No pair has a live product: the result is zero, known below the
+    least of the pairs' bounds and ``prec``."""
+    rng = random.Random(seed)
+    pairs = [pair for pair in with_empty_operands(field, rng, 4 * count)
+             if not (pair[0].coeffs and pair[1].coeffs)]
+    result = dot(pairs, prec)
+    assert result.is_zero_known()
+    assert same(result, chain_dot(pairs, prec))
+
+
+@settings(max_examples=80, deadline=None)
+@given(fields, seeds, st.one_of(st.none(), st.integers(0, 14)))
+def test_dot_bound_set_by_an_empty_operand(field, seed, prec):
+    """An empty series far below every live pair's bound decides the
+    precision of the sum although it contributes no term."""
+    rng = random.Random(seed)
+    a, b = random_series(field, rng), random_series(field, rng)
+    c = random_series(field, rng)
+    assume(a.coeffs and b.coeffs and c.coeffs)
+    empty = LaurentSeries.zero(field, -20)
+    pairs = [(a, b), (empty, c), (c, a)]
+    expected_prec = min(-20 + min(c.coeffs), c.prec - 20)
+    for order in (pairs, pairs[::-1], [(c, empty)] + pairs[:1]):
+        result = dot(order, prec)
+        assert result.prec == expected_prec
+        assert same(result, chain_dot(order, prec))
+
+
+@settings(max_examples=80, deadline=None)
+@given(fields, seeds)
+def test_add_drops_cancelled_terms_and_truncates_at_the_lower_prec(field, seed):
+    """The sum builds its own clean dict; it must equal the validating
+    constructor applied to the plain coefficientwise sum."""
+    rng = random.Random(seed)
+    a, b = random_series(field, rng), random_series(field, rng)
+    assume(a.coeffs)
+    e = rng.choice(sorted(a.coeffs))
+    b = LaurentSeries(field, {**b.coeffs, e: -a.coeffs[e]}, max(b.prec, e + 1))
+    raw = dict(a.coeffs)
+    for k, c in b.coeffs.items():
+        raw[k] = raw[k] + c if k in raw else c
+    expected = LaurentSeries(field, raw, min(a.prec, b.prec))
+    for total in (a + b, b + a):
+        assert same(total, expected)
+        assert e not in total.coeffs
+        assert all(k < total.prec and not c.is_zero() for k, c in total.coeffs.items())
+    assert same(-b + -a, LaurentSeries(field, {k: -c for k, c in raw.items()}, expected.prec))
+
+
+SAMPLED_EXTENSIONS = [
+    ("Fp:2", "t^-3 + t^-1 + t"), ("Fp:2", "1 + t"),
+    ("Fp:3", "t^-2 + t"), ("Fp:3", "1 + t^2"),
+    ("Fp:5", "t^-1 + 2*t"), ("Fp:5", "1"),
+    ("Fq:9", "t^-1 + t"), ("Fq:9", "1 + t"),
+    ("Fp(u):2", "u*t^-2 + t"), ("Fp(u):2", "t^-1 + u*t"), ("Fp(u):2", "u + t"),
+]
+
+
+def sampled_extension(spec, f, prec):
+    field = parse_field_spec(spec)
+    return ASExtension(field, parse_series(f, field, prec))
+
+
+@pytest.mark.parametrize("spec,f", SAMPLED_EXTENSIONS)
+@pytest.mark.parametrize("terms", [1, 2])
+@pytest.mark.parametrize("prec", [2, 8])
+def test_integral_sample_matches_the_chain_of_l_products(spec, f, terms, prec):
+    """One ``dot`` per coordinate equals adding generator*series to zero
+    one at a time, in value and ``prec``, and draws the same random
+    numbers, so later samples agree too.  At prec 2 a pick at t^2 is
+    dropped, so a generator can draw a series with no term."""
+    ext = sampled_extension(spec, f, prec)
+    for seed in range(25):
+        rng, reference_rng = random.Random(seed), random.Random(seed)
+        for _ in range(3):
+            x = integral_sample(ext, rng, terms=terms)
+            y, _ = chain_integral_sample(ext, reference_rng, terms=terms)
+            assert all(same(a, b) for a, b in zip(x.coeffs, y.coeffs))
+            assert rng.getstate() == reference_rng.getstate()
+
+
+@pytest.mark.parametrize("spec,f", [("Fp:2", "t^-1"), ("Fp:2", "1 + t")])
+@pytest.mark.parametrize("prec", [1, 8])
+def test_integral_sample_falls_back_to_the_same_generator(spec, f, prec):
+    """Over F_2 with one term per generator, every pick is zero (or, at
+    prec 1, beyond the precision) often enough that the sum vanishes;
+    the fallback must be the generator the chain form picks."""
+    ext = sampled_extension(spec, f, prec)
+    fallbacks = 0
+    for seed in range(40):
+        rng, reference_rng = random.Random(seed), random.Random(seed)
+        x = integral_sample(ext, rng, terms=1)
+        y, fell_back = chain_integral_sample(ext, reference_rng, terms=1)
+        fallbacks += fell_back
+        assert all(same(a, b) for a, b in zip(x.coeffs, y.coeffs))
+        assert rng.getstate() == reference_rng.getstate()
+    assert fallbacks
 
 
 @settings(max_examples=80, deadline=None)
