@@ -8,6 +8,11 @@ adjugate column over the norm), the trace from the power basis,
 valuations on L, the inductive difference operators, and the shape of
 the integral closure.
 
+An element builds the columns of its multiplication matrix once
+(``LElement.columns``); its products, trace pairings, norm and inverse
+all read them.  ``LElement.powers`` is the one product chain for
+powers in L.
+
 Each coordinate of a product in L is a sum of series products, one
 ``series.dot``: it is known below the minimum of its products' bounds
 and f's precision, and ``dot`` keeps that bound exactly, as if the
@@ -16,6 +21,7 @@ products were added one at a time.
 
 from __future__ import annotations
 
+import math
 from enum import Enum
 from fractions import Fraction
 from typing import NamedTuple
@@ -46,7 +52,6 @@ class RamificationType(Enum):
     UNRAMIFIED = "unramified"
     WILD = "wild"
     FEROCIOUS = "ferocious"
-    UNKNOWN = "unknown"
 
 
 class BestForm(NamedTuple):
@@ -185,26 +190,15 @@ class ASExtension:
         z = LaurentSeries.zero(self.field, s.prec)
         return LElement(self, (s,) + (z,) * (self.p - 1))
 
-    def element(self, coeff_list):
-        coeffs = []
-        for c in coeff_list:
-            if isinstance(c, int):
-                c = LaurentSeries.constant(self.field.from_int(c), self.f.prec)
-            coeffs.append(c)
-        if len(coeffs) != self.p:
-            raise ExtensionMismatch(f"need exactly {self.p} coefficients")
-        return LElement(self, tuple(coeffs))
-
     def alpha_power(self, i):
-        """alpha ** i for i >= 0, memoised; built by the product chain
-        of ``alpha ** i``, so the values and precisions are the same."""
+        """alpha ** i for i >= 0, memoised: the coefficient tuples of
+        ``alpha().powers``, at least up to alpha^(p-1)."""
         if i < 0:
             raise InvalidSpec("alpha_power takes a nonnegative exponent")
-        powers = self._cache.get("alpha_powers")
-        if powers is None:
-            powers = self._cache["alpha_powers"] = [self.one().coeffs, self.alpha().coeffs]
-        while len(powers) <= i:
-            powers.append((LElement(self, powers[-1]) * self.alpha()).coeffs)
+        powers = self._cache.get("alpha_powers", ())
+        if len(powers) <= i:
+            chain = self.alpha().powers(max(i, self.p - 1))
+            powers = self._cache["alpha_powers"] = [x.coeffs for x in chain]
         return LElement(self, powers[i])
 
     def integral_generators(self):
@@ -231,11 +225,12 @@ class LElement:
     """An element of L as a coefficient vector over K in the basis
     1, alpha, ..., alpha^(p-1)."""
 
-    __slots__ = ("ext", "coeffs")
+    __slots__ = ("ext", "coeffs", "_columns")
 
     def __init__(self, ext, coeffs):
         self.ext = ext
         self.coeffs = coeffs
+        self._columns = None
 
     def _check(self, other):
         if isinstance(other, (int, LaurentSeries)):
@@ -278,12 +273,19 @@ class LElement:
             out.append(c)
         return LElement(self.ext, tuple(out))
 
-    def alpha_chain(self):
-        """self, self*alpha, ..., self*alpha^(p-1), by ``mul_alpha``."""
-        chain = [self]
-        for _ in range(self.ext.p - 1):
-            chain.append(chain[-1].mul_alpha())
-        return chain
+    def columns(self):
+        """The columns of the multiplication matrix, built once by
+        ``mul_alpha``: column i is the coordinate tuple of self*alpha^i.
+        Tuples, not elements: column 0 as an element would be self, a
+        reference cycle."""
+        if self._columns is None:
+            x = self
+            cols = [x.coeffs]
+            for _ in range(self.ext.p - 1):
+                x = x.mul_alpha()
+                cols.append(x.coeffs)
+            self._columns = cols
+        return self._columns
 
     def __mul__(self, other):
         """Coordinate j of the product is sum_i (self*alpha^i)_j * other_i,
@@ -293,10 +295,10 @@ class LElement:
                 return self.scale_int(other)
             return LElement(self.ext, tuple(c * other for c in self.coeffs))
         other = self._check(other)
-        chain = self.alpha_chain()
+        cols = self.columns()
         prec = self.ext.f.prec
         return LElement(self.ext, tuple(
-            dot([(x.coeffs[j], c) for x, c in zip(chain, other.coeffs)], prec)
+            dot([(col[j], c) for col, c in zip(cols, other.coeffs)], prec)
             for j in range(self.ext.p)
         ))
 
@@ -310,12 +312,15 @@ class LElement:
     def __pow__(self, n):
         if n < 0:
             return self.inverse() ** (-n)
-        if n == 0:
-            return self.ext.one()
-        result = self
-        for _ in range(n - 1):
-            result = result * self
-        return result
+        return self.powers(n)[n]
+
+    def powers(self, n):
+        """[1, x, x*x, (x*x)*x, ..., x^n]: x^k = x^(k-1) * x, the one
+        product chain for powers in L, which fixes their ``prec``."""
+        out = [self.ext.one(), self][:n + 1]
+        while len(out) <= n:
+            out.append(out[-1] * self)
+        return out
 
     def sigma(self, k=1):
         """The Galois action determined by alpha -> alpha + k."""
@@ -329,39 +334,30 @@ class LElement:
         for i, ci in enumerate(self.coeffs):
             # (alpha + k)^i expanded binomially; coefficients live in F_p
             for j in range(i + 1):
-                scalar = (_binom(i, j) * pow(k, i - j, p)) % p
+                scalar = (math.comb(i, j) * pow(k, i - j, p)) % p
                 if scalar:
                     out[j] = out[j] + ci.scale(field.from_int(scalar))
         return LElement(self.ext, tuple(out))
-
-    def multiplication_matrix(self):
-        """Columns are self * alpha^j in the power basis."""
-        cols = [x.coeffs for x in self.alpha_chain()]
-        # entry [i][j] = coefficient of alpha^i in self*alpha^j
-        return [[col[i] for col in cols] for i in range(self.ext.p)]
 
     def trace(self):
         # Tr 1 = p = 0, Tr alpha^i = 0 for 0 < i < p-1, Tr alpha^(p-1) = -1
         return -self.coeffs[-1]
 
-    def trace_of_product(self, other, chain=None):
+    def trace_of_product(self, other):
         """(self * other).trace() from the one coordinate it reads: the
-        same products and bound that make coordinate p-1 of the product.
-        ``chain`` is ``self.alpha_chain()``, shared across calls."""
+        same products and bound that make coordinate p-1 of the product."""
         other = self._check(other)
-        if chain is None:
-            chain = self.alpha_chain()
-        pairs = [(x.coeffs[-1], c) for x, c in zip(chain, other.coeffs)]
+        pairs = [(col[-1], c) for col, c in zip(self.columns(), other.coeffs)]
         return -dot(pairs, self.ext.f.prec)
 
     def norm(self):
-        return _laplace(self.multiplication_matrix())[0]
+        return _laplace(self.columns())[0]
 
     def inverse(self):
         """1/x by Cramer's rule: coordinate j is the cofactor of entry
         (0, j) of the multiplication matrix over N(x), both from one
         Laplace expansion."""
-        norm, cofactors = _laplace(self.multiplication_matrix())
+        norm, cofactors = _laplace(self.columns())
         inv_n = norm.inverse()
         return LElement(self.ext, tuple(c * inv_n for c in cofactors))
 
@@ -442,40 +438,34 @@ class LElement:
         return f"<L| {self}>"
 
 
-def _binom(n, k):
-    out = 1
-    for i in range(k):
-        out = out * (n - i) // (i + 1)
-    return out
-
-
-def _laplace(matrix):
-    """(det, first-row cofactors) by expansion along the first row: the
-    cofactor of entry (0, j) is (-1)^j times the minor without row 0
-    and column j, and all minors share one memo."""
-    full = tuple(range(len(matrix)))
+def _laplace(cols):
+    """(det, first-row cofactors) of the matrix with columns ``cols``
+    (entry (row, j) is ``cols[j][row]``) by expansion along the first
+    row: the cofactor of entry (0, j) is (-1)^j times the minor without
+    row 0 and column j, and all minors share one memo."""
+    full = tuple(range(len(cols)))
     memo = {}
     cofactors = []
     for j in full:
-        sub = _minor(matrix, full[:j] + full[j + 1:], memo)
+        sub = _minor(cols, full[:j] + full[j + 1:], memo)
         cofactors.append(-sub if j % 2 else sub)
-    return dot(list(zip(matrix[0], cofactors))), cofactors
+    return dot([(col[0], c) for col, c in zip(cols, cofactors)]), cofactors
 
 
-def _minor(matrix, remaining, memo):
+def _minor(cols, remaining, memo):
     """The minor on the last len(remaining) rows and the columns in
     ``remaining``: one ``dot`` over its first row, the alternating sign
     folded into the entry.  A module function, not a closure: a closure
     that calls itself is a reference cycle, which would hold the memo
     until a full garbage collection."""
-    row = len(matrix) - len(remaining)
+    row = len(cols) - len(remaining)
     if len(remaining) == 1:
-        return matrix[row][remaining[0]]
+        return cols[remaining[0]][row]
     if remaining not in memo:
         pairs = []
         for idx, j in enumerate(remaining):
-            entry = matrix[row][j]
-            sub = _minor(matrix, remaining[:idx] + remaining[idx + 1:], memo)
+            entry = cols[j][row]
+            sub = _minor(cols, remaining[:idx] + remaining[idx + 1:], memo)
             pairs.append((-entry if idx % 2 else entry, sub))
         memo[remaining] = dot(pairs)
     return memo[remaining]
@@ -532,12 +522,7 @@ class BasisDescription(NamedTuple):
                 * LaurentSeries.monomial(ext.field, int(cut.value), 1, ext.f.prec)
                 for i, cut in enumerate(self.cuts)
             ]
-        # unit ** i for i < p, by the product chain of **
-        unit = ext.alpha() * self.gamma
-        out = [ext.one(), unit]
-        while len(out) < ext.p:
-            out.append(out[-1] * unit)
-        return out
+        return (ext.alpha() * self.gamma).powers(ext.p - 1)
 
 
 def integral_basis(ext):
@@ -576,9 +561,9 @@ class DifferenceOperators:
         self.ext = ext
         self.b = b
         self._den_inv = [None]  # index i holds 1/(s-1)(D_{i-1}(b^i))
+        powers = b.powers(ext.p - 1)
         for i in range(1, ext.p):
-            power = b ** i
-            num = self.apply(i - 1, power)
+            num = self.apply(i - 1, powers[i])
             den = num.sigma(1) - num
             if den.is_zero_known():
                 raise DegenerateGenerator(

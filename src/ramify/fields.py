@@ -409,24 +409,16 @@ class FieldSpec:
             raise DivisionByZero("zero denominator")
         if not num:
             return self._zero
-        if len(den) == 1:
-            if den[0] != 1:
-                inv = pow(den[0], -1, self.p)
-                num = tuple((c * inv) % self.p for c in num)
-            return _elem(self, num, _ONE)
-        g = _pgcd(num, den, self.p)
-        if len(g) > 1:
-            num = _pdivmod(num, g, self.p)[0]
-            den = _pdivmod(den, g, self.p)[0]
-        if len(den) == 1:
-            if den[0] != 1:
-                inv = pow(den[0], -1, self.p)
-                num = tuple((c * inv) % self.p for c in num)
-            return _elem(self, num, _ONE)
-        inv = pow(den[-1], -1, self.p)
-        num = tuple((c * inv) % self.p for c in num)
-        den = tuple((c * inv) % self.p for c in den)
-        return _elem(self, num, den)
+        if len(den) > 1:
+            g = _pgcd(num, den, self.p)
+            if len(g) > 1:
+                num = _pdivmod(num, g, self.p)[0]
+                den = _pdivmod(den, g, self.p)[0]
+        if den[-1] != 1:
+            inv = pow(den[-1], -1, self.p)
+            num = tuple((c * inv) % self.p for c in num)
+            den = tuple((c * inv) % self.p for c in den)
+        return _elem(self, num, den if len(den) > 1 else _ONE)
 
     def zero(self):
         return self._zero

@@ -171,8 +171,7 @@ def trace_dual_cut(ext, seed=0):
         return ext.alpha_power(r) * g
 
     def admissible(x):
-        chain = x.alpha_chain()
-        return all(series_in_cut(x.trace_of_product(g, chain), integral) for g in gens)
+        return all(series_in_cut(x.trace_of_product(g), integral) for g in gens)
 
     step = basis.group.granularity
     lo = -Fraction(p - 1) * (n + p) / p - 1

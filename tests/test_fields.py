@@ -17,8 +17,10 @@ from ramify.fields import (
     FieldSpec,
     _padd,
     _pdivmod,
+    _pgcd,
     _pmul,
     _prem,
+    _trim,
     artin_schreier_solvable,
     check_identity,
     derivative_u,
@@ -147,6 +149,57 @@ def test_add_with_one_polynomial_operand_is_in_lowest_terms(field, data):
                           _pmul(x._b, c._b, p))
     for total in (x + c, c + x):
         assert (total._a, total._b) == (expected._a, expected._b)
+
+
+def two_block_rat(p, num, den):
+    """(num, den) of ``FieldSpec._rat`` written with two normalisations
+    of the denominator, one before the gcd and one after it."""
+    num, den = _trim(num), _trim(den)
+    if not num:
+        return (), (1,)
+    if len(den) == 1:
+        if den[0] != 1:
+            inv = pow(den[0], -1, p)
+            num = tuple((c * inv) % p for c in num)
+        return num, (1,)
+    g = _pgcd(num, den, p)
+    if len(g) > 1:
+        num = _pdivmod(num, g, p)[0]
+        den = _pdivmod(den, g, p)[0]
+    if len(den) == 1:
+        if den[0] != 1:
+            inv = pow(den[0], -1, p)
+            num = tuple((c * inv) % p for c in num)
+        return num, (1,)
+    inv = pow(den[-1], -1, p)
+    return tuple((c * inv) % p for c in num), tuple((c * inv) % p for c in den)
+
+
+@pytest.mark.parametrize("field", [F2u, F3u, F5u])
+@pytest.mark.parametrize("shape", ["constant", "common_factor", "non_monic"])
+@given(data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_rat_matches_the_two_block_normalisation(field, shape, data):
+    """One path (a gcd only for a nonconstant denominator, then one
+    scaling by the inverse leading coefficient) gives the canonical
+    (num, den) of the two-block form, trailing zeros included."""
+    p = field.p
+    coeff = st.integers(0, p - 1)
+    unit = st.integers(1, p - 1)
+    num = data.draw(st.lists(coeff, max_size=5))
+    if shape == "constant":
+        den = [data.draw(unit)]
+    else:
+        den = data.draw(st.lists(coeff, min_size=1, max_size=4)) + [data.draw(unit)]
+        if shape == "common_factor":
+            g = tuple(data.draw(st.lists(coeff, max_size=2))) + (data.draw(unit),)
+            num, den = _pmul(tuple(num), g, p), _pmul(tuple(den), g, p)
+        else:
+            den[-1] = data.draw(st.integers(2, p - 1)) if p > 2 else 1
+    zeros = data.draw(st.integers(0, 2))
+    num, den = tuple(num) + (0,) * zeros, tuple(den) + (0,) * zeros
+    result = field._rat(num, den)
+    assert (result._a, result._b) == two_block_rat(p, num, den)
 
 
 @pytest.mark.parametrize("p", [2, 3, 5, 7])

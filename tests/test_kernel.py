@@ -382,7 +382,8 @@ def test_norm_matches_laplace_expansion(field, seed):
     rng = random.Random(seed)
     ext = ext_for(field, rng)
     x = random_element(ext, rng)
-    assert same(x.norm(), laplace_det(x.multiplication_matrix()))
+    rows = [list(row) for row in zip(*x.columns())]
+    assert same(x.norm(), laplace_det(rows))
 
 
 @settings(max_examples=60, deadline=None)
@@ -405,12 +406,12 @@ def test_trace_of_product_matches_trace_of_full_product(field, seed):
     rng = random.Random(seed)
     ext = ext_for(field, rng)
     x = random_element(ext, rng)
-    chain = x.alpha_chain()
     for _ in range(3):
         g = random_element(ext, rng)
+        cold = LElement(ext, x.coeffs).trace_of_product(g)  # builds its own columns
         expected = (x * g).trace()
+        assert same(cold, expected)
         assert same(x.trace_of_product(g), expected)
-        assert same(x.trace_of_product(g, chain), expected)
 
 
 @settings(max_examples=30, deadline=None)
@@ -423,6 +424,44 @@ def test_alpha_power_matches_repeated_product(field, seed):
         assert all(same(a, b) for a, b in zip(power.coeffs, expected.coeffs))
     with pytest.raises(InvalidSpec):
         ext.alpha_power(-1)
+
+
+@settings(max_examples=40, deadline=None)
+@given(fields, seeds, st.integers(0, 4))
+def test_powers_match_the_linear_product_chain(field, seed, n):
+    """``powers(n)[k]`` and ``x ** k`` are x^(k-1) * x, in value and
+    ``prec``, for every k <= n."""
+    rng = random.Random(seed)
+    ext = ext_for(field, rng)
+    x = random_element(ext, rng)
+    chain = [ext.one(), x]
+    while len(chain) <= n:
+        chain.append(schoolbook_lmul(chain[-1], x))
+    powers = x.powers(n)
+    assert len(powers) == n + 1
+    for k, expected in enumerate(chain[:n + 1]):
+        for power in (powers[k], x ** k):
+            assert all(same(a, b) for a, b in zip(power.coeffs, expected.coeffs))
+
+
+@settings(max_examples=40, deadline=None)
+@given(fields, seeds)
+def test_columns_are_the_mul_alpha_chain_built_once(field, seed):
+    rng = random.Random(seed)
+    ext = ext_for(field, rng)
+    x = random_element(ext, rng)
+    expected, y = [x.coeffs], x
+    for _ in range(ext.p - 1):
+        y = y.mul_alpha()
+        expected.append(y.coeffs)
+    cols = x.columns()
+    assert len(cols) == ext.p
+    for col, want in zip(cols, expected):
+        assert type(col) is tuple
+        assert all(same(a, b) for a, b in zip(col, want))
+    x * random_element(ext, rng)
+    x.norm()
+    assert x.columns() is cols
 
 
 def test_equal_extensions_combine_and_others_do_not():
