@@ -15,6 +15,16 @@ log/antilog and Zech tables built once per field, which bounds their
 order by 2^16.
 Field specs are interned, so two specs of one field are the same object.
 
+Series keep their coefficients as *raw values* rather than elements:
+the code itself over F_q (an int mod p over F_p, the table code when
+m >= 2), and over F_p(u) the canonical ``ResidueElem``, whose (num,
+den) pair is what the kernel reads.  Zero is the only falsy raw value.
+Each field builds its raw add, negation, multiply and inverse once, at
+construction (``_raw_ops``); ``FieldSpec._to_raw`` and
+``FieldSpec._from_raw`` convert between raw values and elements, and
+are the only places where series coefficients become elements or
+elements become coefficients.
+
 Polynomials over F_p (the elements of F_p(u), and the field moduli) are
 tuples of ints in [0, p), lowest degree first, with no trailing zeros;
 () is the zero polynomial.
@@ -22,6 +32,7 @@ tuples of ints in [0, p), lowest degree first, with no trailing zeros;
 
 from __future__ import annotations
 
+import operator
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -318,6 +329,7 @@ class FieldSpec:
     __slots__ = (
         "p", "kind", "degree", "modulus", "var", "is_finite", "order",
         "_hash", "_log", "_exp", "_zech", "_neg", "_zero", "_one",
+        "_radd", "_rneg", "_rmul", "_rinv",
     )
 
     FINITE = "finite"
@@ -370,6 +382,8 @@ class FieldSpec:
             ("_one", _elem(self, 1) if finite else _elem(self, _ONE, _ONE)),
         ):
             object.__setattr__(self, name, value)
+        for name, value in zip(("_radd", "_rneg", "_rmul", "_rinv"), _raw_ops(self)):
+            object.__setattr__(self, name, value)
         _INTERNED[key] = self
         return self
 
@@ -400,6 +414,23 @@ class FieldSpec:
         if self.is_finite:
             return f"F{self.order}"
         return f"F{self.p}({self.var})"
+
+    # -- raw values -------------------------------------------------------
+
+    def _to_raw(self, c):
+        """The raw value of c, an element of this field or an int (read
+        through ``from_int``)."""
+        if c.__class__ is not ResidueElem:
+            if not isinstance(c, int):
+                raise FieldMismatch(f"cannot use {type(c).__name__} as an element of {self!r}")
+            c = self.from_int(c)
+        elif c.field is not self:
+            raise FieldMismatch(f"{c.field!r} vs {self!r}")
+        return c._a if self.is_finite else c
+
+    def _from_raw(self, r):
+        """The element whose raw value is r."""
+        return _elem(self, r) if self.is_finite else r
 
     # -- element constructors -------------------------------------------
 
@@ -680,18 +711,53 @@ def _elem(field, a, b=None):
     return e
 
 
+def _raw_ops(field):
+    """(add, neg, mul, inv) on raw values of ``field``; inv takes a
+    nonzero value.  F_q with m >= 2 reads the tables, F_p reduces mod
+    p, and F_p(u), whose raw values are elements, uses the element
+    operators."""
+    log, p = field._log, field.p
+    if log is not None:
+        exp, zech = field._exp, field._zech
+
+        def add(a, b):
+            if not a:
+                return b
+            if not b:
+                return a
+            la = log[a]
+            z = zech[log[b] - la]
+            return exp[la + z] if z >= 0 else 0
+
+        def mul(a, b):
+            return exp[log[a] + log[b]] if a and b else 0
+
+        def inv(a):
+            return exp[-log[a]]
+
+        return add, field._neg.__getitem__, mul, inv
+    if field.is_finite:
+        return (
+            lambda a, b: (a + b) % p,
+            lambda a: -a % p,
+            lambda a, b: a * b % p,
+            lambda a: pow(a, -1, p),
+        )
+    return operator.add, operator.neg, operator.mul, lambda a: a.inverse()
+
+
 def dot_coeffs(field, pairs, bound):
     """The coefficients below ``bound`` of the sum of a*b, for (a, b)
-    pairs of dicts from exponents to nonzero elements of ``field``.
+    pairs of dicts from exponents to nonzero raw values of ``field``,
+    as one such dict.
 
-    No element arithmetic runs in the loop.  Each output exponent is
-    accumulated in the field's raw representation and becomes one
-    canonical element at the end: F_p sums plain ints and reduces mod p
-    once; F_q (m >= 2) multiplies codes through the log table and adds
-    them through the Zech table, code 0 meaning "nothing yet"; F_p(u)
-    adds unreduced numerator products that share a product denominator,
-    cross-multiplies the groups once and canonicalises with one
-    ``_rat``.  Zero sums are dropped.
+    No element arithmetic runs in the loop: F_p sums plain ints and
+    reduces mod p once per output exponent; F_q (m >= 2) multiplies
+    codes through the log table and adds them through the Zech table,
+    code 0 meaning "nothing yet"; F_p(u) adds unreduced numerator
+    products that share a product denominator, cross-multiplies the
+    groups once and canonicalises with one ``_rat``.  Zero sums are
+    dropped.
     """
     p = field.p
     acc = {}
@@ -700,9 +766,9 @@ def dot_coeffs(field, pairs, bound):
     if log is not None:
         exp, zech, n = field._exp, field._zech, field.order - 1
         for a, b in pairs:
-            b_logs = [(e2, log[c._a]) for e2, c in b.items()]
+            b_logs = [(e2, log[c]) for e2, c in b.items()]
             for e1, c1 in a.items():
-                l1, lim = log[c1._a], bound - e1
+                l1, lim = log[c1], bound - e1
                 for e2, l2 in b_logs:
                     if e2 < lim:
                         e = e1 + e2
@@ -716,17 +782,16 @@ def dot_coeffs(field, pairs, bound):
                             acc[e] = exp[ls + z] if z >= 0 else 0
                         else:
                             acc[e] = exp[l1 + l2]
-        return {e: _elem(field, s) for e, s in acc.items() if s}
+        return {e: s for e, s in acc.items() if s}
     if field.is_finite:
         for a, b in pairs:
-            b_vals = [(e2, c._a) for e2, c in b.items()]
-            for e1, c1 in a.items():
-                x, lim = c1._a, bound - e1
-                for e2, y in b_vals:
+            for e1, x in a.items():
+                lim = bound - e1
+                for e2, y in b.items():
                     if e2 < lim:
                         e = e1 + e2
                         acc[e] = get(e, 0) + x * y
-        return {e: _elem(field, r) for e, s in acc.items() if (r := s % p)}
+        return {e: r for e, s in acc.items() if (r := s % p)}
     for a, b in pairs:
         b_fracs = [(e2, c._a, c._b) for e2, c in b.items()]
         for e1, c1 in a.items():

@@ -5,6 +5,16 @@ coefficient at exponents e < N determined (absent means zero), and
 knows nothing at exponents >= N.  All values are exact rationals; a Cut
 records a fractional ideal of a valued field as a (value, bound) pair
 relative to a declared value group.
+
+A series stores its coefficients raw: ints mod p over F_p, log/Zech
+table codes over F_q with m >= 2, and the canonical ``ResidueElem``
+itself over F_p(u) (see ``fields``).  ``+``, ``-``, ``scale``,
+``shift``, ``truncate``, ``inverse``, ``euler_derivative`` and the
+kernel ``dot`` work on those values through the field's raw
+operations.  Elements are built only at the boundary: the
+``LaurentSeries`` constructor converts elements and ints to raw values
+(and rejects an element of another field), and ``coeffs``, ``coeff``,
+``leading`` and ``__str__`` convert back on demand.
 """
 
 from __future__ import annotations
@@ -18,7 +28,7 @@ from .errors import (
     InvalidSpec,
     ZeroSeries,
 )
-from .fields import ResidueElem, dot_coeffs
+from .fields import dot_coeffs
 
 
 class ValueGroup:
@@ -197,20 +207,26 @@ def restrict_cut(cut, group):
 class LaurentSeries:
     """A truncated element of k((t)).
 
-    ``coeffs`` maps exponents to nonzero ResidueElems; ``prec`` is the
-    half-open knowledge bound (exponents < prec are determined).
-    Instances are treated as immutable; operations return fresh objects.
+    ``_raw`` maps exponents to the field's nonzero raw values (see the
+    module docstring), and ``coeffs`` is its view as ResidueElems;
+    ``prec`` is the half-open knowledge bound (exponents < prec are
+    determined).  Instances are treated as immutable; operations return
+    fresh objects.
     """
 
-    __slots__ = ("field", "coeffs", "prec")
+    __slots__ = ("field", "_raw", "prec")
 
     def __init__(self, field, coeffs, prec):
-        clean = {}
+        """``coeffs`` maps exponents to elements of ``field`` or ints;
+        zeros and exponents at or above ``prec`` are dropped."""
+        to_raw = field._to_raw
+        raw = {}
         for e, c in coeffs.items():
-            if e < prec and not c.is_zero():
-                clean[e] = c
+            r = to_raw(c)
+            if r and e < prec:
+                raw[e] = r
         self.field = field
-        self.coeffs = clean
+        self._raw = raw
         self.prec = prec
 
     # -- constructors -----------------------------------------------------
@@ -225,8 +241,6 @@ class LaurentSeries:
 
     @classmethod
     def monomial(cls, field, exponent, coeff=1, prec=None):
-        if isinstance(coeff, int):
-            coeff = field.from_int(coeff)
         if prec is None:
             raise InvalidSpec("monomial needs an explicit precision")
         return cls(field, {exponent: coeff}, prec)
@@ -237,42 +251,48 @@ class LaurentSeries:
 
     # -- inspection ----------------------------------------------------------
 
+    @property
+    def coeffs(self):
+        """A fresh dict from exponents to the nonzero coefficients as
+        ResidueElems, built on every access."""
+        from_raw = self.field._from_raw
+        return {e: from_raw(c) for e, c in self._raw.items()}
+
     def support(self):
-        return sorted(self.coeffs)
+        return sorted(self._raw)
 
     def coeff(self, e):
         if e >= self.prec:
             raise InsufficientPrecision(f"coefficient at t^{e} is beyond precision {self.prec}")
-        return self.coeffs.get(e, self.field.zero())
+        r = self._raw.get(e)
+        return self.field.zero() if r is None else self.field._from_raw(r)
 
     def is_zero_known(self):
         """Zero on the whole known range (says nothing beyond prec)."""
-        return not self.coeffs
+        return not self._raw
 
     def low_bound(self):
         """min(support), or prec when the known range is all zero."""
-        return min(self.coeffs) if self.coeffs else self.prec
+        return min(self._raw) if self._raw else self.prec
 
     def valuation(self):
-        if not self.coeffs:
+        if not self._raw:
             raise InsufficientPrecision(
                 f"all known coefficients vanish; only v >= {self.prec} is certain"
             )
-        return Fraction(min(self.coeffs))
+        return Fraction(min(self._raw))
 
     def leading(self):
-        v = min(self.coeffs)
-        return v, self.coeffs[v]
+        v = min(self._raw)
+        return v, self.field._from_raw(self._raw[v])
 
     # -- arithmetic --------------------------------------------------------
 
     def _check(self, other):
-        if isinstance(other, int):
-            return LaurentSeries.constant(self.field.from_int(other), self.prec)
-        if isinstance(other, ResidueElem):
-            return LaurentSeries.constant(other, self.prec)
+        """other as a series over this field: a scalar (an element of
+        the field or an int) becomes a constant at this precision."""
         if not isinstance(other, LaurentSeries):
-            raise FieldMismatch(f"cannot combine series with {type(other).__name__}")
+            return LaurentSeries(self.field, {0: other}, self.prec)
         if other.field is not self.field:
             raise FieldMismatch(f"{self.field!r} vs {other.field!r}")
         return other
@@ -281,26 +301,28 @@ class LaurentSeries:
         other = self._check(other)
         prec = min(self.prec, other.prec)
         if self.prec > prec:
-            out = {e: c for e, c in self.coeffs.items() if e < prec}
+            out = {e: c for e, c in self._raw.items() if e < prec}
         else:
-            out = dict(self.coeffs)
-        for e, c in other.coeffs.items():
+            out = dict(self._raw)
+        add = self.field._radd
+        for e, c in other._raw.items():
             if e < prec:
                 cur = out.get(e)
                 if cur is None:
                     out[e] = c
                 else:
-                    total = cur + c
-                    if total.is_zero():
-                        del out[e]
-                    else:
+                    total = add(cur, c)
+                    if total:
                         out[e] = total
+                    else:
+                        del out[e]
         return _series(self.field, out, prec)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return _series(self.field, {e: -c for e, c in self.coeffs.items()}, self.prec)
+        neg = self.field._rneg
+        return _series(self.field, {e: neg(c) for e, c in self._raw.items()}, self.prec)
 
     def __sub__(self, other):
         return self + (-self._check(other))
@@ -314,16 +336,18 @@ class LaurentSeries:
     __rmul__ = __mul__
 
     def scale(self, c):
-        """Multiply by a field element (precision preserved)."""
-        if isinstance(c, int):
-            c = self.field.from_int(c)
-        return LaurentSeries(self.field, {e: x * c for e, x in self.coeffs.items()}, self.prec)
+        """Multiply by a field element or an int (precision preserved)."""
+        return self._scale_raw(self.field._to_raw(c))
+
+    def _scale_raw(self, r):
+        if not r:
+            return _series(self.field, {}, self.prec)
+        mul = self.field._rmul
+        return _series(self.field, {e: mul(x, r) for e, x in self._raw.items()}, self.prec)
 
     def shift(self, k):
         """Multiply by t^k."""
-        return LaurentSeries(
-            self.field, {e + k: c for e, c in self.coeffs.items()}, self.prec + k
-        )
+        return _series(self.field, {e + k: c for e, c in self._raw.items()}, self.prec + k)
 
     def __pow__(self, n):
         if n < 0:
@@ -338,22 +362,21 @@ class LaurentSeries:
     def inverse(self):
         """Multiplicative inverse via the geometric series, known below
         prec - 2v where v is the valuation."""
-        if not self.coeffs:
+        raw = self._raw
+        if not raw:
             raise ZeroSeries(
                 f"cannot invert a series with no known nonzero coefficient (prec {self.prec})"
             )
-        v, lead = self.leading()
+        field = self.field
+        v = min(raw)
         unit_prec = self.prec - v
-        lead_inv = lead.inverse()
+        lead_inv = field._rinv(raw[v])
+        mul = field._rmul
         # self = lead*t^v * (1 + r), val(r) >= 1
-        r = LaurentSeries(
-            self.field,
-            {e - v: c * lead_inv for e, c in self.coeffs.items() if e != v},
-            self.prec - v,
-        )
-        inv_unit = LaurentSeries.one(self.field, unit_prec)
-        term = LaurentSeries.one(self.field, unit_prec)
-        if r.coeffs:
+        r = _series(field, {e - v: mul(c, lead_inv) for e, c in raw.items() if e != v}, unit_prec)
+        inv_unit = LaurentSeries.one(field, unit_prec)
+        term = LaurentSeries.one(field, unit_prec)
+        if r._raw:
             step = -r
             while True:
                 term = term * step
@@ -361,17 +384,19 @@ class LaurentSeries:
                 if term.is_zero_known():
                     break
                 inv_unit = inv_unit + term
-        return inv_unit.scale(lead_inv).shift(-v)
+        return inv_unit._scale_raw(lead_inv).shift(-v)
 
     def truncate(self, prec):
         if prec >= self.prec:
             return self
-        return LaurentSeries(self.field, self.coeffs, prec)
+        return _series(self.field, {e: c for e, c in self._raw.items() if e < prec}, prec)
 
     def euler_derivative(self):
         """t * d/dt, i.e. multiply each coefficient by its exponent."""
-        out = {e: c * (e % self.field.p) for e, c in self.coeffs.items()}
-        return LaurentSeries(self.field, out, self.prec)
+        field = self.field
+        p, mul, to_raw = field.p, field._rmul, field._to_raw
+        out = {e: mul(c, to_raw(e % p)) for e, c in self._raw.items() if e % p}
+        return _series(field, out, self.prec)
 
     def u_derivative(self):
         """Coefficientwise d/du (rational function coefficients only)."""
@@ -386,23 +411,24 @@ class LaurentSeries:
         return (
             isinstance(other, LaurentSeries)
             and self.field is other.field
-            and self.coeffs == other.coeffs
+            and self._raw == other._raw
             and self.prec == other.prec
         )
 
     def __hash__(self):
-        return hash((self.field, frozenset(self.coeffs.items()), self.prec))
+        return hash((self.field, frozenset(self._raw.items()), self.prec))
 
     def agrees_with(self, other):
         """Equality on the overlapping known range."""
         return (self - other).is_zero_known()
 
     def __str__(self):
-        if not self.coeffs:
+        if not self._raw:
             return "0"
+        from_raw = self.field._from_raw
         parts = []
         for e in self.support():
-            c = self.coeffs[e]
+            c = from_raw(self._raw[e])
             cs = str(c)
             if e == 0:
                 parts.append(cs)
@@ -422,18 +448,18 @@ class LaurentSeries:
 
 _new_series = object.__new__
 _set_series_field = LaurentSeries.field.__set__
-_set_coeffs = LaurentSeries.coeffs.__set__
+_set_raw = LaurentSeries._raw.__set__
 _set_prec = LaurentSeries.prec.__set__
 
 
-def _series(field, coeffs, prec):
-    """A LaurentSeries from a dict the caller has already cleaned (every
-    exponent below ``prec``, every coefficient nonzero), built through
-    the slot descriptors without the constructor's re-validation.  The
-    dict is taken over, not copied."""
+def _series(field, raw, prec):
+    """A LaurentSeries from a dict of raw values the caller has already
+    cleaned (every exponent below ``prec``, every value nonzero), built
+    through the slot descriptors without the constructor's conversion.
+    The dict is taken over, not copied."""
     s = _new_series(LaurentSeries)
     _set_series_field(s, field)
-    _set_coeffs(s, coeffs)
+    _set_raw(s, raw)
     _set_prec(s, prec)
     return s
 
@@ -452,16 +478,16 @@ def dot(pairs, prec=None):
     final bound gives the same series.  A pair with an empty operand
     contributes its bound and nothing else: it is not passed on, and
     when no pair is left no coefficient is computed.  The coefficients
-    of the others come from ``fields.dot_coeffs``, which accumulates
-    raw codes, ints and unreduced F_p(u) fractions and canonicalises
-    once per output exponent; canonical forms make that equal to the
-    chain's element-by-element sums.  Its output is already clean, so
-    the result is built by ``_series`` without re-validation.
+    of the others come from ``fields.dot_coeffs``, which reads and
+    returns raw values, accumulating ints, codes and unreduced F_p(u)
+    fractions and canonicalising once per output exponent; canonical
+    forms make that equal to the chain's element-by-element sums.  Its
+    output is already clean, so the result is built by ``_series``.
     """
     bound = prec
     live = []
     for a, b in pairs:
-        ac, bc = a.coeffs, b.coeffs
+        ac, bc = a._raw, b._raw
         if ac and bc:
             live.append((ac, bc))
         pair_bound = a.prec + (min(bc) if bc else b.prec)
@@ -481,7 +507,7 @@ def series_in_cut(s, cut):
     otherwise membership cannot be certified and InsufficientPrecision
     is raised (unless an offending coefficient is already visible).
     """
-    for e in s.coeffs:
+    for e in s._raw:
         if not cut.contains(e):
             return False
     v = cut.value

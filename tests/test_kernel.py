@@ -14,9 +14,9 @@ import random
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from ramify.errors import ExtensionMismatch, InvalidSpec
+from ramify.errors import ExtensionMismatch, InvalidSpec, NotRationalFunctionField, ZeroSeries
 from ramify.extension import ASExtension, LElement, integral_sample
-from ramify.fields import FieldSpec, _pmul
+from ramify.fields import FieldSpec, _pmul, derivative_u
 from ramify.parsing import parse_field_spec, parse_series
 from ramify.series import LaurentSeries, dot
 
@@ -475,3 +475,195 @@ def test_equal_extensions_combine_and_others_do_not():
     assert x != other.alpha()
     with pytest.raises(ExtensionMismatch):
         x * other.alpha()
+
+
+# -- raw coefficient storage against the element-level series ------------
+
+
+class ElemSeries:
+    """The element-level series arithmetic that raw coefficient storage
+    replaced: ResidueElem coefficients throughout, each operation as the
+    library computed it before, and ``dot`` as the chain of products it
+    stands for."""
+
+    def __init__(self, field, coeffs, prec):
+        self.field, self.prec = field, prec
+        self.coeffs = {e: c for e, c in coeffs.items() if e < prec and not c.is_zero()}
+
+    @classmethod
+    def of(cls, s):
+        return cls(s.field, s.coeffs, s.prec)
+
+    def low_bound(self):
+        return min(self.coeffs) if self.coeffs else self.prec
+
+    def __add__(self, other):
+        prec = min(self.prec, other.prec)
+        out = {e: c for e, c in self.coeffs.items() if e < prec}
+        for e, c in other.coeffs.items():
+            if e < prec:
+                out[e] = out[e] + c if e in out else c
+        return ElemSeries(self.field, out, prec)
+
+    def __neg__(self):
+        return ElemSeries(self.field, {e: -c for e, c in self.coeffs.items()}, self.prec)
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __mul__(self, other):
+        return elem_dot([(self, other)])
+
+    def scale(self, c):
+        if isinstance(c, int):
+            c = self.field.from_int(c)
+        return ElemSeries(self.field, {e: x * c for e, x in self.coeffs.items()}, self.prec)
+
+    def shift(self, k):
+        return ElemSeries(self.field, {e + k: c for e, c in self.coeffs.items()}, self.prec + k)
+
+    def truncate(self, prec):
+        return self if prec >= self.prec else ElemSeries(self.field, self.coeffs, prec)
+
+    def __pow__(self, n):
+        if n < 0:
+            return self.inverse() ** (-n)
+        if n == 0:
+            prec = self.prec - 2 * min(0, self.low_bound())
+            return ElemSeries(self.field, {0: self.field.one()}, prec)
+        result = self
+        for _ in range(n - 1):
+            result = result * self
+        return result
+
+    def inverse(self):
+        if not self.coeffs:
+            raise ZeroSeries("no known nonzero coefficient")
+        v = min(self.coeffs)
+        unit_prec = self.prec - v
+        lead_inv = self.coeffs[v].inverse()
+        r = ElemSeries(
+            self.field,
+            {e - v: c * lead_inv for e, c in self.coeffs.items() if e != v},
+            unit_prec,
+        )
+        one = ElemSeries(self.field, {0: self.field.one()}, unit_prec)
+        inv_unit, term = one, one
+        if r.coeffs:
+            step = -r
+            while True:
+                term = (term * step).truncate(unit_prec)
+                if not term.coeffs:
+                    break
+                inv_unit = inv_unit + term
+        return inv_unit.scale(lead_inv).shift(-v)
+
+    def euler_derivative(self):
+        p = self.field.p
+        return ElemSeries(self.field, {e: c * (e % p) for e, c in self.coeffs.items()}, self.prec)
+
+    def u_derivative(self):
+        return ElemSeries(
+            self.field, {e: derivative_u(c) for e, c in self.coeffs.items()}, self.prec
+        )
+
+
+def elem_dot(pairs, prec=None):
+    bound = prec
+    for a, b in pairs:
+        pair_bound = min(a.prec + b.low_bound(), b.prec + a.low_bound())
+        if bound is None or pair_bound < bound:
+            bound = pair_bound
+    out = {}
+    for a, b in pairs:
+        for e1, c1 in a.coeffs.items():
+            for e2, c2 in b.coeffs.items():
+                e = e1 + e2
+                if e < bound:
+                    out[e] = out[e] + c1 * c2 if e in out else c1 * c2
+    return ElemSeries(pairs[0][0].field, out, bound)
+
+
+def matches(series, reference):
+    return series.coeffs == reference.coeffs and series.prec == reference.prec
+
+
+def both(op, series, reference):
+    """op on the library series and on its element-level copy: equal
+    results, or the same error from both."""
+    try:
+        expected = op(reference)
+    except (ZeroSeries, NotRationalFunctionField) as exc:
+        with pytest.raises(type(exc)):
+            op(series)
+        return
+    assert matches(op(series), expected)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(FIELDS + (F_MERSENNE,)), seeds, st.integers(-10, 14),
+       st.integers(-3, 3), st.integers(-2, 3))
+def test_raw_series_ops_match_the_element_level_series(field, seed, prec, k, n):
+    rng = random.Random(seed)
+    a, b, c = (random_series(field, rng) for _ in range(3))
+    ea, eb, ec = (ElemSeries.of(s) for s in (a, b, c))
+    scalar = coefficient(field, rng)
+    for op in (
+        lambda x: x[0] + x[1],
+        lambda x: x[0] - x[1],
+        lambda x: x[1] - x[0],
+        lambda x: x[0] * x[1],
+    ):
+        assert matches(op((a, b)), op((ea, eb)))
+    pairs, elem_pairs = [(a, b), (b, c), (c, a)], [(ea, eb), (eb, ec), (ec, ea)]
+    count = rng.randint(1, 3)
+    for bound in (None, prec):
+        assert matches(dot(pairs[:count], bound), elem_dot(elem_pairs[:count], bound))
+    for op in (
+        lambda x: -x,
+        lambda x: x.scale(scalar),
+        lambda x: x.scale(k),
+        lambda x: x.shift(k),
+        lambda x: x.truncate(prec),
+        lambda x: x.inverse(),
+        lambda x: x ** n,
+        lambda x: x.euler_derivative(),
+        lambda x: x.u_derivative(),
+    ):
+        both(op, a, ea)
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=repr)
+def test_raw_to_element_to_raw_is_the_identity(field):
+    rng = random.Random(11)
+    if field.is_finite:
+        raws = range(field.order)
+    else:
+        raws = [field._to_raw(coefficient(field, rng)) for _ in range(200)]
+    for r in raws:
+        c = field._from_raw(r)
+        assert c.field is field
+        assert field._to_raw(c) == r
+        assert bool(r) == (not c.is_zero())
+        assert field._from_raw(field._to_raw(c)) == c
+
+
+@settings(max_examples=80, deadline=None)
+@given(fields, seeds)
+def test_coeffs_is_a_fresh_view_and_eq_hash_follow_it(field, seed):
+    rng = random.Random(seed)
+    a, b = random_series(field, rng), random_series(field, rng)
+    before = (dict(a.coeffs), a.prec, hash(a), str(a))
+    view = a.coeffs
+    assert view is not a.coeffs
+    view[a.prec - 1] = field.one()
+    view.pop(min(view))
+    view.clear()
+    assert (dict(a.coeffs), a.prec, hash(a), str(a)) == before
+    twin = LaurentSeries(field, a.coeffs, a.prec)
+    assert twin == a and hash(twin) == hash(a)
+    assert (a == b) == (a.coeffs == b.coeffs and a.prec == b.prec)
+    if a == b:
+        assert hash(a) == hash(b)
+    shifted = LaurentSeries(field, a.coeffs, a.prec + 1)
+    assert shifted != a

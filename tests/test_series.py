@@ -220,3 +220,54 @@ def test_rendering():
     s = LaurentSeries(F2u, {-4: F2u.one(), -2: F2u.generator()}, 8)
     assert str(s) == "t^-4 + u*t^-2"
     assert str(LaurentSeries.zero(F2, 4)) == "0"
+
+
+F3u = FieldSpec.rational(3)
+F5 = FieldSpec.finite(5)
+
+
+@pytest.mark.parametrize("foreign", [F5.from_int(4), F3u.from_int(1), F2.one()])
+def test_series_ops_reject_a_scalar_from_another_field(foreign):
+    t = mono(F3, 1)
+    ops = [
+        lambda: t + foreign,
+        lambda: t - foreign,
+        lambda: t * foreign,
+        lambda: t.__radd__(foreign),
+        lambda: t.__rmul__(foreign),
+        lambda: t.__rsub__(foreign),
+        lambda: t.scale(foreign),
+        lambda: LaurentSeries.zero(F3, 4).scale(foreign),
+    ]
+    for op in ops:
+        with pytest.raises(FieldMismatch):
+            op()
+
+
+def test_series_ops_take_ints_and_own_field_scalars():
+    t = mono(F3, 1, prec=6)
+    four = F3.from_int(4)
+    assert t + four == t + 1 == LaurentSeries(F3, {0: F3.one(), 1: F3.one()}, 6)
+    assert t - four == LaurentSeries(F3, {0: F3.from_int(2), 1: F3.one()}, 6)
+    assert t * four == t.scale(4) == t.scale(four) == t
+    assert t.__radd__(four) == t + four
+    assert t.__rmul__(2) == LaurentSeries(F3, {1: F3.from_int(2)}, 6)
+
+
+def test_constructor_rejects_an_element_of_another_field():
+    with pytest.raises(FieldMismatch):
+        LaurentSeries(F3, {0: F5.from_int(4)}, 4)
+    with pytest.raises(FieldMismatch):
+        LaurentSeries(F3, {9: F5.from_int(4)}, 4)  # beyond prec, still checked
+    with pytest.raises(FieldMismatch):
+        LaurentSeries(F3u, {0: F3.one()}, 4)
+    with pytest.raises(FieldMismatch):
+        LaurentSeries(F3, {0: Fraction(1, 2)}, 4)
+
+
+def test_constructor_reads_ints_through_from_int():
+    assert LaurentSeries(F3, {0: 2}, 4) == LaurentSeries(F3, {0: F3.from_int(2)}, 4)
+    assert LaurentSeries(F3, {0: 5, 1: 3, 2: -1}, 4).coeffs == {
+        0: F3.from_int(2), 2: F3.from_int(2),
+    }
+    assert LaurentSeries(F3u, {-1: 4}, 4).coeffs == {-1: F3u.one()}

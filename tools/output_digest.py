@@ -1,0 +1,65 @@
+"""Digests of the CLI's stdout and exit code over a fixed set of runs.
+
+The runs are every configuration ``perfbench/workloads.generate`` makes
+for seeds 1-3 (one pass of each workload), in JSON and in text, plus
+``selftest`` in text and in JSON with ``--seed 7``.  Each run calls
+``ramify.cli.main(argv)`` in this process, with ``ramify`` imported
+from this checkout's ``src/``.  One line per run:
+
+    workload seed id format exit-code sha256-of-stdout
+
+The lines are recorded in ``tests/data/output_digests.txt``; CI reruns
+this script and diffs its output against that file, so any change to
+what the program prints fails the build.  A deliberate change
+re-records the file:
+
+    python3 tools/output_digest.py > tests/data/output_digests.txt
+"""
+
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import io
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "src"))
+sys.path.insert(0, str(ROOT / "perfbench"))
+
+import ramify.cli  # noqa: E402
+import workloads  # noqa: E402
+
+SEEDS = (1, 2, 3)
+
+
+def runs():
+    """(workload, seed, id, format, argv) of every run, in a fixed order."""
+    for name in workloads.WORKLOADS:
+        for seed in SEEDS:
+            for config in workloads.generate(name, seed):
+                argv = config["argv"]
+                at = argv.index("--format") + 1
+                for fmt in ("json", "text"):
+                    yield name, seed, config["id"], fmt, argv[:at] + [fmt] + argv[at + 1:]
+    yield "selftest", "-", 0, "text", ["selftest"]
+    yield "selftest", 7, 1, "json", ["selftest", "--format", "json", "--seed", "7"]
+
+
+def digest(argv):
+    """(exit code, sha256 of stdout) of one CLI call; stderr is dropped."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        code = ramify.cli.main(argv)
+    return code, hashlib.sha256(out.getvalue().encode()).hexdigest()
+
+
+def main():
+    for name, seed, ident, fmt, argv in runs():
+        code, sha = digest(argv)
+        print(name, seed, ident, fmt, code, sha)
+
+
+if __name__ == "__main__":
+    main()
