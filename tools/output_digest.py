@@ -1,8 +1,10 @@
 """Digests of the CLI's stdout and exit code over a fixed set of runs.
 
 The runs are every configuration ``perfbench/workloads.generate`` makes
-for seeds 1-3 (one pass of each workload), in JSON and in text, plus
-``selftest`` in text and in JSON with ``--seed 7``.  Each run calls
+for seeds 1-3 (one pass of each workload), in JSON and in text, four
+F_p(u) ``analyze`` runs that no workload covers (p = 5, and denominators
+with repeated and irreducible quadratic factors), in JSON and in text,
+and ``selftest`` in text and in JSON with ``--seed 7``.  Each run calls
 ``ramify.cli.main(argv)`` in this process, with ``ramify`` imported
 from this checkout's ``src/``.  One line per run:
 
@@ -33,6 +35,14 @@ import workloads  # noqa: E402
 
 SEEDS = (1, 2, 3)
 
+# (field, f) of the extra F_p(u) runs, each at --prec 24 --trials 2 --seed 1.
+FPU_RUNS = (
+    ("Fp(u):5", "u*t^-5 + t^-2 + t"),
+    ("Fp(u):5", "t^-3 + (u/(u+1)^2)*t^-1 + u*t^2"),
+    ("Fp(u):2", "(u/(u+1)^2)*t^-4 + (1/(u^2+u+1))*t^-1 + t"),
+    ("Fp(u):3", "(u^2/(u+1)^3)*t^-3 + (1/u)*t^-2 + t"),
+)
+
 
 def runs():
     """(workload, seed, id, format, argv) of every run, in a fixed order."""
@@ -43,6 +53,10 @@ def runs():
                 at = argv.index("--format") + 1
                 for fmt in ("json", "text"):
                     yield name, seed, config["id"], fmt, argv[:at] + [fmt] + argv[at + 1:]
+    for ident, (field, f) in enumerate(FPU_RUNS):
+        argv = ["analyze", "--field", field, "--f", f, "--prec", "24", "--trials", "2", "--seed", "1"]
+        for fmt in ("json", "text"):
+            yield "fpu_extra", 1, ident, fmt, argv + ["--format", fmt]
     yield "selftest", "-", 0, "text", ["selftest"]
     yield "selftest", 7, 1, "json", ["selftest", "--format", "json", "--seed", "7"]
 
