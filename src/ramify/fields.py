@@ -28,6 +28,15 @@ elements become coefficients.
 Polynomials over F_p (the elements of F_p(u), and the field moduli) are
 tuples of ints in [0, p), lowest degree first, with no trailing zeros;
 () is the zero polynomial.
+
+F_p(u) arithmetic keeps gcds on small polynomials (Henrici's rules, Knuth,
+TAOCP vol. 2, 4.5.1): ``+`` divides both denominators by their gcd
+first, so a sum over coprime denominators needs no gcd on its numerator,
+and ``*`` cancels across the two fractions first, so its product needs
+no final gcd.
+``dot_coeffs`` sums each group of products that share a denominator as
+one unreduced list of ints, reduces it once, and joins the groups over
+the lcm of their denominators before its one ``_rat``.
 """
 
 from __future__ import annotations
@@ -163,6 +172,14 @@ def _pgcd(a, b, p):
     while b:
         a, b = b, _prem(a, b, p)
     return _pmonic(a, p)
+
+
+def _cancel(a, b, p):
+    """(a/g, b/g) for the monic g = gcd(a, b); b is nonzero."""
+    g = _pgcd(a, b, p)
+    if len(g) > 1:
+        return _pdivmod(a, g, p)[0], _pdivmod(b, g, p)[0]
+    return a, b
 
 
 def _proot(a, p):
@@ -441,10 +458,7 @@ class FieldSpec:
         if not num:
             return self._zero
         if len(den) > 1:
-            g = _pgcd(num, den, self.p)
-            if len(g) > 1:
-                num = _pdivmod(num, g, self.p)[0]
-                den = _pdivmod(den, g, self.p)[0]
+            num, den = _cancel(num, den, self.p)
         if den[-1] != 1:
             inv = pow(den[-1], -1, self.p)
             num = tuple((c * inv) % self.p for c in num)
@@ -531,10 +545,15 @@ class ResidueElem:
     # -- helpers ---------------------------------------------------------
 
     def _check(self, other):
+        """other as an element of this field: an int is read through
+        ``from_int`` and an element of another field raises
+        FieldMismatch.  Any other operand gives NotImplemented, so that
+        Python tries its reflected operator (a LaurentSeries takes a
+        scalar on either side)."""
         if not isinstance(other, ResidueElem):
             if isinstance(other, int):
                 return self.field.from_int(other)
-            raise FieldMismatch(f"cannot combine ResidueElem with {type(other).__name__}")
+            return NotImplemented
         if other.field is not self.field:
             raise FieldMismatch(f"{self.field!r} vs {other.field!r}")
         return other
@@ -553,6 +572,8 @@ class ResidueElem:
         f = self.field
         if other.__class__ is not ResidueElem or other.field is not f:
             other = self._check(other)
+            if other is NotImplemented:
+                return other
         a, b = self._a, other._a
         log = f._log
         if log is not None:
@@ -572,10 +593,24 @@ class ResidueElem:
             if db == _ONE:
                 return _elem(f, _padd(a, b, f.p), _ONE)
             return _elem(f, _padd(_pmul(a, db, f.p), b, f.p), db)
+        p = f.p
         if db == _ONE:
-            return _elem(f, _padd(a, _pmul(b, da, f.p), f.p), da)
-        num = _padd(_pmul(a, db, f.p), _pmul(b, da, f.p), f.p)
-        return f._rat(num, _pmul(da, db, f.p))
+            return _elem(f, _padd(a, _pmul(b, da, p), p), da)
+        # Henrici: with g = gcd(da, db), a/da + b/db = t / ((da/g) * db) for
+        # t = a*(db/g) + b*(da/g), and only a factor of g can divide both
+        # t and that denominator.  So coprime denominators give lowest terms
+        # at once, and otherwise the gcd runs on t and g alone.
+        g = _pgcd(da, db, p)
+        if len(g) == 1:
+            return _elem(f, _padd(_pmul(a, db, p), _pmul(b, da, p), p), _pmul(da, db, p))
+        da = _pdivmod(da, g, p)[0]
+        t = _padd(_pmul(a, _pdivmod(db, g, p)[0], p), _pmul(b, da, p), p)
+        if not t:
+            return f._zero
+        h = _pgcd(t, g, p)
+        if len(h) > 1:
+            t, db = _pdivmod(t, h, p)[0], _pdivmod(db, h, p)[0]
+        return _elem(f, t, _pmul(da, db, p))
 
     __radd__ = __add__
 
@@ -588,24 +623,38 @@ class ResidueElem:
         return _elem(f, _pneg(self._a, f.p), self._b)
 
     def __sub__(self, other):
-        return self + (-self._check(other))
+        other = self._check(other)
+        return other if other is NotImplemented else self + (-other)
 
     def __rsub__(self, other):
-        return (-self) + self.field.from_int(other)
+        other = self._check(other)
+        return other if other is NotImplemented else other + (-self)
 
     def __mul__(self, other):
         f = self.field
         if other.__class__ is not ResidueElem or other.field is not f:
             other = self._check(other)
+            if other is NotImplemented:
+                return other
         a, b = self._a, other._a
         log = f._log
         if log is not None:
             return _elem(f, f._exp[log[a] + log[b]]) if a and b else f._zero
-        if self._b is None:
+        da, db = self._b, other._b
+        if da is None:
             return _elem(f, a * b % f.p)
-        if self._b == _ONE and other._b == _ONE:
-            return _elem(f, _pmul(a, b, f.p), _ONE)
-        return f._rat(_pmul(a, b, f.p), _pmul(self._b, other._b, f.p))
+        if not a or not b:
+            return f._zero
+        # Henrici: cancel gcd(a, db) and gcd(b, da) first.  The factors
+        # left are pairwise coprime, so the product is in lowest terms, and
+        # its denominator is a product of monic polynomials.
+        p = f.p
+        if db != _ONE:
+            a, db = _cancel(a, db, p)
+        if da != _ONE:
+            b, da = _cancel(b, da, p)
+        den = db if da == _ONE else da if db == _ONE else _pmul(da, db, p)
+        return _elem(f, _pmul(a, b, p), den)
 
     __rmul__ = __mul__
 
@@ -621,10 +670,12 @@ class ResidueElem:
         return f._rat(self._b, a)
 
     def __truediv__(self, other):
-        return self * self._check(other).inverse()
+        other = self._check(other)
+        return other if other is NotImplemented else self * other.inverse()
 
     def __rtruediv__(self, other):
-        return self.field.from_int(other) * self.inverse()
+        other = self._check(other)
+        return other if other is NotImplemented else other * self.inverse()
 
     def __pow__(self, n):
         f = self.field
@@ -754,10 +805,13 @@ def dot_coeffs(field, pairs, bound):
     No element arithmetic runs in the loop: F_p sums plain ints and
     reduces mod p once per output exponent; F_q (m >= 2) multiplies
     codes through the log table and adds them through the Zech table,
-    code 0 meaning "nothing yet"; F_p(u) adds unreduced numerator
-    products that share a product denominator, cross-multiplies the
-    groups once and canonicalises with one ``_rat``.  Zero sums are
-    dropped.
+    code 0 meaning "nothing yet".  F_p(u) keeps, per exponent and product
+    denominator, one list of plain ints into which each numerator
+    convolution is added unreduced; each list is reduced mod p and
+    trimmed once.  The groups are then joined over the lcm: with
+    g = gcd(D, d), N/D + n/d = (N*(d/g) + n*(D/g)) / (D*(d/g)), so the
+    one ``_rat`` per exponent runs its gcd on small polynomials.  Zero
+    sums are dropped.
     """
     p = field.p
     acc = {}
@@ -799,23 +853,33 @@ def dot_coeffs(field, pairs, bound):
             for e2, n2, d2 in b_fracs:
                 if e2 < lim:
                     e = e1 + e2
-                    num = _pmul(n1, n2, p)
                     den = d2 if d1 == _ONE else d1 if d2 == _ONE else _pmul(d1, d2, p)
                     groups = get(e)
                     if groups is None:
-                        acc[e] = {den: num}
-                    else:
-                        cur = groups.get(den)
-                        groups[den] = num if cur is None else _padd(cur, num, p)
+                        groups = acc[e] = {}
+                    size = len(n1) + len(n2) - 1
+                    cur = groups.get(den)
+                    if cur is None:
+                        cur = groups[den] = [0] * size
+                    elif len(cur) < size:
+                        cur += [0] * (size - len(cur))
+                    for i, x in enumerate(n1):
+                        if x:
+                            for j, y in enumerate(n2, i):
+                                cur[j] += x * y
     out = {}
     for e, groups in acc.items():
         num, den = (), _ONE
-        for d, n in groups.items():
-            if n:
-                if num:
-                    num, den = _padd(_pmul(num, d, p), _pmul(n, den, p), p), _pmul(den, d, p)
-                else:
-                    num, den = n, d
+        for d, cur in groups.items():
+            n = _trim([c % p for c in cur])
+            if not n:
+                continue
+            if not num:
+                num, den = n, d
+                continue
+            den_g, d_g = _cancel(den, d, p) if len(den) > 1 and len(d) > 1 else (den, d)
+            num = _padd(_pmul(num, d_g, p), _pmul(n, den_g, p), p)
+            den = _pmul(den, d_g, p)
         if num:
             out[e] = field._rat(num, den)
     return out

@@ -61,3 +61,73 @@ def lefschetz_minimum(ext, samples=40, seed=0):
         if best is None or v < best:
             best = v
     return best
+
+
+# -- F_p(u) fractions, with polynomial arithmetic of their own ------------------
+# Polynomials are tuples of ints mod p, lowest degree first, trimmed.
+
+
+def _trimmed(cs):
+    cs = list(cs)
+    while cs and cs[-1] == 0:
+        cs.pop()
+    return tuple(cs)
+
+
+def poly_mul(a, b, p):
+    out = [0] * (len(a) + len(b))
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return _trimmed(c % p for c in out)
+
+
+def poly_gcd(a, b, p):
+    """The monic gcd of a and b by Euclid; () when both are zero."""
+    a, b = _trimmed(a), _trimmed(b)
+    while b:
+        r, inv = list(a), pow(b[-1], -1, p)
+        while len(r) >= len(b):
+            c, shift = r[-1] * inv % p, len(r) - len(b)
+            for j, y in enumerate(b):
+                r[shift + j] = (r[shift + j] - c * y) % p
+            r = list(_trimmed(r))
+        a, b = b, tuple(r)
+    if not a:
+        return ()
+    inv = pow(a[-1], -1, p)
+    return tuple(c * inv % p for c in a)
+
+
+def fpu_denominators(p):
+    """(den, radical) pairs of monic denominators with shared and repeated
+    factors: 1, u, u+1, (u+1)^2, u^2(u+1) and an irreducible quadratic."""
+    quad = {2: (1, 1, 1), 3: (1, 0, 1), 5: (2, 0, 1)}[p]
+    u, u1 = (0, 1), (1, 1)
+    return (
+        ((1,), (1,)),
+        (u, u),
+        (u1, u1),
+        ((1, 2 % p, 1), u1),
+        ((0, 0, 1, 1), (0, 1, 1)),
+        (quad, quad),
+    )
+
+
+def coprime_numerator(c, radical, s, p):
+    """c + radical*s for a unit c: coprime to every denominator whose
+    radical is ``radical``, since it is c modulo each prime factor."""
+    out = list(poly_mul(radical, tuple(s), p)) or [0]
+    out[0] = (out[0] + c) % p
+    return _trimmed(out)
+
+
+def assert_canonical(elem):
+    """Lowest terms with a monic denominator, and zero as 0/1."""
+    p, num, den = elem.field.p, elem._a, elem._b
+    assert den == _trimmed(den) and den[-1] == 1
+    assert num == _trimmed(num)
+    if not num:
+        assert den == (1,)
+    else:
+        assert poly_gcd(num, den, p) == (1,)

@@ -28,8 +28,9 @@ from ramify.fields import (
     is_pth_power,
     trace_to_prime,
 )
+from ramify.series import LaurentSeries
 
-from oracles import exhaustive_identity
+from oracles import assert_canonical, coprime_numerator, exhaustive_identity, fpu_denominators
 
 F2 = FieldSpec.finite(2)
 F3 = FieldSpec.finite(3)
@@ -149,6 +150,79 @@ def test_add_with_one_polynomial_operand_is_in_lowest_terms(field, data):
                           _pmul(x._b, c._b, p))
     for total in (x + c, c + x):
         assert (total._a, total._b) == (expected._a, expected._b)
+
+
+def cross_multiplied_sum(x, y):
+    """x + y over F_p(u) as the element operator computed it before
+    Henrici's rule: cross-multiply, then one ``_rat``."""
+    p = x.field.p
+    return x.field._rat(_padd(_pmul(x._a, y._b, p), _pmul(y._a, x._b, p), p),
+                        _pmul(x._b, y._b, p))
+
+
+def cross_multiplied_product(x, y):
+    p = x.field.p
+    return x.field._rat(_pmul(x._a, y._a, p), _pmul(x._b, y._b, p))
+
+
+# Indices into ``fpu_denominators``: 0 is 1, 1 is u, 2 is u+1, 3 is (u+1)^2,
+# 4 is u^2(u+1) and 5 an irreducible quadratic.
+DENOMINATOR_PAIRS = {
+    "coprime": [(1, 2), (1, 3), (1, 5), (2, 5), (4, 5), (0, 4)],
+    "equal": [(1, 1), (3, 3), (4, 4), (5, 5)],
+    "shared_factor": [(2, 3), (1, 4), (2, 4), (3, 4)],
+}
+
+
+@pytest.mark.parametrize("field", [F2u, F3u, F5u], ids=repr)
+@pytest.mark.parametrize("shape", sorted(DENOMINATOR_PAIRS))
+@given(data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_henrici_add_and_mul_match_cross_multiplication(field, shape, data):
+    """``+`` and ``*`` cancel gcds before they multiply out; the result
+    must be the canonical form of the cross-multiplied fraction, in both
+    operand orders.  Denominators are coprime, equal or share a factor,
+    and stay as drawn: each numerator is c + r*s for a unit c and the
+    denominator's radical r.  Zero operands and sums that cancel occur."""
+    p = field.p
+    pool = fpu_denominators(p)
+    i, j = data.draw(st.sampled_from(DENOMINATOR_PAIRS[shape]))
+    poly = st.lists(st.integers(0, p - 1), max_size=3)
+
+    def operand(k):
+        den, radical = pool[k]
+        if data.draw(st.integers(0, 7)) == 0:
+            return field.zero()
+        num = coprime_numerator(data.draw(st.integers(1, p - 1)), radical, data.draw(poly), p)
+        x = field.from_polys(num, den)
+        assert x._b == den
+        return x
+
+    x, y = operand(i), operand(j)
+    if x and data.draw(st.booleans()):
+        y = field.from_polys([-c for c in x._a], x._b)  # x + y cancels to zero
+    for left, right in ((x, y), (y, x)):
+        for result, expected in ((left + right, cross_multiplied_sum(left, right)),
+                                 (left * right, cross_multiplied_product(left, right))):
+            assert (result._a, result._b) == (expected._a, expected._b)
+            assert_canonical(result)
+
+
+@pytest.mark.parametrize("field", [F3, F9, F2u], ids=repr)
+def test_element_and_series_combine_in_either_order(field):
+    """An element on the left of a series defers to the series, like an
+    int does; an element of another field still raises FieldMismatch."""
+    t = LaurentSeries(field, {1: field.one()}, 6)
+    c = field.generator() if field.p == 2 else field.from_int(2)
+    assert c + t == t + c == LaurentSeries(field, {0: c, 1: field.one()}, 6)
+    assert c - t == -(t - c)
+    assert c * t == t * c == t.scale(c)
+    foreign = FieldSpec.finite(5).one()
+    for op in (lambda: foreign + t, lambda: foreign - t, lambda: foreign * t,
+               lambda: t + foreign, lambda: t - foreign, lambda: t * foreign,
+               lambda: foreign + c, lambda: c * foreign):
+        with pytest.raises(FieldMismatch):
+            op()
 
 
 def two_block_rat(p, num, den):

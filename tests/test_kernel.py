@@ -16,9 +16,11 @@ from hypothesis import assume, given, settings, strategies as st
 
 from ramify.errors import ExtensionMismatch, InvalidSpec, NotRationalFunctionField, ZeroSeries
 from ramify.extension import ASExtension, LElement, integral_sample
-from ramify.fields import FieldSpec, _pmul, derivative_u
+from ramify.fields import FieldSpec, _padd, _pmul, derivative_u
 from ramify.parsing import parse_field_spec, parse_series
 from ramify.series import LaurentSeries, dot
+
+from oracles import assert_canonical, coprime_numerator, fpu_denominators
 
 F2 = FieldSpec.finite(2)
 F3 = FieldSpec.finite(3)
@@ -211,6 +213,72 @@ def test_dot_over_many_denominators_at_one_exponent(field, seed, count):
     assume(len({_pmul(a.coeffs[0]._b, b.coeffs[0]._b, field.p) for a, b in pairs}) >= 3)
     assert same(dot(pairs), chain_dot(pairs))
     assert same(dot(pairs, -1), chain_dot(pairs, -1))
+
+
+def cross_multiplied_dot(pairs, prec):
+    """(coefficients as {e: (num, den)}, prec) of ``dot`` over F_p(u),
+    computed as the kernel did before it joined groups over their lcm:
+    numerators summed per product denominator, groups cross-multiplied,
+    one ``_rat`` per exponent.  No element ``+`` or ``*`` runs here."""
+    field = pairs[0][0].field
+    p = field.p
+    bound = prec
+    for a, b in pairs:
+        pair_bound = min(a.prec + b.low_bound(), b.prec + a.low_bound())
+        bound = pair_bound if bound is None else min(bound, pair_bound)
+    acc = {}
+    for a, b in pairs:
+        for e1, c1 in a.coeffs.items():
+            for e2, c2 in b.coeffs.items():
+                if e1 + e2 < bound:
+                    groups = acc.setdefault(e1 + e2, {})
+                    den = _pmul(c1._b, c2._b, p)
+                    groups[den] = _padd(groups.get(den, ()), _pmul(c1._a, c2._a, p), p)
+    out = {}
+    for e, groups in acc.items():
+        num, den = (), (1,)
+        for d, n in groups.items():
+            if n:
+                if num:
+                    num, den = _padd(_pmul(num, d, p), _pmul(n, den, p), p), _pmul(den, d, p)
+                else:
+                    num, den = n, d
+        if num:
+            c = field._rat(num, den)
+            out[e] = (c._a, c._b)
+    return out, bound
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from((F2u, F3u, F5u)), st.data())
+def test_dot_joins_denominator_groups_over_their_lcm(field, data):
+    """Up to 18 pairs meet at exponent 0 (and scatter elsewhere), with
+    coefficient denominators from a pool with shared and repeated factors
+    (u, u+1, (u+1)^2, u^2(u+1), an irreducible quadratic), so that many
+    product denominators share factors.  Values and ``prec`` must match
+    the cross-multiplied kernel, and every coefficient must be canonical."""
+    p = field.p
+    pool = fpu_denominators(p)
+    poly = st.lists(st.integers(0, p - 1), max_size=2)
+
+    def coefficient():
+        den, radical = data.draw(st.sampled_from(pool))
+        num = coprime_numerator(data.draw(st.integers(1, p - 1)), radical, data.draw(poly), p)
+        return field.from_polys(num, den)
+
+    def operand():
+        exps = data.draw(st.sets(st.integers(-3, 3), max_size=2)) | {0}
+        return LaurentSeries(field, {e: coefficient() for e in exps}, data.draw(st.integers(2, 9)))
+
+    count = data.draw(st.integers(1, 18))
+    pairs = [(operand(), operand()) for _ in range(count)]
+    prec = data.draw(st.one_of(st.none(), st.integers(-4, 10)))
+    result = dot(pairs, prec)
+    expected, bound = cross_multiplied_dot(pairs, prec)
+    assert result.prec == bound
+    assert {e: (c._a, c._b) for e, c in result.coeffs.items()} == expected
+    for c in result.coeffs.values():
+        assert_canonical(c)
 
 
 @settings(max_examples=80, deadline=None)
