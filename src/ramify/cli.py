@@ -13,6 +13,7 @@ input, 3 insufficient precision.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import shlex
@@ -46,7 +47,10 @@ class _ArgumentParser(argparse.ArgumentParser):
         raise InvalidSpec(f"{self.prog}: {message}")
 
 
+@functools.cache
 def make_parser():
+    """The argument parser, built once: parsing keeps no state in it, so
+    one parser serves every call and every batch line."""
     # one --out for the top level and every subcommand, so it is read
     # before and after the subcommand; being suppressed by default, an
     # --out given in neither place leaves no attribute at all

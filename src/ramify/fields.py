@@ -19,11 +19,19 @@ Series keep their coefficients as *raw values* rather than elements:
 the code itself over F_q (an int mod p over F_p, the table code when
 m >= 2), and over F_p(u) the canonical ``ResidueElem``, whose (num,
 den) pair is what the kernel reads.  Zero is the only falsy raw value.
-Each field builds its raw add, negation, multiply and inverse once, at
-construction (``_raw_ops``); ``FieldSpec._to_raw`` and
+Each field builds its raw add, negation, multiply, inverse and power
+once, at construction (``_raw_ops``); ``FieldSpec._to_raw`` and
 ``FieldSpec._from_raw`` convert between raw values and elements, and
 are the only places where series coefficients become elements or
-elements become coefficients.
+elements become coefficients.  The F_q power of an element is the raw
+one, a table lookup exp[log(a) * n mod (q - 1)] when m >= 2.
+
+An ``Expr`` is evaluated the same way: its first evaluation over a
+field compiles the tree once into nested closures over that field's raw
+operations, with every constant converted then, and keeps them on the
+root.  Each later evaluation converts the point to raw values, runs the
+closures and converts the result back, so no element is built inside
+the tree.
 
 Polynomials over F_p (the elements of F_p(u), and the field moduli) are
 tuples of ints in [0, p), lowest degree first, with no trailing zeros;
@@ -346,7 +354,7 @@ class FieldSpec:
     __slots__ = (
         "p", "kind", "degree", "modulus", "var", "is_finite", "order",
         "_hash", "_log", "_exp", "_zech", "_neg", "_zero", "_one",
-        "_radd", "_rneg", "_rmul", "_rinv",
+        "_radd", "_rneg", "_rmul", "_rinv", "_rpow",
     )
 
     FINITE = "finite"
@@ -399,7 +407,7 @@ class FieldSpec:
             ("_one", _elem(self, 1) if finite else _elem(self, _ONE, _ONE)),
         ):
             object.__setattr__(self, name, value)
-        for name, value in zip(("_radd", "_rneg", "_rmul", "_rinv"), _raw_ops(self)):
+        for name, value in zip(("_radd", "_rneg", "_rmul", "_rinv", "_rpow"), _raw_ops(self)):
             object.__setattr__(self, name, value)
         _INTERNED[key] = self
         return self
@@ -679,16 +687,8 @@ class ResidueElem:
 
     def __pow__(self, n):
         f = self.field
-        a = self._a
-        if self._b is None:
-            # F_q: one table lookup (degree >= 2) or one modular power
-            if not a:
-                if n < 0:
-                    raise DivisionByZero("inverse of zero")
-                return f._zero if n else f._one
-            if f._log is not None:
-                return _elem(f, f._exp[f._log[a] * n % (f.order - 1)])
-            return _elem(f, pow(a, n % (f.p - 1), f.p))
+        if self._b is None:  # F_q: one table lookup or one modular power
+            return _elem(f, f._rpow(self._a, n))
         if n < 0:
             return self.inverse() ** (-n)
         result = f._one
@@ -762,14 +762,21 @@ def _elem(field, a, b=None):
     return e
 
 
+def _zero_pow(n):
+    """0^n as a raw value of F_q, with 0^0 = 1."""
+    if n < 0:
+        raise DivisionByZero("inverse of zero")
+    return 0 if n else 1
+
+
 def _raw_ops(field):
-    """(add, neg, mul, inv) on raw values of ``field``; inv takes a
-    nonzero value.  F_q with m >= 2 reads the tables, F_p reduces mod
-    p, and F_p(u), whose raw values are elements, uses the element
-    operators."""
+    """(add, neg, mul, inv, pow) on raw values of ``field``; inv takes a
+    nonzero value and pow an int exponent.  F_q with m >= 2 reads the
+    tables, F_p reduces mod p, and F_p(u), whose raw values are
+    elements, uses the element operators."""
     log, p = field._log, field.p
     if log is not None:
-        exp, zech = field._exp, field._zech
+        exp, zech, n = field._exp, field._zech, field.order - 1
 
         def add(a, b):
             if not a:
@@ -786,15 +793,19 @@ def _raw_ops(field):
         def inv(a):
             return exp[-log[a]]
 
-        return add, field._neg.__getitem__, mul, inv
+        def pow_(a, k):
+            return exp[log[a] * k % n] if a else _zero_pow(k)
+
+        return add, field._neg.__getitem__, mul, inv, pow_
     if field.is_finite:
         return (
             lambda a, b: (a + b) % p,
             lambda a: -a % p,
             lambda a, b: a * b % p,
             lambda a: pow(a, -1, p),
+            lambda a, k: pow(a, k % (p - 1), p) if a else _zero_pow(k),
         )
-    return operator.add, operator.neg, operator.mul, lambda a: a.inverse()
+    return operator.add, operator.neg, operator.mul, lambda a: a.inverse(), operator.pow
 
 
 def dot_coeffs(field, pairs, bound):
@@ -1015,14 +1026,20 @@ class Expr:
     Division nodes carry a nonzero-denominator obligation that is
     checked at evaluation time (DivisionByZero propagates and the
     identity checker resamples the point).
+
+    An expression is compiled once per field over raw values: the first
+    ``evaluate`` over a field turns the tree into nested closures on
+    that field's raw operations and keeps them on the root, so treat an
+    ``Expr`` as immutable once built.
     """
 
-    __slots__ = ("op", "args", "payload")
+    __slots__ = ("op", "args", "payload", "_compiled")
 
     def __init__(self, op, args=(), payload=None):
         self.op = op
         self.args = args
         self.payload = payload
+        self._compiled = None  # field -> closure, made by the first evaluate
 
     @classmethod
     def const(cls, value):
@@ -1080,31 +1097,54 @@ class Expr:
         return out
 
     def evaluate(self, env, field):
-        if self.op == "const":
-            v = self.payload
-            if isinstance(v, int):
-                return field.from_int(v)
-            if v.field is not field:
-                raise FieldMismatch("constant from a different field")
-            return v
-        if self.op == "var":
-            return env[self.payload]
-        vals = [a.evaluate(env, field) for a in self.args]
-        if self.op == "add":
-            return vals[0] + vals[1]
-        if self.op == "sub":
-            return vals[0] - vals[1]
-        if self.op == "mul":
-            return vals[0] * vals[1]
-        if self.op == "div":
-            if vals[1].is_zero():
-                raise DivisionByZero("expression denominator vanished")
-            return vals[0] / vals[1]
-        if self.op == "pow":
-            return vals[0] ** self.payload
-        if self.op == "neg":
-            return -vals[0]
-        raise InvalidSpec(f"unknown node {self.op!r}")
+        """The value over ``field`` at ``env``, a dict from variable names
+        to elements of ``field`` or ints."""
+        compiled = self._compiled
+        if compiled is None:
+            compiled = self._compiled = {}
+        fn = compiled.get(field)
+        if fn is None:
+            fn = compiled[field] = self._compile(field)
+        to_raw = field._to_raw
+        return field._from_raw(fn({name: to_raw(v) for name, v in env.items()}))
+
+    def _compile(self, field):
+        """A function from a dict of raw variable values to the raw value
+        of this expression over ``field``.  Constants are converted here,
+        once; the closures hold no reference to the tree."""
+        op = self.op
+        if op == "const":
+            c = field._to_raw(self.payload)
+            return lambda env: c
+        if op == "var":
+            return operator.itemgetter(self.payload)
+        kids = [a._compile(field) for a in self.args]
+        if op == "neg":
+            x, neg = kids[0], field._rneg
+            return lambda env: neg(x(env))
+        if op == "pow":
+            x, n, pow_ = kids[0], self.payload, field._rpow
+            return lambda env: pow_(x(env), n)
+        x, y = kids
+        add, mul = field._radd, field._rmul
+        if op == "add":
+            return lambda env: add(x(env), y(env))
+        if op == "sub":
+            neg = field._rneg
+            return lambda env: add(x(env), neg(y(env)))
+        if op == "mul":
+            return lambda env: mul(x(env), y(env))
+        if op == "div":
+            inv = field._rinv
+
+            def div(env):
+                a, b = x(env), y(env)
+                if not b:
+                    raise DivisionByZero("expression denominator vanished")
+                return mul(a, inv(b))
+
+            return div
+        raise InvalidSpec(f"unknown node {op!r}")
 
     def degree_pair(self):
         """(numerator degree, denominator degree) upper bounds."""

@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ramify.cli import main
+from ramify.cli import main, make_parser
 from ramify.errors import FieldLiteralError, InvalidSpec, ParseError
 from ramify.fields import FieldSpec
 from ramify.parsing import factor_prime_power, parse_field_spec, parse_series
@@ -409,6 +409,46 @@ def test_out_before_or_after_the_subcommand(command, tmp_path, capsys):
         out_path.unlink(missing_ok=True)
         assert run_cli(argv, capsys) == (code, "")
         assert out_path.read_text() == printed
+
+
+TOWER_LINE = "tower --p 3 --n 2 --q 9 --depth 3 --trials 4 --format json"
+
+
+def test_one_parser_carries_nothing_between_lines(tmp_path, capsys):
+    parser = make_parser()
+    assert make_parser() is parser
+    out_path = tmp_path / "report.json"
+    first = parser.parse_args(shlex.split(GOOD_LINE) + ["--out", str(out_path)])
+    assert first.out == str(out_path)
+    assert not hasattr(parser.parse_args(shlex.split(GOOD_LINE)), "out")
+    assert not hasattr(parser.parse_args(shlex.split(TOWER_LINE)), "field")
+    # the same lines through main: each prints what it prints alone
+    alone = {line: run_cli(shlex.split(line), capsys) for line in (GOOD_LINE, TOWER_LINE)}
+    assert main(shlex.split(GOOD_LINE) + ["--out", str(out_path)]) == 0
+    assert run_cli(shlex.split(GOOD_LINE), capsys) == alone[GOOD_LINE]
+    assert run_cli(shlex.split(TOWER_LINE), capsys) == alone[TOWER_LINE]
+    code, out = run_cli(["analyze", "--field", "Fp:2", "--bogus"], capsys)
+    assert code == 2 and out.startswith("error: ")
+    assert run_cli(shlex.split(GOOD_LINE), capsys) == alone[GOOD_LINE]
+    # and all of them as the lines of one batch
+    batch = tmp_path / "batch.txt"
+    lines = [
+        f"{GOOD_LINE} --out {tmp_path / 'ignored.json'}",
+        GOOD_LINE,
+        TOWER_LINE,
+        "analyze --field Fp:2 --bogus",
+        GOOD_LINE,
+    ]
+    batch.write_text("".join(line + "\n" for line in lines))
+    code, out = run_cli(["--batch", str(batch)], capsys)
+    runs = json.loads(out)["runs"]
+    assert code == 2
+    assert [run["exit"] for run in runs] == [0, 0, 0, 2, 0]
+    expected = [alone[GOOD_LINE][1]] * 2 + [alone[TOWER_LINE][1], None, alone[GOOD_LINE][1]]
+    for run, text in zip(runs, expected):
+        if text is not None:
+            assert run["output"] + "\n" == text
+    assert not (tmp_path / "ignored.json").exists()
 
 
 # -- selftest -------------------------------------------------------------------

@@ -23,7 +23,7 @@ from ramify.extension import (
     reduce_to_best,
     unit_sample,
 )
-from ramify.fields import FieldSpec
+from ramify.fields import Expr, FieldSpec
 from ramify.series import Cut, LaurentSeries, ValueGroup, random_series
 
 from oracles import is_integral
@@ -424,6 +424,13 @@ def test_cached_elements_leave_no_reference_cycle():
         ext.inverse_alpha()
         ext.with_best_f()
         del ext
+        assert gc.collect() == 0
+        # an expression keeps the closure its first evaluate compiled
+        x = Expr.var("x")
+        expr = (x + Expr.const(F3.one())) / (x * x - 2) ** 3
+        assert expr.evaluate({"x": F3.from_int(1)}, F3) == F3.from_int(1)
+        assert expr._compiled
+        del x, expr
         assert gc.collect() == 0
     finally:
         gc.enable()

@@ -30,7 +30,13 @@ from ramify.fields import (
 )
 from ramify.series import LaurentSeries
 
-from oracles import assert_canonical, coprime_numerator, exhaustive_identity, fpu_denominators
+from oracles import (
+    assert_canonical,
+    coprime_numerator,
+    exhaustive_identity,
+    fpu_denominators,
+    tree_evaluate,
+)
 
 F2 = FieldSpec.finite(2)
 F3 = FieldSpec.finite(3)
@@ -411,6 +417,96 @@ def test_exhaustive_identity_oracle():
     x, y = Expr.var("x"), Expr.var("y")
     assert exhaustive_identity((x + y) ** 2, x ** 2 + 2 * x * y + y ** 2, F4)
     assert not exhaustive_identity(x, x + 1, F4)
+
+
+# -- the compiled evaluator against the tree walk -----------------------------------
+
+EXPR_FIELDS = [
+    F2, F3, F4, FieldSpec.finite(2, 3), F9, FieldSpec.finite(5, 2), F2u, F3u,
+]
+
+
+def field_points(field):
+    """Elements of ``field``, zero among them: any code of F_q, and
+    fractions of small polynomials over F_p(u)."""
+    if field.is_finite:
+        return st.integers(0, field.order - 1).map(field.element_at)
+    poly = st.lists(st.integers(0, field.p - 1), max_size=3)
+    return st.one_of(
+        st.just(field.zero()),
+        st.tuples(poly, poly.filter(any)).map(lambda nd: field.from_polys(*nd)),
+    )
+
+
+def expr_trees(field):
+    leaves = st.one_of(
+        st.integers(-3, 3).map(Expr.const),
+        field_points(field).map(Expr.const),
+        st.sampled_from(["x", "y"]).map(Expr.var),
+    )
+
+    def nodes(kids):
+        pairs = st.tuples(kids, kids)
+        return st.one_of(
+            pairs.map(lambda ab: ab[0] + ab[1]),
+            pairs.map(lambda ab: ab[0] - ab[1]),
+            pairs.map(lambda ab: ab[0] * ab[1]),
+            pairs.map(lambda ab: ab[0] / ab[1]),
+            kids.map(lambda a: -a),
+            st.tuples(kids, st.integers(0, 7)).map(lambda an: an[0] ** an[1]),
+        )
+
+    return st.recursive(leaves, nodes, max_leaves=8)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(EXPR_FIELDS), st.data())
+def test_compiled_evaluate_matches_the_tree_walk(field, data):
+    expr = data.draw(expr_trees(field))
+    for _ in range(3):  # the later points run the memoised closure
+        env = {name: data.draw(field_points(field)) for name in ("x", "y")}
+        try:
+            want = tree_evaluate(expr, env, field)
+        except DivisionByZero:
+            with pytest.raises(DivisionByZero):
+                expr.evaluate(env, field)
+            continue
+        got = expr.evaluate(env, field)
+        assert got == want and got.field is field
+
+
+@pytest.mark.parametrize("field", [F2, F3, F4, F9, FieldSpec.finite(2, 3)])
+def test_power_matches_repeated_products(field):
+    for x in field.elements():
+        power = field.one()
+        for n in range(field.order + 2):
+            assert x ** n == power
+            power = power * x
+        if x.is_zero():
+            with pytest.raises(DivisionByZero):
+                x ** -1
+        else:
+            assert x ** -2 == (x * x).inverse()
+
+
+def test_foreign_constant_raises_on_the_first_evaluate():
+    x = Expr.var("x")
+    expr = x + Expr.const(F4.generator())
+    with pytest.raises(FieldMismatch):
+        expr.evaluate({"x": F9.one()}, F9)
+    with pytest.raises(FieldMismatch):
+        expr.evaluate({"x": F9.one()}, F9)
+    assert expr.evaluate({"x": F4.one()}, F4) == F4.generator() + 1
+
+
+def test_one_expression_over_two_fields():
+    x = Expr.var("x")
+    expr = x * x + Expr.const(3)
+    F5, F7 = FieldSpec.finite(5), FieldSpec.finite(7)
+    for _ in range(2):
+        assert expr.evaluate({"x": F5.from_int(2)}, F5) == F5.from_int(2)
+        assert expr.evaluate({"x": F7.from_int(2)}, F7) == F7.from_int(0)
+        assert expr.evaluate({"x": 2}, F3u) == F3u.from_int(1)
 
 
 def test_modulus_validation():

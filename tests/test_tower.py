@@ -1,9 +1,12 @@
+import math
+import random
 from fractions import Fraction
 
 import pytest
 
-from ramify.errors import InvalidSpec
-from ramify.fields import FieldSpec
+from ramify.errors import DivisionByZero, FieldTooSmall, InvalidSpec
+from ramify.fields import FieldSpec, IdentityCheck, check_identity
+from ramify.parsing import factor_prime_power
 from ramify.series import Cut, ValueGroup
 from ramify.tower import (
     TowerSpec,
@@ -17,7 +20,7 @@ from ramify.tower import (
     tower_report,
 )
 
-from oracles import exhaustive_identity
+from oracles import exhaustive_identity, tree_evaluate
 
 F4 = FieldSpec.finite(2, 2)
 F9 = FieldSpec.finite(3, 2)
@@ -97,10 +100,53 @@ def test_step_identity_exhaustive_over_f4():
 def test_step_identity_detects_corruption():
     spec = TowerSpec(F9, 2, 2)
     lhs, rhs = step_identity_exprs(spec)
-    from ramify.fields import check_identity
-
     res = check_identity(lhs, rhs + 1, spec.field, trials=16, seed=0)
     assert not res.ok and res.witness is not None
+
+
+def tree_check_identity(lhs, rhs, field, trials, seed, max_attempts=64):
+    """check_identity as it was before evaluation was compiled: the same
+    draws and verdicts, with the tree walk at every sample point."""
+    rng = random.Random(seed)
+    names = sorted(lhs.variables() | rhs.variables())
+    n1, d1 = lhs.degree_pair()
+    n2, d2 = rhs.degree_pair()
+    degree_bound = max(n1 + d2, n2 + d1)
+    space = field.sample_space_size()
+    for _ in range(trials):
+        for _ in range(max_attempts):
+            env = {name: field.sample_point(rng) for name in names}
+            try:
+                a = tree_evaluate(lhs, env, field)
+                b = tree_evaluate(rhs, env, field)
+            except DivisionByZero:
+                continue
+            if a != b:
+                witness = {name: str(v) for name, v in env.items()}
+                return IdentityCheck(False, witness, trials, degree_bound, space)
+            break
+        else:
+            raise FieldTooSmall("no valid evaluation point")
+    return IdentityCheck(True, None, trials, degree_bound, space)
+
+
+def tower_specs(q):
+    """A TowerSpec for every valid pole order n < 13 over F_q."""
+    p, m = factor_prime_power(q)
+    field = FieldSpec.finite(p, m)
+    return [TowerSpec(field, n, 2) for n in range(3 if p == 2 else 1, 13) if math.gcd(n, p) == 1]
+
+
+@pytest.mark.parametrize("q", [4, 8, 9, 25, 27, 49, 64, 125])
+def test_check_identity_matches_the_tree_walk_on_every_tower(q):
+    for spec in tower_specs(q):
+        lhs, rhs = step_identity_exprs(spec)
+        for seed in (3, 4):
+            for right in (rhs, rhs + 1):
+                want = tree_check_identity(lhs, right, spec.field, 32, seed)
+                got = check_identity(lhs, right, spec.field, 32, seed)
+                assert got == want
+                assert got.ok == (right is rhs)
 
 
 def test_best_f_descent():
