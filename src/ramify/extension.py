@@ -553,8 +553,9 @@ class DifferenceOperators:
     inverse of (s-1)(D_{i-1}(b^i)), for a fixed b whose difference
     generates the difference ideal.
 
-    The denominators depend only on b; their inverses are cached so
-    applying the tower to many elements stays cheap.
+    ``chain`` is the one D-chain: [D_0 x, ..., D_upto x] costs ``upto``
+    sigma-steps, each reading the previous value.  The denominators
+    depend only on b; their inverses are cached.
     """
 
     def __init__(self, ext, b):
@@ -571,16 +572,21 @@ class DifferenceOperators:
                 )
             self._den_inv.append(den.inverse())
 
+    def chain(self, x, upto=None):
+        """[D_0 x, D_1 x, ..., D_upto x], with ``upto`` p - 1 by default."""
+        if upto is None:
+            upto = self.ext.p - 1
+        if not 0 <= upto < self.ext.p:
+            raise InvalidSpec("index must be in 0..p-1")
+        out = [x]
+        for j in range(1, upto + 1):
+            cur = out[-1]
+            out.append((cur.sigma(1) - cur) * self._den_inv[j])
+        return out
+
     def apply(self, i, x):
-        if i == 0:
-            return x
-        if i >= self.ext.p:
-            raise InvalidSpec("index must be below p")
-        cur = x
-        for j in range(1, i + 1):
-            diff = cur.sigma(1) - cur
-            cur = diff * self._den_inv[j]
-        return cur
+        """D_i(x), the last entry of ``chain(x, i)``."""
+        return self.chain(x, i)[i]
 
 
 def integral_sample(ext, rng, span=2, terms=2):

@@ -573,8 +573,8 @@ class ResidueElem:
         return bool(self._a)
 
     # -- arithmetic -------------------------------------------------------
-    # Each operation branches on the representation: tables (F_q, m >= 2),
-    # residues mod p (F_p), or polynomial pairs (F_p(u)).
+    # F_q elements (``_b`` None) use the field's raw ops; F_p(u) elements
+    # combine their polynomial pairs here.
 
     def __add__(self, other):
         f = self.field
@@ -583,18 +583,9 @@ class ResidueElem:
             if other is NotImplemented:
                 return other
         a, b = self._a, other._a
-        log = f._log
-        if log is not None:
-            if not a:
-                return other
-            if not b:
-                return self
-            la = log[a]
-            z = f._zech[log[b] - la]
-            return _elem(f, f._exp[la + z]) if z >= 0 else f._zero
         da, db = self._b, other._b
         if da is None:
-            return _elem(f, (a + b) % f.p)
+            return _elem(f, f._radd(a, b))
         # With one denominator 1, n/d + c = (n + c*d)/d is in lowest terms
         # already: gcd(n + c*d, d) = gcd(n, d) = 1, and d is monic.
         if da == _ONE:
@@ -624,10 +615,8 @@ class ResidueElem:
 
     def __neg__(self):
         f = self.field
-        if f._neg is not None:
-            return _elem(f, f._neg[self._a])
         if self._b is None:
-            return _elem(f, -self._a % f.p)
+            return _elem(f, f._rneg(self._a))
         return _elem(f, _pneg(self._a, f.p), self._b)
 
     def __sub__(self, other):
@@ -645,12 +634,9 @@ class ResidueElem:
             if other is NotImplemented:
                 return other
         a, b = self._a, other._a
-        log = f._log
-        if log is not None:
-            return _elem(f, f._exp[log[a] + log[b]]) if a and b else f._zero
         da, db = self._b, other._b
         if da is None:
-            return _elem(f, a * b % f.p)
+            return _elem(f, f._rmul(a, b))
         if not a or not b:
             return f._zero
         # Henrici: cancel gcd(a, db) and gcd(b, da) first.  The factors
@@ -671,10 +657,8 @@ class ResidueElem:
         if not a:
             raise DivisionByZero("inverse of zero")
         f = self.field
-        if f._log is not None:
-            return _elem(f, f._exp[-f._log[a]])  # exp has period n: index -k is g^-k
         if self._b is None:
-            return _elem(f, pow(a, -1, f.p))
+            return _elem(f, f._rinv(a))
         return f._rat(self._b, a)
 
     def __truediv__(self, other):
@@ -791,7 +775,7 @@ def _raw_ops(field):
             return exp[log[a] + log[b]] if a and b else 0
 
         def inv(a):
-            return exp[-log[a]]
+            return exp[-log[a]]  # exp has period n: index -k is g^-k
 
         def pow_(a, k):
             return exp[log[a] * k % n] if a else _zero_pow(k)

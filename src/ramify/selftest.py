@@ -270,33 +270,33 @@ def _difference_operator_failure(ext, seed, samples):
     one = bext.one()
     zero = bext.zero()
     p = bext.p
-    powers = b.powers(p)
+    chains = [ops.chain(power) for power in b.powers(p)]  # chains[j][i] = D_i(b^j)
+    conjugates = [b.sigma(j) for j in range(p)]
+    tele = zero
     for i in range(p):
-        if not ops.apply(i, powers[i]).agrees_with(one):
+        if not chains[i][i].agrees_with(one):
             return f"D_{i}(b^{i}) != 1"
         for j in range(i):
-            if not ops.apply(i, powers[j]).agrees_with(zero):
+            if not chains[j][i].agrees_with(zero):
                 return f"D_{i}(b^{j}) != 0"
-        tele = zero
-        for j in range(i + 1):
-            tele = tele + b.sigma(j)
-        lhs = ops.apply(i, powers[i + 1])
+        tele = tele + conjugates[i]
+        lhs = chains[i + 1][i]
         if not lhs.agrees_with(tele):
             return f"D_{i}(b^{i + 1}) != sum of conjugates"
         if i <= p - 2:
             step = lhs.sigma(1) - lhs
-            if not step.agrees_with(b.sigma(i + 1) - b):
+            if not step.agrees_with(conjugates[i + 1] - b):
                 return f"difference of D_{i}(b^{i + 1}) is off"
             if step.valuation_coeffwise() != i_value:
                 return f"D_{i}(b^{i + 1}) difference is not a generator"
     zero_cut = Cut.at_least(0, ValueGroup.discrete(1))
     for trial in range(samples):
         x = integral_sample(bext, rng)
+        d_x, d_xb = ops.chain(x), ops.chain(x * b)
         for i in range(1, p):
-            di_x = ops.apply(i, x)
-            if not ops.apply(i, x * b).agrees_with(b.sigma(i) * di_x + ops.apply(i - 1, x)):
+            if not d_xb[i].agrees_with(conjugates[i] * d_x[i] + d_x[i - 1]):
                 return f"product rule failed at trial {trial}, i={i}"
-            if not di_x.in_cut(zero_cut):
+            if not d_x[i].in_cut(zero_cut):
                 return f"D_{i} left the integers at trial {trial}"
     return None
 

@@ -75,6 +75,28 @@ def is_integral(x):
         raise
 
 
+def difference_loop(den_inv, i, x):
+    """D_i(x) by its own loop of i sigma-steps from x, independent of
+    ``DifferenceOperators.chain``, with ``den_inv[j]`` the inverse of the
+    j-th denominator."""
+    cur = x
+    for j in range(1, i + 1):
+        diff = cur.sigma(1) - cur
+        cur = diff * den_inv[j]
+    return cur
+
+
+def difference_denominators(ext, b):
+    """The cached 1/(s-1)(D_{i-1}(b^i)) of ``DifferenceOperators(ext, b)``,
+    built through ``difference_loop``."""
+    den_inv = [None]
+    powers = b.powers(ext.p - 1)
+    for i in range(1, ext.p):
+        num = difference_loop(den_inv, i - 1, powers[i])
+        den_inv.append((num.sigma(1) - num).inverse())
+    return den_inv
+
+
 def lefschetz_minimum(ext, samples=40, seed=0):
     """Sampling oracle for i_sigma: min of v_L(sigma(b) - b) over random
     integral b, seeded with the boundary generators themselves."""

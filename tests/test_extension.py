@@ -9,6 +9,7 @@ from ramify.errors import (
     DegenerateGenerator,
     ExtensionMismatch,
     InsufficientPrecision,
+    InvalidSpec,
     NotApplicable,
     ZeroElement,
 )
@@ -24,9 +25,11 @@ from ramify.extension import (
     unit_sample,
 )
 from ramify.fields import Expr, FieldSpec
+from ramify.invariants import boundary_generator
+from ramify.parsing import parse_field_spec
 from ramify.series import Cut, LaurentSeries, ValueGroup, random_series
 
-from oracles import is_integral
+from oracles import difference_denominators, difference_loop, is_integral
 
 F2 = FieldSpec.finite(2)
 F3 = FieldSpec.finite(3)
@@ -358,6 +361,42 @@ def test_difference_operator_degenerate():
     ext = ext_of(F3, -2)
     with pytest.raises(DegenerateGenerator):
         DifferenceOperators(ext, ext.one())  # sigma fixes 1
+
+
+def test_difference_operator_index_out_of_range():
+    ext = ext_of(F3, -2)
+    ops = DifferenceOperators(ext, ext.alpha() * mono(F3, 1))
+    x = ext.alpha()
+    for i in (-2, -1, ext.p):
+        with pytest.raises(InvalidSpec):
+            ops.apply(i, x)
+        with pytest.raises(InvalidSpec):
+            ops.chain(x, i)
+
+
+@pytest.mark.parametrize("spec, pole, prec", [
+    ("Fp:2", 3, 24), ("Fp:3", 2, 24), ("Fp:5", 3, 16), ("Fq:9", 2, 16),
+    ("Fp(u):2", 2, 16), ("Fp(u):2", 3, 16), ("Fp(u):3", 1, 16), ("Fp(u):3", 3, 16),
+])
+def test_difference_chain_matches_the_loop(spec, pole, prec):
+    """chain(x)[i] and apply(i, x) equal D_i(x) rebuilt by its own loop,
+    and so do the cached denominators.  LElement equality compares each
+    coordinate's coefficients and prec."""
+    field = parse_field_spec(spec)
+    c = field.one() if field.is_finite and field.degree == 1 else field.generator()
+    ext = ext_of(field, -pole, c, prec).with_best_f()
+    b = boundary_generator(ext)
+    ops = DifferenceOperators(ext, b)
+    den_inv = difference_denominators(ext, b)
+    assert ops._den_inv == den_inv
+    rng = random.Random(5)
+    for x in [b, *(integral_sample(ext, rng) for _ in range(3))]:
+        chain = ops.chain(x)
+        assert len(chain) == ext.p
+        for i in range(ext.p):
+            want = difference_loop(den_inv, i, x)
+            assert chain[i] == want
+            assert ops.apply(i, x) == want
 
 
 # -- integral closure description ---------------------------------------------
