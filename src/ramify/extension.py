@@ -9,9 +9,8 @@ valuations on L, the inductive difference operators, and the shape of
 the integral closure.
 
 An element builds the columns of its multiplication matrix once
-(``LElement.columns``); its products, trace pairings, norm and inverse
-all read them.  ``LElement.powers`` is the one product chain for
-powers in L.
+(``LElement.columns``); its products, norm and inverse all read them.
+``LElement.powers`` is the one product chain for powers in L.
 
 Each coordinate of a product in L is a sum of series products, one
 ``series.dot``: it is known below the minimum of its products' bounds
@@ -36,7 +35,7 @@ from .errors import (
     ZeroElement,
 )
 from .fields import artin_schreier_solvable, frobenius_root, is_pth_power
-from .series import Cut, LaurentSeries, ValueGroup, dot, series_in_cut
+from .series import Cut, LaurentSeries, ValueGroup, dot, linear_combination, series_in_cut
 
 
 class BestCase(Enum):
@@ -323,32 +322,26 @@ class LElement:
         return out
 
     def sigma(self, k=1):
-        """The Galois action determined by alpha -> alpha + k."""
+        """The Galois action determined by alpha -> alpha + k: expanding
+        (alpha + k)^i binomially, coordinate j of the image is
+        sum_{i >= j} C(i, j) * k^(i-j) * c_i, one ``linear_combination``
+        known below the least precision of the c_i."""
         p = self.ext.p
         k %= p
         if k == 0:
             return self
-        field = self.ext.field
-        z = LaurentSeries.zero(field, min(c.prec for c in self.coeffs))
-        out = [z] * p
-        for i, ci in enumerate(self.coeffs):
-            # (alpha + k)^i expanded binomially; coefficients live in F_p
-            for j in range(i + 1):
-                scalar = (math.comb(i, j) * pow(k, i - j, p)) % p
-                if scalar:
-                    out[j] = out[j] + ci.scale(field.from_int(scalar))
-        return LElement(self.ext, tuple(out))
+        prec = min(c.prec for c in self.coeffs)
+        return LElement(self.ext, tuple(
+            linear_combination(
+                [(math.comb(i, j) * pow(k, i - j, p) % p, self.coeffs[i]) for i in range(j, p)],
+                prec,
+            )
+            for j in range(p)
+        ))
 
     def trace(self):
         # Tr 1 = p = 0, Tr alpha^i = 0 for 0 < i < p-1, Tr alpha^(p-1) = -1
         return -self.coeffs[-1]
-
-    def trace_of_product(self, other):
-        """(self * other).trace() from the one coordinate it reads: the
-        same products and bound that make coordinate p-1 of the product."""
-        other = self._check(other)
-        pairs = [(col[-1], c) for col, c in zip(self.columns(), other.coeffs)]
-        return -dot(pairs, self.ext.f.prec)
 
     def norm(self):
         return _laplace(self.columns())[0]

@@ -9,12 +9,13 @@ relative to a declared value group.
 A series stores its coefficients raw: ints mod p over F_p, log/Zech
 table codes over F_q with m >= 2, and the canonical ``ResidueElem``
 itself over F_p(u) (see ``fields``).  ``+``, ``-``, ``scale``,
-``shift``, ``truncate``, ``inverse``, ``euler_derivative`` and the
-kernel ``dot`` work on those values through the field's raw
-operations.  Elements are built only at the boundary: the
-``LaurentSeries`` constructor converts elements and ints to raw values
-(and rejects an element of another field), and ``coeffs``, ``coeff``,
-``leading`` and ``__str__`` convert back on demand.
+``shift``, ``truncate``, ``inverse``, ``euler_derivative``,
+``linear_combination`` and the kernel ``dot`` work on those values
+through the field's raw operations.  Elements are built only at the
+boundary: the ``LaurentSeries`` constructor converts elements and ints
+to raw values (and rejects an element of another field), and
+``coeffs``, ``coeff``, ``leading`` and ``__str__`` convert back on
+demand.
 """
 
 from __future__ import annotations
@@ -498,6 +499,25 @@ def dot(pairs, prec=None):
             bound = pair_bound
     field = pairs[0][0].field
     return _series(field, dot_coeffs(field, live, bound) if live else {}, bound)
+
+
+def linear_combination(terms, prec):
+    """The sum of n*s over a nonempty sequence of (n, s) pairs of an int
+    and a series over one field, for ``prec`` at most every s.prec: the
+    value and precision of the chain ``zero(prec) + s0.scale(n0) + ...``,
+    in one pass over raw values.  Unlike ``dot``'s, the bound is
+    ``prec`` alone."""
+    field = terms[0][1].field
+    add, mul, to_raw = field._radd, field._rmul, field._to_raw
+    out = {}
+    for n, s in terms:
+        if n % field.p:
+            r = to_raw(n)
+            for e, c in s._raw.items():
+                if e < prec:
+                    cur = out.get(e)
+                    out[e] = mul(c, r) if cur is None else add(cur, mul(c, r))
+    return _series(field, {e: c for e, c in out.items() if c}, prec)
 
 
 def series_in_cut(s, cut):

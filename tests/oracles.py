@@ -2,10 +2,20 @@
 not use, kept beside the tests that compare the library against them."""
 
 import itertools
+import math
 import random
+from fractions import Fraction
 
-from ramify.errors import DivisionByZero, FieldMismatch, InsufficientPrecision, InvalidSpec
-from ramify.extension import integral_basis, integral_sample
+from ramify.errors import (
+    DivisionByZero,
+    FieldMismatch,
+    InsufficientPrecision,
+    InvalidSpec,
+    RamifyError,
+)
+from ramify.extension import LElement, integral_basis, integral_sample
+from ramify.invariants import TRACE_DUAL_PERTURBATIONS, Z_GROUP
+from ramify.series import Cut, LaurentSeries, dot, series_in_cut
 
 
 def tree_evaluate(expr, env, field):
@@ -95,6 +105,82 @@ def difference_denominators(ext, b):
         num = difference_loop(den_inv, i - 1, powers[i])
         den_inv.append((num.sigma(1) - num).inverse())
     return den_inv
+
+
+def sigma_loop(x, k=1):
+    """sigma_k(x) as a chain of series ``scale`` and ``+`` from the zero
+    at the least coordinate precision, one binomial term at a time."""
+    ext = x.ext
+    p, field = ext.p, ext.field
+    k %= p
+    if k == 0:
+        return x
+    z = LaurentSeries.zero(field, min(c.prec for c in x.coeffs))
+    out = [z] * p
+    for i, ci in enumerate(x.coeffs):
+        for j in range(i + 1):
+            scalar = (math.comb(i, j) * pow(k, i - j, p)) % p
+            if scalar:
+                out[j] = out[j] + ci.scale(field.from_int(scalar))
+    return LElement(ext, tuple(out))
+
+
+def trace_of_product(x, g):
+    """(x * g).trace() from the one coordinate it reads: the products of
+    x's last column entries with g's coordinates, with f's precision as
+    the start bound, as coordinate p-1 of the product has them."""
+    pairs = [(col[-1], c) for col, c in zip(x.columns(), g.coeffs)]
+    return -dot(pairs, x.ext.f.prec)
+
+
+def element_trace_dual_cut(ext, seed=0, log=None):
+    """``invariants.trace_dual_cut`` with every candidate and perturbation
+    built as an element of L and multiplied out against each generator.
+    With a ``log`` list, appends (r, s, bump, x) for every element x
+    whose traces are read, bump None for the unperturbed candidate."""
+    basis = integral_basis(ext)
+    ext = basis.ext
+    rng = random.Random(seed)
+    p = ext.p
+    n = int(ext.swan)
+    v0 = ext.swan / p
+    gens = ext.integral_generators()
+    field = ext.field
+    prec = ext.f.prec
+    integral = Cut.at_least(0, Z_GROUP)
+
+    def admissible(x):
+        return all(series_in_cut(trace_of_product(x, g), integral) for g in gens)
+
+    step = basis.group.granularity
+    lo = -Fraction(p - 1) * (n + p) / p - 1
+    w = math.floor(lo / step) * step
+    first_pass = None
+    while w <= 1:
+        r = next(r for r in range(p) if (w + r * v0).denominator == 1)
+        s = int(w + r * v0)
+        base = ext.alpha_power(r) * LaurentSeries.monomial(field, s, 1, prec)
+        if log is not None:
+            log.append((r, s, None, base))
+        ok = admissible(base)
+        for _ in range(TRACE_DUAL_PERTURBATIONS):
+            bump = integral_sample(ext, rng, span=1, terms=1)
+            t1 = LaurentSeries.monomial(field, 1, 1, prec)
+            perturbed = base + base * (bump * t1)
+            if log is not None:
+                log.append((r, s, bump, perturbed))
+            if admissible(perturbed) != ok:
+                raise RamifyError(
+                    "trace-dual verdict changed under a higher-valuation perturbation"
+                )
+        if ok and first_pass is None:
+            first_pass = w
+        if not ok and first_pass is not None:
+            raise RamifyError("trace-dual membership was not monotone in valuation")
+        w += step
+    if first_pass is None:
+        raise RamifyError("no admissible valuation found on the scanned grid")
+    return Cut.at_least(first_pass, basis.group).inverse()
 
 
 def lefschetz_minimum(ext, samples=40, seed=0):

@@ -17,6 +17,7 @@ from ramify.extension import (
     ASExtension,
     BestCase,
     DifferenceOperators,
+    LElement,
     RamificationType,
     classify,
     integral_basis,
@@ -29,7 +30,7 @@ from ramify.invariants import boundary_generator
 from ramify.parsing import parse_field_spec
 from ramify.series import Cut, LaurentSeries, ValueGroup, random_series
 
-from oracles import difference_denominators, difference_loop, is_integral
+from oracles import difference_denominators, difference_loop, is_integral, sigma_loop
 
 F2 = FieldSpec.finite(2)
 F3 = FieldSpec.finite(3)
@@ -397,6 +398,32 @@ def test_difference_chain_matches_the_loop(spec, pole, prec):
             want = difference_loop(den_inv, i, x)
             assert chain[i] == want
             assert ops.apply(i, x) == want
+
+
+@pytest.mark.parametrize("spec, pole, prec", [
+    ("Fp:2", 3, 24), ("Fp:3", 2, 24), ("Fp:5", 3, 16), ("Fq:9", 2, 16),
+    ("Fp(u):2", 2, 16), ("Fp(u):2", 3, 16), ("Fp(u):3", 1, 16), ("Fp(u):3", 3, 16),
+])
+def test_sigma_matches_the_chain_of_scaled_sums(spec, pole, prec):
+    """sigma_k in one pass equals the chain of ``scale`` and ``+`` from
+    the zero at the least coordinate precision, in value and prec, for
+    every k = 1 .. p-1, on elements whose coordinates have uneven
+    precision and cancelling terms."""
+    field = parse_field_spec(spec)
+    c = field.one() if field.is_finite and field.degree == 1 else field.generator()
+    ext = ext_of(field, -pole, c, prec).with_best_f()
+    rng = random.Random(11)
+    xs = [ext.alpha_power(ext.p - 1), integral_sample(ext, rng), unit_sample(ext, rng)]
+    xs += [
+        LElement(ext, tuple(
+            random_series(field, rng, rng.randint(-3, 1), 4, rng.randint(0, prec))
+            for _ in range(ext.p)
+        ))
+        for _ in range(6)
+    ]
+    for x in xs:
+        for k in range(1, ext.p):
+            assert x.sigma(k) == sigma_loop(x, k)
 
 
 # -- integral closure description ---------------------------------------------

@@ -1,19 +1,23 @@
+import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from ramify.errors import NotApplicable, SwanZero, TrivialExtension
+from ramify.errors import NotApplicable, RamifyError, SwanZero, TrivialExtension
 from ramify.extension import ASExtension, RamificationType
 from ramify.fields import FieldSpec
 from ramify.invariants import (
     boundary_generator,
     build_report,
+    candidate_traces,
     check_diagram_commutativity,
     check_difference_product_rules,
     check_norm_additivity,
     check_norm_ideal_identity,
     check_refined_swan_stability,
     different_ideal,
+    generator_traces,
     ideal_h,
     ideal_i_sigma,
     ideal_j,
@@ -24,9 +28,10 @@ from ramify.invariants import (
     trace_dual_cut,
     value_group_of_l,
 )
+from ramify.parsing import parse_field_spec
 from ramify.series import Cut, LaurentSeries, ValueGroup, series_in_cut
 
-from oracles import lefschetz_minimum
+from oracles import element_trace_dual_cut, lefschetz_minimum, trace_of_product
 
 F2 = FieldSpec.finite(2)
 F3 = FieldSpec.finite(3)
@@ -170,6 +175,57 @@ def test_different_examples():
 def test_different_matches_trace_dual():
     for ext in (ext_of(F2, -1), ext_of(F3, -2), ext_of(F2u, -2, F2u.generator())):
         assert different_ideal(ext) == trace_dual_cut(ext, seed=3)
+
+
+SCAN_FIELDS = tuple(
+    parse_field_spec(spec)
+    for spec in ("Fp:2", "Fp:3", "Fp:5", "Fp:7", "Fq:4", "Fq:9", "Fp(u):2", "Fp(u):3")
+)
+
+
+def scan_extension(field, rng, prec):
+    """f = c*t^-n plus random terms up to t^1.  n is prime to p over a
+    finite field (wild); over F_p(u), p | n is allowed too, which is
+    ferocious when c is not a p-th power."""
+    poles = range(1, 3 if field.p == 7 else 5)
+    n = rng.choice([n for n in poles if n % field.p or not field.is_finite])
+    coeffs = {-n: field.sample_point(rng, max_degree=1) or field.one()}
+    for e in range(1 - n, 2):
+        if rng.random() < 0.4:
+            coeffs[e] = field.sample_point(rng, max_degree=1)
+    return ASExtension(field, LaurentSeries(field, coeffs, prec))
+
+
+def scan_outcome(scan, ext, seed, *args):
+    try:
+        return scan(ext, seed, *args)
+    except RamifyError as exc:
+        return type(exc)
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.sampled_from(SCAN_FIELDS), st.integers(0, 2**32), st.integers(4, 16), st.integers(0, 7))
+def test_table_scan_matches_the_element_scan(field, seed, prec, scan_seed):
+    """The scan on the table of generator traces returns the cut the scan
+    over built elements returns, or raises the same exception class, for
+    the same seed.  Every trace it can read equals the one from the
+    built element in value, known at least as far."""
+    ext = scan_extension(field, random.Random(seed), prec)
+    log = []
+    want = scan_outcome(element_trace_dual_cut, ext, scan_seed, log)
+    assert scan_outcome(trace_dual_cut, ext, scan_seed) == want
+    if not log:
+        return
+    ext = ext.with_best_f()
+    table = generator_traces(ext)
+    gens = ext.integral_generators()
+    for r, s, bump, x in log:
+        traces = list(candidate_traces(table, r, s, bump))
+        assert len(traces) == len(gens)
+        for tr, g in zip(traces, gens):
+            old = trace_of_product(x, g)
+            assert tr.prec >= old.prec
+            assert tr.truncate(old.prec) == old
 
 
 def test_norm_additivity_grid():
