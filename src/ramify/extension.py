@@ -201,17 +201,15 @@ class ASExtension:
         return LElement(self, powers[i])
 
     def integral_generators(self):
-        """The generators ``integral_sample`` draws from, memoised: the
-        alpha powers when unramified (B = A[alpha] with alpha a unit),
-        else the generators of the integral basis."""
+        """The generators of B that ``integral_sample`` draws from, as
+        elements of the reduced presentation ``with_best_f()`` whatever
+        presentation is asked: ``integral_basis(...).generators()``,
+        memoised on the reduced extension."""
+        ext = self.with_best_f()
         key = "integral_generators"
-        if key not in self._cache:
-            if self.classification() is RamificationType.UNRAMIFIED:
-                gens = [self.alpha_power(i) for i in range(self.p)]
-            else:
-                gens = integral_basis(self).generators()
-            self._cache[key] = [g.coeffs for g in gens]
-        return [LElement(self, c) for c in self._cache[key]]
+        if key not in ext._cache:
+            ext._cache[key] = [g.coeffs for g in integral_basis(ext).generators()]
+        return [LElement(ext, c) for c in ext._cache[key]]
 
     def inverse_alpha(self):
         key = "inverse_alpha"
@@ -492,10 +490,11 @@ class BasisDescription(NamedTuple):
     ``ext`` is the reduced presentation and ``group`` the value group of
     L in v_K units.  ``cuts`` holds the coefficient ideals A_i as cuts
     over the value group of K: wild, A_0 = A and A_i = {v > i*swan/p};
-    ferocious, A_i = gamma^i A, because B = A[alpha*gamma] for the unit
-    alpha*gamma with gamma = t^(swan/p).  ``i_star`` is the index i >= 1
-    whose boundary element alpha^i * t^(A_i) has the difference
-    sigma(b) - b of least valuation, A_i + (1-i)*swan/p.
+    otherwise A_i = gamma^i A, because B = A[alpha*gamma] for the unit
+    alpha*gamma with gamma = t^(swan/p).  Unramified, swan = 0 makes
+    gamma = 1, so B = A[alpha] and every A_i is A.  ``i_star`` is the
+    index i >= 1 whose boundary element alpha^i * t^(A_i) has the
+    difference sigma(b) - b of least valuation, A_i + (1-i)*swan/p.
     """
 
     kind: str
@@ -507,7 +506,7 @@ class BasisDescription(NamedTuple):
 
     def generators(self):
         """The boundary generators alpha^i * t^(A_i) of the A_i alpha^i;
-        ferocious, these are the powers of the unit alpha*gamma."""
+        unless wild, these are the powers of the unit alpha*gamma."""
         ext = self.ext
         if self.kind == "wild":
             return [
@@ -519,13 +518,14 @@ class BasisDescription(NamedTuple):
 
 
 def integral_basis(ext):
-    """The one record of the shape of B, for a wild or ferocious
-    extension: wild cuts A_i = {v > i*swan/p} with A_0 = A, ferocious
-    A_i = gamma^i A.  NotApplicable for the other kinds, so it is also
-    the guard of every operation that needs a ramified extension."""
+    """The one record of the shape of B, for every nontrivial extension:
+    wild cuts A_i = {v > i*swan/p} with A_0 = A, otherwise A_i = gamma^i A
+    with gamma = t^(swan/p), which is 1 when unramified.  NotApplicable
+    for a trivial extension, so it is also the guard of every operation
+    that needs a field extension."""
     kind = ext.classification()
-    if kind not in (RamificationType.WILD, RamificationType.FEROCIOUS):
-        raise NotApplicable(f"operation needs a wild or ferocious extension, got {kind.value}")
+    if kind is RamificationType.TRIVIAL:
+        raise NotApplicable("operation needs a nontrivial extension")
     ext = ext.with_best_f()
     p = ext.p
     v0 = ext.swan / p
@@ -584,7 +584,8 @@ class DifferenceOperators:
 
 def integral_sample(ext, rng, span=2, terms=2):
     """A random integral element of the reduced presentation, built
-    from the shape of B (see ``ASExtension.integral_generators``).
+    from the shape of B: the extension is that of the generators
+    ``ext.integral_generators()`` it draws from.
 
     Each generator draws up to ``terms`` monomials t^e (0 <= e <=
     ``span``) into a series s; coordinate j of the sample is one
@@ -592,10 +593,10 @@ def integral_sample(ext, rng, span=2, terms=2):
     bound, which is the chain ``zero + g0*s0 + g1*s1 + ...`` in value
     and ``prec``.  A sample that is zero on its known range is replaced
     by one generator drawn at random."""
-    ext = ext.with_best_f()
+    gens = ext.integral_generators()
+    ext = gens[0].ext
     field = ext.field
     prec = ext.f.prec
-    gens = ext.integral_generators()
     drawn = []
     for g in gens:
         picks = {}
@@ -615,12 +616,16 @@ def integral_sample(ext, rng, span=2, terms=2):
     return gens[rng.randrange(len(gens))]
 
 
-def unit_sample(ext, rng, span=2):
+# a unit sample is an integral sample of this span times t^s, |s| <= UNIT_SPAN
+UNIT_SPAN = 2
+
+
+def unit_sample(ext, rng):
     """A random element of L^x (nonzero on the known range), in the
     reduced presentation."""
-    ext = ext.with_best_f()
-    x = integral_sample(ext, rng, span=span)
-    shift = rng.randrange(-span, span + 1)
+    x = integral_sample(ext, rng, span=UNIT_SPAN)
+    ext = x.ext
+    shift = rng.randrange(-UNIT_SPAN, UNIT_SPAN + 1)
     g = LaurentSeries.monomial(ext.field, shift, 1, ext.f.prec)
     out = x * g
     if out.is_zero_known():

@@ -1,12 +1,12 @@
 """Ideal-theoretic invariants of an Artin-Schreier extension of k((t)).
 
 Cuts for ideals of B are expressed in v_K units throughout, so the
-value group of L is (1/p)Z in the wild case and Z in the ferocious
-case, and taking norms scales cut values by p uniformly.  Every ideal
-of B is read from one record of its shape, ``integral_basis``: the
-value group, the coefficient ideals A_i of B = sum_i A_i alpha^i and
-the decisive index i_star, so no function here re-decides between the
-wild and the ferocious shape.
+value group of L is (1/p)Z in the wild case and Z otherwise, and
+taking norms scales cut values by p uniformly.  Every ideal of B is
+read from one record of its shape, ``integral_basis``: the value
+group, the coefficient ideals A_i of B = sum_i A_i alpha^i and the
+decisive index i_star, so no function here re-decides the shape,
+wild, ferocious or unramified (the ferocious formula with gamma = 1).
 """
 
 from __future__ import annotations
@@ -33,13 +33,13 @@ from .extension import (
     unit_sample,
 )
 from .records import encode
-from .series import Cut, ValueGroup, dot, restrict_cut, series_in_cut
+from .series import Cut, ValueGroup, dot, random_series, restrict_cut, series_in_cut
 
 Z_GROUP = ValueGroup.discrete(1)
 
 
 def value_group_of_l(ext):
-    """Value group of L in v_K units, for a wild or ferocious extension."""
+    """Value group of L in v_K units, for a nontrivial extension."""
     return integral_basis(ext).group
 
 
@@ -119,7 +119,6 @@ def refined_swan(ext):
     comparison ideal; needs a positive Swan conductor."""
     if ext.swan == 0:
         raise SwanZero("the refined invariant needs swan > 0")
-    ext = ext.with_best_f()
     return log_form_of(ext.best.f_best, rsw_modulus(ext))
 
 
@@ -230,9 +229,8 @@ def boundary_generator(ext):
     """An integral b with sigma(b) - b of minimal valuation, so that its
     difference generates the difference ideal: the boundary generator of
     the coefficient ideal at ``i_star``, which is the unit alpha*gamma
-    when ferocious."""
-    basis = integral_basis(ext)
-    return basis.ext.integral_generators()[basis.i_star]
+    when ferocious and alpha when unramified."""
+    return ext.integral_generators()[integral_basis(ext).i_star]
 
 
 class CheckResult(NamedTuple):
@@ -255,12 +253,8 @@ def check_norm_ideal_identity(ext):
     if ext.classification() is RamificationType.TRIVIAL:
         raise TrivialExtension("nothing to verify for a trivial extension")
     ext = ext.with_best_f()
-    if ext.classification() is RamificationType.UNRAMIFIED:
-        h = Cut.at_least(0, Z_GROUP)
-        nj = Cut.at_least(0, Z_GROUP)
-    else:
-        h = ideal_h(ext).normalize()
-        nj = norm_of_j(ext)
+    h = ideal_h(ext).normalize()
+    nj = norm_of_j(ext)
     cuts_equal = h == nj
     n_inv_alpha = ext.inverse_alpha().norm()
     product = n_inv_alpha * ext.best.f_best
@@ -288,7 +282,6 @@ def check_refined_swan_stability(ext, shifts=50, seed=0):
     original f in the denominator on both sides.
     """
     _require_samples(shifts)
-    ext = ext.with_best_f()
     if ext.swan == 0:
         raise SwanZero("stability concerns extensions with positive swan")
     rng = random.Random(seed)
@@ -301,8 +294,6 @@ def check_refined_swan_stability(ext, shifts=50, seed=0):
     base_t = f.euler_derivative() * inv_f
     base_u = None if field.is_finite else f.u_derivative() * inv_f
     lo = -((n - 1) // p)  # least integer valuation with p*v > -n
-    from .series import random_series
-
     for trial in range(shifts):
         a = random_series(field, rng, lo, lo + 3, f.prec, density=0.6)
         g = f + (a ** p - a)
@@ -329,12 +320,8 @@ def check_norm_additivity(ext, samples=100, seed=0):
     _require_samples(samples)
     if ext.classification() is RamificationType.TRIVIAL:
         raise TrivialExtension("nothing to verify for a trivial extension")
-    ext = ext.with_best_f()
     rng = random.Random(seed)
-    if ext.classification() is RamificationType.UNRAMIFIED:
-        bound = Cut.at_least(0, Z_GROUP)
-    else:
-        bound = restrict_cut(ideal_i_sigma(ext), Z_GROUP)
+    bound = restrict_cut(ideal_i_sigma(ext), Z_GROUP)
     for trial in range(samples):
         x = integral_sample(ext, rng)
         y = integral_sample(ext, rng)
@@ -444,7 +431,7 @@ def principality_chain(subject):
     tower is defectless when H is closed.
     """
     if isinstance(subject, ASExtension):
-        integral_basis(subject)  # NotApplicable unless wild or ferocious
+        integral_basis(subject)  # NotApplicable for a trivial extension
         report = build_report(subject, run_checks=False)
         f_best = subject.best.f_best
         best_f_exists = reduce_to_best(f_best).f_best == f_best
@@ -497,31 +484,27 @@ def build_report(ext, samples=50, seed=0, run_checks=True):
     report = InvariantReport(ext.best.swan, ext.best.case, kind, checks)
     if kind is RamificationType.TRIVIAL:
         return report
-    p = ext.p
-    if kind is RamificationType.UNRAMIFIED:
-        zero_cut = Cut.at_least(0, Z_GROUP)
-        if run_checks:
-            checks["norm_ideal_identity"] = check_norm_ideal_identity(ext)
-            checks["norm_additivity"] = check_norm_additivity(ext, samples, seed)
-        return report._replace(
-            f_inertia=p, i_sigma=zero_cut, j_sigma=zero_cut, h=zero_cut, n_of_j=zero_cut,
-            different=zero_cut, i_lefschetz=Fraction(0), j_lefschetz=Fraction(0),
-        )
     # the ramification index is the index of the value group of K in L's
     e = int(1 / value_group_of_l(ext).granularity)
     i_cut = ideal_i_sigma(ext)
     j_cut = ideal_j(ext)
+    # an unramified extension has swan 0 and no refined form; it runs
+    # the norm checks only
+    ramified = ext.swan > 0
     report = report._replace(
-        e=e, f_inertia=p // e,
+        e=e, f_inertia=ext.p // e,
         i_sigma=i_cut, j_sigma=j_cut,
         h=ideal_h(ext), n_of_j=norm_of_j(ext),
-        rsw=refined_swan(ext), different=different_ideal(ext),
+        rsw=refined_swan(ext) if ramified else None, different=different_ideal(ext),
         i_lefschetz=i_cut.value, j_lefschetz=j_cut.value,
     )
-    if run_checks:
-        checks["norm_ideal_identity"] = check_norm_ideal_identity(ext)
+    if not run_checks:
+        return report
+    checks["norm_ideal_identity"] = check_norm_ideal_identity(ext)
+    if ramified:
         checks["refined_swan_stability"] = check_refined_swan_stability(ext, samples, seed)
-        checks["norm_additivity"] = check_norm_additivity(ext, samples, seed)
+    checks["norm_additivity"] = check_norm_additivity(ext, samples, seed)
+    if ramified:
         checks["diagram_commutativity"] = check_diagram_commutativity(ext, samples, seed)
         checks["difference_product_rules"] = check_difference_product_rules(
             ext, min(samples, 32), seed

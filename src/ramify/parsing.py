@@ -17,6 +17,9 @@ from .series import LaurentSeries
 
 # the largest degree a power of an F_p(u) literal may reach
 DEGREE_LIMIT = 4096
+# the deepest nesting of parentheses a coefficient or modulus may have:
+# the grammar recurses three calls per level
+NESTING_LIMIT = 200
 
 _TOKEN_RE = re.compile(
     r"\s*(?:(?P<int>\d+)|(?P<name>[A-Za-z]\w*)|(?P<op>[-+*/^()]))"
@@ -52,6 +55,7 @@ class _Parser:
         self.tokens = _tokenize(text)
         self.i = 0
         self.field = field
+        self.depth = 0
 
     def peek(self):
         return self.tokens[self.i]
@@ -135,9 +139,13 @@ class _Parser:
     def coef_factor(self):
         kind, val, pos = self.peek()
         if kind == "op" and val == "(":
+            if self.depth == NESTING_LIMIT:
+                raise ParseError(f"parentheses nested deeper than {NESTING_LIMIT}", pos)
             self.next()
+            self.depth += 1
             out = self.coef_expr()
             self.expect_op(")")
+            self.depth -= 1
         elif kind == "int":
             self.next()
             out = self.field.from_int(val)

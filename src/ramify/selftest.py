@@ -260,10 +260,10 @@ def criterion_trace_identities(seed=DEFAULT_SEED):
 
 def _difference_operator_failure(ext, seed, samples):
     """First violated operator law for one extension, or None."""
-    bext = ext.with_best_f()
     rng = random.Random(seed)
-    b = boundary_generator(bext)
-    i_value = ideal_i_sigma(bext).value
+    b = boundary_generator(ext)
+    bext = b.ext
+    i_value = ideal_i_sigma(ext).value
     if (b.sigma(1) - b).valuation_coeffwise() != i_value:
         return "chosen b does not generate the difference ideal"
     ops = DifferenceOperators(bext, b)
@@ -344,9 +344,8 @@ def criterion_different_cross_check(extensions, seed=DEFAULT_SEED):
         oracle = trace_dual_cut(ext, seed=seed)
         if d != oracle:
             failures.append(f"{label}: formula {d!r}, trace dual {oracle!r}")
-        bext = ext.with_best_f()
-        if bext.classification() is RamificationType.FEROCIOUS:
-            if d != ideal_j(bext) ** (bext.p - 1):
+        if ext.classification() is RamificationType.FEROCIOUS:
+            if d != ideal_j(ext) ** (ext.p - 1):
                 failures.append(f"{label}: ferocious different is not J^(p-1)")
     return CriterionResult(
         11, "different_vs_trace_dual", not failures, "; ".join(failures[:3])

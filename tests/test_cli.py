@@ -16,7 +16,7 @@ from hypothesis import given, settings, strategies as st
 from ramify.cli import main, make_parser
 from ramify.errors import FieldLiteralError, InvalidSpec, ParseError
 from ramify.fields import FieldSpec
-from ramify.parsing import factor_prime_power, parse_field_spec, parse_series
+from ramify.parsing import NESTING_LIMIT, factor_prime_power, parse_field_spec, parse_series
 from ramify.series import random_series
 
 
@@ -96,6 +96,29 @@ def test_huge_field_order_exits_two_at_once(capsys):
     for q in (2 ** 64, 10 ** 30 + 57):
         with pytest.raises(InvalidSpec):
             factor_prime_power(q)
+
+
+def nested(depth, core):
+    return "(" * depth + core + ")" * depth
+
+
+def test_parenthesis_nesting_is_capped(capsys):
+    f2u = parse_field_spec("Fp(u):2")
+    deepest = nested(NESTING_LIMIT, "u") + "*t^-2"
+    assert parse_series(deepest, f2u, 8) == parse_series("u*t^-2", f2u, 8)
+    argv = ["analyze", "--field", "Fp(u):2", "--prec", "8", "--trials", "1"]
+    assert run_cli(argv + ["--f", deepest], capsys)[0] == 0
+    for depth in (NESTING_LIMIT + 1, 600):
+        too_deep = nested(depth, "u") + "*t^-2"
+        with pytest.raises(ParseError) as err:
+            parse_series(too_deep, f2u, 8)
+        assert err.value.position == NESTING_LIMIT
+        code, out = run_cli(argv + ["--f", too_deep], capsys)
+        assert code == 2 and out.startswith("error: ")
+    # the modulus is read by the same coefficient grammar
+    modulus = "Fq:4:" + nested(1000, "w^2+w+1")
+    code, out = run_cli(["analyze", "--field", modulus, "--f", "t^-1", "--prec", "8"], capsys)
+    assert code == 2 and out.startswith("error: ")
 
 
 def test_parse_print_roundtrip_random():
@@ -308,7 +331,10 @@ INVALID_FIELDS = [
     ("Fq:4:w^2+1", "w"), ("Fq:1000000014", None), ("Zp:3", None), ("", None),
     ("Fq:9:w^2+", "w"), ("Fq:5:w^7", "w"), ("Fq:7:w^2+1", "w"),
 ]
-BAD_TERMS = ["t^", "(", "t^-", "", "*t", "1/0*t", "x*t", "0*t^-2", "t^-2*u", "w^-1*t"]
+BAD_TERMS = [
+    "t^", "(", "t^-", "", "*t", "1/0*t", "x*t", "0*t^-2", "t^-2*u", "w^-1*t",
+    nested(600, "1") + "*t",
+]
 
 
 @st.composite

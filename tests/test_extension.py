@@ -447,7 +447,17 @@ def test_integral_basis_ferocious():
 
 def test_integral_basis_not_applicable():
     with pytest.raises(NotApplicable):
-        integral_basis(ASExtension(F2, LaurentSeries.one(F2, 4)))
+        integral_basis(ASExtension(F2, mono(F2, 1, 1, 4)))  # f = t is trivial
+
+
+def test_integral_generators_belong_to_the_reduced_presentation():
+    ext = ext_of(F2, -4, prec=16)
+    reduced = ext.with_best_f()
+    assert reduced.f.coeffs == {-1: F2.one()}
+    gens = ext.integral_generators()
+    assert all(g.ext is reduced for g in gens)
+    assert gens[1].valuation() == Fraction(1, 2)  # t*alpha with v(alpha) = -1/2
+    assert gens == reduced.integral_generators()
 
 
 def test_with_best_f_shares_invariants():

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ramify.errors import NotApplicable, RamifyError, SwanZero, TrivialExtension
-from ramify.extension import ASExtension, RamificationType
+from ramify.extension import ASExtension, RamificationType, integral_basis
 from ramify.fields import FieldSpec
 from ramify.invariants import (
     boundary_generator,
@@ -22,13 +22,14 @@ from ramify.invariants import (
     ideal_i_sigma,
     ideal_j,
     norm_of_j,
+    principality_chain,
     refined_swan,
     restrict_cut,
     rsw_modulus,
     trace_dual_cut,
     value_group_of_l,
 )
-from ramify.parsing import parse_field_spec
+from ramify.parsing import parse_field_spec, parse_series
 from ramify.series import Cut, LaurentSeries, ValueGroup, series_in_cut
 
 from oracles import element_trace_dual_cut, lefschetz_minimum, trace_of_product
@@ -110,6 +111,41 @@ def test_norm_ideal_identity_grid():
 def test_norm_ideal_identity_unramified():
     ext = ASExtension(F2, LaurentSeries.one(F2, 8))
     assert check_norm_ideal_identity(ext).ok
+
+
+@pytest.mark.parametrize("spec, text", [
+    ("Fp:2", "1 + t"),
+    ("Fp:3", "1 + t^2"),
+    ("Fq:4", "w + t"),
+    ("Fp(u):2", "u + t"),
+    ("Fp:2", "t^-2 + t^-1 + 1 + t"),  # reduces to 1 + t
+])
+def test_unramified_extension_is_the_gamma_one_case(spec, text):
+    field = parse_field_spec(spec)
+    integers = Cut.at_least(0, Z)
+    for prec in (2, 8, 16):
+        ext = ASExtension(field, parse_series(text, field, prec))
+        assert ext.classification() is RamificationType.UNRAMIFIED
+        reduced = ext.with_best_f()
+        basis = integral_basis(ext)
+        assert basis.kind == "unramified"
+        assert basis.ext is reduced
+        assert basis.group == Z
+        assert basis.cuts == (integers,) * field.p
+        assert basis.i_star == 1
+        assert basis.gamma == LaurentSeries.one(field, prec)
+        # B = A[alpha]: the generators are the powers of alpha, in value and prec
+        alpha_powers = [reduced.alpha_power(i) for i in range(field.p)]
+        assert ext.integral_generators() == alpha_powers
+    assert value_group_of_l(ext) == Z
+    assert ideal_j(ext) == ideal_i_sigma(ext) == integers
+    # the brute-force trace dual agrees with the formula: B/A is unramified
+    assert trace_dual_cut(ext, seed=3) == different_ideal(ext) == integers
+    assert boundary_generator(ext) == reduced.alpha()
+    assert check_difference_product_rules(ext, samples=4, seed=1).ok
+    assert all(principality_chain(ext).values())
+    with pytest.raises(SwanZero):
+        check_diagram_commutativity(ext, samples=1)
 
 
 def test_refined_swan_wild():
@@ -289,8 +325,6 @@ def test_lefschetz_inequality():
 
 
 def test_principality_chain_dvr():
-    from ramify.invariants import principality_chain
-
     for ext in GRID:
         flags = principality_chain(ext)
         assert all(flags.values()), flags
