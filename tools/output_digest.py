@@ -4,7 +4,11 @@ The runs are every configuration ``perfbench/workloads.generate`` makes
 for seeds 1-3 (one pass of each workload), in JSON and in text, four
 F_p(u) ``analyze`` runs that no workload covers (p = 5, and denominators
 with repeated and irreducible quadratic factors), in JSON and in text,
-and ``selftest`` in text and in JSON with ``--seed 7``.  Each run calls
+``selftest`` in text and in JSON with ``--seed 7``, and the ``low_prec``
+runs: every ``analyze`` configuration of seeds 1-5, in JSON, with
+``--prec`` lowered to each of ``LOW_PRECS``.  Many of those exit 3
+(missing precision), so they pin down exactly which inputs have enough
+precision, which depends on the ``prec`` every step reports.  Each run calls
 ``ramify.cli.main(argv)`` in this process, with ``ramify`` imported
 from this checkout's ``src/``.  One line per run:
 
@@ -34,6 +38,8 @@ import ramify.cli  # noqa: E402
 import workloads  # noqa: E402
 
 SEEDS = (1, 2, 3)
+LOW_PREC_SEEDS = (1, 2, 3, 4, 5)
+LOW_PRECS = (4, 6, 8, 10, 12, 16)
 
 # (field, f) of the extra F_p(u) runs, each at --prec 24 --trials 2 --seed 1.
 FPU_RUNS = (
@@ -59,6 +65,16 @@ def runs():
             yield "fpu_extra", 1, ident, fmt, argv + ["--format", fmt]
     yield "selftest", "-", 0, "text", ["selftest"]
     yield "selftest", 7, 1, "json", ["selftest", "--format", "json", "--seed", "7"]
+    for name, workload in workloads.WORKLOADS.items():
+        if workload.kind != "analyze":
+            continue
+        for seed in LOW_PREC_SEEDS:
+            for config in workloads.generate(name, seed):
+                argv = config["argv"]
+                at = argv.index("--prec") + 1
+                for prec in LOW_PRECS:
+                    ident = f"{name}:{config['id']}:prec{prec}"
+                    yield "low_prec", seed, ident, "json", argv[:at] + [str(prec)] + argv[at + 1:]
 
 
 def digest(argv):
