@@ -217,6 +217,16 @@ class ASExtension:
             self._cache[key] = self.alpha().inverse().coeffs
         return LElement(self, self._cache[key])
 
+    def inverse_f_best(self):
+        """1/f_best as a series, memoised on the reduced presentation
+        ``with_best_f()`` whatever presentation is asked (a series holds
+        no reference to the extension)."""
+        ext = self.with_best_f()
+        key = "inverse_f_best"
+        if key not in ext._cache:
+            ext._cache[key] = ext.best.f_best.inverse()
+        return ext._cache[key]
+
 
 class LElement:
     """An element of L as a coefficient vector over K in the basis

@@ -103,23 +103,17 @@ class LogForm(NamedTuple):
         return f"({self.dlog_t})*dlog t{du}  (mod {self.modulus!r})"
 
 
-def log_form_of(f, modulus):
-    """The form dlog f = (t f'/f) dlog t + (f_u / f) du for a series f
-    whose pole order realises the Swan conductor."""
-    inv_f = f.inverse()
-    dlog_t = f.euler_derivative() * inv_f
-    du = None
-    if not f.field.is_finite:
-        du = f.u_derivative() * inv_f
-    return LogForm(dlog_t, du, modulus)
-
-
 def refined_swan(ext):
-    """The refined Swan conductor as a differential form modulo the
+    """The refined Swan conductor, the form
+    dlog f = (t f'/f) dlog t + (f_u / f) du of the best representative
+    f, whose pole order realises the Swan conductor, modulo the
     comparison ideal; needs a positive Swan conductor."""
     if ext.swan == 0:
         raise SwanZero("the refined invariant needs swan > 0")
-    return log_form_of(ext.best.f_best, rsw_modulus(ext))
+    f = ext.best.f_best
+    inv_f = ext.inverse_f_best()
+    du = None if f.field.is_finite else f.u_derivative() * inv_f
+    return LogForm(f.euler_derivative() * inv_f, du, rsw_modulus(ext))
 
 
 def different_ideal(ext):
@@ -289,10 +283,8 @@ def check_refined_swan_stability(ext, shifts=50, seed=0):
     n = int(ext.swan)
     field = ext.field
     f = ext.best.f_best
-    modulus = rsw_modulus(ext)
-    inv_f = f.inverse()
-    base_t = f.euler_derivative() * inv_f
-    base_u = None if field.is_finite else f.u_derivative() * inv_f
+    base = refined_swan(ext)
+    inv_f = ext.inverse_f_best()
     lo = -((n - 1) // p)  # least integer valuation with p*v > -n
     for trial in range(shifts):
         a = random_series(field, rng, lo, lo + 3, f.prec, density=0.6)
@@ -303,10 +295,10 @@ def check_refined_swan_stability(ext, shifts=50, seed=0):
                 {"witness": str(a), "reason": "pole order moved"},
             )
         cand_t = g.euler_derivative() * inv_f
-        ok = series_in_cut(base_t - cand_t, modulus)
-        if ok and base_u is not None:
+        ok = series_in_cut(base.dlog_t - cand_t, base.modulus)
+        if ok and base.du is not None:
             cand_u = g.u_derivative() * inv_f
-            ok = series_in_cut(base_u - cand_u, modulus)
+            ok = series_in_cut(base.du - cand_u, base.modulus)
         if not ok:
             return CheckResult(
                 "refined_swan_stability", False, {"witness": str(a), "trial": trial}
@@ -344,7 +336,7 @@ def check_diagram_commutativity(ext, samples=100, seed=0):
     f = ext.best.f_best
     n = int(ext.swan)
     form = refined_swan(ext)
-    inv_f = f.inverse()
+    inv_f = ext.inverse_f_best()
     alpha = ext.alpha()
     log_gen = alpha.sigma(1) * ext.inverse_alpha() - 1  # sigma(alpha)/alpha - 1
     h_squared = Cut.at_least(2 * n, Z_GROUP)

@@ -16,6 +16,11 @@ boundary: the ``LaurentSeries`` constructor converts elements and ints
 to raw values (and rejects an element of another field), and
 ``coeffs``, ``coeff``, ``leading`` and ``__str__`` convert back on
 demand.
+
+``inverse`` solves (c_0 + c_1*t + ...)(w_0 + w_1*t + ...) = 1 term by
+term, w_k = -(1/c_0) * sum_(i>=1) c_i*w_(k-i), in one pass over raw
+values: O(N * |support|) products for N known terms.  Its value and
+``prec`` are those of the geometric sum 1 - r + r^2 - ... it replaces.
 """
 
 from __future__ import annotations
@@ -29,7 +34,7 @@ from .errors import (
     InvalidSpec,
     ZeroSeries,
 )
-from .fields import dot_coeffs
+from .fields import derivative_u, dot_coeffs
 
 
 class ValueGroup:
@@ -361,31 +366,41 @@ class LaurentSeries:
         return result
 
     def inverse(self):
-        """Multiplicative inverse via the geometric series, known below
-        prec - 2v where v is the valuation."""
+        """Multiplicative inverse, known below prec - 2v where v is the
+        valuation.
+
+        With self = t^v * (c_0 + c_1*t + ...), known below t^N for
+        N = prec - v, the inverse is t^-v * (w_0 + w_1*t + ...) with
+        w_0 = 1/c_0 and w_k = -(1/c_0) * sum_(i>=1) c_i*w_(k-i) for
+        0 < k < N: one pass over raw values, O(N * |support|) products.
+        1/(c_0 + ...) mod t^N is unique and raw values are canonical, so
+        the value and ``prec`` are those of the geometric sum
+        1 - r + r^2 - ... (r = self/(c_0 t^v) - 1) truncated below t^N.
+        """
         raw = self._raw
         if not raw:
             raise ZeroSeries(
                 f"cannot invert a series with no known nonzero coefficient (prec {self.prec})"
             )
         field = self.field
+        add, mul = field._radd, field._rmul
         v = min(raw)
-        unit_prec = self.prec - v
+        n = self.prec - v
         lead_inv = field._rinv(raw[v])
-        mul = field._rmul
-        # self = lead*t^v * (1 + r), val(r) >= 1
-        r = _series(field, {e - v: mul(c, lead_inv) for e, c in raw.items() if e != v}, unit_prec)
-        inv_unit = LaurentSeries.one(field, unit_prec)
-        term = LaurentSeries.one(field, unit_prec)
-        if r._raw:
-            step = -r
-            while True:
-                term = term * step
-                term = term.truncate(unit_prec)
-                if term.is_zero_known():
+        neg_lead_inv = field._rneg(lead_inv)
+        tail = sorted((e - v, c) for e, c in raw.items() if e != v)
+        w = [lead_inv]
+        for k in range(1, n):
+            acc = None
+            for i, c in tail:
+                if i > k:
                     break
-                inv_unit = inv_unit + term
-        return inv_unit._scale_raw(lead_inv).shift(-v)
+                x = w[k - i]
+                if x:
+                    x = mul(c, x)
+                    acc = x if acc is None else add(acc, x)
+            w.append(mul(acc, neg_lead_inv) if acc else None)
+        return _series(field, {k - v: x for k, x in enumerate(w) if x}, n - v)
 
     def truncate(self, prec):
         if prec >= self.prec:
@@ -400,11 +415,15 @@ class LaurentSeries:
         return _series(field, out, self.prec)
 
     def u_derivative(self):
-        """Coefficientwise d/du (rational function coefficients only)."""
-        from .fields import derivative_u
-
-        out = {e: derivative_u(c) for e, c in self.coeffs.items()}
-        return LaurentSeries(self.field, out, self.prec)
+        """Coefficientwise d/du (rational function coefficients only;
+        over F_q it raises once there is a coefficient to differentiate)."""
+        from_raw = self.field._from_raw
+        out = {}
+        for e, c in self._raw.items():
+            d = derivative_u(from_raw(c))
+            if d:
+                out[e] = d
+        return _series(self.field, out, self.prec)
 
     # -- comparison and rendering -------------------------------------------
 

@@ -12,6 +12,7 @@ from ramify.errors import (
     InsufficientPrecision,
     InvalidSpec,
     RamifyError,
+    ZeroSeries,
 )
 from ramify.extension import LElement, integral_basis, integral_sample
 from ramify.invariants import TRACE_DUAL_PERTURBATIONS, Z_GROUP
@@ -61,6 +62,26 @@ def exhaustive_identity(lhs, rhs, field):
         if a != b:
             return False
     return True
+
+
+def geometric_inverse(s):
+    """1/s as the geometric sum 1 - r + r^2 - ... for
+    s = lead*t^v*(1 + r), one truncated series product per term: the
+    value and ``prec`` that ``LaurentSeries.inverse``'s one-pass
+    recurrence must reproduce."""
+    if s.is_zero_known():
+        raise ZeroSeries(f"no known nonzero coefficient (prec {s.prec})")
+    v, lead = s.leading()
+    unit_prec = s.prec - v
+    lead_inv = lead.inverse()
+    r = s.scale(lead_inv).shift(-v) - 1
+    inv_unit = term = LaurentSeries.one(s.field, unit_prec)
+    while True:
+        term = (term * -r).truncate(unit_prec)
+        if term.is_zero_known():
+            break
+        inv_unit = inv_unit + term
+    return inv_unit.scale(lead_inv).shift(-v)
 
 
 def series_is_integral(s):

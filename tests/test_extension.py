@@ -501,6 +501,13 @@ def test_cached_elements_leave_no_reference_cycle():
         ext.with_best_f()
         del ext
         assert gc.collect() == 0
+        # 1/f_best is kept on the reduced presentation of an unreduced one
+        ext = ext_of(F3, -6, prec=12)
+        assert ext.f != ext.best.f_best
+        ext.inverse_f_best()
+        assert "inverse_f_best" in ext.with_best_f()._cache
+        del ext
+        assert gc.collect() == 0
         # an expression keeps the closure its first evaluate compiled
         x = Expr.var("x")
         expr = (x + Expr.const(F3.one())) / (x * x - 2) ** 3

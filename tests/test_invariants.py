@@ -359,6 +359,32 @@ def test_report_trivial_and_unramified():
     assert unram.all_checks_pass()
 
 
+@pytest.mark.parametrize("field_spec, f", [
+    ("Fp:3", "t^-9 + 2*t^-3 + t^-2 + t"),
+    ("Fp(u):2", "u^2*t^-4 + u*t^-3 + t"),
+])
+def test_report_inverts_f_best_once(monkeypatch, field_spec, f):
+    # an unreduced wild presentation: the form, the stability check and
+    # the diagram check all read 1/f_best from one memoised inverse
+    field = parse_field_spec(field_spec)
+    ext = ASExtension(field, parse_series(f, field, 24))
+    f_best = ext.best.f_best
+    assert ext.f != f_best
+    inverted = []
+    inverse = LaurentSeries.inverse
+
+    def counted(self):
+        inverted.append(self)
+        return inverse(self)
+
+    monkeypatch.setattr(LaurentSeries, "inverse", counted)
+    rep = build_report(ext, samples=1)
+    assert rep.all_checks_pass()
+    assert sum(s == f_best for s in inverted) == 1
+    assert ext.inverse_f_best() == ext.with_best_f().inverse_f_best() == inverse(f_best)
+    assert sum(s == f_best for s in inverted) == 1
+
+
 def test_e_f_defect_product():
     for ext in GRID:
         rep = build_report(ext, run_checks=False)

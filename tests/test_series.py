@@ -3,7 +3,12 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ramify.errors import AmbientMismatch, FieldMismatch, InsufficientPrecision
+from ramify.errors import (
+    AmbientMismatch,
+    FieldMismatch,
+    InsufficientPrecision,
+    ZeroSeries,
+)
 from ramify.fields import FieldSpec
 from ramify.series import (
     Cut,
@@ -14,7 +19,7 @@ from ramify.series import (
     series_in_cut,
 )
 
-from oracles import series_is_integral
+from oracles import geometric_inverse, series_is_integral
 
 F2 = FieldSpec.finite(2)
 F3 = FieldSpec.finite(3)
@@ -190,6 +195,69 @@ def test_inverse_roundtrip(i):
     prod = a * inv
     one = LaurentSeries.one(F3, prod.prec)
     assert (prod - one).is_zero_known()
+
+
+INVERSE_FIELDS = tuple(
+    FieldSpec.finite(p, m)
+    for p, m in ((2, 1), (3, 1), (5, 1), (7, 1), (3, 2), (5, 2), (2**61 - 1, 1))
+) + (FieldSpec.rational(2), FieldSpec.rational(3))
+
+
+def nonzero_coefficient(field, rng):
+    """A nonzero element; over F_p(u) sometimes a quotient."""
+    while True:
+        c = field.sample_point(rng, max_degree=1)
+        if not field.is_finite and rng.random() < 0.3:
+            den = field.sample_point(rng, max_degree=1)
+            if not den.is_zero():
+                c = c / den
+        if not c.is_zero():
+            return c
+
+
+@pytest.mark.parametrize("field", INVERSE_FIELDS, ids=repr)
+@settings(max_examples=50, deadline=None)
+@given(st.integers(0, 2**32), st.integers(-8, 8),
+       st.one_of(st.integers(-8, 64), st.integers(32, 64)),
+       st.one_of(st.integers(0, 40), st.integers(20, 40)), st.sampled_from((0.1, 0.4, 1.0)))
+def test_inverse_matches_the_geometric_series_at_workload_sizes(field, seed, v, prec, terms,
+                                                                density):
+    # up to 40 terms from valuation v, known below prec (no term when
+    # prec <= v or terms == 0), drawn mostly at the sizes of the
+    # benchmark's prec 24-36 runs: the same value, prec and error as
+    # the sum 1 - r + r^2 - ...
+    import random as _r
+
+    rng = _r.Random(seed)
+    exponents = [e for e in range(v + 1, prec) if rng.random() < density]
+    rng.shuffle(exponents)
+    support = ([v] + exponents[:terms - 1]) if terms else []
+    s = LaurentSeries(field, {e: nonzero_coefficient(field, rng) for e in support}, prec)
+    try:
+        expected = geometric_inverse(s)
+    except ZeroSeries:
+        with pytest.raises(ZeroSeries):
+            s.inverse()
+        return
+    inv = s.inverse()
+    assert inv == expected
+    assert inv.prec == expected.prec == prec - 2 * v
+
+
+@pytest.mark.parametrize("field", (F2, FieldSpec.finite(3, 2), F2u), ids=repr)
+def test_long_series_inverse_is_an_inverse(field):
+    import random as _r
+
+    rng = _r.Random(7)
+    v, prec = -5, 200
+    support = [v] + sorted(rng.sample(range(v + 1, prec), 6))
+    x = LaurentSeries(field, {e: nonzero_coefficient(field, rng) for e in support}, prec)
+    inv = x.inverse()
+    assert inv.prec == prec - 2 * v
+    assert inv.valuation() == -v
+    prod = x * inv
+    assert prod.prec == prec - v
+    assert prod == LaurentSeries.one(field, prod.prec)
 
 
 def test_series_in_cut_semantics():
