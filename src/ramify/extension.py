@@ -6,7 +6,8 @@ arithmetic in L with the Galois action, the norm and the inverse from
 one Laplace expansion of the multiplication matrix (the inverse is the
 adjugate column over the norm), the trace from the power basis,
 valuations on L, the inductive difference operators, and the shape of
-the integral closure.
+the integral closure with its generators alpha^i * t^(A_i), one formula
+for every shape.
 
 An element builds the columns of its multiplication matrix once
 (``LElement.columns``); its products, norm and inverse all read them.
@@ -110,6 +111,10 @@ def reduce_to_best(f):
     return BestForm(f_best, case, Fraction(n), tuple(log))
 
 
+# the largest p an extension accepts: the Laplace norm costs O(2^p * p)
+P_LIMIT = 19
+
+
 class ASExtension:
     """The extension defined by alpha^p - alpha = f, with its best form
     computed eagerly.  Immutable; safe to share."""
@@ -117,6 +122,8 @@ class ASExtension:
     __slots__ = ("field", "p", "f", "best", "_cache")
 
     def __init__(self, field, f):
+        if field.p > P_LIMIT:
+            raise InvalidSpec(f"characteristic {field.p} is above the limit {P_LIMIT}")
         if f.field is not field:
             raise FieldMismatch("defining series must live over the declared field")
         if f.is_zero_known():
@@ -500,11 +507,11 @@ class BasisDescription(NamedTuple):
     ``ext`` is the reduced presentation and ``group`` the value group of
     L in v_K units.  ``cuts`` holds the coefficient ideals A_i as cuts
     over the value group of K: wild, A_0 = A and A_i = {v > i*swan/p};
-    otherwise A_i = gamma^i A, because B = A[alpha*gamma] for the unit
-    alpha*gamma with gamma = t^(swan/p).  Unramified, swan = 0 makes
-    gamma = 1, so B = A[alpha] and every A_i is A.  ``i_star`` is the
-    index i >= 1 whose boundary element alpha^i * t^(A_i) has the
-    difference sigma(b) - b of least valuation, A_i + (1-i)*swan/p.
+    otherwise A_i = {v >= i*swan/p}, because B = A[alpha*t^(swan/p)] for
+    that unit.  Unramified, swan = 0 makes B = A[alpha] and every A_i is
+    A.  ``i_star`` is the index i >= 1 whose boundary element
+    alpha^i * t^(A_i) has the difference sigma(b) - b of least
+    valuation, A_i + (1-i)*swan/p.
     """
 
     kind: str
@@ -512,25 +519,22 @@ class BasisDescription(NamedTuple):
     group: ValueGroup
     cuts: tuple
     i_star: int
-    gamma: LaurentSeries | None = None
 
     def generators(self):
-        """The boundary generators alpha^i * t^(A_i) of the A_i alpha^i;
-        unless wild, these are the powers of the unit alpha*gamma."""
+        """The boundary generators alpha^i * t^(A_i), one formula for every
+        shape; t^(A_i) is known below f's precision, or past its exponent
+        when that is higher, so that it keeps its term."""
         ext = self.ext
-        if self.kind == "wild":
-            return [
-                ext.alpha_power(i)
-                * LaurentSeries.monomial(ext.field, int(cut.value), 1, ext.f.prec)
-                for i, cut in enumerate(self.cuts)
-            ]
-        return (ext.alpha() * self.gamma).powers(ext.p - 1)
+        return [
+            ext.alpha_power(i) * LaurentSeries.monomial(ext.field, e, 1, max(ext.f.prec, e + 1))
+            for i, e in enumerate(int(cut.value) for cut in self.cuts)
+        ]
 
 
 def integral_basis(ext):
     """The one record of the shape of B, for every nontrivial extension:
-    wild cuts A_i = {v > i*swan/p} with A_0 = A, otherwise A_i = gamma^i A
-    with gamma = t^(swan/p), which is 1 when unramified.  NotApplicable
+    wild cuts A_i = {v > i*swan/p} with A_0 = A, otherwise
+    A_i = {v >= i*swan/p}, which is A when unramified.  NotApplicable
     for a trivial extension, so it is also the guard of every operation
     that needs a field extension."""
     kind = ext.classification()
@@ -541,14 +545,13 @@ def integral_basis(ext):
     v0 = ext.swan / p
     z = ValueGroup.discrete(1)
     if kind is RamificationType.WILD:
-        group, gamma = ValueGroup.discrete(Fraction(1, p)), None
+        group = ValueGroup.discrete(Fraction(1, p))
         cuts = (Cut.at_least(0, z),) + tuple(Cut.above(i * v0, z) for i in range(1, p))
     else:
         group = z
-        gamma = LaurentSeries.monomial(ext.field, int(v0), 1, ext.f.prec)
         cuts = tuple(Cut.at_least(i * v0, z) for i in range(p))
     i_star = min(range(1, p), key=lambda i: cuts[i].value + (1 - i) * v0)
-    return BasisDescription(kind.value, ext, group, cuts, i_star, gamma)
+    return BasisDescription(kind.value, ext, group, cuts, i_star)
 
 
 class DifferenceOperators:

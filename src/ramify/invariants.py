@@ -6,7 +6,7 @@ taking norms scales cut values by p uniformly.  Every ideal of B is
 read from one record of its shape, ``integral_basis``: the value
 group, the coefficient ideals A_i of B = sum_i A_i alpha^i and the
 decisive index i_star, so no function here re-decides the shape,
-wild, ferocious or unramified (the ferocious formula with gamma = 1).
+wild, ferocious or unramified (the ferocious formula with swan = 0).
 """
 
 from __future__ import annotations
@@ -68,7 +68,7 @@ def ideal_i_sigma(ext):
     It is generated by the differences of the boundary elements
     alpha^i * t^(A_i) of the coefficient ideals, so its value is the
     least A_i + (1-i)*swan/p, attained at ``i_star``.  Ferocious, every
-    A_i = gamma^i A gives swan/p, and the ideal equals J.
+    A_i = {v >= i*swan/p} gives swan/p, and the ideal equals J.
     """
     basis = integral_basis(ext)
     i = basis.i_star
@@ -83,8 +83,8 @@ def norm_of_j(ext):
 
 def rsw_modulus(ext):
     """The comparison ideal for the differential form: all x with
-    v_K(x) >= ((p-1)/p) * swan, normalized in the value group of K."""
-    return Cut.at_least(Fraction(ext.p - 1, ext.p) * ext.swan, Z_GROUP).normalize()
+    v_K(x) >= ((p-1)/p) * swan, in the value group of K."""
+    return Cut.at_least(Fraction(ext.p - 1, ext.p) * ext.swan, Z_GROUP)
 
 
 class LogForm(NamedTuple):
@@ -107,13 +107,17 @@ def refined_swan(ext):
     """The refined Swan conductor, the form
     dlog f = (t f'/f) dlog t + (f_u / f) du of the best representative
     f, whose pole order realises the Swan conductor, modulo the
-    comparison ideal; needs a positive Swan conductor."""
+    comparison ideal; needs a positive Swan conductor.  Memoised on
+    ``with_best_f()``, as ``inverse_f_best`` is."""
     if ext.swan == 0:
         raise SwanZero("the refined invariant needs swan > 0")
-    f = ext.best.f_best
-    inv_f = ext.inverse_f_best()
-    du = None if f.field.is_finite else f.u_derivative() * inv_f
-    return LogForm(f.euler_derivative() * inv_f, du, rsw_modulus(ext))
+    ext = ext.with_best_f()
+    if "refined_swan" not in ext._cache:
+        f = ext.best.f_best
+        inv_f = ext.inverse_f_best()
+        du = None if f.field.is_finite else f.u_derivative() * inv_f
+        ext._cache["refined_swan"] = LogForm(f.euler_derivative() * inv_f, du, rsw_modulus(ext))
+    return ext._cache["refined_swan"]
 
 
 def different_ideal(ext):
@@ -222,8 +226,8 @@ def trace_dual_cut(ext, seed=0):
 def boundary_generator(ext):
     """An integral b with sigma(b) - b of minimal valuation, so that its
     difference generates the difference ideal: the boundary generator of
-    the coefficient ideal at ``i_star``, which is the unit alpha*gamma
-    when ferocious and alpha when unramified."""
+    the coefficient ideal at ``i_star``, which is the unit
+    alpha*t^(swan/p) when ferocious and alpha when unramified."""
     return ext.integral_generators()[integral_basis(ext).i_star]
 
 
@@ -247,7 +251,7 @@ def check_norm_ideal_identity(ext):
     if ext.classification() is RamificationType.TRIVIAL:
         raise TrivialExtension("nothing to verify for a trivial extension")
     ext = ext.with_best_f()
-    h = ideal_h(ext).normalize()
+    h = ideal_h(ext)
     nj = norm_of_j(ext)
     cuts_equal = h == nj
     n_inv_alpha = ext.inverse_alpha().norm()
@@ -435,7 +439,7 @@ def principality_chain(subject):
         h, j = subject.h_cut, subject.j_cut
     return {
         "best_f_exists": best_f_exists,
-        "h_principal": h.normalize().is_principal(),
+        "h_principal": h.is_principal(),
         "j_principal": j.is_principal(),
         "defectless": defectless,
     }

@@ -4,7 +4,7 @@ The precision model is half-open: a series with precision N has every
 coefficient at exponents e < N determined (absent means zero), and
 knows nothing at exponents >= N.  All values are exact rationals; a Cut
 records a fractional ideal of a valued field as a (value, bound) pair
-relative to a declared value group.
+relative to a declared value group (canonical over a discrete group).
 
 A series stores its coefficients raw: ints mod p over F_p, log/Zech
 table codes over F_q with m >= 2, and the canonical ``ResidueElem``
@@ -81,22 +81,6 @@ class ValueGroup:
             return den == 1
         return True
 
-    def least_element_above(self, value):
-        """Smallest group element strictly greater than value (discrete only)."""
-        if self.kind != self.DISCRETE:
-            raise AmbientMismatch("only discrete groups have successors")
-        g = self.granularity
-        q = value / g
-        n = q.numerator // q.denominator  # floor
-        return g * (n + 1)
-
-    def least_element_at_least(self, value):
-        if self.kind != self.DISCRETE:
-            raise AmbientMismatch("only discrete groups have successors")
-        if self.contains(value):
-            return Fraction(value)
-        return self.least_element_above(value)
-
     def __eq__(self, other):
         return (
             isinstance(other, ValueGroup)
@@ -116,23 +100,26 @@ class ValueGroup:
         return "dense"
 
 
+def _least_admitted(q, closed):
+    """The least integer n >= q (closed) or n > q (open) for a Fraction q."""
+    return -(-q.numerator // q.denominator) if closed else q.numerator // q.denominator + 1
+
+
 class Cut:
     """A fractional ideal {v >= value} (closed) or {v > value} (open).
 
-    Over a discrete group an open cut is normalized eagerly to the
-    closed cut at the next group element, which encodes that the two
-    describe the same set of field elements.  A closed cut whose value
-    lies outside the group is representable; ``normalize`` lifts it to
-    the equivalent closed cut at a group element.
+    Over a discrete group g*Z a cut is stored closed at the least group
+    element it admits, g*(floor(v/g) + 1) if open and g*ceil(v/g) if
+    closed, so one ideal has one value, hash and repr.
     """
 
     __slots__ = ("value", "closed", "group")
 
     def __init__(self, value, closed, group):
         value = Fraction(value)
-        if group.kind == ValueGroup.DISCRETE and not closed:
-            value = group.least_element_above(value)
-            closed = True
+        if group.kind == ValueGroup.DISCRETE:
+            g = group.granularity
+            value, closed = g * _least_admitted(value / g, closed), True
         self.value = value
         self.closed = closed
         self.group = group
@@ -144,13 +131,6 @@ class Cut:
     @classmethod
     def above(cls, value, group):
         return cls(value, False, group)
-
-    def normalize(self):
-        if self.group.kind == ValueGroup.DISCRETE and self.closed:
-            lifted = self.group.least_element_at_least(self.value)
-            if lifted != self.value:
-                return Cut(lifted, True, self.group)
-        return self
 
     def _check(self, other):
         if self.group != other.group:
@@ -205,9 +185,9 @@ def restrict_cut(cut, group):
     """The same valuation bound read in another value group.
 
     Used for intersections such as (ideal of B) with A: membership of a
-    group element is preserved, and the result is normalized.
+    group element is preserved.
     """
-    return Cut(cut.value, cut.closed, group).normalize()
+    return Cut(cut.value, cut.closed, group)
 
 
 class LaurentSeries:
@@ -546,20 +526,12 @@ def series_in_cut(s, cut):
     otherwise membership cannot be certified and InsufficientPrecision
     is raised (unless an offending coefficient is already visible).
     """
-    for e in s._raw:
-        if not cut.contains(e):
-            return False
-    v = cut.value
-    if cut.closed:
-        # excluded integer exponents are those < value
-        top_excluded = v.numerator // v.denominator  # floor
-        if top_excluded == v:
-            top_excluded -= 1
-    else:
-        top_excluded = v.numerator // v.denominator
-    if s.prec <= top_excluded:
+    least = _least_admitted(cut.value, cut.closed)
+    if s._raw and min(s._raw) < least:
+        return False
+    if s.prec < least:
         raise InsufficientPrecision(
-            f"membership in {cut!r} needs knowledge below t^{top_excluded + 1}, "
+            f"membership in {cut!r} needs knowledge below t^{least}, "
             f"series known below t^{s.prec}"
         )
     return True

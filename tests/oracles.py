@@ -16,7 +16,7 @@ from ramify.errors import (
 )
 from ramify.extension import LElement, integral_basis, integral_sample
 from ramify.invariants import TRACE_DUAL_PERTURBATIONS, Z_GROUP
-from ramify.series import Cut, LaurentSeries, dot, series_in_cut
+from ramify.series import Cut, LaurentSeries, ValueGroup, dot, series_in_cut
 
 
 def tree_evaluate(expr, env, field):
@@ -220,6 +220,99 @@ def lefschetz_minimum(ext, samples=40, seed=0):
         if best is None or v < best:
             best = v
     return best
+
+
+# -- cuts before their canonical form ------------------------------------------
+
+
+def least_element_above(group, value):
+    """Smallest element of the discrete group strictly greater than value."""
+    g = group.granularity
+    q = value / g
+    n = q.numerator // q.denominator  # floor
+    return g * (n + 1)
+
+
+def least_element_at_least(group, value):
+    if group.contains(value):
+        return Fraction(value)
+    return least_element_above(group, value)
+
+
+class OpenOnlyCut:
+    """A cut as it was stored before every discrete cut became canonical:
+    an open cut over a discrete group is closed at the next group
+    element, but a closed cut keeps a value outside the group until
+    ``normalize`` lifts it."""
+
+    def __init__(self, value, closed, group):
+        value = Fraction(value)
+        if group.kind == ValueGroup.DISCRETE and not closed:
+            value = least_element_above(group, value)
+            closed = True
+        self.value = value
+        self.closed = closed
+        self.group = group
+
+    def normalize(self):
+        if self.group.kind == ValueGroup.DISCRETE and self.closed:
+            lifted = least_element_at_least(self.group, self.value)
+            if lifted != self.value:
+                return OpenOnlyCut(lifted, True, self.group)
+        return self
+
+    def is_principal(self):
+        return self.closed and self.group.contains(self.value)
+
+    def contains(self, value):
+        if self.closed:
+            return value >= self.value
+        return value > self.value
+
+    def __repr__(self):
+        op = ">=" if self.closed else ">"
+        return f"{{v {op} {self.value}}}"
+
+
+def floor_series_in_cut(s, cut):
+    """``series.series_in_cut`` as it read the cut: every exponent tested
+    with ``cut.contains``, then the top excluded exponent by floors."""
+    for e in s.coeffs:
+        if not cut.contains(e):
+            return False
+    v = cut.value
+    if cut.closed:
+        # excluded integer exponents are those < value
+        top_excluded = v.numerator // v.denominator  # floor
+        if top_excluded == v:
+            top_excluded -= 1
+    else:
+        top_excluded = v.numerator // v.denominator
+    if s.prec <= top_excluded:
+        raise InsufficientPrecision(
+            f"membership in {cut!r} needs knowledge below t^{top_excluded + 1}, "
+            f"series known below t^{s.prec}"
+        )
+    return True
+
+
+# -- generators of B before the one formula -------------------------------------
+
+
+def per_kind_generators(basis):
+    """The generators of B as they were built per shape: wild,
+    alpha^i * t^(A_i); ferocious and unramified, the powers (alpha*gamma)^i
+    of the unit alpha*gamma with gamma = t^(swan/p), along one chain.
+    Each monomial is known below f's precision, so it is zero when its
+    exponent is not below that."""
+    ext = basis.ext
+    if basis.kind == "wild":
+        return [
+            ext.alpha_power(i) * LaurentSeries.monomial(ext.field, int(cut.value), 1, ext.f.prec)
+            for i, cut in enumerate(basis.cuts)
+        ]
+    gamma = LaurentSeries.monomial(ext.field, int(ext.swan / ext.p), 1, ext.f.prec)
+    return (ext.alpha() * gamma).powers(ext.p - 1)
 
 
 # -- F_p(u) fractions, with polynomial arithmetic of their own ------------------

@@ -15,6 +15,7 @@ from hypothesis import given, settings, strategies as st
 
 from ramify.cli import main, make_parser
 from ramify.errors import FieldLiteralError, InvalidSpec, ParseError
+from ramify.extension import P_LIMIT, ASExtension
 from ramify.fields import FieldSpec
 from ramify.parsing import NESTING_LIMIT, factor_prime_power, parse_field_spec, parse_series
 from ramify.series import random_series
@@ -96,6 +97,25 @@ def test_huge_field_order_exits_two_at_once(capsys):
     for q in (2 ** 64, 10 ** 30 + 57):
         with pytest.raises(InvalidSpec):
             factor_prime_power(q)
+
+
+def test_large_characteristic_exits_two_at_once(capsys):
+    # beyond P_LIMIT the Laplace norm recursed past Python's limit
+    # (p = 1009) or grew without bound (p just below 2^64)
+    for p in (23, 1009, 18446744073709551557):
+        start = time.perf_counter()
+        code, out = run_cli(
+            ["analyze", "--field", f"Fp:{p}", "--f", "t^-1", "--prec", "2", "--trials", "1"],
+            capsys,
+        )
+        assert code == 2 and out.startswith("error: ") and f"above the limit {P_LIMIT}" in out
+        assert time.perf_counter() - start < 1.0
+    # the bound is the extension's: the field itself keeps a large p
+    big = FieldSpec.finite(2 ** 61 - 1)
+    with pytest.raises(InvalidSpec):
+        ASExtension(big, parse_series("t^-1", big, 2))
+    top = FieldSpec.finite(P_LIMIT)
+    assert ASExtension(top, parse_series("t^-1", top, 2)).swan == 1
 
 
 def nested(depth, core):

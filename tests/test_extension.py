@@ -26,7 +26,7 @@ from ramify.extension import (
     unit_sample,
 )
 from ramify.fields import Expr, FieldSpec
-from ramify.invariants import boundary_generator
+from ramify.invariants import boundary_generator, refined_swan
 from ramify.parsing import parse_field_spec
 from ramify.series import Cut, LaurentSeries, ValueGroup, random_series
 
@@ -433,15 +433,18 @@ def test_integral_basis_wild():
     basis = integral_basis(ext_of(F3, -2))
     assert basis.kind == "wild"
     assert basis.cuts[0] == Cut.at_least(0, Z)
-    assert basis.cuts[1] == Cut.at_least(1, Z)  # {v > 2/3} normalized
-    assert basis.cuts[2] == Cut.at_least(2, Z)  # {v > 4/3} normalized
+    assert basis.cuts[1] == Cut.at_least(1, Z)  # {v > 2/3} is {v >= 1}
+    assert basis.cuts[2] == Cut.at_least(2, Z)  # {v > 4/3} is {v >= 2}
 
 
 def test_integral_basis_ferocious():
     basis = integral_basis(ext_of(F2u, -2, F2u.generator()))
     assert basis.kind == "ferocious"
-    assert basis.gamma.coeffs == {1: F2u.one()}  # gamma = t
-    unit = basis.ext.alpha() * basis.gamma
+    assert basis.cuts == (Cut.at_least(0, Z), Cut.at_least(1, Z))  # A_i = t^i A
+    gens = basis.generators()
+    assert gens[0] == basis.ext.one()
+    unit = gens[1]  # alpha * t
+    assert unit.coeffs[1].coeffs == {1: F2u.one()}
     assert unit.valuation() == 0
 
 
@@ -506,6 +509,8 @@ def test_cached_elements_leave_no_reference_cycle():
         assert ext.f != ext.best.f_best
         ext.inverse_f_best()
         assert "inverse_f_best" in ext.with_best_f()._cache
+        refined_swan(ext)
+        assert "refined_swan" in ext.with_best_f()._cache
         del ext
         assert gc.collect() == 0
         # an expression keeps the closure its first evaluate compiled

@@ -133,9 +133,10 @@ def test_unramified_extension_is_the_gamma_one_case(spec, text):
         assert basis.group == Z
         assert basis.cuts == (integers,) * field.p
         assert basis.i_star == 1
-        assert basis.gamma == LaurentSeries.one(field, prec)
-        # B = A[alpha]: the generators are the powers of alpha, in value and prec
+        # B = A[alpha]: the generators alpha^i * t^0 are the powers of
+        # alpha, in value and prec
         alpha_powers = [reduced.alpha_power(i) for i in range(field.p)]
+        assert basis.generators() == alpha_powers
         assert ext.integral_generators() == alpha_powers
     assert value_group_of_l(ext) == Z
     assert ideal_j(ext) == ideal_i_sigma(ext) == integers
@@ -307,7 +308,7 @@ def test_product_rule_alpha_expansion():
 def test_ideal_chain_h_in_iota_in_i_sigma():
     for ext in GRID:
         bext = ext.with_best_f()
-        h = ideal_h(bext).normalize()
+        h = ideal_h(bext)
         iota = rsw_modulus(bext)
         i_in_a = restrict_cut(ideal_i_sigma(bext), Z)
         assert h.subset_of(iota)
@@ -383,6 +384,32 @@ def test_report_inverts_f_best_once(monkeypatch, field_spec, f):
     assert sum(s == f_best for s in inverted) == 1
     assert ext.inverse_f_best() == ext.with_best_f().inverse_f_best() == inverse(f_best)
     assert sum(s == f_best for s in inverted) == 1
+
+
+@pytest.mark.parametrize("field_spec, f", [
+    ("Fp:3", "t^-6 + t^-2 + t"),
+    ("Fp(u):2", "u^2*t^-4 + u*t^-3 + t"),
+])
+def test_report_builds_the_refined_form_once(monkeypatch, field_spec, f):
+    # the report, the stability check and the diagram check share one
+    # LogForm, kept on the reduced presentation of an unreduced one
+    field = parse_field_spec(field_spec)
+    ext = ASExtension(field, parse_series(f, field, 24))
+    f_best = ext.best.f_best
+    assert ext.f != f_best
+    derived = []
+    euler_derivative = LaurentSeries.euler_derivative
+
+    def counted(self):
+        derived.append(self)
+        return euler_derivative(self)
+
+    monkeypatch.setattr(LaurentSeries, "euler_derivative", counted)
+    rep = build_report(ext, samples=1)
+    assert rep.all_checks_pass()
+    assert sum(s == f_best for s in derived) == 1
+    assert refined_swan(ext) is refined_swan(ext.with_best_f()) is rep.rsw
+    assert sum(s == f_best for s in derived) == 1
 
 
 def test_e_f_defect_product():

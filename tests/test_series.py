@@ -19,7 +19,7 @@ from ramify.series import (
     series_in_cut,
 )
 
-from oracles import geometric_inverse, series_is_integral
+from oracles import OpenOnlyCut, floor_series_in_cut, geometric_inverse, series_is_integral
 
 F2 = FieldSpec.finite(2)
 F3 = FieldSpec.finite(3)
@@ -50,7 +50,7 @@ def test_cut_mul_examples():
         == Cut.at_least(1, DENSE)
     assert Cut.above(Fraction(3, 4), DENSE) * Cut.at_least(Fraction(1, 4), DENSE) \
         == Cut.above(1, DENSE)
-    # discrete normalization is eager for open cuts
+    # a discrete cut is stored closed at a group element
     assert Cut.above(2, Z) * Cut.at_least(0, Z) == Cut.at_least(3, Z)
 
 
@@ -69,17 +69,71 @@ def test_cut_pow_examples():
 def test_cut_is_principal():
     assert Cut.at_least(1, Z).is_principal()
     assert not Cut.above(Fraction(3, 2), Z3).is_principal()
-    assert not Cut.at_least(Fraction(1, 2), Z).is_principal()
-    assert Cut.above(2, Z).is_principal()  # normalized to closed(3)
+    # {v >= 1/2} over Z is the ideal {v >= 1}
+    assert Cut.at_least(Fraction(1, 2), Z).is_principal()
+    assert Cut.at_least(Fraction(1, 2), Z) == Cut.at_least(1, Z)
+    assert Cut.above(2, Z).is_principal()  # stored as closed(3)
 
 
-def test_cut_normalize_idempotent_and_restrict():
+def test_cut_is_canonical_and_restrict():
     c = Cut.at_least(Fraction(4, 3), Z)
-    n1 = c.normalize()
-    assert n1 == Cut.at_least(2, Z)
-    assert n1.normalize() == n1
-    fine = Cut.at_least(Fraction(2, 3), ValueGroup.discrete(Fraction(1, 3)))
+    assert (c.value, c.closed) == (2, True)
+    assert c == Cut.above(1, Z) == Cut.above(Fraction(3, 2), Z)
+    assert hash(c) == hash(Cut.at_least(2, Z)) and repr(c) == "{v >= 2}"
+    assert Cut(c.value, c.closed, c.group) == c
+    third = ValueGroup.discrete(Fraction(1, 3))
+    assert Cut.above(Fraction(1, 2), third) == Cut.at_least(Fraction(2, 3), third)
+    fine = Cut.at_least(Fraction(2, 3), third)
     assert restrict_cut(fine, Z) == Cut.at_least(1, Z)
+    # only discrete groups have a canonical closed form
+    assert not Cut.above(1, DENSE).closed and not Cut.above(1, Z3).closed
+
+
+# the three kinds of value group, discrete ones at assorted granularities
+GROUPS = st.one_of(
+    st.sampled_from([1, Fraction(1, 2), Fraction(1, 3), Fraction(2, 3), Fraction(3, 2), 2,
+                     Fraction(1, 5)]).map(ValueGroup.discrete),
+    st.sampled_from([2, 3, 5]).map(ValueGroup.z_one_over_p),
+    st.just(DENSE),
+)
+CUT_VALUES = st.fractions(min_value=-6, max_value=6, max_denominator=12)
+
+
+@given(CUT_VALUES, st.booleans(), GROUPS, st.lists(CUT_VALUES, max_size=20))
+@settings(max_examples=300, deadline=None)
+def test_canonical_cut_is_the_normalized_open_only_cut(value, closed, group, probes):
+    cut = Cut(value, closed, group)
+    old = OpenOnlyCut(value, closed, group)
+    lifted = old.normalize()
+    assert (cut.value, cut.closed) == (lifted.value, lifted.closed)
+    assert repr(cut) == repr(lifted)
+    assert cut.is_principal() == lifted.is_principal()
+    assert Cut(cut.value, cut.closed, group) == cut
+    if group.kind == ValueGroup.DISCRETE:
+        # the same ideal: every group element of a window around the value
+        probes = [k * group.granularity for k in range(-40, 41)]
+    for x in probes:
+        assert cut.contains(x) == old.contains(x) == lifted.contains(x)
+
+
+@given(st.integers(0, 2**32), CUT_VALUES, st.booleans(), GROUPS, st.integers(-6, 6),
+       st.integers(0, 6), st.integers(-8, 10), st.sampled_from((F2, F3)))
+@settings(max_examples=300, deadline=None)
+def test_series_in_cut_matches_the_floor_reading(seed, value, closed, group, lo, width, prec,
+                                                 field):
+    # the same verdict, or the same InsufficientPrecision with the same text
+    import random as _r
+
+    s = random_series(field, _r.Random(seed), lo, lo + width, prec, density=0.4)
+    cut = Cut(value, closed, group)
+    try:
+        expected = floor_series_in_cut(s, OpenOnlyCut(value, closed, group).normalize())
+    except InsufficientPrecision as err:
+        with pytest.raises(InsufficientPrecision) as got:
+            series_in_cut(s, cut)
+        assert str(got.value) == str(err)
+        return
+    assert series_in_cut(s, cut) == expected
 
 
 def test_cut_ambient_mismatch():

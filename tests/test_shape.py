@@ -12,6 +12,7 @@ on ``prec``.
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from ramify.extension import ASExtension, RamificationType, integral_basis
 from ramify.fields import FieldSpec
@@ -23,6 +24,8 @@ from ramify.invariants import (
     value_group_of_l,
 )
 from ramify.series import Cut, LaurentSeries, ValueGroup
+
+from oracles import per_kind_generators
 
 F2 = FieldSpec.finite(2)
 F3 = FieldSpec.finite(3)
@@ -36,8 +39,16 @@ Z = ValueGroup.discrete(1)
 
 def ext_of(field, terms, prec=32):
     """The extension alpha^p - alpha = sum of c * t^e over ``terms``,
-    where c is the generator u when given as "u", else an integer."""
-    coeffs = {e: field.generator() if c == "u" else field.from_int(c) for e, c in terms.items()}
+    where c is the generator (u or w) when given as "u", c times it when
+    given as ("u", c), else an integer."""
+    def coeff(c):
+        if c == "u":
+            return field.generator()
+        if isinstance(c, tuple):
+            return field.generator() * field.from_int(c[1])
+        return field.from_int(c)
+
+    coeffs = {e: coeff(c) for e, c in terms.items()}
     return ASExtension(field, LaurentSeries(field, coeffs, prec))
 
 
@@ -150,12 +161,75 @@ def test_record_cuts(ext):
     p, v0 = ext.p, ext.swan / ext.p
     if basis.kind == "wild":
         assert list(basis.cuts) == _wild_cuts(ext)
-        assert basis.gamma is None
     else:
-        # B = A[alpha*gamma], so A_i = gamma^i A
+        # B = A[alpha*gamma] with gamma = t^(swan/p), so A_i = gamma^i A
         assert basis.kind == "ferocious" and _is_ferocious(ext)
-        assert basis.gamma.coeffs == {int(v0): ext.field.one()}
         assert list(basis.cuts) == [Cut.at_least(i * v0, Z) for i in range(p)]
+    # each generator is alpha^i times the monomial t^(A_i), an integer
+    for i, (g, cut) in enumerate(zip(basis.generators(), basis.cuts)):
+        assert cut.closed and cut.value.denominator == 1
+        want = basis.ext.alpha_power(i).coeffs
+        assert [c.coeffs for c in g.coeffs] == [
+            {e + int(cut.value): x for e, x in c.coeffs.items()} for c in want
+        ]
     assert basis.group == per_kind_value_group_of_l(ext)
     values = [basis.cuts[i].value + (1 - i) * v0 for i in range(1, p)]
     assert basis.i_star == 1 + values.index(min(values))
+
+
+# -- generators against the per-kind chains ----------------------------------------
+
+
+def assert_equal_values_prec_not_lower(got, want):
+    """The same elements of L, each coordinate known at least as far."""
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        for a, b in zip(g.coeffs, w.coeffs):
+            assert a.prec >= b.prec
+            assert a.truncate(b.prec) == b
+
+
+@pytest.mark.parametrize("ext", EXTENSIONS, ids=repr)
+def test_generators_match_the_per_kind_chains(ext):
+    basis = integral_basis(ext)
+    assert_equal_values_prec_not_lower(basis.generators(), per_kind_generators(basis))
+
+
+# the ferocious and unramified cases, where the formula replaced the chain
+# (alpha*gamma)^i; wild poles ride along, where nothing changed
+F5u = FieldSpec.rational(5)
+SHAPE_FIELDS = (F2, F3, F5, F4, F9, F2u, F3u, F5u)
+
+
+@given(st.sampled_from(SHAPE_FIELDS), st.integers(1, 4), st.integers(0, 4),
+       st.dictionaries(st.integers(-7, 4), st.integers(1, 4), max_size=3),
+       st.one_of(st.integers(1, 8), st.integers(8, 32)), st.booleans())
+@settings(max_examples=100, deadline=None)
+def test_generators_match_the_per_kind_chains_at_any_precision(field, k, c0, terms, prec, twist):
+    # a pole of order k*p with residue u or w (ferocious over F_p(u)), or
+    # a constant term c0 (unramified over F_p when nothing else has a
+    # pole), plus up to three other terms; precisions from 1, below the
+    # deepest A_i, where t^(A_i) at f's precision alone has no term
+    p = field.p
+    terms = {e: c % p for e, c in terms.items() if c % p}
+    if not (field.is_finite and field.degree == 1):
+        terms[-k * p] = ("u", 1 + twist) if p > 2 or not twist else "u"
+    if c0 % p:
+        terms[0] = c0 % p
+    assume(terms)
+    ext = ext_of(field, terms, prec)
+    assume(ext.classification() is not RamificationType.TRIVIAL)
+    basis = integral_basis(ext)
+    assert_equal_values_prec_not_lower(basis.generators(), per_kind_generators(basis))
+
+
+def test_the_formula_knows_a_ferocious_generator_further_than_the_chain():
+    # over F_3(u), f = u*t^-3 + (u+1)*t: coordinate 1 of (alpha*t)^2 along
+    # the chain is known below t^32, that of alpha^2 * t^2 below t^34
+    u = F3u.generator()
+    ext = ASExtension(F3u, LaurentSeries(F3u, {-3: u, 1: u + 1}, 32))
+    basis = integral_basis(ext)
+    got, want = basis.generators(), per_kind_generators(basis)
+    assert_equal_values_prec_not_lower(got, want)
+    assert [c.prec for c in want[2].coeffs] == [31, 32, 32]
+    assert [c.prec for c in got[2].coeffs] == [31, 34, 32]

@@ -15,9 +15,10 @@ from this checkout's ``src/``.  One line per run:
     workload seed id format exit-code sha256-of-stdout
 
 The lines are recorded in ``tests/data/output_digests.txt``; CI reruns
-this script and diffs its output against that file, so any change to
-what the program prints fails the build.  A deliberate change
-re-records the file:
+this script under ``python3 -W error`` and diffs its output against
+that file, so any change to what the program prints fails the build,
+and so does a warning, which would otherwise go to the stderr this
+script drops.  A deliberate change re-records the file:
 
     python3 tools/output_digest.py > tests/data/output_digests.txt
 """
