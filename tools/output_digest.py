@@ -4,7 +4,9 @@ The runs are every configuration ``perfbench/workloads.generate`` makes
 for seeds 1-3 (one pass of each workload), in JSON and in text, four
 F_p(u) ``analyze`` runs that no workload covers (p = 5, and denominators
 with repeated and irreducible quadratic factors), in JSON and in text,
-``selftest`` in text and in JSON with ``--seed 7``, and the ``low_prec``
+``selftest`` in text and in JSON with ``--seed 7``, the ``heavy_tail``
+runs: one F_p(u) ``analyze`` whose coefficients have a denominator of
+degree 400, at verifier seeds 0-3, in JSON, and the ``low_prec``
 runs: every ``analyze`` configuration of seeds 1-5, in JSON, with
 ``--prec`` lowered to each of ``LOW_PRECS``.  Many of those exit 3
 (missing precision), so they pin down exactly which inputs have enough
@@ -50,6 +52,11 @@ FPU_RUNS = (
     ("Fp(u):3", "(u^2/(u+1)^3)*t^-3 + (1/u)*t^-2 + t"),
 )
 
+# The heavy_tail run: its unit inverses multiply F_p(u) coefficients of
+# hundreds of terms, at --prec 8 --trials 1 and each of HEAVY_TAIL_SEEDS.
+HEAVY_TAIL = ("Fp(u):2", "(1/(u^400+1))*t^-1")
+HEAVY_TAIL_SEEDS = (0, 1, 2, 3)
+
 
 def runs():
     """(workload, seed, id, format, argv) of every run, in a fixed order."""
@@ -66,6 +73,12 @@ def runs():
             yield "fpu_extra", 1, ident, fmt, argv + ["--format", fmt]
     yield "selftest", "-", 0, "text", ["selftest"]
     yield "selftest", 7, 1, "json", ["selftest", "--format", "json", "--seed", "7"]
+    field, f = HEAVY_TAIL
+    for seed in HEAVY_TAIL_SEEDS:
+        yield "heavy_tail", seed, 0, "json", [
+            "analyze", "--field", field, "--f", f, "--prec", "8", "--trials", "1",
+            "--seed", str(seed), "--format", "json",
+        ]
     for name, workload in workloads.WORKLOADS.items():
         if workload.kind != "analyze":
             continue
