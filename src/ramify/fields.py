@@ -37,14 +37,23 @@ Polynomials over F_p (the elements of F_p(u), and the field moduli) are
 tuples of ints in [0, p), lowest degree first, with no trailing zeros;
 () is the zero polynomial.
 
-F_p(u) arithmetic keeps gcds on small polynomials (Henrici's rules, Knuth,
-TAOCP vol. 2, 4.5.1): ``+`` divides both denominators by their gcd
-first, so a sum over coprime denominators needs no gcd on its numerator,
-and ``*`` cancels across the two fractions first, so its product needs
-no final gcd.
-``dot_coeffs`` sums each group of products that share a denominator as
-one unreduced list of ints, reduces it once, and joins the groups over
-the lcm of their denominators before its one ``_rat``.
+Each F_p(u) field keeps a coprime base (``_CoprimeBase``): monic
+polynomials over F_p, pairwise coprime but not necessarily irreducible,
+grown on demand (Bernstein, "Factoring into coprimes in essentially
+linear time", J. Algorithms 54, 2005).  Every canonical denominator is
+a product of powers of base elements, so it has an exponent *vector*
+over the base; an element caches its vector, stamped with the base's
+refinement count, so that a split of a base element invalidates it.
+The lcm of two denominators is the elementwise max of their vectors and
+the product their sum, with no gcd.  ``_CoprimeBase.cancel`` is the one
+routine that reduces an F_p(u) fraction: it divides each base factor the
+vector allows out of the numerator, and splits a base element that
+shares only a proper factor with it.  ``_rat``, element ``+`` and ``*``
+(Henrici's rules, Knuth, TAOCP vol. 2, 4.5.1: only a common factor of
+the two denominators can cancel in a sum, and ``*`` cancels each
+numerator against the other denominator) and ``dot_coeffs`` all reduce
+through it.  The base is a cache: values, equality, hashing and printing
+read the canonical (num, den) pair alone.
 """
 
 from __future__ import annotations
@@ -140,10 +149,19 @@ def _pmul(a, b, p):
 def _pdivmod(a, b, p):
     if not b:
         raise DivisionByZero("polynomial division by zero")
+    if len(a) < len(b):
+        return (), _trim(a)
+    if len(b) == 2 and b[1] == 1:  # by u - root: synthetic division
+        root = -b[0] % p
+        if not root:
+            return _trim(a[1:]), _trim(a[:1])
+        acc, out = 0, []
+        for c in reversed(a):
+            acc = (acc * root + c) % p
+            out.append(acc)
+        return _trim(out[-2::-1]), _trim(out[-1:])
     inv_lead = pow(b[-1], -1, p)
     rem = list(a)
-    if len(rem) < len(b):
-        return (), _trim(rem)
     quot = [0] * (len(rem) - len(b) + 1)
     for i in range(len(rem) - len(b), -1, -1):
         c = (rem[i + len(b) - 1] * inv_lead) % p
@@ -180,14 +198,6 @@ def _pgcd(a, b, p):
     while b:
         a, b = b, _prem(a, b, p)
     return _pmonic(a, p)
-
-
-def _cancel(a, b, p):
-    """(a/g, b/g) for the monic g = gcd(a, b); b is nonzero."""
-    g = _pgcd(a, b, p)
-    if len(g) > 1:
-        return _pdivmod(a, g, p)[0], _pdivmod(b, g, p)[0]
-    return a, b
 
 
 def _proot(a, p):
@@ -246,6 +256,199 @@ def _pirreducible(f, p):
         if _pgcd(_psub(xq, x, p), f, p) != _ONE:
             return False
     return True
+
+
+# Exponent vectors over a coprime base are tuples of ints without trailing
+# zeros, trimmed like polynomials by ``_trim``.
+
+
+def _vadd(v, w):
+    """The sum of two exponent vectors: the product's vector."""
+    if len(v) < len(w):
+        v, w = w, v
+    return tuple(map(operator.add, v, w)) + v[len(w):]
+
+
+def _vmax(v, w):
+    """The elementwise max of two exponent vectors: the lcm's vector."""
+    if len(v) < len(w):
+        v, w = w, v
+    return tuple(map(max, v, w)) + v[len(w):]
+
+
+def _vsub(v, w):
+    """v - w for w <= v elementwise."""
+    return _trim(tuple(map(operator.sub, v, w)) + v[len(w):])
+
+
+class _CoprimeBase:
+    """The coprime base of one F_p(u) field: ``polys``, monic squarefree
+    polynomials of positive degree over F_p, pairwise coprime.  A vector
+    v (a tuple of ints, no trailing zeros) stands for B^v, the product of
+    polys[i]^v[i].
+
+    The base only grows finer.  A new factor is appended, which leaves
+    every vector valid; a split replaces ``polys`` by a new list and adds
+    one to ``count``, which invalidates every vector made before it.  A
+    caller holding vectors across a call that may refine keeps the list
+    it read them against and translates them with ``current``.
+    """
+
+    __slots__ = ("p", "polys", "count", "_powers")
+
+    def __init__(self, p):
+        self.p = p
+        self.polys = []
+        self.count = 0
+        self._powers = {}  # (i, k) -> polys[i]^k
+
+    def _refine(self, a):
+        """Refine the base until the monic a is a product of powers of its
+        elements.  A piece with a repeated factor is split by its
+        derivative first (a p-th power by its p-th root), so elements
+        stay squarefree; a piece that shares a factor g with an element b
+        other than b itself splits b into g and b/g."""
+        p = self.p
+        n = len(self.polys)
+        polys = list(self.polys)
+        split = False
+        pending = [a]
+        while pending:
+            x = pending.pop()
+            if len(x) < 2:
+                continue
+            dx = _pderiv(x, p)
+            if not dx:
+                pending.append(_proot(x, p))
+                continue
+            g = _pgcd(x, dx, p)
+            if len(g) > 1:
+                pending += [g, _pdivmod(x, g, p)[0]]
+                continue
+            for i, b in enumerate(polys):
+                g = _pgcd(x, b, p)
+                if len(g) > 1:
+                    if g != b:
+                        del polys[i]
+                        pending += [g, _pdivmod(b, g, p)[0]]
+                        split = True
+                    pending.append(_pdivmod(x, g, p)[0])
+                    break
+            else:
+                polys.append(x)
+        if split:
+            self.polys = polys
+            self.count += 1
+            self._powers = {}
+        else:
+            self.polys += polys[n:]
+
+    def factor(self, d):
+        """The vector of the monic d, refining the base first when d has
+        a factor outside it."""
+        p = self.p
+        while True:
+            v, rest = [], d
+            for b in self.polys:
+                k = 0
+                while len(rest) >= len(b):
+                    q, r = _pdivmod(rest, b, p)
+                    if r:
+                        break
+                    rest, k = q, k + 1
+                v.append(k)
+            if len(rest) == 1:
+                return _trim(v)
+            self._refine(rest)
+
+    def vector(self, c):
+        """The vector of the denominator of the F_p(u) element c, from
+        its cache while no split has happened since it was stamped."""
+        den = c._b
+        if len(den) == 1:
+            return ()
+        cached = c._v
+        if cached is not None and cached[0] == self.count:
+            return cached[1]
+        v = self.factor(den)
+        _set_v(c, (self.count, v))
+        return v
+
+    def vectors(self, elems):
+        """``vector`` of each of elems, all against one base: factoring
+        one element may split an element another one's vector uses."""
+        while True:
+            count = self.count
+            out = [self.vector(c) for c in elems]
+            if count == self.count:
+                return out
+
+    def current(self, v, polys):
+        """v, a vector over the earlier base list ``polys``, over this
+        base.  Each earlier element is a product of powers of the
+        current ones, so factoring it refines nothing."""
+        if polys is self.polys:
+            return v
+        out = ()
+        for b, k in zip(polys, v):
+            if k:
+                out = _vadd(out, tuple(k * x for x in self.factor(b)))
+        return out
+
+    def _power(self, i, k):
+        q = self._powers.get((i, k))
+        if q is None:
+            h = k // 2
+            q = self.polys[i] if k == 1 else _pmul(self._power(i, h), self._power(i, k - h), self.p)
+            self._powers[(i, k)] = q
+        return q
+
+    def times(self, num, v):
+        """num * B^v."""
+        return _pmul(num, self.expand(v), self.p) if v else num
+
+    def expand(self, v):
+        """B^v as a polynomial."""
+        out = _ONE
+        for i, k in enumerate(v):
+            if k:
+                q = self._power(i, k)
+                out = q if out is _ONE else _pmul(out, q, self.p)
+        return out
+
+    def cancel(self, num, v):
+        """(num', v') with num'/B^v' = num/B^v in lowest terms, for a
+        nonzero num.
+
+        Each base element b with v_b > 0 is divided out of num while it
+        divides, at most v_b times.  A base element is coprime, not
+        irreducible: when the remainder r of the last division shares a
+        proper factor g = gcd(r, b) with b, b is split and the strip
+        starts again on the finer base.  (In F_3(u), u/(u^2+2) * (u+1)
+        must give u/(u+2).)"""
+        p = self.p
+        out = list(v)
+        i = 0
+        while i < len(out):
+            k = out[i]
+            if k:
+                b = self.polys[i]
+                while k:
+                    q, r = _pdivmod(num, b, p)
+                    if r:
+                        break
+                    num, k = q, k - 1
+                out[i] = k
+                if k and len(b) > 2 and len(r) > 1:
+                    g = _pgcd(b, r, p)
+                    if len(g) > 1:
+                        polys = self.polys
+                        self._refine(g)
+                        out = list(self.current(_trim(out), polys))
+                        i = 0
+                        continue
+            i += 1
+        return num, _trim(out)
 
 
 def _ppoly_str(cs, var):
@@ -349,12 +552,14 @@ class FieldSpec:
     modulus of degree m supplied at construction time.  Instances are
     immutable, hashable and interned: constructing the same field
     presentation twice returns the same object, so equality is identity.
+    The one mutable part is F_p(u)'s coprime base ``_base``, a cache that
+    no value depends on.
     """
 
     __slots__ = (
         "p", "kind", "degree", "modulus", "var", "is_finite", "order",
         "_hash", "_log", "_exp", "_zech", "_neg", "_zero", "_one",
-        "_radd", "_rneg", "_rmul", "_rinv", "_rpow",
+        "_radd", "_rneg", "_rmul", "_rinv", "_rpow", "_base",
     )
 
     FINITE = "finite"
@@ -403,8 +608,9 @@ class FieldSpec:
             ("p", p), ("kind", kind), ("degree", degree), ("modulus", modulus),
             ("var", var), ("is_finite", finite), ("order", p ** degree if finite else None),
             ("_hash", hash(key)), ("_log", log), ("_exp", exp), ("_zech", zech), ("_neg", neg),
-            ("_zero", _elem(self, 0) if finite else _elem(self, (), _ONE)),
-            ("_one", _elem(self, 1) if finite else _elem(self, _ONE, _ONE)),
+            ("_zero", _elem(self, 0) if finite else _felem(self, (), _ONE, None)),
+            ("_one", _elem(self, 1) if finite else _felem(self, _ONE, _ONE, None)),
+            ("_base", None if finite else _CoprimeBase(p)),
         ):
             object.__setattr__(self, name, value)
         for name, value in zip(("_radd", "_rneg", "_rmul", "_rinv", "_rpow"), _raw_ops(self)):
@@ -465,13 +671,14 @@ class FieldSpec:
             raise DivisionByZero("zero denominator")
         if not num:
             return self._zero
-        if len(den) > 1:
-            num, den = _cancel(num, den, self.p)
         if den[-1] != 1:
             inv = pow(den[-1], -1, self.p)
             num = tuple((c * inv) % self.p for c in num)
             den = tuple((c * inv) % self.p for c in den)
-        return _elem(self, num, den if len(den) > 1 else _ONE)
+        if len(den) == 1:
+            return _felem(self, num, _ONE, None)
+        base = self._base
+        return _frac(self, *base.cancel(num, base.factor(den)))
 
     def zero(self):
         return self._zero
@@ -543,9 +750,12 @@ class ResidueElem:
     denominator, so ``==`` on representations decides field equality.
     Zero is the only element whose ``_a`` is falsy.  Elements are made
     by the field (``FieldSpec.from_int`` and friends), not directly.
+    An F_p(u) element's ``_v`` caches the vector of ``_b`` over the
+    field's coprime base as (refinement count, vector), or is None until
+    ``_CoprimeBase.vector`` first asks; F_q elements never set it.
     """
 
-    __slots__ = ("field", "_a", "_b")
+    __slots__ = ("field", "_a", "_b", "_v")
 
     def __setattr__(self, name, value):
         raise AttributeError("ResidueElem is immutable")
@@ -588,28 +798,26 @@ class ResidueElem:
             return _elem(f, f._radd(a, b))
         # With one denominator 1, n/d + c = (n + c*d)/d is in lowest terms
         # already: gcd(n + c*d, d) = gcd(n, d) = 1, and d is monic.
+        p = f.p
         if da == _ONE:
             if db == _ONE:
-                return _elem(f, _padd(a, b, f.p), _ONE)
-            return _elem(f, _padd(_pmul(a, db, f.p), b, f.p), db)
-        p = f.p
+                return _felem(f, _padd(a, b, p), _ONE, None)
+            return _felem(f, _padd(_pmul(a, db, p), b, p), db, other._v)
         if db == _ONE:
-            return _elem(f, _padd(a, _pmul(b, da, p), p), da)
-        # Henrici: with g = gcd(da, db), a/da + b/db = t / ((da/g) * db) for
-        # t = a*(db/g) + b*(da/g), and only a factor of g can divide both
-        # t and that denominator.  So coprime denominators give lowest terms
-        # at once, and otherwise the gcd runs on t and g alone.
-        g = _pgcd(da, db, p)
-        if len(g) == 1:
-            return _elem(f, _padd(_pmul(a, db, p), _pmul(b, da, p), p), _pmul(da, db, p))
-        da = _pdivmod(da, g, p)[0]
-        t = _padd(_pmul(a, _pdivmod(db, g, p)[0], p), _pmul(b, da, p), p)
+            return _felem(f, _padd(a, _pmul(b, da, p), p), da, self._v)
+        # Henrici: over the lcm B^L, a/da + b/db = t / B^L with
+        # t = a*B^(L-va) + b*B^(L-vb).  A base factor can divide t only
+        # where va and vb are equal: elsewhere one term is prime to it.
+        base = f._base
+        va, vb = base.vectors((self, other))
+        lcm = _vmax(va, vb)
+        t = _padd(base.times(a, _vsub(lcm, va)), base.times(b, _vsub(lcm, vb)), p)
         if not t:
             return f._zero
-        h = _pgcd(t, g, p)
-        if len(h) > 1:
-            t, db = _pdivmod(t, h, p)[0], _pdivmod(db, h, p)[0]
-        return _elem(f, t, _pmul(da, db, p))
+        common = _trim([x if x == y else 0 for x, y in zip(va, vb)])
+        polys = base.polys
+        t, kept = base.cancel(t, common)
+        return _frac(f, t, _vadd(base.current(_vsub(lcm, common), polys), kept))
 
     __radd__ = __add__
 
@@ -617,7 +825,7 @@ class ResidueElem:
         f = self.field
         if self._b is None:
             return _elem(f, f._rneg(self._a))
-        return _elem(f, _pneg(self._a, f.p), self._b)
+        return _felem(f, _pneg(self._a, f.p), self._b, self._v)
 
     def __sub__(self, other):
         other = self._check(other)
@@ -639,16 +847,20 @@ class ResidueElem:
             return _elem(f, f._rmul(a, b))
         if not a or not b:
             return f._zero
-        # Henrici: cancel gcd(a, db) and gcd(b, da) first.  The factors
-        # left are pairwise coprime, so the product is in lowest terms, and
-        # its denominator is a product of monic polynomials.
+        # Henrici: a polynomial operand is cancelled against the other
+        # denominator before the product; two fractions, whose numerators
+        # are prime to their own denominators, cancel once after it.
         p = f.p
-        if db != _ONE:
-            a, db = _cancel(a, db, p)
-        if da != _ONE:
-            b, da = _cancel(b, da, p)
-        den = db if da == _ONE else da if db == _ONE else _pmul(da, db, p)
-        return _elem(f, _pmul(a, b, p), den)
+        base = f._base
+        if da == _ONE:
+            if db == _ONE:
+                return _felem(f, _pmul(a, b, p), _ONE, None)
+            a, v = base.cancel(a, base.vector(other))
+        elif db == _ONE:
+            b, v = base.cancel(b, base.vector(self))
+        else:
+            return _frac(f, *base.cancel(_pmul(a, b, p), _vadd(*base.vectors((self, other)))))
+        return _frac(f, _pmul(a, b, p), v)
 
     __rmul__ = __mul__
 
@@ -659,7 +871,12 @@ class ResidueElem:
         f = self.field
         if self._b is None:
             return _elem(f, f._rinv(a))
-        return f._rat(self._b, a)
+        # b/a is in lowest terms already: only its denominator is scaled
+        # monic, and its vector is left for the first caller that needs it
+        if a[-1] != 1:
+            inv = pow(a[-1], -1, f.p)
+            return _felem(f, tuple(c * inv % f.p for c in self._b), _pmonic(a, f.p), None)
+        return _felem(f, self._b, a, None)
 
     def __truediv__(self, other):
         other = self._check(other)
@@ -734,6 +951,7 @@ _new_elem = object.__new__
 _set_field = ResidueElem.field.__set__
 _set_a = ResidueElem._a.__set__
 _set_b = ResidueElem._b.__set__
+_set_v = ResidueElem._v.__set__
 
 
 def _elem(field, a, b=None):
@@ -744,6 +962,28 @@ def _elem(field, a, b=None):
     _set_a(e, a)
     _set_b(e, b)
     return e
+
+
+def _felem(field, num, den, v):
+    """An F_p(u) element from its canonical (num, den) and the cached
+    ``_v`` of den."""
+    e = _new_elem(ResidueElem)
+    _set_field(e, field)
+    _set_a(e, num)
+    _set_b(e, den)
+    _set_v(e, v)
+    return e
+
+
+def _frac(field, num, v):
+    """The element num / B^v of F_p(u), for num / B^v in lowest terms
+    over the current base of ``field``."""
+    if not num:
+        return field._zero
+    if not v:
+        return _felem(field, num, _ONE, None)
+    base = field._base
+    return _felem(field, num, base.expand(v), (base.count, v))
 
 
 def _zero_pow(n):
@@ -803,10 +1043,13 @@ def dot_coeffs(field, pairs, bound):
     code 0 meaning "nothing yet".  F_p(u) keeps, per exponent and product
     denominator, one list of plain ints into which each numerator
     convolution is added unreduced; each list is reduced mod p and
-    trimmed once.  The groups are then joined over the lcm: with
-    g = gcd(D, d), N/D + n/d = (N*(d/g) + n*(D/g)) / (D*(d/g)), so the
-    one ``_rat`` per exponent runs its gcd on small polynomials.  Zero
-    sums are dropped.
+    trimmed once.  A product denominator is keyed by its vector over the
+    field's coprime base, the sum of its factors' vectors, so no
+    polynomial is multiplied to find it.  The groups are then joined over
+    the lcm, the elementwise max L of their vectors: a group of vector v
+    is multiplied by B^(L - v), a product of base powers, and one
+    ``_CoprimeBase.cancel`` per exponent reduces the sum.  Zero sums are
+    dropped.
     """
     p = field.p
     acc = {}
@@ -841,14 +1084,23 @@ def dot_coeffs(field, pairs, bound):
                         e = e1 + e2
                         acc[e] = get(e, 0) + x * y
         return {e: r for e, s in acc.items() if (r := s % p)}
-    for a, b in pairs:
-        b_fracs = [(e2, c._a, c._b) for e2, c in b.items()]
-        for e1, c1 in a.items():
-            n1, d1, lim = c1._a, c1._b, bound - e1
-            for e2, n2, d2 in b_fracs:
+    base = field._base
+    vector = base.vector
+    while True:  # every vector against one base: factoring may split
+        count = base.count
+        fracs = [
+            ([(e, c._a, vector(c)) for e, c in a.items()], [(e, c._a, vector(c)) for e, c in b.items()])
+            for a, b in pairs
+        ]
+        if count == base.count:
+            break
+    for a_fracs, b_fracs in fracs:
+        for e1, n1, v1 in a_fracs:
+            lim = bound - e1
+            for e2, n2, v2 in b_fracs:
                 if e2 < lim:
                     e = e1 + e2
-                    den = d2 if d1 == _ONE else d1 if d2 == _ONE else _pmul(d1, d2, p)
+                    den = v2 if not v1 else v1 if not v2 else _vadd(v1, v2)
                     groups = get(e)
                     if groups is None:
                         groups = acc[e] = {}
@@ -862,21 +1114,24 @@ def dot_coeffs(field, pairs, bound):
                         if x:
                             for j, y in enumerate(n2, i):
                                 cur[j] += x * y
+    polys = base.polys
     out = {}
     for e, groups in acc.items():
-        num, den = (), _ONE
-        for d, cur in groups.items():
-            n = _trim([c % p for c in cur])
-            if not n:
-                continue
+        terms = [(v, n) for v, cur in groups.items() if (n := _trim([c % p for c in cur]))]
+        if not terms:
+            continue
+        if base.polys is not polys:  # a cancel below split a base element
+            terms = [(base.current(v, polys), n) for v, n in terms]
+        lcm, num = terms[0]
+        if len(terms) > 1:
+            for v, _ in terms:
+                lcm = _vmax(lcm, v)
+            num = ()
+            for v, n in terms:
+                num = _padd(num, base.times(n, _vsub(lcm, v)), p)
             if not num:
-                num, den = n, d
                 continue
-            den_g, d_g = _cancel(den, d, p) if len(den) > 1 and len(d) > 1 else (den, d)
-            num = _padd(_pmul(num, d_g, p), _pmul(n, den_g, p), p)
-            den = _pmul(den, d_g, p)
-        if num:
-            out[e] = field._rat(num, den)
+        out[e] = _frac(field, *base.cancel(num, lcm)) if lcm else _felem(field, num, _ONE, None)
     return out
 
 

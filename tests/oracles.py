@@ -15,6 +15,7 @@ from ramify.errors import (
     ZeroSeries,
 )
 from ramify.extension import LElement, integral_basis, integral_sample
+from ramify.fields import _padd, _pgcd, _pmul, _trim
 from ramify.invariants import TRACE_DUAL_PERTURBATIONS, Z_GROUP
 from ramify.series import Cut, LaurentSeries, ValueGroup, dot, series_in_cut
 
@@ -383,3 +384,106 @@ def assert_canonical(elem):
         assert den == (1,)
     else:
         assert poly_gcd(num, den, p) == (1,)
+
+
+# -- F_p(u) reduction by Euclid, before the coprime base -------------------------
+# ``FieldSpec._rat`` and the F_p(u) branches of ``ResidueElem.__add__`` and
+# ``__mul__`` as they were, on (num, den) pairs, with the long division
+# ``_pdivmod`` was before it divided by linear polynomials synthetically.
+
+_ONE = (1,)
+
+
+def long_divmod(a, b, p):
+    if not b:
+        raise DivisionByZero("polynomial division by zero")
+    inv_lead = pow(b[-1], -1, p)
+    rem = list(a)
+    if len(rem) < len(b):
+        return (), _trim(rem)
+    quot = [0] * (len(rem) - len(b) + 1)
+    for i in range(len(rem) - len(b), -1, -1):
+        c = (rem[i + len(b) - 1] * inv_lead) % p
+        if c:
+            quot[i] = c
+            for j, cb in enumerate(b):
+                rem[i + j] = (rem[i + j] - c * cb) % p
+    return _trim(quot), _trim(rem)
+
+
+def euclid_cancel(a, b, p):
+    """(a/g, b/g) for the monic g = gcd(a, b); b is nonzero."""
+    g = _pgcd(a, b, p)
+    if len(g) > 1:
+        return long_divmod(a, g, p)[0], long_divmod(b, g, p)[0]
+    return a, b
+
+
+def euclid_rat(p, num, den):
+    num, den = _trim(num), _trim(den)
+    if not den:
+        raise DivisionByZero("zero denominator")
+    if not num:
+        return (), _ONE
+    if len(den) > 1:
+        num, den = euclid_cancel(num, den, p)
+    if den[-1] != 1:
+        inv = pow(den[-1], -1, p)
+        num = tuple((c * inv) % p for c in num)
+        den = tuple((c * inv) % p for c in den)
+    return num, den if len(den) > 1 else _ONE
+
+
+def henrici_add(p, x, y):
+    (a, da), (b, db) = x, y
+    if da == _ONE:
+        if db == _ONE:
+            return _padd(a, b, p), _ONE
+        return _padd(_pmul(a, db, p), b, p), db
+    if db == _ONE:
+        return _padd(a, _pmul(b, da, p), p), da
+    g = _pgcd(da, db, p)
+    if len(g) == 1:
+        return _padd(_pmul(a, db, p), _pmul(b, da, p), p), _pmul(da, db, p)
+    da = long_divmod(da, g, p)[0]
+    t = _padd(_pmul(a, long_divmod(db, g, p)[0], p), _pmul(b, da, p), p)
+    if not t:
+        return (), _ONE
+    h = _pgcd(t, g, p)
+    if len(h) > 1:
+        t, db = long_divmod(t, h, p)[0], long_divmod(db, h, p)[0]
+    return t, _pmul(da, db, p)
+
+
+def henrici_mul(p, x, y):
+    (a, da), (b, db) = x, y
+    if not a or not b:
+        return (), _ONE
+    if db != _ONE:
+        a, db = euclid_cancel(a, db, p)
+    if da != _ONE:
+        b, da = euclid_cancel(b, da, p)
+    den = db if da == _ONE else da if db == _ONE else _pmul(da, db, p)
+    return _pmul(a, b, p), den
+
+
+def assert_base_consistent(field, elems=()):
+    """The coprime base of ``field`` is monic, squarefree and pairwise
+    coprime, and every element of ``elems`` whose cached vector is current
+    multiplies back to its denominator."""
+    p, base = field.p, field._base
+    polys = base.polys
+    for i, b in enumerate(polys):
+        assert len(b) > 1 and b[-1] == 1 and b == _trimmed(b)
+        deriv = _trimmed((k * c) % p for k, c in enumerate(b))[1:]
+        assert deriv and poly_gcd(b, deriv, p) == (1,)
+        for c in polys[i + 1:]:
+            assert poly_gcd(b, c, p) == (1,)
+    for x in elems:
+        cached = x._v
+        if cached is not None and cached[0] == base.count:
+            den = (1,)
+            for b, k in zip(polys, cached[1]):
+                for _ in range(k):
+                    den = poly_mul(den, b, p)
+            assert den == x._b

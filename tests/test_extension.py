@@ -28,7 +28,7 @@ from ramify.extension import (
 from ramify.fields import Expr, FieldSpec
 from ramify.invariants import boundary_generator, refined_swan
 from ramify.parsing import parse_field_spec
-from ramify.series import Cut, LaurentSeries, ValueGroup, random_series
+from ramify.series import Cut, LaurentSeries, ValueGroup, dot, random_series
 
 from oracles import difference_denominators, difference_loop, is_integral, sigma_loop
 
@@ -519,6 +519,15 @@ def test_cached_elements_leave_no_reference_cycle():
         assert expr.evaluate({"x": F3.from_int(1)}, F3) == F3.from_int(1)
         assert expr._compiled
         del x, expr
+        assert gc.collect() == 0
+        # an F_p(u) element caches its denominator's vector over the
+        # field's coprime base; the base itself lives with the field
+        u = F2u.generator()
+        x = (u + 1) / (u ** 3 + u + 1) ** 2
+        s = LaurentSeries(F2u, {0: x, 1: x * x + 1 / u}, 4)
+        dot([(s, s)])
+        assert x._v is not None and F2u._base.polys
+        del u, x, s
         assert gc.collect() == 0
     finally:
         gc.enable()

@@ -21,7 +21,7 @@ from ramify.invariants import generator_traces
 from ramify.parsing import parse_field_spec, parse_series
 from ramify.series import LaurentSeries, dot
 
-from oracles import assert_canonical, coprime_numerator, fpu_denominators
+from oracles import assert_base_consistent, assert_canonical, coprime_numerator, fpu_denominators
 
 F2 = FieldSpec.finite(2)
 F3 = FieldSpec.finite(3)
@@ -280,6 +280,7 @@ def test_dot_joins_denominator_groups_over_their_lcm(field, data):
     assert {e: (c._a, c._b) for e, c in result.coeffs.items()} == expected
     for c in result.coeffs.values():
         assert_canonical(c)
+    assert_base_consistent(field, list(result.coeffs.values()))
 
 
 @settings(max_examples=80, deadline=None)
