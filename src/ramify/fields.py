@@ -12,7 +12,7 @@ field, and the base-p number whose digits are the coefficients of
 1, w, ..., w^(m-1) when m >= 2, so that ``element_at(i)`` has code i.
 Fields with m >= 2 multiply, invert, add and take powers through
 log/antilog and Zech tables built once per field, which bounds their
-order by 2^16.
+order by 2^16; building them also proves the modulus irreducible.
 Field specs are interned, so two specs of one field are the same object.
 
 Series keep their coefficients as *raw values* rather than elements:
@@ -172,21 +172,6 @@ def _pdivmod(a, b, p):
     return _trim(quot), _trim(rem)
 
 
-def _prem(a, b, p):
-    """The remainder of ``_pdivmod(a, b, p)``, without building the
-    quotient."""
-    if not b:
-        raise DivisionByZero("polynomial division by zero")
-    inv_lead = pow(b[-1], -1, p)
-    rem = list(a)
-    for i in range(len(rem) - len(b), -1, -1):
-        c = (rem[i + len(b) - 1] * inv_lead) % p
-        if c:
-            for j, cb in enumerate(b):
-                rem[i + j] = (rem[i + j] - c * cb) % p
-    return _trim(rem)
-
-
 def _pmonic(a, p):
     if not a:
         return ()
@@ -196,7 +181,7 @@ def _pmonic(a, p):
 
 def _pgcd(a, b, p):
     while b:
-        a, b = b, _prem(a, b, p)
+        a, b = b, _pdivmod(a, b, p)[1]
     return _pmonic(a, p)
 
 
@@ -215,11 +200,11 @@ def _pderiv(a, p):
 
 def _ppow_mod(base, e, mod, p):
     result = _ONE
-    base = _prem(base, mod, p)
+    base = _pdivmod(base, mod, p)[1]
     while e:
         if e & 1:
-            result = _prem(_pmul(result, base, p), mod, p)
-        base = _prem(_pmul(base, base, p), mod, p)
+            result = _pdivmod(_pmul(result, base, p), mod, p)[1]
+        base = _pdivmod(_pmul(base, base, p), mod, p)[1]
         e >>= 1
     return result
 
@@ -236,26 +221,6 @@ def _prime_divisors(n):
     if n > 1:
         out.append(n)
     return out
-
-
-def _pirreducible(f, p):
-    """Rabin test: f of degree m is irreducible over F_p."""
-    m = len(f) - 1
-    if m < 1:
-        return False
-    x = (0, 1)
-    xq = x
-    for _ in range(m):
-        xq = _ppow_mod(xq, p, f, p)
-    if _psub(xq, _prem(x, f, p), p):
-        return False
-    for d in _prime_divisors(m):
-        xq = x
-        for _ in range(m // d):
-            xq = _ppow_mod(xq, p, f, p)
-        if _pgcd(_psub(xq, x, p), f, p) != _ONE:
-            return False
-    return True
 
 
 # Exponent vectors over a coprime base are tuples of ints without trailing
@@ -489,24 +454,30 @@ def _field_tables(p, m, modulus):
     maps a code to the code of its negative.
 
     The powers of g are walked on digit lists: g has low degree, so one
-    step costs O(m) integer operations.
+    step costs O(m) integer operations.  The walk also proves the modulus
+    irreducible: F_p[w]/(modulus) is a field exactly when some g has q - 1
+    distinct nonzero powers (F_q* is cyclic; Lidl and Niederreiter,
+    *Finite Fields*, Thm 2.8), so a power g^k, 0 < k < q - 1, that is 0,
+    1 or a repeat raises InvalidSpec.
     """
     q = p ** m
     n = q - 1
     divisors = _prime_divisors(n)
+    # Over a reducible modulus the search still ends: a nonconstant factor
+    # of the modulus is a zero divisor among the candidates, and no power
+    # of a zero divisor is 1.  The largest r goes first: its power is the
+    # cheapest, and over a product of two octics over F_2 it fails every
+    # unit at once (their orders divide 255 = n/257).
     g = next(
         g for g in (_digits(c, p, m) for c in range(p, q))
-        if all(_ppow_mod(g, n // r, modulus, p) != _ONE for r in divisors)
+        if all(_ppow_mod(g, n // r, modulus, p) != _ONE for r in reversed(divisors))
     )
     red = [(-c) % p for c in modulus[:m]]  # w^m as a vector
     weights = [p ** i for i in range(m)]
-    exp = [0] * (2 * n)
+    exp = [1] * (2 * n)  # g^0 at 0 and n; the walk fills in the rest
     log = [0] * q
     vec = [1] + [0] * (m - 1)
-    for k in range(n):
-        code = sum(d * wt for d, wt in zip(vec, weights))
-        exp[k] = exp[k + n] = code
-        log[code] = k
+    for k in range(1, n):
         acc = [0] * m
         for gi in g:  # vec * g, one power of w at a time
             if gi:
@@ -516,6 +487,11 @@ def _field_tables(p, m, modulus):
             if top:
                 vec = [(v + top * r) % p for v, r in zip(vec, red)]
         vec = [a % p for a in acc]
+        code = sum(d * wt for d, wt in zip(vec, weights))
+        if code <= 1 or log[code]:
+            raise InvalidSpec("modulus is reducible over F_p")
+        exp[k] = exp[k + n] = code
+        log[code] = k
     zech = [0] * n
     for d in range(n):
         c = exp[d]
@@ -598,8 +574,6 @@ class FieldSpec:
                 raise InvalidSpec("modulus degree does not match field degree")
             if modulus[-1] != 1:
                 raise InvalidSpec("modulus must be monic")
-            if not _pirreducible(modulus, p):
-                raise InvalidSpec("modulus is reducible over F_p")
             tables = _field_tables(p, degree, modulus)
         self = object.__new__(cls)
         finite = kind == cls.FINITE
@@ -608,8 +582,8 @@ class FieldSpec:
             ("p", p), ("kind", kind), ("degree", degree), ("modulus", modulus),
             ("var", var), ("is_finite", finite), ("order", p ** degree if finite else None),
             ("_hash", hash(key)), ("_log", log), ("_exp", exp), ("_zech", zech), ("_neg", neg),
-            ("_zero", _elem(self, 0) if finite else _felem(self, (), _ONE, None)),
-            ("_one", _elem(self, 1) if finite else _felem(self, _ONE, _ONE, None)),
+            ("_zero", _elem(self, 0) if finite else _elem(self, (), _ONE)),
+            ("_one", _elem(self, 1) if finite else _elem(self, _ONE, _ONE)),
             ("_base", None if finite else _CoprimeBase(p)),
         ):
             object.__setattr__(self, name, value)
@@ -676,7 +650,7 @@ class FieldSpec:
             num = tuple((c * inv) % self.p for c in num)
             den = tuple((c * inv) % self.p for c in den)
         if len(den) == 1:
-            return _felem(self, num, _ONE, None)
+            return _elem(self, num, _ONE)
         base = self._base
         return _frac(self, *base.cancel(num, base.factor(den)))
 
@@ -752,7 +726,7 @@ class ResidueElem:
     by the field (``FieldSpec.from_int`` and friends), not directly.
     An F_p(u) element's ``_v`` caches the vector of ``_b`` over the
     field's coprime base as (refinement count, vector), or is None until
-    ``_CoprimeBase.vector`` first asks; F_q elements never set it.
+    ``_CoprimeBase.vector`` first asks; it is None on F_q elements.
     """
 
     __slots__ = ("field", "_a", "_b", "_v")
@@ -801,10 +775,10 @@ class ResidueElem:
         p = f.p
         if da == _ONE:
             if db == _ONE:
-                return _felem(f, _padd(a, b, p), _ONE, None)
-            return _felem(f, _padd(_pmul(a, db, p), b, p), db, other._v)
+                return _elem(f, _padd(a, b, p), _ONE)
+            return _elem(f, _padd(_pmul(a, db, p), b, p), db, other._v)
         if db == _ONE:
-            return _felem(f, _padd(a, _pmul(b, da, p), p), da, self._v)
+            return _elem(f, _padd(a, _pmul(b, da, p), p), da, self._v)
         # Henrici: over the lcm B^L, a/da + b/db = t / B^L with
         # t = a*B^(L-va) + b*B^(L-vb).  A base factor can divide t only
         # where va and vb are equal: elsewhere one term is prime to it.
@@ -825,7 +799,7 @@ class ResidueElem:
         f = self.field
         if self._b is None:
             return _elem(f, f._rneg(self._a))
-        return _felem(f, _pneg(self._a, f.p), self._b, self._v)
+        return _elem(f, _pneg(self._a, f.p), self._b, self._v)
 
     def __sub__(self, other):
         other = self._check(other)
@@ -854,7 +828,7 @@ class ResidueElem:
         base = f._base
         if da == _ONE:
             if db == _ONE:
-                return _felem(f, _pmul(a, b, p), _ONE, None)
+                return _elem(f, _pmul(a, b, p), _ONE)
             a, v = base.cancel(a, base.vector(other))
         elif db == _ONE:
             b, v = base.cancel(b, base.vector(self))
@@ -875,8 +849,8 @@ class ResidueElem:
         # monic, and its vector is left for the first caller that needs it
         if a[-1] != 1:
             inv = pow(a[-1], -1, f.p)
-            return _felem(f, tuple(c * inv % f.p for c in self._b), _pmonic(a, f.p), None)
-        return _felem(f, self._b, a, None)
+            return _elem(f, tuple(c * inv % f.p for c in self._b), _pmonic(a, f.p))
+        return _elem(f, self._b, a)
 
     def __truediv__(self, other):
         other = self._check(other)
@@ -954,23 +928,15 @@ _set_b = ResidueElem._b.__set__
 _set_v = ResidueElem._v.__set__
 
 
-def _elem(field, a, b=None):
-    """A ResidueElem from its representation, bypassing the immutability
-    guard through the slot descriptors."""
+def _elem(field, a, b=None, v=None):
+    """A ResidueElem from its representation: the code a of an F_q
+    element, or the canonical (num, den) = (a, b) of an F_p(u) element
+    and the cached ``_v`` of b.  It bypasses the immutability guard
+    through the slot descriptors."""
     e = _new_elem(ResidueElem)
     _set_field(e, field)
     _set_a(e, a)
     _set_b(e, b)
-    return e
-
-
-def _felem(field, num, den, v):
-    """An F_p(u) element from its canonical (num, den) and the cached
-    ``_v`` of den."""
-    e = _new_elem(ResidueElem)
-    _set_field(e, field)
-    _set_a(e, num)
-    _set_b(e, den)
     _set_v(e, v)
     return e
 
@@ -981,9 +947,9 @@ def _frac(field, num, v):
     if not num:
         return field._zero
     if not v:
-        return _felem(field, num, _ONE, None)
+        return _elem(field, num, _ONE)
     base = field._base
-    return _felem(field, num, base.expand(v), (base.count, v))
+    return _elem(field, num, base.expand(v), (base.count, v))
 
 
 def _zero_pow(n):
@@ -1085,15 +1051,8 @@ def dot_coeffs(field, pairs, bound):
                         acc[e] = get(e, 0) + x * y
         return {e: r for e, s in acc.items() if (r := s % p)}
     base = field._base
-    vector = base.vector
-    while True:  # every vector against one base: factoring may split
-        count = base.count
-        fracs = [
-            ([(e, c._a, vector(c)) for e, c in a.items()], [(e, c._a, vector(c)) for e, c in b.items()])
-            for a, b in pairs
-        ]
-        if count == base.count:
-            break
+    vectors = iter(base.vectors([c for ab in pairs for d in ab for c in d.values()]))
+    fracs = [[[(e, c._a, next(vectors)) for e, c in d.items()] for d in ab] for ab in pairs]
     for a_fracs, b_fracs in fracs:
         for e1, n1, v1 in a_fracs:
             lim = bound - e1
@@ -1131,7 +1090,7 @@ def dot_coeffs(field, pairs, bound):
                 num = _padd(num, base.times(n, _vsub(lcm, v)), p)
             if not num:
                 continue
-        out[e] = _frac(field, *base.cancel(num, lcm)) if lcm else _felem(field, num, _ONE, None)
+        out[e] = _frac(field, *base.cancel(num, lcm)) if lcm else _elem(field, num, _ONE)
     return out
 
 

@@ -47,6 +47,9 @@ from .tower import (
 
 DEFAULT_SEED = 1729
 
+#: Random samples per extension in criteria 8 and 10.
+SAMPLES = 100
+
 #: (p, coefficient kind, pole order, precision) for the discretely
 #: valued grid; "u" marks the imperfect-residue cases over F_p(u).
 DVR_GRID = [
@@ -96,7 +99,7 @@ def _grid_label(p, coeff_kind, n):
     return f"(p={p}, f={c}t^-{n})"
 
 
-def criterion_swan_table(seed=DEFAULT_SEED):
+def criterion_swan_table():
     """Pole order n*p^m always reduces to Swan conductor n."""
     failures = []
     cases = 0
@@ -174,7 +177,7 @@ def criterion_best_f_oracle(seed=DEFAULT_SEED):
     )
 
 
-def criterion_norm_ideal_defectless(extensions, seed=DEFAULT_SEED):
+def criterion_norm_ideal_defectless(extensions):
     failures = []
     for label, ext in extensions:
         res = check_norm_ideal_identity(ext)
@@ -185,7 +188,7 @@ def criterion_norm_ideal_defectless(extensions, seed=DEFAULT_SEED):
     )
 
 
-def criterion_norm_ideal_tower(seed=DEFAULT_SEED):
+def criterion_norm_ideal_tower():
     failures = []
     group_checks = 0
     for p, n in TOWER_GRID:
@@ -201,7 +204,7 @@ def criterion_norm_ideal_tower(seed=DEFAULT_SEED):
     )
 
 
-def criterion_tower_recursions(seed=DEFAULT_SEED):
+def criterion_tower_recursions():
     failures = []
     for p, n in TOWER_GRID:
         spec = TowerSpec(FieldSpec.finite(p, 2), n, 8)
@@ -239,7 +242,7 @@ def criterion_step_identity(seed=DEFAULT_SEED):
     )
 
 
-def criterion_trace_identities(seed=DEFAULT_SEED):
+def criterion_trace_identities():
     failures = []
     cases = 0
     for p in (2, 3, 5):
@@ -258,7 +261,7 @@ def criterion_trace_identities(seed=DEFAULT_SEED):
     )
 
 
-def _difference_operator_failure(ext, seed, samples):
+def _difference_operator_failure(ext, seed):
     """First violated operator law for one extension, or None."""
     rng = random.Random(seed)
     b = boundary_generator(ext)
@@ -290,7 +293,7 @@ def _difference_operator_failure(ext, seed, samples):
             if step.valuation_coeffwise() != i_value:
                 return f"D_{i}(b^{i + 1}) difference is not a generator"
     zero_cut = Cut.at_least(0, ValueGroup.discrete(1))
-    for trial in range(samples):
+    for trial in range(SAMPLES):
         x = integral_sample(bext, rng)
         d_x, d_xb = ops.chain(x), ops.chain(x * b)
         for i in range(1, p):
@@ -301,10 +304,10 @@ def _difference_operator_failure(ext, seed, samples):
     return None
 
 
-def criterion_difference_operators(extensions, seed=DEFAULT_SEED, samples=100):
+def criterion_difference_operators(extensions, seed=DEFAULT_SEED):
     failures = []
     for label, ext in extensions:
-        problem = _difference_operator_failure(ext, seed, samples)
+        problem = _difference_operator_failure(ext, seed)
         if problem is not None:
             failures.append(f"{label}: {problem}")
     return CriterionResult(
@@ -323,13 +326,13 @@ def criterion_refined_swan_stability(extensions, seed=DEFAULT_SEED):
     )
 
 
-def criterion_norm_additivity_diagram(extensions, seed=DEFAULT_SEED, samples=100):
+def criterion_norm_additivity_diagram(extensions, seed=DEFAULT_SEED):
     failures = []
     for label, ext in extensions:
-        res = check_norm_additivity(ext, samples=samples, seed=seed)
+        res = check_norm_additivity(ext, samples=SAMPLES, seed=seed)
         if not res.ok:
             failures.append(f"{label} additivity: {res.detail}")
-        res = check_diagram_commutativity(ext, samples=samples, seed=seed)
+        res = check_diagram_commutativity(ext, samples=SAMPLES, seed=seed)
         if not res.ok:
             failures.append(f"{label} diagram: {res.detail}")
     return CriterionResult(
@@ -352,7 +355,7 @@ def criterion_different_cross_check(extensions, seed=DEFAULT_SEED):
     )
 
 
-def criterion_principality_chain(extensions, seed=DEFAULT_SEED):
+def criterion_principality_chain(extensions):
     failures = []
     for label, ext in extensions:
         flags = principality_chain(ext)
@@ -375,17 +378,17 @@ def run_all(seed=DEFAULT_SEED):
         for p, kind, n, prec in DVR_GRID
     ]
     results = [
-        criterion_swan_table(seed),
+        criterion_swan_table(),
         criterion_best_f_oracle(seed),
-        criterion_norm_ideal_defectless(extensions, seed),
-        criterion_norm_ideal_tower(seed),
-        criterion_tower_recursions(seed),
+        criterion_norm_ideal_defectless(extensions),
+        criterion_norm_ideal_tower(),
+        criterion_tower_recursions(),
         criterion_step_identity(seed),
-        criterion_trace_identities(seed),
+        criterion_trace_identities(),
         criterion_difference_operators(extensions, seed),
         criterion_refined_swan_stability(extensions, seed),
         criterion_norm_additivity_diagram(extensions, seed),
         criterion_different_cross_check(extensions, seed),
-        criterion_principality_chain(extensions, seed),
+        criterion_principality_chain(extensions),
     ]
     return results

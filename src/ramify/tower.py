@@ -11,6 +11,7 @@ testing over F_q.
 from __future__ import annotations
 
 import math
+import sys
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -19,6 +20,24 @@ from .fields import Expr, check_identity, frobenius_root
 from .invariants import principality_chain  # noqa: F401  (re-exported: one chain for both settings)
 from .records import encode
 from .series import Cut, ValueGroup
+
+# Python refuses to print an int of more digits than this limit
+# (``sys.set_int_max_str_digits``); 3.10, which has none, takes the
+# later versions' default, so that every version accepts the same towers.
+_DIGIT_LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 4300)
+
+
+def _printable(p, n, depth, limit):
+    """Whether every integer a tower run prints has at most ``limit``
+    digits.  The largest are n_depth, p^(depth + 1), the denominator of
+    v(y_depth), and the step identity's degree bound, max(2np + n + 2,
+    3np - 1)."""
+    if depth > 4 * limit or n.bit_length() > 4 * limit:  # over 10^limit: build no power
+        return False
+    top = p ** depth
+    widest = max(top * n - (top - 1) // (p - 1), top * p, 2 * n * p + n + 2, 3 * n * p - 1)
+    # 2^(3.32 limit) < 10^limit, so a short widest skips building 10^limit
+    return widest.bit_length() <= 3.32 * limit or widest < 10 ** limit
 
 
 class TowerSpec:
@@ -40,6 +59,12 @@ class TowerSpec:
             raise InvalidSpec("n >= 3 is required when p = 2")
         if depth < 0:
             raise InvalidSpec("depth must be nonnegative")
+        limit = _DIGIT_LIMIT()
+        if limit and not _printable(p, n, depth, limit):
+            raise InvalidSpec(
+                f"the tower's output would hold integers of more than {limit} digits, "
+                "Python's limit for printing an int"
+            )
         if a is None:
             a = field.generator()
         if a._a < p:  # the codes below p are the prime field

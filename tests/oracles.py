@@ -15,7 +15,7 @@ from ramify.errors import (
     ZeroSeries,
 )
 from ramify.extension import LElement, integral_basis, integral_sample
-from ramify.fields import _padd, _pgcd, _pmul, _trim
+from ramify.fields import _padd, _pgcd, _pmul, _ppow_mod, _prime_divisors, _psub, _trim
 from ramify.invariants import TRACE_DUAL_PERTURBATIONS, Z_GROUP
 from ramify.series import Cut, LaurentSeries, ValueGroup, dot, series_in_cut
 
@@ -487,3 +487,32 @@ def assert_base_consistent(field, elems=()):
                 for _ in range(k):
                     den = poly_mul(den, b, p)
             assert den == x._b
+
+
+# -- Rabin's irreducibility test, before the F_q tables certified their modulus --
+# ``fields._pirreducible`` as it was; ``_prem`` was the remainder of the
+# long division.
+
+
+def _prem(a, b, p):
+    return long_divmod(a, b, p)[1]
+
+
+def _pirreducible(f, p):
+    """Rabin test: f of degree m is irreducible over F_p."""
+    m = len(f) - 1
+    if m < 1:
+        return False
+    x = (0, 1)
+    xq = x
+    for _ in range(m):
+        xq = _ppow_mod(xq, p, f, p)
+    if _psub(xq, _prem(x, f, p), p):
+        return False
+    for d in _prime_divisors(m):
+        xq = x
+        for _ in range(m // d):
+            xq = _ppow_mod(xq, p, f, p)
+        if _pgcd(_psub(xq, x, p), f, p) != _ONE:
+            return False
+    return True

@@ -255,6 +255,25 @@ def test_tower_rejects_bad_spec(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["tower", "--p", "5", "--n", "2", "--q", "25", "--depth", "6300", "--trials", "1"],
+    ["tower", "--p", "5", "--n", "1" * 4200, "--q", "25", "--depth", "200"],
+])
+def test_a_tower_too_wide_to_print_exits_two_at_once(argv, tmp_path, capsys):
+    """Python refuses to print an int of over 4,300 digits, so a tower
+    whose output would hold one exits 2 before any work, with no
+    traceback."""
+    batch = tmp_path / "batch.txt"
+    batch.write_text(f"{GOOD_LINE}\n{shlex.join(argv)}\n")
+    start = time.perf_counter()
+    code, out = run_cli(argv, capsys)
+    assert code == 2 and out.startswith("error: ") and "Python's limit for printing an int" in out
+    code, out = run_cli(["--batch", str(batch)], capsys)
+    assert code == 2 and [run["exit"] for run in json.loads(out)["runs"]] == [0, 2]
+    assert time.perf_counter() - start < 1.0
+    assert capsys.readouterr().err == ""
+
+
 def test_tower_json_and_csv(tmp_path, capsys):
     csv_path = tmp_path / "levels.csv"
     code, out = run_cli(

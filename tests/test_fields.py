@@ -1,4 +1,6 @@
+import itertools
 import random
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -19,7 +21,6 @@ from ramify.fields import (
     _pdivmod,
     _pgcd,
     _pmul,
-    _prem,
     _trim,
     artin_schreier_solvable,
     check_identity,
@@ -31,11 +32,13 @@ from ramify.fields import (
 from ramify.series import LaurentSeries
 
 from oracles import (
+    _pirreducible,
     assert_base_consistent,
     assert_canonical,
     coprime_numerator,
     exhaustive_identity,
     fpu_denominators,
+    long_divmod,
     tree_evaluate,
 )
 
@@ -289,14 +292,15 @@ def test_rat_matches_the_two_block_normalisation(field, shape, data):
 @given(data=st.data())
 @settings(max_examples=60, deadline=None)
 def test_remainder_matches_the_remainder_of_divmod(p, longer, data):
-    """Euclid and modular powers use the remainder alone; it must equal
-    the one the full division returns, whether a is shorter than b (a
-    comes back trimmed) or longer (reduction steps run)."""
+    """Euclid and modular powers read the remainder of ``_pdivmod``; the
+    division must match the long division, whether a is shorter than b
+    (a comes back trimmed) or longer (reduction steps run), for monic and
+    non-monic b."""
     coeff = st.integers(0, p - 1)
     b = tuple(data.draw(st.lists(coeff, max_size=5))) + (data.draw(st.integers(1, p - 1)),)
     n = data.draw(st.integers(len(b), len(b) + 6) if longer else st.integers(0, len(b) - 1))
     a = tuple(data.draw(st.lists(coeff, min_size=n, max_size=n)))
-    assert _prem(a, b, p) == _pdivmod(a, b, p)[1]
+    assert _pdivmod(a, b, p) == long_divmod(a, b, p)
 
 
 def test_derivative_u_examples():
@@ -516,6 +520,37 @@ def test_modulus_validation():
         FieldSpec.finite(2, 2, (1, 0, 1))  # w^2+1 = (w+1)^2 over F_2
     with pytest.raises(InvalidSpec):
         FieldSpec(4, FieldSpec.FINITE)  # 4 is not prime
+
+
+def test_the_tables_accept_exactly_the_moduli_rabin_calls_irreducible():
+    """The power walk of the F_q tables is the irreducibility proof: it
+    agrees with Rabin's test on every monic modulus of degree 2-4 over
+    F_2 and F_3 and of degree 2 over F_5 and F_7, and a rejection says
+    the same as Rabin's did."""
+    irreducible = 0
+    for p, degrees in ((2, (2, 3, 4)), (3, (2, 3, 4)), (5, (2,)), (7, (2,))):
+        for m in degrees:
+            for low in itertools.product(range(p), repeat=m):
+                f = low + (1,)
+                if _pirreducible(f, p):
+                    irreducible += 1
+                    assert FieldSpec.finite(p, m, f).modulus == f
+                else:
+                    with pytest.raises(InvalidSpec, match=r"^modulus is reducible over F_p$"):
+                        FieldSpec.finite(p, m, f)
+    assert irreducible == 6 + 29 + 10 + 21  # the counts of monic irreducibles
+
+
+def test_a_reducible_modulus_of_order_2_16_is_rejected_quickly():
+    """Product of two irreducible octics over F_2: every unit of
+    F_256 x F_256 fails the primitive-element test, so the search runs to
+    the first zero divisor before the walk rejects."""
+    f = _pmul((1, 1, 0, 1, 1, 0, 0, 0, 1), (1, 0, 1, 1, 1, 0, 0, 0, 1), 2)
+    assert len(f) == 17 and not _pirreducible(f, 2)
+    start = time.perf_counter()
+    with pytest.raises(InvalidSpec, match="modulus is reducible over F_p"):
+        FieldSpec.finite(2, 16, f)
+    assert time.perf_counter() - start < 1.0
 
 
 def test_element_rendering_roundtrip_forms():

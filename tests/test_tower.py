@@ -1,15 +1,20 @@
+import contextlib
+import io
 import math
 import random
+import re
 from fractions import Fraction
 
 import pytest
 
+from ramify.cli import main
 from ramify.errors import DivisionByZero, FieldTooSmall, InvalidSpec
 from ramify.fields import FieldSpec, IdentityCheck, check_identity
 from ramify.parsing import factor_prime_power
 from ramify.series import Cut, ValueGroup
 from ramify.tower import (
     TowerSpec,
+    _printable,
     best_f_descent,
     check_step_identity,
     closed_form_n,
@@ -176,3 +181,29 @@ def test_report_json():
     assert data["v_0"] == "1/2"
     assert data["h_cut"] == {"value": "3/2", "bound": "open"}
     assert data["j_principal"] is False and data["best_f_exists"] is False
+
+
+@pytest.mark.parametrize("p, n, depth", [
+    (2, 3, 12), (3, 2, 10), (5, 2, 7), (7, 3, 4),
+    (5, 10 ** 30 + 1, 0), (5, 10 ** 30 + 1, 1), (5, 10 ** 30 + 1, 3),  # degree bound widest at depth 0, 1
+])
+def test_printable_bounds_the_widest_printed_integer(p, n, depth):
+    """``_printable`` knows the widest integer a tower run prints: with
+    that many digits allowed it passes, with one fewer it fails."""
+    widest = 0
+    for fmt in ("text", "json"):
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = main(["tower", "--p", str(p), "--n", str(n), "--q", str(p * p),
+                         "--depth", str(depth), "--trials", "2", "--format", fmt])
+        assert code == 0
+        widest = max(widest, *map(len, re.findall(r"\d+", out.getvalue())))
+    assert _printable(p, n, depth, widest)
+    assert not _printable(p, n, depth, widest - 1)
+
+
+def test_a_tower_too_wide_to_print_is_rejected_before_any_work():
+    TowerSpec(F25, 2, 6150)  # 5^6151 has 4300 digits
+    for n, depth in ((2, 6151), (2, 10 ** 400), (int("1" * 4200), 200), (10 ** 4299 + 1, 0)):
+        with pytest.raises(InvalidSpec, match="digits, Python's limit for printing an int"):
+            TowerSpec(F25, n, depth)
