@@ -13,10 +13,11 @@ An element builds the columns of its multiplication matrix once
 (``LElement.columns``); its products, norm and inverse all read them.
 ``LElement.powers`` is the one product chain for powers in L.
 
-Each coordinate of a product in L is a sum of series products, one
-``series.dot``: it is known below the minimum of its products' bounds
-and f's precision, and ``dot`` keeps that bound exactly, as if the
-products were added one at a time.
+One precision rule holds in L: a coordinate is known as far as the
+series it reads determine it, with no start bound.  A product
+coordinate is one ``series.dot``, known below the least of its
+products' bounds; coordinate j of a conjugate reads only the
+coordinates i >= j and is known below the least of their precisions.
 """
 
 from __future__ import annotations
@@ -303,16 +304,15 @@ class LElement:
 
     def __mul__(self, other):
         """Coordinate j of the product is sum_i (self*alpha^i)_j * other_i,
-        one ``dot`` with f's precision as its start bound."""
+        one ``dot``, known below the least of its products' bounds."""
         if isinstance(other, (int, LaurentSeries)):
             if isinstance(other, int):
                 return self.scale_int(other)
             return LElement(self.ext, tuple(c * other for c in self.coeffs))
         other = self._check(other)
         cols = self.columns()
-        prec = self.ext.f.prec
         return LElement(self.ext, tuple(
-            dot([(col[j], c) for col, c in zip(cols, other.coeffs)], prec)
+            dot([(col[j], c) for col, c in zip(cols, other.coeffs)])
             for j in range(self.ext.p)
         ))
 
@@ -340,16 +340,14 @@ class LElement:
         """The Galois action determined by alpha -> alpha + k: expanding
         (alpha + k)^i binomially, coordinate j of the image is
         sum_{i >= j} C(i, j) * k^(i-j) * c_i, one ``linear_combination``
-        known below the least precision of the c_i."""
+        known below the least precision of the c_i with i >= j."""
         p = self.ext.p
         k %= p
         if k == 0:
             return self
-        prec = min(c.prec for c in self.coeffs)
         return LElement(self.ext, tuple(
             linear_combination(
-                [(math.comb(i, j) * pow(k, i - j, p) % p, self.coeffs[i]) for i in range(j, p)],
-                prec,
+                [(math.comb(i, j) * pow(k, i - j, p) % p, self.coeffs[i]) for i in range(j, p)]
             )
             for j in range(p)
         ))
@@ -601,11 +599,15 @@ def integral_sample(ext, rng, span=2, terms=2):
     ``ext.integral_generators()`` it draws from.
 
     Each generator draws up to ``terms`` monomials t^e (0 <= e <=
-    ``span``) into a series s; coordinate j of the sample is one
-    ``dot`` of the pairs (g_j, s) with f's precision as its start
-    bound, which is the chain ``zero + g0*s0 + g1*s1 + ...`` in value
-    and ``prec``.  A sample that is zero on its known range is replaced
-    by one generator drawn at random."""
+    ``span``) into a series s known below f's precision; coordinate j
+    of the sample is one ``dot`` of the pairs (g_j, s), which is the
+    chain ``g0*s0 + g1*s1 + ...`` in value and ``prec``.  A sample that
+    is zero on its known range is replaced by one generator drawn at
+    random.  A draw whose products all lie at or above f's precision
+    is kept when its coordinates are known far enough to show one of
+    them; a start bound at f's precision would have replaced it.  That
+    happens only when f's precision is within reach of the drawn
+    exponents, as at ``--prec`` 1 or 2."""
     gens = ext.integral_generators()
     ext = gens[0].ext
     field = ext.field
@@ -622,7 +624,7 @@ def integral_sample(ext, rng, span=2, terms=2):
             drawn.append((g, LaurentSeries(field, picks, prec)))
     if drawn:
         x = LElement(ext, tuple(
-            dot([(g.coeffs[j], s) for g, s in drawn], prec) for j in range(ext.p)
+            dot([(g.coeffs[j], s) for g, s in drawn]) for j in range(ext.p)
         ))
         if not x.is_zero_known():
             return x

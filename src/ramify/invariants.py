@@ -180,10 +180,7 @@ def trace_dual_cut(ext, seed=0):
     per call (``generator_traces``): T[k][r] shifted by s for the
     candidate, plus sum_i T[k][r+i] * bump_i shifted by s + 1 for a
     perturbation (``candidate_traces``); no element of L is built per
-    candidate.  That ``dot`` takes no start bound: f's precision as one
-    would be shifted to f.prec + s + 1, below what the product of the
-    built elements knew when s < -1, and low ``--prec`` runs would stop
-    for lack of precision.
+    candidate.
     """
     basis = integral_basis(ext)
     ext = basis.ext

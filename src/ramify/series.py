@@ -464,27 +464,26 @@ def _series(field, raw, prec):
     return s
 
 
-def dot(pairs, prec=None):
+def dot(pairs):
     """The sum of a*b over a nonempty sequence of (a, b) pairs of series
     over one field.
 
-    Value and precision equal those of the chain
-    ``zero(prec) + a0*b0 + a1*b1 + ...`` (with no zero term when
-    ``prec`` is None).  The chain's precision is the minimum of ``prec``
-    and each product's bound min(a.prec + v(b), b.prec + v(a)), with v
-    the lowest exponent, or ``prec`` for a series with no known term;
-    the chain truncates at bounds no lower than that final one and
-    drops zeros at the end, so skipping every term at or above the
-    final bound gives the same series.  A pair with an empty operand
-    contributes its bound and nothing else: it is not passed on, and
-    when no pair is left no coefficient is computed.  The coefficients
-    of the others come from ``fields.dot_coeffs``, which reads and
-    returns raw values, accumulating ints, codes and unreduced F_p(u)
-    fractions and canonicalising once per output exponent; canonical
-    forms make that equal to the chain's element-by-element sums.  Its
-    output is already clean, so the result is built by ``_series``.
+    Value and precision equal those of the chain ``a0*b0 + a1*b1 + ...``.
+    The chain is known below the least of its products' bounds
+    min(a.prec + v(b), b.prec + v(a)), with v the lowest exponent, or
+    ``prec`` for a series with no known term; it truncates at bounds no
+    lower than that final one and drops zeros at the end, so skipping
+    every term at or above the final bound gives the same series.  A
+    pair with an empty operand contributes its bound and nothing else:
+    it is not passed on, and when no pair is left no coefficient is
+    computed.  The coefficients of the others come from
+    ``fields.dot_coeffs``, which reads and returns raw values,
+    accumulating ints, codes and unreduced F_p(u) fractions and
+    canonicalising once per output exponent; canonical forms make that
+    equal to the chain's element-by-element sums.  Its output is
+    already clean, so the result is built by ``_series``.
     """
-    bound = prec
+    bound = None
     live = []
     for a, b in pairs:
         ac, bc = a._raw, b._raw
@@ -500,14 +499,14 @@ def dot(pairs, prec=None):
     return _series(field, dot_coeffs(field, live, bound) if live else {}, bound)
 
 
-def linear_combination(terms, prec):
+def linear_combination(terms):
     """The sum of n*s over a nonempty sequence of (n, s) pairs of an int
-    and a series over one field, for ``prec`` at most every s.prec: the
-    value and precision of the chain ``zero(prec) + s0.scale(n0) + ...``,
-    in one pass over raw values.  Unlike ``dot``'s, the bound is
-    ``prec`` alone."""
+    and a series over one field: the value and precision of the chain
+    ``s0.scale(n0) + s1.scale(n1) + ...``, in one pass over raw values.
+    It is known below the least precision of the series it reads."""
     field = terms[0][1].field
     add, mul, to_raw = field._radd, field._rmul, field._to_raw
+    prec = min(s.prec for _, s in terms)
     out = {}
     for n, s in terms:
         if n % field.p:

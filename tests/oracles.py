@@ -130,29 +130,26 @@ def difference_denominators(ext, b):
 
 
 def sigma_loop(x, k=1):
-    """sigma_k(x) as a chain of series ``scale`` and ``+`` from the zero
-    at the least coordinate precision, one binomial term at a time."""
+    """sigma_k(x) as a chain of series ``scale`` and ``+``, one binomial
+    term at a time."""
     ext = x.ext
     p, field = ext.p, ext.field
     k %= p
     if k == 0:
         return x
-    z = LaurentSeries.zero(field, min(c.prec for c in x.coeffs))
-    out = [z] * p
+    out = [None] * p
     for i, ci in enumerate(x.coeffs):
         for j in range(i + 1):
-            scalar = (math.comb(i, j) * pow(k, i - j, p)) % p
-            if scalar:
-                out[j] = out[j] + ci.scale(field.from_int(scalar))
+            term = ci.scale(field.from_int(math.comb(i, j) * pow(k, i - j, p)))
+            out[j] = term if out[j] is None else out[j] + term
     return LElement(ext, tuple(out))
 
 
 def trace_of_product(x, g):
     """(x * g).trace() from the one coordinate it reads: the products of
-    x's last column entries with g's coordinates, with f's precision as
-    the start bound, as coordinate p-1 of the product has them."""
-    pairs = [(col[-1], c) for col, c in zip(x.columns(), g.coeffs)]
-    return -dot(pairs, x.ext.f.prec)
+    x's last column entries with g's coordinates, as coordinate p-1 of
+    the product has them."""
+    return -dot([(col[-1], c) for col, c in zip(x.columns(), g.coeffs)])
 
 
 def element_trace_dual_cut(ext, seed=0, log=None):
@@ -297,15 +294,68 @@ def floor_series_in_cut(s, cut):
     return True
 
 
+# -- L-arithmetic with f's precision as a start bound ----------------------------
+# ``LElement.__mul__``, ``LElement.sigma`` and ``extension.integral_sample``
+# as they were when every product coordinate and every sample coordinate
+# started at f's precision, and every coordinate of a conjugate was known
+# below the least precision of all of x's coordinates.
+
+
+def capped_lmul(x, y):
+    """x * y with each coordinate cut at f's precision."""
+    cols = x.columns()
+    return LElement(x.ext, tuple(
+        dot([(col[j], c) for col, c in zip(cols, y.coeffs)]).truncate(x.ext.f.prec)
+        for j in range(x.ext.p)
+    ))
+
+
+def capped_sigma(x, k=1):
+    """sigma_k(x) with every coordinate cut at the least precision of x's
+    coordinates."""
+    if k % x.ext.p == 0:
+        return x
+    prec = min(c.prec for c in x.coeffs)
+    return LElement(x.ext, tuple(c.truncate(prec) for c in sigma_loop(x, k).coeffs))
+
+
+def capped_integral_sample(ext, rng, span=2, terms=2):
+    """``integral_sample`` with each coordinate cut at f's precision, so
+    that a draw whose products all lie at or above it falls back to a
+    generator.  Also says whether the result is that fallback."""
+    gens = ext.integral_generators()
+    ext = gens[0].ext
+    field = ext.field
+    prec = ext.f.prec
+    drawn = []
+    for g in gens:
+        picks = {}
+        for _ in range(terms):
+            e = rng.randrange(0, span + 1)
+            c = field.sample_point(rng, max_degree=1)
+            if not c.is_zero():
+                picks[e] = c
+        if picks:
+            drawn.append((g, LaurentSeries(field, picks, prec)))
+    if drawn:
+        x = LElement(ext, tuple(
+            dot([(g.coeffs[j], s) for g, s in drawn]).truncate(prec) for j in range(ext.p)
+        ))
+        if not x.is_zero_known():
+            return x, False
+    return gens[rng.randrange(len(gens))], True
+
+
 # -- generators of B before the one formula -------------------------------------
 
 
 def per_kind_generators(basis):
     """The generators of B as they were built per shape: wild,
     alpha^i * t^(A_i); ferocious and unramified, the powers (alpha*gamma)^i
-    of the unit alpha*gamma with gamma = t^(swan/p), along one chain.
-    Each monomial is known below f's precision, so it is zero when its
-    exponent is not below that."""
+    of the unit alpha*gamma with gamma = t^(swan/p), along one chain of
+    products cut at f's precision (``capped_lmul``).  Each monomial is
+    known below f's precision, so it is zero when its exponent is not
+    below that."""
     ext = basis.ext
     if basis.kind == "wild":
         return [
@@ -313,7 +363,10 @@ def per_kind_generators(basis):
             for i, cut in enumerate(basis.cuts)
         ]
     gamma = LaurentSeries.monomial(ext.field, int(ext.swan / ext.p), 1, ext.f.prec)
-    return (ext.alpha() * gamma).powers(ext.p - 1)
+    chain = [ext.one(), ext.alpha() * gamma]
+    while len(chain) < ext.p:
+        chain.append(capped_lmul(chain[-1], chain[1]))
+    return chain
 
 
 # -- F_p(u) fractions, with polynomial arithmetic of their own ------------------

@@ -206,6 +206,18 @@ def test_analyze_insufficient_precision_exit_three(capsys):
     assert "raise --prec" in out
 
 
+def test_l_arithmetic_keeps_the_precision_its_operands_determine(capsys):
+    # each of three cuts alone makes this run exit 3, a check needing a
+    # series known further than it was: product and sample coordinates
+    # at f's precision, and conjugate coordinates at the least precision
+    # of all coordinates
+    code, out = run_cli(
+        ["analyze", "--field", "Fp:2", "--f", "t^-1", "--prec", "2", "--trials", "1"], capsys
+    )
+    assert code == 0, out
+    assert "check different_vs_trace_dual: pass" in out
+
+
 @pytest.mark.parametrize("field, f, prec, seed", [
     ("Fp:5", "t^-2", 10, 0),
     ("Fp:5", "t^-2", 10, 1),

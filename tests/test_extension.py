@@ -405,10 +405,9 @@ def test_difference_chain_matches_the_loop(spec, pole, prec):
     ("Fp(u):2", 2, 16), ("Fp(u):2", 3, 16), ("Fp(u):3", 1, 16), ("Fp(u):3", 3, 16),
 ])
 def test_sigma_matches_the_chain_of_scaled_sums(spec, pole, prec):
-    """sigma_k in one pass equals the chain of ``scale`` and ``+`` from
-    the zero at the least coordinate precision, in value and prec, for
-    every k = 1 .. p-1, on elements whose coordinates have uneven
-    precision and cancelling terms."""
+    """sigma_k in one pass equals the chain of ``scale`` and ``+``, in
+    value and prec, for every k = 1 .. p-1, on elements whose
+    coordinates have uneven precision and cancelling terms."""
     field = parse_field_spec(spec)
     c = field.one() if field.is_finite and field.degree == 1 else field.generator()
     ext = ext_of(field, -pole, c, prec).with_best_f()

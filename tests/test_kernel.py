@@ -21,7 +21,15 @@ from ramify.invariants import generator_traces
 from ramify.parsing import parse_field_spec, parse_series
 from ramify.series import LaurentSeries, dot
 
-from oracles import assert_base_consistent, assert_canonical, coprime_numerator, fpu_denominators
+from oracles import (
+    assert_base_consistent,
+    assert_canonical,
+    capped_integral_sample,
+    capped_lmul,
+    capped_sigma,
+    coprime_numerator,
+    fpu_denominators,
+)
 
 F2 = FieldSpec.finite(2)
 F3 = FieldSpec.finite(3)
@@ -54,6 +62,11 @@ def chain_dot(pairs, prec=None):
         term = schoolbook_mul(a, b)
         acc = term if acc is None else acc + term
     return acc
+
+
+def truncated(s, prec):
+    """s cut at ``prec``, or s itself when ``prec`` is None."""
+    return s if prec is None else s.truncate(prec)
 
 
 def coefficient(field, rng):
@@ -101,27 +114,25 @@ def random_element(ext, rng):
 
 
 def schoolbook_lmul(x, y):
-    acc = x.ext.zero()
+    acc = None
     power = x
     for i in range(x.ext.p):
-        ci = y.coeffs[i]
-        acc = LElement(x.ext, tuple(
-            a + schoolbook_mul(b, ci) for a, b in zip(acc.coeffs, power.coeffs)
-        ))
+        products = [schoolbook_mul(b, y.coeffs[i]) for b in power.coeffs]
+        acc = products if acc is None else [a + b for a, b in zip(acc, products)]
         if i < x.ext.p - 1:
             power = power.mul_alpha()
-    return acc
+    return LElement(x.ext, tuple(acc))
 
 
 def chain_integral_sample(ext, rng, span=2, terms=2):
     """``integral_sample`` as an L-sum: each generator times its drawn
-    series, added to the zero of L one at a time.  Also says whether the
-    result is the fallback generator."""
+    series, added one at a time.  Also says whether the result is the
+    fallback generator."""
     ext = ext.with_best_f()
     field = ext.field
     prec = ext.f.prec
     gens = ext.integral_generators()
-    acc = ext.zero()
+    acc = None
     for g in gens:
         picks = {}
         for _ in range(terms):
@@ -131,12 +142,13 @@ def chain_integral_sample(ext, rng, span=2, terms=2):
                 picks[e] = c
         if picks:
             s = LaurentSeries(field, picks, prec)
-            acc = LElement(ext, tuple(
-                a + schoolbook_mul(c, s) for a, c in zip(acc.coeffs, g.coeffs)
-            ))
-    if acc.is_zero_known():
-        return gens[rng.randrange(len(gens))], True
-    return acc, False
+            products = [schoolbook_mul(c, s) for c in g.coeffs]
+            acc = products if acc is None else [a + b for a, b in zip(acc, products)]
+    if acc is not None:
+        x = LElement(ext, tuple(acc))
+        if not x.is_zero_known():
+            return x, False
+    return gens[rng.randrange(len(gens))], True
 
 
 def laplace_det(matrix):
@@ -188,7 +200,7 @@ seeds = st.integers(0, 2**32)
 def test_dot_matches_product_chain(field, seed, count, prec):
     rng = random.Random(seed)
     pairs = [(random_series(field, rng), random_series(field, rng)) for _ in range(count)]
-    assert same(dot(pairs, prec), chain_dot(pairs, prec))
+    assert same(truncated(dot(pairs), prec), chain_dot(pairs, prec))
     a, b = pairs[0]
     assert same(a * b, schoolbook_mul(a, b))
 
@@ -213,7 +225,7 @@ def test_dot_over_many_denominators_at_one_exponent(field, seed, count):
                       LaurentSeries(field, {0: b}, 6)))
     assume(len({_pmul(a.coeffs[0]._b, b.coeffs[0]._b, field.p) for a, b in pairs}) >= 3)
     assert same(dot(pairs), chain_dot(pairs))
-    assert same(dot(pairs, -1), chain_dot(pairs, -1))
+    assert same(dot(pairs).truncate(-1), chain_dot(pairs, -1))
 
 
 def cross_multiplied_dot(pairs, prec):
@@ -274,7 +286,7 @@ def test_dot_joins_denominator_groups_over_their_lcm(field, data):
     count = data.draw(st.integers(1, 18))
     pairs = [(operand(), operand()) for _ in range(count)]
     prec = data.draw(st.one_of(st.none(), st.integers(-4, 10)))
-    result = dot(pairs, prec)
+    result = truncated(dot(pairs), prec)
     expected, bound = cross_multiplied_dot(pairs, prec)
     assert result.prec == bound
     assert {e: (c._a, c._b) for e, c in result.coeffs.items()} == expected
@@ -330,7 +342,7 @@ def with_empty_operands(field, rng, count):
 def test_dot_mixing_empty_and_live_operands_matches_product_chain(field, seed, count, prec):
     rng = random.Random(seed)
     pairs = with_empty_operands(field, rng, count)
-    assert same(dot(pairs, prec), chain_dot(pairs, prec))
+    assert same(truncated(dot(pairs), prec), chain_dot(pairs, prec))
 
 
 @settings(max_examples=80, deadline=None)
@@ -341,7 +353,7 @@ def test_dot_of_empty_pairs_only_keeps_their_bound(field, seed, count, prec):
     rng = random.Random(seed)
     pairs = [pair for pair in with_empty_operands(field, rng, 4 * count)
              if not (pair[0].coeffs and pair[1].coeffs)]
-    result = dot(pairs, prec)
+    result = truncated(dot(pairs), prec)
     assert result.is_zero_known()
     assert same(result, chain_dot(pairs, prec))
 
@@ -359,7 +371,7 @@ def test_dot_bound_set_by_an_empty_operand(field, seed, prec):
     pairs = [(a, b), (empty, c), (c, a)]
     expected_prec = min(-20 + min(c.coeffs), c.prec - 20)
     for order in (pairs, pairs[::-1], [(c, empty)] + pairs[:1]):
-        result = dot(order, prec)
+        result = truncated(dot(order), prec)
         assert result.prec == expected_prec
         assert same(result, chain_dot(order, prec))
 
@@ -516,6 +528,85 @@ def test_powers_match_the_linear_product_chain(field, seed, n):
     for k, expected in enumerate(chain[:n + 1]):
         for power in (powers[k], x ** k):
             assert all(same(a, b) for a, b in zip(power.coeffs, expected.coeffs))
+
+
+# -- no start bound: against the capped rules it replaces ------------------------
+
+
+def assert_agrees_prec_not_lower(got, capped):
+    """The same element of L on the range both know, each coordinate
+    known at least as far as under the cap."""
+    for a, b in zip(got.coeffs, capped.coeffs):
+        assert a.prec >= b.prec
+        assert a.truncate(b.prec) == b
+
+
+@settings(max_examples=150, deadline=None)
+@given(fields, seeds, st.integers(1, 2))
+def test_l_arithmetic_without_a_start_bound_only_raises_prec(field, seed, terms):
+    """Products, conjugates and integral samples equal their capped forms
+    on the range both know, and no coordinate is known less far.  Samples
+    are drawn at f's precision cut to anything from 1 up, and a draw the
+    cap replaced by a generator is kept only when every known term lies
+    at or above f's precision."""
+    rng = random.Random(seed)
+    ext = ext_for(field, rng)
+    x, y = random_element(ext, rng), random_element(ext, rng)
+    assert_agrees_prec_not_lower(x * y, capped_lmul(x, y))
+    for k in range(1, ext.p):
+        assert_agrees_prec_not_lower(x.sigma(k), capped_sigma(x, k))
+    low = ASExtension(field, ext.f.truncate(rng.randint(1, ext.f.prec)))
+    for draw in range(3):
+        draw_rng, capped_rng = random.Random(seed + draw), random.Random(seed + draw)
+        sample = integral_sample(low, draw_rng, terms=terms)
+        capped, fell_back = capped_integral_sample(low, capped_rng, terms=terms)
+        if draw_rng.getstate() == capped_rng.getstate():
+            assert_agrees_prec_not_lower(sample, capped)
+        else:
+            # only the cap fell back, which draws one more number
+            assert fell_back and not sample.is_zero_known()
+            assert all(c.truncate(low.f.prec).is_zero_known() for c in sample.coeffs)
+
+
+def test_a_product_coordinate_is_known_past_f_precision():
+    # over F_2 with f = t^-1 + O(t^8), every pair of t^2 * t^2 is known
+    # below t^10; the cap cut both coordinates at t^8
+    ext = ASExtension(F2, LaurentSeries.monomial(F2, -1, 1, 8))
+    x = ext.from_series(LaurentSeries.monomial(F2, 2, 1, 8))
+    product, capped = x * x, capped_lmul(x, x)
+    assert [c.prec for c in product.coeffs] == [10, 10]
+    assert [c.prec for c in capped.coeffs] == [8, 8]
+    assert_agrees_prec_not_lower(product, capped)
+
+
+def test_a_conjugate_coordinate_reads_only_the_coordinates_above_it():
+    # sigma(c0 + c1*alpha) = (c0 + c1) + c1*alpha: coordinate 1 reads c1
+    # alone, known below t^9; the cap cut it at c0's t^2
+    ext = ASExtension(F2, LaurentSeries.monomial(F2, -1, 1, 8))
+    x = LElement(ext, (LaurentSeries.one(F2, 2), LaurentSeries.monomial(F2, 1, 1, 9)))
+    image, capped = x.sigma(1), capped_sigma(x, 1)
+    assert [c.prec for c in image.coeffs] == [2, 9]
+    assert [c.prec for c in capped.coeffs] == [2, 2]
+    assert_agrees_prec_not_lower(image, capped)
+
+
+def test_an_integral_sample_is_known_past_f_precision():
+    # over F_2 with f = t^-1, the draw of seed 1 is t^2*alpha, known
+    # below t^9 where the cap cut it at t^8; at f's precision 1 the draw
+    # of seed 0, t*alpha, lies wholly at or above it and is kept, where
+    # the cap replaced it by a generator
+    ext = sampled_extension("Fp:2", "t^-1", 8)
+    sample = integral_sample(ext, random.Random(1))
+    capped, fell_back = capped_integral_sample(ext, random.Random(1))
+    assert not fell_back
+    assert [c.prec for c in sample.coeffs] == [10, 9]
+    assert [c.prec for c in capped.coeffs] == [8, 8]
+    assert_agrees_prec_not_lower(sample, capped)
+    low = sampled_extension("Fp:2", "t^-1", 1)
+    sample = integral_sample(low, random.Random(0), terms=1)
+    assert capped_integral_sample(low, random.Random(0), terms=1)[1]
+    assert sample.coeffs[1] == LaurentSeries.monomial(F2, 1, 1, 2)
+    assert sample.coeffs[0].is_zero_known() and sample.coeffs[0].prec == 1
 
 
 @settings(max_examples=40, deadline=None)
@@ -692,7 +783,7 @@ def test_raw_series_ops_match_the_element_level_series(field, seed, prec, k, n):
     pairs, elem_pairs = [(a, b), (b, c), (c, a)], [(ea, eb), (eb, ec), (ec, ea)]
     count = rng.randint(1, 3)
     for bound in (None, prec):
-        assert matches(dot(pairs[:count], bound), elem_dot(elem_pairs[:count], bound))
+        assert matches(truncated(dot(pairs[:count]), bound), elem_dot(elem_pairs[:count], bound))
     for op in (
         lambda x: -x,
         lambda x: x.scale(scalar),

@@ -216,7 +216,9 @@ def test_generators_match_the_per_kind_chains_at_any_precision(field, k, c0, ter
         terms[-k * p] = ("u", 1 + twist) if p > 2 or not twist else "u"
     if c0 % p:
         terms[0] = c0 % p
-    assume(terms)
+    # an f with no term below its precision is zero there and defines
+    # no extension
+    assume(terms and min(terms) < prec)
     ext = ext_of(field, terms, prec)
     assume(ext.classification() is not RamificationType.TRIVIAL)
     basis = integral_basis(ext)
