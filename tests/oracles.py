@@ -14,9 +14,16 @@ from ramify.errors import (
     RamifyError,
     ZeroSeries,
 )
-from ramify.extension import LElement, integral_basis, integral_sample
+from ramify.extension import LElement, integral_basis, integral_sample, unit_sample
 from ramify.fields import _padd, _pgcd, _pmul, _ppow_mod, _prime_divisors, _psub, _trim
-from ramify.invariants import TRACE_DUAL_PERTURBATIONS, Z_GROUP
+from ramify.invariants import (
+    TRACE_DUAL_PERTURBATIONS,
+    Z_GROUP,
+    CheckResult,
+    _require_samples,
+    ideal_i_sigma,
+    ideal_j,
+)
 from ramify.series import Cut, LaurentSeries, ValueGroup, dot, series_in_cut
 
 
@@ -569,3 +576,52 @@ def _pirreducible(f, p):
         if _pgcd(_psub(xq, x, p), f, p) != _ONE:
             return False
     return True
+
+
+# -- the product rules at one truncation -----------------------------------------
+# ``invariants.check_difference_product_rules`` as it was when every trial
+# of the multiplicative rule was computed once, at the full truncation
+# ``working_prec``.
+
+
+def single_rung_product_rules(ext, samples=32, seed=0):
+    """The two congruences behind the logarithmic comparison maps:
+    sigma(bc)-bc splits modulo the squared difference ideal, and
+    sigma(xy)/(xy)-1 splits modulo the squared logarithmic ideal."""
+    _require_samples(samples)
+    ext = integral_basis(ext).ext
+    rng = random.Random(seed)
+    i_cut = ideal_i_sigma(ext)
+    j_cut = ideal_j(ext)
+    i_sq = i_cut ** 2
+    j_sq = j_cut ** 2
+    # congruences are read below a fixed bound, so the units are
+    # truncated there: that bounds the work of each inverse
+    n = int(ext.swan)
+    working_prec = (ext.p + 1) * n // ext.p + 7
+    for trial in range(samples):
+        b = integral_sample(ext, rng)
+        c = integral_sample(ext, rng)
+        lhs = (b * c).sigma(1) - b * c
+        rhs = c * (b.sigma(1) - b) + b * (c.sigma(1) - c)
+        if not (lhs - rhs).in_cut(i_sq):
+            return CheckResult(
+                "difference_product_rules", False,
+                {"trial": trial, "rule": "additive", "b": str(b), "c": str(c)},
+            )
+        x = unit_sample(ext, rng)
+        y = unit_sample(ext, rng)
+        x = x.truncate(math.floor(x.valuation_coeffwise()) + working_prec)
+        y = y.truncate(math.floor(y.valuation_coeffwise()) + working_prec)
+        xy = x * y
+        ix = x.inverse()
+        iy = y.inverse()
+        ixy = xy.inverse()
+        lhs2 = xy.sigma(1) * ixy - 1
+        rhs2 = (x.sigma(1) * ix - 1) + (y.sigma(1) * iy - 1)
+        if not (lhs2 - rhs2).in_cut(j_sq):
+            return CheckResult(
+                "difference_product_rules", False,
+                {"trial": trial, "rule": "multiplicative", "x": str(x), "y": str(y)},
+            )
+    return CheckResult("difference_product_rules", True, {"samples": samples})

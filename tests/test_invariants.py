@@ -1,10 +1,21 @@
+import importlib.util
+import math
 import random
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ramify.errors import NotApplicable, RamifyError, SwanZero, TrivialExtension
+from ramify import invariants
+from ramify.errors import (
+    InsufficientPrecision,
+    NotApplicable,
+    RamifyError,
+    SwanZero,
+    TrivialExtension,
+)
 from ramify.extension import ASExtension, RamificationType, integral_basis
 from ramify.fields import FieldSpec
 from ramify.invariants import (
@@ -32,7 +43,12 @@ from ramify.invariants import (
 from ramify.parsing import parse_field_spec, parse_series
 from ramify.series import Cut, LaurentSeries, ValueGroup, series_in_cut
 
-from oracles import element_trace_dual_cut, lefschetz_minimum, trace_of_product
+from oracles import (
+    element_trace_dual_cut,
+    lefschetz_minimum,
+    single_rung_product_rules,
+    trace_of_product,
+)
 
 F2 = FieldSpec.finite(2)
 F3 = FieldSpec.finite(3)
@@ -226,6 +242,11 @@ def scan_extension(field, rng, prec):
     ferocious when c is not a p-th power."""
     poles = range(1, 3 if field.p == 7 else 5)
     n = rng.choice([n for n in poles if n % field.p or not field.is_finite])
+    return pole_extension(field, rng, n, prec)
+
+
+def pole_extension(field, rng, n, prec):
+    """f = c*t^-n plus random terms from t^(1-n) up to t^1."""
     coeffs = {-n: field.sample_point(rng, max_degree=1) or field.one()}
     for e in range(1 - n, 2):
         if rng.random() < 0.4:
@@ -292,6 +313,135 @@ def test_difference_product_rules():
     # elements of K are fixed: sigma(b) - b = 0 exactly
     b = ext.from_series(mono(F3, 2))
     assert (b.sigma(1) - b).is_zero_known()
+
+
+# Fp(u):7 is left out: one single-rung check there takes seconds
+RULE_FIELDS = tuple(
+    parse_field_spec(spec)
+    for spec in ("Fp:2", "Fq:4", "Fp:3", "Fq:9", "Fp:5", "Fp:7", "Fp(u):2", "Fp(u):3", "Fp(u):5")
+)
+
+
+def rule_outcome(check, ext, samples, seed):
+    """The check's result, or the type and message of what it raised."""
+    try:
+        return check(ext, samples, seed)
+    except RamifyError as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    st.sampled_from(RULE_FIELDS), st.integers(0, 2**32), st.integers(1, 8),
+    st.integers(4, 32), st.integers(1, 3), st.integers(0, 2**31),
+)
+def test_product_rules_match_the_single_rung_check(field, draw, n, prec, samples, seed):
+    """Deciding the multiplicative rule at a lower truncation first gives
+    the check's old result, or its old exception and message."""
+    ext = pole_extension(field, random.Random(draw), n, prec)
+    assert rule_outcome(check_difference_product_rules, ext, samples, seed) == rule_outcome(
+        single_rung_product_rules, ext, samples, seed
+    )
+
+
+# the one run of tools/output_digest.py in which neither truncation
+# decides the rule (CI pins its exit code 3)
+BOTH_RUNGS_RAISE = (
+    "Fp(u):2",
+    "(u)*t^-4 + (1)*t^-1 + (1)*t^1 + (1)*t^4 + (1)*t^9 + (1)^2*t^-2 - (1)*t^-1"
+    " + (1)^2*t^-8 - (1)*t^-4",
+    4, 2, 464306981,
+)
+
+
+def forced_fallback(monkeypatch, ext):
+    """Make the cheap rung of the multiplicative rule undecided; returns
+    the list of the precisions it is called at."""
+    ext = integral_basis(ext).ext
+    full = (ext.p + 1) * int(ext.swan) // ext.p + 7
+    rule = invariants._unit_rule
+    calls = []
+
+    def undecided_below_full(x, y, prec, j_sq):
+        calls.append(prec)
+        if prec < full:
+            raise InsufficientPrecision("forced")
+        return rule(x, y, prec, j_sq)
+
+    monkeypatch.setattr(invariants, "_unit_rule", undecided_below_full)
+    return full, calls
+
+
+@pytest.mark.parametrize("ext", [ext_of(F3, -2), ext_of(F2u, -2, F2u.generator()), ext_of(F5, -3)])
+def test_an_undecided_cheap_rung_falls_back_to_the_full_one(monkeypatch, ext):
+    full, calls = forced_fallback(monkeypatch, ext)
+    assert check_difference_product_rules(ext, 3, 7) == single_rung_product_rules(ext, 3, 7)
+    assert calls == [full - 5, full] * 3
+
+
+def test_both_rungs_raising_gives_the_full_rungs_error(monkeypatch):
+    spec, f, prec, samples, seed = BOTH_RUNGS_RAISE
+    field = parse_field_spec(spec)
+    ext = ASExtension(field, parse_series(f, field, prec))
+    want = rule_outcome(single_rung_product_rules, ext, samples, seed)
+    assert want[0] is InsufficientPrecision
+    assert rule_outcome(check_difference_product_rules, ext, samples, seed) == want
+    full, calls = forced_fallback(monkeypatch, ext)
+    assert rule_outcome(check_difference_product_rules, ext, samples, seed) == want
+    assert calls == [full - 5, full]
+
+
+def test_a_violation_at_the_cheap_rung_shows_the_units_at_the_full_one(monkeypatch):
+    ext = ext_of(F3, -2)
+    full = (3 + 1) * 2 // 3 + 7  # working_prec at p = 3, swan 2
+    seen = []
+
+    def violated(x, y, prec, j_sq):
+        seen.append((x, y, prec))
+        return False
+
+    monkeypatch.setattr(invariants, "_unit_rule", violated)
+    result = check_difference_product_rules(ext, 3, 7)
+    [(x, y, prec)] = seen
+    assert prec == full - 5
+    assert result.detail == {
+        "trial": 0, "rule": "multiplicative",
+        "x": str(x.truncate(math.floor(x.valuation_coeffwise()) + full)),
+        "y": str(y.truncate(math.floor(y.valuation_coeffwise()) + full)),
+    }
+    assert not result.ok
+
+
+def analyze_configs(monkeypatch, workload, seed):
+    """The analyze argv's of one pass of a benchmark workload."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    # dataclasses read the namespace of the module that defines them
+    monkeypatch.setitem(sys.modules, spec.name, workloads)
+    spec.loader.exec_module(workloads)
+    return [c["argv"] for c in workloads.generate(workload, seed)]
+
+
+@pytest.mark.parametrize("workload", ["wild_small_p", "wild_large_p", "ferocious_fpu"])
+def test_the_cheap_rung_decides_every_benchmark_trial(monkeypatch, workload):
+    rule = invariants._unit_rule
+    calls = []
+
+    def counted(x, y, prec, j_sq):
+        calls.append(prec)
+        return rule(x, y, prec, j_sq)
+
+    monkeypatch.setattr(invariants, "_unit_rule", counted)
+    for argv in analyze_configs(monkeypatch, workload, 1):
+        args = dict(zip(argv[1::2], argv[2::2]))
+        field = parse_field_spec(args["--field"])
+        ext = ASExtension(field, parse_series(args["--f"], field, int(args["--prec"])))
+        calls.clear()
+        trials = int(args["--trials"])
+        assert check_difference_product_rules(ext, trials, int(args["--seed"])).ok
+        # one call per trial: no trial reached the full rung
+        assert len(calls) == trials
 
 
 def test_product_rule_alpha_expansion():
