@@ -8,9 +8,12 @@ with repeated and irreducible quadratic factors), in JSON and in text,
 runs: one F_p(u) ``analyze`` whose coefficients have a denominator of
 degree 400, at verifier seeds 0-3, in JSON, and the ``low_prec``
 runs: every ``analyze`` configuration of seeds 1-5, in JSON, with
-``--prec`` lowered to each of ``LOW_PRECS``.  Many of those exit 3
-(missing precision), so they pin down exactly which inputs have enough
-precision, which depends on the ``prec`` every step reports.  Each run calls
+``--prec`` lowered to each of ``LOW_PRECS``, and the ``large_p`` runs:
+three JSON ``analyze`` runs at p = 11 and 13 (``LARGE_P_RUNS``), where
+the Laplace expansion of the norm takes most of the time.  Many
+``low_prec`` runs exit 3 (missing precision), so they pin down exactly
+which inputs have enough precision, which depends on the ``prec`` every
+step reports.  Each run calls
 ``ramify.cli.main(argv)`` in this process, with ``ramify`` imported
 from this checkout's ``src/``.  One line per run:
 
@@ -57,6 +60,13 @@ FPU_RUNS = (
 HEAVY_TAIL = ("Fp(u):2", "(1/(u^400+1))*t^-1")
 HEAVY_TAIL_SEEDS = (0, 1, 2, 3)
 
+# (field, f, prec, trials, seed) of the large_p runs, in JSON.
+LARGE_P_RUNS = (
+    ("Fp:11", "t^-1", 48, 1, 1),
+    ("Fp:11", "t^-2 + t", 52, 2, 3),
+    ("Fp:13", "t^-1", 56, 1, 1),
+)
+
 
 def runs():
     """(workload, seed, id, format, argv) of every run, in a fixed order."""
@@ -89,6 +99,11 @@ def runs():
                 for prec in LOW_PRECS:
                     ident = f"{name}:{config['id']}:prec{prec}"
                     yield "low_prec", seed, ident, "json", argv[:at] + [str(prec)] + argv[at + 1:]
+    for ident, (field, f, prec, trials, seed) in enumerate(LARGE_P_RUNS):
+        yield "large_p", seed, ident, "json", [
+            "analyze", "--field", field, "--f", f, "--prec", str(prec), "--trials", str(trials),
+            "--seed", str(seed), "--format", "json",
+        ]
 
 
 def digest(argv):
