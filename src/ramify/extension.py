@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import math
 from enum import Enum
+from itertools import combinations
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -446,35 +447,24 @@ class LElement:
 
 def _laplace(cols):
     """(det, first-row cofactors) of the matrix with columns ``cols``
-    (entry (row, j) is ``cols[j][row]``) by expansion along the first
-    row: the cofactor of entry (0, j) is (-1)^j times the minor without
-    row 0 and column j, and all minors share one memo."""
-    full = tuple(range(len(cols)))
-    memo = {}
-    cofactors = []
-    for j in full:
-        sub = _minor(cols, full[:j] + full[j + 1:], memo)
-        cofactors.append(-sub if j % 2 else sub)
-    return dot([(col[0], c) for col, c in zip(cols, cofactors)]), cofactors
-
-
-def _minor(cols, remaining, memo):
-    """The minor on the last len(remaining) rows and the columns in
-    ``remaining``: one ``dot`` over its first row, the alternating sign
-    folded into the entry.  A module function, not a closure: a closure
-    that calls itself is a reference cycle, which would hold the memo
-    until a full garbage collection."""
-    row = len(cols) - len(remaining)
-    if len(remaining) == 1:
-        return cols[remaining[0]][row]
-    if remaining not in memo:
-        pairs = []
-        for idx, j in enumerate(remaining):
-            entry = cols[j][row]
-            sub = _minor(cols, remaining[:idx] + remaining[idx + 1:], memo)
-            pairs.append((-entry if idx % 2 else entry, sub))
-        memo[remaining] = dot(pairs)
-    return memo[remaining]
+    (entry (row, j) is ``cols[j][row]``), with the minors built level by
+    level from the bottom row up.  The minor on column set s of the last
+    len(s) rows is one ``dot`` over its first row, the alternating sign
+    folded into the entry, and reads only the level below, so two levels
+    are alive at a time.  The level-p minor is the determinant; the
+    cofactor of entry (0, j) is (-1)^j times the minor without column j."""
+    p = len(cols)
+    minors = {(j,): cols[j][p - 1] for j in range(p)}
+    for row in range(p - 2, -1, -1):
+        below, minors = minors, {}
+        for s in combinations(range(p), p - row):
+            minors[s] = dot([
+                (-cols[j][row] if i % 2 else cols[j][row], below[s[:i] + s[i + 1:]])
+                for i, j in enumerate(s)
+            ])
+    full = tuple(range(p))
+    cofactors = [below[full[:j] + full[j + 1:]] for j in full]
+    return minors[full], [-c if j % 2 else c for j, c in enumerate(cofactors)]
 
 
 def classify(ext):

@@ -625,3 +625,42 @@ def single_rung_product_rules(ext, samples=32, seed=0):
                 {"trial": trial, "rule": "multiplicative", "x": str(x), "y": str(y)},
             )
     return CheckResult("difference_product_rules", True, {"samples": samples})
+
+
+# -- the recursive, memoised Laplace expansion ------------------------------------
+# ``extension._laplace`` and its helper as they were before the minors were
+# built level by level: every minor of every size stays in one memo until
+# the expansion returns.
+
+
+def memoised_laplace(cols):
+    """(det, first-row cofactors) of the matrix with columns ``cols``
+    (entry (row, j) is ``cols[j][row]``) by expansion along the first
+    row: the cofactor of entry (0, j) is (-1)^j times the minor without
+    row 0 and column j, and all minors share one memo."""
+    full = tuple(range(len(cols)))
+    memo = {}
+    cofactors = []
+    for j in full:
+        sub = _memoised_minor(cols, full[:j] + full[j + 1:], memo)
+        cofactors.append(-sub if j % 2 else sub)
+    return dot([(col[0], c) for col, c in zip(cols, cofactors)]), cofactors
+
+
+def _memoised_minor(cols, remaining, memo):
+    """The minor on the last len(remaining) rows and the columns in
+    ``remaining``: one ``dot`` over its first row, the alternating sign
+    folded into the entry.  A module function, not a closure: a closure
+    that calls itself is a reference cycle, which would hold the memo
+    until a full garbage collection."""
+    row = len(cols) - len(remaining)
+    if len(remaining) == 1:
+        return cols[remaining[0]][row]
+    if remaining not in memo:
+        pairs = []
+        for idx, j in enumerate(remaining):
+            entry = cols[j][row]
+            sub = _memoised_minor(cols, remaining[:idx] + remaining[idx + 1:], memo)
+            pairs.append((-entry if idx % 2 else entry, sub))
+        memo[remaining] = dot(pairs)
+    return memo[remaining]

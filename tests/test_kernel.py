@@ -15,7 +15,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from ramify.errors import ExtensionMismatch, InvalidSpec, NotRationalFunctionField, ZeroSeries
-from ramify.extension import ASExtension, LElement, integral_sample
+from ramify.extension import ASExtension, LElement, _laplace, integral_sample
 from ramify.fields import FieldSpec, _padd, _pmul, derivative_u
 from ramify.invariants import generator_traces
 from ramify.parsing import parse_field_spec, parse_series
@@ -29,6 +29,7 @@ from oracles import (
     capped_sigma,
     coprime_numerator,
     fpu_denominators,
+    memoised_laplace,
 )
 
 F2 = FieldSpec.finite(2)
@@ -466,6 +467,31 @@ def test_norm_matches_laplace_expansion(field, seed):
     x = random_element(ext, rng)
     rows = [list(row) for row in zip(*x.columns())]
     assert same(x.norm(), laplace_det(rows))
+
+
+def assert_same_expansion(x):
+    """The level-by-level expansion of x's matrix gives the memoised
+    one's determinant and cofactors, each with the same ``prec``."""
+    det, cofactors = _laplace(x.columns())
+    reference_det, reference_cofactors = memoised_laplace(x.columns())
+    assert same(det, reference_det)
+    assert len(cofactors) == len(reference_cofactors) == x.ext.p
+    assert all(same(a, b) for a, b in zip(cofactors, reference_cofactors))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from(FIELDS + (FieldSpec.finite(7),)), seeds)
+def test_level_by_level_expansion_matches_the_memoised_one(field, seed):
+    rng = random.Random(seed)
+    assert_same_expansion(random_element(ext_for(field, rng), rng))
+
+
+def test_level_by_level_expansion_matches_the_memoised_one_at_p_11():
+    rng = random.Random(11)
+    x = random_element(ext_for(FieldSpec.finite(11), rng), rng)
+    assert len({c.prec for c in x.coeffs}) > 1
+    assert not x.norm().is_zero_known()
+    assert_same_expansion(x)
 
 
 @settings(max_examples=60, deadline=None)
