@@ -34,7 +34,7 @@ from .errors import (
     InvalidSpec,
     ZeroSeries,
 )
-from .fields import derivative_u, dot_coeffs
+from .fields import ResidueElem, derivative_u, dot_coeffs
 
 
 class ValueGroup:
@@ -276,8 +276,14 @@ class LaurentSeries:
 
     def _check(self, other):
         """other as a series over this field: a scalar (an element of
-        the field or an int) becomes a constant at this precision."""
+        the field or an int) becomes a constant at this precision, and an
+        element or a series of another field raises FieldMismatch.  Any
+        other operand gives NotImplemented, so that Python tries its
+        reflected operator (an element of L takes a series on either
+        side)."""
         if not isinstance(other, LaurentSeries):
+            if not isinstance(other, (ResidueElem, int)):
+                return NotImplemented
             return LaurentSeries(self.field, {0: other}, self.prec)
         if other.field is not self.field:
             raise FieldMismatch(f"{self.field!r} vs {other.field!r}")
@@ -285,6 +291,8 @@ class LaurentSeries:
 
     def __add__(self, other):
         other = self._check(other)
+        if other is NotImplemented:
+            return other
         prec = min(self.prec, other.prec)
         if self.prec > prec:
             out = {e: c for e, c in self._raw.items() if e < prec}
@@ -311,13 +319,20 @@ class LaurentSeries:
         return _series(self.field, {e: neg(c) for e, c in self._raw.items()}, self.prec)
 
     def __sub__(self, other):
-        return self + (-self._check(other))
+        other = self._check(other)
+        return other if other is NotImplemented else self + (-other)
 
     def __rsub__(self, other):
-        return (-self) + other
+        other = self._check(other)
+        return other if other is NotImplemented else (-self) + other
 
     def __mul__(self, other):
-        return dot(((self, self._check(other)),))
+        """A scalar is a ``scale``, which keeps this precision; a series
+        is one ``dot``."""
+        if isinstance(other, (ResidueElem, int)):
+            return self.scale(other)
+        other = self._check(other)
+        return other if other is NotImplemented else dot(((self, other),))
 
     __rmul__ = __mul__
 

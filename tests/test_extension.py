@@ -447,6 +447,16 @@ def test_integral_basis_ferocious():
     assert unit.valuation() == 0
 
 
+def test_a_series_combines_with_an_element_of_l_on_either_side():
+    ext = ext_of(F3, -1, prec=12)
+    x = LElement(ext, (mono(F3, -2, 2, 10), mono(F3, 0, 1, 9), mono(F3, 1, 1, 8)))
+    t = mono(F3, 1, 1, 11)
+    zero = LaurentSeries.zero(F3, 11)
+    assert t * x == x * t == LElement(ext, tuple(c * t for c in x.coeffs))
+    assert t + x == x + t == LElement(ext, (x.coeffs[0] + t,) + tuple(c + zero for c in x.coeffs[1:]))
+    assert t - x == -(x - t) == LElement(ext, (t - x.coeffs[0],) + tuple(zero - c for c in x.coeffs[1:]))
+
+
 def test_integral_basis_not_applicable():
     with pytest.raises(NotApplicable):
         integral_basis(ASExtension(F2, mono(F2, 1, 1, 4)))  # f = t is trivial

@@ -376,6 +376,17 @@ def test_series_ops_take_ints_and_own_field_scalars():
     assert t.__rmul__(2) == LaurentSeries(F3, {1: F3.from_int(2)}, 6)
 
 
+def test_a_scalar_times_a_series_is_its_scale_on_either_side():
+    # read as a constant known below t^10, the scalar would leave the
+    # product known only below t^8
+    s = LaurentSeries(F3, {-2: 1, 0: 2}, 10)
+    one, two = F3.one(), F3.from_int(2)
+    for product in (s * one, one * s, s * 1, 1 * s):
+        assert product == s.scale(one) == s
+        assert product.prec == 10
+    assert s * two == two * s == s * 5 == 5 * s == s.scale(2)
+
+
 def test_constructor_rejects_an_element_of_another_field():
     with pytest.raises(FieldMismatch):
         LaurentSeries(F3, {0: F5.from_int(4)}, 4)
