@@ -49,12 +49,12 @@ class ExtensionMismatch(RamifyError):
     """Arithmetic between elements of different extensions."""
 
 
-class TrivialExtension(RamifyError):
-    """Invariant requested for a degree-1 (trivial) extension."""
-
-
 class NotApplicable(RamifyError):
     """Operation undefined for this ramification type."""
+
+
+class TrivialExtension(NotApplicable):
+    """Invariant requested for a degree-1 (trivial) extension."""
 
 
 class DegenerateGenerator(RamifyError):

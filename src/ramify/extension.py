@@ -35,6 +35,7 @@ from .errors import (
     InsufficientPrecision,
     InvalidSpec,
     NotApplicable,
+    TrivialExtension,
     ZeroElement,
 )
 from .fields import artin_schreier_solvable, frobenius_root, is_pth_power
@@ -522,12 +523,12 @@ class BasisDescription(NamedTuple):
 def integral_basis(ext):
     """The one record of the shape of B, for every nontrivial extension:
     wild cuts A_i = {v > i*swan/p} with A_0 = A, otherwise
-    A_i = {v >= i*swan/p}, which is A when unramified.  NotApplicable
+    A_i = {v >= i*swan/p}, which is A when unramified.  TrivialExtension
     for a trivial extension, so it is also the guard of every operation
     that needs a field extension."""
     kind = ext.classification()
     if kind is RamificationType.TRIVIAL:
-        raise NotApplicable("operation needs a nontrivial extension")
+        raise TrivialExtension("operation needs a nontrivial extension")
     ext = ext.with_best_f()
     p = ext.p
     v0 = ext.swan / p

@@ -101,6 +101,15 @@ def test_ideal_h_trivial_extension():
         ideal_j(trivial)
 
 
+def test_checks_on_a_trivial_extension_raise_trivial_extension():
+    trivial = ASExtension(F2, mono(F2, 1, 1, 4))  # f = t
+    for check in (check_norm_ideal_identity, check_norm_additivity):
+        with pytest.raises(TrivialExtension):
+            check(trivial)
+        with pytest.raises(NotApplicable):
+            check(trivial)
+
+
 def test_i_sigma_matches_sampling_oracle():
     for ext in (ext_of(F3, -2), ext_of(F3, -1), ext_of(F5, -2, prec=24),
                 ext_of(F2u, -2, F2u.generator())):
