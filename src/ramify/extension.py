@@ -4,7 +4,8 @@ Provides the reduction of f to its best representative modulo the map
 x -> x^p - x, the Swan conductor, the ramification classification,
 arithmetic in L with the Galois action, the norm and the inverse from
 one Laplace expansion of the multiplication matrix (the inverse is the
-adjugate column over the norm), the trace from the power basis,
+adjugate column over the norm, and the minors are built level by
+level, two levels alive at a time), the trace from the power basis,
 valuations on L, the inductive difference operators, and the shape of
 the integral closure with its generators alpha^i * t^(A_i), one formula
 for every shape.
@@ -114,7 +115,7 @@ def reduce_to_best(f):
     return BestForm(f_best, case, Fraction(n), tuple(log))
 
 
-# the largest p an extension accepts: the Laplace norm costs O(2^p * p)
+# the largest p an extension accepts: the Laplace norm costs 2^p - p - 1 dots
 P_LIMIT = 19
 
 

@@ -276,8 +276,7 @@ class LaurentSeries:
 
     def _check(self, other):
         """other as a series over this field: a scalar (an element of
-        the field or an int) becomes a constant at this precision, and an
-        element or a series of another field raises FieldMismatch.  Any
+        the field or an int) becomes a constant at this precision.  Any
         other operand gives NotImplemented, so that Python tries its
         reflected operator (an element of L takes a series on either
         side)."""
@@ -319,16 +318,13 @@ class LaurentSeries:
         return _series(self.field, {e: neg(c) for e, c in self._raw.items()}, self.prec)
 
     def __sub__(self, other):
-        other = self._check(other)
-        return other if other is NotImplemented else self + (-other)
+        return self + (-other)
 
     def __rsub__(self, other):
-        other = self._check(other)
-        return other if other is NotImplemented else (-self) + other
+        return (-self) + other
 
     def __mul__(self, other):
-        """A scalar is a ``scale``, which keeps this precision; a series
-        is one ``dot``."""
+        """A scalar is a ``scale``, which keeps this precision."""
         if isinstance(other, (ResidueElem, int)):
             return self.scale(other)
         other = self._check(other)
