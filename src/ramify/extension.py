@@ -25,8 +25,8 @@ from __future__ import annotations
 
 import math
 from enum import Enum
-from itertools import combinations
 from fractions import Fraction
+from itertools import combinations
 from typing import NamedTuple
 
 from .errors import (
