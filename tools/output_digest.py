@@ -8,9 +8,13 @@ with repeated and irreducible quadratic factors), in JSON and in text,
 runs: one F_p(u) ``analyze`` whose coefficients have a denominator of
 degree 400, at verifier seeds 0-3, in JSON, and the ``low_prec``
 runs: every ``analyze`` configuration of seeds 1-5, in JSON, with
-``--prec`` lowered to each of ``LOW_PRECS``, and the ``large_p`` runs:
+``--prec`` lowered to each of ``LOW_PRECS``, the ``large_p`` runs:
 three JSON ``analyze`` runs at p = 11 and 13 (``LARGE_P_RUNS``), where
-the Laplace expansion of the norm takes most of the time.  Many
+the Laplace expansion of the norm takes most of the time, and the
+``integral`` runs: JSON ``analyze`` runs of an f with no pole
+(``INTEGRAL_RUNS``), trivial and unramified over F_p, F_q and F_p(u),
+which reach ``classify``'s decision on the constant residue, through
+the F_p(u) linear system too.  Many
 ``low_prec`` runs exit 3 (missing precision), so they pin down exactly
 which inputs have enough precision, which depends on the ``prec`` every
 step reports.  Each run calls
@@ -68,6 +72,21 @@ LARGE_P_RUNS = (
 )
 
 
+# (field, f) of the integral runs, each at --prec 8 --trials 2 --seed 1:
+# trivial and unramified residues, over F_p(u) decided by the linear
+# system except u/(u+1), whose denominator is not a cube.
+INTEGRAL_RUNS = (
+    ("Fp:3", "t"),
+    ("Fp:3", "1"),
+    ("Fq:9", "w"),
+    ("Fq:9", "1"),
+    ("Fp(u):3", "1/u^3 + 2/u"),
+    ("Fp(u):3", "1/u^3 + 1/u"),
+    ("Fp(u):3", "u/(u+1)"),
+    ("Fp(u):2", "1/(u^2+1) + 1/(u+1) + t"),
+)
+
+
 def runs():
     """(workload, seed, id, format, argv) of every run, in a fixed order."""
     for name in workloads.WORKLOADS:
@@ -103,6 +122,11 @@ def runs():
         yield "large_p", seed, ident, "json", [
             "analyze", "--field", field, "--f", f, "--prec", str(prec), "--trials", str(trials),
             "--seed", str(seed), "--format", "json",
+        ]
+    for ident, (field, f) in enumerate(INTEGRAL_RUNS):
+        yield "integral", 1, ident, "json", [
+            "analyze", "--field", field, "--f", f, "--prec", "8", "--trials", "2",
+            "--seed", "1", "--format", "json",
         ]
 
 
