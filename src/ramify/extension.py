@@ -10,9 +10,13 @@ valuations on L, the inductive difference operators, and the shape of
 the integral closure with its generators alpha^i * t^(A_i), one formula
 for every shape.
 
-An element builds the columns of its multiplication matrix once
-(``LElement.columns``); its products, norm and inverse all read them.
-``LElement.powers`` is the one product chain for powers in L.
+An extension computes what it derives once, in one memo
+(``ASExtension._memo``), the shape of B included.  An element builds
+the columns of its multiplication matrix once (``LElement.columns``);
+its products, norm and inverse all read them.  ``LElement.powers`` is
+the one product chain for powers in L.  An element of L takes any
+operand of the series layer on either side: a series, or a scalar as
+a constant known below f's precision.
 
 One precision rule holds in L: a coordinate is known as far as the
 series it reads determine it, with no start bound.  A product
@@ -39,7 +43,7 @@ from .errors import (
     TrivialExtension,
     ZeroElement,
 )
-from .fields import artin_schreier_solvable, frobenius_root, is_pth_power
+from .fields import ResidueElem, artin_schreier_solvable, frobenius_root, is_pth_power
 from .series import Cut, LaurentSeries, ValueGroup, dot, linear_combination, series_in_cut
 
 
@@ -136,9 +140,6 @@ class ASExtension:
         object.__setattr__(self, "p", field.p)
         object.__setattr__(self, "f", f)
         object.__setattr__(self, "best", reduce_to_best(f))
-        # elements are cached as coefficient tuples: a cached LElement
-        # would refer back to self, and the cycle would keep the
-        # extension alive until a full garbage collection
         object.__setattr__(self, "_cache", {})
 
     def __setattr__(self, name, value):
@@ -161,20 +162,24 @@ class ASExtension:
     def swan(self):
         return self.best.swan
 
+    def _memo(self, key, make):
+        """``make()``, computed once per extension and kept under ``key``:
+        the one store of what an extension derives.  A kept value never
+        refers back to the extension, so elements are kept as coefficient
+        tuples: a kept LElement would make a cycle that keeps the
+        extension alive until a full garbage collection."""
+        if key not in self._cache:
+            self._cache[key] = make()
+        return self._cache[key]
+
     def with_best_f(self):
         """The same extension presented by its best representative."""
         if self.f == self.best.f_best:
             return self
-        key = "best_ext"
-        if key not in self._cache:
-            self._cache[key] = ASExtension(self.field, self.best.f_best)
-        return self._cache[key]
+        return self._memo("best_ext", lambda: ASExtension(self.field, self.best.f_best))
 
     def classification(self):
-        key = "classification"
-        if key not in self._cache:
-            self._cache[key] = classify(self)
-        return self._cache[key]
+        return self._memo("classification", lambda: classify(self))
 
     # -- elements ---------------------------------------------------------
 
@@ -186,13 +191,10 @@ class ASExtension:
         return self.from_series(LaurentSeries.one(self.field, self.f.prec))
 
     def alpha(self):
-        key = "alpha"
-        if key not in self._cache:
+        def make():
             z = LaurentSeries.zero(self.field, self.f.prec)
-            coeffs = [z] * self.p
-            coeffs[1] = LaurentSeries.one(self.field, self.f.prec)
-            self._cache[key] = tuple(coeffs)
-        return LElement(self, self._cache[key])
+            return (z, LaurentSeries.one(self.field, self.f.prec)) + (z,) * (self.p - 2)
+        return LElement(self, self._memo("alpha", make))
 
     def from_series(self, s):
         if s.field is not self.field:
@@ -214,29 +216,21 @@ class ASExtension:
     def integral_generators(self):
         """The generators of B that ``integral_sample`` draws from, as
         elements of the reduced presentation ``with_best_f()`` whatever
-        presentation is asked: ``integral_basis(...).generators()``,
-        memoised on the reduced extension."""
-        ext = self.with_best_f()
-        key = "integral_generators"
-        if key not in ext._cache:
-            ext._cache[key] = [g.coeffs for g in integral_basis(ext).generators()]
-        return [LElement(ext, c) for c in ext._cache[key]]
+        presentation is asked: the ``generators()`` of the record
+        ``integral_basis(self)``, memoised on the reduced extension."""
+        basis = integral_basis(self)
+        ext = basis.ext
+        gens = ext._memo("integral_generators", lambda: [g.coeffs for g in basis.generators()])
+        return [LElement(ext, c) for c in gens]
 
     def inverse_alpha(self):
-        key = "inverse_alpha"
-        if key not in self._cache:
-            self._cache[key] = self.alpha().inverse().coeffs
-        return LElement(self, self._cache[key])
+        return LElement(self, self._memo("inverse_alpha", lambda: self.alpha().inverse().coeffs))
 
     def inverse_f_best(self):
         """1/f_best as a series, memoised on the reduced presentation
-        ``with_best_f()`` whatever presentation is asked (a series holds
-        no reference to the extension)."""
+        ``with_best_f()`` whatever presentation is asked."""
         ext = self.with_best_f()
-        key = "inverse_f_best"
-        if key not in ext._cache:
-            ext._cache[key] = ext.best.f_best.inverse()
-        return ext._cache[key]
+        return ext._memo("inverse_f_best", ext.best.f_best.inverse)
 
 
 class LElement:
@@ -251,17 +245,18 @@ class LElement:
         self._columns = None
 
     def _check(self, other):
-        if isinstance(other, (int, LaurentSeries)):
-            if isinstance(other, int):
-                other = LaurentSeries.constant(
-                    self.ext.field.from_int(other), self.ext.f.prec
-                )
-            return self.ext.from_series(other)
-        if not isinstance(other, LElement):
+        """other as an element of this extension.  Any operand the series
+        layer takes lies in K: a series, or a scalar (an int or an element
+        of the field) as a constant known below f's precision."""
+        if isinstance(other, LElement):
+            if other.ext is not self.ext and other.ext != self.ext:
+                raise ExtensionMismatch("elements of different extensions")
+            return other
+        if isinstance(other, (int, ResidueElem)):
+            other = LaurentSeries(self.ext.field, {0: other}, self.ext.f.prec)
+        elif not isinstance(other, LaurentSeries):
             raise ExtensionMismatch(f"cannot combine LElement with {type(other).__name__}")
-        if other.ext is not self.ext and other.ext != self.ext:
-            raise ExtensionMismatch("elements of different extensions")
-        return other
+        return self.ext.from_series(other)
 
     def __add__(self, other):
         other = self._check(other)
@@ -307,10 +302,10 @@ class LElement:
 
     def __mul__(self, other):
         """Coordinate j of the product is sum_i (self*alpha^i)_j * other_i,
-        one ``dot``, known below the least of its products' bounds."""
-        if isinstance(other, (int, LaurentSeries)):
-            if isinstance(other, int):
-                return self.scale_int(other)
+        one ``dot``, known below the least of its products' bounds.  By
+        an operand in K it is the coordinatewise ``c * other``, where the
+        series layer chooses between ``scale`` and ``dot``."""
+        if isinstance(other, (int, ResidueElem, LaurentSeries)):
             return LElement(self.ext, tuple(c * other for c in self.coeffs))
         other = self._check(other)
         cols = self.columns()
@@ -320,11 +315,6 @@ class LElement:
         ))
 
     __rmul__ = __mul__
-
-    def scale_int(self, n):
-        n %= self.ext.p
-        c = self.ext.field.from_int(n)
-        return LElement(self.ext, tuple(s.scale(c) for s in self.coeffs))
 
     def __pow__(self, n):
         if n < 0:
@@ -526,13 +516,19 @@ def integral_basis(ext):
     wild cuts A_i = {v > i*swan/p} with A_0 = A, otherwise
     A_i = {v >= i*swan/p}, which is A when unramified.  TrivialExtension
     for a trivial extension, so it is also the guard of every operation
-    that needs a field extension."""
+    that needs a field extension.  The shape (``_shape``) is built once
+    and kept on the reduced presentation; the record, which holds the
+    extension, is rebuilt around it on each call."""
     kind = ext.classification()
     if kind is RamificationType.TRIVIAL:
         raise TrivialExtension("operation needs a nontrivial extension")
     ext = ext.with_best_f()
-    p = ext.p
-    v0 = ext.swan / p
+    shape = ext._memo("integral_basis", lambda: _shape(kind, ext.p, ext.swan / ext.p))
+    return BasisDescription(kind.value, ext, *shape)
+
+
+def _shape(kind, p, v0):
+    """(group, cuts, i_star) of ``integral_basis``, with v0 = swan/p."""
     z = ValueGroup.discrete(1)
     if kind is RamificationType.WILD:
         group = ValueGroup.discrete(Fraction(1, p))
@@ -541,7 +537,7 @@ def integral_basis(ext):
         group = z
         cuts = tuple(Cut.at_least(i * v0, z) for i in range(p))
     i_star = min(range(1, p), key=lambda i: cuts[i].value + (1 - i) * v0)
-    return BasisDescription(kind.value, ext, group, cuts, i_star)
+    return group, cuts, i_star
 
 
 class DifferenceOperators:

@@ -113,12 +113,14 @@ def refined_swan(ext):
     if ext.swan == 0:
         raise SwanZero("the refined invariant needs swan > 0")
     ext = ext.with_best_f()
-    if "refined_swan" not in ext._cache:
+
+    def make():
         f = ext.best.f_best
         inv_f = ext.inverse_f_best()
         du = None if f.field.is_finite else f.u_derivative() * inv_f
-        ext._cache["refined_swan"] = LogForm(f.euler_derivative() * inv_f, du, rsw_modulus(ext))
-    return ext._cache["refined_swan"]
+        return LogForm(f.euler_derivative() * inv_f, du, rsw_modulus(ext))
+
+    return ext._memo("refined_swan", make)
 
 
 def different_ideal(ext):

@@ -334,9 +334,7 @@ class LaurentSeries:
 
     def scale(self, c):
         """Multiply by a field element or an int (precision preserved)."""
-        return self._scale_raw(self.field._to_raw(c))
-
-    def _scale_raw(self, r):
+        r = self.field._to_raw(c)
         if not r:
             return _series(self.field, {}, self.prec)
         mul = self.field._rmul

@@ -1,13 +1,17 @@
+import ast
 import gc
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import ramify
 from ramify.errors import (
     DegenerateGenerator,
     ExtensionMismatch,
+    FieldMismatch,
     InsufficientPrecision,
     InvalidSpec,
     NotApplicable,
@@ -36,6 +40,7 @@ F2 = FieldSpec.finite(2)
 F3 = FieldSpec.finite(3)
 F5 = FieldSpec.finite(5)
 F4 = FieldSpec.finite(2, 2)
+F9 = FieldSpec.finite(3, 2)
 F2u = FieldSpec.rational(2)
 F3u = FieldSpec.rational(3)
 
@@ -194,7 +199,7 @@ def test_sigma_action():
     assert sa.coeffs[1].agrees_with(LaurentSeries.one(F3, 32))
     # sigma(alpha^2) = alpha^2 + 2 alpha + 1
     sq = (a * a).sigma(1)
-    expect = a * a + a.scale_int(2) + ext.one()
+    expect = a * a + a * 2 + ext.one()
     assert sq.agrees_with(expect)
     rng = random.Random(3)
     for _ in range(10):
@@ -457,6 +462,39 @@ def test_a_series_combines_with_an_element_of_l_on_either_side():
     assert t - x == -(x - t) == LElement(ext, (t - x.coeffs[0],) + tuple(zero - c for c in x.coeffs[1:]))
 
 
+@pytest.mark.parametrize("field, pole", [(F9, -2), (F2u, -1)])
+def test_a_field_scalar_is_a_constant_of_k(field, pole):
+    # a scalar on either side of an element of L is the constant series
+    # known below f's precision; a product by it is the series layer's
+    # scale, which equals the product by that constant when the scalar
+    # is nonzero and each coordinate lies in k[[t]], known below f's
+    # precision (a zero scale keeps each coordinate's precision, where
+    # the zero constant knows the product further)
+    ext = ext_of(field, pole, prec=10)
+    rng = random.Random(7)
+    for _ in range(6):
+        c = field.sample_point(rng, max_degree=1)
+        const = LaurentSeries.constant(c, ext.f.prec)
+        x = LElement(ext, tuple(random_series(field, rng, 0, 4, ext.f.prec) for _ in range(ext.p)))
+        y = LElement(ext, tuple(random_series(field, rng, -3, 4, 8) for _ in range(ext.p)))
+        for z in (x, y):
+            assert z + c == c + z == z + const
+            assert z - c == z - const and c - z == const - z
+            assert z * c == c * z == LElement(ext, tuple(s.scale(c) for s in z.coeffs))
+        if not c.is_zero():
+            assert x * c == x * const
+    alien = F3.one()
+    x = ext.alpha()
+    for op in (lambda: x + alien, lambda: alien + x, lambda: x - alien, lambda: alien - x,
+               lambda: x * alien, lambda: alien * x):
+        with pytest.raises(FieldMismatch):
+            op()
+    with pytest.raises(ExtensionMismatch):
+        x + "1"
+    with pytest.raises(ExtensionMismatch):
+        x * "1"
+
+
 def test_integral_basis_not_applicable():
     with pytest.raises(NotApplicable):
         integral_basis(ASExtension(F2, mono(F2, 1, 1, 4)))  # f = t is trivial
@@ -520,6 +558,7 @@ def test_cached_elements_leave_no_reference_cycle():
         assert "inverse_f_best" in ext.with_best_f()._cache
         refined_swan(ext)
         assert "refined_swan" in ext.with_best_f()._cache
+        assert integral_basis(ext).ext is ext.with_best_f()
         del ext
         assert gc.collect() == 0
         # an expression keeps the closure its first evaluate compiled
@@ -540,3 +579,26 @@ def test_cached_elements_leave_no_reference_cycle():
         assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+def test_only_asextension_touches_its_memo():
+    # one memo: outside class ASExtension no code reads or writes the
+    # attribute _cache; everything else goes through ASExtension._memo
+    outside = []
+    for path in sorted(Path(ramify.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        inside = {
+            id(node)
+            for cls in ast.walk(tree)
+            if isinstance(cls, ast.ClassDef) and cls.name == "ASExtension"
+            for node in ast.walk(cls)
+        }
+        outside += [
+            f"{path.name}:{node.lineno}"
+            for node in ast.walk(tree)
+            if id(node) not in inside and (
+                isinstance(node, ast.Attribute) and node.attr == "_cache"
+                or isinstance(node, ast.Constant) and node.value == "_cache"
+            )
+        ]
+    assert outside == []

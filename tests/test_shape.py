@@ -14,10 +14,12 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from ramify import extension
 from ramify.extension import ASExtension, RamificationType, integral_basis
 from ramify.fields import FieldSpec
 from ramify.invariants import (
     boundary_generator,
+    build_report,
     different_ideal,
     ideal_i_sigma,
     ideal_j,
@@ -235,3 +237,24 @@ def test_the_formula_knows_a_ferocious_generator_further_than_the_chain():
     assert_equal_values_prec_not_lower(got, want)
     assert [c.prec for c in want[2].coeffs] == [31, 32, 32]
     assert [c.prec for c in got[2].coeffs] == [31, 34, 32]
+
+
+@pytest.mark.parametrize("field, terms, kind", [
+    (F2, {-4: 1, -3: 1}, RamificationType.WILD),  # unreduced: t^-4 reduces to t^-1
+    (F2u, {-2: "u"}, RamificationType.FEROCIOUS),
+    (F3, {0: 1}, RamificationType.UNRAMIFIED),
+])
+def test_one_report_builds_the_shape_once(monkeypatch, field, terms, kind):
+    # every reader of the shape shares one build per extension
+    builds = []
+    shape = extension._shape
+
+    def counted(*args):
+        builds.append(args)
+        return shape(*args)
+
+    monkeypatch.setattr(extension, "_shape", counted)
+    ext = ext_of(field, terms, prec=16)
+    report = build_report(ext, samples=4, seed=1)
+    assert report.classification is kind and all(check.ok for check in report.checks.values())
+    assert len(builds) == 1
