@@ -308,17 +308,44 @@ def check_refined_swan_stability(ext, shifts=50, seed=0):
     return CheckResult("refined_swan_stability", True, {"shifts": shifts})
 
 
+def _low_rung_first(decide, low, full):
+    """``decide(*low)``, operands truncated at a low rung, else ``decide(*full)``.
+
+    Truncation only forgets knowledge: every coefficient known from the
+    truncated operands equals the one known from the full ones, so a
+    verdict reached on ``low`` is the full verdict.  Only a decision
+    that raises InsufficientPrecision on ``low``, when truncation forgot
+    something (``low != full``), is taken again on ``full``, and that
+    verdict or exception stands."""
+    try:
+        return decide(*low)
+    except InsufficientPrecision:
+        if low == full:
+            raise
+        return decide(*full)
+
+
+def _additivity_rule(x, y, bound):
+    """Whether N(x+y) - N(x) - N(y) lies in the cut ``bound`` of A."""
+    return series_in_cut((x + y).norm() - x.norm() - y.norm(), bound)
+
+
 def check_norm_additivity(ext, samples=100, seed=0):
     """The norm is additive on B modulo the contraction of the
-    difference ideal to A."""
+    difference ideal to A.  ``_low_rung_first`` decides each trial on x
+    and y truncated at least(bound) + (p-1)*swan//p + 2 before the
+    untruncated ones: every workload trial was decided two terms lower."""
     _require_samples(samples)
     rng = random.Random(seed)
     bound = restrict_cut(ideal_i_sigma(ext), Z_GROUP)
+    rung = int(bound.value) + (ext.p - 1) * int(ext.swan) // ext.p + 2
     for trial in range(samples):
         x = integral_sample(ext, rng)
         y = integral_sample(ext, rng)
-        diff = (x + y).norm() - x.norm() - y.norm()
-        if not series_in_cut(diff, bound):
+        if not _low_rung_first(
+            lambda x, y: _additivity_rule(x, y, bound),
+            (x.truncate(rung), y.truncate(rung)), (x, y),
+        ):
             return CheckResult(
                 "norm_additivity", False,
                 {"trial": trial, "x": str(x), "y": str(y)},
@@ -326,41 +353,45 @@ def check_norm_additivity(ext, samples=100, seed=0):
     return CheckResult("norm_additivity", True, {"samples": samples, "bound": bound})
 
 
+def _diagram_face(b, log_gen, f, inv_f, form):
+    """The first face of the square that b breaks, or None: N(b*log_gen)
+    = N(b)/f mod H^2, then the form of N(b)/f = N(b) dlog f mod its modulus."""
+    nb = b.norm()
+    nz = (b * log_gen).norm()
+    if not series_in_cut(nz - nb * inv_f, Cut.at_least(2 * b.ext.swan, Z_GROUP)):
+        return "norm"
+    scalar = nz * f - nb
+    if not series_in_cut(scalar * form.dlog_t, form.modulus):
+        return "dlog_t"
+    if form.du is not None and not series_in_cut(scalar * form.du, form.modulus):
+        return "du"
+    return None
+
+
 def check_diagram_commutativity(ext, samples=100, seed=0):
     """Both compositions around the square agree on random integral b:
     the normed logarithmic class of b matches the differential-form
-    class of its norm, modulo the squared ideals."""
+    class of its norm, modulo the squared ideals.  ``_low_rung_first``
+    decides each trial on b truncated at 2*swan + 2 before the
+    untruncated b: every workload trial was decided below 2*swan."""
     _require_samples(samples)
     ext = integral_basis(ext).ext
     rng = random.Random(seed)
     f = ext.best.f_best
-    n = int(ext.swan)
     form = refined_swan(ext)
     inv_f = ext.inverse_f_best()
     alpha = ext.alpha()
     log_gen = alpha.sigma(1) * ext.inverse_alpha() - 1  # sigma(alpha)/alpha - 1
-    h_squared = Cut.at_least(2 * n, Z_GROUP)
+    rung = 2 * int(ext.swan) + 2
     for trial in range(samples):
         b = integral_sample(ext, rng)
-        nb = b.norm()
-        nz = (b * log_gen).norm()
-        # right-hand face: N(b * (sigma(alpha)/alpha - 1)) = N(b)/f in H/H^2
-        if not series_in_cut(nz - nb * inv_f, h_squared):
+        face = _low_rung_first(
+            lambda b: _diagram_face(b, log_gen, f, inv_f, form), (b.truncate(rung),), (b,)
+        )
+        if face is not None:
             return CheckResult(
                 "diagram_commutativity", False,
-                {"trial": trial, "face": "norm", "b": str(b)},
-            )
-        # bottom face: the form of N(b)/f equals N(b) dlog f mod the modulus
-        scalar = nz * f - nb
-        if not series_in_cut(scalar * form.dlog_t, form.modulus):
-            return CheckResult(
-                "diagram_commutativity", False,
-                {"trial": trial, "face": "dlog_t", "b": str(b)},
-            )
-        if form.du is not None and not series_in_cut(scalar * form.du, form.modulus):
-            return CheckResult(
-                "diagram_commutativity", False,
-                {"trial": trial, "face": "du", "b": str(b)},
+                {"trial": trial, "face": face, "b": str(b)},
             )
     return CheckResult("diagram_commutativity", True, {"samples": samples})
 
@@ -391,12 +422,8 @@ def check_difference_product_rules(ext, samples=32, seed=0):
     sigma(xy)/(xy)-1 splits modulo the squared logarithmic ideal.
 
     The multiplicative rule is read below a fixed bound, so the units
-    are truncated there, which bounds the work of each inverse.  It is
-    decided five terms lower first: truncation only forgets knowledge,
-    so every coefficient known there equals the one known at the full
-    bound, and a verdict reached there is the full verdict.  Only an
-    undecided trial (InsufficientPrecision) is recomputed at the full
-    bound, whose verdict or exception stands."""
+    are truncated there, which bounds the work of each inverse;
+    ``_low_rung_first`` decides it five terms lower first."""
     _require_samples(samples)
     ext = integral_basis(ext).ext
     rng = random.Random(seed)
@@ -419,11 +446,9 @@ def check_difference_product_rules(ext, samples=32, seed=0):
             )
         x = unit_sample(ext, rng)
         y = unit_sample(ext, rng)
-        try:
-            ok = _unit_rule(x, y, working_prec - 5, j_sq)
-        except InsufficientPrecision:
-            ok = _unit_rule(x, y, working_prec, j_sq)
-        if not ok:
+        if not _low_rung_first(
+            lambda prec: _unit_rule(x, y, prec, j_sq), (working_prec - 5,), (working_prec,)
+        ):
             x = _truncated_unit(x, working_prec)
             y = _truncated_unit(y, working_prec)
             return CheckResult(

@@ -23,8 +23,9 @@ from ramify.invariants import (
     _require_samples,
     ideal_i_sigma,
     ideal_j,
+    refined_swan,
 )
-from ramify.series import Cut, LaurentSeries, ValueGroup, dot, series_in_cut
+from ramify.series import Cut, LaurentSeries, ValueGroup, dot, restrict_cut, series_in_cut
 
 
 def tree_evaluate(expr, env, field):
@@ -625,6 +626,68 @@ def single_rung_product_rules(ext, samples=32, seed=0):
                 {"trial": trial, "rule": "multiplicative", "x": str(x), "y": str(y)},
             )
     return CheckResult("difference_product_rules", True, {"samples": samples})
+
+
+# -- the norm checks at one rung ----------------------------------------------------
+# ``invariants.check_norm_additivity`` and ``check_diagram_commutativity`` as
+# they were when every trial took each norm on the untruncated samples.
+
+
+def single_rung_norm_additivity(ext, samples=100, seed=0):
+    """The norm is additive on B modulo the contraction of the
+    difference ideal to A."""
+    _require_samples(samples)
+    rng = random.Random(seed)
+    bound = restrict_cut(ideal_i_sigma(ext), Z_GROUP)
+    for trial in range(samples):
+        x = integral_sample(ext, rng)
+        y = integral_sample(ext, rng)
+        diff = (x + y).norm() - x.norm() - y.norm()
+        if not series_in_cut(diff, bound):
+            return CheckResult(
+                "norm_additivity", False,
+                {"trial": trial, "x": str(x), "y": str(y)},
+            )
+    return CheckResult("norm_additivity", True, {"samples": samples, "bound": bound})
+
+
+def single_rung_diagram_commutativity(ext, samples=100, seed=0):
+    """Both compositions around the square agree on random integral b:
+    the normed logarithmic class of b matches the differential-form
+    class of its norm, modulo the squared ideals."""
+    _require_samples(samples)
+    ext = integral_basis(ext).ext
+    rng = random.Random(seed)
+    f = ext.best.f_best
+    n = int(ext.swan)
+    form = refined_swan(ext)
+    inv_f = ext.inverse_f_best()
+    alpha = ext.alpha()
+    log_gen = alpha.sigma(1) * ext.inverse_alpha() - 1  # sigma(alpha)/alpha - 1
+    h_squared = Cut.at_least(2 * n, Z_GROUP)
+    for trial in range(samples):
+        b = integral_sample(ext, rng)
+        nb = b.norm()
+        nz = (b * log_gen).norm()
+        # right-hand face: N(b * (sigma(alpha)/alpha - 1)) = N(b)/f in H/H^2
+        if not series_in_cut(nz - nb * inv_f, h_squared):
+            return CheckResult(
+                "diagram_commutativity", False,
+                {"trial": trial, "face": "norm", "b": str(b)},
+            )
+        # bottom face: the form of N(b)/f equals N(b) dlog f mod the modulus
+        scalar = nz * f - nb
+        if not series_in_cut(scalar * form.dlog_t, form.modulus):
+            return CheckResult(
+                "diagram_commutativity", False,
+                {"trial": trial, "face": "dlog_t", "b": str(b)},
+            )
+        if form.du is not None and not series_in_cut(scalar * form.du, form.modulus):
+            return CheckResult(
+                "diagram_commutativity", False,
+                {"trial": trial, "face": "du", "b": str(b)},
+            )
+    return CheckResult("diagram_commutativity", True, {"samples": samples})
 
 
 # -- the recursive, memoised Laplace expansion ------------------------------------

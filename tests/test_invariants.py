@@ -16,7 +16,7 @@ from ramify.errors import (
     SwanZero,
     TrivialExtension,
 )
-from ramify.extension import ASExtension, RamificationType, integral_basis
+from ramify.extension import ASExtension, RamificationType, integral_basis, integral_sample
 from ramify.fields import FieldSpec
 from ramify.invariants import (
     boundary_generator,
@@ -46,6 +46,8 @@ from ramify.series import Cut, LaurentSeries, ValueGroup, series_in_cut
 from oracles import (
     element_trace_dual_cut,
     lefschetz_minimum,
+    single_rung_diagram_commutativity,
+    single_rung_norm_additivity,
     single_rung_product_rules,
     trace_of_product,
 )
@@ -451,6 +453,129 @@ def test_the_cheap_rung_decides_every_benchmark_trial(monkeypatch, workload):
         assert check_difference_product_rules(ext, trials, int(args["--seed"])).ok
         # one call per trial: no trial reached the full rung
         assert len(calls) == trials
+
+
+NORM_FIELDS = tuple(
+    parse_field_spec(spec)
+    for spec in (
+        "Fp:2", "Fq:4", "Fp:3", "Fq:9", "Fp:5", "Fq:25", "Fp:7", "Fp(u):2", "Fp(u):3",
+    )
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.sampled_from(NORM_FIELDS), st.integers(0, 2**32), st.integers(1, 7),
+    st.integers(4, 36), st.integers(1, 3), st.integers(0, 2**31),
+)
+def test_norm_checks_match_the_single_rung_checks(field, draw, n, prec, samples, seed):
+    """Deciding each norm check on truncated samples first gives the
+    check's old result, or its old exception and message; at a low
+    ``prec`` the low rung of some draws raises."""
+    ext = pole_extension(field, random.Random(draw), n, prec)
+    for check, oracle in (
+        (check_norm_additivity, single_rung_norm_additivity),
+        (check_diagram_commutativity, single_rung_diagram_commutativity),
+    ):
+        assert rule_outcome(check, ext, samples, seed) == rule_outcome(oracle, ext, samples, seed)
+
+
+def norm_rungs(ext):
+    """The low rungs of the additivity and the diagram check."""
+    p, n = ext.p, int(ext.swan)
+    least = int(restrict_cut(ideal_i_sigma(ext), Z).value)
+    return least + (p - 1) * n // p + 2, 2 * n + 2
+
+
+def undecided_low_rung(monkeypatch, name, arity):
+    """Make every other call of the named decide function (the low rung
+    of each trial) raise; returns the operand tuples of all its calls."""
+    rule = getattr(invariants, name)
+    calls = []
+
+    def undecided_at_odd_calls(*args):
+        calls.append(args[:arity])
+        if len(calls) % 2:
+            raise InsufficientPrecision("forced")
+        return rule(*args)
+
+    monkeypatch.setattr(invariants, name, undecided_at_odd_calls)
+    return calls
+
+
+@pytest.mark.parametrize("ext", [ext_of(F3, -2), ext_of(F2u, -2, F2u.generator()), ext_of(F5, -3)])
+def test_an_undecided_low_rung_decides_each_norm_check_on_the_full_samples(monkeypatch, ext):
+    add_rung, diagram_rung = norm_rungs(ext)
+    rng = random.Random(7)
+    samples = [integral_sample(ext, rng) for _ in range(6)]
+    for check, oracle, name, rung, arity in (
+        (check_norm_additivity, single_rung_norm_additivity, "_additivity_rule", add_rung, 2),
+        (check_diagram_commutativity, single_rung_diagram_commutativity, "_diagram_face",
+         diagram_rung, 1),
+    ):
+        calls = undecided_low_rung(monkeypatch, name, arity)
+        assert check(ext, 3, 7) == oracle(ext, 3, 7)
+        # per trial, the samples at the low rung, then the untruncated ones
+        full = [tuple(samples[i:i + arity]) for i in range(0, 3 * arity, arity)]
+        assert calls[1::2] == full
+        assert calls[0::2] == [tuple(x.truncate(rung) for x in xs) for xs in full]
+        assert calls[0::2] != full
+
+
+# the low_prec run of tools/output_digest.py in which the diagram check
+# cannot decide at either rung (CI pins its exit code 3 and its message)
+DIAGRAM_RUNGS_RAISE = (
+    "Fp:2",
+    "(1)*t^-7 + (1)*t^-1 + (1)*t^1 + (1)*t^4 + (1)*t^9 + (1)^2*t^-4 - (1)*t^-2"
+    " + (1)^2*t^-8 - (1)*t^-4",
+    8, 4, 2140274442,
+)
+
+
+def test_an_undecided_diagram_check_raises_the_single_rung_error(monkeypatch):
+    spec, f, prec, samples, seed = DIAGRAM_RUNGS_RAISE
+    field = parse_field_spec(spec)
+    ext = ASExtension(field, parse_series(f, field, prec))
+    want = rule_outcome(single_rung_diagram_commutativity, ext, samples, seed)
+    assert want == (
+        InsufficientPrecision,
+        "membership in {v >= 14} needs knowledge below t^14, series known below t^8",
+    )
+    face = invariants._diagram_face
+    calls = []
+
+    def counted(b, *args):
+        calls.append(b)
+        return face(b, *args)
+
+    monkeypatch.setattr(invariants, "_diagram_face", counted)
+    assert rule_outcome(check_diagram_commutativity, ext, samples, seed) == want
+    # b is known below t^8, under the rung 2*7 + 2: truncation forgot
+    # nothing, so the undecided trial is not decided again
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("workload", ["wild_small_p", "wild_large_p", "ferocious_fpu"])
+def test_the_low_rung_decides_every_benchmark_norm_trial(monkeypatch, workload):
+    calls = []
+    for name in ("_additivity_rule", "_diagram_face"):
+        rule = getattr(invariants, name)
+
+        def counted(*args, rule=rule, name=name):
+            calls.append(name)
+            return rule(*args)
+
+        monkeypatch.setattr(invariants, name, counted)
+    for argv in analyze_configs(monkeypatch, workload, 1):
+        args = dict(zip(argv[1::2], argv[2::2]))
+        field = parse_field_spec(args["--field"])
+        ext = ASExtension(field, parse_series(args["--f"], field, int(args["--prec"])))
+        trials, seed = int(args["--trials"]), int(args["--seed"])
+        calls.clear()
+        assert check_norm_additivity(ext, trials, seed).ok
+        assert check_diagram_commutativity(ext, trials, seed).ok
+        # one call per trial: no trial reached the untruncated samples
+        assert calls == ["_additivity_rule"] * trials + ["_diagram_face"] * trials
 
 
 def test_product_rule_alpha_expansion():
