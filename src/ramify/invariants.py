@@ -19,7 +19,6 @@ from typing import NamedTuple
 from .errors import (
     InsufficientPrecision,
     InvalidSpec,
-    RamifyError,
     SwanZero,
     TrivialExtension,
 )
@@ -28,13 +27,14 @@ from .extension import (
     BestCase,
     LaurentSeries,
     RamificationType,
+    _laplace,
     integral_basis,
     integral_sample,
     reduce_to_best,
     unit_sample,
 )
 from .records import encode
-from .series import Cut, ValueGroup, dot, random_series, restrict_cut, series_in_cut
+from .series import Cut, ValueGroup, random_series, restrict_cut, series_in_cut
 
 Z_GROUP = ValueGroup.discrete(1)
 
@@ -140,87 +140,40 @@ def different_ideal(ext):
     )
 
 
-# perturbations per scanned valuation in ``trace_dual_cut``
-TRACE_DUAL_PERTURBATIONS = 2
-
-
 def generator_traces(ext):
-    """T[k][m] = Tr(alpha^m * g_k) for 0 <= m <= 2p - 2 and the generators
+    """T[k][m] = Tr(alpha^m * g_k) for 0 <= m <= p - 1 and the generators
     g_k of ``ext.integral_generators()``, read along each g_k's
     ``mul_alpha`` chain."""
     rows = []
     for g in ext.integral_generators():
         row = [g.trace()]
-        for _ in range(2 * ext.p - 2):
+        for _ in range(ext.p - 1):
             g = g.mul_alpha()
             row.append(g.trace())
         rows.append(row)
     return rows
 
 
-def candidate_traces(table, r, s, bump=None):
-    """Tr(x * g_k) for each row k of ``generator_traces``, lazily, for
-    x = t^s * alpha^r, times (1 + t * bump) when a ``bump`` in L is given."""
-    for row in table:
-        tr = row[r].shift(s)
-        if bump is not None:
-            tr = tr + dot([(row[r + i], c) for i, c in enumerate(bump.coeffs)]).shift(s + 1)
-        yield tr
+def trace_dual_cut(ext):
+    """The different, measured as B inside its trace dual B*.
 
-
-def trace_dual_cut(ext, seed=0):
-    """Brute-force inverse different, inverted.
-
-    The inverse different is the trace dual of B (Serre, *Local Fields*,
-    III §3).  Scans candidate valuations on the value-group grid from
-    below and returns the smallest w such that t^s * alpha^r of
-    valuation w has integral traces against every boundary generator
-    g_k of B.  Sampled perturbations double-check that the verdict
-    depends on the valuation only.
-
-    The trace is K-linear, so every trace read is a t-shift and a
-    combination of the table T[k][m] = Tr(alpha^m * g_k), built once
-    per call (``generator_traces``): T[k][r] shifted by s for the
-    candidate, plus sum_i T[k][r+i] * bump_i shifted by s + 1 for a
-    perturbation (``candidate_traces``); no element of L is built per
-    candidate.
+    The discriminant of B over A is the norm of the different (Serre,
+    *Local Fields*, III §3); its valuation is the length of B*/B.  It is
+    the determinant of the Gram matrix Tr(g_k * g_j) of the generators
+    g_k = alpha^k * t^(e_k) of B, whose entry (k, j) is T[k][j] of
+    ``generator_traces`` shifted by e_j, and taking norms scales cut
+    values by p.  Tr(alpha^m) is 0 for m < p - 1 and -1 at p - 1, so the
+    matrix is anti-triangular and its determinant is +-t^(2 * sum e_k)
+    on its known range; the one Laplace expansion still reads the
+    ``mul_alpha`` chain and the table's zeros with their ``prec``.
     """
     basis = integral_basis(ext)
-    ext = basis.ext
-    rng = random.Random(seed)
-    p = ext.p
-    n = int(ext.swan)
-    v0 = ext.swan / p
-    table = generator_traces(ext)
-    integral = Cut.at_least(0, Z_GROUP)
-
-    def admissible(traces):
-        return all(series_in_cut(tr, integral) for tr in traces)
-
-    step = basis.group.granularity
-    lo = -Fraction(p - 1) * (n + p) / p - 1
-    w = math.floor(lo / step) * step
-    first_pass = None
-    while w <= 1:
-        # t^s * alpha^r with s - r*swan/p = w, for the least r making s integral
-        r = next(r for r in range(p) if (w + r * v0).denominator == 1)
-        s = int(w + r * v0)
-        ok = admissible(candidate_traces(table, r, s))
-        for _ in range(TRACE_DUAL_PERTURBATIONS):
-            bump = integral_sample(ext, rng, span=1, terms=1)
-            if admissible(candidate_traces(table, r, s, bump)) != ok:
-                raise RamifyError(
-                    "trace-dual verdict changed under a higher-valuation perturbation"
-                )
-        if ok and first_pass is None:
-            first_pass = w
-        if not ok and first_pass is not None:
-            raise RamifyError("trace-dual membership was not monotone in valuation")
-        w += step
-    if first_pass is None:
-        raise RamifyError("no admissible valuation found on the scanned grid")
-    inverse_cut = Cut.at_least(first_pass, basis.group)
-    return inverse_cut.inverse()
+    table = generator_traces(basis.ext)
+    cols = [
+        [row[j].shift(e) for row in table]
+        for j, e in enumerate(int(cut.value) for cut in basis.cuts)
+    ]
+    return Cut.at_least(_laplace(cols)[0].valuation() / ext.p, basis.group)
 
 
 def boundary_generator(ext):
@@ -551,7 +504,7 @@ def build_report(ext, samples=50, seed=0, run_checks=True):
         checks["difference_product_rules"] = check_difference_product_rules(
             ext, min(samples, 32), seed
         )
-        oracle = trace_dual_cut(ext, seed=seed)
+        oracle = trace_dual_cut(ext)
         checks["different_vs_trace_dual"] = CheckResult(
             "different_vs_trace_dual",
             oracle == report.different,

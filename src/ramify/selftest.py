@@ -340,11 +340,11 @@ def criterion_norm_additivity_diagram(extensions, seed=DEFAULT_SEED):
     )
 
 
-def criterion_different_cross_check(extensions, seed=DEFAULT_SEED):
+def criterion_different_cross_check(extensions):
     failures = []
     for label, ext in extensions:
         d = different_ideal(ext)
-        oracle = trace_dual_cut(ext, seed=seed)
+        oracle = trace_dual_cut(ext)
         if d != oracle:
             failures.append(f"{label}: formula {d!r}, trace dual {oracle!r}")
         if ext.classification() is RamificationType.FEROCIOUS:
@@ -388,7 +388,7 @@ def run_all(seed=DEFAULT_SEED):
         criterion_difference_operators(extensions, seed),
         criterion_refined_swan_stability(extensions, seed),
         criterion_norm_additivity_diagram(extensions, seed),
-        criterion_different_cross_check(extensions, seed),
+        criterion_different_cross_check(extensions),
         criterion_principality_chain(extensions),
     ]
     return results

@@ -17,7 +17,6 @@ from ramify.errors import (
 from ramify.extension import LElement, integral_basis, integral_sample, unit_sample
 from ramify.fields import _padd, _pgcd, _pmul, _ppow_mod, _prime_divisors, _psub, _trim
 from ramify.invariants import (
-    TRACE_DUAL_PERTURBATIONS,
     Z_GROUP,
     CheckResult,
     _require_samples,
@@ -160,8 +159,91 @@ def trace_of_product(x, g):
     return -dot([(col[-1], c) for col, c in zip(x.columns(), g.coeffs)])
 
 
+# perturbations per scanned valuation in the trace-dual scans
+TRACE_DUAL_PERTURBATIONS = 2
+
+
+def scan_traces(ext):
+    """T[k][m] = Tr(alpha^m * g_k) for 0 <= m <= 2p - 2, the range a
+    perturbed candidate reads: ``invariants.generator_traces`` run
+    p - 1 steps further along each g_k's ``mul_alpha`` chain."""
+    rows = []
+    for g in ext.integral_generators():
+        row = [g.trace()]
+        for _ in range(2 * ext.p - 2):
+            g = g.mul_alpha()
+            row.append(g.trace())
+        rows.append(row)
+    return rows
+
+
+def candidate_traces(table, r, s, bump=None):
+    """Tr(x * g_k) for each row k of ``scan_traces``, lazily, for
+    x = t^s * alpha^r, times (1 + t * bump) when a ``bump`` in L is given."""
+    for row in table:
+        tr = row[r].shift(s)
+        if bump is not None:
+            tr = tr + dot([(row[r + i], c) for i, c in enumerate(bump.coeffs)]).shift(s + 1)
+        yield tr
+
+
+def table_trace_dual_cut(ext, seed=0):
+    """Brute-force inverse different, inverted: the reference for the
+    cut ``invariants.trace_dual_cut`` reads off the discriminant.
+
+    The inverse different is the trace dual of B (Serre, *Local Fields*,
+    III §3).  Scans candidate valuations on the value-group grid from
+    below and returns the smallest w such that t^s * alpha^r of
+    valuation w has integral traces against every boundary generator
+    g_k of B.  Sampled perturbations double-check that the verdict
+    depends on the valuation only.
+
+    The trace is K-linear, so every trace read is a t-shift and a
+    combination of the table T[k][m] = Tr(alpha^m * g_k), built once
+    per call (``scan_traces``): T[k][r] shifted by s for the
+    candidate, plus sum_i T[k][r+i] * bump_i shifted by s + 1 for a
+    perturbation (``candidate_traces``); no element of L is built per
+    candidate.
+    """
+    basis = integral_basis(ext)
+    ext = basis.ext
+    rng = random.Random(seed)
+    p = ext.p
+    n = int(ext.swan)
+    v0 = ext.swan / p
+    table = scan_traces(ext)
+    integral = Cut.at_least(0, Z_GROUP)
+
+    def admissible(traces):
+        return all(series_in_cut(tr, integral) for tr in traces)
+
+    step = basis.group.granularity
+    lo = -Fraction(p - 1) * (n + p) / p - 1
+    w = math.floor(lo / step) * step
+    first_pass = None
+    while w <= 1:
+        # t^s * alpha^r with s - r*swan/p = w, for the least r making s integral
+        r = next(r for r in range(p) if (w + r * v0).denominator == 1)
+        s = int(w + r * v0)
+        ok = admissible(candidate_traces(table, r, s))
+        for _ in range(TRACE_DUAL_PERTURBATIONS):
+            bump = integral_sample(ext, rng, span=1, terms=1)
+            if admissible(candidate_traces(table, r, s, bump)) != ok:
+                raise RamifyError(
+                    "trace-dual verdict changed under a higher-valuation perturbation"
+                )
+        if ok and first_pass is None:
+            first_pass = w
+        if not ok and first_pass is not None:
+            raise RamifyError("trace-dual membership was not monotone in valuation")
+        w += step
+    if first_pass is None:
+        raise RamifyError("no admissible valuation found on the scanned grid")
+    return Cut.at_least(first_pass, basis.group).inverse()
+
+
 def element_trace_dual_cut(ext, seed=0, log=None):
-    """``invariants.trace_dual_cut`` with every candidate and perturbation
+    """``table_trace_dual_cut`` with every candidate and perturbation
     built as an element of L and multiplied out against each generator.
     With a ``log`` list, appends (r, s, bump, x) for every element x
     whose traces are read, bump None for the unperturbed candidate."""

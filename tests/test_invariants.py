@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ramify import invariants
+from ramify import extension, invariants
 from ramify.errors import (
     InsufficientPrecision,
     NotApplicable,
@@ -21,14 +21,12 @@ from ramify.fields import FieldSpec
 from ramify.invariants import (
     boundary_generator,
     build_report,
-    candidate_traces,
     check_diagram_commutativity,
     check_difference_product_rules,
     check_norm_additivity,
     check_norm_ideal_identity,
     check_refined_swan_stability,
     different_ideal,
-    generator_traces,
     ideal_h,
     ideal_i_sigma,
     ideal_j,
@@ -44,11 +42,14 @@ from ramify.parsing import parse_field_spec, parse_series
 from ramify.series import Cut, LaurentSeries, ValueGroup, series_in_cut
 
 from oracles import (
+    candidate_traces,
     element_trace_dual_cut,
     lefschetz_minimum,
+    scan_traces,
     single_rung_diagram_commutativity,
     single_rung_norm_additivity,
     single_rung_product_rules,
+    table_trace_dual_cut,
     trace_of_product,
 )
 
@@ -167,8 +168,8 @@ def test_unramified_extension_is_the_gamma_one_case(spec, text):
         assert ext.integral_generators() == alpha_powers
     assert value_group_of_l(ext) == Z
     assert ideal_j(ext) == ideal_i_sigma(ext) == integers
-    # the brute-force trace dual agrees with the formula: B/A is unramified
-    assert trace_dual_cut(ext, seed=3) == different_ideal(ext) == integers
+    # the discriminant oracle agrees with the formula: B/A is unramified
+    assert trace_dual_cut(ext) == different_ideal(ext) == integers
     assert boundary_generator(ext) == reduced.alpha()
     assert check_difference_product_rules(ext, samples=4, seed=1).ok
     assert all(principality_chain(ext).values())
@@ -238,7 +239,7 @@ def test_different_examples():
 
 def test_different_matches_trace_dual():
     for ext in (ext_of(F2, -1), ext_of(F3, -2), ext_of(F2u, -2, F2u.generator())):
-        assert different_ideal(ext) == trace_dual_cut(ext, seed=3)
+        assert different_ideal(ext) == trace_dual_cut(ext)
 
 
 SCAN_FIELDS = tuple(
@@ -275,18 +276,18 @@ def scan_outcome(scan, ext, seed, *args):
 @settings(max_examples=120, deadline=None)
 @given(st.sampled_from(SCAN_FIELDS), st.integers(0, 2**32), st.integers(4, 16), st.integers(0, 7))
 def test_table_scan_matches_the_element_scan(field, seed, prec, scan_seed):
-    """The scan on the table of generator traces returns the cut the scan
-    over built elements returns, or raises the same exception class, for
-    the same seed.  Every trace it can read equals the one from the
-    built element in value, known at least as far."""
+    """The test oracle's scan on the table of generator traces returns
+    the cut the scan over built elements returns, or raises the same
+    exception class, for the same seed.  Every trace it can read equals
+    the one from the built element in value, known at least as far."""
     ext = scan_extension(field, random.Random(seed), prec)
     log = []
     want = scan_outcome(element_trace_dual_cut, ext, scan_seed, log)
-    assert scan_outcome(trace_dual_cut, ext, scan_seed) == want
+    assert scan_outcome(table_trace_dual_cut, ext, scan_seed) == want
     if not log:
         return
     ext = ext.with_best_f()
-    table = generator_traces(ext)
+    table = scan_traces(ext)
     gens = ext.integral_generators()
     for r, s, bump, x in log:
         traces = list(candidate_traces(table, r, s, bump))
@@ -295,6 +296,67 @@ def test_table_scan_matches_the_element_scan(field, seed, prec, scan_seed):
             old = trace_of_product(x, g)
             assert tr.prec >= old.prec
             assert tr.truncate(old.prec) == old
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.sampled_from(SCAN_FIELDS), st.integers(0, 2**32), st.integers(4, 16), st.integers(0, 7))
+def test_discriminant_matches_the_scan_where_it_decides(field, seed, prec, scan_seed):
+    """Wherever the scan over candidate valuations decides, the
+    discriminant of the trace form decides too, on the same cut."""
+    ext = scan_extension(field, random.Random(seed), prec)
+    want = scan_outcome(table_trace_dual_cut, ext, scan_seed)
+    if isinstance(want, Cut):
+        assert trace_dual_cut(ext) == want
+
+
+@pytest.mark.parametrize("ext", [
+    ext_of(F5, -3),
+    ext_of(FieldSpec.finite(3, 2), -2, FieldSpec.finite(3, 2).generator()),
+    ext_of(F3u, -2, F3u.generator()),
+    ext_of(F2u, -2, F2u.generator()),
+    ext_of(F3u, -3, F3u.generator()),
+    ASExtension(F3, parse_series("2 + t", F3, 16)),
+], ids=["wild-Fp5", "wild-Fq9", "wild-Fp(u)3", "ferocious-Fp(u)2", "ferocious-Fp(u)3",
+        "unramified-Fp3"])
+def test_the_trace_form_is_anti_triangular(monkeypatch, ext):
+    """Tr(alpha^m) is 0 for m < p - 1 and -1 at p - 1, so the Gram matrix
+    Tr(g_k * g_j) of g_k = alpha^k * t^(e_k) vanishes above its
+    anti-diagonal, reads -t^(e_k + e_j) on it, and has determinant
+    +-t^(2 * sum e_k), all on the known range.  The oracle expands that
+    one determinant and draws no sample."""
+    calls = []
+
+    def laplace(cols):
+        calls.append(cols)
+        return real_laplace(cols)
+
+    def no_sample(*args, **kwargs):
+        raise AssertionError("trace_dual_cut drew a sample")
+
+    real_laplace = extension._laplace
+    for module in (extension, invariants):
+        monkeypatch.setattr(module, "_laplace", laplace)
+        monkeypatch.setattr(module, "integral_sample", no_sample)
+    oracle = trace_dual_cut(ext)
+    assert len(calls) == 1
+    cols = calls[0]
+    det = real_laplace(cols)[0]
+    assert oracle == Cut.at_least(det.valuation() / ext.p, value_group_of_l(ext))
+    p = ext.p
+    field = ext.field
+    exps = [int(cut.value) for cut in integral_basis(ext).cuts]
+    for k in range(p):
+        for j in range(p - k):
+            entry = cols[j][k]
+            if k + j < p - 1:
+                assert entry.is_zero_known()
+            else:
+                e = exps[k] + exps[j]
+                assert entry.prec > e
+                assert (entry + mono(field, e, 1, entry.prec)).is_zero_known()
+    e = 2 * sum(exps)
+    assert det.prec > e
+    assert any((det + mono(field, e, sign, det.prec)).is_zero_known() for sign in (1, -1))
 
 
 def test_norm_additivity_grid():
