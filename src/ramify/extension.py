@@ -5,10 +5,12 @@ x -> x^p - x, the Swan conductor, the ramification classification,
 arithmetic in L with the Galois action, the norm and the inverse from
 one Laplace expansion of the multiplication matrix (the inverse is the
 adjugate column over the norm, and the minors are built level by
-level, two levels alive at a time), the trace from the power basis,
-valuations on L, the inductive difference operators, and the shape of
-the integral closure with its generators alpha^i * t^(A_i), one formula
-for every shape.
+level, two levels alive at a time, on raw coefficients: each minor is
+a raw triple keyed by the bitmask of its columns, each entry's bound is
+read once and each negation made at most once), the trace from the
+power basis, valuations on L, the inductive difference operators, and
+the shape of the integral closure with its generators
+alpha^i * t^(A_i), one formula for every shape.
 
 An extension computes what it derives once, in one memo
 (``ASExtension._memo``), the shape of B included.  An element builds
@@ -21,8 +23,10 @@ a constant known below f's precision.
 One precision rule holds in L: a coordinate is known as far as the
 series it reads determine it, with no start bound.  A product
 coordinate is one ``series.dot``, known below the least of its
-products' bounds; coordinate j of a conjugate reads only the
-coordinates i >= j and is known below the least of their precisions.
+products' bounds; a minor of the Laplace expansion is one
+``series._dot_raw``, the same rule on raw triples.  Coordinate j of a
+conjugate reads only the coordinates i >= j and is known below the
+least of their precisions.
 """
 
 from __future__ import annotations
@@ -44,7 +48,16 @@ from .errors import (
     ZeroElement,
 )
 from .fields import ResidueElem, artin_schreier_solvable, frobenius_root, is_pth_power
-from .series import Cut, LaurentSeries, ValueGroup, dot, linear_combination, series_in_cut
+from .series import (
+    Cut,
+    LaurentSeries,
+    ValueGroup,
+    _dot_raw,
+    _series,
+    dot,
+    linear_combination,
+    series_in_cut,
+)
 
 
 class BestCase(Enum):
@@ -441,22 +454,57 @@ def _laplace(cols):
     """(det, first-row cofactors) of the matrix with columns ``cols``
     (entry (row, j) is ``cols[j][row]``), with the minors built level by
     level from the bottom row up.  The minor on column set s of the last
-    len(s) rows is one ``dot`` over its first row, the alternating sign
-    folded into the entry, and reads only the level below, so two levels
-    are alive at a time.  The level-p minor is the determinant; the
-    cofactor of entry (0, j) is (-1)^j times the minor without column j."""
+    len(s) rows is one ``series._dot_raw`` over its first row, the
+    alternating sign folded into the entry, and reads only the level
+    below, so two levels are alive at a time.  The level-p minor is the
+    determinant; the cofactor of entry (0, j) is (-1)^j times the minor
+    without column j.
+
+    The expansion runs on raw coefficients.  A minor is a raw triple
+    (raw, low, prec) keyed by the bitmask of its columns, so the minor
+    without column j is ``mask ^ (1 << j)``.  Each row's entries are
+    read as triples once per level, so each entry's low bound is read
+    once; an entry's negation is made at most once, and only when it
+    sits at an odd position beside a minor with a known term.  Only the
+    determinant and the cofactors become series."""
     p = len(cols)
-    minors = {(j,): cols[j][p - 1] for j in range(p)}
+    field = cols[0][0].field
+    neg = field._rneg
+    bits = [1 << j for j in range(p)]
+    minors = {b: _triple(col[p - 1]) for b, col in zip(bits, cols)}
     for row in range(p - 2, -1, -1):
+        entries = {b: _triple(col[row]) for b, col in zip(bits, cols)}
+        negated = {}
         below, minors = minors, {}
-        for s in combinations(range(p), p - row):
-            minors[s] = dot([
-                (-cols[j][row] if i % 2 else cols[j][row], below[s[:i] + s[i + 1:]])
-                for i, j in enumerate(s)
-            ])
-    full = tuple(range(p))
-    cofactors = [below[full[:j] + full[j + 1:]] for j in full]
-    return minors[full], [-c if j % 2 else c for j, c in enumerate(cofactors)]
+        for s in combinations(bits, p - row):
+            mask = sum(s)
+            pairs = []
+            odd = False
+            for b in s:
+                entry = entries[b]
+                sub = below[mask ^ b]
+                if odd and entry[0] and sub[0]:
+                    if b not in negated:
+                        raw, low, prec = entry
+                        negated[b] = ({e: neg(c) for e, c in raw.items()}, low, prec)
+                    entry = negated[b]
+                odd = not odd
+                pairs.append((entry, sub))
+            minors[mask] = _dot_raw(field, pairs)
+    full = (1 << p) - 1
+    det_raw, _, det_prec = minors[full]
+    cofactors = []
+    for j, b in enumerate(bits):
+        raw, _, prec = below[full ^ b]
+        if j % 2:
+            raw = {e: neg(c) for e, c in raw.items()}
+        cofactors.append(_series(field, raw, prec))
+    return _series(field, det_raw, det_prec), cofactors
+
+
+def _triple(s):
+    """The raw triple (raw, low, prec) of a series for ``_dot_raw``."""
+    return s._raw, s.low_bound(), s.prec
 
 
 def classify(ext):

@@ -772,6 +772,34 @@ def single_rung_diagram_commutativity(ext, samples=100, seed=0):
     return CheckResult("diagram_commutativity", True, {"samples": samples})
 
 
+# -- the series-level Laplace expansion ------------------------------------------
+# ``extension._laplace`` as it was before it ran on raw coefficients: every
+# minor a ``LaurentSeries`` keyed by its column tuple, every signed entry a
+# fresh negation, one ``series.dot`` per minor.
+
+
+def series_laplace(cols):
+    """(det, first-row cofactors) of the matrix with columns ``cols``
+    (entry (row, j) is ``cols[j][row]``), with the minors built level by
+    level from the bottom row up.  The minor on column set s of the last
+    len(s) rows is one ``dot`` over its first row, the alternating sign
+    folded into the entry, and reads only the level below, so two levels
+    are alive at a time.  The level-p minor is the determinant; the
+    cofactor of entry (0, j) is (-1)^j times the minor without column j."""
+    p = len(cols)
+    minors = {(j,): cols[j][p - 1] for j in range(p)}
+    for row in range(p - 2, -1, -1):
+        below, minors = minors, {}
+        for s in itertools.combinations(range(p), p - row):
+            minors[s] = dot([
+                (-cols[j][row] if i % 2 else cols[j][row], below[s[:i] + s[i + 1:]])
+                for i, j in enumerate(s)
+            ])
+    full = tuple(range(p))
+    cofactors = [below[full[:j] + full[j + 1:]] for j in full]
+    return minors[full], [-c if j % 2 else c for j, c in enumerate(cofactors)]
+
+
 # -- the recursive, memoised Laplace expansion ------------------------------------
 # ``extension._laplace`` and its helper as they were before the minors were
 # built level by level: every minor of every size stays in one memo until

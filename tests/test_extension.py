@@ -495,6 +495,22 @@ def test_a_field_scalar_is_a_constant_of_k(field, pole):
         x * "1"
 
 
+def test_a_zero_scalar_keeps_the_precision_of_what_it_scales():
+    # ``scale`` reads its scalar as exact and keeps the precision of the
+    # series: t^3 + O(t^5) times 0 is O(t^5), where the constant series
+    # 0 + O(t^5) would know the product below t^8.  An element of L by 0
+    # keeps each coordinate's precision.
+    zero = F3.zero()
+    for s in (LaurentSeries(F3, {3: 1}, 5), LaurentSeries(F3, {-2: 1, 1: 2}, 5)):
+        for product in (s * 0, 0 * s, s * zero, zero * s):
+            assert product == LaurentSeries.zero(F3, 5)
+    ext = ext_of(F3, -1, prec=8)
+    x = LElement(ext, (LaurentSeries(F3, {3: 1}, 5), LaurentSeries(F3, {-2: 1}, 6),
+                       LaurentSeries.zero(F3, 7)))
+    for product in (x * 0, 0 * x, x * zero, zero * x):
+        assert product.coeffs == tuple(LaurentSeries.zero(F3, prec) for prec in (5, 6, 7))
+
+
 def test_integral_basis_not_applicable():
     with pytest.raises(NotApplicable):
         integral_basis(ASExtension(F2, mono(F2, 1, 1, 4)))  # f = t is trivial

@@ -242,6 +242,13 @@ def test_different_matches_trace_dual():
         assert different_ideal(ext) == trace_dual_cut(ext)
 
 
+def test_different_matches_the_gram_determinant_at_p_17():
+    # the largest Gram matrix of the suite: 2^17 - 18 minors, most of
+    # them known zero, expanded on raw coefficients
+    ext = ext_of(FieldSpec.finite(17), -1, prec=72)
+    assert trace_dual_cut(ext) == different_ideal(ext)
+
+
 SCAN_FIELDS = tuple(
     parse_field_spec(spec)
     for spec in ("Fp:2", "Fp:3", "Fp:5", "Fp:7", "Fq:4", "Fq:9", "Fp(u):2", "Fp(u):3")

@@ -30,6 +30,7 @@ from oracles import (
     coprime_numerator,
     fpu_denominators,
     memoised_laplace,
+    series_laplace,
 )
 
 F2 = FieldSpec.finite(2)
@@ -492,6 +493,50 @@ def test_level_by_level_expansion_matches_the_memoised_one_at_p_11():
     assert len({c.prec for c in x.coeffs}) > 1
     assert not x.norm().is_zero_known()
     assert_same_expansion(x)
+
+
+LAPLACE_FIELDS = (F2, F3, F5, FieldSpec.finite(7), FieldSpec.finite(2, 2), F9,
+                  FieldSpec.finite(5, 2), F2u, F3u)
+
+
+def random_matrix(field, rng, n, empty_rows, empty_cols):
+    """The columns of an n x n matrix of random series: negative
+    valuations, uneven precisions, entries with no known term, and no
+    known term at all in the rows and columns named empty."""
+    cols = []
+    for j in range(n):
+        col = []
+        for row in range(n):
+            if row in empty_rows or j in empty_cols:
+                col.append(LaurentSeries.zero(field, rng.randint(-3, 12)))
+            else:
+                col.append(random_series(field, rng, lo=rng.randint(-3, 1), width=3,
+                                         prec_range=(2, 14)))
+        cols.append(tuple(col))
+    return cols
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(LAPLACE_FIELDS), st.integers(2, 7), seeds, st.integers(0, 1),
+       st.integers(0, 1))
+def test_raw_kernel_matches_both_series_expansions(field, n, seed, empty_rows, empty_cols):
+    """The raw-coefficient expansion of any square matrix, not only a
+    multiplication matrix, gives the determinant and cofactors of the
+    series-level expansion and of the memoised recursion, in value and
+    ``prec``, and leaves every entry as it was: an entry's negation is a
+    fresh dict.  A row or column with no known term sends some minors
+    through the path with no pair left to multiply."""
+    rng = random.Random(seed)
+    cols = random_matrix(field, rng, n, set(rng.sample(range(n), empty_rows)),
+                         set(rng.sample(range(n), empty_cols)))
+    before = [[dict(entry._raw) for entry in col] for col in cols]
+    det, cofactors = _laplace(cols)
+    assert [[entry._raw for entry in col] for col in cols] == before
+    assert len(cofactors) == n
+    for oracle in (series_laplace, memoised_laplace):
+        reference_det, reference_cofactors = oracle(cols)
+        assert same(det, reference_det)
+        assert all(same(a, b) for a, b in zip(cofactors, reference_cofactors))
 
 
 @settings(max_examples=60, deadline=None)
