@@ -59,6 +59,7 @@ read the canonical (num, den) pair alone.
 from __future__ import annotations
 
 import operator
+import random
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -1395,8 +1396,6 @@ def check_identity(lhs, rhs, field, trials, seed, max_attempts=64):
     probability at most (degree_bound / sample_space)^t when the two
     sides differ.
     """
-    import random
-
     if trials < 1:
         raise InvalidSpec("trials must be at least 1")
     rng = random.Random(seed)

@@ -198,6 +198,18 @@ class CheckResult(NamedTuple):
         return {"ok": self.ok, **encode(self.detail)}
 
 
+def _sampled(name, samples, seed, trial, evidence):
+    """The loop of every sampled verifier: ``trial(rng, i)`` for each
+    i < samples, all drawing from one generator seeded with ``seed``.
+    The first witness dict returned fails ``name``; else it passes with ``evidence``."""
+    rng = random.Random(seed)
+    for i in range(samples):
+        witness = trial(rng, i)
+        if witness is not None:
+            return CheckResult(name, False, witness)
+    return CheckResult(name, True, evidence)
+
+
 def check_norm_ideal_identity(ext):
     """Exact comparison of the norm ideal of J with H, together with the
     generator identity: the norm of 1/alpha times best f is a sign."""
@@ -233,7 +245,6 @@ def check_refined_swan_stability(ext, shifts=50, seed=0):
     _require_samples(shifts)
     if ext.swan == 0:
         raise SwanZero("stability concerns extensions with positive swan")
-    rng = random.Random(seed)
     p = ext.p
     n = int(ext.swan)
     field = ext.field
@@ -241,24 +252,20 @@ def check_refined_swan_stability(ext, shifts=50, seed=0):
     base = refined_swan(ext)
     inv_f = ext.inverse_f_best()
     lo = -((n - 1) // p)  # least integer valuation with p*v > -n
-    for trial in range(shifts):
+
+    def trial(rng, i):
         a = random_series(field, rng, lo, lo + 3, f.prec, density=0.6)
         g = f + (a ** p - a)
         if g.valuation() != -n:
-            return CheckResult(
-                "refined_swan_stability", False,
-                {"witness": str(a), "reason": "pole order moved"},
-            )
+            return {"witness": str(a), "reason": "pole order moved"}
         cand_t = g.euler_derivative() * inv_f
         ok = series_in_cut(base.dlog_t - cand_t, base.modulus)
         if ok and base.du is not None:
             cand_u = g.u_derivative() * inv_f
             ok = series_in_cut(base.du - cand_u, base.modulus)
-        if not ok:
-            return CheckResult(
-                "refined_swan_stability", False, {"witness": str(a), "trial": trial}
-            )
-    return CheckResult("refined_swan_stability", True, {"shifts": shifts})
+        return None if ok else {"witness": str(a), "trial": i}
+
+    return _sampled("refined_swan_stability", shifts, seed, trial, {"shifts": shifts})
 
 
 def _low_rung_first(decide, low, full):
@@ -289,21 +296,19 @@ def check_norm_additivity(ext, samples=100, seed=0):
     and y truncated at least(bound) + (p-1)*swan//p + 2 before the
     untruncated ones: every workload trial was decided two terms lower."""
     _require_samples(samples)
-    rng = random.Random(seed)
     bound = restrict_cut(ideal_i_sigma(ext), Z_GROUP)
     rung = int(bound.value) + (ext.p - 1) * int(ext.swan) // ext.p + 2
-    for trial in range(samples):
+
+    def trial(rng, i):
         x = integral_sample(ext, rng)
         y = integral_sample(ext, rng)
-        if not _low_rung_first(
+        ok = _low_rung_first(
             lambda x, y: _additivity_rule(x, y, bound),
             (x.truncate(rung), y.truncate(rung)), (x, y),
-        ):
-            return CheckResult(
-                "norm_additivity", False,
-                {"trial": trial, "x": str(x), "y": str(y)},
-            )
-    return CheckResult("norm_additivity", True, {"samples": samples, "bound": bound})
+        )
+        return None if ok else {"trial": i, "x": str(x), "y": str(y)}
+
+    return _sampled("norm_additivity", samples, seed, trial, {"samples": samples, "bound": bound})
 
 
 def _diagram_face(b, log_gen, f, inv_f, form):
@@ -329,24 +334,21 @@ def check_diagram_commutativity(ext, samples=100, seed=0):
     untruncated b: every workload trial was decided below 2*swan."""
     _require_samples(samples)
     ext = integral_basis(ext).ext
-    rng = random.Random(seed)
     f = ext.best.f_best
     form = refined_swan(ext)
     inv_f = ext.inverse_f_best()
     alpha = ext.alpha()
     log_gen = alpha.sigma(1) * ext.inverse_alpha() - 1  # sigma(alpha)/alpha - 1
     rung = 2 * int(ext.swan) + 2
-    for trial in range(samples):
+
+    def trial(rng, i):
         b = integral_sample(ext, rng)
         face = _low_rung_first(
             lambda b: _diagram_face(b, log_gen, f, inv_f, form), (b.truncate(rung),), (b,)
         )
-        if face is not None:
-            return CheckResult(
-                "diagram_commutativity", False,
-                {"trial": trial, "face": face, "b": str(b)},
-            )
-    return CheckResult("diagram_commutativity", True, {"samples": samples})
+        return None if face is None else {"trial": i, "face": face, "b": str(b)}
+
+    return _sampled("diagram_commutativity", samples, seed, trial, {"samples": samples})
 
 
 def _truncated_unit(x, prec):
@@ -379,36 +381,32 @@ def check_difference_product_rules(ext, samples=32, seed=0):
     ``_low_rung_first`` decides it five terms lower first."""
     _require_samples(samples)
     ext = integral_basis(ext).ext
-    rng = random.Random(seed)
     i_cut = ideal_i_sigma(ext)
     j_cut = ideal_j(ext)
     i_sq = i_cut ** 2
     j_sq = j_cut ** 2
     n = int(ext.swan)
     working_prec = (ext.p + 1) * n // ext.p + 7
-    for trial in range(samples):
+
+    def trial(rng, i):
         b = integral_sample(ext, rng)
         c = integral_sample(ext, rng)
         bc = b * c
         lhs = bc.sigma(1) - bc
         rhs = c * (b.sigma(1) - b) + b * (c.sigma(1) - c)
         if not (lhs - rhs).in_cut(i_sq):
-            return CheckResult(
-                "difference_product_rules", False,
-                {"trial": trial, "rule": "additive", "b": str(b), "c": str(c)},
-            )
+            return {"trial": i, "rule": "additive", "b": str(b), "c": str(c)}
         x = unit_sample(ext, rng)
         y = unit_sample(ext, rng)
-        if not _low_rung_first(
+        if _low_rung_first(
             lambda prec: _unit_rule(x, y, prec, j_sq), (working_prec - 5,), (working_prec,)
         ):
-            x = _truncated_unit(x, working_prec)
-            y = _truncated_unit(y, working_prec)
-            return CheckResult(
-                "difference_product_rules", False,
-                {"trial": trial, "rule": "multiplicative", "x": str(x), "y": str(y)},
-            )
-    return CheckResult("difference_product_rules", True, {"samples": samples})
+            return None
+        x = _truncated_unit(x, working_prec)
+        y = _truncated_unit(y, working_prec)
+        return {"trial": i, "rule": "multiplicative", "x": str(x), "y": str(y)}
+
+    return _sampled("difference_product_rules", samples, seed, trial, {"samples": samples})
 
 
 def principality_chain(subject):

@@ -12,6 +12,7 @@ from ramify.errors import (
     InsufficientPrecision,
     InvalidSpec,
     RamifyError,
+    SwanZero,
     ZeroSeries,
 )
 from ramify.extension import LElement, integral_basis, integral_sample, unit_sample
@@ -24,7 +25,15 @@ from ramify.invariants import (
     ideal_j,
     refined_swan,
 )
-from ramify.series import Cut, LaurentSeries, ValueGroup, dot, restrict_cut, series_in_cut
+from ramify.series import (
+    Cut,
+    LaurentSeries,
+    ValueGroup,
+    dot,
+    random_series,
+    restrict_cut,
+    series_in_cut,
+)
 
 
 def tree_evaluate(expr, env, field):
@@ -770,6 +779,52 @@ def single_rung_diagram_commutativity(ext, samples=100, seed=0):
                 {"trial": trial, "face": "du", "b": str(b)},
             )
     return CheckResult("diagram_commutativity", True, {"samples": samples})
+
+
+# -- the stability check with its own loop ------------------------------------------
+# ``invariants.check_refined_swan_stability`` as it was when it built its own
+# ``random.Random(seed)`` and ``CheckResult``s instead of running its trials
+# through ``invariants._sampled``.
+
+
+def hand_loop_refined_swan_stability(ext, shifts=50, seed=0):
+    """The form invariant is unchanged under f -> f + a^p - a when the
+    pole order is preserved.
+
+    The invariant is the homomorphism h -> (h f) dlog f on H, so the
+    two presentations are compared at the common test element 1/f: the
+    candidate contributes (t dg/dt)/f dlog t + (dg/du)/f du, with the
+    original f in the denominator on both sides.
+    """
+    _require_samples(shifts)
+    if ext.swan == 0:
+        raise SwanZero("stability concerns extensions with positive swan")
+    rng = random.Random(seed)
+    p = ext.p
+    n = int(ext.swan)
+    field = ext.field
+    f = ext.best.f_best
+    base = refined_swan(ext)
+    inv_f = ext.inverse_f_best()
+    lo = -((n - 1) // p)  # least integer valuation with p*v > -n
+    for trial in range(shifts):
+        a = random_series(field, rng, lo, lo + 3, f.prec, density=0.6)
+        g = f + (a ** p - a)
+        if g.valuation() != -n:
+            return CheckResult(
+                "refined_swan_stability", False,
+                {"witness": str(a), "reason": "pole order moved"},
+            )
+        cand_t = g.euler_derivative() * inv_f
+        ok = series_in_cut(base.dlog_t - cand_t, base.modulus)
+        if ok and base.du is not None:
+            cand_u = g.u_derivative() * inv_f
+            ok = series_in_cut(base.du - cand_u, base.modulus)
+        if not ok:
+            return CheckResult(
+                "refined_swan_stability", False, {"witness": str(a), "trial": trial}
+            )
+    return CheckResult("refined_swan_stability", True, {"shifts": shifts})
 
 
 # -- the series-level Laplace expansion ------------------------------------------

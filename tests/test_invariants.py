@@ -11,12 +11,20 @@ from hypothesis import given, settings, strategies as st
 from ramify import extension, invariants
 from ramify.errors import (
     InsufficientPrecision,
+    InvalidSpec,
     NotApplicable,
     RamifyError,
     SwanZero,
     TrivialExtension,
 )
-from ramify.extension import ASExtension, RamificationType, integral_basis, integral_sample
+from ramify.extension import (
+    ASExtension,
+    LElement,
+    RamificationType,
+    integral_basis,
+    integral_sample,
+    unit_sample,
+)
 from ramify.fields import FieldSpec
 from ramify.invariants import (
     boundary_generator,
@@ -39,11 +47,12 @@ from ramify.invariants import (
     value_group_of_l,
 )
 from ramify.parsing import parse_field_spec, parse_series
-from ramify.series import Cut, LaurentSeries, ValueGroup, series_in_cut
+from ramify.series import Cut, LaurentSeries, ValueGroup, random_series, series_in_cut
 
 from oracles import (
     candidate_traces,
     element_trace_dual_cut,
+    hand_loop_refined_swan_stability,
     lefschetz_minimum,
     scan_traces,
     single_rung_diagram_commutativity,
@@ -540,11 +549,13 @@ NORM_FIELDS = tuple(
 def test_norm_checks_match_the_single_rung_checks(field, draw, n, prec, samples, seed):
     """Deciding each norm check on truncated samples first gives the
     check's old result, or its old exception and message; at a low
-    ``prec`` the low rung of some draws raises."""
+    ``prec`` the low rung of some draws raises.  The stability check,
+    its trials run by ``invariants._sampled``, matches its own old loop."""
     ext = pole_extension(field, random.Random(draw), n, prec)
     for check, oracle in (
         (check_norm_additivity, single_rung_norm_additivity),
         (check_diagram_commutativity, single_rung_diagram_commutativity),
+        (check_refined_swan_stability, hand_loop_refined_swan_stability),
     ):
         assert rule_outcome(check, ext, samples, seed) == rule_outcome(oracle, ext, samples, seed)
 
@@ -645,6 +656,122 @@ def test_the_low_rung_decides_every_benchmark_norm_trial(monkeypatch, workload):
         assert check_diagram_commutativity(ext, trials, seed).ok
         # one call per trial: no trial reached the untruncated samples
         assert calls == ["_additivity_rule"] * trials + ["_diagram_face"] * trials
+
+
+def verdicts(*values):
+    """A stand-in that returns ``values`` on its calls in turn, then True."""
+    it = iter(values)
+    return lambda *args, **kwargs: next(it, True)
+
+
+def stability_shift(ext, rng):
+    """The shift a of f -> f + a^p - a one stability trial draws."""
+    lo = -((int(ext.swan) - 1) // ext.p)
+    return random_series(ext.field, rng, lo, lo + 3, ext.best.f_best.prec, density=0.6)
+
+
+def long_unit(ext, rng):
+    """A unit sample plus t^20, a term past the working precision of
+    the multiplicative rule, which its witness truncates away."""
+    return unit_sample(ext, rng) + ext.from_series(mono(ext.field, 20, prec=64))
+
+
+def working_unit(ext, rng):
+    """``long_unit`` as the multiplicative witness prints it."""
+    x = long_unit(ext, rng)
+    full = (ext.p + 1) * int(ext.swan) // ext.p + 7
+    return x.truncate(math.floor(x.valuation_coeffwise()) + full)
+
+
+E3 = ext_of(F3, -2, prec=64)
+E2U = ext_of(F2u, -2, F2u.generator())
+PASS3 = (True,) * 3  # one passing diagram trial over F2(u) reads three faces
+
+
+@pytest.mark.parametrize(
+    "check, ext, patches, draws, detail",
+    [
+        pytest.param(
+            check_norm_additivity, E3, [(invariants, "_additivity_rule", (True, False))],
+            (integral_sample, integral_sample),
+            lambda x, y: [("trial", 1), ("x", str(x)), ("y", str(y))],
+            id="additivity",
+        ),
+        *(
+            pytest.param(
+                check_diagram_commutativity, E2U,
+                [(invariants, "series_in_cut", PASS3 + (True,) * k + (False,))],
+                (integral_sample,),
+                lambda b, face=face: [("trial", 1), ("face", face), ("b", str(b))],
+                id=f"diagram-{face}",
+            )
+            for k, face in enumerate(("norm", "dlog_t", "du"))
+        ),
+        pytest.param(
+            check_difference_product_rules, E3, [(LElement, "in_cut", (True, True, False))],
+            (integral_sample, integral_sample, unit_sample, unit_sample),
+            lambda b, c, x, y: [("trial", 1), ("rule", "additive"), ("b", str(b)), ("c", str(c))],
+            id="product-additive",
+        ),
+        pytest.param(
+            check_difference_product_rules, E3,
+            [(invariants, "_unit_rule", (True, False)), (invariants, "unit_sample", long_unit)],
+            (integral_sample, integral_sample, working_unit, working_unit),
+            lambda b, c, x, y: [
+                ("trial", 1), ("rule", "multiplicative"), ("x", str(x)), ("y", str(y)),
+            ],
+            id="product-multiplicative",
+        ),
+        pytest.param(
+            check_refined_swan_stability, E3, [(invariants, "series_in_cut", (True, False))],
+            (stability_shift,), lambda a: [("witness", str(a)), ("trial", 1)],
+            id="stability-trial",
+        ),
+        pytest.param(
+            check_refined_swan_stability, E3,
+            [(invariants, "random_series", lambda *args, **kwargs: mono(F3, -1))], (),
+            lambda: [("witness", str(mono(F3, -1))), ("reason", "pole order moved")],
+            id="stability-pole-order",
+        ),
+    ],
+)
+def test_a_failing_trial_reports_its_witness(monkeypatch, check, ext, patches, draws, detail):
+    """Each failure branch of the four sampled checks, forced at trial 1
+    (the pole-order branch at trial 0), reports today's keys in today's
+    order, with the samples of that trial replayed from the seed.  A
+    tuple of verdicts stands in for a decision, a function for a draw."""
+    for owner, name, stand_in in patches:
+        if isinstance(stand_in, tuple):
+            stand_in = verdicts(*stand_in)
+        monkeypatch.setattr(owner, name, stand_in)
+    rng = random.Random(5)
+    sample_ext = integral_basis(ext).ext
+    for _ in range(2):
+        drawn = [draw(sample_ext, rng) for draw in draws]
+    result = check(ext, 4, 5)
+    assert not result.ok
+    assert list(result.detail.items()) == detail(*drawn)
+
+
+@pytest.mark.parametrize("samples", [0, -1])
+def test_no_check_runs_on_fewer_than_one_sample(samples):
+    """A sample count below one is refused before anything else is
+    decided, even where the extension would raise SwanZero or
+    TrivialExtension, so no verifier passes on zero samples."""
+    unramified = ext_of(F2, 0)  # f = 1: swan 0
+    trivial = ext_of(F2, 1)  # f = t
+    with pytest.raises(SwanZero):
+        check_refined_swan_stability(unramified, shifts=1)
+    with pytest.raises(TrivialExtension):
+        check_norm_additivity(trivial, 1)
+    with pytest.raises(InvalidSpec):
+        check_refined_swan_stability(unramified, shifts=samples)
+    for check in (
+        check_norm_additivity, check_diagram_commutativity, check_difference_product_rules,
+        build_report,
+    ):
+        with pytest.raises(InvalidSpec):
+            check(trivial, samples)
 
 
 def test_product_rule_alpha_expansion():
