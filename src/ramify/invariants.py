@@ -23,7 +23,6 @@ from .errors import (
     TrivialExtension,
 )
 from .extension import (
-    ASExtension,
     BestCase,
     LaurentSeries,
     RamificationType,
@@ -42,6 +41,13 @@ Z_GROUP = ValueGroup.discrete(1)
 def value_group_of_l(ext):
     """Value group of L in v_K units, for a nontrivial extension."""
     return integral_basis(ext).group
+
+
+def _index_and_degree(ext):
+    """The ramification index e, the index of the value group of K in
+    L's, and the residue degree f = p / e of a nontrivial extension."""
+    e = int(1 / value_group_of_l(ext).granularity)
+    return e, ext.p // e
 
 
 def _require_samples(samples):
@@ -142,16 +148,9 @@ def different_ideal(ext):
 
 def generator_traces(ext):
     """T[k][m] = Tr(alpha^m * g_k) for 0 <= m <= p - 1 and the generators
-    g_k of ``ext.integral_generators()``, read along each g_k's
-    ``mul_alpha`` chain."""
-    rows = []
-    for g in ext.integral_generators():
-        row = [g.trace()]
-        for _ in range(ext.p - 1):
-            g = g.mul_alpha()
-            row.append(g.trace())
-        rows.append(row)
-    return rows
+    g_k of ``ext.integral_generators()``: Tr x is minus x's last
+    coordinate, read off each column g_k * alpha^m of ``g_k.columns()``."""
+    return [[-col[-1] for col in g.columns()] for g in ext.integral_generators()]
 
 
 def trace_dual_cut(ext):
@@ -409,36 +408,23 @@ def check_difference_product_rules(ext, samples=32, seed=0):
     return _sampled("difference_product_rules", samples, seed, trial, {"samples": samples})
 
 
-def principality_chain(subject):
-    """The four flags of the equivalence chain: a best representative
-    exists, H and J are principal, and there is no defect.  ``subject``
-    is an extension of k((t)) or the TowerReport of the defect tower,
-    and every flag is read off computed data.
-
-    Extension: f_best is best when reducing it again changes nothing,
+def principality_chain(ext):
+    """The four flags of the equivalence chain for an extension of
+    k((t)), each read off computed data: a best representative exists
+    when reducing f_best again changes nothing, H and J are principal,
     and the extension is defectless when e * f = p for the e and f of
-    its ``build_report``.  Tower: a best representative exists when the
-    limit cut J is attained (closed).  An Artin-Schreier extension has
-    defect exactly when v(f) has no maximum over the presentations f of
-    the extension (Kuhlmann); H is the ideal the 1/f generate, so the
-    tower is defectless when H is closed.
+    its report.  A trivial extension raises TrivialExtension from
+    ``ideal_h``.  The defect tower has its own chain,
+    ``tower.principality_chain``.
     """
-    if isinstance(subject, ASExtension):
-        integral_basis(subject)  # TrivialExtension for a trivial extension
-        report = build_report(subject, run_checks=False)
-        f_best = subject.best.f_best
-        best_f_exists = reduce_to_best(f_best).f_best == f_best
-        defectless = report.e * report.f_inertia == subject.p
-        h, j = report.h, report.j_sigma
-    else:
-        best_f_exists = subject.best_f_exists
-        defectless = subject.h_cut.closed
-        h, j = subject.h_cut, subject.j_cut
+    h = ideal_h(ext)
+    f_best = ext.best.f_best
+    e, f = _index_and_degree(ext)
     return {
-        "best_f_exists": best_f_exists,
+        "best_f_exists": reduce_to_best(f_best).f_best == f_best,
         "h_principal": h.is_principal(),
-        "j_principal": j.is_principal(),
-        "defectless": defectless,
+        "j_principal": ideal_j(ext).is_principal(),
+        "defectless": e * f == ext.p,
     }
 
 
@@ -468,31 +454,27 @@ class InvariantReport(NamedTuple):
         return all(c.ok for c in self.checks.values())
 
 
-def build_report(ext, samples=50, seed=0, run_checks=True):
-    """Assemble the invariant bundle, running the verifiers when asked."""
-    if run_checks:
-        _require_samples(samples)
+def build_report(ext, samples=50, seed=0):
+    """Assemble the invariant bundle and run the verifiers on it."""
+    _require_samples(samples)
     kind = ext.classification()
     checks = {}
     report = InvariantReport(ext.best.swan, ext.best.case, kind, checks)
     if kind is RamificationType.TRIVIAL:
         return report
-    # the ramification index is the index of the value group of K in L's
-    e = int(1 / value_group_of_l(ext).granularity)
+    e, f = _index_and_degree(ext)
     i_cut = ideal_i_sigma(ext)
     j_cut = ideal_j(ext)
     # an unramified extension has swan 0 and no refined form; it runs
     # the norm checks only
     ramified = ext.swan > 0
     report = report._replace(
-        e=e, f_inertia=ext.p // e,
+        e=e, f_inertia=f,
         i_sigma=i_cut, j_sigma=j_cut,
         h=ideal_h(ext), n_of_j=norm_of_j(ext),
         rsw=refined_swan(ext) if ramified else None, different=different_ideal(ext),
         i_lefschetz=i_cut.value, j_lefschetz=j_cut.value,
     )
-    if not run_checks:
-        return report
     checks["norm_ideal_identity"] = check_norm_ideal_identity(ext)
     if ramified:
         checks["refined_swan_stability"] = check_refined_swan_stability(ext, samples, seed)

@@ -41,6 +41,7 @@ from .tower import (
     check_step_identity,
     closed_form_n,
     closed_form_neg_v_f,
+    principality_chain as tower_principality_chain,
     tower_levels,
     tower_report,
 )
@@ -97,6 +98,23 @@ def grid_extension(p, coeff_kind, n, prec):
 def _grid_label(p, coeff_kind, n):
     c = "u*" if coeff_kind == "u" else ""
     return f"(p={p}, f={c}t^-{n})"
+
+
+def _over_grid(ident, name, extensions, problems):
+    """Criterion ``ident``: ``problems(label, ext)`` gives the failure
+    lines of one labelled grid case, and the detail names the first three."""
+    failures = [msg for label, ext in extensions for msg in problems(label, ext)]
+    return CriterionResult(ident, name, not failures, "; ".join(failures[:3]))
+
+
+def _failed(label, res):
+    """The failure line of a CheckResult that failed, else none."""
+    return [] if res.ok else [f"{label}: {res.detail}"]
+
+
+def _towers(depth):
+    """The TOWER_GRID towers over F_(p^2), built to ``depth``."""
+    return [TowerSpec(FieldSpec.finite(p, 2), n, depth) for p, n in TOWER_GRID]
 
 
 def criterion_swan_table():
@@ -178,21 +196,15 @@ def criterion_best_f_oracle(seed=DEFAULT_SEED):
 
 
 def criterion_norm_ideal_defectless(extensions):
-    failures = []
-    for label, ext in extensions:
-        res = check_norm_ideal_identity(ext)
-        if not res.ok:
-            failures.append(f"{label}: {res.detail}")
-    return CriterionResult(
-        3, "norm_ideal_identity_defectless", not failures, "; ".join(failures)
-    )
+    return _over_grid(3, "norm_ideal_identity_defectless", extensions,
+                      lambda label, ext: _failed(label, check_norm_ideal_identity(ext)))
 
 
 def criterion_norm_ideal_tower():
     failures = []
     group_checks = 0
-    for p, n in TOWER_GRID:
-        spec = TowerSpec(FieldSpec.finite(p, 2), n, 8)
+    for spec in _towers(8):
+        p, n = spec.p, spec.n
         rep = tower_report(spec)
         expect = Cut.above(n - Fraction(1, p - 1), ValueGroup.z_one_over_p(p))
         if not (rep.h_cut == rep.n_of_j_cut == expect):
@@ -206,8 +218,8 @@ def criterion_norm_ideal_tower():
 
 def criterion_tower_recursions():
     failures = []
-    for p, n in TOWER_GRID:
-        spec = TowerSpec(FieldSpec.finite(p, 2), n, 8)
+    for spec in _towers(8):
+        p, n = spec.p, spec.n
         levels = tower_levels(spec)
         for lv in levels:
             if lv.n_i != closed_form_n(spec, lv.index):
@@ -305,70 +317,52 @@ def _difference_operator_failure(ext, seed):
 
 
 def criterion_difference_operators(extensions, seed=DEFAULT_SEED):
-    failures = []
-    for label, ext in extensions:
+    def problems(label, ext):
         problem = _difference_operator_failure(ext, seed)
-        if problem is not None:
-            failures.append(f"{label}: {problem}")
-    return CriterionResult(
-        8, "difference_operator_laws", not failures, "; ".join(failures[:3])
-    )
+        return [] if problem is None else [f"{label}: {problem}"]
+
+    return _over_grid(8, "difference_operator_laws", extensions, problems)
 
 
 def criterion_refined_swan_stability(extensions, seed=DEFAULT_SEED):
-    failures = []
-    for label, ext in extensions:
-        res = check_refined_swan_stability(ext, shifts=50, seed=seed)
-        if not res.ok:
-            failures.append(f"{label}: {res.detail}")
-    return CriterionResult(
-        9, "refined_swan_stability", not failures, "; ".join(failures[:3])
-    )
+    return _over_grid(9, "refined_swan_stability", extensions, lambda label, ext: _failed(
+        label, check_refined_swan_stability(ext, shifts=50, seed=seed)))
 
 
 def criterion_norm_additivity_diagram(extensions, seed=DEFAULT_SEED):
-    failures = []
-    for label, ext in extensions:
-        res = check_norm_additivity(ext, samples=SAMPLES, seed=seed)
-        if not res.ok:
-            failures.append(f"{label} additivity: {res.detail}")
-        res = check_diagram_commutativity(ext, samples=SAMPLES, seed=seed)
-        if not res.ok:
-            failures.append(f"{label} diagram: {res.detail}")
-    return CriterionResult(
-        10, "norm_additivity_and_diagram", not failures, "; ".join(failures[:3])
-    )
+    def problems(label, ext):
+        additivity = check_norm_additivity(ext, samples=SAMPLES, seed=seed)
+        diagram = check_diagram_commutativity(ext, samples=SAMPLES, seed=seed)
+        return _failed(f"{label} additivity", additivity) + _failed(f"{label} diagram", diagram)
+
+    return _over_grid(10, "norm_additivity_and_diagram", extensions, problems)
 
 
 def criterion_different_cross_check(extensions):
-    failures = []
-    for label, ext in extensions:
+    def problems(label, ext):
         d = different_ideal(ext)
         oracle = trace_dual_cut(ext)
         if d != oracle:
-            failures.append(f"{label}: formula {d!r}, trace dual {oracle!r}")
+            yield f"{label}: formula {d!r}, trace dual {oracle!r}"
         if ext.classification() is RamificationType.FEROCIOUS:
             if d != ideal_j(ext) ** (ext.p - 1):
-                failures.append(f"{label}: ferocious different is not J^(p-1)")
-    return CriterionResult(
-        11, "different_vs_trace_dual", not failures, "; ".join(failures[:3])
-    )
+                yield f"{label}: ferocious different is not J^(p-1)"
+
+    return _over_grid(11, "different_vs_trace_dual", extensions, problems)
 
 
 def criterion_principality_chain(extensions):
-    failures = []
-    for label, ext in extensions:
-        flags = principality_chain(ext)
-        if not all(flags.values()):
-            failures.append(f"{label}: {flags}")
-    for p, n in TOWER_GRID:
-        rep = tower_report(TowerSpec(FieldSpec.finite(p, 2), n, 4))
-        flags = principality_chain(rep)
-        if any(flags.values()):
-            failures.append(f"tower (p={p},n={n}): {flags}")
-    return CriterionResult(
-        12, "principality_chain", not failures, "; ".join(failures[:3])
-    )
+    """Every grid extension sets all four flags, and no tower sets any."""
+    cases = [(label, (principality_chain(ext), True)) for label, ext in extensions] + [
+        (f"tower (p={s.p},n={s.n})", (tower_principality_chain(tower_report(s)), False))
+        for s in _towers(4)
+    ]
+
+    def problems(label, case):
+        flags, held = case
+        return [f"{label}: {flags}"] if any(bool(v) != held for v in flags.values()) else []
+
+    return _over_grid(12, "principality_chain", cases, problems)
 
 
 def run_all(seed=DEFAULT_SEED):

@@ -17,7 +17,6 @@ from typing import NamedTuple
 
 from .errors import InvalidSpec
 from .fields import Expr, check_identity, frobenius_root
-from .invariants import principality_chain  # noqa: F401  (re-exported: one chain for both settings)
 from .records import encode
 from .series import Cut, ValueGroup
 
@@ -166,6 +165,20 @@ def tower_report(spec):
         t_cut=Cut.above(v0 - mu, group), t_prime_cut=Cut.above(p * v0 - mu, group),
         j_principal=j_cut.is_principal(), best_f_exists=j_cut.closed,
     )
+
+
+def principality_chain(report):
+    """The four flags of the equivalence chain, read off the tower's
+    report: a best f exists when J is closed, and as an Artin-Schreier
+    extension has defect exactly when v(f) has no maximum over its
+    presentations (Kuhlmann), the tower is defectless when H, which the
+    1/f generate, is closed."""
+    return {
+        "best_f_exists": report.best_f_exists,
+        "h_principal": report.h_cut.is_principal(),
+        "j_principal": report.j_principal,
+        "defectless": report.h_cut.closed,
+    }
 
 
 class DescentReport(NamedTuple):

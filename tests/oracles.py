@@ -15,12 +15,19 @@ from ramify.errors import (
     SwanZero,
     ZeroSeries,
 )
-from ramify.extension import LElement, integral_basis, integral_sample, unit_sample
+from ramify.extension import (
+    LElement,
+    integral_basis,
+    integral_sample,
+    reduce_to_best,
+    unit_sample,
+)
 from ramify.fields import _padd, _pgcd, _pmul, _ppow_mod, _prime_divisors, _psub, _trim
 from ramify.invariants import (
     Z_GROUP,
     CheckResult,
     _require_samples,
+    build_report,
     ideal_i_sigma,
     ideal_j,
     refined_swan,
@@ -172,18 +179,25 @@ def trace_of_product(x, g):
 TRACE_DUAL_PERTURBATIONS = 2
 
 
-def scan_traces(ext):
-    """T[k][m] = Tr(alpha^m * g_k) for 0 <= m <= 2p - 2, the range a
-    perturbed candidate reads: ``invariants.generator_traces`` run
-    p - 1 steps further along each g_k's ``mul_alpha`` chain."""
+def walked_traces(ext, length):
+    """T[k][m] = Tr(alpha^m * g_k) for 0 <= m < ``length``, walked one
+    ``mul_alpha`` step at a time from each generator g_k of
+    ``ext.integral_generators()``.  At length p this is the walk
+    ``invariants.generator_traces`` made before it read ``g_k.columns()``."""
     rows = []
     for g in ext.integral_generators():
         row = [g.trace()]
-        for _ in range(2 * ext.p - 2):
+        for _ in range(length - 1):
             g = g.mul_alpha()
             row.append(g.trace())
         rows.append(row)
     return rows
+
+
+def scan_traces(ext):
+    """T[k][m] = Tr(alpha^m * g_k) for 0 <= m <= 2p - 2, the range a
+    perturbed candidate reads."""
+    return walked_traces(ext, 2 * ext.p - 1)
 
 
 def candidate_traces(table, r, s, bump=None):
@@ -892,3 +906,30 @@ def _memoised_minor(cols, remaining, memo):
             pairs.append((-entry if idx % 2 else entry, sub))
         memo[remaining] = dot(pairs)
     return memo[remaining]
+
+
+def report_principality_chain(ext):
+    """The principality flags of an extension read off one
+    ``build_report``: e * f = p and H and J from the report, and f_best
+    best when reducing it again changes nothing.  ``integral_basis``
+    raises TrivialExtension first, since a trivial report has no H."""
+    integral_basis(ext)
+    report = build_report(ext, samples=1)
+    f_best = ext.best.f_best
+    return {
+        "best_f_exists": reduce_to_best(f_best).f_best == f_best,
+        "h_principal": report.h.is_principal(),
+        "j_principal": report.j_sigma.is_principal(),
+        "defectless": report.e * report.f_inertia == ext.p,
+    }
+
+
+def tower_fields_principality_chain(report):
+    """The principality flags of the defect tower read off the cuts of
+    its TowerReport: best f exists when J is closed, defectless when H is."""
+    return {
+        "best_f_exists": report.best_f_exists,
+        "h_principal": report.h_cut.is_principal(),
+        "j_principal": report.j_cut.is_principal(),
+        "defectless": report.h_cut.closed,
+    }

@@ -54,11 +54,13 @@ from oracles import (
     element_trace_dual_cut,
     hand_loop_refined_swan_stability,
     lefschetz_minimum,
+    report_principality_chain,
     scan_traces,
     single_rung_diagram_commutativity,
     single_rung_norm_additivity,
     single_rung_product_rules,
     table_trace_dual_cut,
+    tower_fields_principality_chain,
     trace_of_product,
 )
 
@@ -811,6 +813,30 @@ def test_principality_chain_dvr():
         assert all(flags.values()), flags
 
 
+def test_principality_chains_match_the_report_reading():
+    """Each setting's chain gives the flags, in order, that one
+    InvariantReport or the TowerReport's cuts give."""
+    from ramify import selftest, tower
+
+    exts = [selftest.grid_extension(*case) for case in selftest.DVR_GRID] + GRID + [
+        ASExtension(F3, parse_series("t^-9 + 2*t^-3 + t^-2 + t", F3, 24)),
+        ASExtension(F2, LaurentSeries.one(F2, 8)),
+    ]
+    assert exts[-2].f != exts[-2].best.f_best
+    assert exts[-1].classification() is RamificationType.UNRAMIFIED
+    for ext in exts:
+        got = principality_chain(ext)
+        assert list(got.items()) == list(report_principality_chain(ext).items())
+    for p, n in selftest.TOWER_GRID:
+        rep = tower.tower_report(tower.TowerSpec(FieldSpec.finite(p, 2), n, 4))
+        got = tower.principality_chain(rep)
+        assert list(got.items()) == list(tower_fields_principality_chain(rep).items())
+    trivial = ASExtension(F2, mono(F2, 1, 1, 4))
+    for chain in (principality_chain, report_principality_chain):
+        with pytest.raises(TrivialExtension):
+            chain(trivial)
+
+
 def test_report_json_shape():
     rep = build_report(ext_of(F3, -2), samples=10, seed=1)
     data = rep.to_json()
@@ -830,7 +856,7 @@ def test_report_json_shape():
 
 
 def test_report_trivial_and_unramified():
-    trivial = build_report(ASExtension(F2, mono(F2, 1, 1, 4)), run_checks=False)
+    trivial = build_report(ASExtension(F2, mono(F2, 1, 1, 4)))
     assert trivial.classification is RamificationType.TRIVIAL
     assert trivial.h is None
     unram = build_report(ASExtension(F2, LaurentSeries.one(F2, 8)), samples=10, seed=1)
@@ -894,7 +920,7 @@ def test_report_builds_the_refined_form_once(monkeypatch, field_spec, f):
 
 def test_e_f_defect_product():
     for ext in GRID:
-        rep = build_report(ext, run_checks=False)
+        rep = build_report(ext, samples=1)
         assert rep.e * rep.f_inertia * rep.defect == ext.p
 
 

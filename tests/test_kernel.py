@@ -31,6 +31,7 @@ from oracles import (
     fpu_denominators,
     memoised_laplace,
     series_laplace,
+    walked_traces,
 )
 
 F2 = FieldSpec.finite(2)
@@ -569,6 +570,20 @@ def test_generator_traces_match_traces_of_full_products(field, seed):
             expected = (g * ext.alpha_power(m)).trace()
             assert tr.prec >= expected.prec
             assert tr.truncate(expected.prec) == expected
+
+
+@settings(max_examples=80, deadline=None)
+@given(fields, seeds)
+def test_generator_traces_match_the_mul_alpha_walk(field, seed):
+    """Reading T off each generator's columns gives the walk's values
+    with the walk's ``prec``, for any presentation."""
+    ext = ext_for(field, random.Random(seed))
+    table = generator_traces(ext)
+    walked = walked_traces(ext, ext.p)
+    assert len(table) == len(walked) == ext.p
+    for row, ref in zip(table, walked):
+        assert len(row) == len(ref) == ext.p
+        assert all(same(a, b) for a, b in zip(row, ref))
 
 
 @settings(max_examples=30, deadline=None)

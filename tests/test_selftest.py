@@ -1,0 +1,132 @@
+"""The failure details of the selftest grid criteria.
+
+Each test patches a failure into the library call one criterion makes
+over the shared grid and pins the detail it prints: which extensions
+fail, in what order, and how each failure reads.  A criterion that
+fails more than three times names the first three.
+"""
+
+from types import SimpleNamespace
+
+import pytest
+
+from ramify import invariants, selftest
+from ramify.extension import RamificationType
+from ramify.invariants import CheckResult
+from ramify.selftest import DVR_GRID, _grid_label, grid_extension
+from ramify.series import Cut, ValueGroup
+
+Z = ValueGroup.discrete(1)
+
+
+@pytest.fixture(scope="module")
+def extensions():
+    return [(_grid_label(p, kind, n), grid_extension(p, kind, n, prec))
+            for p, kind, n, prec in DVR_GRID]
+
+
+def failing_check(name, fails):
+    """A stand-in verifier that fails on the extensions ``fails`` picks
+    and records the arguments it was given."""
+    def check(ext, *args, **kwargs):
+        return CheckResult(name, not fails(ext), {"args": args, **kwargs})
+    return check
+
+
+def test_norm_ideal_identity_names_each_failing_extension(monkeypatch, extensions):
+    monkeypatch.setattr(selftest, "check_norm_ideal_identity",
+                        failing_check("norm_ideal_identity", lambda ext: ext.p == 3))
+    res = selftest.criterion_norm_ideal_defectless(extensions)
+    assert not res.ok
+    assert res.line() == (
+        "criterion 03 norm_ideal_identity_defectless: FAIL  ["
+        "(p=3, f=t^-1): {'args': ()}; (p=3, f=t^-2): {'args': ()}; "
+        "(p=3, f=u*t^-3): {'args': ()}]"
+    )
+
+
+def test_norm_ideal_identity_names_the_first_three_failures(monkeypatch, extensions):
+    monkeypatch.setattr(selftest, "check_norm_ideal_identity",
+                        failing_check("norm_ideal_identity", lambda ext: ext.p < 5))
+    res = selftest.criterion_norm_ideal_defectless(extensions)
+    assert not res.ok
+    assert res.detail == (
+        "(p=2, f=t^-1): {'args': ()}; (p=2, f=t^-3): {'args': ()}; (p=3, f=t^-1): {'args': ()}"
+    )
+
+
+def test_difference_operator_failures(monkeypatch, extensions):
+    monkeypatch.setattr(selftest, "_difference_operator_failure",
+                        lambda ext, seed: f"law broken, seed {seed}" if ext.p == 3 else None)
+    res = selftest.criterion_difference_operators(extensions, seed=5)
+    assert res.line() == (
+        "criterion 08 difference_operator_laws: FAIL  ["
+        "(p=3, f=t^-1): law broken, seed 5; (p=3, f=t^-2): law broken, seed 5; "
+        "(p=3, f=u*t^-3): law broken, seed 5]"
+    )
+
+
+def test_refined_swan_stability_failures(monkeypatch, extensions):
+    monkeypatch.setattr(selftest, "check_refined_swan_stability",
+                        failing_check("refined_swan_stability", lambda ext: ext.p != 3))
+    res = selftest.criterion_refined_swan_stability(extensions, seed=5)
+    assert res.line() == (
+        "criterion 09 refined_swan_stability: FAIL  ["
+        "(p=2, f=t^-1): {'args': (), 'shifts': 50, 'seed': 5}; "
+        "(p=2, f=t^-3): {'args': (), 'shifts': 50, 'seed': 5}; "
+        "(p=2, f=u*t^-2): {'args': (), 'shifts': 50, 'seed': 5}]"
+    )
+
+
+def test_norm_additivity_and_diagram_failures_interleave(monkeypatch, extensions):
+    def pole_one(ext):
+        return ext.swan == 1
+
+    monkeypatch.setattr(selftest, "check_norm_additivity",
+                        failing_check("norm_additivity", pole_one))
+    monkeypatch.setattr(selftest, "check_diagram_commutativity",
+                        failing_check("diagram_commutativity", pole_one))
+    res = selftest.criterion_norm_additivity_diagram(extensions, seed=5)
+    assert res.line() == (
+        "criterion 10 norm_additivity_and_diagram: FAIL  ["
+        "(p=2, f=t^-1) additivity: {'args': (), 'samples': 100, 'seed': 5}; "
+        "(p=2, f=t^-1) diagram: {'args': (), 'samples': 100, 'seed': 5}; "
+        "(p=3, f=t^-1) additivity: {'args': (), 'samples': 100, 'seed': 5}]"
+    )
+
+
+def test_different_cross_check_failures(monkeypatch, extensions):
+    def ferocious(ext):
+        return ext.classification() is RamificationType.FEROCIOUS
+
+    wrong = Cut.at_least(100, Z)
+    monkeypatch.setattr(selftest, "trace_dual_cut",
+                        lambda ext: wrong if ferocious(ext) else selftest.different_ideal(ext))
+    monkeypatch.setattr(selftest, "ideal_j", lambda ext: Cut.at_least(0, Z))
+    res = selftest.criterion_different_cross_check(extensions)
+    assert res.line() == (
+        "criterion 11 different_vs_trace_dual: FAIL  ["
+        "(p=2, f=u*t^-2): formula {v >= 1}, trace dual {v >= 100}; "
+        "(p=2, f=u*t^-2): ferocious different is not J^(p-1); "
+        "(p=3, f=u*t^-3): formula {v >= 2}, trace dual {v >= 100}]"
+    )
+
+
+def test_principality_chain_failures_list_extensions_then_towers(monkeypatch, extensions):
+    reduce_to_best = invariants.reduce_to_best
+    tower_report = selftest.tower_report
+    monkeypatch.setattr(
+        invariants, "reduce_to_best",
+        lambda f: SimpleNamespace(f_best=None) if f.field.p == 5 else reduce_to_best(f),
+    )
+    monkeypatch.setattr(selftest, "tower_report",
+                        lambda spec: tower_report(spec)._replace(best_f_exists=spec.p == 3))
+    res = selftest.criterion_principality_chain(extensions)
+    tower_flags = ("{'best_f_exists': True, 'h_principal': False, "
+                   "'j_principal': False, 'defectless': False}")
+    assert res.line() == (
+        "criterion 12 principality_chain: FAIL  ["
+        "(p=5, f=t^-2): {'best_f_exists': False, 'h_principal': True, "
+        "'j_principal': True, 'defectless': True}; "
+        f"tower (p=3,n=2): {tower_flags}; tower (p=3,n=4): {tower_flags}]"
+    )
