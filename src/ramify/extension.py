@@ -7,10 +7,9 @@ one Laplace expansion of the multiplication matrix (the inverse is the
 adjugate column over the norm, and the minors are built level by
 level, two levels alive at a time, on raw coefficients: each minor is
 a raw triple keyed by the bitmask of its columns, each entry's bound is
-read once and each negation made at most once), the trace from the
-power basis, valuations on L, the inductive difference operators, and
-the shape of the integral closure with its generators
-alpha^i * t^(A_i), one formula for every shape.
+read once), the trace from the power basis, valuations on L, the
+inductive difference operators, and the shape of the integral closure
+with its generators alpha^i * t^(A_i), one formula for every shape.
 
 An extension computes what it derives once, in one memo
 (``ASExtension._memo``), the shape of B included.  An element builds
@@ -462,10 +461,9 @@ def _laplace(cols):
 
     The expansion runs on raw coefficients.  A minor is a raw triple
     (raw, low, prec) keyed by the bitmask of its columns, so the minor
-    without column j is ``mask ^ (1 << j)``.  Each row's entries are
-    read as triples once per level, so each entry's low bound is read
-    once; an entry's negation is made at most once, and only when it
-    sits at an odd position beside a minor with a known term.  Only the
+    without column j is ``mask ^ (1 << j)``.  Each level reads its row
+    as triples once, plus one negated copy of that row: the entry at
+    position k of a column set comes from copy ``k & 1``.  Only the
     determinant and the cofactors become series."""
     p = len(cols)
     field = cols[0][0].field
@@ -474,23 +472,16 @@ def _laplace(cols):
     minors = {b: _triple(col[p - 1]) for b, col in zip(bits, cols)}
     for row in range(p - 2, -1, -1):
         entries = {b: _triple(col[row]) for b, col in zip(bits, cols)}
-        negated = {}
+        signed = (entries, {
+            b: ({e: neg(c) for e, c in raw.items()}, low, prec)
+            for b, (raw, low, prec) in entries.items()
+        })
         below, minors = minors, {}
         for s in combinations(bits, p - row):
             mask = sum(s)
-            pairs = []
-            odd = False
-            for b in s:
-                entry = entries[b]
-                sub = below[mask ^ b]
-                if odd and entry[0] and sub[0]:
-                    if b not in negated:
-                        raw, low, prec = entry
-                        negated[b] = ({e: neg(c) for e, c in raw.items()}, low, prec)
-                    entry = negated[b]
-                odd = not odd
-                pairs.append((entry, sub))
-            minors[mask] = _dot_raw(field, pairs)
+            minors[mask] = _dot_raw(
+                field, [(signed[k & 1][b], below[mask ^ b]) for k, b in enumerate(s)]
+            )
     full = (1 << p) - 1
     det_raw, _, det_prec = minors[full]
     cofactors = []

@@ -100,11 +100,16 @@ def _grid_label(p, coeff_kind, n):
     return f"(p={p}, f={c}t^-{n})"
 
 
+def _verdict(ident, name, failures, summary=""):
+    """Criterion ``ident`` from its failure lines: the detail names the
+    first three failures, or on a pass the summary."""
+    return CriterionResult(ident, name, not failures, "; ".join(failures[:3]) or summary)
+
+
 def _over_grid(ident, name, extensions, problems):
     """Criterion ``ident``: ``problems(label, ext)`` gives the failure
-    lines of one labelled grid case, and the detail names the first three."""
-    failures = [msg for label, ext in extensions for msg in problems(label, ext)]
-    return CriterionResult(ident, name, not failures, "; ".join(failures[:3]))
+    lines of one labelled grid case."""
+    return _verdict(ident, name, [msg for label, ext in extensions for msg in problems(label, ext)])
 
 
 def _failed(label, res):
@@ -132,9 +137,7 @@ def criterion_swan_table():
                 got = reduce_to_best(f).swan
                 if got != n:
                     failures.append(f"p={p} n={n} m={m} -> {got}")
-    return CriterionResult(
-        1, "swan_conductor_table", not failures, "; ".join(failures) or f"{cases} cases"
-    )
+    return _verdict(1, "swan_conductor_table", failures, f"{cases} cases")
 
 
 def _oracle_best_pole(f, field):
@@ -189,10 +192,7 @@ def criterion_best_f_oracle(seed=DEFAULT_SEED):
             checked += 1
             if got != want:
                 failures.append(f"p={p} f={f}: reduced {got}, oracle {want}")
-    return CriterionResult(
-        2, "best_f_oracle_agreement", not failures,
-        "; ".join(failures[:3]) or f"{checked} cases",
-    )
+    return _verdict(2, "best_f_oracle_agreement", failures, f"{checked} cases")
 
 
 def criterion_norm_ideal_defectless(extensions):
@@ -210,10 +210,7 @@ def criterion_norm_ideal_tower():
         if not (rep.h_cut == rep.n_of_j_cut == expect):
             failures.append(f"(p={p}, n={n}): H={rep.h_cut!r} N(J)={rep.n_of_j_cut!r}")
         group_checks += 1
-    return CriterionResult(
-        4, "norm_ideal_identity_defect_tower", not failures,
-        "; ".join(failures) or f"{group_checks} towers",
-    )
+    return _verdict(4, "norm_ideal_identity_defect_tower", failures, f"{group_checks} towers")
 
 
 def criterion_tower_recursions():
@@ -231,9 +228,7 @@ def criterion_tower_recursions():
             failures.append(f"(p={p},n={n}): descent not strict")
         if descent.infimum != n - Fraction(1, p - 1):
             failures.append(f"(p={p},n={n}): wrong infimum")
-    return CriterionResult(
-        5, "tower_recursion_closed_form", not failures, "; ".join(failures[:3])
-    )
+    return _verdict(5, "tower_recursion_closed_form", failures)
 
 
 def criterion_step_identity(seed=DEFAULT_SEED):
@@ -248,10 +243,7 @@ def criterion_step_identity(seed=DEFAULT_SEED):
         bounds.append(f"q={q}: d/q={res.degree_bound}/{res.sample_space}")
         if not res.ok:
             failures.append(f"(p={p},n={n},q={q}) witness {res.witness}")
-    return CriterionResult(
-        6, "rewrite_step_identity", not failures,
-        "; ".join(failures) or "; ".join(bounds),
-    )
+    return _verdict(6, "rewrite_step_identity", failures, "; ".join(bounds))
 
 
 def criterion_trace_identities():
@@ -268,9 +260,7 @@ def criterion_trace_identities():
                 cases += 1
                 if not tr.agrees_with(want):
                     failures.append(f"p={p} f=t^-{n}: Tr(a^{m}) = {tr}")
-    return CriterionResult(
-        7, "trace_identities", not failures, "; ".join(failures) or f"{cases} traces"
-    )
+    return _verdict(7, "trace_identities", failures, f"{cases} traces")
 
 
 def _difference_operator_failure(ext, seed):

@@ -555,7 +555,8 @@ def test_closed_pipe_exits_quietly():
         stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
     )
     proc.stdout.close()  # the reader is gone before the report is printed
-    stderr = proc.stderr.read()
+    with proc.stderr:
+        stderr = proc.stderr.read()
     assert proc.wait() == 0
     assert stderr == b""
 

@@ -1,9 +1,9 @@
-"""The failure details of the selftest grid criteria.
+"""The failure details of the selftest criteria.
 
 Each test patches a failure into the library call one criterion makes
-over the shared grid and pins the detail it prints: which extensions
-fail, in what order, and how each failure reads.  A criterion that
-fails more than three times names the first three.
+and pins the detail it prints: which cases fail, in what order, and
+how each failure reads.  Every criterion that fails more than three
+times names the first three.
 """
 
 from types import SimpleNamespace
@@ -11,10 +11,10 @@ from types import SimpleNamespace
 import pytest
 
 from ramify import invariants, selftest
-from ramify.extension import RamificationType
+from ramify.extension import LElement, RamificationType
 from ramify.invariants import CheckResult
 from ramify.selftest import DVR_GRID, _grid_label, grid_extension
-from ramify.series import Cut, ValueGroup
+from ramify.series import Cut, LaurentSeries, ValueGroup
 
 Z = ValueGroup.discrete(1)
 
@@ -129,4 +129,41 @@ def test_principality_chain_failures_list_extensions_then_towers(monkeypatch, ex
         "(p=5, f=t^-2): {'best_f_exists': False, 'h_principal': True, "
         "'j_principal': True, 'defectless': True}; "
         f"tower (p=3,n=2): {tower_flags}; tower (p=3,n=4): {tower_flags}]"
+    )
+
+
+def test_swan_table_names_the_first_three_failures(monkeypatch):
+    # reading the pole order off f unreduced fails every m >= 1 case
+    monkeypatch.setattr(selftest, "reduce_to_best",
+                        lambda f: SimpleNamespace(swan=-f.valuation()))
+    res = selftest.criterion_swan_table()
+    assert not res.ok
+    assert res.line() == (
+        "criterion 01 swan_conductor_table: FAIL  ["
+        "p=2 n=1 m=1 -> 2; p=2 n=1 m=2 -> 4; p=2 n=3 m=1 -> 6]"
+    )
+
+
+def test_norm_ideal_tower_names_the_first_three_failures(monkeypatch):
+    tower_report = selftest.tower_report
+    monkeypatch.setattr(selftest, "tower_report",
+                        lambda spec: tower_report(spec)._replace(h_cut=Cut.at_least(0, Z)))
+    res = selftest.criterion_norm_ideal_tower()
+    assert not res.ok
+    assert res.line() == (
+        "criterion 04 norm_ideal_identity_defect_tower: FAIL  ["
+        "(p=2, n=3): H={v >= 0} N(J)={v > 2}; "
+        "(p=2, n=5): H={v >= 0} N(J)={v > 4}; "
+        "(p=3, n=2): H={v >= 0} N(J)={v > 3/2}]"
+    )
+
+
+def test_trace_identities_name_the_first_three_failures(monkeypatch):
+    # Tr = 1 holds only for Tr(a^(p-1)) = -1 at p = 2
+    monkeypatch.setattr(LElement, "trace", lambda x: LaurentSeries.one(x.ext.field, 24))
+    res = selftest.criterion_trace_identities()
+    assert not res.ok
+    assert res.line() == (
+        "criterion 07 trace_identities: FAIL  ["
+        "p=3 f=t^-1: Tr(a^1) = 1; p=3 f=t^-1: Tr(a^2) = 1; p=3 f=t^-2: Tr(a^1) = 1]"
     )
