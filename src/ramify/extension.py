@@ -657,19 +657,3 @@ def integral_sample(ext, rng, span=2, terms=2):
             return x
     return gens[rng.randrange(len(gens))]
 
-
-# a unit sample is an integral sample of this span times t^s, |s| <= UNIT_SPAN
-UNIT_SPAN = 2
-
-
-def unit_sample(ext, rng):
-    """A random element of L^x (nonzero on the known range), in the
-    reduced presentation."""
-    x = integral_sample(ext, rng, span=UNIT_SPAN)
-    ext = x.ext
-    shift = rng.randrange(-UNIT_SPAN, UNIT_SPAN + 1)
-    g = LaurentSeries.monomial(ext.field, shift, 1, ext.f.prec)
-    out = x * g
-    if out.is_zero_known():
-        return ext.alpha()
-    return out

@@ -11,7 +11,6 @@ wild, ferocious or unramified (the ferocious formula with swan = 0).
 
 from __future__ import annotations
 
-import math
 import random
 from fractions import Fraction
 from typing import NamedTuple
@@ -30,7 +29,6 @@ from .extension import (
     integral_basis,
     integral_sample,
     reduce_to_best,
-    unit_sample,
 )
 from .records import encode
 from .series import Cut, ValueGroup, random_series, restrict_cut, series_in_cut
@@ -225,7 +223,7 @@ def check_norm_ideal_identity(ext):
     )
 
 
-def check_refined_swan_stability(ext, shifts=50, seed=0):
+def check_refined_swan_stability(ext, samples=50, seed=0):
     """The form invariant is unchanged under f -> f + a^p - a when the
     pole order is preserved.
 
@@ -239,7 +237,7 @@ def check_refined_swan_stability(ext, shifts=50, seed=0):
     and g = f + a^p - a is known below at least 1 + (p - 1)*lo >= 2 - n,
     as f's precision is at least 1.  So v(g) = -n on every draw.
     """
-    _require_samples(shifts)
+    _require_samples(samples)
     if ext.swan == 0:
         raise SwanZero("stability concerns extensions with positive swan")
     p = ext.p
@@ -260,7 +258,7 @@ def check_refined_swan_stability(ext, shifts=50, seed=0):
             ok = series_in_cut(base.du - cand_u, base.modulus)
         return None if ok else {"witness": str(a), "trial": i}
 
-    return _sampled("refined_swan_stability", shifts, seed, trial, {"shifts": shifts})
+    return _sampled("refined_swan_stability", samples, seed, trial, {"samples": samples})
 
 
 def _low_rung_first(decide, low, full):
@@ -271,7 +269,8 @@ def _low_rung_first(decide, low, full):
     verdict reached on ``low`` is the full verdict.  Only a decision
     that raises InsufficientPrecision on ``low``, when truncation forgot
     something (``low != full``), is taken again on ``full``, and that
-    verdict or exception stands."""
+    verdict or exception stands.  Its two callers are the norm checks,
+    ``check_norm_additivity`` and ``check_diagram_commutativity``."""
     try:
         return decide(*low)
     except InsufficientPrecision:
@@ -346,62 +345,53 @@ def check_diagram_commutativity(ext, samples=100, seed=0):
     return _sampled("diagram_commutativity", samples, seed, trial, {"samples": samples})
 
 
-def _truncated_unit(x, prec):
-    """x truncated ``prec`` terms above the floor of its valuation."""
-    return x.truncate(math.floor(x.valuation_coeffwise()) + prec)
+def check_difference_product_rules(ext):
+    """The two congruences behind the logarithmic comparison maps,
+    decided exactly on the generators g_k of B.
 
+    Both rules are ring identities up to one product:
+    sigma(bc) - bc - c(sigma(b) - b) - b(sigma(c) - c) is
+    (sigma(b) - b)(sigma(c) - c), and sigma(xy)/(xy) - 1 - (u - 1) - (w - 1)
+    is (u - 1)(w - 1) with u = sigma(x)/x and w = sigma(y)/y.  So the
+    additive rule holds modulo I_sigma^2 for every b, c in B exactly when
+    min_k v(sigma(g_k) - g_k) >= i_sigma, and the multiplicative rule
+    modulo J^2 for every x, y in L^x exactly when
+    min_k (v(sigma(g_k) - g_k) - v(g_k)) >= j.  As sigma fixes K, for
+    x = sum_k a_k g_k with a_k in K (in A when x is in B),
+    v(sigma(x) - x) >= min_k (v(a_k) + v(sigma(g_k) - g_k)), and the
+    minimum is attained at a generator; as v(x) = min_k v(a_k g_k) in
+    the reduced presentation, v(sigma(x)/x - 1) is bounded alike by the
+    least generator ratio (Serre, *Local Fields*, IV §1:
+    i_G(sigma) = v_L(sigma(x) - x) for a generator x of B).
 
-def _unit_rule(x, y, prec, j_sq):
-    """Whether sigma(xy)/(xy)-1 - (sigma(x)/x-1) - (sigma(y)/y-1) lies in
-    j_sq, for the units truncated ``prec`` terms above their valuations.
-    Raises InsufficientPrecision when that truncation cannot decide."""
-    x = _truncated_unit(x, prec)
-    y = _truncated_unit(y, prec)
-    xy = x * y
-    ix = x.inverse()
-    iy = y.inverse()
-    ixy = xy.inverse()
-    lhs = xy.sigma(1) * ixy - 1
-    rhs = (x.sigma(1) * ix - 1) + (y.sigma(1) * iy - 1)
-    return (lhs - rhs).in_cut(j_sq)
-
-
-def check_difference_product_rules(ext, samples=32, seed=0):
-    """The two congruences behind the logarithmic comparison maps:
-    sigma(bc)-bc splits modulo the squared difference ideal, and
-    sigma(xy)/(xy)-1 splits modulo the squared logarithmic ideal.
-
-    The multiplicative rule is read below a fixed bound, so the units
-    are truncated there, which bounds the work of each inverse;
-    ``_low_rung_first`` decides it five terms lower first."""
-    _require_samples(samples)
-    ext = integral_basis(ext).ext
+    The check passes when the generators' cuts equal ``ideal_i_sigma``
+    and ``ideal_j``, which is two-sided.  Generator 0 lies in K, so
+    sigma fixes it and it is skipped; a difference of any other
+    generator that is zero on its known range cannot be read, which
+    raises InsufficientPrecision."""
+    gens = ext.integral_generators()
+    group = value_group_of_l(ext)
+    diffs = []
+    for g in gens[1:]:
+        d = g.sigma(1) - g
+        if d.is_zero_known():
+            raise InsufficientPrecision(
+                "a generator's difference sigma(g) - g is zero on its known range"
+            )
+        v = d.valuation_coeffwise()
+        diffs.append((v, v - g.valuation_coeffwise()))
     i_cut = ideal_i_sigma(ext)
     j_cut = ideal_j(ext)
-    i_sq = i_cut ** 2
-    j_sq = j_cut ** 2
-    n = int(ext.swan)
-    working_prec = (ext.p + 1) * n // ext.p + 7
-
-    def trial(rng, i):
-        b = integral_sample(ext, rng)
-        c = integral_sample(ext, rng)
-        bc = b * c
-        lhs = bc.sigma(1) - bc
-        rhs = c * (b.sigma(1) - b) + b * (c.sigma(1) - c)
-        if not (lhs - rhs).in_cut(i_sq):
-            return {"trial": i, "rule": "additive", "b": str(b), "c": str(c)}
-        x = unit_sample(ext, rng)
-        y = unit_sample(ext, rng)
-        if _low_rung_first(
-            lambda prec: _unit_rule(x, y, prec, j_sq), (working_prec - 5,), (working_prec,)
-        ):
-            return None
-        x = _truncated_unit(x, working_prec)
-        y = _truncated_unit(y, working_prec)
-        return {"trial": i, "rule": "multiplicative", "x": str(x), "y": str(y)}
-
-    return _sampled("difference_product_rules", samples, seed, trial, {"samples": samples})
+    i_gen = Cut.at_least(min(v for v, _ in diffs), group)
+    j_gen = Cut.at_least(min(w for _, w in diffs), group)
+    return CheckResult(
+        "difference_product_rules",
+        i_gen == i_cut and j_gen == j_cut,
+        {
+            "i_sigma": i_cut, "i_sigma_generators": i_gen,
+            "j_sigma": j_cut, "j_sigma_generators": j_gen,
+        },
+    )
 
 
 def principality_chain(ext):
@@ -478,9 +468,7 @@ def build_report(ext, samples=50, seed=0):
     checks["norm_additivity"] = check_norm_additivity(ext, samples, seed)
     if ramified:
         checks["diagram_commutativity"] = check_diagram_commutativity(ext, samples, seed)
-        checks["difference_product_rules"] = check_difference_product_rules(
-            ext, min(samples, 32), seed
-        )
+        checks["difference_product_rules"] = check_difference_product_rules(ext)
         oracle = trace_dual_cut(ext)
         checks["different_vs_trace_dual"] = CheckResult(
             "different_vs_trace_dual",

@@ -316,7 +316,7 @@ def criterion_difference_operators(extensions, seed=DEFAULT_SEED):
 
 def criterion_refined_swan_stability(extensions, seed=DEFAULT_SEED):
     return _over_grid(9, "refined_swan_stability", extensions, lambda label, ext: _failed(
-        label, check_refined_swan_stability(ext, shifts=50, seed=seed)))
+        label, check_refined_swan_stability(ext, samples=50, seed=seed)))
 
 
 def criterion_norm_additivity_diagram(extensions, seed=DEFAULT_SEED):

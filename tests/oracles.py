@@ -20,7 +20,6 @@ from ramify.extension import (
     integral_basis,
     integral_sample,
     reduce_to_best,
-    unit_sample,
 )
 from ramify.fields import _padd, _pgcd, _pmul, _ppow_mod, _prime_divisors, _psub, _trim
 from ramify.invariants import (
@@ -29,7 +28,6 @@ from ramify.invariants import (
     _require_samples,
     build_report,
     ideal_i_sigma,
-    ideal_j,
     refined_swan,
 )
 from ramify.series import (
@@ -332,6 +330,26 @@ def lefschetz_minimum(ext, samples=40, seed=0):
             best = v
     return best
 
+
+# -- unit samples ------------------------------------------------------------------
+# ``extension.unit_sample`` as it was when the sampled product rules drew
+# their units from it; the inverse and norm tests still draw from it.
+
+# a unit sample is an integral sample of this span times t^s, |s| <= UNIT_SPAN
+UNIT_SPAN = 2
+
+
+def unit_sample(ext, rng):
+    """A random element of L^x (nonzero on the known range), in the
+    reduced presentation."""
+    x = integral_sample(ext, rng, span=UNIT_SPAN)
+    ext = x.ext
+    shift = rng.randrange(-UNIT_SPAN, UNIT_SPAN + 1)
+    g = LaurentSeries.monomial(ext.field, shift, 1, ext.f.prec)
+    out = x * g
+    if out.is_zero_known():
+        return ext.alpha()
+    return out
 
 # -- cuts before their canonical form ------------------------------------------
 
@@ -684,55 +702,6 @@ def _pirreducible(f, p):
     return True
 
 
-# -- the product rules at one truncation -----------------------------------------
-# ``invariants.check_difference_product_rules`` as it was when every trial
-# of the multiplicative rule was computed once, at the full truncation
-# ``working_prec``.
-
-
-def single_rung_product_rules(ext, samples=32, seed=0):
-    """The two congruences behind the logarithmic comparison maps:
-    sigma(bc)-bc splits modulo the squared difference ideal, and
-    sigma(xy)/(xy)-1 splits modulo the squared logarithmic ideal."""
-    _require_samples(samples)
-    ext = integral_basis(ext).ext
-    rng = random.Random(seed)
-    i_cut = ideal_i_sigma(ext)
-    j_cut = ideal_j(ext)
-    i_sq = i_cut ** 2
-    j_sq = j_cut ** 2
-    # congruences are read below a fixed bound, so the units are
-    # truncated there: that bounds the work of each inverse
-    n = int(ext.swan)
-    working_prec = (ext.p + 1) * n // ext.p + 7
-    for trial in range(samples):
-        b = integral_sample(ext, rng)
-        c = integral_sample(ext, rng)
-        lhs = (b * c).sigma(1) - b * c
-        rhs = c * (b.sigma(1) - b) + b * (c.sigma(1) - c)
-        if not (lhs - rhs).in_cut(i_sq):
-            return CheckResult(
-                "difference_product_rules", False,
-                {"trial": trial, "rule": "additive", "b": str(b), "c": str(c)},
-            )
-        x = unit_sample(ext, rng)
-        y = unit_sample(ext, rng)
-        x = x.truncate(math.floor(x.valuation_coeffwise()) + working_prec)
-        y = y.truncate(math.floor(y.valuation_coeffwise()) + working_prec)
-        xy = x * y
-        ix = x.inverse()
-        iy = y.inverse()
-        ixy = xy.inverse()
-        lhs2 = xy.sigma(1) * ixy - 1
-        rhs2 = (x.sigma(1) * ix - 1) + (y.sigma(1) * iy - 1)
-        if not (lhs2 - rhs2).in_cut(j_sq):
-            return CheckResult(
-                "difference_product_rules", False,
-                {"trial": trial, "rule": "multiplicative", "x": str(x), "y": str(y)},
-            )
-    return CheckResult("difference_product_rules", True, {"samples": samples})
-
-
 # -- the norm checks at one rung ----------------------------------------------------
 # ``invariants.check_norm_additivity`` and ``check_diagram_commutativity`` as
 # they were when every trial took each norm on the untruncated samples.
@@ -801,7 +770,7 @@ def single_rung_diagram_commutativity(ext, samples=100, seed=0):
 # through ``invariants._sampled``.
 
 
-def hand_loop_refined_swan_stability(ext, shifts=50, seed=0):
+def hand_loop_refined_swan_stability(ext, samples=50, seed=0):
     """The form invariant is unchanged under f -> f + a^p - a when the
     pole order is preserved.
 
@@ -810,7 +779,7 @@ def hand_loop_refined_swan_stability(ext, shifts=50, seed=0):
     candidate contributes (t dg/dt)/f dlog t + (dg/du)/f du, with the
     original f in the denominator on both sides.
     """
-    _require_samples(shifts)
+    _require_samples(samples)
     if ext.swan == 0:
         raise SwanZero("stability concerns extensions with positive swan")
     rng = random.Random(seed)
@@ -821,7 +790,7 @@ def hand_loop_refined_swan_stability(ext, shifts=50, seed=0):
     base = refined_swan(ext)
     inv_f = ext.inverse_f_best()
     lo = -((n - 1) // p)  # least integer valuation with p*v > -n
-    for trial in range(shifts):
+    for trial in range(samples):
         a = random_series(field, rng, lo, lo + 3, f.prec, density=0.6)
         g = f + (a ** p - a)
         if g.valuation() != -n:
@@ -838,7 +807,7 @@ def hand_loop_refined_swan_stability(ext, shifts=50, seed=0):
             return CheckResult(
                 "refined_swan_stability", False, {"witness": str(a), "trial": trial}
             )
-    return CheckResult("refined_swan_stability", True, {"shifts": shifts})
+    return CheckResult("refined_swan_stability", True, {"samples": samples})
 
 
 # -- the series-level Laplace expansion ------------------------------------------

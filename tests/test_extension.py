@@ -27,14 +27,19 @@ from ramify.extension import (
     integral_basis,
     integral_sample,
     reduce_to_best,
-    unit_sample,
 )
 from ramify.fields import Expr, FieldSpec
 from ramify.invariants import boundary_generator, refined_swan
 from ramify.parsing import parse_field_spec
 from ramify.series import Cut, LaurentSeries, ValueGroup, dot, random_series
 
-from oracles import difference_denominators, difference_loop, is_integral, sigma_loop
+from oracles import (
+    difference_denominators,
+    difference_loop,
+    is_integral,
+    sigma_loop,
+    unit_sample,
+)
 
 F2 = FieldSpec.finite(2)
 F3 = FieldSpec.finite(3)

@@ -1,5 +1,4 @@
 import importlib.util
-import math
 import random
 import sys
 from fractions import Fraction
@@ -8,7 +7,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ramify import extension, invariants
+from ramify import extension, invariants, selftest
 from ramify.errors import (
     InsufficientPrecision,
     InvalidSpec,
@@ -23,7 +22,6 @@ from ramify.extension import (
     RamificationType,
     integral_basis,
     integral_sample,
-    unit_sample,
 )
 from ramify.fields import FieldSpec, is_pth_power
 from ramify.invariants import (
@@ -58,7 +56,6 @@ from oracles import (
     scan_traces,
     single_rung_diagram_commutativity,
     single_rung_norm_additivity,
-    single_rung_product_rules,
     table_trace_dual_cut,
     tower_fields_principality_chain,
     trace_of_product,
@@ -182,7 +179,7 @@ def test_unramified_extension_is_the_gamma_one_case(spec, text):
     # the discriminant oracle agrees with the formula: B/A is unramified
     assert trace_dual_cut(ext) == different_ideal(ext) == integers
     assert boundary_generator(ext) == reduced.alpha()
-    assert check_difference_product_rules(ext, samples=4, seed=1).ok
+    assert check_difference_product_rules(ext).ok
     assert all(principality_chain(ext).values())
     with pytest.raises(SwanZero):
         check_diagram_commutativity(ext, samples=1)
@@ -211,7 +208,7 @@ def test_refined_swan_zero_raises():
 
 def test_refined_swan_stability_grid():
     for ext in GRID:
-        assert check_refined_swan_stability(ext, shifts=25, seed=8).ok
+        assert check_refined_swan_stability(ext, samples=25, seed=8).ok
 
 
 STABILITY_FIELDS = [
@@ -262,7 +259,7 @@ def test_refined_swan_comparison_is_at_the_common_generator():
     at_generator_f = f.euler_derivative() * inv_f
     at_generator_g = g.euler_derivative() * inv_f
     assert series_in_cut(at_generator_f - at_generator_g, modulus)
-    assert check_refined_swan_stability(ext, shifts=40, seed=1).ok
+    assert check_refined_swan_stability(ext, samples=40, seed=1).ok
 
 
 def test_different_examples():
@@ -428,17 +425,19 @@ def test_diagram_grid():
 
 def test_difference_product_rules():
     ext = ext_of(F3, -2)
-    assert check_difference_product_rules(ext, samples=12, seed=4).ok
+    group = value_group_of_l(ext)
+    result = check_difference_product_rules(ext)
+    assert result.ok
+    # sigma(g_1) - g_1 = t (v = 1), sigma(g_2) - g_2 = t^2 (2*alpha + 1) (v = 4/3);
+    # each g_k = alpha^k t^k has v(g_k) = k/3, so every ratio has v = 2/3
+    assert result.detail == {
+        "i_sigma": Cut.at_least(1, group), "i_sigma_generators": Cut.at_least(1, group),
+        "j_sigma": Cut.at_least(Fraction(2, 3), group),
+        "j_sigma_generators": Cut.at_least(Fraction(2, 3), group),
+    }
     # elements of K are fixed: sigma(b) - b = 0 exactly
     b = ext.from_series(mono(F3, 2))
     assert (b.sigma(1) - b).is_zero_known()
-
-
-# Fp(u):7 is left out: one single-rung check there takes seconds
-RULE_FIELDS = tuple(
-    parse_field_spec(spec)
-    for spec in ("Fp:2", "Fq:4", "Fp:3", "Fq:9", "Fp:5", "Fp:7", "Fp(u):2", "Fp(u):3", "Fp(u):5")
-)
 
 
 def rule_outcome(check, ext, samples, seed):
@@ -447,88 +446,6 @@ def rule_outcome(check, ext, samples, seed):
         return check(ext, samples, seed)
     except RamifyError as exc:
         return type(exc), str(exc)
-
-
-@settings(max_examples=120, deadline=None)
-@given(
-    st.sampled_from(RULE_FIELDS), st.integers(0, 2**32), st.integers(1, 8),
-    st.integers(4, 32), st.integers(1, 3), st.integers(0, 2**31),
-)
-def test_product_rules_match_the_single_rung_check(field, draw, n, prec, samples, seed):
-    """Deciding the multiplicative rule at a lower truncation first gives
-    the check's old result, or its old exception and message."""
-    ext = pole_extension(field, random.Random(draw), n, prec)
-    assert rule_outcome(check_difference_product_rules, ext, samples, seed) == rule_outcome(
-        single_rung_product_rules, ext, samples, seed
-    )
-
-
-# the one run of tools/output_digest.py in which neither truncation
-# decides the rule (CI pins its exit code 3)
-BOTH_RUNGS_RAISE = (
-    "Fp(u):2",
-    "(u)*t^-4 + (1)*t^-1 + (1)*t^1 + (1)*t^4 + (1)*t^9 + (1)^2*t^-2 - (1)*t^-1"
-    " + (1)^2*t^-8 - (1)*t^-4",
-    4, 2, 464306981,
-)
-
-
-def forced_fallback(monkeypatch, ext):
-    """Make the cheap rung of the multiplicative rule undecided; returns
-    the list of the precisions it is called at."""
-    ext = integral_basis(ext).ext
-    full = (ext.p + 1) * int(ext.swan) // ext.p + 7
-    rule = invariants._unit_rule
-    calls = []
-
-    def undecided_below_full(x, y, prec, j_sq):
-        calls.append(prec)
-        if prec < full:
-            raise InsufficientPrecision("forced")
-        return rule(x, y, prec, j_sq)
-
-    monkeypatch.setattr(invariants, "_unit_rule", undecided_below_full)
-    return full, calls
-
-
-@pytest.mark.parametrize("ext", [ext_of(F3, -2), ext_of(F2u, -2, F2u.generator()), ext_of(F5, -3)])
-def test_an_undecided_cheap_rung_falls_back_to_the_full_one(monkeypatch, ext):
-    full, calls = forced_fallback(monkeypatch, ext)
-    assert check_difference_product_rules(ext, 3, 7) == single_rung_product_rules(ext, 3, 7)
-    assert calls == [full - 5, full] * 3
-
-
-def test_both_rungs_raising_gives_the_full_rungs_error(monkeypatch):
-    spec, f, prec, samples, seed = BOTH_RUNGS_RAISE
-    field = parse_field_spec(spec)
-    ext = ASExtension(field, parse_series(f, field, prec))
-    want = rule_outcome(single_rung_product_rules, ext, samples, seed)
-    assert want[0] is InsufficientPrecision
-    assert rule_outcome(check_difference_product_rules, ext, samples, seed) == want
-    full, calls = forced_fallback(monkeypatch, ext)
-    assert rule_outcome(check_difference_product_rules, ext, samples, seed) == want
-    assert calls == [full - 5, full]
-
-
-def test_a_violation_at_the_cheap_rung_shows_the_units_at_the_full_one(monkeypatch):
-    ext = ext_of(F3, -2)
-    full = (3 + 1) * 2 // 3 + 7  # working_prec at p = 3, swan 2
-    seen = []
-
-    def violated(x, y, prec, j_sq):
-        seen.append((x, y, prec))
-        return False
-
-    monkeypatch.setattr(invariants, "_unit_rule", violated)
-    result = check_difference_product_rules(ext, 3, 7)
-    [(x, y, prec)] = seen
-    assert prec == full - 5
-    assert result.detail == {
-        "trial": 0, "rule": "multiplicative",
-        "x": str(x.truncate(math.floor(x.valuation_coeffwise()) + full)),
-        "y": str(y.truncate(math.floor(y.valuation_coeffwise()) + full)),
-    }
-    assert not result.ok
 
 
 def analyze_configs(monkeypatch, workload, seed):
@@ -543,24 +460,106 @@ def analyze_configs(monkeypatch, workload, seed):
 
 
 @pytest.mark.parametrize("workload", ["wild_small_p", "wild_large_p", "ferocious_fpu"])
-def test_the_cheap_rung_decides_every_benchmark_trial(monkeypatch, workload):
-    rule = invariants._unit_rule
-    calls = []
+def test_the_generators_decide_the_product_rules_on_every_benchmark_configuration(
+    monkeypatch, workload
+):
+    """On every analyze configuration of seeds 1-3, the generators' cuts
+    are the formulas' i_sigma and j."""
+    for seed in (1, 2, 3):
+        for argv in analyze_configs(monkeypatch, workload, seed):
+            args = dict(zip(argv[1::2], argv[2::2]))
+            field = parse_field_spec(args["--field"])
+            ext = ASExtension(field, parse_series(args["--f"], field, int(args["--prec"])))
+            result = check_difference_product_rules(ext)
+            assert result.ok, (argv, result.detail)
 
-    def counted(x, y, prec, j_sq):
-        calls.append(prec)
-        return rule(x, y, prec, j_sq)
 
-    monkeypatch.setattr(invariants, "_unit_rule", counted)
-    for argv in analyze_configs(monkeypatch, workload, 1):
-        args = dict(zip(argv[1::2], argv[2::2]))
-        field = parse_field_spec(args["--field"])
-        ext = ASExtension(field, parse_series(args["--f"], field, int(args["--prec"])))
-        calls.clear()
-        trials = int(args["--trials"])
-        assert check_difference_product_rules(ext, trials, int(args["--seed"])).ok
-        # one call per trial: no trial reached the full rung
-        assert len(calls) == trials
+# the selftest's DVR_GRID, which GRID repeats, and two more presentations
+PRODUCT_RULE_EXTS = [selftest.grid_extension(*case) for case in selftest.DVR_GRID] + [
+    ASExtension(F3, parse_series("t^-9 + 2*t^-3 + t^-2 + t", F3, 24)),  # f is not f_best
+    ASExtension(F3, parse_series("2 + t", F3, 16)),  # unramified
+]
+
+
+@pytest.mark.parametrize("ext", PRODUCT_RULE_EXTS)
+def test_the_generators_cut_out_i_sigma_and_j(ext):
+    """min_k v(sigma(g_k) - g_k) and min_k (v(sigma(g_k) - g_k) - v(g_k))
+    over the generators g_k, k >= 1, are the formulas' i_sigma and j; the
+    valuations are read here through the norm, not coefficientwise."""
+    diffs = [(g.sigma(1) - g, g) for g in ext.integral_generators()[1:]]
+    group = value_group_of_l(ext)
+    i_gen = Cut.at_least(min(d.valuation() for d, _ in diffs), group)
+    j_gen = Cut.at_least(min(d.valuation() - g.valuation() for d, g in diffs), group)
+    assert i_gen == ideal_i_sigma(ext)
+    assert j_gen == ideal_j(ext)
+    result = check_difference_product_rules(ext)
+    assert result.ok
+    assert result.detail["i_sigma_generators"] == i_gen
+    assert result.detail["j_sigma_generators"] == j_gen
+
+
+@pytest.mark.parametrize("make, index, step", [
+    (lambda: ext_of(F3, -2), 1, 1),  # A_(i_star) up: the formula passes the generators' minimum
+    (lambda: ext_of(F5, -2, prec=24), 2, 1),
+    (lambda: ext_of(F3u, -3, F3u.generator()), 2, -1),  # ferocious: A_2 down, below the formula
+    (lambda: ASExtension(F3, parse_series("2 + t", F3, 16)), 1, 1),  # unramified
+], ids=["wild-Fp3", "wild-Fp5", "ferocious-Fp(u)3", "unramified-Fp3"])
+def test_a_moved_coefficient_ideal_fails_the_product_rules(monkeypatch, make, index, step):
+    """A mutant shape of B, with the cut A_index moved by one step of Z,
+    gives generators whose cut is not the formula's: the check fails.
+    The shape is memoised, so the mutant is read by a fresh extension."""
+    real_shape = extension._shape
+
+    def moved(kind, p, v0):
+        group, cuts, i_star = real_shape(kind, p, v0)
+        cuts = list(cuts)
+        cuts[index] = Cut.at_least(cuts[index].value + step, Z)
+        return group, tuple(cuts), i_star
+
+    monkeypatch.setattr(extension, "_shape", moved)
+    ext = make()
+    assert integral_basis(ext).cuts != real_shape(
+        ext.classification(), ext.p, ext.swan / ext.p)[1]
+    assert not check_difference_product_rules(ext).ok
+
+
+def test_a_generator_difference_known_only_as_zero_raises(monkeypatch):
+    """The difference of g_2, known only below t^0, is zero on its known
+    range, so it cannot be read: the check raises, it never passes."""
+    ext = ext_of(F3, -2)
+    gens = ext.integral_generators()
+    short = gens[:2] + [gens[2].truncate(0)]
+    assert (short[2].sigma(1) - short[2]).is_zero_known()
+    monkeypatch.setattr(ASExtension, "integral_generators", lambda self: short)
+    with pytest.raises(InsufficientPrecision):
+        check_difference_product_rules(ext)
+
+
+RING_FIELDS = sorted({(p, kind or "") for p, kind, _, _ in selftest.DVR_GRID})
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(RING_FIELDS), st.integers(1, 5), st.integers(1, 24), st.data())
+def test_sigma_is_a_ring_homomorphism_on_l(case, n, prec, data):
+    """On the fields of the selftest grid, sigma_k(xy) agrees with
+    sigma_k(x) sigma_k(y), and sigma_k(x + y) with sigma_k(x) + sigma_k(y),
+    on their common known range, for x and y with coordinates of uneven
+    precision: the engine consistency the sampled product rules relied on."""
+    p, kind = case
+    field = FieldSpec.rational(p) if kind else FieldSpec.finite(p)
+    rng = random.Random(data.draw(st.integers(0, 2**32), label="seed"))
+    ext = pole_extension(field, rng, n, prec)
+    k = data.draw(st.integers(1, p - 1), label="k")
+
+    def element():
+        return LElement(ext, tuple(
+            random_series(field, rng, rng.randint(-3, 1), 4, rng.randint(0, prec + 4))
+            for _ in range(p)
+        ))
+
+    x, y = element(), element()
+    assert (x * y).sigma(k).agrees_with(x.sigma(k) * y.sigma(k))
+    assert (x + y).sigma(k).agrees_with(x.sigma(k) + y.sigma(k))
 
 
 NORM_FIELDS = tuple(
@@ -700,19 +699,6 @@ def stability_shift(ext, rng):
     return random_series(ext.field, rng, lo, lo + 3, ext.best.f_best.prec, density=0.6)
 
 
-def long_unit(ext, rng):
-    """A unit sample plus t^20, a term past the working precision of
-    the multiplicative rule, which its witness truncates away."""
-    return unit_sample(ext, rng) + ext.from_series(mono(ext.field, 20, prec=64))
-
-
-def working_unit(ext, rng):
-    """``long_unit`` as the multiplicative witness prints it."""
-    x = long_unit(ext, rng)
-    full = (ext.p + 1) * int(ext.swan) // ext.p + 7
-    return x.truncate(math.floor(x.valuation_coeffwise()) + full)
-
-
 E3 = ext_of(F3, -2, prec=64)
 E2U = ext_of(F2u, -2, F2u.generator())
 PASS3 = (True,) * 3  # one passing diagram trial over F2(u) reads three faces
@@ -738,21 +724,6 @@ PASS3 = (True,) * 3  # one passing diagram trial over F2(u) reads three faces
             for k, face in enumerate(("norm", "dlog_t", "du"))
         ),
         pytest.param(
-            check_difference_product_rules, E3, [(LElement, "in_cut", (True, True, False))],
-            (integral_sample, integral_sample, unit_sample, unit_sample),
-            lambda b, c, x, y: [("trial", 1), ("rule", "additive"), ("b", str(b)), ("c", str(c))],
-            id="product-additive",
-        ),
-        pytest.param(
-            check_difference_product_rules, E3,
-            [(invariants, "_unit_rule", (True, False)), (invariants, "unit_sample", long_unit)],
-            (integral_sample, integral_sample, working_unit, working_unit),
-            lambda b, c, x, y: [
-                ("trial", 1), ("rule", "multiplicative"), ("x", str(x)), ("y", str(y)),
-            ],
-            id="product-multiplicative",
-        ),
-        pytest.param(
             check_refined_swan_stability, E3, [(invariants, "series_in_cut", (True, False))],
             (stability_shift,), lambda a: [("witness", str(a)), ("trial", 1)],
             id="stability-trial",
@@ -760,7 +731,7 @@ PASS3 = (True,) * 3  # one passing diagram trial over F2(u) reads three faces
     ],
 )
 def test_a_failing_trial_reports_its_witness(monkeypatch, check, ext, patches, draws, detail):
-    """Each failure branch of the four sampled checks, forced at trial 1,
+    """Each failure branch of the three sampled checks, forced at trial 1,
     reports today's keys in today's order, with the samples of that
     trial replayed from the seed.  A tuple of verdicts stands in for a
     decision, a function for a draw."""
@@ -785,28 +756,14 @@ def test_no_check_runs_on_fewer_than_one_sample(samples):
     unramified = ext_of(F2, 0)  # f = 1: swan 0
     trivial = ext_of(F2, 1)  # f = t
     with pytest.raises(SwanZero):
-        check_refined_swan_stability(unramified, shifts=1)
+        check_refined_swan_stability(unramified, samples=1)
     with pytest.raises(TrivialExtension):
         check_norm_additivity(trivial, 1)
     with pytest.raises(InvalidSpec):
-        check_refined_swan_stability(unramified, shifts=samples)
-    for check in (
-        check_norm_additivity, check_diagram_commutativity, check_difference_product_rules,
-        build_report,
-    ):
+        check_refined_swan_stability(unramified, samples=samples)
+    for check in (check_norm_additivity, check_diagram_commutativity, build_report):
         with pytest.raises(InvalidSpec):
             check(trivial, samples)
-
-
-def test_product_rule_alpha_expansion():
-    # x = y = alpha: sigma(a^2)/a^2 - 1 against 2*(sigma(a)/a - 1) mod J^2
-    ext = ext_of(F3, -2)
-    a = ext.alpha()
-    ia = ext.inverse_alpha()
-    j_sq = ideal_j(ext) ** 2
-    lhs = (a * a).sigma(1) * (ia * ia) - 1
-    rhs = (a.sigma(1) * ia - 1) + (a.sigma(1) * ia - 1)
-    assert (lhs - rhs).in_cut(j_sq)
 
 
 def test_ideal_chain_h_in_iota_in_i_sigma():

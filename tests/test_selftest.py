@@ -72,9 +72,9 @@ def test_refined_swan_stability_failures(monkeypatch, extensions):
     res = selftest.criterion_refined_swan_stability(extensions, seed=5)
     assert res.line() == (
         "criterion 09 refined_swan_stability: FAIL  ["
-        "(p=2, f=t^-1): {'args': (), 'shifts': 50, 'seed': 5}; "
-        "(p=2, f=t^-3): {'args': (), 'shifts': 50, 'seed': 5}; "
-        "(p=2, f=u*t^-2): {'args': (), 'shifts': 50, 'seed': 5}]"
+        "(p=2, f=t^-1): {'args': (), 'samples': 50, 'seed': 5}; "
+        "(p=2, f=t^-3): {'args': (), 'samples': 50, 'seed': 5}; "
+        "(p=2, f=u*t^-2): {'args': (), 'samples': 50, 'seed': 5}]"
     )
 
 
