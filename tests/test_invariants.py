@@ -460,9 +460,7 @@ def analyze_configs(monkeypatch, workload, seed):
 
 
 @pytest.mark.parametrize("workload", ["wild_small_p", "wild_large_p", "ferocious_fpu"])
-def test_the_generators_decide_the_product_rules_on_every_benchmark_configuration(
-    monkeypatch, workload
-):
+def test_the_generators_decide_every_benchmark_product_rule(monkeypatch, workload):
     """On every analyze configuration of seeds 1-3, the generators' cuts
     are the formulas' i_sigma and j."""
     for seed in (1, 2, 3):
