@@ -401,7 +401,10 @@ class LElement:
 
     def valuation_coeffwise(self):
         """v_L via min over the basis coefficients:
-        v_L(sum c_i alpha^i) = min_i (v(c_i) - i*swan/p)."""
+        v_L(sum c_i alpha^i) = min_i (v(c_i) - i*swan/p).  A coordinate
+        zero on its known range only bounds its term below by
+        c_i.prec - i*swan/p; below the minimum that bound decides
+        nothing, which raises InsufficientPrecision."""
         if self.is_zero_known():
             raise ZeroElement("element is zero on its known range")
         if not self._coeffwise_valid():
@@ -409,11 +412,16 @@ class LElement:
                 "coefficientwise valuation needs the reduced, nontrivial presentation"
             )
         shift = self.ext.swan / self.ext.p
-        vals = []
+        least = min(
+            c.valuation() - i * shift for i, c in enumerate(self.coeffs) if not c.is_zero_known()
+        )
         for i, c in enumerate(self.coeffs):
-            if not c.is_zero_known():
-                vals.append(c.valuation() - i * shift)
-        return min(vals)
+            bound = c.prec - i * shift
+            if c.is_zero_known() and bound < least:
+                raise InsufficientPrecision(
+                    f"coordinate {i} is zero on its known range; only v >= {bound} is certain"
+                )
+        return least
 
     def in_cut(self, cut):
         """Membership of the element in a fractional ideal of L given as

@@ -17,6 +17,9 @@ from .series import LaurentSeries
 
 # the largest degree a power of an F_p(u) literal may reach
 DEGREE_LIMIT = 4096
+# the largest series precision: a series inverse holds one slot per known
+# term, and dense F_p(u) products grow faster still
+PREC_LIMIT = 10_000
 # the deepest nesting of parentheses a coefficient or modulus may have:
 # the grammar recurses three calls per level
 NESTING_LIMIT = 200
@@ -200,6 +203,8 @@ def parse_series(text, field, prec):
     precision; raises ParseError/FieldLiteralError with offsets."""
     if prec < 1:
         raise ParseError("precision must be at least 1")
+    if prec > PREC_LIMIT:
+        raise ParseError(f"precision above the limit {PREC_LIMIT}")
     return _Parser(text, field).parse(prec)
 
 

@@ -92,15 +92,13 @@ class TowerLevel(NamedTuple):
     to_json = encode
 
 
-def tower_levels(spec, depth=None):
-    """Levels 0..depth via the recursion n_{i+1} = p*n_i - 1, with the
-    parameter valuations v(x_i) = 1/p^i and v(y_i) = 1/p^(i+1)."""
-    if depth is None:
-        depth = spec.depth
+def tower_levels(spec):
+    """Levels 0..spec.depth via the recursion n_{i+1} = p*n_i - 1, with
+    the parameter valuations v(x_i) = 1/p^i and v(y_i) = 1/p^(i+1)."""
     p = spec.p
     levels = []
     n_i = spec.n
-    for i in range(depth + 1):
+    for i in range(spec.depth + 1):
         v_x = Fraction(1, p ** i)
         v_y = Fraction(1, p ** (i + 1))
         levels.append(TowerLevel(i, n_i, i % p, v_x, v_y, n_i * v_x))
@@ -192,7 +190,7 @@ class DescentReport(NamedTuple):
     to_json = encode
 
 
-def best_f_descent(spec, depth=None):
+def best_f_descent(spec):
     """Strictly decreasing pole magnitudes with an unattained infimum.
 
     The infimum n - 1/(p-1) may lie inside the value group when p = 2;
@@ -200,11 +198,9 @@ def best_f_descent(spec, depth=None):
     strict descent (no level attains the infimum), not through the
     infimum leaving the group.
     """
-    if depth is None:
-        depth = spec.depth
-    if depth < 2:
+    if spec.depth < 2:
         raise InvalidSpec("descent needs at least two levels to compare")
-    values = [lv.neg_v_f for lv in tower_levels(spec, depth)]
+    values = [lv.neg_v_f for lv in tower_levels(spec)]
     monotone = all(a > b for a, b in zip(values, values[1:]))
     infimum = spec.n - Fraction(1, spec.p - 1)
     attained = any(v == infimum for v in values)

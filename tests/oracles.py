@@ -17,6 +17,7 @@ from ramify.errors import (
 )
 from ramify.extension import (
     LElement,
+    _laplace,
     integral_basis,
     integral_sample,
     reduce_to_best,
@@ -173,6 +174,40 @@ def trace_of_product(x, g):
     return -dot([(col[-1], c) for col, c in zip(x.columns(), g.coeffs)])
 
 
+# -- the Gram determinant of the trace form ---------------------------------------
+# ``invariants.trace_dual_cut`` as it was before it read the discriminant off
+# the shape of B: one Laplace expansion of the Gram matrix Tr(g_k * g_j).
+
+
+def generator_traces(ext):
+    """T[k][m] = Tr(alpha^m * g_k) for 0 <= m <= p - 1 and the generators
+    g_k of ``ext.integral_generators()``: Tr x is minus x's last
+    coordinate, read off each column g_k * alpha^m of ``g_k.columns()``."""
+    return [[-col[-1] for col in g.columns()] for g in ext.integral_generators()]
+
+
+def gram_trace_dual_cut(ext):
+    """The different, measured as B inside its trace dual B*.
+
+    The discriminant of B over A is the norm of the different (Serre,
+    *Local Fields*, III §3); its valuation is the length of B*/B.  It is
+    the determinant of the Gram matrix Tr(g_k * g_j) of the generators
+    g_k = alpha^k * t^(e_k) of B, whose entry (k, j) is T[k][j] of
+    ``generator_traces`` shifted by e_j, and taking norms scales cut
+    values by p.  Tr(alpha^m) is 0 for m < p - 1 and -1 at p - 1, so the
+    matrix is anti-triangular and its determinant is +-t^(2 * sum e_k)
+    on its known range; the one Laplace expansion still reads the
+    ``mul_alpha`` chain and the table's zeros with their ``prec``.
+    """
+    basis = integral_basis(ext)
+    table = generator_traces(basis.ext)
+    cols = [
+        [row[j].shift(e) for row in table]
+        for j, e in enumerate(int(cut.value) for cut in basis.cuts)
+    ]
+    return Cut.at_least(_laplace(cols)[0].valuation() / ext.p, basis.group)
+
+
 # perturbations per scanned valuation in the trace-dual scans
 TRACE_DUAL_PERTURBATIONS = 2
 
@@ -181,7 +216,7 @@ def walked_traces(ext, length):
     """T[k][m] = Tr(alpha^m * g_k) for 0 <= m < ``length``, walked one
     ``mul_alpha`` step at a time from each generator g_k of
     ``ext.integral_generators()``.  At length p this is the walk
-    ``invariants.generator_traces`` made before it read ``g_k.columns()``."""
+    ``generator_traces`` made before it read ``g_k.columns()``."""
     rows = []
     for g in ext.integral_generators():
         row = [g.trace()]

@@ -17,7 +17,13 @@ from ramify.cli import main, make_parser
 from ramify.errors import FieldLiteralError, InvalidSpec, ParseError
 from ramify.extension import P_LIMIT, ASExtension
 from ramify.fields import FieldSpec
-from ramify.parsing import NESTING_LIMIT, factor_prime_power, parse_field_spec, parse_series
+from ramify.parsing import (
+    NESTING_LIMIT,
+    PREC_LIMIT,
+    factor_prime_power,
+    parse_field_spec,
+    parse_series,
+)
 from ramify.series import random_series
 
 
@@ -116,6 +122,23 @@ def test_large_characteristic_exits_two_at_once(capsys):
         ASExtension(big, parse_series("t^-1", big, 2))
     top = FieldSpec.finite(P_LIMIT)
     assert ASExtension(top, parse_series("t^-1", top, 2)).swan == 1
+
+
+def test_precision_above_the_limit_exits_two_at_once(capsys):
+    # a series inverse holds one slot per known term, so an unbounded
+    # --prec such as 99999999999 would run out of memory before it ends
+    f2 = FieldSpec.finite(2)
+    assert parse_series("t^-1", f2, PREC_LIMIT).prec == PREC_LIMIT
+    for prec in (PREC_LIMIT + 1, 99999999999):
+        with pytest.raises(ParseError):
+            parse_series("t^-1", f2, prec)
+        start = time.perf_counter()
+        code, out = run_cli(
+            ["analyze", "--field", "Fp:2", "--f", "t^-1", "--prec", str(prec), "--trials", "1"],
+            capsys,
+        )
+        assert code == 2 and out.startswith("error: ") and f"above the limit {PREC_LIMIT}" in out
+        assert time.perf_counter() - start < 1.0
 
 
 def nested(depth, core):

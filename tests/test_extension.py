@@ -317,6 +317,26 @@ def test_valuation_examples():
         ext.zero().valuation()
 
 
+def test_a_short_zero_coordinate_leaves_the_coeffwise_valuation_open():
+    # t^5 + O(t^0)*alpha + O(t^32)*alpha^2 over F_3, f = t^-2: the alpha
+    # term could have any valuation from -2/3 up, below the 5 that the
+    # one nonzero coordinate gives, so neither valuation is decided
+    ext = ext_of(F3, -2)
+    x = LElement(ext, [mono(F3, 5), LaurentSeries(F3, {}, 0), LaurentSeries(F3, {}, 32)])
+    for valuation in (x.valuation, x.valuation_coeffwise):
+        with pytest.raises(InsufficientPrecision):
+            valuation()
+    # known past t^6, the alpha term lies above v = 16/3 > 5
+    x = LElement(ext, [mono(F3, 5), LaurentSeries(F3, {}, 6), LaurentSeries(F3, {}, 32)])
+    assert x.valuation_coeffwise() == x.valuation() == 5
+    # unramified, a bound equal to the minimum still decides it: the
+    # residues of 1 and alpha are independent, so t^5 + O(t^5)*alpha
+    # has valuation 5, which the norm, known only below t^15, misses
+    ext = ASExtension(F3, LaurentSeries(F3, {0: F3.from_int(2), 1: F3.one()}, 16))
+    x = LElement(ext, [mono(F3, 5, prec=16), LaurentSeries(F3, {}, 5), LaurentSeries(F3, {}, 16)])
+    assert x.valuation_coeffwise() == 5
+
+
 def test_integrality():
     ext = ext_of(F3, -2)
     assert not is_integral(ext.alpha())

@@ -47,9 +47,11 @@ from ramify.invariants import (
 from ramify.parsing import parse_field_spec, parse_series
 from ramify.series import Cut, LaurentSeries, ValueGroup, random_series, series_in_cut
 
+import oracles
 from oracles import (
     candidate_traces,
     element_trace_dual_cut,
+    gram_trace_dual_cut,
     hand_loop_refined_swan_stability,
     lefschetz_minimum,
     report_principality_chain,
@@ -280,9 +282,9 @@ def test_different_matches_trace_dual():
 
 def test_different_matches_the_gram_determinant_at_p_17():
     # the largest Gram matrix of the suite: 2^17 - 18 minors, most of
-    # them known zero, expanded on raw coefficients
+    # them known zero, expanded on raw coefficients by the test oracle
     ext = ext_of(FieldSpec.finite(17), -1, prec=72)
-    assert trace_dual_cut(ext) == different_ideal(ext)
+    assert trace_dual_cut(ext) == different_ideal(ext) == gram_trace_dual_cut(ext)
 
 
 SCAN_FIELDS = tuple(
@@ -352,6 +354,28 @@ def test_discriminant_matches_the_scan_where_it_decides(field, seed, prec, scan_
         assert trace_dual_cut(ext) == want
 
 
+@settings(max_examples=120, deadline=None)
+@given(st.sampled_from(SCAN_FIELDS), st.integers(0, 2**32), st.integers(4, 16))
+def test_the_shape_matches_the_gram_determinant_where_it_decides(field, seed, prec):
+    """For any presentation of a nontrivial extension, the cut read off
+    the shape of B never raises, and wherever the Laplace expansion of
+    the Gram matrix decides, it decides on the same cut.  A draw such as
+    f = t^-2 + t^-1 over F_2(u) is trivial, and both raise
+    TrivialExtension."""
+    ext = scan_extension(field, random.Random(seed), prec)
+    if ext.classification() is RamificationType.TRIVIAL:
+        for oracle in (trace_dual_cut, gram_trace_dual_cut):
+            with pytest.raises(TrivialExtension):
+                oracle(ext)
+        return
+    cut = trace_dual_cut(ext)
+    try:
+        want = gram_trace_dual_cut(ext)
+    except InsufficientPrecision:
+        return
+    assert cut == want
+
+
 @pytest.mark.parametrize("ext", [
     ext_of(F5, -3),
     ext_of(FieldSpec.finite(3, 2), -2, FieldSpec.finite(3, 2).generator()),
@@ -365,26 +389,29 @@ def test_the_trace_form_is_anti_triangular(monkeypatch, ext):
     """Tr(alpha^m) is 0 for m < p - 1 and -1 at p - 1, so the Gram matrix
     Tr(g_k * g_j) of g_k = alpha^k * t^(e_k) vanishes above its
     anti-diagonal, reads -t^(e_k + e_j) on it, and has determinant
-    +-t^(2 * sum e_k), all on the known range.  The oracle expands that
-    one determinant and draws no sample."""
+    +-t^(2 * sum e_k), all on the known range.  The test oracle expands
+    that one determinant; ``trace_dual_cut`` reads the same cut off the
+    shape of B, with no expansion and no sample."""
     calls = []
 
     def laplace(cols):
         calls.append(cols)
         return real_laplace(cols)
 
-    def no_sample(*args, **kwargs):
-        raise AssertionError("trace_dual_cut drew a sample")
+    def no_call(*args, **kwargs):
+        raise AssertionError("trace_dual_cut expanded a determinant or drew a sample")
 
     real_laplace = extension._laplace
-    for module in (extension, invariants):
-        monkeypatch.setattr(module, "_laplace", laplace)
-        monkeypatch.setattr(module, "integral_sample", no_sample)
-    oracle = trace_dual_cut(ext)
+    monkeypatch.setattr(oracles, "_laplace", laplace)
+    gram = gram_trace_dual_cut(ext)
     assert len(calls) == 1
     cols = calls[0]
     det = real_laplace(cols)[0]
-    assert oracle == Cut.at_least(det.valuation() / ext.p, value_group_of_l(ext))
+    assert gram == Cut.at_least(det.valuation() / ext.p, value_group_of_l(ext))
+    monkeypatch.setattr(extension, "_laplace", no_call)
+    for module in (extension, invariants):
+        monkeypatch.setattr(module, "integral_sample", no_call)
+    assert trace_dual_cut(ext) == gram
     p = ext.p
     field = ext.field
     exps = [int(cut.value) for cut in integral_basis(ext).cuts]

@@ -17,7 +17,6 @@ from hypothesis import assume, given, settings, strategies as st
 from ramify.errors import ExtensionMismatch, InvalidSpec, NotRationalFunctionField, ZeroSeries
 from ramify.extension import ASExtension, LElement, _laplace, integral_sample
 from ramify.fields import FieldSpec, _padd, _pmul, derivative_u
-from ramify.invariants import generator_traces
 from ramify.parsing import parse_field_spec, parse_series
 from ramify.series import LaurentSeries, dot
 
@@ -29,6 +28,7 @@ from oracles import (
     capped_sigma,
     coprime_numerator,
     fpu_denominators,
+    generator_traces,
     memoised_laplace,
     series_laplace,
     walked_traces,

@@ -167,7 +167,7 @@ def test_best_f_descent():
     assert not rep2.infimum_attained
 
     with pytest.raises(InvalidSpec):
-        best_f_descent(TowerSpec(F9, 2, 6), depth=1)
+        best_f_descent(TowerSpec(F9, 2, 1))
 
 
 def test_principality_chain_all_false():
