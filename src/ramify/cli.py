@@ -69,7 +69,7 @@ def make_parser():
     an.add_argument("--field", required=True, help="Fp:3 | Fq:9:w^2+1 | Fp(u):3")
     an.add_argument("--f", required=True, help="defining series, e.g. 't^-4 + u*t^-2'")
     an.add_argument("--prec", type=int, default=24, help="series precision (default 24)")
-    an.add_argument("--trials", type=int, default=50, help="samples per verifier")
+    an.add_argument("--trials", type=int, default=50, help="samples of the stability check")
     an.add_argument("--seed", type=int, default=DEFAULT_SEED)
     an.add_argument("--format", choices=("text", "json"), default="text")
 

@@ -238,6 +238,12 @@ class ASExtension:
     def inverse_alpha(self):
         return LElement(self, self._memo("inverse_alpha", lambda: self.alpha().inverse().coeffs))
 
+    def norm_inverse_alpha(self):
+        """N(1/alpha) as a series, memoised on the reduced presentation
+        ``with_best_f()`` whatever presentation is asked."""
+        ext = self.with_best_f()
+        return ext._memo("norm_inverse_alpha", lambda: ext.inverse_alpha().norm())
+
     def inverse_f_best(self):
         """1/f_best as a series, memoised on the reduced presentation
         ``with_best_f()`` whatever presentation is asked."""

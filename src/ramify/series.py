@@ -478,9 +478,10 @@ def _series(field, raw, prec):
     return s
 
 
-def dot(pairs):
+def dot(pairs, cap=None):
     """The sum of a*b over a nonempty sequence of (a, b) pairs of series
-    over one field.
+    over one field; with ``cap``, that sum truncated at ``cap``, with no
+    coefficient at or above ``cap`` computed.
 
     Value and precision equal those of the chain ``a0*b0 + a1*b1 + ...``.
     The chain is known below the least of its products' bounds
@@ -495,9 +496,10 @@ def dot(pairs):
     accumulating ints, codes and unreduced F_p(u) fractions and
     canonicalising once per output exponent; canonical forms make that
     equal to the chain's element-by-element sums.  Its output is
-    already clean, so the result is built by ``_series``.
+    already clean, so the result is built by ``_series``.  A ``cap``
+    below the final bound replaces it, which is ``truncate(cap)``.
     """
-    bound = None
+    bound = cap
     live = []
     for a, b in pairs:
         ac, bc = a._raw, b._raw

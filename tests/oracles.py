@@ -27,6 +27,7 @@ from ramify.invariants import (
     Z_GROUP,
     CheckResult,
     _require_samples,
+    _sampled,
     build_report,
     ideal_i_sigma,
     refined_swan,
@@ -737,66 +738,92 @@ def _pirreducible(f, p):
     return True
 
 
-# -- the norm checks at one rung ----------------------------------------------------
+# -- the sampled norm checks --------------------------------------------------------
 # ``invariants.check_norm_additivity`` and ``check_diagram_commutativity`` as
-# they were when every trial took each norm on the untruncated samples.
+# they were when each drew integral samples and decided every trial at a low
+# rung first, before both were decided exactly on the generators of B.
 
 
-def single_rung_norm_additivity(ext, samples=100, seed=0):
+def _low_rung_first(decide, low, full):
+    """``decide(*low)``, operands truncated at a low rung, else ``decide(*full)``.
+
+    Truncation only forgets knowledge: every coefficient known from the
+    truncated operands equals the one known from the full ones, so a
+    verdict reached on ``low`` is the full verdict.  Only a decision
+    that raises InsufficientPrecision on ``low``, when truncation forgot
+    something (``low != full``), is taken again on ``full``, and that
+    verdict or exception stands."""
+    try:
+        return decide(*low)
+    except InsufficientPrecision:
+        if low == full:
+            raise
+        return decide(*full)
+
+
+def _additivity_rule(x, y, bound):
+    """Whether N(x+y) - N(x) - N(y) lies in the cut ``bound`` of A."""
+    return series_in_cut((x + y).norm() - x.norm() - y.norm(), bound)
+
+
+def sampled_norm_additivity(ext, samples=100, seed=0):
     """The norm is additive on B modulo the contraction of the
-    difference ideal to A."""
+    difference ideal to A, on random integral x and y.  Each trial is
+    decided on x and y truncated at least(bound) + (p-1)*swan//p + 2
+    before the untruncated ones."""
     _require_samples(samples)
-    rng = random.Random(seed)
     bound = restrict_cut(ideal_i_sigma(ext), Z_GROUP)
-    for trial in range(samples):
+    rung = int(bound.value) + (ext.p - 1) * int(ext.swan) // ext.p + 2
+
+    def trial(rng, i):
         x = integral_sample(ext, rng)
         y = integral_sample(ext, rng)
-        diff = (x + y).norm() - x.norm() - y.norm()
-        if not series_in_cut(diff, bound):
-            return CheckResult(
-                "norm_additivity", False,
-                {"trial": trial, "x": str(x), "y": str(y)},
-            )
-    return CheckResult("norm_additivity", True, {"samples": samples, "bound": bound})
+        ok = _low_rung_first(
+            lambda x, y: _additivity_rule(x, y, bound),
+            (x.truncate(rung), y.truncate(rung)), (x, y),
+        )
+        return None if ok else {"trial": i, "x": str(x), "y": str(y)}
+
+    return _sampled("norm_additivity", samples, seed, trial, {"samples": samples, "bound": bound})
 
 
-def single_rung_diagram_commutativity(ext, samples=100, seed=0):
+def _diagram_face(b, log_gen, f, inv_f, form):
+    """The first face of the square that b breaks, or None: N(b*log_gen)
+    = N(b)/f mod H^2, then the form of N(b)/f = N(b) dlog f mod its modulus."""
+    nb = b.norm()
+    nz = (b * log_gen).norm()
+    if not series_in_cut(nz - nb * inv_f, Cut.at_least(2 * b.ext.swan, Z_GROUP)):
+        return "norm"
+    scalar = nz * f - nb
+    if not series_in_cut(scalar * form.dlog_t, form.modulus):
+        return "dlog_t"
+    if form.du is not None and not series_in_cut(scalar * form.du, form.modulus):
+        return "du"
+    return None
+
+
+def sampled_diagram_commutativity(ext, samples=100, seed=0):
     """Both compositions around the square agree on random integral b:
     the normed logarithmic class of b matches the differential-form
-    class of its norm, modulo the squared ideals."""
+    class of its norm, modulo the squared ideals.  Each trial is decided
+    on b truncated at 2*swan + 2 before the untruncated b."""
     _require_samples(samples)
     ext = integral_basis(ext).ext
-    rng = random.Random(seed)
     f = ext.best.f_best
-    n = int(ext.swan)
     form = refined_swan(ext)
     inv_f = ext.inverse_f_best()
     alpha = ext.alpha()
     log_gen = alpha.sigma(1) * ext.inverse_alpha() - 1  # sigma(alpha)/alpha - 1
-    h_squared = Cut.at_least(2 * n, Z_GROUP)
-    for trial in range(samples):
+    rung = 2 * int(ext.swan) + 2
+
+    def trial(rng, i):
         b = integral_sample(ext, rng)
-        nb = b.norm()
-        nz = (b * log_gen).norm()
-        # right-hand face: N(b * (sigma(alpha)/alpha - 1)) = N(b)/f in H/H^2
-        if not series_in_cut(nz - nb * inv_f, h_squared):
-            return CheckResult(
-                "diagram_commutativity", False,
-                {"trial": trial, "face": "norm", "b": str(b)},
-            )
-        # bottom face: the form of N(b)/f equals N(b) dlog f mod the modulus
-        scalar = nz * f - nb
-        if not series_in_cut(scalar * form.dlog_t, form.modulus):
-            return CheckResult(
-                "diagram_commutativity", False,
-                {"trial": trial, "face": "dlog_t", "b": str(b)},
-            )
-        if form.du is not None and not series_in_cut(scalar * form.du, form.modulus):
-            return CheckResult(
-                "diagram_commutativity", False,
-                {"trial": trial, "face": "du", "b": str(b)},
-            )
-    return CheckResult("diagram_commutativity", True, {"samples": samples})
+        face = _low_rung_first(
+            lambda b: _diagram_face(b, log_gen, f, inv_f, form), (b.truncate(rung),), (b,)
+        )
+        return None if face is None else {"trial": i, "face": face, "b": str(b)}
+
+    return _sampled("diagram_commutativity", samples, seed, trial, {"samples": samples})
 
 
 # -- the stability check with its own loop ------------------------------------------

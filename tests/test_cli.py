@@ -221,12 +221,16 @@ def test_analyze_bad_input_exit_two(capsys):
 
 def test_analyze_insufficient_precision_exit_three(capsys):
     code, out = run_cli(
-        ["analyze", "--field", "Fp:3", "--f", "t^-9", "--prec", "1", "--trials", "5"],
+        ["analyze", "--field", "Fp:2", "--f", "t^-5", "--prec", "4", "--trials", "5"],
         capsys,
     )
-    # the invariant pipeline needs more than one known coefficient here
+    # the diagram check needs N(1/alpha) below t^(2n) = t^10, and --prec
+    # below n = 5 leaves it known below t^(prec + n) = t^9
     assert code == 3
-    assert "raise --prec" in out
+    assert out == (
+        "error: membership in {v >= 10} needs knowledge below t^10, "
+        "series known below t^9 (raise --prec)\n"
+    )
 
 
 def test_l_arithmetic_keeps_the_precision_its_operands_determine(capsys):

@@ -62,13 +62,16 @@ CASES = {
     "analyze-F3-text": _analyze("Fp:3", "2*t^-5 + t^-1 + t^-6 - t^-2 + 2*t^4", fmt="text"),
     "tower-q9-text-csv": _tower(3, 2, 9, fmt="text") + ["--csv", CSV],
     # p = 7: the O(2^p p) norm and the discriminant of the trace form;
-    # then a low precision that suffices, and one too low for a verifier
-    # (exit 3 and its message)
+    # then two low precisions that suffice
     "analyze-F7": _analyze("Fp:7", "t^-1", prec=36, trials=1),
     "analyze-F7-prec12": ["analyze", "--field", "Fp:7", "--f", "t^-1",
                           "--prec", "12", "--trials", "1", "--seed", "1"],
-    "analyze-F7-prec1-exit3": ["analyze", "--field", "Fp:7", "--f", "t^-1",
-                               "--prec", "1", "--trials", "1", "--seed", "1"],
+    "analyze-F7-prec1": ["analyze", "--field", "Fp:7", "--f", "t^-1",
+                         "--prec", "1", "--trials", "1", "--seed", "1"],
+    # --prec below the Swan conductor n: the diagram check needs N(1/alpha)
+    # below t^(2n), known below t^(prec + n) (exit 3 and its message)
+    "analyze-F2-prec4-exit3": ["analyze", "--field", "Fp:2", "--f", "t^-5",
+                               "--prec", "4", "--trials", "1", "--seed", "1"],
 }
 
 

@@ -1,11 +1,12 @@
 import importlib.util
+import math
 import random
 import sys
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from ramify import extension, invariants, selftest
 from ramify.errors import (
@@ -25,6 +26,7 @@ from ramify.extension import (
 )
 from ramify.fields import FieldSpec, is_pth_power
 from ramify.invariants import (
+    CheckResult,
     boundary_generator,
     build_report,
     check_diagram_commutativity,
@@ -55,9 +57,9 @@ from oracles import (
     hand_loop_refined_swan_stability,
     lefschetz_minimum,
     report_principality_chain,
+    sampled_diagram_commutativity,
+    sampled_norm_additivity,
     scan_traces,
-    single_rung_diagram_commutativity,
-    single_rung_norm_additivity,
     table_trace_dual_cut,
     tower_fields_principality_chain,
     trace_of_product,
@@ -184,7 +186,7 @@ def test_unramified_extension_is_the_gamma_one_case(spec, text):
     assert check_difference_product_rules(ext).ok
     assert all(principality_chain(ext).values())
     with pytest.raises(SwanZero):
-        check_diagram_commutativity(ext, samples=1)
+        check_diagram_commutativity(ext)
 
 
 def test_refined_swan_wild():
@@ -409,8 +411,7 @@ def test_the_trace_form_is_anti_triangular(monkeypatch, ext):
     det = real_laplace(cols)[0]
     assert gram == Cut.at_least(det.valuation() / ext.p, value_group_of_l(ext))
     monkeypatch.setattr(extension, "_laplace", no_call)
-    for module in (extension, invariants):
-        monkeypatch.setattr(module, "integral_sample", no_call)
+    monkeypatch.setattr(extension, "integral_sample", no_call)
     assert trace_dual_cut(ext) == gram
     p = ext.p
     field = ext.field
@@ -430,8 +431,20 @@ def test_the_trace_form_is_anti_triangular(monkeypatch, ext):
 
 
 def test_norm_additivity_grid():
-    for ext in GRID[:4]:
-        assert check_norm_additivity(ext, samples=40, seed=2).ok
+    """Tr(B) = t^(A_(p-1)) * A, read off the top cut of the shape, lies in
+    I_sigma & A on every grid extension; the engine's traces of the
+    generators agree: Tr(g_(p-1)) has valuation A_(p-1), and every other
+    Tr(g_k) is zero on its known range."""
+    for ext in GRID:
+        result = check_norm_additivity(ext)
+        assert result.ok, result.detail
+        e_top = int(integral_basis(ext).cuts[-1].value)
+        assert result.detail == {
+            "bound": restrict_cut(ideal_i_sigma(ext), Z), "trace": Cut.at_least(e_top, Z),
+        }
+        *low, top = (g.trace() for g in ext.integral_generators())
+        assert top.valuation() == e_top
+        assert all(tr.is_zero_known() for tr in low)
 
 
 def test_diagram_unit_case():
@@ -446,8 +459,56 @@ def test_diagram_unit_case():
 
 
 def test_diagram_grid():
-    for ext in (ext_of(F3, -2), ext_of(F2u, -2, F2u.generator())):
-        assert check_diagram_commutativity(ext, samples=50, seed=6).ok
+    for ext in GRID:
+        result = check_diagram_commutativity(ext)
+        assert result.ok, result.detail
+        assert result.detail == {
+            "h_squared": Cut.at_least(2 * ext.swan, Z), "modulus": rsw_modulus(ext),
+        }
+
+
+@pytest.mark.parametrize("make", [
+    lambda: ext_of(F3, -2),
+    lambda: ext_of(F5, -2, prec=24),
+    lambda: ext_of(F3u, -3, F3u.generator()),
+], ids=["wild-Fp3", "wild-Fp5", "ferocious-Fp(u)3"])
+@pytest.mark.parametrize("offset, ok", [(-1, False), (0, True)], ids=["below", "at"])
+def test_a_moved_top_cut_fails_norm_additivity(monkeypatch, make, offset, ok):
+    """A mutant shape of B with A_(p-1) at least(I_sigma & A) + offset,
+    the other cuts and i_star kept, has Tr(B) = t^(A_(p-1)) * A: one
+    below I_sigma & A fails the additivity check, at it passes.  i_star
+    is not p - 1 here, so the mutant leaves I_sigma as it was.  The shape
+    is memoised, so the mutant is read by a fresh extension."""
+    real_shape = extension._shape
+
+    def moved(kind, p, v0):
+        group, cuts, i_star = real_shape(kind, p, v0)
+        least = math.ceil(cuts[i_star].value + (1 - i_star) * v0)
+        return group, cuts[:-1] + (Cut.at_least(least + offset, Z),), i_star
+
+    monkeypatch.setattr(extension, "_shape", moved)
+    ext = make()
+    assert integral_basis(ext).i_star != ext.p - 1
+    bound = restrict_cut(ideal_i_sigma(ext), Z)
+    result = check_norm_additivity(ext)
+    assert result.ok is ok
+    assert result.detail == {"bound": bound, "trace": Cut.at_least(bound.value + offset, Z)}
+
+
+@pytest.mark.parametrize("ext", GRID, ids=lambda ext: f"p{ext.p}-{ext.f}")
+def test_a_perturbed_norm_of_one_over_alpha_fails_the_diagram(ext):
+    """N(1/alpha) moved by t^(2n - 1) breaks the norm face of the square;
+    moved by t^(2n), inside H^2, every face still holds.  The perturbed
+    value is put into the memo of a fresh extension."""
+    n = int(ext.swan)
+    real = ext.norm_inverse_alpha()
+    for e, ok in ((2 * n - 1, False), (2 * n, True)):
+        fresh = ASExtension(ext.field, ext.f)
+        assert real.prec > e
+        fresh._cache["norm_inverse_alpha"] = real + mono(ext.field, e, 1, real.prec)
+        result = check_diagram_commutativity(fresh)
+        assert result.ok is ok
+        assert result.detail.get("face") == (None if ok else "norm")
 
 
 def test_difference_product_rules():
@@ -587,6 +648,30 @@ def test_sigma_is_a_ring_homomorphism_on_l(case, n, prec, data):
     assert (x + y).sigma(k).agrees_with(x.sigma(k) + y.sigma(k))
 
 
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(RING_FIELDS), st.integers(1, 5), st.integers(1, 24), st.integers(0, 2**32))
+def test_the_norm_is_additive_modulo_the_trace_of_b(case, n, prec, seed):
+    """On the fields of the selftest grid, for integral x and y,
+    N(x + y) - N(x) - N(y) lies in Tr(B) = t^(A_(p-1)) * A on its known
+    range, and N(b/alpha) agrees with N(b) * N(1/alpha): the engine
+    consistency that the sampled norm checks exercised."""
+    p, kind = case
+    field = FieldSpec.rational(p) if kind else FieldSpec.finite(p)
+    rng = random.Random(seed)
+    ext = pole_extension(field, rng, n, prec)
+    assume(ext.classification() is not RamificationType.TRIVIAL)
+    basis = integral_basis(ext)
+    ext = basis.ext
+    x, y, b = (integral_sample(ext, rng) for _ in range(3))
+    mixed = (x + y).norm() - x.norm() - y.norm()
+    assert mixed.truncate(int(basis.cuts[-1].value)).is_zero_known()
+    try:
+        inverse_alpha = ext.inverse_alpha()
+    except InsufficientPrecision:  # N(alpha) = f is known too short to invert
+        return
+    assert (b * inverse_alpha).norm().agrees_with(b.norm() * ext.norm_inverse_alpha())
+
+
 NORM_FIELDS = tuple(
     parse_field_spec(spec)
     for spec in (
@@ -600,64 +685,56 @@ NORM_FIELDS = tuple(
     st.sampled_from(NORM_FIELDS), st.integers(0, 2**32), st.integers(1, 7),
     st.integers(4, 36), st.integers(1, 3), st.integers(0, 2**31),
 )
-def test_norm_checks_match_the_single_rung_checks(field, draw, n, prec, samples, seed):
-    """Deciding each norm check on truncated samples first gives the
-    check's old result, or its old exception and message; at a low
-    ``prec`` the low rung of some draws raises.  The stability check,
+def test_norm_checks_match_the_sampled_oracles(field, draw, n, prec, samples, seed):
+    """Where the sampled oracle of a norm check decides, the exact check
+    gives its verdict, or raises what the oracle raised; where the exact
+    check cannot decide, neither could the oracle.  The stability check,
     its trials run by ``invariants._sampled``, matches its own old loop."""
     ext = pole_extension(field, random.Random(draw), n, prec)
     for check, oracle in (
-        (check_norm_additivity, single_rung_norm_additivity),
-        (check_diagram_commutativity, single_rung_diagram_commutativity),
-        (check_refined_swan_stability, hand_loop_refined_swan_stability),
+        (check_norm_additivity, sampled_norm_additivity),
+        (check_diagram_commutativity, sampled_diagram_commutativity),
     ):
-        assert rule_outcome(check, ext, samples, seed) == rule_outcome(oracle, ext, samples, seed)
+        got = exact_outcome(check, ext)
+        want = rule_outcome(oracle, ext, samples, seed)
+        if isinstance(want, CheckResult):
+            assert isinstance(got, CheckResult) and got.ok == want.ok
+        elif want[0] is InsufficientPrecision:
+            assert isinstance(got, CheckResult) or got[0] is InsufficientPrecision
+        else:
+            assert got == want
+    assert rule_outcome(check_refined_swan_stability, ext, samples, seed) == rule_outcome(
+        hand_loop_refined_swan_stability, ext, samples, seed)
 
 
-def norm_rungs(ext):
-    """The low rungs of the additivity and the diagram check."""
-    p, n = ext.p, int(ext.swan)
-    least = int(restrict_cut(ideal_i_sigma(ext), Z).value)
-    return least + (p - 1) * n // p + 2, 2 * n + 2
+def exact_outcome(check, ext):
+    """The exact check's result, or the type and message of what it raised."""
+    try:
+        return check(ext)
+    except RamifyError as exc:
+        return type(exc), str(exc)
 
 
-def undecided_low_rung(monkeypatch, name, arity):
-    """Make every other call of the named decide function (the low rung
-    of each trial) raise; returns the operand tuples of all its calls."""
-    rule = getattr(invariants, name)
-    calls = []
-
-    def undecided_at_odd_calls(*args):
-        calls.append(args[:arity])
-        if len(calls) % 2:
-            raise InsufficientPrecision("forced")
-        return rule(*args)
-
-    monkeypatch.setattr(invariants, name, undecided_at_odd_calls)
-    return calls
-
-
-@pytest.mark.parametrize("ext", [ext_of(F3, -2), ext_of(F2u, -2, F2u.generator()), ext_of(F5, -3)])
-def test_an_undecided_low_rung_decides_each_norm_check_on_the_full_samples(monkeypatch, ext):
-    add_rung, diagram_rung = norm_rungs(ext)
-    rng = random.Random(7)
-    samples = [integral_sample(ext, rng) for _ in range(6)]
-    for check, oracle, name, rung, arity in (
-        (check_norm_additivity, single_rung_norm_additivity, "_additivity_rule", add_rung, 2),
-        (check_diagram_commutativity, single_rung_diagram_commutativity, "_diagram_face",
-         diagram_rung, 1),
-    ):
-        calls = undecided_low_rung(monkeypatch, name, arity)
-        assert check(ext, 3, 7) == oracle(ext, 3, 7)
-        # per trial, the samples at the low rung, then the untruncated ones
-        full = [tuple(samples[i:i + arity]) for i in range(0, 3 * arity, arity)]
-        assert calls[1::2] == full
-        assert calls[0::2] == [tuple(x.truncate(rung) for x in xs) for xs in full]
-        assert calls[0::2] != full
+@pytest.mark.parametrize("workload", ["wild_small_p", "wild_large_p", "ferocious_fpu"])
+def test_the_benchmark_norm_checks_match_the_sampled_oracles(monkeypatch, workload):
+    """On every analyze configuration of seeds 1-3, the sampled norm
+    checks decide at the configuration's trials and seed, and the exact
+    checks give their verdicts."""
+    for seed in (1, 2, 3):
+        for argv in analyze_configs(monkeypatch, workload, seed):
+            args = dict(zip(argv[1::2], argv[2::2]))
+            field = parse_field_spec(args["--field"])
+            ext = ASExtension(field, parse_series(args["--f"], field, int(args["--prec"])))
+            trials, verifier_seed = int(args["--trials"]), int(args["--seed"])
+            for check, oracle in (
+                (check_norm_additivity, sampled_norm_additivity),
+                (check_diagram_commutativity, sampled_diagram_commutativity),
+            ):
+                assert check(ext).ok == oracle(ext, trials, verifier_seed).ok, argv
 
 
-# the low_prec run of tools/output_digest.py in which the diagram check
-# cannot decide at either rung (CI pins its exit code 3 and its message)
+# the low_prec run of tools/output_digest.py in which the sampled diagram
+# check could decide at neither rung (CI pinned its exit code 3)
 DIAGRAM_RUNGS_RAISE = (
     "Fp:2",
     "(1)*t^-7 + (1)*t^-1 + (1)*t^1 + (1)*t^4 + (1)*t^9 + (1)^2*t^-4 - (1)*t^-2"
@@ -666,50 +743,19 @@ DIAGRAM_RUNGS_RAISE = (
 )
 
 
-def test_an_undecided_diagram_check_raises_the_single_rung_error(monkeypatch):
+def test_the_exact_diagram_check_decides_where_the_sampled_one_raised():
+    """The sampled check needed N(b/alpha) - N(b)/f below t^14 and knew
+    it below t^8; at b = 1 the check needs N(1/alpha) below t^(2n) = t^14,
+    which the engine knows below prec + n = 15."""
     spec, f, prec, samples, seed = DIAGRAM_RUNGS_RAISE
     field = parse_field_spec(spec)
     ext = ASExtension(field, parse_series(f, field, prec))
-    want = rule_outcome(single_rung_diagram_commutativity, ext, samples, seed)
-    assert want == (
+    assert rule_outcome(sampled_diagram_commutativity, ext, samples, seed) == (
         InsufficientPrecision,
         "membership in {v >= 14} needs knowledge below t^14, series known below t^8",
     )
-    face = invariants._diagram_face
-    calls = []
-
-    def counted(b, *args):
-        calls.append(b)
-        return face(b, *args)
-
-    monkeypatch.setattr(invariants, "_diagram_face", counted)
-    assert rule_outcome(check_diagram_commutativity, ext, samples, seed) == want
-    # b is known below t^8, under the rung 2*7 + 2: truncation forgot
-    # nothing, so the undecided trial is not decided again
-    assert len(calls) == 1
-
-
-@pytest.mark.parametrize("workload", ["wild_small_p", "wild_large_p", "ferocious_fpu"])
-def test_the_low_rung_decides_every_benchmark_norm_trial(monkeypatch, workload):
-    calls = []
-    for name in ("_additivity_rule", "_diagram_face"):
-        rule = getattr(invariants, name)
-
-        def counted(*args, rule=rule, name=name):
-            calls.append(name)
-            return rule(*args)
-
-        monkeypatch.setattr(invariants, name, counted)
-    for argv in analyze_configs(monkeypatch, workload, 1):
-        args = dict(zip(argv[1::2], argv[2::2]))
-        field = parse_field_spec(args["--field"])
-        ext = ASExtension(field, parse_series(args["--f"], field, int(args["--prec"])))
-        trials, seed = int(args["--trials"]), int(args["--seed"])
-        calls.clear()
-        assert check_norm_additivity(ext, trials, seed).ok
-        assert check_diagram_commutativity(ext, trials, seed).ok
-        # one call per trial: no trial reached the untruncated samples
-        assert calls == ["_additivity_rule"] * trials + ["_diagram_face"] * trials
+    assert ext.norm_inverse_alpha().prec == prec + int(ext.swan) == 15
+    assert check_diagram_commutativity(ext).ok
 
 
 def verdicts(*values):
@@ -726,49 +772,52 @@ def stability_shift(ext, rng):
 
 E3 = ext_of(F3, -2, prec=64)
 E2U = ext_of(F2u, -2, F2u.generator())
-PASS3 = (True,) * 3  # one passing diagram trial over F2(u) reads three faces
 
 
 @pytest.mark.parametrize(
-    "check, ext, patches, draws, detail",
+    "check, ext, args, patch, draws, detail",
     [
         pytest.param(
-            check_norm_additivity, E3, [(invariants, "_additivity_rule", (True, False))],
-            (integral_sample, integral_sample),
-            lambda x, y: [("trial", 1), ("x", str(x)), ("y", str(y))],
+            check_norm_additivity, E3, (),
+            ("ideal_i_sigma", lambda ext: Cut.at_least(3, value_group_of_l(ext))), (),
+            lambda: [("bound", Cut.at_least(3, Z)), ("trace", Cut.at_least(2, Z))],
             id="additivity",
         ),
         *(
             pytest.param(
-                check_diagram_commutativity, E2U,
-                [(invariants, "series_in_cut", PASS3 + (True,) * k + (False,))],
-                (integral_sample,),
-                lambda b, face=face: [("trial", 1), ("face", face), ("b", str(b))],
+                check_diagram_commutativity, E2U, (),
+                ("series_in_cut", (True,) * k + (False,)), (),
+                lambda face=face: [
+                    ("h_squared", Cut.at_least(4, Z)), ("modulus", Cut.at_least(1, Z)),
+                    ("face", face),
+                ],
                 id=f"diagram-{face}",
             )
             for k, face in enumerate(("norm", "dlog_t", "du"))
         ),
         pytest.param(
-            check_refined_swan_stability, E3, [(invariants, "series_in_cut", (True, False))],
+            check_refined_swan_stability, E3, (4, 5), ("series_in_cut", (True, False)),
             (stability_shift,), lambda a: [("witness", str(a)), ("trial", 1)],
             id="stability-trial",
         ),
     ],
 )
-def test_a_failing_trial_reports_its_witness(monkeypatch, check, ext, patches, draws, detail):
-    """Each failure branch of the three sampled checks, forced at trial 1,
-    reports today's keys in today's order, with the samples of that
-    trial replayed from the seed.  A tuple of verdicts stands in for a
-    decision, a function for a draw."""
-    for owner, name, stand_in in patches:
-        if isinstance(stand_in, tuple):
-            stand_in = verdicts(*stand_in)
-        monkeypatch.setattr(owner, name, stand_in)
+def test_a_failing_trial_reports_its_witness(monkeypatch, check, ext, args, patch, draws, detail):
+    """Each failure branch, forced by a stand-in in ``invariants``,
+    reports today's keys in today's order: the additivity check its two
+    cuts when I_sigma is raised past Tr(B), the diagram check its cuts
+    and the first face whose ``series_in_cut`` verdict is False, and the
+    sampled stability check, failing at trial 1, its shift replayed
+    from the seed.  A tuple of verdicts stands in for a decision."""
+    name, stand_in = patch
+    if isinstance(stand_in, tuple):
+        stand_in = verdicts(*stand_in)
+    monkeypatch.setattr(invariants, name, stand_in)
     rng = random.Random(5)
     sample_ext = integral_basis(ext).ext
     for _ in range(2):
         drawn = [draw(sample_ext, rng) for draw in draws]
-    result = check(ext, 4, 5)
+    result = check(ext, *args)
     assert not result.ok
     assert list(result.detail.items()) == detail(*drawn)
 
@@ -776,19 +825,18 @@ def test_a_failing_trial_reports_its_witness(monkeypatch, check, ext, patches, d
 @pytest.mark.parametrize("samples", [0, -1])
 def test_no_check_runs_on_fewer_than_one_sample(samples):
     """A sample count below one is refused before anything else is
-    decided, even where the extension would raise SwanZero or
-    TrivialExtension, so no verifier passes on zero samples."""
+    decided, even where the extension would raise SwanZero, and by
+    ``build_report`` even for a trivial extension, so no verifier
+    passes on zero samples."""
     unramified = ext_of(F2, 0)  # f = 1: swan 0
     trivial = ext_of(F2, 1)  # f = t
-    with pytest.raises(SwanZero):
-        check_refined_swan_stability(unramified, samples=1)
-    with pytest.raises(TrivialExtension):
-        check_norm_additivity(trivial, 1)
-    with pytest.raises(InvalidSpec):
-        check_refined_swan_stability(unramified, samples=samples)
-    for check in (check_norm_additivity, check_diagram_commutativity, build_report):
+    for ext in (unramified, trivial):
+        with pytest.raises(SwanZero):
+            check_refined_swan_stability(ext, samples=1)
         with pytest.raises(InvalidSpec):
-            check(trivial, samples)
+            check_refined_swan_stability(ext, samples=samples)
+    with pytest.raises(InvalidSpec):
+        build_report(trivial, samples)
 
 
 def test_ideal_chain_h_in_iota_in_i_sigma():
@@ -920,6 +968,35 @@ def test_report_builds_the_refined_form_once(monkeypatch, field_spec, f):
     assert sum(s == f_best for s in derived) == 1
     assert refined_swan(ext) is refined_swan(ext.with_best_f()) is rep.rsw
     assert sum(s == f_best for s in derived) == 1
+
+
+@pytest.mark.parametrize("field_spec, f", [
+    ("Fp:3", "t^-9 + 2*t^-3 + t^-2 + t"),
+    ("Fp(u):2", "u^2*t^-4 + u*t^-3 + t"),
+    ("Fp:2", "1 + t"),
+])
+def test_a_report_expands_two_determinants(monkeypatch, field_spec, f):
+    """A report runs two Laplace expansions, both on the reduced
+    presentation: 1/alpha, and the norm of 1/alpha, which the norm-ideal
+    identity and the diagram check read from one memo."""
+    field = parse_field_spec(field_spec)
+    ext = ASExtension(field, parse_series(f, field, 24))
+    expanded = []
+    laplace = extension._laplace
+
+    def counted(cols):
+        expanded.append(cols)
+        return laplace(cols)
+
+    monkeypatch.setattr(extension, "_laplace", counted)
+    rep = build_report(ext, samples=3)
+    assert rep.all_checks_pass()
+    assert len(expanded) == 2
+    reduced = ext.with_best_f()
+    assert expanded[0] == reduced.alpha().columns()
+    assert expanded[1] == reduced.inverse_alpha().columns()
+    assert ext.norm_inverse_alpha() is reduced.norm_inverse_alpha()
+    assert len(expanded) == 2
 
 
 def test_e_f_defect_product():

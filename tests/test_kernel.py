@@ -348,6 +348,17 @@ def test_dot_mixing_empty_and_live_operands_matches_product_chain(field, seed, c
     assert same(truncated(dot(pairs), prec), chain_dot(pairs, prec))
 
 
+@settings(max_examples=150, deadline=None)
+@given(fields, seeds, st.integers(1, 6), st.integers(-10, 14))
+def test_a_capped_dot_is_the_truncated_dot(field, seed, count, cap):
+    """``dot(pairs, cap)`` is ``dot(pairs).truncate(cap)`` in value and
+    ``prec``, with live and empty operands, a cap below, inside and
+    above the product's known range."""
+    rng = random.Random(seed)
+    pairs = with_empty_operands(field, rng, count)
+    assert same(dot(pairs, cap), dot(pairs).truncate(cap))
+
+
 @settings(max_examples=80, deadline=None)
 @given(fields, seeds, st.integers(1, 4), st.one_of(st.none(), st.integers(-10, 14)))
 def test_dot_of_empty_pairs_only_keeps_their_bound(field, seed, count, prec):
