@@ -226,9 +226,9 @@ class ASExtension:
         return LElement(self, powers[i])
 
     def integral_generators(self):
-        """The generators of B that ``integral_sample`` draws from, as
-        elements of the reduced presentation ``with_best_f()`` whatever
-        presentation is asked: the ``generators()`` of the record
+        """The generators g_k of B = sum_k A * g_k, as elements of the
+        reduced presentation ``with_best_f()`` whatever presentation is
+        asked: the ``generators()`` of the record
         ``integral_basis(self)``, memoised on the reduced extension."""
         basis = integral_basis(self)
         ext = basis.ext
@@ -243,6 +243,14 @@ class ASExtension:
         ``with_best_f()`` whatever presentation is asked."""
         ext = self.with_best_f()
         return ext._memo("norm_inverse_alpha", lambda: ext.inverse_alpha().norm())
+
+    def norm_inverse_alpha_times_f(self):
+        """N(1/alpha) * f_best as a series, memoised on the reduced
+        presentation ``with_best_f()`` whatever presentation is asked."""
+        ext = self.with_best_f()
+        return ext._memo(
+            "norm_inverse_alpha_times_f", lambda: ext.norm_inverse_alpha() * ext.best.f_best
+        )
 
     def inverse_f_best(self):
         """1/f_best as a series, memoised on the reduced presentation
@@ -632,42 +640,4 @@ class DifferenceOperators:
     def apply(self, i, x):
         """D_i(x), the last entry of ``chain(x, i)``."""
         return self.chain(x, i)[i]
-
-
-def integral_sample(ext, rng, span=2, terms=2):
-    """A random integral element of the reduced presentation, built
-    from the shape of B: the extension is that of the generators
-    ``ext.integral_generators()`` it draws from.
-
-    Each generator draws up to ``terms`` monomials t^e (0 <= e <=
-    ``span``) into a series s known below f's precision; coordinate j
-    of the sample is one ``dot`` of the pairs (g_j, s), which is the
-    chain ``g0*s0 + g1*s1 + ...`` in value and ``prec``.  A sample that
-    is zero on its known range is replaced by one generator drawn at
-    random.  A draw whose products all lie at or above f's precision
-    is kept when its coordinates are known far enough to show one of
-    them; a start bound at f's precision would have replaced it.  That
-    happens only when f's precision is within reach of the drawn
-    exponents, as at ``--prec`` 1 or 2."""
-    gens = ext.integral_generators()
-    ext = gens[0].ext
-    field = ext.field
-    prec = ext.f.prec
-    drawn = []
-    for g in gens:
-        picks = {}
-        for _ in range(terms):
-            e = rng.randrange(0, span + 1)
-            c = field.sample_point(rng, max_degree=1)
-            if not c.is_zero():
-                picks[e] = c
-        if picks:
-            drawn.append((g, LaurentSeries(field, picks, prec)))
-    if drawn:
-        x = LElement(ext, tuple(
-            dot([(g.coeffs[j], s) for g, s in drawn]) for j in range(ext.p)
-        ))
-        if not x.is_zero_known():
-            return x
-    return gens[rng.randrange(len(gens))]
 

@@ -188,19 +188,19 @@ def _sampled(name, samples, seed, trial, evidence):
 
 def check_norm_ideal_identity(ext):
     """Exact comparison of the norm ideal of J with H, together with the
-    generator identity: the norm of 1/alpha times best f is a sign."""
+    generator identity: the norm of 1/alpha times best f is 1.
+
+    alpha is a root of T^p - T - f, so N(alpha) = (-1)^(p+1) * f, which
+    is f for every p (at p = 2, -1 = 1 in characteristic 2).  So
+    N(1/alpha) * f is 1 on its known range, and ``generator_sign`` is 1
+    when that range reaches t^0 (``prec >= 1``), else None."""
     ext = ext.with_best_f()
     h = ideal_h(ext)
     nj = norm_of_j(ext)
     cuts_equal = h == nj
-    n_inv_alpha = ext.norm_inverse_alpha()
-    product = n_inv_alpha * ext.best.f_best
+    product = ext.norm_inverse_alpha_times_f()
     one = LaurentSeries.one(ext.field, product.prec)
-    sign = None
-    if (product - one).is_zero_known() and product.prec >= 1:
-        sign = 1
-    elif (product + one).is_zero_known() and product.prec >= 1:
-        sign = -1
+    sign = 1 if (product - one).is_zero_known() and product.prec >= 1 else None
     ok = cuts_equal and sign is not None
     return CheckResult(
         "norm_ideal_identity",
@@ -289,22 +289,24 @@ def check_diagram_commutativity(ext):
     Each face is N(b) times its value at b = 1, and v(N(b)) >= 0 on B,
     so each holds for every b in B exactly when it holds at b = 1:
     N(1/alpha) - 1/f in H^2, and (N(1/alpha) * f - 1) * dlog f in the
-    modulus.  N(1/alpha) is the memo ``check_norm_ideal_identity``
-    reads.  The check reports H^2 and the modulus, and on a failure
-    the first face that broke."""
+    modulus.  N(1/alpha) and N(1/alpha) * f are the memos
+    ``check_norm_ideal_identity`` reads.  Membership in the modulus, a
+    closed cut at an integer, reads only the exponents below it, so the
+    form faces stop there.  The check reports H^2 and the modulus, and
+    on a failure the first face that broke."""
     ext = integral_basis(ext).ext
     form = refined_swan(ext)
     h_squared = Cut.at_least(2 * ext.swan, Z_GROUP)
     detail = {"h_squared": h_squared, "modulus": form.modulus}
-    n_inv_alpha = ext.norm_inverse_alpha()
-    if not series_in_cut(n_inv_alpha - ext.inverse_f_best(), h_squared):
+    if not series_in_cut(ext.norm_inverse_alpha() - ext.inverse_f_best(), h_squared):
         detail["face"] = "norm"
     else:
-        scalar = n_inv_alpha * ext.best.f_best - 1
-        if not series_in_cut(scalar * form.dlog_t, form.modulus):
-            detail["face"] = "dlog_t"
-        elif form.du is not None and not series_in_cut(scalar * form.du, form.modulus):
-            detail["face"] = "du"
+        scalar = ext.norm_inverse_alpha_times_f() - 1
+        cap = int(form.modulus.value)
+        for face, part in (("dlog_t", form.dlog_t), ("du", form.du)):
+            if part is not None and not series_in_cut(dot(((scalar, part),), cap), form.modulus):
+                detail["face"] = face
+                break
     return CheckResult("diagram_commutativity", "face" not in detail, detail)
 
 

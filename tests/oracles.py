@@ -16,10 +16,10 @@ from ramify.errors import (
     ZeroSeries,
 )
 from ramify.extension import (
+    DifferenceOperators,
     LElement,
     _laplace,
     integral_basis,
-    integral_sample,
     reduce_to_best,
 )
 from ramify.fields import _padd, _pgcd, _pmul, _ppow_mod, _prime_divisors, _psub, _trim
@@ -28,6 +28,7 @@ from ramify.invariants import (
     CheckResult,
     _require_samples,
     _sampled,
+    boundary_generator,
     build_report,
     ideal_i_sigma,
     refined_swan,
@@ -367,6 +368,49 @@ def lefschetz_minimum(ext, samples=40, seed=0):
     return best
 
 
+# -- integral samples --------------------------------------------------------------
+# ``extension.integral_sample`` as it was when selftest criterion 8 drew
+# its product-rule samples from it; the tests and oracles still draw from it.
+
+
+def integral_sample(ext, rng, span=2, terms=2):
+    """A random integral element of the reduced presentation, built
+    from the shape of B: the extension is that of the generators
+    ``ext.integral_generators()`` it draws from.
+
+    Each generator draws up to ``terms`` monomials t^e (0 <= e <=
+    ``span``) into a series s known below f's precision; coordinate j
+    of the sample is one ``dot`` of the pairs (g_j, s), which is the
+    chain ``g0*s0 + g1*s1 + ...`` in value and ``prec``.  A sample that
+    is zero on its known range is replaced by one generator drawn at
+    random.  A draw whose products all lie at or above f's precision
+    is kept when its coordinates are known far enough to show one of
+    them; a start bound at f's precision would have replaced it.  That
+    happens only when f's precision is within reach of the drawn
+    exponents, as at ``--prec`` 1 or 2."""
+    gens = ext.integral_generators()
+    ext = gens[0].ext
+    field = ext.field
+    prec = ext.f.prec
+    drawn = []
+    for g in gens:
+        picks = {}
+        for _ in range(terms):
+            e = rng.randrange(0, span + 1)
+            c = field.sample_point(rng, max_degree=1)
+            if not c.is_zero():
+                picks[e] = c
+        if picks:
+            drawn.append((g, LaurentSeries(field, picks, prec)))
+    if drawn:
+        x = LElement(ext, tuple(
+            dot([(g.coeffs[j], s) for g, s in drawn]) for j in range(ext.p)
+        ))
+        if not x.is_zero_known():
+            return x
+    return gens[rng.randrange(len(gens))]
+
+
 # -- unit samples ------------------------------------------------------------------
 # ``extension.unit_sample`` as it was when the sampled product rules drew
 # their units from it; the inverse and norm tests still draw from it.
@@ -462,7 +506,7 @@ def floor_series_in_cut(s, cut):
 
 
 # -- L-arithmetic with f's precision as a start bound ----------------------------
-# ``LElement.__mul__``, ``LElement.sigma`` and ``extension.integral_sample``
+# ``LElement.__mul__``, ``LElement.sigma`` and ``integral_sample`` above
 # as they were when every product coordinate and every sample coordinate
 # started at f's precision, and every coordinate of a conjugate was known
 # below the least precision of all of x's coordinates.
@@ -825,6 +869,55 @@ def sampled_diagram_commutativity(ext, samples=100, seed=0):
 
     return _sampled("diagram_commutativity", samples, seed, trial, {"samples": samples})
 
+
+
+# -- the sampled difference-operator laws -------------------------------------------
+# ``selftest._difference_operator_failure`` as it was when criterion 8 checked
+# the product rule and integrality of the D_i on random integral samples,
+# before both were decided on the generators of B.
+
+
+def sampled_difference_operator_failure(ext, seed, samples=100):
+    """First violated operator law for one extension, or None."""
+    rng = random.Random(seed)
+    b = boundary_generator(ext)
+    bext = b.ext
+    i_value = ideal_i_sigma(ext).value
+    if (b.sigma(1) - b).valuation_coeffwise() != i_value:
+        return "chosen b does not generate the difference ideal"
+    ops = DifferenceOperators(bext, b)
+    one = bext.one()
+    zero = bext.zero()
+    p = bext.p
+    chains = [ops.chain(power) for power in b.powers(p)]  # chains[j][i] = D_i(b^j)
+    conjugates = [b.sigma(j) for j in range(p)]
+    tele = zero
+    for i in range(p):
+        if not chains[i][i].agrees_with(one):
+            return f"D_{i}(b^{i}) != 1"
+        for j in range(i):
+            if not chains[j][i].agrees_with(zero):
+                return f"D_{i}(b^{j}) != 0"
+        tele = tele + conjugates[i]
+        lhs = chains[i + 1][i]
+        if not lhs.agrees_with(tele):
+            return f"D_{i}(b^{i + 1}) != sum of conjugates"
+        if i <= p - 2:
+            step = lhs.sigma(1) - lhs
+            if not step.agrees_with(conjugates[i + 1] - b):
+                return f"difference of D_{i}(b^{i + 1}) is off"
+            if step.valuation_coeffwise() != i_value:
+                return f"D_{i}(b^{i + 1}) difference is not a generator"
+    zero_cut = Cut.at_least(0, ValueGroup.discrete(1))
+    for trial in range(samples):
+        x = integral_sample(bext, rng)
+        d_x, d_xb = ops.chain(x), ops.chain(x * b)
+        for i in range(1, p):
+            if not d_xb[i].agrees_with(conjugates[i] * d_x[i] + d_x[i - 1]):
+                return f"product rule failed at trial {trial}, i={i}"
+            if not d_x[i].in_cut(zero_cut):
+                return f"D_{i} left the integers at trial {trial}"
+    return None
 
 # -- the stability check with its own loop ------------------------------------------
 # ``invariants.check_refined_swan_stability`` as it was when it built its own

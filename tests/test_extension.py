@@ -25,7 +25,6 @@ from ramify.extension import (
     RamificationType,
     classify,
     integral_basis,
-    integral_sample,
     reduce_to_best,
 )
 from ramify.fields import Expr, FieldSpec
@@ -36,6 +35,7 @@ from ramify.series import Cut, LaurentSeries, ValueGroup, dot, random_series
 from oracles import (
     difference_denominators,
     difference_loop,
+    integral_sample,
     is_integral,
     sigma_loop,
     unit_sample,

@@ -22,7 +22,6 @@ from ramify.extension import (
     LElement,
     RamificationType,
     integral_basis,
-    integral_sample,
 )
 from ramify.fields import FieldSpec, is_pth_power
 from ramify.invariants import (
@@ -55,6 +54,7 @@ from oracles import (
     element_trace_dual_cut,
     gram_trace_dual_cut,
     hand_loop_refined_swan_stability,
+    integral_sample,
     lefschetz_minimum,
     report_principality_chain,
     sampled_diagram_commutativity,
@@ -411,7 +411,7 @@ def test_the_trace_form_is_anti_triangular(monkeypatch, ext):
     det = real_laplace(cols)[0]
     assert gram == Cut.at_least(det.valuation() / ext.p, value_group_of_l(ext))
     monkeypatch.setattr(extension, "_laplace", no_call)
-    monkeypatch.setattr(extension, "integral_sample", no_call)
+    monkeypatch.setattr(oracles, "integral_sample", no_call)
     assert trace_dual_cut(ext) == gram
     p = ext.p
     field = ext.field
@@ -996,7 +996,41 @@ def test_a_report_expands_two_determinants(monkeypatch, field_spec, f):
     assert expanded[0] == reduced.alpha().columns()
     assert expanded[1] == reduced.inverse_alpha().columns()
     assert ext.norm_inverse_alpha() is reduced.norm_inverse_alpha()
+    assert ext.norm_inverse_alpha_times_f() is reduced.norm_inverse_alpha_times_f()
     assert len(expanded) == 2
+
+
+@pytest.mark.parametrize("field_spec, f", [
+    ("Fp:3", "t^-9 + 2*t^-3 + t^-2 + t"),
+    ("Fp(u):2", "u^2*t^-4 + u*t^-3 + t"),
+])
+def test_the_diagram_check_reuses_the_product_and_stops_at_the_modulus(
+        monkeypatch, field_spec, f):
+    """Once the norm-ideal identity has run, the diagram check multiplies
+    no series: it reads N(1/alpha) * f from the memo, and each form face
+    is one ``dot`` capped at the modulus."""
+    field = parse_field_spec(field_spec)
+    ext = ASExtension(field, parse_series(f, field, 24))
+    assert check_norm_ideal_identity(ext).ok
+    form = refined_swan(ext)
+    products = []
+    capped = []
+    mul = LaurentSeries.__mul__
+    real_dot = invariants.dot
+
+    def counted_mul(a, b):
+        products.append((a, b))
+        return mul(a, b)
+
+    def counted_dot(pairs, cap=None):
+        capped.append(cap)
+        return real_dot(pairs, cap)
+
+    monkeypatch.setattr(LaurentSeries, "__mul__", counted_mul)
+    monkeypatch.setattr(invariants, "dot", counted_dot)
+    assert check_diagram_commutativity(ext).ok
+    assert products == []
+    assert capped == [int(form.modulus.value)] * (1 if form.du is None else 2)
 
 
 def test_e_f_defect_product():

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from ramify.errors import ExtensionMismatch, InvalidSpec, NotRationalFunctionField, ZeroSeries
-from ramify.extension import ASExtension, LElement, _laplace, integral_sample
+from ramify.extension import ASExtension, LElement, _laplace
 from ramify.fields import FieldSpec, _padd, _pmul, derivative_u
 from ramify.parsing import parse_field_spec, parse_series
 from ramify.series import LaurentSeries, dot
@@ -29,6 +29,7 @@ from oracles import (
     coprime_numerator,
     fpu_denominators,
     generator_traces,
+    integral_sample,
     memoised_laplace,
     series_laplace,
     walked_traces,

@@ -3,20 +3,26 @@
 Each test patches a failure into the library call one criterion makes
 and pins the detail it prints: which cases fail, in what order, and
 how each failure reads.  Every criterion that fails more than three
-times names the first three.
+times names the first three.  Criterion 8 is also compared with its
+sampled reference, on the grid and on mutants of the operator laws.
 """
 
+import random
 from types import SimpleNamespace
 
 import pytest
 
 from ramify import invariants, selftest
-from ramify.extension import LElement, RamificationType
-from ramify.invariants import CheckResult
-from ramify.selftest import DVR_GRID, _grid_label, grid_extension
-from ramify.series import Cut, LaurentSeries, ValueGroup
+from ramify.extension import DifferenceOperators, LElement, RamificationType
+from ramify.invariants import CheckResult, boundary_generator
+from ramify.selftest import DVR_GRID, DEFAULT_SEED, _grid_label, grid_extension
+from ramify.series import Cut, LaurentSeries, ValueGroup, random_series
+
+from oracles import integral_sample, sampled_difference_operator_failure
 
 Z = ValueGroup.discrete(1)
+
+REAL_CHAIN = DifferenceOperators.chain
 
 
 @pytest.fixture(scope="module")
@@ -57,13 +63,77 @@ def test_norm_ideal_identity_names_the_first_three_failures(monkeypatch, extensi
 
 def test_difference_operator_failures(monkeypatch, extensions):
     monkeypatch.setattr(selftest, "_difference_operator_failure",
-                        lambda ext, seed: f"law broken, seed {seed}" if ext.p == 3 else None)
-    res = selftest.criterion_difference_operators(extensions, seed=5)
+                        lambda ext: f"law broken, swan {ext.swan}" if ext.p == 3 else None)
+    res = selftest.criterion_difference_operators(extensions)
     assert res.line() == (
         "criterion 08 difference_operator_laws: FAIL  ["
-        "(p=3, f=t^-1): law broken, seed 5; (p=3, f=t^-2): law broken, seed 5; "
-        "(p=3, f=u*t^-3): law broken, seed 5]"
+        "(p=3, f=t^-1): law broken, swan 1; (p=3, f=t^-2): law broken, swan 2; "
+        "(p=3, f=u*t^-3): law broken, swan 3]"
     )
+
+
+def sigma_squared_at_step_one(self, x, upto=None):
+    """``DifferenceOperators.chain`` with sigma^2 in place of sigma at
+    its first step, which breaks D_1(b) = 1."""
+    upto = self.ext.p - 1 if upto is None else upto
+    out = [x]
+    for j in range(1, upto + 1):
+        cur = out[-1]
+        out.append((cur.sigma(2 if j == 1 else 1) - cur) * self._den_inv[j])
+    return out
+
+
+def d3_added_to_d1(self, x, upto=None):
+    """``DifferenceOperators.chain`` with D_3(x) added to D_1(x) in its
+    output.  The change is K-linear and D_3 vanishes on 1, b and b^2, so
+    the laws on the powers of b still hold; only the product rule on B
+    can see it, at p >= 5."""
+    out = REAL_CHAIN(self, x, upto)
+    if len(out) > 3:
+        out[1] = out[1] + out[3]
+    return out
+
+
+def difference_verdicts(extensions):
+    """(generator verdict, sampled verdict) of each grid extension."""
+    return [(selftest._difference_operator_failure(ext),
+             sampled_difference_operator_failure(ext, DEFAULT_SEED))
+            for _, ext in extensions]
+
+
+def test_the_generators_and_the_samples_agree_on_the_grid(extensions):
+    assert difference_verdicts(extensions) == [(None, None)] * len(DVR_GRID)
+
+
+@pytest.mark.parametrize("mutant, caught", [
+    (sigma_squared_at_step_one, "D_1(b^1) != 1"),
+    (d3_added_to_d1, "product rule failed at generator 1, i=1"),
+], ids=["sigma-squared-at-step-one", "d3-added-to-d1"])
+def test_the_generators_and_the_samples_fail_the_same_mutants(
+        monkeypatch, extensions, mutant, caught):
+    monkeypatch.setattr(DifferenceOperators, "chain", mutant)
+    verdicts = difference_verdicts(extensions)
+    assert [g is None for g, _ in verdicts] == [s is None for _, s in verdicts]
+    assert caught in [g for g, _ in verdicts]
+
+
+@pytest.mark.parametrize("case", DVR_GRID, ids=lambda case: str(case))
+def test_each_difference_operator_is_k_linear(case):
+    """D_i(a*x + y) = a*D_i(x) + D_i(y) for a in K and x, y in L: the
+    argument that lets criterion 8 decide its laws on the generators."""
+    ext = grid_extension(*case)
+    b = boundary_generator(ext)
+    bext = b.ext
+    ops = DifferenceOperators(bext, b)
+    rng = random.Random(3)
+    for _ in range(3):
+        a = bext.from_series(random_series(bext.field, rng, -2, 2, bext.f.prec))
+        shift = bext.from_series(LaurentSeries.monomial(bext.field, -1, 1, bext.f.prec))
+        x = integral_sample(bext, rng) * shift
+        y = integral_sample(bext, rng)
+        combined = ops.chain(a * x + y)
+        for d_c, d_x, d_y in zip(combined, ops.chain(x), ops.chain(y)):
+            assert d_c.agrees_with(a * d_x + d_y)
 
 
 def test_refined_swan_stability_failures(monkeypatch, extensions):
