@@ -393,6 +393,15 @@ def test_check_identity_rejection_and_field_too_small():
         check_identity(expr, expr, F2, 2, seed=0, max_attempts=16)
 
 
+def test_check_identity_without_variables():
+    # no variable to sample: every trial evaluates both sides at the empty point
+    assert check_identity(Expr.const(2) * 2, Expr.const(1), F9, 5, 0).ok
+    res = check_identity(Expr.const(2), Expr.const(1), F9, 5, 0)
+    assert not res.ok and res.witness == {}
+    with pytest.raises(FieldTooSmall):
+        check_identity(Expr.const(1) / Expr.const(0), Expr.const(1), F9, 5, 0)
+
+
 def test_check_identity_false_pass_rate():
     # planted inequality differing at exactly 2 of 9 points:
     # lhs - rhs = (x-1)(x-2), so a single trial accepts with

@@ -14,7 +14,10 @@ the Laplace expansion of the norm takes most of the time, and the
 ``integral`` runs: JSON ``analyze`` runs of an f with no pole
 (``INTEGRAL_RUNS``), trivial and unramified over F_p, F_q and F_p(u),
 which reach ``classify``'s decision on the constant residue, through
-the F_p(u) linear system too.  Many
+the F_p(u) linear system too, and the ``tower_trials`` runs: ``tower``
+at q = 4 and 125 with ``--trials 1000`` (``TOWER_TRIAL_RUNS``), in
+JSON and in text, whose identity checks sample many more points than
+the workloads' and, at q = 4, reject about one in four.  Many
 ``low_prec`` runs exit 3 (missing precision), so they pin down exactly
 which inputs have enough precision, which depends on the ``prec`` every
 step reports.  Each run calls
@@ -86,6 +89,9 @@ INTEGRAL_RUNS = (
     ("Fp(u):2", "1/(u^2+1) + 1/(u+1) + t"),
 )
 
+# (p, n, q) of the tower_trials runs, each at --trials 1000 --seed 1.
+TOWER_TRIAL_RUNS = ((2, 3, 4), (5, 2, 125))
+
 
 def runs():
     """(workload, seed, id, format, argv) of every run, in a fixed order."""
@@ -128,6 +134,10 @@ def runs():
             "analyze", "--field", field, "--f", f, "--prec", "8", "--trials", "2",
             "--seed", "1", "--format", "json",
         ]
+    for ident, (p, n, q) in enumerate(TOWER_TRIAL_RUNS):
+        argv = ["tower", "--p", str(p), "--n", str(n), "--q", str(q), "--trials", "1000", "--seed", "1"]
+        for fmt in ("json", "text"):
+            yield "tower_trials", 1, ident, fmt, argv + ["--format", fmt]
 
 
 def digest(argv):
