@@ -27,11 +27,15 @@ elements become coefficients.  The F_q power of an element is the raw
 one, a table lookup exp[log(a) * n mod (q - 1)] when m >= 2.
 
 An ``Expr`` is evaluated the same way: its first evaluation over a
-field compiles the tree once into nested closures over that field's raw
-operations, with every constant converted then, and keeps them on the
-root.  Each later evaluation converts the point to raw values, runs the
-closures and converts the result back, so no element is built inside
-the tree.
+field compiles the tree into a flat program over that field's raw
+operations, each distinct node once and after its operands, with every
+constant converted then, and keeps it on the root.  The program runs
+over *lanes*, lists of raw values with one lane per sample point: each
+step maps one raw operation over its operands' lanes, and a division
+marks the lanes whose denominator vanished instead of raising.  A
+single point is the one-lane case, converted to raw values on the way
+in and back to an element on the way out; ``check_identity`` evaluates
+batches of raw sample points, so it builds no element but a witness.
 
 Polynomials over F_p (the elements of F_p(u), and the field moduli) are
 tuples of ints in [0, p), lowest degree first, with no trailing zeros;
@@ -61,6 +65,8 @@ from __future__ import annotations
 import operator
 import random
 from fractions import Fraction
+from functools import partial
+from itertools import repeat
 from typing import NamedTuple
 
 from .errors import (
@@ -1223,12 +1229,13 @@ class Expr:
     +, -, *, /, integer powers.
 
     Division nodes carry a nonzero-denominator obligation that is
-    checked at evaluation time (DivisionByZero propagates and the
-    identity checker resamples the point).
+    checked at evaluation time (DivisionByZero propagates, and a lane
+    whose denominator vanished reads None, which the identity checker
+    counts as a miss).
 
     An expression is compiled once per field over raw values: the first
-    ``evaluate`` over a field turns the tree into nested closures on
-    that field's raw operations and keeps them on the root, so treat an
+    ``evaluate`` over a field turns the tree into a flat program on that
+    field's raw operations and keeps it on the root, so treat an
     ``Expr`` as immutable once built.
     """
 
@@ -1238,7 +1245,7 @@ class Expr:
         self.op = op
         self.args = args
         self.payload = payload
-        self._compiled = None  # field -> closure, made by the first evaluate
+        self._compiled = None  # field -> program, made by the first evaluate
 
     @classmethod
     def const(cls, value):
@@ -1295,55 +1302,55 @@ class Expr:
             out |= a.variables()
         return out
 
-    def evaluate(self, env, field):
+    def evaluate(self, env, field, lanes=None):
         """The value over ``field`` at ``env``, a dict from variable names
-        to elements of ``field`` or ints."""
+        to elements of ``field`` or ints.
+
+        With ``lanes``, ``env`` maps each name to a list of ``lanes`` raw
+        values instead, one per sample point, and the result is the list
+        of this expression's raw values at those points, with None where
+        a denominator vanished."""
         compiled = self._compiled
         if compiled is None:
             compiled = self._compiled = {}
-        fn = compiled.get(field)
-        if fn is None:
-            fn = compiled[field] = self._compile(field)
+        program = compiled.get(field)
+        if program is None:
+            program = []
+            self._emit(field, program, {})
+            compiled[field] = program
+        if lanes is not None:
+            return _run(program, field, env, lanes)
         to_raw = field._to_raw
-        return field._from_raw(fn({name: to_raw(v) for name, v in env.items()}))
+        (value,) = _run(program, field, {name: [to_raw(v)] for name, v in env.items()}, 1)
+        if value is None:
+            raise DivisionByZero("expression denominator vanished")
+        return field._from_raw(value)
 
-    def _compile(self, field):
-        """A function from a dict of raw variable values to the raw value
-        of this expression over ``field``.  Constants are converted here,
-        once; the closures hold no reference to the tree."""
+    def _emit(self, field, steps, index):
+        """Append to ``steps`` the steps that compute this node over
+        ``field`` that are not there yet, its operands' first, and return
+        the index of its own.  A step is (op, x, y): x is the raw value of
+        a constant, converted here once, the name of a variable, or the
+        index of the first operand's step; y is the second operand's
+        index or a power's exponent.  ``index`` maps the id of each node
+        with a step to that step's index, so a shared node has one step.
+        The steps hold no reference to the tree."""
+        at = index.get(id(self))
+        if at is not None:
+            return at
         op = self.op
         if op == "const":
-            c = field._to_raw(self.payload)
-            return lambda env: c
-        if op == "var":
-            return operator.itemgetter(self.payload)
-        kids = [a._compile(field) for a in self.args]
-        if op == "neg":
-            x, neg = kids[0], field._rneg
-            return lambda env: neg(x(env))
-        if op == "pow":
-            x, n, pow_ = kids[0], self.payload, field._rpow
-            return lambda env: pow_(x(env), n)
-        x, y = kids
-        add, mul = field._radd, field._rmul
-        if op == "add":
-            return lambda env: add(x(env), y(env))
-        if op == "sub":
-            neg = field._rneg
-            return lambda env: add(x(env), neg(y(env)))
-        if op == "mul":
-            return lambda env: mul(x(env), y(env))
-        if op == "div":
-            inv = field._rinv
-
-            def div(env):
-                a, b = x(env), y(env)
-                if not b:
-                    raise DivisionByZero("expression denominator vanished")
-                return mul(a, inv(b))
-
-            return div
-        raise InvalidSpec(f"unknown node {op!r}")
+            step = (op, field._to_raw(self.payload), None)
+        elif op == "var":
+            step = (op, self.payload, None)
+        elif op in ("neg", "pow", "add", "sub", "mul", "div"):
+            args = [a._emit(field, steps, index) for a in self.args]
+            step = (op, args[0], args[1] if len(args) == 2 else self.payload)
+        else:
+            raise InvalidSpec(f"unknown node {op!r}")
+        at = index[id(self)] = len(steps)
+        steps.append(step)
+        return at
 
     def degree_pair(self):
         """(numerator degree, denominator degree) upper bounds."""
@@ -1364,6 +1371,49 @@ class Expr:
             n, d = self.args[0].degree_pair()
             return (n * self.payload, d * self.payload)
         return self.args[0].degree_pair()
+
+
+def _run(steps, field, env, width):
+    """Run the steps ``Expr._emit`` made over ``width`` lanes: ``env``
+    maps each variable to a list of ``width`` raw values, one lane per
+    point.  Each step maps one raw operation of ``field`` over its
+    operands' lanes.  A division records the lanes whose denominator is
+    zero and divides them by one instead, so no lane raises; the result
+    holds None there."""
+    add, neg, mul, inv, pow_ = field._radd, field._rneg, field._rmul, field._rinv, field._rpow
+    one = field._to_raw(field._one)
+    lanes, vanished = [], set()
+    for op, x, y in steps:
+        if op == "const":
+            value = [x] * width
+        elif op == "var":
+            value = env[x]
+        elif op == "neg":
+            value = list(map(neg, lanes[x]))
+        elif op == "pow":
+            value = list(map(pow_, lanes[x], repeat(y, width)))
+        else:
+            a, b = lanes[x], lanes[y]
+            if op == "add":
+                value = list(map(add, a, b))
+            elif op == "sub":
+                value = list(map(add, a, map(neg, b)))
+            elif op == "mul":
+                value = list(map(mul, a, b))
+            else:
+                if not all(b):
+                    vanished.update(i for i, c in enumerate(b) if not c)
+                    b = [c or one for c in b]
+                value = list(map(mul, a, map(inv, b)))
+        lanes.append(value)
+    value = lanes[-1]
+    if vanished:
+        value = [None if i in vanished else c for i, c in enumerate(value)]
+    return value
+
+
+# The most sample points check_identity evaluates at once.
+LANES = 256
 
 
 class IdentityCheck(NamedTuple):
@@ -1391,10 +1441,13 @@ def check_identity(lhs, rhs, field, trials, seed, max_attempts=64):
     """Randomized equality test of two rational expressions.
 
     Points are sampled with rejection past denominator zeros; after
-    ``max_attempts`` failed samples in a single trial the field is
-    declared too small.  A pass after t trials is wrong with
-    probability at most (degree_bound / sample_space)^t when the two
-    sides differ.
+    ``max_attempts`` failed samples in a row the field is declared too
+    small.  A pass after t trials is wrong with probability at most
+    (degree_bound / sample_space)^t when the two sides differ.
+
+    Points are drawn up to ``LANES`` at a time, each as raw values in
+    sorted-name order, and both sides are evaluated once per batch; the
+    draws and verdicts are those of sampling one point per attempt.
     """
     if trials < 1:
         raise InvalidSpec("trials must be at least 1")
@@ -1404,21 +1457,30 @@ def check_identity(lhs, rhs, field, trials, seed, max_attempts=64):
     n2, d2 = rhs.degree_pair()
     degree_bound = max(n1 + d2, n2 + d1)
     space = field.sample_space_size()
-    for _ in range(trials):
-        for attempt in range(max_attempts):
-            env = {name: field.sample_point(rng) for name in names}
-            try:
-                a = lhs.evaluate(env, field)
-                b = rhs.evaluate(env, field)
-            except DivisionByZero:
+    # the raw value of an F_q sample is its code, of an F_p(u) one the element
+    if field.is_finite:
+        draw = partial(rng.randrange, field.order)
+    else:
+        draw = partial(field.sample_point, rng)
+    done = misses = 0
+    while True:
+        width = min(LANES, trials - done)
+        drawn = [draw() for _ in range(width * len(names))]
+        env = {name: drawn[k::len(names)] for k, name in enumerate(names)}
+        a = lhs.evaluate(env, field, lanes=width)
+        b = rhs.evaluate(env, field, lanes=width)
+        for i in range(width):
+            if misses >= max_attempts:
+                raise FieldTooSmall(
+                    f"no valid evaluation point in {max_attempts} attempts over {field!r}"
+                )
+            if a[i] is None or b[i] is None:
+                misses += 1
                 continue
-            if a != b:
-                witness = {name: str(v) for name, v in env.items()}
+            if a[i] != b[i]:
+                witness = {name: str(field._from_raw(v[i])) for name, v in env.items()}
                 return IdentityCheck(False, witness, trials, degree_bound, space)
-            break
-        else:
-            raise FieldTooSmall(
-                f"no valid evaluation point in {max_attempts} attempts over {field!r}"
-            )
-    return IdentityCheck(True, None, trials, degree_bound, space)
-
+            misses = 0
+            done += 1
+            if done == trials:
+                return IdentityCheck(True, None, trials, degree_bound, space)

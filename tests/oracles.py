@@ -9,6 +9,7 @@ from fractions import Fraction
 from ramify.errors import (
     DivisionByZero,
     FieldMismatch,
+    FieldTooSmall,
     InsufficientPrecision,
     InvalidSpec,
     RamifyError,
@@ -22,7 +23,16 @@ from ramify.extension import (
     integral_basis,
     reduce_to_best,
 )
-from ramify.fields import _padd, _pgcd, _pmul, _ppow_mod, _prime_divisors, _psub, _trim
+from ramify.fields import (
+    IdentityCheck,
+    _padd,
+    _pgcd,
+    _pmul,
+    _ppow_mod,
+    _prime_divisors,
+    _psub,
+    _trim,
+)
 from ramify.invariants import (
     Z_GROUP,
     CheckResult,
@@ -46,7 +56,7 @@ from ramify.series import (
 
 def tree_evaluate(expr, env, field):
     """The value of an ``Expr`` by walking its tree with element
-    arithmetic at every node, independent of the compiled evaluator."""
+    arithmetic at every node, independent of the lane evaluator."""
     if expr.op == "const":
         v = expr.payload
         if isinstance(v, int):
@@ -87,6 +97,33 @@ def exhaustive_identity(lhs, rhs, field):
         if a != b:
             return False
     return True
+
+
+def tree_check_identity(lhs, rhs, field, trials, seed, max_attempts=64):
+    """``check_identity`` one sample point at a time, with the tree walk
+    at every point: the same draws, verdicts and witnesses that the lane
+    evaluator must give."""
+    rng = random.Random(seed)
+    names = sorted(lhs.variables() | rhs.variables())
+    n1, d1 = lhs.degree_pair()
+    n2, d2 = rhs.degree_pair()
+    degree_bound = max(n1 + d2, n2 + d1)
+    space = field.sample_space_size()
+    for _ in range(trials):
+        for _ in range(max_attempts):
+            env = {name: field.sample_point(rng) for name in names}
+            try:
+                a = tree_evaluate(lhs, env, field)
+                b = tree_evaluate(rhs, env, field)
+            except DivisionByZero:
+                continue
+            if a != b:
+                witness = {name: str(v) for name, v in env.items()}
+                return IdentityCheck(False, witness, trials, degree_bound, space)
+            break
+        else:
+            raise FieldTooSmall("no valid evaluation point")
+    return IdentityCheck(True, None, trials, degree_bound, space)
 
 
 def geometric_inverse(s):

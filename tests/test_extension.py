@@ -602,7 +602,7 @@ def test_cached_elements_leave_no_reference_cycle():
         assert integral_basis(ext).ext is ext.with_best_f()
         del ext
         assert gc.collect() == 0
-        # an expression keeps the closure its first evaluate compiled
+        # an expression keeps the program its first evaluate built
         x = Expr.var("x")
         expr = (x + Expr.const(F3.one())) / (x * x - 2) ** 3
         assert expr.evaluate({"x": F3.from_int(1)}, F3) == F3.from_int(1)

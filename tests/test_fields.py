@@ -15,6 +15,7 @@ from ramify.errors import (
     ZeroInput,
 )
 from ramify.fields import (
+    LANES,
     Expr,
     FieldSpec,
     _padd,
@@ -39,6 +40,7 @@ from oracles import (
     exhaustive_identity,
     fpu_denominators,
     long_divmod,
+    tree_check_identity,
     tree_evaluate,
 )
 
@@ -434,7 +436,7 @@ def test_exhaustive_identity_oracle():
     assert not exhaustive_identity(x, x + 1, F4)
 
 
-# -- the compiled evaluator against the tree walk -----------------------------------
+# -- the lane evaluator against the tree walk ---------------------------------------
 
 EXPR_FIELDS = [
     F2, F3, F4, FieldSpec.finite(2, 3), F9, FieldSpec.finite(5, 2), F2u, F3u,
@@ -478,7 +480,7 @@ def expr_trees(field):
 @given(st.sampled_from(EXPR_FIELDS), st.data())
 def test_compiled_evaluate_matches_the_tree_walk(field, data):
     expr = data.draw(expr_trees(field))
-    for _ in range(3):  # the later points run the memoised closure
+    for _ in range(3):  # the later points run the cached program
         env = {name: data.draw(field_points(field)) for name in ("x", "y")}
         try:
             want = tree_evaluate(expr, env, field)
@@ -488,6 +490,67 @@ def test_compiled_evaluate_matches_the_tree_walk(field, data):
             continue
         got = expr.evaluate(env, field)
         assert got == want and got.field is field
+
+
+def identity_outcome(check, lhs, rhs, field, trials, seed, max_attempts):
+    """The IdentityCheck a check returns, or FieldTooSmall if it raises that."""
+    try:
+        return check(lhs, rhs, field, trials, seed, max_attempts)
+    except FieldTooSmall:
+        return FieldTooSmall
+
+
+def assert_identity_matches_the_tree_walk(lhs, rhs, field, trials, seed, max_attempts=64):
+    want = identity_outcome(tree_check_identity, lhs, rhs, field, trials, seed, max_attempts)
+    got = identity_outcome(check_identity, lhs, rhs, field, trials, seed, max_attempts)
+    assert got == want
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(EXPR_FIELDS), st.data())
+def test_check_identity_matches_the_tree_walk_across_batches(field, data):
+    lhs = data.draw(expr_trees(field))
+    zero = data.draw(expr_trees(field))
+    rhs = lhs + (zero - zero)  # equal to lhs wherever zero's denominators do not vanish
+    trials = data.draw(st.sampled_from([1, LANES - 1, LANES + 1, 3 * LANES]))
+    max_attempts = data.draw(st.sampled_from([0, 2, 8, 64]))
+    seed = data.draw(st.integers(0, 2 ** 16))
+    for right in (rhs, rhs + 1):
+        assert_identity_matches_the_tree_walk(lhs, right, field, trials, seed, max_attempts)
+
+
+@pytest.mark.parametrize("seed", range(16))
+def test_check_identity_matches_the_tree_walk_at_batch_boundaries(seed):
+    x, y = Expr.var("x"), Expr.var("y")
+    # vanishes at half of F_4, so runs of misses cross batch boundaries:
+    # at seed 13, 3 * LANES trials and max_attempts 9, the one run of 9
+    # misses that raises FieldTooSmall spans two batches
+    pole = Expr.const(1) / (x * (x + 1))
+    # 1 at x = y = 0 and 0 elsewhere on F_16, so the witness is the
+    # first draw of (0, 0), about one in 256
+    F16 = FieldSpec.finite(2, 4)
+    spike = (x ** 15 - 1) * (y ** 15 - 1)
+    for trials in (LANES - 1, LANES + 1, 3 * LANES):
+        for max_attempts in (4, 9):
+            assert_identity_matches_the_tree_walk(pole, pole, F4, trials, seed, max_attempts)
+        assert_identity_matches_the_tree_walk(x, x + spike, F16, trials, seed)
+
+
+def test_check_identity_evaluates_at_most_lanes_points_at_once(monkeypatch):
+    x = Expr.var("x")
+    expr = Expr.const(1) / (x * (x + 1))
+    widths = []
+    evaluate = Expr.evaluate
+
+    def recording(self, env, field, lanes=None):
+        value = evaluate(self, env, field, lanes)
+        widths.append(len(value))
+        widths.extend(map(len, env.values()))
+        return value
+
+    monkeypatch.setattr(Expr, "evaluate", recording)
+    assert check_identity(expr, expr, F4, 5 * LANES, seed=1, max_attempts=64).ok
+    assert max(widths) == LANES
 
 
 @pytest.mark.parametrize("field", [F2, F3, F4, F9, FieldSpec.finite(2, 3)])

@@ -1,15 +1,14 @@
 import contextlib
 import io
 import math
-import random
 import re
 from fractions import Fraction
 
 import pytest
 
 from ramify.cli import main
-from ramify.errors import DivisionByZero, FieldTooSmall, InvalidSpec
-from ramify.fields import FieldSpec, IdentityCheck, check_identity
+from ramify.errors import InvalidSpec
+from ramify.fields import FieldSpec, check_identity
 from ramify.parsing import factor_prime_power
 from ramify.series import Cut, ValueGroup
 from ramify.tower import (
@@ -25,7 +24,7 @@ from ramify.tower import (
     tower_report,
 )
 
-from oracles import exhaustive_identity, tree_evaluate
+from oracles import exhaustive_identity, tree_check_identity
 
 F4 = FieldSpec.finite(2, 2)
 F9 = FieldSpec.finite(3, 2)
@@ -107,32 +106,6 @@ def test_step_identity_detects_corruption():
     lhs, rhs = step_identity_exprs(spec)
     res = check_identity(lhs, rhs + 1, spec.field, trials=16, seed=0)
     assert not res.ok and res.witness is not None
-
-
-def tree_check_identity(lhs, rhs, field, trials, seed, max_attempts=64):
-    """check_identity as it was before evaluation was compiled: the same
-    draws and verdicts, with the tree walk at every sample point."""
-    rng = random.Random(seed)
-    names = sorted(lhs.variables() | rhs.variables())
-    n1, d1 = lhs.degree_pair()
-    n2, d2 = rhs.degree_pair()
-    degree_bound = max(n1 + d2, n2 + d1)
-    space = field.sample_space_size()
-    for _ in range(trials):
-        for _ in range(max_attempts):
-            env = {name: field.sample_point(rng) for name in names}
-            try:
-                a = tree_evaluate(lhs, env, field)
-                b = tree_evaluate(rhs, env, field)
-            except DivisionByZero:
-                continue
-            if a != b:
-                witness = {name: str(v) for name, v in env.items()}
-                return IdentityCheck(False, witness, trials, degree_bound, space)
-            break
-        else:
-            raise FieldTooSmall("no valid evaluation point")
-    return IdentityCheck(True, None, trials, degree_bound, space)
 
 
 def tower_specs(q):
