@@ -290,15 +290,18 @@ def check_diagram_commutativity(ext):
     so each holds for every b in B exactly when it holds at b = 1:
     N(1/alpha) - 1/f in H^2, and (N(1/alpha) * f - 1) * dlog f in the
     modulus.  N(1/alpha) and N(1/alpha) * f are the memos
-    ``check_norm_ideal_identity`` reads.  Membership in the modulus, a
-    closed cut at an integer, reads only the exponents below it, so the
-    form faces stop there.  The check reports H^2 and the modulus, and
-    on a failure the first face that broke."""
+    ``check_norm_ideal_identity`` reads.  Membership in H^2 and in the
+    modulus, closed cuts at integers, reads only the exponents below
+    them, so the norm face subtracts below 2 * swan and the form faces
+    stop at the modulus.  The check reports H^2 and the modulus, and on
+    a failure the first face that broke."""
     ext = integral_basis(ext).ext
     form = refined_swan(ext)
-    h_squared = Cut.at_least(2 * ext.swan, Z_GROUP)
+    least = 2 * ext.swan
+    h_squared = Cut.at_least(least, Z_GROUP)
     detail = {"h_squared": h_squared, "modulus": form.modulus}
-    if not series_in_cut(ext.norm_inverse_alpha() - ext.inverse_f_best(), h_squared):
+    norm_face = ext.norm_inverse_alpha().truncate(least) - ext.inverse_f_best().truncate(least)
+    if not series_in_cut(norm_face, h_squared):
         detail["face"] = "norm"
     else:
         scalar = ext.norm_inverse_alpha_times_f() - 1

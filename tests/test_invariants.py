@@ -1008,29 +1008,39 @@ def test_the_diagram_check_reuses_the_product_and_stops_at_the_modulus(
         monkeypatch, field_spec, f):
     """Once the norm-ideal identity has run, the diagram check multiplies
     no series: it reads N(1/alpha) * f from the memo, and each form face
-    is one ``dot`` capped at the modulus."""
+    is one ``dot`` capped at the modulus.  The norm face subtracts
+    N(1/alpha) and 1/f_best only below 2 * swan, where H^2 is read."""
     field = parse_field_spec(field_spec)
     ext = ASExtension(field, parse_series(f, field, 24))
     assert check_norm_ideal_identity(ext).ok
     form = refined_swan(ext)
     products = []
     capped = []
+    differences = []
     mul = LaurentSeries.__mul__
+    sub = LaurentSeries.__sub__
     real_dot = invariants.dot
 
     def counted_mul(a, b):
         products.append((a, b))
         return mul(a, b)
 
+    def counted_sub(a, b):
+        differences.append((a, b))
+        return sub(a, b)
+
     def counted_dot(pairs, cap=None):
         capped.append(cap)
         return real_dot(pairs, cap)
 
     monkeypatch.setattr(LaurentSeries, "__mul__", counted_mul)
+    monkeypatch.setattr(LaurentSeries, "__sub__", counted_sub)
     monkeypatch.setattr(invariants, "dot", counted_dot)
     assert check_diagram_commutativity(ext).ok
     assert products == []
     assert capped == [int(form.modulus.value)] * (1 if form.du is None else 2)
+    norm_face = [(a, b) for a, b in differences if isinstance(b, LaurentSeries)]
+    assert [(a.prec, b.prec) for a, b in norm_face] == [(2 * ext.swan, 2 * ext.swan)]
 
 
 def test_e_f_defect_product():
