@@ -2,14 +2,17 @@
 
 Provides the reduction of f to its best representative modulo the map
 x -> x^p - x, the Swan conductor, the ramification classification,
-arithmetic in L with the Galois action, the norm and the inverse from
-one Laplace expansion of the multiplication matrix (the inverse is the
-adjugate column over the norm, and the minors are built level by
-level, two levels alive at a time, on raw coefficients: each minor is
-a raw triple keyed by the bitmask of its columns, each entry's bound is
-read once), the trace from the power basis, valuations on L, the
-inductive difference operators, and the shape of the integral closure
-with its generators alpha^i * t^(A_i), one formula for every shape.
+arithmetic in L with the Galois action and sigma^k(x) - x in one pass,
+the norm and the inverse from one Laplace expansion of the
+multiplication matrix (the inverse is the adjugate column over the
+norm, and the minors are built level by level, two levels alive at a
+time, on raw coefficients: each minor is a raw triple keyed by the
+bitmask of its columns, each entry's bound is read once), 1/alpha in
+closed form as (alpha^(p-1) - 1)/f, the trace from the power basis,
+valuations on L, the inductive difference operators, and the shape of
+the integral closure with its generators alpha^i * t^(A_i), one
+formula for every shape.  Cramer's rule serves only the difference
+operators, which invert their denominators with it.
 
 An extension computes what it derives once, in one memo
 (``ASExtension._memo``), the shape of B included.  An element builds
@@ -236,7 +239,13 @@ class ASExtension:
         return [LElement(ext, c) for c in gens]
 
     def inverse_alpha(self):
-        return LElement(self, self._memo("inverse_alpha", lambda: self.alpha().inverse().coeffs))
+        """1/alpha in closed form, memoised: alpha * (alpha^(p-1) - 1) is
+        alpha^p - alpha = f, so 1/alpha = (alpha^(p-1) - 1) * (1/f), with
+        alpha^(p-1) from ``alpha_power`` and 1/f from ``inverse_f``."""
+        return LElement(self, self._memo(
+            "inverse_alpha",
+            lambda: ((self.alpha_power(self.p - 1) - 1) * self.inverse_f()).coeffs,
+        ))
 
     def norm_inverse_alpha(self):
         """N(1/alpha) as a series, memoised on the reduced presentation
@@ -252,11 +261,15 @@ class ASExtension:
             "norm_inverse_alpha_times_f", lambda: ext.norm_inverse_alpha() * ext.best.f_best
         )
 
+    def inverse_f(self):
+        """1/f as a series, memoised: the one series inverse of f in
+        this presentation."""
+        return self._memo("inverse_f", self.f.inverse)
+
     def inverse_f_best(self):
-        """1/f_best as a series, memoised on the reduced presentation
-        ``with_best_f()`` whatever presentation is asked."""
-        ext = self.with_best_f()
-        return ext._memo("inverse_f_best", ext.best.f_best.inverse)
+        """1/f_best as a series: ``inverse_f`` of the reduced
+        presentation ``with_best_f()`` whatever presentation is asked."""
+        return self.with_best_f().inverse_f()
 
 
 class LElement:
@@ -360,13 +373,30 @@ class LElement:
         (alpha + k)^i binomially, coordinate j of the image is
         sum_{i >= j} C(i, j) * k^(i-j) * c_i, one ``linear_combination``
         known below the least precision of the c_i with i >= j."""
-        p = self.ext.p
-        k %= p
-        if k == 0:
+        if k % self.ext.p == 0:
             return self
+        return self._translate(k, 1)
+
+    def difference(self, k=1):
+        """sigma^k(x) - x in one pass: coordinate j is
+        sum_{i > j} C(i, j) * k^(i-j) * c_i, with c_j at coefficient 0 so
+        that it is known below the least precision of the c_i with
+        i >= j, as the difference of ``sigma(k)`` and x is.  For k = 0
+        (mod p) it is x - x, each coordinate known below its own c_j."""
+        if k % self.ext.p == 0:
+            return self - self
+        return self._translate(k, 0)
+
+    def _translate(self, k, own):
+        """Coordinate j is own * c_j + sum_{i > j} C(i, j) * k^(i-j) * c_i,
+        one ``linear_combination`` each: ``sigma(k)`` at own = 1 and
+        ``difference(k)`` at own = 0."""
+        p = self.ext.p
+        c = self.coeffs
         return LElement(self.ext, tuple(
             linear_combination(
-                [(math.comb(i, j) * pow(k, i - j, p) % p, self.coeffs[i]) for i in range(j, p)]
+                [(own, c[j])]
+                + [(math.comb(i, j) * pow(k, i - j, p) % p, c[i]) for i in range(j + 1, p)]
             )
             for j in range(p)
         ))
@@ -425,17 +455,21 @@ class LElement:
             raise NotApplicable(
                 "coefficientwise valuation needs the reduced, nontrivial presentation"
             )
-        shift = self.ext.swan / self.ext.p
+        # with swan = num/den, every term times scale = p * den is an int
+        swan = self.ext.swan
+        num, scale = swan.numerator, self.ext.p * swan.denominator
         least = min(
-            c.valuation() - i * shift for i, c in enumerate(self.coeffs) if not c.is_zero_known()
+            c.low_bound() * scale - i * num
+            for i, c in enumerate(self.coeffs) if not c.is_zero_known()
         )
         for i, c in enumerate(self.coeffs):
-            bound = c.prec - i * shift
+            bound = c.prec * scale - i * num
             if c.is_zero_known() and bound < least:
                 raise InsufficientPrecision(
-                    f"coordinate {i} is zero on its known range; only v >= {bound} is certain"
+                    f"coordinate {i} is zero on its known range; "
+                    f"only v >= {Fraction(bound, scale)} is certain"
                 )
-        return least
+        return Fraction(least, scale)
 
     def in_cut(self, cut):
         """Membership of the element in a fractional ideal of L given as
@@ -617,8 +651,7 @@ class DifferenceOperators:
         self._den_inv = [None]  # index i holds 1/(s-1)(D_{i-1}(b^i))
         powers = b.powers(ext.p - 1)
         for i in range(1, ext.p):
-            num = self.apply(i - 1, powers[i])
-            den = num.sigma(1) - num
+            den = self.apply(i - 1, powers[i]).difference()
             if den.is_zero_known():
                 raise DegenerateGenerator(
                     f"(sigma-1)(D_{i-1}(b^{i})) vanishes; b does not qualify"
@@ -633,8 +666,7 @@ class DifferenceOperators:
             raise InvalidSpec("index must be in 0..p-1")
         out = [x]
         for j in range(1, upto + 1):
-            cur = out[-1]
-            out.append((cur.sigma(1) - cur) * self._den_inv[j])
+            out.append(out[-1].difference() * self._den_inv[j])
         return out
 
     def apply(self, i, x):

@@ -193,7 +193,11 @@ def check_norm_ideal_identity(ext):
     alpha is a root of T^p - T - f, so N(alpha) = (-1)^(p+1) * f, which
     is f for every p (at p = 2, -1 = 1 in characteristic 2).  So
     N(1/alpha) * f is 1 on its known range, and ``generator_sign`` is 1
-    when that range reaches t^0 (``prec >= 1``), else None."""
+    when that range reaches t^0 (``prec >= 1``), else None.  1/alpha is
+    the closed form (alpha^(p-1) - 1) * (1/f) of
+    ``ASExtension.inverse_alpha``, not Cramer's rule, so the check
+    costs one Laplace expansion, N(1/alpha), and reads 1/f from the
+    memo the refined form reads."""
     ext = ext.with_best_f()
     h = ideal_h(ext)
     nj = norm_of_j(ext)
@@ -341,7 +345,7 @@ def check_difference_product_rules(ext):
     group = value_group_of_l(ext)
     diffs = []
     for g in gens[1:]:
-        d = g.sigma(1) - g
+        d = g.difference()
         if d.is_zero_known():
             raise InsufficientPrecision(
                 "a generator's difference sigma(g) - g is zero on its known range"

@@ -264,7 +264,7 @@ def _difference_operator_failure(ext):
     b = boundary_generator(ext)
     bext = b.ext
     i_value = ideal_i_sigma(ext).value
-    if (b.sigma(1) - b).valuation_coeffwise() != i_value:
+    if b.difference().valuation_coeffwise() != i_value:
         return "chosen b does not generate the difference ideal"
     ops = DifferenceOperators(bext, b)
     one = bext.one()
@@ -284,7 +284,7 @@ def _difference_operator_failure(ext):
         if not lhs.agrees_with(tele):
             return f"D_{i}(b^{i + 1}) != sum of conjugates"
         if i <= p - 2:
-            step = lhs.sigma(1) - lhs
+            step = lhs.difference()
             if not step.agrees_with(conjugates[i + 1] - b):
                 return f"difference of D_{i}(b^{i + 1}) is off"
             if step.valuation_coeffwise() != i_value:

@@ -12,8 +12,10 @@ from ramify.errors import (
     FieldTooSmall,
     InsufficientPrecision,
     InvalidSpec,
+    NotApplicable,
     RamifyError,
     SwanZero,
+    ZeroElement,
     ZeroSeries,
 )
 from ramify.extension import (
@@ -204,6 +206,43 @@ def sigma_loop(x, k=1):
             term = ci.scale(field.from_int(math.comb(i, j) * pow(k, i - j, p)))
             out[j] = term if out[j] is None else out[j] + term
     return LElement(ext, tuple(out))
+
+
+def sigma_difference(x, k=1):
+    """sigma_k(x) - x in two passes, the image by ``sigma_loop`` and then
+    the subtraction: the value and ``prec`` that ``LElement.difference``
+    must give."""
+    return sigma_loop(x, k) - x
+
+
+def cramer_inverse_alpha(ext):
+    """1/alpha by Cramer's rule, ``LElement.inverse`` of alpha: one
+    Laplace expansion of alpha's multiplication matrix and a series
+    inverse of the norm, the reference for the closed form
+    ``ASExtension.inverse_alpha``."""
+    return ext.alpha().inverse()
+
+
+def fraction_valuation_coeffwise(x):
+    """``LElement.valuation_coeffwise`` in Fraction arithmetic, term by
+    term: min_i (v(c_i) - i*swan/p), with the same errors and messages."""
+    if x.is_zero_known():
+        raise ZeroElement("element is zero on its known range")
+    if not x._coeffwise_valid():
+        raise NotApplicable(
+            "coefficientwise valuation needs the reduced, nontrivial presentation"
+        )
+    shift = x.ext.swan / x.ext.p
+    least = min(
+        c.valuation() - i * shift for i, c in enumerate(x.coeffs) if not c.is_zero_known()
+    )
+    for i, c in enumerate(x.coeffs):
+        bound = c.prec - i * shift
+        if c.is_zero_known() and bound < least:
+            raise InsufficientPrecision(
+                f"coordinate {i} is zero on its known range; only v >= {bound} is certain"
+            )
+    return least
 
 
 def trace_of_product(x, g):

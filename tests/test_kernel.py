@@ -14,7 +14,13 @@ import random
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from ramify.errors import ExtensionMismatch, InvalidSpec, NotRationalFunctionField, ZeroSeries
+from ramify.errors import (
+    ExtensionMismatch,
+    InvalidSpec,
+    NotRationalFunctionField,
+    RamifyError,
+    ZeroSeries,
+)
 from ramify.extension import ASExtension, LElement, _laplace
 from ramify.fields import FieldSpec, _padd, _pmul, derivative_u
 from ramify.parsing import parse_field_spec, parse_series
@@ -27,11 +33,14 @@ from oracles import (
     capped_lmul,
     capped_sigma,
     coprime_numerator,
+    cramer_inverse_alpha,
     fpu_denominators,
+    fraction_valuation_coeffwise,
     generator_traces,
     integral_sample,
     memoised_laplace,
     series_laplace,
+    sigma_difference,
     walked_traces,
 )
 
@@ -564,6 +573,83 @@ def test_inverse_matches_conjugate_product_inverse(field, seed):
         assert a.agrees_with(b)
         assert a.prec >= b.prec
     assert (x * inverse).agrees_with(ext.one())
+
+
+def outcome(fn, *args):
+    """(value, None) of fn(*args), or (None, (type, message)) of the
+    RamifyError it raises."""
+    try:
+        return fn(*args), None
+    except RamifyError as exc:
+        return None, (type(exc), str(exc))
+
+
+def ext_with_pole(field, rng, prec):
+    """An extension whose f has up to four terms, the lowest a pole of
+    order 1 to 6 and the others anywhere up to t^4, at the given
+    precision: reducible or not, and with prec below the pole order or
+    not.  None when f is zero on its known range."""
+    exponents = {-rng.randint(1, 6)} | {rng.randint(-6, 4) for _ in range(rng.randint(0, 3))}
+    f = LaurentSeries(field, {e: coefficient(field, rng) for e in exponents}, prec)
+    return None if f.is_zero_known() else ASExtension(field, f)
+
+
+@settings(max_examples=120, deadline=None)
+@given(fields, seeds, st.integers(1, 16), st.booleans())
+def test_inverse_alpha_matches_cramer_and_never_knows_less(field, seed, prec, reduced):
+    """The closed-form 1/alpha is Cramer's in value, and in ``prec``
+    whenever f is known up to its pole order.  Below that, Laplace's
+    N(alpha) can lose the terms of f: the closed form never raises
+    where Cramer's rule succeeds, agrees on the common range, and knows
+    each coordinate at least as far."""
+    rng = random.Random(seed)
+    ext = ext_with_pole(field, rng, prec)
+    assume(ext is not None)
+    if reduced:
+        ext, _ = outcome(ext.with_best_f)
+        assume(ext is not None)
+    closed = ext.inverse_alpha()
+    cramer, error = outcome(cramer_inverse_alpha, ext)
+    assume(error is None)
+    for a, b in zip(closed.coeffs, cramer.coeffs):
+        assert a.agrees_with(b)
+        assert a.prec >= b.prec
+    if ext.f.prec >= -ext.f.low_bound():
+        assert closed == cramer  # coordinatewise, values and prec
+    assert (ext.alpha() * closed).agrees_with(ext.one())
+
+
+@settings(max_examples=150, deadline=None)
+@given(fields, seeds)
+def test_difference_is_sigma_minus_x_for_every_k(field, seed):
+    """sigma^k(x) - x in one pass equals the image minus x in value and
+    in each coordinate's ``prec``, for every k in 0..p, on elements
+    whose coordinates have uneven precisions and may be zero."""
+    rng = random.Random(seed)
+    ext = ext_for(field, rng)
+    x = random_element(ext, rng)
+    for k in range(ext.p + 1):
+        d = x.difference(k)
+        for reference in (sigma_difference(x, k), x.sigma(k) - x):
+            assert d == reference  # coordinatewise, values and prec
+    assert x.difference() == x.difference(1)
+
+
+@settings(max_examples=150, deadline=None)
+@given(fields, seeds, st.booleans())
+def test_integer_valuation_coeffwise_matches_the_fraction_body(field, seed, reduced):
+    """The integer ``valuation_coeffwise`` gives the Fraction body's
+    value, or raises the same error with the same message."""
+    rng = random.Random(seed)
+    ext = ext_for(field, rng)
+    if reduced:
+        ext, _ = outcome(ext.with_best_f)
+        assume(ext is not None)
+    x = random_element(ext, rng)
+    got, want = outcome(x.valuation_coeffwise), outcome(fraction_valuation_coeffwise, x)
+    assert got == want
+    if got[0] is not None:
+        assert type(got[0]) is type(want[0])
 
 
 @settings(max_examples=60, deadline=None)
