@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import os
 import shlex
 import sys
@@ -24,7 +23,7 @@ from .extension import ASExtension
 from .fields import FieldSpec
 from .invariants import build_report
 from .parsing import factor_prime_power, parse_field_spec, parse_series
-from .records import encode
+from .records import dumps, encode
 from .selftest import DEFAULT_SEED, run_all
 from .tower import (
     TowerLevel,
@@ -94,19 +93,18 @@ def run_analyze(args):
     f = parse_series(args.f, field, args.prec)
     ext = ASExtension(field, f)
     report = build_report(ext, samples=args.trials, seed=args.seed)
-    payload = {
-        "schema": SCHEMA,
-        "command": "analyze",
-        "field": args.field,
-        "f": str(f),
-        "f_best": str(ext.best.f_best),
-        "precision": args.prec,
-        "seed": args.seed,
-        "report": report.to_json(),
-        "pass": report.all_checks_pass(),
-    }
     if args.format == "json":
-        text = json.dumps(payload, indent=2, sort_keys=True)
+        text = dumps({
+            "schema": SCHEMA,
+            "command": "analyze",
+            "field": args.field,
+            "f": str(f),
+            "f_best": str(ext.best.f_best),
+            "precision": args.prec,
+            "seed": args.seed,
+            "report": report.to_json(),
+            "pass": report.all_checks_pass(),
+        })
     else:
         lines = [
             f"field:          {field!r}",
@@ -149,7 +147,7 @@ def run_tower(args):
         "levels": [lv.to_json() for lv in levels],
         "report": report.to_json(),
         "principality": principality_chain(report),
-        "step_identity": identity.to_json(),
+        "step_identity": encode(identity),
         "descent": None if descent is None else descent.to_json(),
         "pass": identity.ok,
     }
@@ -157,7 +155,7 @@ def run_tower(args):
         rows = [TowerLevel._fields] + [d.values() for d in payload["levels"]]
         _write_file(args.csv, "".join(",".join(map(str, row)) + "\n" for row in rows))
     if args.format == "json":
-        text = json.dumps(payload, indent=2, sort_keys=True)
+        text = dumps(payload)
     else:
         lines = [
             f"tower: p={spec.p} n={spec.n} q={field.order} depth={args.depth}",
@@ -192,7 +190,7 @@ def run_selftest(args):
             "criteria": [r.to_json() for r in results],
             "pass": ok,
         }
-        text = json.dumps(payload, indent=2, sort_keys=True)
+        text = dumps(payload)
     else:
         lines = [r.line() for r in results]
         lines.append(f"overall: {'PASS' if ok else 'FAIL'}")
@@ -234,12 +232,7 @@ def run_batch(path):
         text, code = _run_one(line, nested=True)
         outputs.append({"config": line, "exit": code, "output": text})
         worst = max(worst, code)
-    rendered = json.dumps(
-        {"schema": SCHEMA, "command": "batch", "runs": outputs},
-        indent=2,
-        sort_keys=True,
-    )
-    return rendered, worst
+    return dumps({"schema": SCHEMA, "command": "batch", "runs": outputs}), worst
 
 
 def _run_one(argv, nested=False):

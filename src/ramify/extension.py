@@ -188,10 +188,15 @@ class ASExtension:
         return self._cache[key]
 
     def with_best_f(self):
-        """The same extension presented by its best representative."""
-        if self.f == self.best.f_best:
+        """The same extension presented by its best representative.
+        TrivialExtension when that is zero on its known range: it
+        presents no extension."""
+        f_best = self.best.f_best
+        if self.f == f_best:
             return self
-        return self._memo("best_ext", lambda: ASExtension(self.field, self.best.f_best))
+        if f_best.is_zero_known():
+            raise TrivialExtension("operation needs a nontrivial extension: the best form is zero")
+        return self._memo("best_ext", lambda: ASExtension(self.field, f_best))
 
     def classification(self):
         return self._memo("classification", lambda: classify(self))

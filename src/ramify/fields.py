@@ -78,7 +78,6 @@ from .errors import (
     NotRationalFunctionField,
     ZeroInput,
 )
-from .records import encode
 
 _ONE = (1,)
 
@@ -644,6 +643,27 @@ class FieldSpec:
         """The element whose raw value is r."""
         return _elem(self, r) if self.is_finite else r
 
+    def _text(self, r):
+        """(text, wrap) of the raw value r: the text of its element, and
+        whether it needs parentheses as a factor.  Coefficients are
+        written as digits 0..p-1, so a text has no '-': it needs them
+        for a top-level '+' or, over F_p(u), a '/'.  Over F_p it is one
+        digit and never does."""
+        if self.is_finite:
+            if self.degree == 1:
+                return str(r), False
+            text = _ppoly_str(_digits(r, self.p, self.degree), self.var)
+            return text, "+" in text
+        num = _ppoly_str(r._a, self.var)
+        if r._b == _ONE:
+            return num, "+" in num
+        den = _ppoly_str(r._b, self.var)
+        if "+" in num:
+            num = f"({num})"
+        if "+" in den:
+            den = f"({den})"
+        return f"{num}/{den}", True
+
     # -- element constructors -------------------------------------------
 
     def _rat(self, num, den):
@@ -898,34 +918,10 @@ class ResidueElem:
     # -- rendering ---------------------------------------------------------
 
     def __str__(self):
-        f = self.field
-        if f.is_finite:
-            return _ppoly_str(_digits(self._a, f.p, f.degree), f.var)
-        num = _ppoly_str(self._a, f.var)
-        if self._b == _ONE:
-            return num
-        den = _ppoly_str(self._b, f.var)
-        if "+" in num or "-" in num:
-            num = f"({num})"
-        if "+" in den or "-" in den:
-            den = f"({den})"
-        return f"{num}/{den}"
+        return self.field._text(self._a if self._b is None else self)[0]
 
     def __repr__(self):
         return f"{self.field!r}:{self}"
-
-    def needs_parens(self):
-        """Whether the rendering must be wrapped when used as a factor."""
-        s = str(self)
-        depth = 0
-        for ch in s:
-            if ch == "(":
-                depth += 1
-            elif ch == ")":
-                depth -= 1
-            elif depth == 0 and ch in "+-/":
-                return True
-        return False
 
 
 _new_elem = object.__new__
@@ -1424,8 +1420,6 @@ class IdentityCheck(NamedTuple):
     trials: int
     degree_bound: int
     sample_space: int
-
-    to_json = encode
 
     @property
     def false_pass_bound(self):

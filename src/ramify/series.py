@@ -14,8 +14,9 @@ itself over F_p(u) (see ``fields``).  ``+``, ``-``, ``scale``,
 rule on raw triples) work on those values through the field's raw
 operations.  Elements are built only at the boundary: the
 ``LaurentSeries`` constructor converts elements and ints to raw values
-(and rejects an element of another field), and ``coeffs``, ``coeff``,
-``leading`` and ``__str__`` convert back on demand.
+(and rejects an element of another field), and ``coeffs``, ``coeff``
+and ``leading`` convert back on demand.  ``__str__`` builds no element:
+the field's ``_text`` renders each raw value once.
 
 ``inverse`` solves (c_0 + c_1*t + ...)(w_0 + w_1*t + ...) = 1 term by
 term, w_k = -(1/c_0) * sum_(i>=1) c_i*w_(k-i), in one pass over raw
@@ -437,22 +438,22 @@ class LaurentSeries:
         return (self - other).is_zero_known()
 
     def __str__(self):
-        if not self._raw:
+        raw = self._raw
+        if not raw:
             return "0"
-        from_raw = self.field._from_raw
+        text = self.field._text
         parts = []
-        for e in self.support():
-            c = from_raw(self._raw[e])
-            cs = str(c)
+        for e in sorted(raw):
+            cs, wrap = text(raw[e])
             if e == 0:
                 parts.append(cs)
                 continue
             t = "t" if e == 1 else f"t^{e}"
             if cs == "1":
                 parts.append(t)
+            elif wrap:
+                parts.append(f"({cs})*{t}")
             else:
-                if c.needs_parens():
-                    cs = f"({cs})"
                 parts.append(f"{cs}*{t}")
         return " + ".join(parts)
 

@@ -26,10 +26,13 @@ from ramify.extension import (
     reduce_to_best,
 )
 from ramify.fields import (
+    _ONE,
     IdentityCheck,
+    _digits,
     _padd,
     _pgcd,
     _pmul,
+    _ppoly_str,
     _ppow_mod,
     _prime_divisors,
     _psub,
@@ -1133,3 +1136,56 @@ def tower_fields_principality_chain(report):
         "j_principal": report.j_cut.is_principal(),
         "defectless": report.h_cut.closed,
     }
+
+
+def element_text(c):
+    """The text of an element from its representation, with a '+' or
+    '-' in either part of an F_p(u) fraction parenthesised: the body of
+    ``ResidueElem.__str__`` before ``FieldSpec._text``."""
+    f = c.field
+    if f.is_finite:
+        return _ppoly_str(_digits(c._a, f.p, f.degree), f.var)
+    num = _ppoly_str(c._a, f.var)
+    if c._b == _ONE:
+        return num
+    den = _ppoly_str(c._b, f.var)
+    if "+" in num or "-" in num:
+        num = f"({num})"
+    if "+" in den or "-" in den:
+        den = f"({den})"
+    return f"{num}/{den}"
+
+
+def needs_parens(c):
+    """Whether the text of c must be wrapped as a factor: a '+', '-' or
+    '/' outside every parenthesis, found by scanning the text."""
+    depth = 0
+    for ch in element_text(c):
+        if ch == "(":
+            depth += 1
+        elif ch == ")":
+            depth -= 1
+        elif depth == 0 and ch in "+-/":
+            return True
+    return False
+
+
+def termwise_series_text(s):
+    """The text of a series built element by element: each coefficient
+    becomes a ResidueElem, is rendered, and is scanned for parentheses."""
+    if s.is_zero_known():
+        return "0"
+    parts = []
+    for e, c in sorted(s.coeffs.items()):
+        cs = element_text(c)
+        if e == 0:
+            parts.append(cs)
+            continue
+        t = "t" if e == 1 else f"t^{e}"
+        if cs == "1":
+            parts.append(t)
+        else:
+            if needs_parens(c):
+                cs = f"({cs})"
+            parts.append(f"{cs}*{t}")
+    return " + ".join(parts)

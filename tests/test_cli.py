@@ -33,6 +33,12 @@ def run_cli(argv, capsys):
     return code, out
 
 
+def assert_canonical_json(text):
+    """text is exactly what json.dumps(indent=2, sort_keys=True) writes
+    for the value it encodes."""
+    assert text == json.dumps(json.loads(text), indent=2, sort_keys=True)
+
+
 # -- parsing ------------------------------------------------------------------
 
 
@@ -453,6 +459,7 @@ def test_fuzz_main_single(argv):
         assert out.startswith("error: ")
     elif argv[-1] == "json":
         assert json.loads(out)["schema"] == "ramify/1"
+        assert_canonical_json(out.removesuffix("\n"))
 
 
 @settings(max_examples=40, deadline=None)
@@ -464,6 +471,7 @@ def test_fuzz_main_batch(configs):
         code, out = _main_quietly(["--batch", str(batch)])
     data = json.loads(out)
     assert data["schema"] == "ramify/1"
+    assert_canonical_json(out.removesuffix("\n"))
     exits = [run["exit"] for run in data["runs"]]
     assert len(exits) == len(configs)
     assert set(exits) <= {0, 1, 2, 3}
@@ -489,6 +497,34 @@ def test_batch_mode(tmp_path, capsys):
     # order follows the input file
     assert "analyze" in data["runs"][0]["config"]
     assert "tower" in data["runs"][1]["config"]
+
+
+def test_every_json_output_is_written_as_json_dumps_writes_it(tmp_path, capsys):
+    """analyze over F_p, F_q and F_p(u), tower and selftest, each alone
+    and as the lines of one batch, whose own JSON quotes theirs."""
+    lines = [
+        "analyze --field Fp:2 --f t^-4 --prec 8 --format json",
+        "analyze --field Fq:9 --f 'w*t^-5 + (w+1)*t^-1 + (2*w+1)*t' --prec 16 --format json",
+        "analyze --field 'Fp(u):3' --f '((u+1)/u)*t^-2 + u*t^-1 + (1/(u^2+1))*t' --prec 12"
+        " --format json",
+        "analyze --field 'Fp(u):2' --f 'u*t^-2' --prec 8 --format json",
+        "analyze --field Fp:2 --f t^-5 --prec 4 --format json",
+        "tower --p 3 --n 2 --q 9 --depth 3 --format json",
+        "selftest --format json",
+    ]
+    batch = tmp_path / "batch.txt"
+    batch.write_text("".join(line + "\n" for line in lines))
+    code, out = run_cli(["--batch", str(batch)], capsys)
+    assert code == 3
+    out = out.removesuffix("\n")
+    assert_canonical_json(out)
+    runs = json.loads(out)["runs"]
+    assert [run["exit"] for run in runs] == [0, 0, 0, 0, 3, 0, 0]
+    for line, run in zip(lines, runs):
+        alone = run_cli(shlex.split(line), capsys)
+        assert alone == (run["exit"], run["output"] + "\n")
+        if run["exit"] < 2:
+            assert_canonical_json(run["output"])
 
 
 def test_out_file(tmp_path, capsys):

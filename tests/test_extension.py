@@ -15,6 +15,7 @@ from ramify.errors import (
     InsufficientPrecision,
     InvalidSpec,
     NotApplicable,
+    TrivialExtension,
     ZeroElement,
 )
 from ramify.extension import (
@@ -170,6 +171,17 @@ def test_classify_rational_constant():
     assert classify(ext) is RamificationType.UNRAMIFIED
     solvable = ASExtension(F3u, LaurentSeries.constant(u ** 3 - u, 4) + mono(F3u, 1, 1, 4))
     assert classify(solvable) is RamificationType.TRIVIAL
+
+
+def test_a_zero_best_form_raises_trivial_extension():
+    # t^-3 + 2t^-1 = h^3 - h for h = t^-1 over F_3, so the best form is 0
+    ext = ASExtension(F3, LaurentSeries(F3, {-3: 1, -1: 2}, 8))
+    assert ext.best.f_best.is_zero_known()
+    assert classify(ext) is RamificationType.TRIVIAL
+    for method in (ext.with_best_f, ext.inverse_f_best, ext.norm_inverse_alpha,
+                   ext.integral_generators):
+        with pytest.raises(TrivialExtension):
+            method()
 
 
 # -- arithmetic in L ----------------------------------------------------------

@@ -19,7 +19,14 @@ from ramify.series import (
     series_in_cut,
 )
 
-from oracles import OpenOnlyCut, floor_series_in_cut, geometric_inverse, series_is_integral
+from oracles import (
+    OpenOnlyCut,
+    element_text,
+    floor_series_in_cut,
+    geometric_inverse,
+    series_is_integral,
+    termwise_series_text,
+)
 
 F2 = FieldSpec.finite(2)
 F3 = FieldSpec.finite(3)
@@ -342,6 +349,47 @@ def test_rendering():
     s = LaurentSeries(F2u, {-4: F2u.one(), -2: F2u.generator()}, 8)
     assert str(s) == "t^-4 + u*t^-2"
     assert str(LaurentSeries.zero(F2, 4)) == "0"
+
+
+# the fields of the acceptance grid, and F_8 for codes of three digits
+TEXT_FIELDS = (
+    F2, F3, FieldSpec.finite(5), FieldSpec.finite(2, 2), FieldSpec.finite(2, 3),
+    FieldSpec.finite(3, 2), FieldSpec.finite(5, 2), F2u, FieldSpec.rational(3),
+)
+
+
+@st.composite
+def text_coefficients(draw, field):
+    """Any element of F_q, or a quotient of polynomials of degree <= 3
+    over F_p(u)."""
+    if field.is_finite:
+        return field.element_at(draw(st.integers(0, field.order - 1)))
+    poly = st.lists(st.integers(0, field.p - 1), max_size=4)
+    return field.from_polys(draw(poly), draw(poly.filter(any)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_rendering_matches_the_termwise_text(data):
+    field = data.draw(st.sampled_from(TEXT_FIELDS))
+    coeffs = data.draw(st.dictionaries(st.integers(-6, 6), text_coefficients(field), max_size=5))
+    s = LaurentSeries(field, coeffs, 8)
+    assert str(s) == termwise_series_text(s)
+    for c in coeffs.values():
+        assert str(c) == element_text(c)
+
+
+def test_rendering_wraps_sums_and_fractions_only():
+    u = F3u.generator()
+    s = LaurentSeries(F3u, {-4: (u + 1) / u, -3: 1 / (u * u + 1), -2: u + 1, -1: 2 * u,
+                            0: 1, 1: 1}, 8)
+    assert str(s) == "((u+1)/u)*t^-4 + (1/(u^2+1))*t^-3 + (u+1)*t^-2 + 2*u*t^-1 + 1 + t"
+    F8 = FieldSpec.finite(2, 3)
+    g = LaurentSeries(F8, {-1: F8.element_at(7), 0: F8.element_at(3), 1: 1, 2: F8.element_at(4)}, 8)
+    assert str(g) == "(w^2+w+1)*t^-1 + w+1 + t + w^2*t^2"
+    assert str(LaurentSeries(F3, {-1: 2, 0: 1, 1: 2}, 8)) == "2*t^-1 + 1 + 2*t"
+    for series in (s, g):
+        assert str(series) == termwise_series_text(series)
 
 
 F3u = FieldSpec.rational(3)
