@@ -68,8 +68,10 @@ def make_parser():
     an.add_argument("--field", required=True, help="Fp:3 | Fq:9:w^2+1 | Fp(u):3")
     an.add_argument("--f", required=True, help="defining series, e.g. 't^-4 + u*t^-2'")
     an.add_argument("--prec", type=int, default=24, help="series precision (default 24)")
-    an.add_argument("--trials", type=int, default=50, help="samples of the stability check")
-    an.add_argument("--seed", type=int, default=DEFAULT_SEED)
+    an.add_argument("--trials", type=int, default=50,
+                    help="ignored: every analyze check is exact (must be at least 1)")
+    an.add_argument("--seed", type=int, default=DEFAULT_SEED,
+                    help="ignored: every analyze check is exact (echoed in JSON)")
     an.add_argument("--format", choices=("text", "json"), default="text")
 
     tw = sub.add_parser("tower", parents=[out], help="the rank-1 defect family")
@@ -92,7 +94,9 @@ def run_analyze(args):
     field = parse_field_spec(args.field)
     f = parse_series(args.f, field, args.prec)
     ext = ASExtension(field, f)
-    report = build_report(ext, samples=args.trials, seed=args.seed)
+    if args.trials < 1:
+        raise InvalidSpec("--trials must be at least 1")
+    report = build_report(ext)
     if args.format == "json":
         text = dumps({
             "schema": SCHEMA,

@@ -11,13 +11,11 @@ wild, ferocious or unramified (the ferocious formula with swan = 0).
 
 from __future__ import annotations
 
-import random
 from fractions import Fraction
 from typing import NamedTuple
 
 from .errors import (
     InsufficientPrecision,
-    InvalidSpec,
     SwanZero,
     TrivialExtension,
 )
@@ -29,7 +27,7 @@ from .extension import (
     reduce_to_best,
 )
 from .records import encode
-from .series import Cut, ValueGroup, dot, random_series, restrict_cut, series_in_cut
+from .series import Cut, ValueGroup, dot, restrict_cut, series_in_cut
 
 Z_GROUP = ValueGroup.discrete(1)
 
@@ -37,12 +35,6 @@ Z_GROUP = ValueGroup.discrete(1)
 def value_group_of_l(ext):
     """Value group of L in v_K units, for a nontrivial extension."""
     return integral_basis(ext).group
-
-
-def _require_samples(samples):
-    # a verifier that drew no samples has no evidence for a pass
-    if samples < 1:
-        raise InvalidSpec("samples must be at least 1")
 
 
 def ideal_h(ext):
@@ -161,7 +153,7 @@ def boundary_generator(ext):
 
 
 class CheckResult(NamedTuple):
-    """Verdict of a sampled or exact verifier, with its evidence."""
+    """Verdict of an exact verifier, with its evidence."""
 
     name: str
     ok: bool
@@ -172,18 +164,6 @@ class CheckResult(NamedTuple):
 
     def to_json(self):
         return {"ok": self.ok, **encode(self.detail)}
-
-
-def _sampled(name, samples, seed, trial, evidence):
-    """The loop of every sampled verifier: ``trial(rng, i)`` for each
-    i < samples, all drawing from one generator seeded with ``seed``.
-    The first witness dict returned fails ``name``; else it passes with ``evidence``."""
-    rng = random.Random(seed)
-    for i in range(samples):
-        witness = trial(rng, i)
-        if witness is not None:
-            return CheckResult(name, False, witness)
-    return CheckResult(name, True, evidence)
 
 
 def check_norm_ideal_identity(ext):
@@ -213,45 +193,59 @@ def check_norm_ideal_identity(ext):
     )
 
 
-def check_refined_swan_stability(ext, samples=50, seed=0):
-    """The form invariant is unchanged under f -> f + a^p - a when the
-    pole order is preserved.
+def check_refined_swan_stability(ext):
+    """The form invariant is unchanged under f -> f + a^p - a for every
+    a with v(a) >= lo = -floor((n - 1)/p), decided exactly on monomials.
 
     The invariant is the homomorphism h -> (h f) dlog f on H, so the
     two presentations are compared at the common test element 1/f: the
     candidate contributes (t dg/dt)/f dlog t + (dg/du)/f du, with the
-    original f in the denominator on both sides.
+    original f in the denominator on both sides.  Every such shift keeps
+    the pole order n, as v(a^p - a) >= p*lo > -n.
 
-    Every shift keeps the pole order n: a has valuation at least lo =
-    -floor((n - 1)/p), so a^p - a has valuation at least p*lo > -n,
-    and g = f + a^p - a is known below at least 1 + (p - 1)*lo >= 2 - n,
-    as f's precision is at least 1.  So v(g) = -n on every draw.
+    theta = t d/dt and d/du are additive and, in characteristic p, kill
+    p-th powers, so the candidate differs from the base form by
+    -theta(a)/f dlog t - d_u(a)/f du.  The modulus is an additive group,
+    so every shift passes exactly when the parts a^p and -a of every
+    monomial shift c*t^k, k >= lo, each give a difference in it (a
+    monomial is itself a shift).  theta(c*t^k) = c*theta(t^k) and
+    d_u(c*t^k) = c'*t^k, and a nonzero constant of k does not move
+    membership in a cut, so c = 1 and, over F_p(u), c = u decide every
+    c.  Membership in the modulus, a closed cut at the integer cap,
+    reads only the exponents below cap, so the differences stop there,
+    and the monomials run over lo <= k < cap: from k = cap on, a
+    monomial's parts differ only at or above cap and are known at least
+    as far as at cap - 1.  Each monomial is known below f's precision,
+    as a shift of f is; the part a^p differs by zero, so it decides only
+    how far the shift is known, which is least at k = lo.  The check
+    reports the range [lo, cap] it decided, and on a failure the
+    monomial, the part and the face (dlog_t or du) that broke.
     """
-    _require_samples(samples)
     if ext.swan == 0:
         raise SwanZero("stability concerns extensions with positive swan")
     p = ext.p
     n = int(ext.swan)
     field = ext.field
-    f = ext.best.f_best
+    prec = ext.best.f_best.prec
     base = refined_swan(ext)
     inv_f = ext.inverse_f_best()
     lo = -((n - 1) // p)  # least integer valuation with p*v > -n
-    # membership in the modulus, a closed cut at an integer, reads only
-    # the exponents below that integer, so the candidates stop there
     cap = int(base.modulus.value)
-
-    def trial(rng, i):
-        a = random_series(field, rng, lo, lo + 3, f.prec, density=0.6)
-        g = f + (a ** p - a)
-        cand_t = dot(((g.euler_derivative(), inv_f),), cap)
-        ok = series_in_cut(base.dlog_t - cand_t, base.modulus)
-        if ok and base.du is not None:
-            cand_u = dot(((g.u_derivative(), inv_f),), cap)
-            ok = series_in_cut(base.du - cand_u, base.modulus)
-        return None if ok else {"witness": str(a), "trial": i}
-
-    return _sampled("refined_swan_stability", samples, seed, trial, {"samples": samples})
+    faces = [("dlog_t", LaurentSeries.euler_derivative)]
+    if base.du is not None:
+        faces.append(("du", LaurentSeries.u_derivative))
+    constants = (1,) if field.is_finite else (1, field.generator())
+    for k in range(lo, cap):
+        for c in constants:
+            a = LaurentSeries.monomial(field, k, c, prec)
+            for part, shift in (("a^p", a ** p), ("-a", -a)):
+                for face, derivative in faces:
+                    if not series_in_cut(dot(((derivative(shift), inv_f),), cap), base.modulus):
+                        return CheckResult(
+                            "refined_swan_stability", False,
+                            {"shift": str(a), "part": part, "face": face},
+                        )
+    return CheckResult("refined_swan_stability", True, {"shifts": [lo, cap]})
 
 
 def check_norm_additivity(ext):
@@ -412,9 +406,8 @@ class InvariantReport(NamedTuple):
         return all(c.ok for c in self.checks.values())
 
 
-def build_report(ext, samples=50, seed=0):
+def build_report(ext):
     """Assemble the invariant bundle and run the verifiers on it."""
-    _require_samples(samples)
     kind = ext.classification()
     checks = {}
     report = InvariantReport(ext.best.swan, ext.best.case, kind, checks)
@@ -436,7 +429,7 @@ def build_report(ext, samples=50, seed=0):
     )
     checks["norm_ideal_identity"] = check_norm_ideal_identity(ext)
     if ramified:
-        checks["refined_swan_stability"] = check_refined_swan_stability(ext, samples, seed)
+        checks["refined_swan_stability"] = check_refined_swan_stability(ext)
     checks["norm_additivity"] = check_norm_additivity(ext)
     if ramified:
         checks["diagram_commutativity"] = check_diagram_commutativity(ext)

@@ -319,9 +319,9 @@ def criterion_difference_operators(extensions):
     return _over_grid(8, "difference_operator_laws", extensions, problems)
 
 
-def criterion_refined_swan_stability(extensions, seed=DEFAULT_SEED):
+def criterion_refined_swan_stability(extensions):
     return _over_grid(9, "refined_swan_stability", extensions, lambda label, ext: _failed(
-        label, check_refined_swan_stability(ext, samples=50, seed=seed)))
+        label, check_refined_swan_stability(ext)))
 
 
 def criterion_norm_additivity_diagram(extensions):
@@ -375,7 +375,7 @@ def run_all(seed=DEFAULT_SEED):
         criterion_step_identity(seed),
         criterion_trace_identities(),
         criterion_difference_operators(extensions),
-        criterion_refined_swan_stability(extensions, seed),
+        criterion_refined_swan_stability(extensions),
         criterion_norm_additivity_diagram(extensions),
         criterion_different_cross_check(extensions),
         criterion_principality_chain(extensions),

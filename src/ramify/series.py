@@ -575,13 +575,3 @@ def series_in_cut(s, cut):
         )
     return True
 
-
-def random_series(field, rng, lo, hi, prec, density=0.7):
-    """A random series supported in [lo, hi] (test/verifier sampling)."""
-    coeffs = {}
-    for e in range(lo, hi + 1):
-        if rng.random() < density:
-            c = field.sample_point(rng, max_degree=1)
-            if not c.is_zero():
-                coeffs[e] = c
-    return LaurentSeries(field, coeffs, prec)

@@ -24,7 +24,8 @@ from ramify.parsing import (
     parse_field_spec,
     parse_series,
 )
-from ramify.series import random_series
+
+from oracles import random_series
 
 
 def run_cli(argv, capsys):

@@ -31,13 +31,14 @@ from ramify.extension import (
 from ramify.fields import Expr, FieldSpec
 from ramify.invariants import boundary_generator, refined_swan
 from ramify.parsing import parse_field_spec
-from ramify.series import Cut, LaurentSeries, ValueGroup, dot, random_series
+from ramify.series import Cut, LaurentSeries, ValueGroup, dot
 
 from oracles import (
     difference_denominators,
     difference_loop,
     integral_sample,
     is_integral,
+    random_series,
     sigma_loop,
     unit_sample,
 )

@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from ramify import extension, invariants, selftest
+from ramify import extension, invariants, selftest, series
 from ramify.errors import (
     InsufficientPrecision,
     InvalidSpec,
@@ -23,7 +23,7 @@ from ramify.extension import (
     RamificationType,
     integral_basis,
 )
-from ramify.fields import FieldSpec, is_pth_power
+from ramify.fields import FieldSpec, _pmul, _psub, _trim, is_pth_power
 from ramify.invariants import (
     CheckResult,
     boundary_generator,
@@ -46,19 +46,20 @@ from ramify.invariants import (
     value_group_of_l,
 )
 from ramify.parsing import parse_field_spec, parse_series
-from ramify.series import Cut, LaurentSeries, ValueGroup, random_series, series_in_cut
+from ramify.series import Cut, LaurentSeries, ValueGroup, series_in_cut
 
 import oracles
 from oracles import (
     candidate_traces,
     element_trace_dual_cut,
     gram_trace_dual_cut,
-    hand_loop_refined_swan_stability,
     integral_sample,
     lefschetz_minimum,
+    random_series,
     report_principality_chain,
     sampled_diagram_commutativity,
     sampled_norm_additivity,
+    sampled_refined_swan_stability,
     scan_traces,
     table_trace_dual_cut,
     tower_fields_principality_chain,
@@ -211,8 +212,13 @@ def test_refined_swan_zero_raises():
 
 
 def test_refined_swan_stability_grid():
+    """On the grid the exact pass decides the shifts from lo =
+    -floor((n - 1)/p) to the modulus, and they all keep the form."""
     for ext in GRID:
-        assert check_refined_swan_stability(ext, samples=25, seed=8).ok
+        n, p = int(ext.swan), ext.p
+        result = check_refined_swan_stability(ext)
+        assert result.ok
+        assert result.detail == {"shifts": [-((n - 1) // p), int(rsw_modulus(ext).value)]}
 
 
 STABILITY_FIELDS = [
@@ -263,7 +269,7 @@ def test_refined_swan_comparison_is_at_the_common_generator():
     at_generator_f = f.euler_derivative() * inv_f
     at_generator_g = g.euler_derivative() * inv_f
     assert series_in_cut(at_generator_f - at_generator_g, modulus)
-    assert check_refined_swan_stability(ext, samples=40, seed=1).ok
+    assert check_refined_swan_stability(ext).ok
 
 
 def test_different_examples():
@@ -688,8 +694,7 @@ NORM_FIELDS = tuple(
 def test_norm_checks_match_the_sampled_oracles(field, draw, n, prec, samples, seed):
     """Where the sampled oracle of a norm check decides, the exact check
     gives its verdict, or raises what the oracle raised; where the exact
-    check cannot decide, neither could the oracle.  The stability check,
-    its trials run by ``invariants._sampled``, matches its own old loop."""
+    check cannot decide, neither could the oracle."""
     ext = pole_extension(field, random.Random(draw), n, prec)
     for check, oracle in (
         (check_norm_additivity, sampled_norm_additivity),
@@ -703,8 +708,6 @@ def test_norm_checks_match_the_sampled_oracles(field, draw, n, prec, samples, se
             assert isinstance(got, CheckResult) or got[0] is InsufficientPrecision
         else:
             assert got == want
-    assert rule_outcome(check_refined_swan_stability, ext, samples, seed) == rule_outcome(
-        hand_loop_refined_swan_stability, ext, samples, seed)
 
 
 def exact_outcome(check, ext):
@@ -731,6 +734,79 @@ def test_the_benchmark_norm_checks_match_the_sampled_oracles(monkeypatch, worklo
                 (check_diagram_commutativity, sampled_diagram_commutativity),
             ):
                 assert check(ext).ok == oracle(ext, trials, verifier_seed).ok, argv
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.sampled_from(NORM_FIELDS), st.integers(0, 2**32), st.integers(0, 9),
+    st.integers(1, 36), st.integers(1, 8), st.integers(0, 2**31),
+)
+def test_the_exact_stability_check_matches_the_sampled_oracle(field, draw, n, prec, samples, seed):
+    """Where both decide, the exact pass over monomials gives the sampled
+    oracle's verdict, a pass; an error other than missing precision is
+    raised by both alike, with the same message."""
+    ext = pole_extension(field, random.Random(draw), n, prec)
+    got = exact_outcome(check_refined_swan_stability, ext)
+    want = rule_outcome(sampled_refined_swan_stability, ext, samples, seed)
+    if isinstance(got, CheckResult) and isinstance(want, CheckResult):
+        assert got.ok and want.ok
+    elif InsufficientPrecision not in (got[0], want[0]):
+        assert got == want
+
+
+def theta_plus_one(self):
+    """A mutant t*d/dt that multiplies the coefficient at t^e by e + 1,
+    so that it no longer kills p-th powers."""
+    field = self.field
+    out = {e: field._rmul(c, field._to_raw((e + 1) % field.p))
+           for e, c in self._raw.items() if (e + 1) % field.p}
+    return series._series(field, out, self.prec)
+
+
+def derivative_u_keeping_u_p(c):
+    """A mutant d/du on F_p(u) that takes u^(kp) to u^(kp - 1), so that
+    it no longer kills p-th powers."""
+    p = c.field.p
+
+    def deriv(a):
+        return _trim([(i % p or 1) * x % p for i, x in enumerate(a)][1:])
+
+    num = _psub(_pmul(deriv(c._a), c._b, p), _pmul(c._a, deriv(c._b), p), p)
+    return c.field.from_polys(num, _pmul(c._b, c._b, p))
+
+
+@pytest.mark.parametrize("mutant, count", [
+    pytest.param((LaurentSeries, "euler_derivative", theta_plus_one), 55, id="theta-e+1"),
+    pytest.param((series, "derivative_u", derivative_u_keeping_u_p), 15, id="du-u^p"),
+])
+def test_a_stability_mutant_fails_where_the_sampled_oracle_does(monkeypatch, mutant, count):
+    """Under a derivative that does not kill p-th powers, the part a^p of
+    the shift t^lo (u*t^lo for d/du) leaves a term of valuation p*lo + n,
+    which lies below the modulus exactly when p*lo + n < cap.  On the 115
+    analyze configurations of seeds 1-5, the exact check fails exactly
+    there, and the sampled oracle at 50 samples gives the same verdict on
+    every one.  The theta mutant fails the wild_small_p strata with n > p
+    (ids 0-3, 5-7 and 9) and the ferocious_fpu strata 2, 3 and 5; the
+    d/du mutant only the latter, the F_p(u) strata with p*lo + n < cap."""
+    monkeypatch.setattr(*mutant)
+    failing = 0
+    for workload in ("wild_small_p", "wild_large_p", "ferocious_fpu"):
+        for seed in range(1, 6):
+            for argv in analyze_configs(monkeypatch, workload, seed):
+                args = dict(zip(argv[1::2], argv[2::2]))
+                field = parse_field_spec(args["--field"])
+                f = parse_series(args["--f"], field, int(args["--prec"]))
+                ext = ASExtension(field, f)
+                exact = check_refined_swan_stability(ext)
+                sampled = sampled_refined_swan_stability(
+                    ASExtension(field, f), 50, int(args["--seed"]))
+                assert exact.ok == sampled.ok, argv
+                n, p = int(ext.swan), field.p
+                lo, cap = -((n - 1) // p), int(rsw_modulus(ext).value)
+                reached = mutant[0] is LaurentSeries or not field.is_finite
+                assert exact.ok == (not reached or p * lo + n >= cap), argv
+                failing += not exact.ok
+    assert failing == count
 
 
 # the low_prec run of tools/output_digest.py in which the sampled diagram
@@ -764,12 +840,6 @@ def verdicts(*values):
     return lambda *args, **kwargs: next(it, True)
 
 
-def stability_shift(ext, rng):
-    """The shift a of f -> f + a^p - a one stability trial draws."""
-    lo = -((int(ext.swan) - 1) // ext.p)
-    return random_series(ext.field, rng, lo, lo + 3, ext.best.f_best.prec, density=0.6)
-
-
 E3 = ext_of(F3, -2, prec=64)
 E2U = ext_of(F2u, -2, F2u.generator())
 
@@ -796,9 +866,14 @@ E2U = ext_of(F2u, -2, F2u.generator())
             for k, face in enumerate(("norm", "dlog_t", "du"))
         ),
         pytest.param(
-            check_refined_swan_stability, E3, (4, 5), ("series_in_cut", (True, False)),
-            (stability_shift,), lambda a: [("witness", str(a)), ("trial", 1)],
+            check_refined_swan_stability, E3, (), ("series_in_cut", (True, False)), (),
+            lambda: [("shift", "1"), ("part", "-a"), ("face", "dlog_t")],
             id="stability-trial",
+        ),
+        pytest.param(
+            check_refined_swan_stability, E2U, (), ("series_in_cut", (True,) * 5 + (False,)),
+            (), lambda: [("shift", "u"), ("part", "a^p"), ("face", "du")],
+            id="stability-du",
         ),
     ],
 )
@@ -807,8 +882,11 @@ def test_a_failing_trial_reports_its_witness(monkeypatch, check, ext, args, patc
     reports today's keys in today's order: the additivity check its two
     cuts when I_sigma is raised past Tr(B), the diagram check its cuts
     and the first face whose ``series_in_cut`` verdict is False, and the
-    sampled stability check, failing at trial 1, its shift replayed
-    from the seed.  A tuple of verdicts stands in for a decision."""
+    stability check the first monomial, part and face whose verdict is
+    False: over F_3, k = 0 is the only monomial and its part -a the
+    second decision; over F_2(u), with the du face, the sixth decision
+    is the part a^p of the monomial u at t^0 on that face.  A tuple of
+    verdicts stands in for a decision."""
     name, stand_in = patch
     if isinstance(stand_in, tuple):
         stand_in = verdicts(*stand_in)
@@ -824,19 +902,22 @@ def test_a_failing_trial_reports_its_witness(monkeypatch, check, ext, args, patc
 
 @pytest.mark.parametrize("samples", [0, -1])
 def test_no_check_runs_on_fewer_than_one_sample(samples):
-    """A sample count below one is refused before anything else is
-    decided, even where the extension would raise SwanZero, and by
-    ``build_report`` even for a trivial extension, so no verifier
-    passes on zero samples."""
+    """The sampled oracles refuse a sample count below one before
+    anything else is decided, even where the extension would raise
+    SwanZero, so no oracle passes on zero samples; the exact check
+    takes no sample count and raises SwanZero."""
     unramified = ext_of(F2, 0)  # f = 1: swan 0
     trivial = ext_of(F2, 1)  # f = t
     for ext in (unramified, trivial):
         with pytest.raises(SwanZero):
-            check_refined_swan_stability(ext, samples=1)
-        with pytest.raises(InvalidSpec):
-            check_refined_swan_stability(ext, samples=samples)
-    with pytest.raises(InvalidSpec):
-        build_report(trivial, samples)
+            check_refined_swan_stability(ext)
+        with pytest.raises(SwanZero):
+            sampled_refined_swan_stability(ext, samples=1)
+        for oracle in (
+            sampled_refined_swan_stability, sampled_norm_additivity, sampled_diagram_commutativity,
+        ):
+            with pytest.raises(InvalidSpec):
+                oracle(ext, samples=samples)
 
 
 def test_ideal_chain_h_in_iota_in_i_sigma():
@@ -890,7 +971,7 @@ def test_principality_chains_match_the_report_reading():
 
 
 def test_report_json_shape():
-    rep = build_report(ext_of(F3, -2), samples=10, seed=1)
+    rep = build_report(ext_of(F3, -2))
     data = rep.to_json()
     assert data["swan"] == "2/1"
     assert data["classification"] == "wild"
@@ -911,7 +992,7 @@ def test_report_trivial_and_unramified():
     trivial = build_report(ASExtension(F2, mono(F2, 1, 1, 4)))
     assert trivial.classification is RamificationType.TRIVIAL
     assert trivial.h is None
-    unram = build_report(ASExtension(F2, LaurentSeries.one(F2, 8)), samples=10, seed=1)
+    unram = build_report(ASExtension(F2, LaurentSeries.one(F2, 8)))
     assert unram.classification is RamificationType.UNRAMIFIED
     assert unram.h == Cut.at_least(0, Z)
     assert unram.e * unram.f_inertia * unram.defect == 2
@@ -938,7 +1019,7 @@ def test_report_inverts_f_best_once(monkeypatch, field_spec, f):
         return inverse(self)
 
     monkeypatch.setattr(LaurentSeries, "inverse", counted)
-    rep = build_report(ext, samples=1)
+    rep = build_report(ext)
     assert rep.all_checks_pass()
     assert inverted == [f_best]
     assert ext.inverse_f_best() == ext.with_best_f().inverse_f_best() == inverse(f_best)
@@ -964,7 +1045,7 @@ def test_report_builds_the_refined_form_once(monkeypatch, field_spec, f):
         return euler_derivative(self)
 
     monkeypatch.setattr(LaurentSeries, "euler_derivative", counted)
-    rep = build_report(ext, samples=1)
+    rep = build_report(ext)
     assert rep.all_checks_pass()
     assert sum(s == f_best for s in derived) == 1
     assert refined_swan(ext) is refined_swan(ext.with_best_f()) is rep.rsw
@@ -995,7 +1076,7 @@ def test_a_report_expands_one_determinant(monkeypatch, field_spec, f):
 
     monkeypatch.setattr(extension, "_laplace", counted)
     monkeypatch.setattr(LElement, "inverse", no_call)
-    rep = build_report(ext, samples=3)
+    rep = build_report(ext)
     assert rep.all_checks_pass()
     assert len(expanded) == 1
     reduced = ext.with_best_f()
@@ -1050,7 +1131,7 @@ def test_the_diagram_check_reuses_the_product_and_stops_at_the_modulus(
 
 def test_e_f_defect_product():
     for ext in GRID:
-        rep = build_report(ext, samples=1)
+        rep = build_report(ext)
         assert rep.e * rep.f_inertia * rep.defect == ext.p
 
 

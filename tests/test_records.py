@@ -45,7 +45,7 @@ def test_records_keep_their_own_json_shape():
 
 def test_reports_are_immutable_records():
     ext = ASExtension(F3, LaurentSeries.monomial(F3, -2, 1, 32))
-    report = build_report(ext, samples=1)
+    report = build_report(ext)
     with pytest.raises(AttributeError):
         report.e = 1
     tower = tower_report(TowerSpec(FieldSpec.finite(3, 2), 2, 3))

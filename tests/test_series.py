@@ -14,7 +14,6 @@ from ramify.series import (
     Cut,
     LaurentSeries,
     ValueGroup,
-    random_series,
     restrict_cut,
     series_in_cut,
 )
@@ -24,6 +23,7 @@ from oracles import (
     element_text,
     floor_series_in_cut,
     geometric_inverse,
+    random_series,
     series_is_integral,
     termwise_series_text,
 )

@@ -255,6 +255,6 @@ def test_one_report_builds_the_shape_once(monkeypatch, field, terms, kind):
 
     monkeypatch.setattr(extension, "_shape", counted)
     ext = ext_of(field, terms, prec=16)
-    report = build_report(ext, samples=4, seed=1)
+    report = build_report(ext)
     assert report.classification is kind and all(check.ok for check in report.checks.values())
     assert len(builds) == 1

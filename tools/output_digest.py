@@ -6,7 +6,8 @@ F_p(u) ``analyze`` runs that no workload covers (p = 5, and denominators
 with repeated and irreducible quadratic factors), in JSON and in text,
 ``selftest`` in text and in JSON with ``--seed 7``, the ``heavy_tail``
 runs: one F_p(u) ``analyze`` whose coefficients have a denominator of
-degree 400, at verifier seeds 0-3, in JSON, and the ``low_prec``
+degree 400, at seeds 0-3, in JSON (no check draws a sample, so the four
+differ only in the echoed seed), and the ``low_prec``
 runs: every ``analyze`` configuration of seeds 1-5, in JSON, with
 ``--prec`` lowered to each of ``LOW_PRECS``, the ``large_p`` runs:
 three JSON ``analyze`` runs at p = 11 and 13 (``LARGE_P_RUNS``), where
