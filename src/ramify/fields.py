@@ -1019,7 +1019,20 @@ def dot_coeffs(field, pairs, bound):
     is multiplied by B^(L - v), a product of base powers, and one
     ``_CoprimeBase.cancel`` per exponent reduces the sum.  Zero sums are
     dropped.
+
+    One live pair with a one-term operand {e1: c} is a shift and a scale:
+    the result is {e1 + e: c*x} over the other operand's terms below the
+    bound, a copy when c is one, with no accumulation, no coprime-base
+    vector and no cancel (a product of nonzero values is nonzero).
     """
+    if len(pairs) == 1:
+        a, b = sorted(pairs[0], key=len)
+        if len(a) == 1:
+            ((e1, c),) = a.items()
+            lim, mul = bound - e1, field._rmul
+            if c == (1 if field.is_finite else field._one):
+                return {e1 + e: x for e, x in b.items() if e < lim}
+            return {e1 + e: mul(c, x) for e, x in b.items() if e < lim}
     p = field.p
     acc = {}
     get = acc.get

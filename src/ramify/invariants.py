@@ -208,18 +208,20 @@ def check_refined_swan_stability(ext):
     -theta(a)/f dlog t - d_u(a)/f du.  The modulus is an additive group,
     so every shift passes exactly when the parts a^p and -a of every
     monomial shift c*t^k, k >= lo, each give a difference in it (a
-    monomial is itself a shift).  theta(c*t^k) = c*theta(t^k) and
-    d_u(c*t^k) = c'*t^k, and a nonzero constant of k does not move
-    membership in a cut, so c = 1 and, over F_p(u), c = u decide every
-    c.  Membership in the modulus, a closed cut at the integer cap,
-    reads only the exponents below cap, so the differences stop there,
-    and the monomials run over lo <= k < cap: from k = cap on, a
-    monomial's parts differ only at or above cap and are known at least
-    as far as at cap - 1.  Each monomial is known below f's precision,
-    as a shift of f is; the part a^p differs by zero, so it decides only
-    how far the shift is known, which is least at k = lo.  The check
-    reports the range [lo, cap] it decided, and on a failure the
-    monomial, the part and the face (dlog_t or du) that broke.
+    monomial is itself a shift).  Membership in the modulus, a closed
+    cut at the integer cap, reads only the exponents below cap, so the
+    differences stop there, and the monomials run over lo <= k < cap:
+    from k = cap on, a monomial's parts differ only at or above cap and
+    are known at least as far as at cap - 1.  A nonzero constant of k
+    does not move membership in a cut, so one monomial per face decides
+    every c: theta(c*t^k) = c*theta(t^k) on dlog_t, and on du
+    d_u(c*t^k) = c'*t^k, zero at c = 1, so t^k and u*t^k.  Their part -a
+    is decided at every k.  The part a^p differs by zero, so it decides
+    only how far the shift is known, below f's precision plus (p - 1)*k,
+    and is decided at k = lo, where that is least; there it also fails
+    if theta or d/du does not kill p-th powers.  The check reports the
+    range [lo, cap] it decided, and on a failure the monomial, the part
+    and the face (dlog_t or du) that broke.
     """
     if ext.swan == 0:
         raise SwanZero("stability concerns extensions with positive swan")
@@ -231,20 +233,18 @@ def check_refined_swan_stability(ext):
     inv_f = ext.inverse_f_best()
     lo = -((n - 1) // p)  # least integer valuation with p*v > -n
     cap = int(base.modulus.value)
-    faces = [("dlog_t", LaurentSeries.euler_derivative)]
+    faces = [("dlog_t", LaurentSeries.euler_derivative, 1)]
     if base.du is not None:
-        faces.append(("du", LaurentSeries.u_derivative))
-    constants = (1,) if field.is_finite else (1, field.generator())
-    for k in range(lo, cap):
-        for c in constants:
-            a = LaurentSeries.monomial(field, k, c, prec)
-            for part, shift in (("a^p", a ** p), ("-a", -a)):
-                for face, derivative in faces:
-                    if not series_in_cut(dot(((derivative(shift), inv_f),), cap), base.modulus):
-                        return CheckResult(
-                            "refined_swan_stability", False,
-                            {"shift": str(a), "part": part, "face": face},
-                        )
+        faces.append(("du", LaurentSeries.u_derivative, field.generator()))
+    decisions = [("a^p", lo, face) for face in faces]
+    decisions += [("-a", k, face) for k in range(lo, cap) for face in faces]
+    for part, k, (face, derivative, c) in decisions:
+        a = LaurentSeries.monomial(field, k, c, prec)
+        shift = a ** p if part == "a^p" else -a
+        if not series_in_cut(dot(((derivative(shift), inv_f),), cap), base.modulus):
+            return CheckResult(
+                "refined_swan_stability", False, {"shift": str(a), "part": part, "face": face},
+            )
     return CheckResult("refined_swan_stability", True, {"shifts": [lo, cap]})
 
 

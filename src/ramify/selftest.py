@@ -49,12 +49,15 @@ DEFAULT_SEED = 1729
 
 #: (p, coefficient kind, pole order, precision) for the discretely
 #: valued grid; "u" marks the imperfect-residue cases over F_p(u).
+#: (2, "u", 3) has p*lo + n < cap, so criterion 9 fails there under a
+#: d/du that does not kill p-th powers.
 DVR_GRID = [
     (2, None, 1, 32),
     (2, None, 3, 32),
     (3, None, 1, 32),
     (3, None, 2, 32),
     (2, "u", 2, 32),
+    (2, "u", 3, 32),
     (3, "u", 3, 32),
     (5, None, 2, 24),
 ]

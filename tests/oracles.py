@@ -6,6 +6,7 @@ import math
 import random
 from fractions import Fraction
 
+from ramify import series
 from ramify.errors import (
     DivisionByZero,
     FieldMismatch,
@@ -50,6 +51,7 @@ from ramify.series import (
     Cut,
     LaurentSeries,
     ValueGroup,
+    _series,
     dot,
     restrict_cut,
     series_in_cut,
@@ -1029,6 +1031,76 @@ def sampled_difference_operator_failure(ext, seed, samples=100):
             if not d_x[i].in_cut(zero_cut):
                 return f"D_{i} left the integers at trial {trial}"
     return None
+
+
+# -- the every-face stability check -------------------------------------------------
+# ``invariants.check_refined_swan_stability`` as it was when it made every
+# decision on every monomial, before it kept only those that can change a
+# verdict.
+
+
+def every_face_refined_swan_stability(ext):
+    """The exact stability pass over every monomial c*t^k, lo <= k < cap,
+    with c = 1 and, over F_p(u), c = u, each of its parts a^p and -a, on
+    each face of the form: eight decisions per k over F_p(u), two over
+    F_q.  Same result, detail and errors as the library's check."""
+    if ext.swan == 0:
+        raise SwanZero("stability concerns extensions with positive swan")
+    p = ext.p
+    n = int(ext.swan)
+    field = ext.field
+    prec = ext.best.f_best.prec
+    base = refined_swan(ext)
+    inv_f = ext.inverse_f_best()
+    lo = -((n - 1) // p)
+    cap = int(base.modulus.value)
+    faces = [("dlog_t", LaurentSeries.euler_derivative)]
+    if base.du is not None:
+        faces.append(("du", LaurentSeries.u_derivative))
+    constants = (1,) if field.is_finite else (1, field.generator())
+    for k in range(lo, cap):
+        for c in constants:
+            a = LaurentSeries.monomial(field, k, c, prec)
+            for part, shift in (("a^p", a ** p), ("-a", -a)):
+                for face, derivative in faces:
+                    if not series_in_cut(dot(((derivative(shift), inv_f),), cap), base.modulus):
+                        return CheckResult(
+                            "refined_swan_stability", False,
+                            {"shift": str(a), "part": part, "face": face},
+                        )
+    return CheckResult("refined_swan_stability", True, {"shifts": [lo, cap]})
+
+
+# -- derivatives that do not kill p-th powers ------------------------------------------
+# Mutants of t*d/dt and d/du, as the (owner, name, mutant) triples that
+# monkeypatch them in, for the tests that check the stability check and
+# selftest criterion 9 fail without the property they rest on.
+
+
+def theta_plus_one(self):
+    """A mutant t*d/dt that multiplies the coefficient at t^e by e + 1,
+    so that it no longer kills p-th powers."""
+    field = self.field
+    out = {e: field._rmul(c, field._to_raw((e + 1) % field.p))
+           for e, c in self._raw.items() if (e + 1) % field.p}
+    return _series(field, out, self.prec)
+
+
+def derivative_u_keeping_u_p(c):
+    """A mutant d/du on F_p(u) that takes u^(kp) to u^(kp - 1), so that
+    it no longer kills p-th powers."""
+    p = c.field.p
+
+    def deriv(a):
+        return _trim([(i % p or 1) * x % p for i, x in enumerate(a)][1:])
+
+    num = _psub(_pmul(deriv(c._a), c._b, p), _pmul(c._a, deriv(c._b), p), p)
+    return c.field.from_polys(num, _pmul(c._b, c._b, p))
+
+
+THETA_MUTANT = (LaurentSeries, "euler_derivative", theta_plus_one)
+DU_MUTANT = (series, "derivative_u", derivative_u_keeping_u_p)
+
 
 # -- the sampled stability check ----------------------------------------------------
 # ``invariants.check_refined_swan_stability`` as it was when it compared the

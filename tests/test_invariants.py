@@ -23,7 +23,7 @@ from ramify.extension import (
     RamificationType,
     integral_basis,
 )
-from ramify.fields import FieldSpec, _pmul, _psub, _trim, is_pth_power
+from ramify.fields import FieldSpec, is_pth_power
 from ramify.invariants import (
     CheckResult,
     boundary_generator,
@@ -50,8 +50,11 @@ from ramify.series import Cut, LaurentSeries, ValueGroup, series_in_cut
 
 import oracles
 from oracles import (
+    DU_MUTANT,
+    THETA_MUTANT,
     candidate_traces,
     element_trace_dual_cut,
+    every_face_refined_swan_stability,
     gram_trace_dual_cut,
     integral_sample,
     lefschetz_minimum,
@@ -754,30 +757,9 @@ def test_the_exact_stability_check_matches_the_sampled_oracle(field, draw, n, pr
         assert got == want
 
 
-def theta_plus_one(self):
-    """A mutant t*d/dt that multiplies the coefficient at t^e by e + 1,
-    so that it no longer kills p-th powers."""
-    field = self.field
-    out = {e: field._rmul(c, field._to_raw((e + 1) % field.p))
-           for e, c in self._raw.items() if (e + 1) % field.p}
-    return series._series(field, out, self.prec)
-
-
-def derivative_u_keeping_u_p(c):
-    """A mutant d/du on F_p(u) that takes u^(kp) to u^(kp - 1), so that
-    it no longer kills p-th powers."""
-    p = c.field.p
-
-    def deriv(a):
-        return _trim([(i % p or 1) * x % p for i, x in enumerate(a)][1:])
-
-    num = _psub(_pmul(deriv(c._a), c._b, p), _pmul(c._a, deriv(c._b), p), p)
-    return c.field.from_polys(num, _pmul(c._b, c._b, p))
-
-
 @pytest.mark.parametrize("mutant, count", [
-    pytest.param((LaurentSeries, "euler_derivative", theta_plus_one), 55, id="theta-e+1"),
-    pytest.param((series, "derivative_u", derivative_u_keeping_u_p), 15, id="du-u^p"),
+    pytest.param(THETA_MUTANT, 55, id="theta-e+1"),
+    pytest.param(DU_MUTANT, 15, id="du-u^p"),
 ])
 def test_a_stability_mutant_fails_where_the_sampled_oracle_does(monkeypatch, mutant, count):
     """Under a derivative that does not kill p-th powers, the part a^p of
@@ -807,6 +789,56 @@ def test_a_stability_mutant_fails_where_the_sampled_oracle_does(monkeypatch, mut
                 assert exact.ok == (not reached or p * lo + n >= cap), argv
                 failing += not exact.ok
     assert failing == count
+
+
+def outcome_items(outcome):
+    """A check's verdict with its detail as a list, so that key order
+    counts, or the type and message of what it raised."""
+    if isinstance(outcome, CheckResult):
+        return outcome.ok, list(outcome.detail.items())
+    return outcome
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.sampled_from(NORM_FIELDS), st.integers(0, 2**32), st.integers(0, 9), st.integers(1, 36),
+)
+def test_the_stability_check_matches_the_every_face_oracle(field, draw, n, prec):
+    """The pass that keeps only the decisions that can change a verdict
+    gives the result of the pass that decides every part of every
+    monomial on every face: verdict and detail in key order, or the same
+    error with the same message."""
+    ext = pole_extension(field, random.Random(draw), n, prec)
+    assert outcome_items(exact_outcome(check_refined_swan_stability, ext)) == outcome_items(
+        exact_outcome(every_face_refined_swan_stability, ext))
+
+
+@pytest.mark.parametrize("mutant", [
+    pytest.param(None, id="exact"),
+    pytest.param(THETA_MUTANT, id="theta-e+1"),
+    pytest.param(DU_MUTANT, id="du-u^p"),
+])
+def test_the_benchmark_stability_checks_match_the_every_face_oracle(monkeypatch, mutant):
+    """On the 115 analyze configurations of seeds 1-5, each at its own
+    precision and at 2, 4 and 8, the two passes give the same result or
+    error, with the true derivatives and under either mutant: the mutant
+    failures are found by the a^p decisions at k = lo, which both passes
+    make before any other that can fail."""
+    if mutant is not None:
+        monkeypatch.setattr(*mutant)
+    cases = 0
+    for workload in ("wild_small_p", "wild_large_p", "ferocious_fpu"):
+        for seed in range(1, 6):
+            for argv in analyze_configs(monkeypatch, workload, seed):
+                args = dict(zip(argv[1::2], argv[2::2]))
+                field = parse_field_spec(args["--field"])
+                for prec in {int(args["--prec"]), 2, 4, 8}:
+                    ext = ASExtension(field, parse_series(args["--f"], field, prec))
+                    got = exact_outcome(check_refined_swan_stability, ext)
+                    want = exact_outcome(every_face_refined_swan_stability, ext)
+                    assert outcome_items(got) == outcome_items(want), (argv, prec)
+                    cases += 1
+    assert cases == 460
 
 
 # the low_prec run of tools/output_digest.py in which the sampled diagram
@@ -871,7 +903,7 @@ E2U = ext_of(F2u, -2, F2u.generator())
             id="stability-trial",
         ),
         pytest.param(
-            check_refined_swan_stability, E2U, (), ("series_in_cut", (True,) * 5 + (False,)),
+            check_refined_swan_stability, E2U, (), ("series_in_cut", (True,) * 1 + (False,)),
             (), lambda: [("shift", "u"), ("part", "a^p"), ("face", "du")],
             id="stability-du",
         ),
@@ -883,10 +915,11 @@ def test_a_failing_trial_reports_its_witness(monkeypatch, check, ext, args, patc
     cuts when I_sigma is raised past Tr(B), the diagram check its cuts
     and the first face whose ``series_in_cut`` verdict is False, and the
     stability check the first monomial, part and face whose verdict is
-    False: over F_3, k = 0 is the only monomial and its part -a the
-    second decision; over F_2(u), with the du face, the sixth decision
-    is the part a^p of the monomial u at t^0 on that face.  A tuple of
-    verdicts stands in for a decision."""
+    False: over F_3, k = 0 is the only monomial, its part a^p on dlog_t
+    the first decision and its part -a the second; over F_2(u), with the
+    du face, the second decision is the part a^p of the monomial u at
+    t^lo = t^0 on that face.  A tuple of verdicts stands in for a
+    decision."""
     name, stand_in = patch
     if isinstance(stand_in, tuple):
         stand_in = verdicts(*stand_in)

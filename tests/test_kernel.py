@@ -369,6 +369,31 @@ def test_a_capped_dot_is_the_truncated_dot(field, seed, count, cap):
     assert same(dot(pairs, cap), dot(pairs).truncate(cap))
 
 
+def one_term(field, rng, kind):
+    """A series with one known term c*t^e, for c = 1, c = -1 or a random
+    nonzero c, known a few exponents past e."""
+    c = {"one": field.one(), "minus_one": -field.one(),
+         "random": coefficient(field, rng) or field.one()}[kind]
+    e = rng.randint(-5, 5)
+    return LaurentSeries.monomial(field, e, c, e + rng.randint(1, 8))
+
+
+@settings(max_examples=200, deadline=None)
+@given(fields, seeds, st.sampled_from(("one", "minus_one", "random")), st.booleans(),
+       st.booleans(), st.one_of(st.none(), st.integers(-10, 14)))
+def test_a_one_term_product_matches_product_chain(field, seed, kind, swap, extra, cap):
+    """One live pair with a one-term operand, on either side, is the
+    other operand shifted and scaled: value and ``prec`` are the product
+    chain's, with and without ``cap``, when the other operand has terms
+    or none, and beside a pair with an empty operand that only bounds."""
+    rng = random.Random(seed)
+    a, b = one_term(field, rng, kind), random_series(field, rng)
+    pairs = [(b, a) if swap else (a, b)]
+    if extra:
+        pairs.append((LaurentSeries.zero(field, rng.randint(-3, 14)), random_series(field, rng)))
+    assert same(dot(pairs, cap), truncated(chain_dot(pairs), cap))
+
+
 @settings(max_examples=80, deadline=None)
 @given(fields, seeds, st.integers(1, 4), st.one_of(st.none(), st.integers(-10, 14)))
 def test_dot_of_empty_pairs_only_keeps_their_bound(field, seed, count, prec):
@@ -559,6 +584,38 @@ def test_raw_kernel_matches_both_series_expansions(field, n, seed, empty_rows, e
         reference_det, reference_cofactors = oracle(cols)
         assert same(det, reference_det)
         assert all(same(a, b) for a, b in zip(cofactors, reference_cofactors))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from(LAPLACE_FIELDS), st.integers(2, 5), seeds)
+def test_raw_kernel_on_one_term_entries_matches_the_series_expansion(field, n, seed):
+    """Columns whose entries are mostly one-term series (c = 1, -1 or
+    random), or have no known term, so that many minors are one live
+    pair with a one-term operand: the raw expansion gives the
+    determinant and cofactors of the series-level expansion, and of the
+    schoolbook expansion, which reads no ``dot``."""
+    rng = random.Random(seed)
+    cols = []
+    for _ in range(n):
+        col = []
+        for _ in range(n):
+            pick = rng.random()
+            if pick < 0.6:
+                col.append(one_term(field, rng, rng.choice(("one", "minus_one", "random"))))
+            elif pick < 0.8:
+                col.append(LaurentSeries.zero(field, rng.randint(-3, 12)))
+            else:
+                col.append(random_series(field, rng, lo=-2, width=3, prec_range=(2, 12)))
+        cols.append(tuple(col))
+    det, cofactors = _laplace(cols)
+    reference_det, reference_cofactors = series_laplace(cols)
+    assert same(det, reference_det)
+    assert all(same(x, y) for x, y in zip(cofactors, reference_cofactors))
+    rows = [list(row) for row in zip(*cols)]
+    assert same(det, laplace_det(rows))
+    for j, cofactor in enumerate(cofactors):
+        minor = laplace_det([row[:j] + row[j + 1:] for row in rows[1:]])
+        assert same(cofactor, -minor if j % 2 else minor)
 
 
 @settings(max_examples=60, deadline=None)

@@ -18,17 +18,26 @@ from ramify.invariants import CheckResult, boundary_generator
 from ramify.selftest import DVR_GRID, DEFAULT_SEED, _grid_label, grid_extension
 from ramify.series import Cut, LaurentSeries, ValueGroup
 
-from oracles import integral_sample, random_series, sampled_difference_operator_failure
+from oracles import (
+    DU_MUTANT,
+    integral_sample,
+    random_series,
+    sampled_difference_operator_failure,
+)
 
 Z = ValueGroup.discrete(1)
 
 REAL_CHAIN = DifferenceOperators.chain
 
 
-@pytest.fixture(scope="module")
-def extensions():
+def grid_extensions():
     return [(_grid_label(p, kind, n), grid_extension(p, kind, n, prec))
             for p, kind, n, prec in DVR_GRID]
+
+
+@pytest.fixture(scope="module")
+def extensions():
+    return grid_extensions()
 
 
 def failing_check(name, fails):
@@ -145,6 +154,20 @@ def test_refined_swan_stability_failures(monkeypatch, extensions):
         "(p=2, f=t^-1): {'args': ()}; "
         "(p=2, f=t^-3): {'args': ()}; "
         "(p=2, f=u*t^-2): {'args': ()}]"
+    )
+
+
+def test_refined_swan_stability_catches_a_d_du_keeping_p_th_powers(monkeypatch):
+    """Under a d/du that takes u^2 to u, criterion 9 fails on the one
+    grid case whose a^p part reaches below the modulus, p*lo + n < cap:
+    over F_2(u) at n = 3 the shift u*t^-1 has (u*t^-1)^2 = u^2*t^-2, and
+    its du difference u*t^-2/f has valuation 1 < cap = 2.  The grid is
+    built afresh, so no memo made under the mutant outlives the test."""
+    monkeypatch.setattr(*DU_MUTANT)
+    res = selftest.criterion_refined_swan_stability(grid_extensions())
+    assert res.line() == (
+        "criterion 09 refined_swan_stability: FAIL  ["
+        "(p=2, f=u*t^-3): {'shift': 'u*t^-1', 'part': 'a^p', 'face': 'du'}]"
     )
 
 
