@@ -850,14 +850,22 @@ class ResidueElem:
             return f._zero
         # Henrici: a polynomial operand is cancelled against the other
         # denominator before the product; two fractions, whose numerators
-        # are prime to their own denominators, cancel once after it.
+        # are prime to their own denominators, cancel once after it.  A
+        # nonzero constant c of F_p is a unit of F_p[u]: c*n/d keeps d, its
+        # vector and its lowest terms, so it only scales n mod p.
         p = f.p
         base = f._base
         if da == _ONE:
             if db == _ONE:
                 return _elem(f, _pmul(a, b, p), _ONE)
+            if len(a) == 1:
+                c = a[0]
+                return _elem(f, tuple(c * x % p for x in b), db, other._v)
             a, v = base.cancel(a, base.vector(other))
         elif db == _ONE:
+            if len(b) == 1:
+                c = b[0]
+                return _elem(f, tuple(c * x % p for x in a), da, self._v)
             b, v = base.cancel(b, base.vector(self))
         else:
             return _frac(f, *base.cancel(_pmul(a, b, p), _vadd(*base.vectors((self, other)))))

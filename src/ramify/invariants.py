@@ -7,6 +7,11 @@ read from one record of its shape, ``integral_basis``: the value
 group, the coefficient ideals A_i of B = sum_i A_i alpha^i and the
 decisive index i_star, so no function here re-decides the shape,
 wild, ferocious or unramified (the ferocious formula with swan = 0).
+Each cut a report reads (the value group of L, H, J, I_sigma, N(J),
+the form's modulus, the different and the trace-dual cut) is derived
+from that record once per extension and kept, under its function's
+name, in the memo of the reduced presentation that keeps the shape;
+a later call, under any presentation, reads it there.
 """
 
 from __future__ import annotations
@@ -32,22 +37,34 @@ from .series import Cut, ValueGroup, dot, restrict_cut, series_in_cut
 Z_GROUP = ValueGroup.discrete(1)
 
 
+def _derived(ext, key, make):
+    """``make(basis)`` for the shape record ``basis = integral_basis(ext)``,
+    derived once per extension and kept under ``key`` on the reduced
+    presentation ``basis.ext``, in the memo that keeps the shape: the one
+    place a cut of a report is derived.  A read builds no record.  A
+    trivial extension raises TrivialExtension from ``integral_basis``."""
+    if ext.classification() is RamificationType.TRIVIAL:
+        integral_basis(ext)  # raises before with_best_f names a zero best form
+    reduced = ext.with_best_f()
+    return reduced._memo(key, lambda: make(integral_basis(reduced)))
+
+
 def value_group_of_l(ext):
     """Value group of L in v_K units, for a nontrivial extension."""
-    return integral_basis(ext).group
+    return _derived(ext, "value_group_of_l", lambda basis: basis.group)
 
 
 def ideal_h(ext):
     """The ideal of A generated by the inverses of the defining elements."""
     if ext.classification() is RamificationType.TRIVIAL:
         raise TrivialExtension("H is defined for nontrivial extensions")
-    return Cut.at_least(ext.swan, Z_GROUP)
+    return _derived(ext, "ideal_h", lambda basis: Cut.at_least(ext.swan, Z_GROUP))
 
 
 def ideal_j(ext):
     """The ideal of B generated by sigma(b)/b - 1; in the defectless
     case it is generated by 1/alpha, of valuation swan/p."""
-    return Cut.at_least(ext.swan / ext.p, value_group_of_l(ext))
+    return _derived(ext, "ideal_j", lambda basis: Cut.at_least(ext.swan / ext.p, basis.group))
 
 
 def ideal_i_sigma(ext):
@@ -58,21 +75,29 @@ def ideal_i_sigma(ext):
     least A_i + (1-i)*swan/p, attained at ``i_star``.  Ferocious, every
     A_i = {v >= i*swan/p} gives swan/p, and the ideal equals J.
     """
-    basis = integral_basis(ext)
-    i = basis.i_star
-    return Cut.at_least(basis.cuts[i].value + (1 - i) * ext.swan / ext.p, basis.group)
+    def make(basis):
+        i = basis.i_star
+        return Cut.at_least(basis.cuts[i].value + (1 - i) * ext.swan / ext.p, basis.group)
+
+    return _derived(ext, "ideal_i_sigma", make)
 
 
 def norm_of_j(ext):
     """The ideal of A generated by norms from J; values scale by p."""
-    j = ideal_j(ext)
-    return restrict_cut(j ** ext.p, Z_GROUP)
+    return _derived(
+        ext, "norm_of_j", lambda basis: restrict_cut(ideal_j(basis.ext) ** ext.p, Z_GROUP)
+    )
 
 
 def rsw_modulus(ext):
     """The comparison ideal for the differential form: all x with
-    v_K(x) >= ((p-1)/p) * swan, in the value group of K."""
-    return Cut.at_least(Fraction(ext.p - 1, ext.p) * ext.swan, Z_GROUP)
+    v_K(x) >= ((p-1)/p) * swan, in the value group of K.  A trivial
+    extension has swan 0, so its modulus is A, and no record keeps it."""
+    if ext.classification() is RamificationType.TRIVIAL:
+        return Cut.at_least(0, Z_GROUP)
+    return _derived(
+        ext, "rsw_modulus", lambda basis: Cut.at_least((ext.p - 1) * ext.swan / ext.p, Z_GROUP)
+    )
 
 
 class LogForm(NamedTuple):
@@ -119,12 +144,14 @@ def different_ideal(ext):
     A_i + (p-1-i)*swan/p.  Ferocious, every term is (p-1)*swan/p, and
     the different is J^(p-1).
     """
-    basis = integral_basis(ext)
-    p = ext.p
-    v0 = ext.swan / p
-    return Cut.at_least(
-        max(cut.value + (p - 1 - i) * v0 for i, cut in enumerate(basis.cuts)), basis.group
-    )
+    def make(basis):
+        p = ext.p
+        v0 = ext.swan / p
+        return Cut.at_least(
+            max(cut.value + (p - 1 - i) * v0 for i, cut in enumerate(basis.cuts)), basis.group
+        )
+
+    return _derived(ext, "different_ideal", make)
 
 
 def trace_dual_cut(ext):
@@ -139,9 +166,11 @@ def trace_dual_cut(ext):
     Fields*, III §6, Cor. 2).  Taking norms scales cut values by p, so
     the different is the cut at 2 * sum e_k / p.
     """
-    basis = integral_basis(ext)
-    e_sum = sum(int(cut.value) for cut in basis.cuts)
-    return Cut.at_least(Fraction(2 * e_sum, ext.p), basis.group)
+    def make(basis):
+        e_sum = sum(int(cut.value) for cut in basis.cuts)
+        return Cut.at_least(Fraction(2 * e_sum, ext.p), basis.group)
+
+    return _derived(ext, "trace_dual_cut", make)
 
 
 def boundary_generator(ext):
@@ -414,7 +443,7 @@ def build_report(ext):
     if kind is RamificationType.TRIVIAL:
         return report
     # e is the index of K's value group in L's, and f = p / e
-    e = int(1 / value_group_of_l(ext).granularity)
+    e = value_group_of_l(ext).granularity.denominator
     i_cut = ideal_i_sigma(ext)
     j_cut = ideal_j(ext)
     # an unramified extension has swan 0 and no refined form; it runs

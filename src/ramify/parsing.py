@@ -24,27 +24,24 @@ PREC_LIMIT = 10_000
 # the grammar recurses three calls per level
 NESTING_LIMIT = 200
 
-_TOKEN_RE = re.compile(
-    r"\s*(?:(?P<int>\d+)|(?P<name>[A-Za-z]\w*)|(?P<op>[-+*/^()]))"
-)
+# one token per match; where no token starts after the whitespace, the
+# empty lookahead matches and its end is the offset of the bad character
+_TOKEN_RE = re.compile(r"\s*(?:(\d+)|([A-Za-z]\w*)|([-+*/^()])|(?=\S))")
+_TOKEN_KINDS = (None, "int", "name", "op")
 
 
 def _tokenize(text):
+    """The (kind, value, offset) tokens of ``text`` in one pass, closed by
+    an end token; ParseError names the first character that starts no
+    token, at its own offset."""
     tokens = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if not m:
-            if text[pos:].strip() == "":
-                break
+    for m in _TOKEN_RE.finditer(text):
+        i = m.lastindex
+        if i is None:
+            pos = m.end()
             raise ParseError(f"unexpected character {text[pos]!r}", pos)
-        if m.group("int") is not None:
-            tokens.append(("int", int(m.group("int")), m.start("int")))
-        elif m.group("name") is not None:
-            tokens.append(("name", m.group("name"), m.start("name")))
-        else:
-            tokens.append(("op", m.group("op"), m.start("op")))
-        pos = m.end()
+        value = m.group(i)
+        tokens.append((_TOKEN_KINDS[i], int(value) if i == 1 else value, m.start(i)))
     tokens.append(("end", None, len(text)))
     return tokens
 

@@ -101,9 +101,10 @@ class ValueGroup:
         return "dense"
 
 
-def _least_admitted(q, closed):
-    """The least integer n >= q (closed) or n > q (open) for a Fraction q."""
-    return -(-q.numerator // q.denominator) if closed else q.numerator // q.denominator + 1
+def _least_admitted(num, den, closed):
+    """The least integer n >= num/den (closed) or n > num/den (open), for
+    integers num and den > 0."""
+    return -(-num // den) if closed else num // den + 1
 
 
 class Cut:
@@ -111,16 +112,23 @@ class Cut:
 
     Over a discrete group g*Z a cut is stored closed at the least group
     element it admits, g*(floor(v/g) + 1) if open and g*ceil(v/g) if
-    closed, so one ideal has one value, hash and repr.
+    closed, so one ideal has one value, hash and repr.  That multiple is
+    found in integers: with v = num/den and g = gn/gd, v/g is
+    (num*gd)/(den*gn), whose floor or ceiling k gives the value
+    k*gn/gd.  Z[1/p] and dense groups keep the value as given.
     """
 
     __slots__ = ("value", "closed", "group")
 
     def __init__(self, value, closed, group):
-        value = Fraction(value)
         if group.kind == ValueGroup.DISCRETE:
-            g = group.granularity
-            value, closed = g * _least_admitted(value / g, closed), True
+            if not isinstance(value, (int, Fraction)):
+                value = Fraction(value)
+            gn, gd = group.granularity.numerator, group.granularity.denominator
+            k = _least_admitted(value.numerator * gd, value.denominator * gn, closed)
+            value, closed = Fraction(k * gn, gd), True
+        else:
+            value = Fraction(value)
         self.value = value
         self.closed = closed
         self.group = group
@@ -565,7 +573,7 @@ def series_in_cut(s, cut):
     otherwise membership cannot be certified and InsufficientPrecision
     is raised (unless an offending coefficient is already visible).
     """
-    least = _least_admitted(cut.value, cut.closed)
+    least = _least_admitted(cut.value.numerator, cut.value.denominator, cut.closed)
     if s._raw and min(s._raw) < least:
         return False
     if s.prec < least:

@@ -4,6 +4,7 @@ not use, kept beside the tests that compare the library against them."""
 import itertools
 import math
 import random
+import re
 from fractions import Fraction
 
 from ramify import series
@@ -14,14 +15,17 @@ from ramify.errors import (
     InsufficientPrecision,
     InvalidSpec,
     NotApplicable,
+    ParseError,
     RamifyError,
     SwanZero,
+    TrivialExtension,
     ZeroElement,
     ZeroSeries,
 )
 from ramify.extension import (
     DifferenceOperators,
     LElement,
+    RamificationType,
     _laplace,
     integral_basis,
     reduce_to_best,
@@ -30,6 +34,8 @@ from ramify.fields import (
     _ONE,
     IdentityCheck,
     _digits,
+    _elem,
+    _frac,
     _padd,
     _pgcd,
     _pmul,
@@ -38,6 +44,7 @@ from ramify.fields import (
     _prime_divisors,
     _psub,
     _trim,
+    _vadd,
 )
 from ramify.invariants import (
     Z_GROUP,
@@ -1287,3 +1294,133 @@ def termwise_series_text(s):
                 cs = f"({cs})"
             parts.append(f"{cs}*{t}")
     return " + ".join(parts)
+
+
+# -- cuts through Fractions ---------------------------------------------------------
+# ``Cut.__init__`` as it stored a discrete cut before it found the least admitted
+# multiple in integers: through Fraction(value), value / g and g * k.
+
+
+def fraction_cut(value, closed, group):
+    """(value, closed) as ``Cut`` stored them through Fractions."""
+    value = Fraction(value)
+    if group.kind == ValueGroup.DISCRETE:
+        g = group.granularity
+        q = value / g
+        k = -(-q.numerator // q.denominator) if closed else q.numerator // q.denominator + 1
+        value, closed = g * k, True
+    return value, closed
+
+
+# -- the cuts of a report, derived on every call --------------------------------------
+# The public cut functions of ``invariants`` as they were before each cut was kept
+# on the reduced presentation: every call read the shape record again.
+
+
+def formula_value_group_of_l(ext):
+    return integral_basis(ext).group
+
+
+def formula_ideal_h(ext):
+    if ext.classification() is RamificationType.TRIVIAL:
+        raise TrivialExtension("H is defined for nontrivial extensions")
+    return Cut.at_least(ext.swan, Z_GROUP)
+
+
+def formula_ideal_j(ext):
+    return Cut.at_least(ext.swan / ext.p, formula_value_group_of_l(ext))
+
+
+def formula_ideal_i_sigma(ext):
+    basis = integral_basis(ext)
+    i = basis.i_star
+    return Cut.at_least(basis.cuts[i].value + (1 - i) * ext.swan / ext.p, basis.group)
+
+
+def formula_norm_of_j(ext):
+    return restrict_cut(formula_ideal_j(ext) ** ext.p, Z_GROUP)
+
+
+def formula_rsw_modulus(ext):
+    return Cut.at_least(Fraction(ext.p - 1, ext.p) * ext.swan, Z_GROUP)
+
+
+def formula_different_ideal(ext):
+    basis = integral_basis(ext)
+    p = ext.p
+    v0 = ext.swan / p
+    return Cut.at_least(
+        max(cut.value + (p - 1 - i) * v0 for i, cut in enumerate(basis.cuts)), basis.group
+    )
+
+
+def formula_trace_dual_cut(ext):
+    basis = integral_basis(ext)
+    e_sum = sum(int(cut.value) for cut in basis.cuts)
+    return Cut.at_least(Fraction(2 * e_sum, ext.p), basis.group)
+
+
+FORMULA_CUTS = {
+    "value_group_of_l": formula_value_group_of_l,
+    "ideal_h": formula_ideal_h,
+    "ideal_j": formula_ideal_j,
+    "ideal_i_sigma": formula_ideal_i_sigma,
+    "norm_of_j": formula_norm_of_j,
+    "rsw_modulus": formula_rsw_modulus,
+    "different_ideal": formula_different_ideal,
+    "trace_dual_cut": formula_trace_dual_cut,
+}
+
+
+# -- F_p(u) products that cancel every operand ----------------------------------------
+# ``ResidueElem.__mul__`` on F_p(u) elements as it was before a constant of F_p
+# scaled the other numerator: a polynomial operand, constants included, was
+# cancelled against the other denominator before the product.
+
+
+def cancelling_mul(x, y):
+    f = x.field
+    a, b = x._a, y._a
+    da, db = x._b, y._b
+    if not a or not b:
+        return f._zero
+    p = f.p
+    base = f._base
+    if da == _ONE:
+        if db == _ONE:
+            return _elem(f, _pmul(a, b, p), _ONE)
+        a, v = base.cancel(a, base.vector(y))
+    elif db == _ONE:
+        b, v = base.cancel(b, base.vector(x))
+    else:
+        return _frac(f, *base.cancel(_pmul(a, b, p), _vadd(*base.vectors((x, y)))))
+    return _frac(f, _pmul(a, b, p), v)
+
+
+# -- the tokenizer, one match at a time -------------------------------------------------
+# ``parsing._tokenize`` as it was: one ``match`` per token, and a bad character
+# reported at the offset where the failed match began, before its whitespace.
+
+_STEPWISE_TOKEN_RE = re.compile(
+    r"\s*(?:(?P<int>\d+)|(?P<name>[A-Za-z]\w*)|(?P<op>[-+*/^()]))"
+)
+
+
+def stepwise_tokenize(text):
+    tokens = []
+    pos = 0
+    while pos < len(text):
+        m = _STEPWISE_TOKEN_RE.match(text, pos)
+        if not m:
+            if text[pos:].strip() == "":
+                break
+            raise ParseError(f"unexpected character {text[pos]!r}", pos)
+        if m.group("int") is not None:
+            tokens.append(("int", int(m.group("int")), m.start("int")))
+        elif m.group("name") is not None:
+            tokens.append(("name", m.group("name"), m.start("name")))
+        else:
+            tokens.append(("op", m.group("op"), m.start("op")))
+        pos = m.end()
+    tokens.append(("end", None, len(text)))
+    return tokens

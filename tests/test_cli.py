@@ -20,12 +20,13 @@ from ramify.fields import FieldSpec
 from ramify.parsing import (
     NESTING_LIMIT,
     PREC_LIMIT,
+    _tokenize,
     factor_prime_power,
     parse_field_spec,
     parse_series,
 )
 
-from oracles import random_series
+from oracles import random_series, stepwise_tokenize
 
 
 def run_cli(argv, capsys):
@@ -57,6 +58,34 @@ def test_parse_series_error_position():
     with pytest.raises(ParseError) as err:
         parse_series("t^", f3, 8)
     assert err.value.position == 2
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["analyze", "--field", "Fp:3", "--f", "t^-1 + $"], "unexpected character '$' (at offset 7)"),
+    (["analyze", "--field", "Fq:9:w^2 + 1 $", "--f", "t^-1"],
+     "unexpected character '$' (at offset 8)"),
+], ids=["series", "modulus"])
+def test_a_bad_character_is_named_at_its_own_offset(argv, message, capsys):
+    # the offset is the bad character's, not that of the space before it
+    assert run_cli(argv, capsys) == (2, f"error: {message}\n")
+
+
+@given(st.text(alphabet="tuw_x09+-*/^() \t\n\x0b\x1c\u2003$.,=é٣", max_size=24))
+@settings(max_examples=400, deadline=None)
+def test_one_pass_tokens_match_the_stepwise_tokenizer(text):
+    """The same tokens as one match per token; where that raised at the
+    whitespace before a bad character, one pass names the character at
+    its own offset."""
+    try:
+        want = stepwise_tokenize(text)
+    except ParseError as err:
+        bad = len(text) - len(text[err.position:].lstrip())
+        with pytest.raises(ParseError) as got:
+            _tokenize(text)
+        assert got.value.position == bad
+        assert str(got.value) == f"unexpected character {text[bad]!r} (at offset {bad})"
+        return
+    assert _tokenize(text) == want
 
 
 def test_parse_field_literal_error():

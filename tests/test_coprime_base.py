@@ -19,6 +19,7 @@ from ramify.series import LaurentSeries, dot
 from oracles import (
     assert_base_consistent,
     assert_canonical,
+    cancelling_mul,
     euclid_rat,
     henrici_add,
     henrici_mul,
@@ -122,6 +123,32 @@ def test_rat_add_mul_and_dot_match_euclid(p, data):
         elems.append(c)
     field._base.vectors(elems)
     assert_base_consistent(field, elems)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+@given(data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_a_constant_of_f_p_scales_the_numerator_as_the_cancelling_product(p, data):
+    """c * x and x * c, for c in {1, p - 1, random} of F_p and x in F_p(u),
+    give the canonical pair of the product that cancelled c against x's
+    denominator; x's denominator and cached vector carry over, and the
+    vector stays valid, stamped or not."""
+    field = fresh_field(p)
+    for den in data.draw(st.lists(factored(p, 12, REDUCIBLE), max_size=2)):
+        field.from_polys((1,), den)
+    x = field._rat(*data.draw(fraction(p)))
+    if data.draw(st.booleans(), label="stamped"):
+        field._base.vector(x)
+    c = field.from_int(data.draw(st.sampled_from([1, p - 1]) | st.integers(1, p - 1), label="c"))
+    products = []
+    for left, right in ((c, x), (x, c)):
+        got, want = left * right, cancelling_mul(left, right)
+        assert (got._a, got._b) == (want._a, want._b)
+        assert_canonical(got)
+        if x:
+            assert got._b == x._b and got._v is x._v
+        products.append(got)
+    assert_base_consistent(field, [x, *products])
 
 
 U2_PLUS_2 = (2, 0, 1)  # (u+1)(u+2) over F_3

@@ -51,6 +51,7 @@ from ramify.series import Cut, LaurentSeries, ValueGroup, series_in_cut
 import oracles
 from oracles import (
     DU_MUTANT,
+    FORMULA_CUTS,
     THETA_MUTANT,
     candidate_traces,
     element_trace_dual_cut,
@@ -679,6 +680,54 @@ def test_the_norm_is_additive_modulo_the_trace_of_b(case, n, prec, seed):
     except InsufficientPrecision:  # N(alpha) = f is known too short to invert
         return
     assert (b * inverse_alpha).norm().agrees_with(b.norm() * ext.norm_inverse_alpha())
+
+
+def cut_outcome(cut_of, ext):
+    """A cut as (value, closed, group), a value group as it is, or the
+    type and message of what the call raised."""
+    try:
+        cut = cut_of(ext)
+    except RamifyError as exc:
+        return type(exc), str(exc)
+    return cut if isinstance(cut, ValueGroup) else (cut.value, cut.closed, cut.group)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.sampled_from(RING_FIELDS), st.integers(0, 9), st.integers(1, 24),
+    st.sampled_from(["best", "presented", "zero"]), st.integers(0, 2**32),
+)
+def test_each_kept_cut_is_the_formula_it_replaced(case, n, prec, form, seed):
+    """On the fields of the selftest grid, each public cut function, read
+    twice, gives what its formula gave when every call derived it: the
+    same value, closedness and group, or the same error and message.
+    Poles of order 0 to 9, so unramified and trivial extensions too,
+    presented by f_best (best), by f_best + h^p - h (presented) and by
+    h^p - h, whose best form is zero; the reduced presentation too."""
+    p, kind = case
+    field = FieldSpec.rational(p) if kind else FieldSpec.finite(p)
+    rng = random.Random(seed)
+    if form == "zero":
+        f = LaurentSeries.zero(field, prec)
+    else:
+        f = pole_extension(field, rng, n, prec).f
+    if form != "best":
+        h = random_series(field, rng, -3, -1, prec + 3 * p)
+        assume(not h.is_zero_known())
+        f = f + h ** p - h
+    assume(not f.is_zero_known())
+    ext = ASExtension(field, f)
+    presentations = [ext]
+    if ext.best.f_best.is_zero_known():
+        assert ext.classification() is RamificationType.TRIVIAL
+    else:
+        presentations.append(ext.with_best_f())
+    assert form != "zero" or len(presentations) == 1
+    for name, formula in FORMULA_CUTS.items():
+        for asked in presentations:
+            want = cut_outcome(formula, ASExtension(field, asked.f))
+            for _ in range(2):
+                assert cut_outcome(getattr(invariants, name), asked) == want, name
 
 
 NORM_FIELDS = tuple(

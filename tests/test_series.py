@@ -22,6 +22,7 @@ from oracles import (
     OpenOnlyCut,
     element_text,
     floor_series_in_cut,
+    fraction_cut,
     geometric_inverse,
     random_series,
     series_is_integral,
@@ -141,6 +142,22 @@ def test_series_in_cut_matches_the_floor_reading(seed, value, closed, group, lo,
         assert str(got.value) == str(err)
         return
     assert series_in_cut(s, cut) == expected
+
+
+@given(
+    st.sampled_from([1, Fraction(1, 2), Fraction(1, 3), Fraction(1, 5), Fraction(2, 3),
+                     Fraction(3, 7)]).map(ValueGroup.discrete)
+    | st.sampled_from([2, 3, 5]).map(ValueGroup.z_one_over_p) | st.just(DENSE),
+    st.integers(-40, 40) | st.fractions(min_value=-20, max_value=20, max_denominator=60),
+    st.booleans(),
+)
+@settings(max_examples=400, deadline=None)
+def test_the_integer_cut_constructor_matches_the_fraction_formula(group, value, closed):
+    # ints, Fractions and negative values, open and closed, store the
+    # value and closedness the Fraction formula gives, as a Fraction
+    cut = Cut(value, closed, group)
+    assert (cut.value, cut.closed) == fraction_cut(value, closed, group)
+    assert type(cut.value) is Fraction and cut.group is group
 
 
 def test_cut_ambient_mismatch():

@@ -14,7 +14,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from ramify import extension
+from ramify import extension, invariants
 from ramify.extension import ASExtension, RamificationType, integral_basis
 from ramify.fields import FieldSpec
 from ramify.invariants import (
@@ -239,13 +239,23 @@ def test_the_formula_knows_a_ferocious_generator_further_than_the_chain():
     assert [c.prec for c in got[2].coeffs] == [31, 34, 32]
 
 
+# the public cut functions, each kept under its own name on the reduced
+# presentation; an unramified report reads no form and no trace dual
+CUTS = (
+    "value_group_of_l", "ideal_h", "ideal_j", "ideal_i_sigma", "norm_of_j", "rsw_modulus",
+    "different_ideal", "trace_dual_cut",
+)
+UNRAMIFIED_CUTS = set(CUTS) - {"rsw_modulus", "trace_dual_cut"}
+
+
 @pytest.mark.parametrize("field, terms, kind", [
     (F2, {-4: 1, -3: 1}, RamificationType.WILD),  # unreduced: t^-4 reduces to t^-1
     (F2u, {-2: "u"}, RamificationType.FEROCIOUS),
     (F3, {0: 1}, RamificationType.UNRAMIFIED),
 ])
 def test_one_report_builds_the_shape_once(monkeypatch, field, terms, kind):
-    # every reader of the shape shares one build per extension
+    # every reader of the shape shares one build per extension, and each
+    # cut of the report is derived once, however often it is read
     builds = []
     shape = extension._shape
 
@@ -253,8 +263,35 @@ def test_one_report_builds_the_shape_once(monkeypatch, field, terms, kind):
         builds.append(args)
         return shape(*args)
 
+    derived = []
+    memo = ASExtension._memo
+
+    def recorded(self, key, make):
+        def make_and_record():
+            derived.append(key)
+            return make()
+
+        return memo(self, key, make_and_record)
+
+    reads = {name: 0 for name in CUTS}
+
+    def read(name, cut_of):
+        def wrapper(ext):
+            reads[name] += 1
+            return cut_of(ext)
+
+        return wrapper
+
     monkeypatch.setattr(extension, "_shape", counted)
+    monkeypatch.setattr(ASExtension, "_memo", recorded)
+    for name in CUTS:
+        monkeypatch.setattr(invariants, name, read(name, getattr(invariants, name)))
     ext = ext_of(field, terms, prec=16)
     report = build_report(ext)
     assert report.classification is kind and all(check.ok for check in report.checks.values())
     assert len(builds) == 1
+    ramified = kind is not RamificationType.UNRAMIFIED
+    made = [name for name in CUTS if name in derived]
+    assert made == [name for name in CUTS if ramified or name in UNRAMIFIED_CUTS]
+    assert all(derived.count(name) == 1 for name in made)
+    assert reads["ideal_j"] > 1 and reads["ideal_i_sigma"] > 1 and reads["ideal_h"] > 1
