@@ -85,7 +85,8 @@ def make_parser():
     tw.add_argument("--csv", metavar="PATH", help="also write the level table as CSV")
 
     st = sub.add_parser("selftest", parents=[out], help="run the acceptance grid")
-    st.add_argument("--seed", type=int, default=DEFAULT_SEED)
+    st.add_argument("--seed", type=int, default=DEFAULT_SEED,
+                    help="seeds criterion 6 only")
     st.add_argument("--format", choices=("text", "json"), default="text")
     return parser
 

@@ -96,8 +96,9 @@ def reduce_to_best(f):
     A term c*t^(-m) with m > 0, p | m and c a p-th power is replaced by
     root(c)*t^(-m/p), which subtracts h^p - h for h = root(c)*t^(-m/p).
     Each step shrinks the multiset of negative exponents, so the loop
-    terminates.  Precision must be at least 1 so the whole negative
-    range and the constant term are known.
+    terminates, and f_best differs from f whenever a term was absorbed;
+    when none was, f_best is f itself.  Precision must be at least 1 so
+    the whole negative range and the constant term are known.
     """
     field = f.field
     p = field.p
@@ -125,7 +126,7 @@ def reduce_to_best(f):
             coeffs.pop(dest, None)
         else:
             coeffs[dest] = new
-    f_best = LaurentSeries(field, coeffs, f.prec)
+    f_best = LaurentSeries(field, coeffs, f.prec) if log else f
     negatives = [e for e in coeffs if e < 0]
     if not negatives:
         return BestForm(f_best, BestCase.INTEGRAL, Fraction(0), tuple(log))
@@ -192,7 +193,7 @@ class ASExtension:
         TrivialExtension when that is zero on its known range: it
         presents no extension."""
         f_best = self.best.f_best
-        if self.f == f_best:
+        if f_best is self.f:
             return self
         if f_best.is_zero_known():
             raise TrivialExtension("operation needs a nontrivial extension: the best form is zero")
@@ -444,7 +445,7 @@ class LElement:
         unramified), so minima distribute over the coordinates."""
         ext = self.ext
         return (
-            ext.f == ext.best.f_best
+            ext.best.f_best is ext.f
             and ext.classification() is not RamificationType.TRIVIAL
         )
 

@@ -402,7 +402,7 @@ def principality_chain(ext):
     h = ideal_h(ext)
     f_best = ext.best.f_best
     return {
-        "best_f_exists": reduce_to_best(f_best).f_best == f_best,
+        "best_f_exists": reduce_to_best(f_best).f_best is f_best,
         "h_principal": h.is_principal(),
         "j_principal": ideal_j(ext).is_principal(),
         "defectless": h.closed,

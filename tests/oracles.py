@@ -1105,7 +1105,18 @@ def derivative_u_keeping_u_p(c):
     return c.field.from_polys(num, _pmul(c._b, c._b, p))
 
 
+def d_dt(self):
+    """A mutant t*d/dt that is d/dt: it takes t^e to e*t^(e - 1), known
+    one term less far.  It still kills p-th powers, but it lowers the
+    valuation of what it does not kill by one."""
+    field = self.field
+    out = {e - 1: field._rmul(c, field._to_raw(e % field.p))
+           for e, c in self._raw.items() if e % field.p}
+    return _series(field, out, self.prec - 1)
+
+
 THETA_MUTANT = (LaurentSeries, "euler_derivative", theta_plus_one)
+D_DT_MUTANT = (LaurentSeries, "euler_derivative", d_dt)
 DU_MUTANT = (series, "derivative_u", derivative_u_keeping_u_p)
 
 

@@ -571,6 +571,42 @@ def test_with_best_f_shares_invariants():
     assert best.swan == ext.swan == 1
 
 
+def test_with_best_f_of_a_reduced_presentation_compares_no_series(monkeypatch):
+    """A presentation that reduces to itself is its own best form: f_best
+    is f, so ``with_best_f`` returns it without comparing series."""
+    reduced = ext_of(F2, -4, prec=16).with_best_f()
+
+    def no_eq(self, other):
+        raise AssertionError("with_best_f compared two series")
+
+    monkeypatch.setattr(LaurentSeries, "__eq__", no_eq)
+    assert reduced.best.f_best is reduced.f
+    assert reduced.with_best_f() is reduced
+    assert reduced.alpha().valuation_coeffwise() == Fraction(-1, 2)
+
+
+SELFTEST_FIELDS = (F2, F3, F5, F2u, F3u)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(SELFTEST_FIELDS), st.integers(0, 2**32), st.booleans(),
+       st.integers(1, 16))
+def test_f_best_is_f_exactly_when_nothing_is_absorbed(field, draw, shifted, prec):
+    """For f = f_best + h^p - h, with f_best reduced and h supported on
+    t^-3..t^1 or zero, reduction returns f itself exactly when it
+    absorbs nothing, and otherwise a series that differs from f.  h
+    carries 3p more terms, so h^p - h is known as far as f_best."""
+    rng = random.Random(draw)
+    p = field.p
+    f_best = reduce_to_best(random_series(field, rng, -6, 2, prec)).f_best
+    h = random_series(field, rng, -3, 1, prec + 3 * p)
+    if not shifted:
+        h = LaurentSeries.zero(field, prec)
+    f = f_best + (h ** p - h)
+    best = reduce_to_best(f)
+    assert (best.f_best is f) == (best.f_best == f) == (not best.reduction_log)
+
+
 def test_coeffwise_valuation_needs_reduced_presentation():
     # over the raw presentation alpha^p - alpha = t^-4 the valuation of
     # alpha is -2, inside the base group, so coordinatewise minima are

@@ -51,6 +51,7 @@ from ramify.series import Cut, LaurentSeries, ValueGroup, series_in_cut
 import oracles
 from oracles import (
     DU_MUTANT,
+    D_DT_MUTANT,
     FORMULA_CUTS,
     THETA_MUTANT,
     candidate_traces,
@@ -838,6 +839,30 @@ def test_a_stability_mutant_fails_where_the_sampled_oracle_does(monkeypatch, mut
                 assert exact.ok == (not reached or p * lo + n >= cap), argv
                 failing += not exact.ok
     assert failing == count
+
+
+def test_the_minus_a_decisions_catch_a_d_dt_in_place_of_theta(monkeypatch):
+    """d/dt in place of t*d/dt still kills p-th powers, so no a^p
+    decision can fail, but it lowers the difference -theta(a)/f of a
+    monomial shift by one.  On the 115 analyze configurations of seeds
+    1-5, the check fails 40, each at a part -a on dlog_t, in the
+    wild_small_p strata 0-2, 5-7 and 9 and the ferocious_fpu stratum 2:
+    the -a decisions are what catch it."""
+    monkeypatch.setattr(*D_DT_MUTANT)
+    failing = []
+    for workload in ("wild_small_p", "wild_large_p", "ferocious_fpu"):
+        for seed in range(1, 6):
+            for ident, argv in enumerate(analyze_configs(monkeypatch, workload, seed)):
+                args = dict(zip(argv[1::2], argv[2::2]))
+                field = parse_field_spec(args["--field"])
+                ext = ASExtension(field, parse_series(args["--f"], field, int(args["--prec"])))
+                result = check_refined_swan_stability(ext)
+                if not result.ok:
+                    assert (result.detail["part"], result.detail["face"]) == ("-a", "dlog_t")
+                    failing.append((workload, ident))
+    assert len(failing) == 40
+    assert sorted(set(failing)) == [("ferocious_fpu", 2)] + [
+        ("wild_small_p", ident) for ident in (0, 1, 2, 5, 6, 7, 9)]
 
 
 def outcome_items(outcome):

@@ -13,7 +13,7 @@ from types import SimpleNamespace
 import pytest
 
 from ramify import invariants, selftest
-from ramify.extension import DifferenceOperators, LElement, RamificationType
+from ramify.extension import DifferenceOperators, LElement, RamificationType, reduce_to_best
 from ramify.invariants import CheckResult, boundary_generator
 from ramify.selftest import DVR_GRID, DEFAULT_SEED, _grid_label, grid_extension
 from ramify.series import Cut, LaurentSeries, ValueGroup
@@ -235,6 +235,36 @@ def test_swan_table_names_the_first_three_failures(monkeypatch):
         "criterion 01 swan_conductor_table: FAIL  ["
         "p=2 n=1 m=1 -> 2; p=2 n=1 m=2 -> 4; p=2 n=3 m=1 -> 6]"
     )
+
+
+def reduce_once(f):
+    """``reduce_to_best`` that stops after its first absorption: the
+    pole order of f with its first absorbable term c*t^(p*e) replaced
+    by root(c)*t^e."""
+    log = reduce_to_best(f).reduction_log
+    if log:
+        e, root = log[0].leading()
+        field = f.field
+        f = (f - LaurentSeries.monomial(field, field.p * e, f.coeff(field.p * e), f.prec)
+             + LaurentSeries.monomial(field, e, root, f.prec))
+    return SimpleNamespace(swan=max(0, -f.low_bound()))
+
+
+def test_best_f_oracle_names_the_first_three_failures(monkeypatch):
+    # one absorption leaves t^-4 at t^-2 over F_2, one step short of its best t^-1
+    monkeypatch.setattr(selftest, "reduce_to_best", reduce_once)
+    res = selftest.criterion_best_f_oracle()
+    assert not res.ok
+    assert res.line() == (
+        "criterion 02 best_f_oracle_agreement: FAIL  ["
+        "p=2 f=t^-4: reduced 2, oracle 1; p=2 f=t^-6 + t^-4: reduced 4, oracle 3; "
+        "p=2 f=t^-6 + t^-4 + t^-3: reduced 4, oracle 1]"
+    )
+
+
+def test_best_f_oracle_checks_every_presentation_at_every_seed():
+    lines = {seed: [r.line() for r in selftest.run_all(seed) if r.ident == 2] for seed in (1, 2)}
+    assert lines[1] == lines[2] == ["criterion 02 best_f_oracle_agreement: PASS  [791 cases]"]
 
 
 def test_norm_ideal_tower_names_the_first_three_failures(monkeypatch):
