@@ -202,7 +202,11 @@ def check_norm_ideal_identity(ext):
     alpha is a root of T^p - T - f, so N(alpha) = (-1)^(p+1) * f, which
     is f for every p (at p = 2, -1 = 1 in characteristic 2).  So
     N(1/alpha) * f is 1 on its known range, and ``generator_sign`` is 1
-    when that range reaches t^0 (``prec >= 1``), else None.  1/alpha is
+    when that range reaches t^0 (``prec >= 1``), else None.  The memo
+    ``ASExtension.norm_inverse_alpha`` norms 1/alpha cut at t^(2 * swan),
+    so for swan > 0 that range stops below t^swan, at min(swan, prec):
+    the check reads N(1/alpha) * f = 1 there, and a norm wrong only at
+    or above t^(2 * swan) is past it.  1/alpha is
     the closed form (alpha^(p-1) - 1) * (1/f) of
     ``ASExtension.inverse_alpha``, not Cramer's rule, so the check
     costs one Laplace expansion, N(1/alpha), and reads 1/f from the
@@ -320,7 +324,8 @@ def check_diagram_commutativity(ext):
     ``check_norm_ideal_identity`` reads.  Membership in H^2 and in the
     modulus, closed cuts at integers, reads only the exponents below
     them, so the norm face subtracts below 2 * swan and the form faces
-    stop at the modulus.  The check reports H^2 and the modulus, and on
+    stop at the modulus, which is at most swan; so the memo norms 1/alpha
+    cut at t^(2 * swan).  The check reports H^2 and the modulus, and on
     a failure the first face that broke."""
     ext = integral_basis(ext).ext
     form = refined_swan(ext)

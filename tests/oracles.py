@@ -23,6 +23,7 @@ from ramify.errors import (
     ZeroSeries,
 )
 from ramify.extension import (
+    ASExtension,
     DifferenceOperators,
     LElement,
     RamificationType,
@@ -265,6 +266,26 @@ def cramer_inverse_alpha(ext):
     inverse of the norm, the reference for the closed form
     ``ASExtension.inverse_alpha``."""
     return ext.alpha().inverse()
+
+
+def uncut_norm_inverse_alpha(ext):
+    """N(1/alpha) of the reduced presentation with 1/alpha normed whole,
+    known below prec + swan: the reference for
+    ``ASExtension.norm_inverse_alpha``, which norms 1/alpha cut at
+    t^(2 * swan)."""
+    return ext.with_best_f().inverse_alpha().norm()
+
+
+_INVERSE_ALPHA = ASExtension.inverse_alpha
+
+
+def negated_inverse_alpha(self):
+    """A mutant closed form that gives -1/alpha.  Its norm is
+    (-1)^p * N(1/alpha), which is N(1/alpha) only at p = 2."""
+    return -_INVERSE_ALPHA(self)
+
+
+INVERSE_ALPHA_SIGN_MUTANT = (ASExtension, "inverse_alpha", negated_inverse_alpha)
 
 
 def fraction_valuation_coeffwise(x):

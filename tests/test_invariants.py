@@ -53,6 +53,7 @@ from oracles import (
     DU_MUTANT,
     D_DT_MUTANT,
     FORMULA_CUTS,
+    INVERSE_ALPHA_SIGN_MUTANT,
     THETA_MUTANT,
     candidate_traces,
     element_trace_dual_cut,
@@ -69,6 +70,7 @@ from oracles import (
     table_trace_dual_cut,
     tower_fields_principality_chain,
     trace_of_product,
+    uncut_norm_inverse_alpha,
 )
 
 F2 = FieldSpec.finite(2)
@@ -510,9 +512,11 @@ def test_a_moved_top_cut_fails_norm_additivity(monkeypatch, make, offset, ok):
 def test_a_perturbed_norm_of_one_over_alpha_fails_the_diagram(ext):
     """N(1/alpha) moved by t^(2n - 1) breaks the norm face of the square;
     moved by t^(2n), inside H^2, every face still holds.  The perturbed
-    value is put into the memo of a fresh extension."""
+    value is put into the memo of a fresh extension.  It is built from
+    the uncut norm, known beyond t^(2n), so that the move at t^(2n) is
+    representable: the memo stops at t^(2n)."""
     n = int(ext.swan)
-    real = ext.norm_inverse_alpha()
+    real = uncut_norm_inverse_alpha(ext)
     for e, ok in ((2 * n - 1, False), (2 * n, True)):
         fresh = ASExtension(ext.field, ext.f)
         assert real.prec > e
@@ -928,7 +932,8 @@ DIAGRAM_RUNGS_RAISE = (
 def test_the_exact_diagram_check_decides_where_the_sampled_one_raised():
     """The sampled check needed N(b/alpha) - N(b)/f below t^14 and knew
     it below t^8; at b = 1 the check needs N(1/alpha) below t^(2n) = t^14,
-    which the engine knows below prec + n = 15."""
+    and the memo knows it below min(2n, prec + n) = 14: the uncut norm
+    is known below prec + n = 15."""
     spec, f, prec, samples, seed = DIAGRAM_RUNGS_RAISE
     field = parse_field_spec(spec)
     ext = ASExtension(field, parse_series(f, field, prec))
@@ -936,7 +941,9 @@ def test_the_exact_diagram_check_decides_where_the_sampled_one_raised():
         InsufficientPrecision,
         "membership in {v >= 14} needs knowledge below t^14, series known below t^8",
     )
-    assert ext.norm_inverse_alpha().prec == prec + int(ext.swan) == 15
+    n = int(ext.swan)
+    assert ext.norm_inverse_alpha().prec == min(2 * n, prec + n) == 14
+    assert uncut_norm_inverse_alpha(ext).prec == prec + n == 15
     assert check_diagram_commutativity(ext).ok
 
 
@@ -1166,8 +1173,9 @@ def test_report_builds_the_refined_form_once(monkeypatch, field_spec, f):
 ])
 def test_a_report_expands_one_determinant(monkeypatch, field_spec, f):
     """A report runs one Laplace expansion, on the reduced presentation:
-    the norm of the closed-form 1/alpha, which the norm-ideal identity
-    and the diagram check read from one memo.  It inverts no element of
+    the norm of the closed-form 1/alpha cut at t^(2 * swan), which the
+    norm-ideal identity and the diagram check read from one memo.  An
+    unramified extension norms 1/alpha whole.  It inverts no element of
     L by Cramer's rule."""
     field = parse_field_spec(field_spec)
     ext = ASExtension(field, parse_series(f, field, 24))
@@ -1187,10 +1195,76 @@ def test_a_report_expands_one_determinant(monkeypatch, field_spec, f):
     assert rep.all_checks_pass()
     assert len(expanded) == 1
     reduced = ext.with_best_f()
-    assert expanded[0] == reduced.inverse_alpha().columns()
+    # swan 2 and 3 cut 1/alpha at t^4 and t^6; 1 + t is unramified
+    cut = {"Fp:3": 4, "Fp(u):2": 6, "Fp:2": None}[field_spec]
+    inverse_alpha = reduced.inverse_alpha()
+    assert cut == (2 * int(reduced.swan) or None)
+    assert expanded[0] == (inverse_alpha if cut is None else inverse_alpha.truncate(cut)).columns()
     assert ext.norm_inverse_alpha() is reduced.norm_inverse_alpha()
     assert ext.norm_inverse_alpha_times_f() is reduced.norm_inverse_alpha_times_f()
     assert len(expanded) == 1
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(RING_FIELDS), st.integers(0, 9), st.integers(1, 24), st.integers(0, 2**32))
+def test_the_cut_norm_of_one_over_alpha_is_the_uncut_norm_below_its_readers(case, n, prec, seed):
+    """On the fields of the selftest grid, for f = f_best + h^p - h with
+    a pole of order 0 to 9, N(1/alpha) is the uncut norm truncated at
+    t^(2 * swan), and N(1/alpha) * f is the uncut product truncated at
+    t^swan.  From prec = swan on, they are known below
+    min(2 * swan, prec + swan) and below swan; below it, and unramified,
+    they are the uncut ones.  A report gives the same verdicts and
+    details, or raises the same error and message, as a report whose
+    memo holds the uncut norm."""
+    p, kind = case
+    field = FieldSpec.rational(p) if kind else FieldSpec.finite(p)
+    rng = random.Random(seed)
+    f_best = extension.reduce_to_best(pole_extension(field, rng, n, prec).f).f_best
+    h = random_series(field, rng, -3, -1, prec + 3 * p)
+    f = f_best + h ** p - h
+    assume(not f.is_zero_known())
+    ext = ASExtension(field, f)
+    uncut_ext = ASExtension(field, f)
+    if not ext.best.f_best.is_zero_known():
+        uncut = uncut_norm_inverse_alpha(ext)
+        uncut_times_f = uncut * ext.best.f_best
+        swan = int(ext.swan)
+        memo, times_f = ext.norm_inverse_alpha(), ext.norm_inverse_alpha_times_f()
+        if swan:
+            assert memo == uncut.truncate(2 * swan)
+            assert memo.prec == min(2 * swan, uncut.prec)
+            assert times_f == uncut_times_f.truncate(swan)
+            assert times_f.prec == min(swan, uncut_times_f.prec)
+        if swan and f.prec >= swan:
+            assert (memo.prec, times_f.prec) == (min(2 * swan, f.prec + swan), swan)
+        else:
+            assert (memo, times_f) == (uncut, uncut_times_f)
+        uncut_ext.with_best_f()._cache["norm_inverse_alpha"] = uncut
+    assert exact_outcome(build_report, ext) == exact_outcome(build_report, uncut_ext)
+
+
+def test_a_sign_flipped_one_over_alpha_fails_both_norm_checks_at_odd_p(monkeypatch):
+    """A closed form that gives -1/alpha has norm (-1)^p * N(1/alpha): at
+    odd p, N(1/alpha) * f reads -1 at t^0, below t^swan, and the norm
+    face reads -2/f at t^swan, below t^(2 * swan).  So on the 46 analyze
+    configurations of seeds 1-2 the mutant fails the norm-ideal identity
+    and the diagram's norm face on the 28 at odd p, and passes both on
+    the 18 at p = 2, where -1 = 1.  A norm that is wrong only at or
+    above t^(2 * swan) is past what either check reads."""
+    monkeypatch.setattr(*INVERSE_ALPHA_SIGN_MUTANT)
+    failing = 0
+    for workload in ("wild_small_p", "wild_large_p", "ferocious_fpu"):
+        for seed in (1, 2):
+            for argv in analyze_configs(monkeypatch, workload, seed):
+                args = dict(zip(argv[1::2], argv[2::2]))
+                field = parse_field_spec(args["--field"])
+                ext = ASExtension(field, parse_series(args["--f"], field, int(args["--prec"])))
+                identity = check_norm_ideal_identity(ext)
+                diagram = check_diagram_commutativity(ext)
+                assert identity.ok == diagram.ok == (field.p == 2), argv
+                assert diagram.detail.get("face") == (None if diagram.ok else "norm"), argv
+                failing += not identity.ok
+    assert failing == 28
 
 
 @pytest.mark.parametrize("field_spec, f", [
