@@ -11,8 +11,11 @@ bitmask of its columns, each entry's bound is read once), 1/alpha in
 closed form as (alpha^(p-1) - 1)/f, the trace from the power basis,
 valuations on L, the inductive difference operators, and the shape of
 the integral closure with its generators alpha^i * t^(A_i), one
-formula for every shape.  Cramer's rule serves only the difference
-operators, which invert their denominators with it.
+formula for every shape.  alpha^i for i < p is the i-th basis vector;
+it, the generators and 1/alpha are built coordinate by coordinate, with
+no product in L, each with the ``prec`` the product rule gives its
+formula.  Cramer's rule serves only the difference operators, which
+invert their denominators with it.
 
 An extension computes what it derives once, in one memo
 (``ASExtension._memo``), the shape of B included.  An element builds
@@ -33,6 +36,7 @@ least of their precisions.
 
 from __future__ import annotations
 
+import functools
 import math
 from enum import Enum
 from fractions import Fraction
@@ -212,27 +216,26 @@ class ASExtension:
         return self.from_series(LaurentSeries.one(self.field, self.f.prec))
 
     def alpha(self):
-        def make():
-            z = LaurentSeries.zero(self.field, self.f.prec)
-            return (z, LaurentSeries.one(self.field, self.f.prec)) + (z,) * (self.p - 2)
-        return LElement(self, self._memo("alpha", make))
+        return self.alpha_power(1)
 
     def from_series(self, s):
         if s.field is not self.field:
             raise FieldMismatch("series over a different coefficient field")
-        z = LaurentSeries.zero(self.field, s.prec)
-        return LElement(self, (s,) + (z,) * (self.p - 1))
+        return self._basis_multiple(0, s, s.prec)
 
     def alpha_power(self, i):
-        """alpha ** i for i >= 0, memoised: the coefficient tuples of
-        ``alpha().powers``, at least up to alpha^(p-1)."""
-        if i < 0:
-            raise InvalidSpec("alpha_power takes a nonnegative exponent")
-        powers = self._cache.get("alpha_powers", ())
-        if len(powers) <= i:
-            chain = self.alpha().powers(max(i, self.p - 1))
-            powers = self._cache["alpha_powers"] = [x.coeffs for x in chain]
-        return LElement(self, powers[i])
+        """alpha^i for 0 <= i < p: the i-th basis vector, every coordinate
+        known below f's precision.  An exponent outside 0..p-1 raises
+        InvalidSpec; ``alpha() ** i`` is the product chain for any i."""
+        if not 0 <= i < self.p:
+            raise InvalidSpec(f"alpha_power takes an exponent in 0..{self.p - 1}")
+        return self._basis_multiple(i, LaurentSeries.one(self.field, self.f.prec), self.f.prec)
+
+    def _basis_multiple(self, i, s, zero_prec):
+        """s * alpha^i: coordinate i is the series s, every other one is
+        zero known below ``zero_prec``."""
+        z = LaurentSeries.zero(self.field, zero_prec)
+        return LElement(self, (z,) * i + (s,) + (z,) * (self.p - 1 - i))
 
     def integral_generators(self):
         """The generators g_k of B = sum_k A * g_k, as elements of the
@@ -246,12 +249,20 @@ class ASExtension:
 
     def inverse_alpha(self):
         """1/alpha in closed form, memoised: alpha * (alpha^(p-1) - 1) is
-        alpha^p - alpha = f, so 1/alpha = (alpha^(p-1) - 1) * (1/f), with
-        alpha^(p-1) from ``alpha_power`` and 1/f from ``inverse_f``."""
-        return LElement(self, self._memo(
-            "inverse_alpha",
-            lambda: ((self.alpha_power(self.p - 1) - 1) * self.inverse_f()).coeffs,
-        ))
+        alpha^p - alpha = f, so 1/alpha = (alpha^(p-1) - 1) * w with
+        w = 1/f from ``inverse_f``, that is (-w, 0, ..., 0, w), built
+        with the ``prec`` that ``dot`` gives that product for f's
+        precision P: +-w below min(P + low(w), w.prec), the zeros below
+        min(P + low(w), w.prec + P)."""
+
+        def make():
+            w = self.inverse_f()
+            prec, low = self.f.prec, w.low_bound()
+            top = w.truncate(min(prec + low, w.prec))
+            z = LaurentSeries.zero(self.field, min(prec + low, w.prec + prec))
+            return (-top,) + (z,) * (self.p - 2) + (top,)
+
+        return LElement(self, self._memo("inverse_alpha", make))
 
     def norm_inverse_alpha(self):
         """N(1/alpha) as a series, memoised on the reduced presentation
@@ -407,16 +418,14 @@ class LElement:
 
     def _translate(self, k, own):
         """Coordinate j is own * c_j + sum_{i > j} C(i, j) * k^(i-j) * c_i,
-        one ``linear_combination`` each: ``sigma(k)`` at own = 1 and
+        one ``linear_combination`` each over its row of
+        ``_translation_rows``: ``sigma(k)`` at own = 1 and
         ``difference(k)`` at own = 0."""
         p = self.ext.p
         c = self.coeffs
         return LElement(self.ext, tuple(
-            linear_combination(
-                [(own, c[j])]
-                + [(math.comb(i, j) * pow(k, i - j, p) % p, c[i]) for i in range(j + 1, p)]
-            )
-            for j in range(p)
+            linear_combination([(n, c[i]) for n, i in row])
+            for row in _translation_rows(p, k % p, own)
         ))
 
     def trace(self):
@@ -523,6 +532,16 @@ class LElement:
         return f"<L| {self}>"
 
 
+@functools.cache
+def _translation_rows(p, k, own):
+    """The coefficients of ``LElement._translate`` for k in 0..p-1: row j
+    lists (own, j) and then (C(i, j) * k^(i-j) mod p, i) for j < i < p."""
+    return tuple(
+        ((own, j),) + tuple((math.comb(i, j) * pow(k, i - j, p) % p, i) for i in range(j + 1, p))
+        for j in range(p)
+    )
+
+
 def _laplace(cols):
     """(det, first-row cofactors) of the matrix with columns ``cols``
     (entry (row, j) is ``cols[j][row]``), with the minors built level by
@@ -536,8 +555,11 @@ def _laplace(cols):
     The expansion runs on raw coefficients.  A minor is a raw triple
     (raw, low, prec) keyed by the bitmask of its columns, so the minor
     without column j is ``mask ^ (1 << j)``.  Each level reads its row
-    as triples once, plus one negated copy of that row: the entry at
-    position k of a column set comes from copy ``k & 1``.  Only the
+    as triples once, plus a negated copy of the entries it reads at an
+    odd position: the entry at position k of a column set comes from
+    copy ``k & 1``.  At row r a set holds p - r columns, so column j
+    sits at a position from max(0, j - r) to min(j, p - 1 - r): never
+    odd for column 0, and on the top row odd only for odd j.  Only the
     determinant and the cofactors become series."""
     p = len(cols)
     field = cols[0][0].field
@@ -548,7 +570,8 @@ def _laplace(cols):
         entries = {b: _triple(col[row]) for b, col in zip(bits, cols)}
         signed = (entries, {
             b: ({e: neg(c) for e, c in raw.items()}, low, prec)
-            for b, (raw, low, prec) in entries.items()
+            for j, (b, (raw, low, prec)) in enumerate(entries.items())
+            if (max(0, j - row) | 1) <= min(j, p - 1 - row)
         })
         below, minors = minors, {}
         for s in combinations(bits, p - row):
@@ -614,12 +637,16 @@ class BasisDescription(NamedTuple):
     i_star: int
 
     def generators(self):
-        """The boundary generators alpha^i * t^(A_i), one formula for every
-        shape; t^(A_i) is known below f's precision, or past its exponent
-        when that is higher, so that it keeps its term."""
+        """The boundary generators g_i = alpha^i * t^(e_i), with t^(e_i)
+        the generator of A_i, one formula for every shape.  No product is
+        formed: coordinate i is t^(e_i), known below max(P, e_i + 1) for
+        f's precision P so that it keeps its term, and the others are
+        zero known below P + e_i, as ``dot`` gives them for
+        ``alpha_power(i)`` times that monomial (P >= 1, e_i >= 0)."""
         ext = self.ext
+        field, prec = ext.field, ext.f.prec
         return [
-            ext.alpha_power(i) * LaurentSeries.monomial(ext.field, e, 1, max(ext.f.prec, e + 1))
+            ext._basis_multiple(i, LaurentSeries.monomial(field, e, 1, max(prec, e + 1)), prec + e)
             for i, e in enumerate(int(cut.value) for cut in self.cuts)
         ]
 

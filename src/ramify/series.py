@@ -557,7 +557,7 @@ def linear_combination(terms):
     prec = min(s.prec for _, s in terms)
     out = {}
     for n, s in terms:
-        if n % field.p:
+        if s._raw and n % field.p:
             r = to_raw(n)
             for e, c in s._raw.items():
                 if e < prec:

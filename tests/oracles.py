@@ -253,6 +253,22 @@ def sigma_loop(x, k=1):
     return LElement(ext, tuple(out))
 
 
+def comb_translate(x, k, own):
+    """``LElement._translate`` as it was before it read its binomial
+    rows from a table: coordinate j is one ``linear_combination`` of
+    own * c_j and C(i, j) * k^(i-j) * c_i for i > j, each coefficient
+    from ``math.comb`` and ``pow`` on every call."""
+    p = x.ext.p
+    c = x.coeffs
+    return LElement(x.ext, tuple(
+        series.linear_combination(
+            [(own, c[j])]
+            + [(math.comb(i, j) * pow(k, i - j, p) % p, c[i]) for i in range(j + 1, p)]
+        )
+        for j in range(p)
+    ))
+
+
 def sigma_difference(x, k=1):
     """sigma_k(x) - x in two passes, the image by ``sigma_loop`` and then
     the subtraction: the value and ``prec`` that ``LElement.difference``
@@ -266,6 +282,14 @@ def cramer_inverse_alpha(ext):
     inverse of the norm, the reference for the closed form
     ``ASExtension.inverse_alpha``."""
     return ext.alpha().inverse()
+
+
+def chain_alpha_power(ext, i):
+    """alpha^i along the product chain alpha^(k-1) * alpha of
+    ``LElement.powers``, as ``ASExtension.alpha_power`` built it before
+    the closed form: each product can lose the pole order of f in
+    ``prec``.  The reference for ``alpha_power`` in value."""
+    return ext.alpha().powers(i)[i]
 
 
 def uncut_norm_inverse_alpha(ext):
@@ -372,8 +396,20 @@ def walked_traces(ext, length):
 
 def scan_traces(ext):
     """T[k][m] = Tr(alpha^m * g_k) for 0 <= m <= 2p - 2, the range a
-    perturbed candidate reads."""
-    return walked_traces(ext, 2 * ext.p - 1)
+    perturbed candidate reads.  Row k follows the closed form
+    g_k = alpha^k * t^(e_k) of the generators: it walks ``mul_alpha``
+    from ``alpha_power(k)`` and shifts each trace by e_k, which is
+    exact."""
+    basis = integral_basis(ext)
+    rows = []
+    for k, cut in enumerate(basis.cuts):
+        x = basis.ext.alpha_power(k)
+        row = [x.trace()]
+        for _ in range(2 * ext.p - 2):
+            x = x.mul_alpha()
+            row.append(x.trace())
+        rows.append([tr.shift(int(cut.value)) for tr in row])
+    return rows
 
 
 def candidate_traces(table, r, s, bump=None):
