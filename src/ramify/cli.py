@@ -28,7 +28,7 @@ from .selftest import DEFAULT_SEED, run_all
 from .tower import (
     TowerLevel,
     TowerSpec,
-    best_f_descent,
+    _descent,
     check_step_identity,
     principality_chain,
     tower_levels,
@@ -144,7 +144,7 @@ def run_tower(args):
     levels = tower_levels(spec)
     report = tower_report(spec)
     identity = check_step_identity(spec, trials=args.trials, seed=args.seed)
-    descent = best_f_descent(spec) if args.depth >= 2 else None
+    descent = _descent(spec, levels) if args.depth >= 2 else None
     payload = {
         "schema": SCHEMA,
         "command": "tower",

@@ -30,12 +30,18 @@ An ``Expr`` is evaluated the same way: its first evaluation over a
 field compiles the tree into a flat program over that field's raw
 operations, each distinct node once and after its operands, with every
 constant converted then, and keeps it on the root.  The program runs
-over *lanes*, lists of raw values with one lane per sample point: each
-step maps one raw operation over its operands' lanes, and a division
-marks the lanes whose denominator vanished instead of raising.  A
-single point is the one-lane case, converted to raw values on the way
+over *lanes*, lists with one entry per sample point: each step maps one
+lane operation of the field (``_lane_ops``) over its operands' lanes,
+and a division marks the lanes whose denominator vanished instead of
+raising.  Over F_q with m >= 2 a lane holds discrete logs, with -inf
+for zero, so that each step is one pass with no call per point (Zech
+logarithms; Huber, IEEE Trans. Inf. Theory 36, 1990); values enter
+through the log table and leave through the antilog table, so
+``evaluate`` takes and returns raw values.
+A single point is the one-lane case, converted to raw values on the way
 in and back to an element on the way out; ``check_identity`` evaluates
-batches of raw sample points, so it builds no element but a witness.
+batches of raw sample points, drawn in bulk, so it builds no element
+but a witness.
 
 Polynomials over F_p (the elements of F_p(u), and the field moduli) are
 tuples of ints in [0, p), lowest degree first, with no trailing zeros;
@@ -65,8 +71,7 @@ from __future__ import annotations
 import operator
 import random
 from fractions import Fraction
-from functools import partial
-from itertools import repeat
+from itertools import islice, repeat
 from typing import NamedTuple
 
 from .errors import (
@@ -86,6 +91,9 @@ _ONE = (1,)
 # order is at most TABLE_LIMIT.
 ORDER_LIMIT = 2 ** 64
 TABLE_LIMIT = 2 ** 16
+
+# The log of zero in the F_q tables and in the lanes that hold logs.
+_LOG_ZERO = float("-inf")
 
 # With these bases Miller-Rabin is exact below 3.3 * 10^24 (Sorenson and
 # Webster, "Strong pseudoprimes to twelve prime bases", 2017).
@@ -453,11 +461,14 @@ def _field_tables(p, m, modulus):
 
     For a primitive element g and n = q - 1: ``exp[k]`` is the code of
     g^k, stored twice over (length 2n) so that a sum of two logs indexes
-    it directly; ``log`` inverts it on nonzero codes.  ``zech[d]`` is
-    log(1 + g^d), or -1 where 1 + g^d = 0, so that g^i + g^j =
-    g^(i + zech[j - i]); a difference j - i in (-n, n) reads it through
-    Python's negative indexing, which is the reduction mod n.  ``neg``
-    maps a code to the code of its negative.
+    it directly; ``log`` inverts it, with ``log[0]`` the float -inf
+    (``_LOG_ZERO``), the log of zero.  ``zech[d]`` is log(1 + g^d), so
+    -inf where 1 + g^d = 0, and g^i + g^j = g^(i + zech[j - i]); a
+    difference j - i in (-n, n) reads it through Python's negative
+    indexing, which is the reduction mod n.  The scalar operations test
+    a Zech entry with ``z >= 0`` and never read ``log[0]``; the lanes of
+    ``_run`` hold logs, where -inf stays -inf under + and under * by a
+    positive int.  ``neg`` maps a code to the code of its negative.
 
     The powers of g are walked on digit lists: g has low degree, so one
     step costs O(m) integer operations.  The walk also proves the modulus
@@ -498,11 +509,11 @@ def _field_tables(p, m, modulus):
             raise InvalidSpec("modulus is reducible over F_p")
         exp[k] = exp[k + n] = code
         log[code] = k
+    log[0] = _LOG_ZERO
     zech = [0] * n
     for d in range(n):
         c = exp[d]
-        one_plus = c - c % p + (c + 1) % p  # + 1 changes the lowest digit only
-        zech[d] = log[one_plus] if one_plus else -1
+        zech[d] = log[c - c % p + (c + 1) % p]  # + 1 changes the lowest digit only
     minus_one = log[p - 1]  # the code of -1 is p - 1
     neg = [0] + [exp[log[c] + minus_one] for c in range(1, q)]
     return log, exp, zech, neg
@@ -541,7 +552,7 @@ class FieldSpec:
     __slots__ = (
         "p", "kind", "degree", "modulus", "var", "is_finite", "order",
         "_hash", "_log", "_exp", "_zech", "_neg", "_zero", "_one",
-        "_radd", "_rneg", "_rmul", "_rinv", "_rpow", "_base",
+        "_radd", "_rneg", "_rmul", "_rinv", "_rpow", "_lanes", "_base",
     )
 
     FINITE = "finite"
@@ -595,6 +606,7 @@ class FieldSpec:
             object.__setattr__(self, name, value)
         for name, value in zip(("_radd", "_rneg", "_rmul", "_rinv", "_rpow"), _raw_ops(self)):
             object.__setattr__(self, name, value)
+        object.__setattr__(self, "_lanes", _lane_ops(self))
         _INTERNED[key] = self
         return self
 
@@ -1009,6 +1021,73 @@ def _raw_ops(field):
     return operator.add, operator.neg, operator.mul, lambda a: a.inverse(), operator.pow
 
 
+def _same(lane):
+    return lane
+
+
+def _lane_ops(field):
+    """(enter, leave, const, zero, one, neg, power, binary): how ``_run``
+    computes over lanes of ``field``.  ``enter`` turns a lane of raw
+    values into a working lane and ``leave`` turns one back; ``const``
+    makes the working value of a raw one, and ``zero`` and ``one`` are
+    the working values of 0 and 1.  ``neg(a)``, ``power(a, k)`` and each
+    ``binary[op](a, b)`` map one operation over whole working lanes;
+    ``binary["div"]`` takes a b with no zero.
+
+    F_q with m >= 2 works in the log domain: a lane holds the log of each
+    value (``_LOG_ZERO`` for zero), so * is one C-level ``map`` of int
+    addition, / adds (-log b) mod n, x^k multiplies the log by k reduced
+    into 1..n (x^0 is the constant log 0, so 0^0 = 1), - adds log(-1),
+    and + and - read the Zech table in one comprehension.  Logs are not
+    reduced mod n until ``leave``.  F_p and F_p(u) map ``_raw_ops`` over
+    raw lanes."""
+    log = field._log
+    if log is None:
+        add, neg, mul, inv, pow_ = field._radd, field._rneg, field._rmul, field._rinv, field._rpow
+        return (
+            _same, _same, _same, field._to_raw(field._zero), field._to_raw(field._one),
+            lambda a: list(map(neg, a)),
+            lambda a, k: list(map(pow_, a, repeat(k))),
+            {
+                "add": lambda a, b: list(map(add, a, b)),
+                "sub": lambda a, b: list(map(add, a, map(neg, b))),
+                "mul": lambda a, b: list(map(mul, a, b)),
+                "div": lambda a, b: list(map(mul, a, map(inv, b))),
+            },
+        )
+    exp, zech, n = field._exp, field._zech, field.order - 1
+    minus_one = log[field.p - 1]  # 0 when p = 2, where -x = x
+
+    def leave(lane):
+        return [exp[x % n] if x >= 0 else 0 for x in lane]
+
+    def neg(a):
+        return list(map(operator.add, a, repeat(minus_one))) if minus_one else a
+
+    def power(a, k):
+        if not k:
+            return [0] * len(a)
+        return list(map(operator.mul, a, repeat((k - 1) % n + 1)))
+
+    def add(a, b):
+        return [y if x < 0 else x if y < 0 else x + zech[(y - x) % n] for x, y in zip(a, b)]
+
+    def sub(a, b):
+        return [
+            y + minus_one if x < 0 else x if y < 0 else x + zech[(y + minus_one - x) % n]
+            for x, y in zip(a, b)
+        ]
+
+    def div(a, b):
+        return [x + -y % n for x, y in zip(a, b)]
+
+    return (
+        lambda lane: list(map(log.__getitem__, lane)), leave, log.__getitem__, _LOG_ZERO, 0,
+        neg, power,
+        {"add": add, "sub": sub, "mul": lambda a, b: list(map(operator.add, a, b)), "div": div},
+    )
+
+
 def dot_coeffs(field, pairs, bound):
     """The coefficients below ``bound`` of the sum of a*b, for (a, b)
     pairs of dicts from exponents to nonzero raw values of ``field``,
@@ -1393,37 +1472,30 @@ class Expr:
 def _run(steps, field, env, width):
     """Run the steps ``Expr._emit`` made over ``width`` lanes: ``env``
     maps each variable to a list of ``width`` raw values, one lane per
-    point.  Each step maps one raw operation of ``field`` over its
-    operands' lanes.  A division records the lanes whose denominator is
+    point.  Each step maps one lane operation of the field
+    (``_lane_ops``) over its operands' lanes, which enter at ``var`` and
+    ``const`` steps and leave at the end.  A division records the lanes whose denominator is
     zero and divides them by one instead, so no lane raises; the result
     holds None there."""
-    add, neg, mul, inv, pow_ = field._radd, field._rneg, field._rmul, field._rinv, field._rpow
-    one = field._to_raw(field._one)
+    enter, leave, const, zero, one, neg, power, binary = field._lanes
     lanes, vanished = [], set()
     for op, x, y in steps:
         if op == "const":
-            value = [x] * width
+            value = [const(x)] * width
         elif op == "var":
-            value = env[x]
+            value = enter(env[x])
         elif op == "neg":
-            value = list(map(neg, lanes[x]))
+            value = neg(lanes[x])
         elif op == "pow":
-            value = list(map(pow_, lanes[x], repeat(y, width)))
+            value = power(lanes[x], y)
         else:
-            a, b = lanes[x], lanes[y]
-            if op == "add":
-                value = list(map(add, a, b))
-            elif op == "sub":
-                value = list(map(add, a, map(neg, b)))
-            elif op == "mul":
-                value = list(map(mul, a, b))
-            else:
-                if not all(b):
-                    vanished.update(i for i, c in enumerate(b) if not c)
-                    b = [c or one for c in b]
-                value = list(map(mul, a, map(inv, b)))
+            b = lanes[y]
+            if op == "div" and zero in b:
+                vanished.update(i for i, c in enumerate(b) if c == zero)
+                b = [one if c == zero else c for c in b]
+            value = binary[op](lanes[x], b)
         lanes.append(value)
-    value = lanes[-1]
+    value = leave(lanes[-1])
     if vanished:
         value = [None if i in vanished else c for i, c in enumerate(value)]
     return value
@@ -1462,7 +1534,12 @@ def check_identity(lhs, rhs, field, trials, seed, max_attempts=64):
 
     Points are drawn up to ``LANES`` at a time, each as raw values in
     sorted-name order, and both sides are evaluated once per batch; the
-    draws and verdicts are those of sampling one point per attempt.
+    draws and verdicts are those of sampling one point per attempt.  An
+    F_q point's codes are drawn in bulk from the stream
+    ``rng.randrange(q)`` reads (``getrandbits`` of q's bit length, values
+    of q or more rejected); F_p(u) points come from ``sample_point``.  A
+    batch with no vanished denominator, equal sides and fewer than
+    ``max_attempts`` misses before it is accepted whole.
     """
     if trials < 1:
         raise InvalidSpec("trials must be at least 1")
@@ -1474,16 +1551,27 @@ def check_identity(lhs, rhs, field, trials, seed, max_attempts=64):
     space = field.sample_space_size()
     # the raw value of an F_q sample is its code, of an F_p(u) one the element
     if field.is_finite:
-        draw = partial(rng.randrange, field.order)
+        q = field.order
+        stream = filter(q.__gt__, map(rng.getrandbits, repeat(q.bit_length())))
+
+        def draw(count):
+            return list(islice(stream, count))
     else:
-        draw = partial(field.sample_point, rng)
+        def draw(count):
+            return [field.sample_point(rng) for _ in range(count)]
     done = misses = 0
     while True:
         width = min(LANES, trials - done)
-        drawn = [draw() for _ in range(width * len(names))]
+        drawn = draw(width * len(names))
         env = {name: drawn[k::len(names)] for k, name in enumerate(names)}
         a = lhs.evaluate(env, field, lanes=width)
         b = rhs.evaluate(env, field, lanes=width)
+        if misses < max_attempts and a == b and None not in a:
+            done += width
+            misses = 0
+            if done == trials:
+                return IdentityCheck(True, None, trials, degree_bound, space)
+            continue
         for i in range(width):
             if misses >= max_attempts:
                 raise FieldTooSmall(

@@ -200,7 +200,12 @@ def best_f_descent(spec):
     """
     if spec.depth < 2:
         raise InvalidSpec("descent needs at least two levels to compare")
-    values = [lv.neg_v_f for lv in tower_levels(spec)]
+    return _descent(spec, tower_levels(spec))
+
+
+def _descent(spec, levels):
+    """``best_f_descent`` of spec, read off its ``tower_levels``."""
+    values = [lv.neg_v_f for lv in levels]
     monotone = all(a > b for a, b in zip(values, values[1:]))
     infimum = spec.n - Fraction(1, spec.p - 1)
     attained = any(v == infimum for v in values)

@@ -75,7 +75,8 @@ def test_a_spread_wider_than_the_bound_is_unresolved_unless_every_run_wins():
 
 def run_result(value, correct=True):
     return {"correct": correct,
-            "metrics": {"throughput_cps": {"value": value}, "peak_rss_mb": {"value": 20.0}}}
+            "metrics": {"throughput_cps": {"value": value}, "peak_rss_mb": {"value": 20.0}},
+            "work": {"loop_s": 14 / value, "samples": 14}}
 
 
 METRICS = [
@@ -98,6 +99,9 @@ def bench_file():
 def test_the_summary_of_a_workload_and_seed():
     result = bench_file()["results"]["ferocious_fpu"]["1"]
     assert result["failed_runs"] == {"base": 0, "head": 1}
+    assert result["work"] == [
+        {"base": {"loop_s": 14 / b, "samples": 14}, "head": {"loop_s": 14 / h, "samples": 14}}
+        for b, h in THROUGHPUT]
     assert result["metrics"]["throughput_cps"] == ab.compare(THROUGHPUT, "higher", 0.25)
     rss = result["metrics"]["peak_rss_mb"]
     assert (rss["wins"], rss["change"], rss["verdict"], rss["gain"]) == (0, 0, "within", False)
@@ -113,6 +117,12 @@ def test_the_schema_accepts_what_the_tool_writes_and_rejects_a_broken_file():
         lambda doc: doc["results"]["ferocious_fpu"]["1"]["metrics"]["peak_rss_mb"]["pairs"].pop(),
         lambda doc: doc["results"]["ferocious_fpu"]["1"]["metrics"]["peak_rss_mb"].update(
             verdict="better"),
+        lambda doc: doc["results"]["ferocious_fpu"]["1"].pop("work"),
+        lambda doc: doc["results"]["ferocious_fpu"]["1"]["work"].pop(),
+        lambda doc: doc["results"]["ferocious_fpu"]["1"]["work"][0].pop("head"),
+        lambda doc: doc["results"]["ferocious_fpu"]["1"]["work"][0]["base"].pop("samples"),
+        lambda doc: doc["results"]["ferocious_fpu"]["1"]["work"][0]["base"].update(loop_s=0.0),
+        lambda doc: doc["results"]["ferocious_fpu"]["1"]["work"][0]["head"].update(samples=1.5),
     ):
         doc = copy.deepcopy(bench_file())
         breaks(doc)

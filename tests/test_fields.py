@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 import time
 
@@ -551,6 +552,63 @@ def test_check_identity_evaluates_at_most_lanes_points_at_once(monkeypatch):
     monkeypatch.setattr(Expr, "evaluate", recording)
     assert check_identity(expr, expr, F4, 5 * LANES, seed=1, max_attempts=64).ok
     assert max(widths) == LANES
+
+
+# 1 + w + w^3 + w^12 + w^16, irreducible over F_2
+F65536_MODULUS = (1, 1, 0, 1) + (0,) * 8 + (1,) + (0,) * 3 + (1,)
+
+
+@pytest.mark.parametrize("q", [4, 8, 9, 16, 25, 27, 49, 64, 125, 2 ** 16])
+def test_check_identity_draws_the_randrange_stream(q, monkeypatch):
+    """check_identity draws F_q codes in bulk from ``getrandbits``; on
+    every Python it runs on, that must be the stream of successive
+    ``randrange(q)`` calls, in batch order and in sorted-name order."""
+    p = next(d for d in range(2, q + 1) if q % d == 0)
+    m = round(math.log(q, p))
+    field = FieldSpec.finite(p, m, F65536_MODULUS if q == 2 ** 16 else None)
+    x, y = Expr.var("x"), Expr.var("y")
+    lhs = x * y
+    envs = []
+    evaluate = Expr.evaluate
+
+    def recording(self, env, field, lanes=None):
+        if self is lhs:
+            envs.append(env)
+        return evaluate(self, env, field, lanes)
+
+    monkeypatch.setattr(Expr, "evaluate", recording)
+    trials, seed = 3 * LANES + 1, 5
+    assert check_identity(lhs, y * x, field, trials, seed).ok
+    drawn = [c for env in envs for point in zip(env["x"], env["y"]) for c in point]
+    rng = random.Random(seed)
+    assert drawn == [rng.randrange(q) for _ in range(2 * trials)]
+
+
+@pytest.mark.parametrize("field", [F4, FieldSpec.finite(2, 3), F9, FieldSpec.finite(5, 2)])
+def test_lanes_of_every_element_match_the_tree_walk_at_the_log_domain_edges(field):
+    """One batch holds every element of the field, zero among them, at
+    the cases where a log lane meets zero: 0^0 = 1, exponents that are
+    multiples of q - 1, negation (which does nothing at p = 2), sums
+    that cancel, vanished denominators, and zero constants."""
+    q = field.order
+    x = Expr.var("x")
+    zero = Expr.const(0)
+    cases = [
+        x ** 0, x ** (q - 1), x ** q, x ** (2 * (q - 1)), (x ** 0) ** 3,
+        x ** (q - 1) + 1, x ** (2 * (q - 1)) * x - x,
+        -x, -(-x), x - x, x + -x, (x - x) * x,
+        x / (x + -x), (x + 1) / (x + 1), (x + 1) / (x - x + 1),
+        zero, Expr.const(field.zero()), zero * x + x, x + zero, zero - x, zero / x,
+    ]
+    codes = list(range(q))
+    for expr in cases:
+        want = []
+        for c in codes:
+            try:
+                want.append(tree_evaluate(expr, {"x": field.element_at(c)}, field)._a)
+            except DivisionByZero:
+                want.append(None)
+        assert expr.evaluate({"x": codes}, field, lanes=q) == want
 
 
 @pytest.mark.parametrize("field", [F2, F3, F4, F9, FieldSpec.finite(2, 3)])

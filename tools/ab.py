@@ -20,8 +20,13 @@ metric's bound, "unresolved" when the base's IQR is wider than the bound
 and not every head run beats every base run, and "within" otherwise.
 ``gain`` is true when at least ten pairs ran, the head won at least nine
 tenths of them and its median is better by more than the base's IQR.
-Failed runs are counted per side.  The file also records both commits
-and trees, the Python version and the number of usable processors.
+Failed runs are counted per side.  ``work`` records, per pair and side,
+how much work the run timed: ``loop_s``, the wall time of its timed loop,
+and ``samples``, the configurations that loop ran, both from the detail
+line ``perfbench/run.py`` writes to stderr.  A run that times a few
+tenths of a second is moved by the machine's load, so these say how far
+its figures can be trusted.  The file also records both commits and
+trees, the Python version and the number of usable processors.
 """
 
 from __future__ import annotations
@@ -69,7 +74,9 @@ def export(tree, dest):
 
 
 def run_once(checkout, workload, seed, seconds):
-    """The result object of one untraced benchmark run in ``checkout``."""
+    """The result object of one untraced benchmark run in ``checkout``,
+    with the work it timed under ``"work"``: ``loop_s`` and ``samples``
+    from the run's detail line, the last line of its stderr."""
     argv = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
             "--seconds", str(seconds), "--trace", "0"]
     proc = subprocess.run(argv, cwd=checkout, capture_output=True, text=True,
@@ -77,7 +84,10 @@ def run_once(checkout, workload, seed, seconds):
     if proc.returncode != 0:
         raise RuntimeError(f"{' '.join(argv[1:])} in {checkout} exited {proc.returncode}: "
                            f"{proc.stderr.strip()[-500:]}")
-    return json.loads(proc.stdout.strip().splitlines()[-1])
+    result = json.loads(proc.stdout.strip().splitlines()[-1])
+    detail = json.loads(proc.stderr.strip().splitlines()[-1])
+    result["work"] = {"loop_s": detail["wall"]["loop_s"], "samples": detail["samples"]}
+    return result
 
 
 def order(pair):
@@ -134,6 +144,7 @@ def summarize(runs, metrics):
     ``end_to_end`` entries of ``BENCHMARK.json``."""
     out = {
         "failed_runs": {side: sum(not run[side]["correct"] for run in runs) for side in SIDES},
+        "work": [{side: run[side]["work"] for side in SIDES} for run in runs],
         "metrics": {},
     }
     for metric in metrics:
@@ -167,6 +178,15 @@ def validate(doc):
         for seed, result in seeds.items():
             where = f"{workload} seed {seed}"
             need(set(result["failed_runs"]) == set(SIDES), f"{where}: bad failed_runs")
+            need(len(result.get("work", ())) == doc["pairs"]
+                 and all(set(pair) == set(SIDES) for pair in result["work"]),
+                 f"{where}: bad work")
+            for pair in result["work"]:
+                for work in pair.values():
+                    need(set(work) == {"loop_s", "samples"}
+                         and isinstance(work["loop_s"], (int, float)) and work["loop_s"] > 0
+                         and isinstance(work["samples"], int) and work["samples"] > 0,
+                         f"{where}: bad work record {work}")
             need(result["metrics"], f"{where}: no metrics")
             for name, summary in result["metrics"].items():
                 need(set(summary) == METRIC_KEYS, f"{where} {name}: bad keys")
