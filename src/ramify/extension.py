@@ -3,19 +3,17 @@
 Provides the reduction of f to its best representative modulo the map
 x -> x^p - x, the Swan conductor, the ramification classification,
 arithmetic in L with the Galois action and sigma^k(x) - x in one pass,
-the norm and the inverse from one Laplace expansion of the
-multiplication matrix (the inverse is the adjugate column over the
-norm, and the minors are built level by level, two levels alive at a
-time, on raw coefficients: each minor is a raw triple keyed by the
-bitmask of its columns, each entry's bound is read once), 1/alpha in
-closed form as (alpha^(p-1) - 1)/f, the trace from the power basis,
-valuations on L, the inductive difference operators, and the shape of
-the integral closure with its generators alpha^i * t^(A_i), one
-formula for every shape.  alpha^i for i < p is the i-th basis vector;
-it, the generators and 1/alpha are built coordinate by coordinate, with
-no product in L, each with the ``prec`` the product rule gives its
-formula.  Cramer's rule serves only the difference operators, which
-invert their denominators with it.
+the norm and the inverse from one chain of conjugate products (the
+product P of x, sigma(x), ..., sigma^(p-2)(x) built by doubling; the
+norm is coordinate 0 of x * sigma(P) and the inverse is sigma(P) over
+the norm), 1/alpha in closed form as (alpha^(p-1) - 1)/f, the trace
+from the power basis, valuations on L, the inductive difference
+operators, and the shape of the integral closure with its generators
+alpha^i * t^(A_i), one formula for every shape.  alpha^i for i < p is
+the i-th basis vector; it, the generators and 1/alpha are built
+coordinate by coordinate, with no product in L, each with the ``prec``
+the product rule gives its formula.  The inverse serves only the
+difference operators, which invert their denominators with it.
 
 An extension computes what it derives once, in one memo
 (``ASExtension._memo``), the shape of B included.  An element builds
@@ -28,10 +26,9 @@ a constant known below f's precision.
 One precision rule holds in L: a coordinate is known as far as the
 series it reads determine it, with no start bound.  A product
 coordinate is one ``series.dot``, known below the least of its
-products' bounds; a minor of the Laplace expansion is one
-``series._dot_raw``, the same rule on raw triples.  Coordinate j of a
-conjugate reads only the coordinates i >= j and is known below the
-least of their precisions.
+products' bounds, and so is the norm.  Coordinate j of a conjugate
+reads only the coordinates i >= j and is known below the least of
+their precisions.
 """
 
 from __future__ import annotations
@@ -40,7 +37,6 @@ import functools
 import math
 from enum import Enum
 from fractions import Fraction
-from itertools import combinations
 from typing import NamedTuple
 
 from .errors import (
@@ -58,8 +54,6 @@ from .series import (
     Cut,
     LaurentSeries,
     ValueGroup,
-    _dot_raw,
-    _series,
     dot,
     linear_combination,
     series_in_cut,
@@ -139,8 +133,11 @@ def reduce_to_best(f):
     return BestForm(f_best, case, Fraction(n), tuple(log))
 
 
-# the largest p an extension accepts: the Laplace norm costs 2^p - p - 1 dots
-P_LIMIT = 19
+# the largest p an extension accepts.  No step is exponential in p (the
+# norm is O(log p) products in L of p^2 dots each); the bound keeps a
+# report small: `t^-7 + 3t^-5 + t^-2 + 5t --prec 60` and `t^-1 --prec 392`
+# take 0.5 s together at p = 97 on a 2-core VM, Python 3.11
+P_LIMIT = 97
 
 
 class ASExtension:
@@ -432,16 +429,35 @@ class LElement:
         # Tr 1 = p = 0, Tr alpha^i = 0 for 0 < i < p-1, Tr alpha^(p-1) = -1
         return -self.coeffs[-1]
 
+    def _orbit(self):
+        """(N(x), sigma(P)) for P = x * sigma(x) * ... * sigma^(p-2)(x),
+        the one chain behind ``norm`` and ``inverse``.  P is built by
+        doubling over the bits of p - 1, P_(a+b) = P_a * sigma^a(P_b)
+        (the addition chain of Itoh and Tsujii, with sigma in place of
+        Frobenius), from ``__mul__`` and ``sigma``.  x * sigma(P) is the
+        whole orbit product N(x), which lies in K: its coordinate 0 is
+        one ``dot`` over x's columns, and the others are not formed.
+        On 1/alpha of a nontrivial extension and on the difference
+        operators' denominators this is the Laplace determinant and
+        Cramer's rule in value and ``prec``; on coordinates known to
+        uneven precisions it can know less, never more."""
+        p = self.ext.p
+        prod, k = self, 1
+        for bit in bin(p - 1)[3:]:
+            prod, k = prod * prod.sigma(k), 2 * k
+            if bit == "1":
+                prod, k = prod * self.sigma(k), k + 1
+        q = prod.sigma()
+        return dot([(col[0], c) for col, c in zip(self.columns(), q.coeffs)]), q
+
     def norm(self):
-        return _laplace(self.columns())[0]
+        """N(x), the product of the p conjugates of x (``_orbit``)."""
+        return self._orbit()[0]
 
     def inverse(self):
-        """1/x by Cramer's rule: coordinate j is the cofactor of entry
-        (0, j) of the multiplication matrix over N(x), both from one
-        Laplace expansion."""
-        norm, cofactors = _laplace(self.columns())
-        inv_n = norm.inverse()
-        return LElement(self.ext, tuple(c * inv_n for c in cofactors))
+        """1/x = sigma(P) / N(x), both from one ``_orbit``."""
+        norm, q = self._orbit()
+        return q * norm.inverse()
 
     def truncate(self, prec):
         """Forget knowledge above the given precision (cheapens inverses)."""
@@ -540,59 +556,6 @@ def _translation_rows(p, k, own):
         ((own, j),) + tuple((math.comb(i, j) * pow(k, i - j, p) % p, i) for i in range(j + 1, p))
         for j in range(p)
     )
-
-
-def _laplace(cols):
-    """(det, first-row cofactors) of the matrix with columns ``cols``
-    (entry (row, j) is ``cols[j][row]``), with the minors built level by
-    level from the bottom row up.  The minor on column set s of the last
-    len(s) rows is one ``series._dot_raw`` over its first row, the
-    alternating sign folded into the entry, and reads only the level
-    below, so two levels are alive at a time.  The level-p minor is the
-    determinant; the cofactor of entry (0, j) is (-1)^j times the minor
-    without column j.
-
-    The expansion runs on raw coefficients.  A minor is a raw triple
-    (raw, low, prec) keyed by the bitmask of its columns, so the minor
-    without column j is ``mask ^ (1 << j)``.  Each level reads its row
-    as triples once, plus a negated copy of the entries it reads at an
-    odd position: the entry at position k of a column set comes from
-    copy ``k & 1``.  At row r a set holds p - r columns, so column j
-    sits at a position from max(0, j - r) to min(j, p - 1 - r): never
-    odd for column 0, and on the top row odd only for odd j.  Only the
-    determinant and the cofactors become series."""
-    p = len(cols)
-    field = cols[0][0].field
-    neg = field._rneg
-    bits = [1 << j for j in range(p)]
-    minors = {b: _triple(col[p - 1]) for b, col in zip(bits, cols)}
-    for row in range(p - 2, -1, -1):
-        entries = {b: _triple(col[row]) for b, col in zip(bits, cols)}
-        signed = (entries, {
-            b: ({e: neg(c) for e, c in raw.items()}, low, prec)
-            for j, (b, (raw, low, prec)) in enumerate(entries.items())
-            if (max(0, j - row) | 1) <= min(j, p - 1 - row)
-        })
-        below, minors = minors, {}
-        for s in combinations(bits, p - row):
-            mask = sum(s)
-            minors[mask] = _dot_raw(
-                field, [(signed[k & 1][b], below[mask ^ b]) for k, b in enumerate(s)]
-            )
-    full = (1 << p) - 1
-    det_raw, _, det_prec = minors[full]
-    cofactors = []
-    for j, b in enumerate(bits):
-        raw, _, prec = below[full ^ b]
-        if j % 2:
-            raw = {e: neg(c) for e, c in raw.items()}
-        cofactors.append(_series(field, raw, prec))
-    return _series(field, det_raw, det_prec), cofactors
-
-
-def _triple(s):
-    """The raw triple (raw, low, prec) of a series for ``_dot_raw``."""
-    return s._raw, s.low_bound(), s.prec
 
 
 def classify(ext):

@@ -208,9 +208,9 @@ def check_norm_ideal_identity(ext):
     the check reads N(1/alpha) * f = 1 there, and a norm wrong only at
     or above t^(2 * swan) is past it.  1/alpha is
     the closed form (alpha^(p-1) - 1) * (1/f) of
-    ``ASExtension.inverse_alpha``, not Cramer's rule, so the check
-    costs one Laplace expansion, N(1/alpha), and reads 1/f from the
-    memo the refined form reads."""
+    ``ASExtension.inverse_alpha``, not an inverse in L, so the check
+    takes one norm, N(1/alpha), and reads 1/f from the memo the refined
+    form reads."""
     ext = ext.with_best_f()
     h = ideal_h(ext)
     nj = norm_of_j(ext)

@@ -10,13 +10,13 @@ A series stores its coefficients raw: ints mod p over F_p, log/Zech
 table codes over F_q with m >= 2, and the canonical ``ResidueElem``
 itself over F_p(u) (see ``fields``).  ``+``, ``-``, ``scale``,
 ``shift``, ``truncate``, ``inverse``, ``euler_derivative``,
-``linear_combination`` and the kernel ``dot`` (with ``_dot_raw``, its
-rule on raw triples) work on those values through the field's raw
-operations.  Elements are built only at the boundary: the
-``LaurentSeries`` constructor converts elements and ints to raw values
-(and rejects an element of another field), and ``coeffs``, ``coeff``
-and ``leading`` convert back on demand.  ``__str__`` builds no element:
-the field's ``_text`` renders each raw value once.
+``linear_combination`` and the kernel ``dot`` work on those values
+through the field's raw operations.  Elements are built only at the
+boundary: the ``LaurentSeries`` constructor converts elements and ints
+to raw values (and rejects an element of another field), and
+``coeffs``, ``coeff`` and ``leading`` convert back on demand.
+``__str__`` builds no element: the field's ``_text`` renders each raw
+value once.
 
 ``inverse`` solves (c_0 + c_1*t + ...)(w_0 + w_1*t + ...) = 1 term by
 term, w_k = -(1/c_0) * sum_(i>=1) c_i*w_(k-i), in one pass over raw
@@ -522,29 +522,6 @@ def dot(pairs, cap=None):
             bound = pair_bound
     field = pairs[0][0].field
     return _series(field, dot_coeffs(field, live, bound) if live else {}, bound)
-
-
-def _dot_raw(field, pairs):
-    """``dot`` on raw triples, for a caller that reads one operand in
-    many sums: each operand is (raw, low, prec), with ``raw`` a series'
-    raw dict and ``low`` its lowest exponent, or ``prec`` when ``raw``
-    is empty, so no low bound is read twice.  The same rule as ``dot``:
-    known below the least of min(a.prec + low(b), b.prec + low(a)), the
-    coefficients from one ``fields.dot_coeffs`` over the pairs with no
-    empty operand.  Returns the sum as such a triple; its dict is clean
-    and fresh, ready for ``_series``."""
-    bound = None
-    live = []
-    for (ra, la, pa), (rb, lb, pb) in pairs:
-        if ra and rb:
-            live.append((ra, rb))
-        pair_bound = pa + lb
-        if pb + la < pair_bound:
-            pair_bound = pb + la
-        if bound is None or pair_bound < bound:
-            bound = pair_bound
-    raw = dot_coeffs(field, live, bound) if live else {}
-    return raw, (min(raw) if raw else bound), bound
 
 
 def linear_combination(terms):

@@ -27,7 +27,6 @@ from ramify.extension import (
     DifferenceOperators,
     LElement,
     RamificationType,
-    _laplace,
     integral_basis,
     reduce_to_best,
 )
@@ -277,11 +276,11 @@ def sigma_difference(x, k=1):
 
 
 def cramer_inverse_alpha(ext):
-    """1/alpha by Cramer's rule, ``LElement.inverse`` of alpha: one
-    Laplace expansion of alpha's multiplication matrix and a series
-    inverse of the norm, the reference for the closed form
+    """1/alpha by Cramer's rule (``cramer_inverse``): one Laplace
+    expansion of alpha's multiplication matrix and a series inverse of
+    the norm, the reference for the closed form
     ``ASExtension.inverse_alpha``."""
-    return ext.alpha().inverse()
+    return cramer_inverse(ext.alpha())
 
 
 def chain_alpha_power(ext, i):
@@ -372,7 +371,7 @@ def gram_trace_dual_cut(ext):
         [row[j].shift(e) for row in table]
         for j, e in enumerate(int(cut.value) for cut in basis.cuts)
     ]
-    return Cut.at_least(_laplace(cols)[0].valuation() / ext.p, basis.group)
+    return Cut.at_least(series_laplace(cols)[0].valuation() / ext.p, basis.group)
 
 
 # perturbations per scanned valuation in the trace-dual scans
@@ -1217,10 +1216,12 @@ def sampled_refined_swan_stability(ext, samples=50, seed=0):
     return _sampled("refined_swan_stability", samples, seed, trial, {"samples": samples})
 
 
-# -- the series-level Laplace expansion ------------------------------------------
-# ``extension._laplace`` as it was before it ran on raw coefficients: every
-# minor a ``LaurentSeries`` keyed by its column tuple, every signed entry a
-# fresh negation, one ``series.dot`` per minor.
+# -- the Laplace expansion --------------------------------------------------------
+# The reference determinant: every minor a ``LaurentSeries`` keyed by its
+# column tuple, every signed entry a fresh negation, one ``series.dot`` per
+# minor.  The library's norm and inverse come from the orbit chain
+# (``LElement._orbit``); this expansion and Cramer's rule on it are what they
+# are compared with.
 
 
 def series_laplace(cols):
@@ -1245,43 +1246,13 @@ def series_laplace(cols):
     return minors[full], [-c if j % 2 else c for j, c in enumerate(cofactors)]
 
 
-# -- the recursive, memoised Laplace expansion ------------------------------------
-# ``extension._laplace`` and its helper as they were before the minors were
-# built level by level: every minor of every size stays in one memo until
-# the expansion returns.
-
-
-def memoised_laplace(cols):
-    """(det, first-row cofactors) of the matrix with columns ``cols``
-    (entry (row, j) is ``cols[j][row]``) by expansion along the first
-    row: the cofactor of entry (0, j) is (-1)^j times the minor without
-    row 0 and column j, and all minors share one memo."""
-    full = tuple(range(len(cols)))
-    memo = {}
-    cofactors = []
-    for j in full:
-        sub = _memoised_minor(cols, full[:j] + full[j + 1:], memo)
-        cofactors.append(-sub if j % 2 else sub)
-    return dot([(col[0], c) for col, c in zip(cols, cofactors)]), cofactors
-
-
-def _memoised_minor(cols, remaining, memo):
-    """The minor on the last len(remaining) rows and the columns in
-    ``remaining``: one ``dot`` over its first row, the alternating sign
-    folded into the entry.  A module function, not a closure: a closure
-    that calls itself is a reference cycle, which would hold the memo
-    until a full garbage collection."""
-    row = len(cols) - len(remaining)
-    if len(remaining) == 1:
-        return cols[remaining[0]][row]
-    if remaining not in memo:
-        pairs = []
-        for idx, j in enumerate(remaining):
-            entry = cols[j][row]
-            sub = _memoised_minor(cols, remaining[:idx] + remaining[idx + 1:], memo)
-            pairs.append((-entry if idx % 2 else entry, sub))
-        memo[remaining] = dot(pairs)
-    return memo[remaining]
+def cramer_inverse(x):
+    """1/x by Cramer's rule: coordinate j is the cofactor of entry (0, j)
+    of x's multiplication matrix over N(x), both from one
+    ``series_laplace``."""
+    det, cofactors = series_laplace(x.columns())
+    inv = det.inverse()
+    return LElement(x.ext, tuple(c * inv for c in cofactors))
 
 
 def report_principality_chain(ext):

@@ -142,9 +142,10 @@ def test_huge_field_order_exits_two_at_once(capsys):
 
 
 def test_large_characteristic_exits_two_at_once(capsys):
-    # beyond P_LIMIT the Laplace norm recursed past Python's limit
-    # (p = 1009) or grew without bound (p just below 2^64)
-    for p in (23, 1009, 18446744073709551557):
+    # beyond P_LIMIT an extension is refused before any arithmetic: a
+    # product in L costs p^2 dots, far too many at p = 1009 and just
+    # below 2^64
+    for p in (101, 1009, 18446744073709551557):
         start = time.perf_counter()
         code, out = run_cli(
             ["analyze", "--field", f"Fp:{p}", "--f", "t^-1", "--prec", "2", "--trials", "1"],
@@ -434,8 +435,8 @@ def test_batch_takes_no_other_arguments(tmp_path, capsys):
 
 # -- fuzz of the whole command line -------------------------------------------------
 
-# valid fields (p <= 5, so the 2^p Laplace norm stays cheap) with their
-# variable, and specs the parser must reject
+# valid fields (p <= 5, so that each fuzzed report stays cheap) with
+# their variable, and specs the parser must reject
 VALID_FIELDS = [
     ("Fp:2", None), ("Fp:3", None), ("Fp:5", None), ("Fq:4", "w"),
     ("Fq:9:w^2+1", "w"), ("Fp(u):2", "u"), ("Fp(u):3", "u"),

@@ -6,7 +6,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from ramify import extension, invariants, selftest, series
 from ramify.errors import (
@@ -297,7 +297,7 @@ def test_different_matches_trace_dual():
 
 def test_different_matches_the_gram_determinant_at_p_17():
     # the largest Gram matrix of the suite: 2^17 - 18 minors, most of
-    # them known zero, expanded on raw coefficients by the test oracle
+    # them known zero, expanded by the test oracle ``series_laplace``
     ext = ext_of(FieldSpec.finite(17), -1, prec=72)
     assert trace_dual_cut(ext) == different_ideal(ext) == gram_trace_dual_cut(ext)
 
@@ -414,16 +414,16 @@ def test_the_trace_form_is_anti_triangular(monkeypatch, ext):
         return real_laplace(cols)
 
     def no_call(*args, **kwargs):
-        raise AssertionError("trace_dual_cut expanded a determinant or drew a sample")
+        raise AssertionError("trace_dual_cut took a norm or drew a sample")
 
-    real_laplace = extension._laplace
-    monkeypatch.setattr(oracles, "_laplace", laplace)
+    real_laplace = oracles.series_laplace
+    monkeypatch.setattr(oracles, "series_laplace", laplace)
     gram = gram_trace_dual_cut(ext)
     assert len(calls) == 1
     cols = calls[0]
     det = real_laplace(cols)[0]
     assert gram == Cut.at_least(det.valuation() / ext.p, value_group_of_l(ext))
-    monkeypatch.setattr(extension, "_laplace", no_call)
+    monkeypatch.setattr(LElement, "norm", no_call)
     monkeypatch.setattr(oracles, "integral_sample", no_call)
     assert trace_dual_cut(ext) == gram
     p = ext.p
@@ -1172,37 +1172,37 @@ def test_report_builds_the_refined_form_once(monkeypatch, field_spec, f):
     ("Fp:2", "1 + t"),
 ])
 def test_a_report_expands_one_determinant(monkeypatch, field_spec, f):
-    """A report runs one Laplace expansion, on the reduced presentation:
-    the norm of the closed-form 1/alpha cut at t^(2 * swan), which the
-    norm-ideal identity and the diagram check read from one memo.  An
-    unramified extension norms 1/alpha whole.  It inverts no element of
-    L by Cramer's rule."""
+    """A report takes one norm, the determinant of one multiplication
+    matrix, on the reduced presentation: the norm of the closed-form
+    1/alpha cut at t^(2 * swan), which the norm-ideal identity and the
+    diagram check read from one memo.  An unramified extension norms
+    1/alpha whole.  It inverts no element of L."""
     field = parse_field_spec(field_spec)
     ext = ASExtension(field, parse_series(f, field, 24))
-    expanded = []
-    laplace = extension._laplace
+    normed = []
+    norm = LElement.norm
 
-    def counted(cols):
-        expanded.append(cols)
-        return laplace(cols)
+    def counted(self):
+        normed.append(self)
+        return norm(self)
 
     def no_call(self):
         raise AssertionError("a report inverted an element of L")
 
-    monkeypatch.setattr(extension, "_laplace", counted)
+    monkeypatch.setattr(LElement, "norm", counted)
     monkeypatch.setattr(LElement, "inverse", no_call)
     rep = build_report(ext)
     assert rep.all_checks_pass()
-    assert len(expanded) == 1
+    assert len(normed) == 1
     reduced = ext.with_best_f()
     # swan 2 and 3 cut 1/alpha at t^4 and t^6; 1 + t is unramified
     cut = {"Fp:3": 4, "Fp(u):2": 6, "Fp:2": None}[field_spec]
     inverse_alpha = reduced.inverse_alpha()
     assert cut == (2 * int(reduced.swan) or None)
-    assert expanded[0] == (inverse_alpha if cut is None else inverse_alpha.truncate(cut)).columns()
+    assert normed[0] == (inverse_alpha if cut is None else inverse_alpha.truncate(cut))
     assert ext.norm_inverse_alpha() is reduced.norm_inverse_alpha()
     assert ext.norm_inverse_alpha_times_f() is reduced.norm_inverse_alpha_times_f()
-    assert len(expanded) == 1
+    assert len(normed) == 1
 
 
 @settings(max_examples=200, deadline=None)
@@ -1241,6 +1241,40 @@ def test_the_cut_norm_of_one_over_alpha_is_the_uncut_norm_below_its_readers(case
             assert (memo, times_f) == (uncut, uncut_times_f)
         uncut_ext.with_best_f()._cache["norm_inverse_alpha"] = uncut
     assert exact_outcome(build_report, ext) == exact_outcome(build_report, uncut_ext)
+
+
+NORM_FIELDS = (FieldSpec.finite(2), FieldSpec.finite(2, 2), F3, FieldSpec.finite(3, 2), F5,
+               FieldSpec.finite(5, 2), FieldSpec.finite(7), F2u, F3u)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(NORM_FIELDS), st.integers(0, 9), st.integers(1, 24), st.integers(0, 2**32))
+@example(FieldSpec.finite(7), 7, 2, 7009)  # trivial, f_best = 2t
+def test_the_orbit_norm_of_one_over_alpha_is_the_laplace_determinant(field, n, prec, seed):
+    """For f = f_best + h^p - h with a pole of order 0 to 9, over F_q and
+    F_p(u), N(1/alpha) from the orbit chain is the Laplace determinant
+    of the multiplication matrix of the element it norms, 1/alpha cut at
+    t^(2 * swan) (whole when unramified), in value and ``prec``, on every
+    nontrivial extension.  No report norms 1/alpha of a trivial one
+    (``integral_basis`` raises first); there, when v(f_best) > 0, the
+    coordinates of 1/alpha are known to uneven precisions, and the chain
+    agrees below its ``prec``, which may be the lower."""
+    rng = random.Random(seed)
+    f_best = extension.reduce_to_best(pole_extension(field, rng, n, prec).f).f_best
+    h = random_series(field, rng, -3, -1, prec + 3 * field.p)
+    f = f_best + h ** field.p - h
+    assume(not f.is_zero_known())
+    ext = ASExtension(field, f)
+    assume(not ext.best.f_best.is_zero_known())
+    reduced = ext.with_best_f()
+    x, swan = reduced.inverse_alpha(), int(reduced.swan)
+    normed = x.truncate(2 * swan) if swan else x
+    norm, reference = ext.norm_inverse_alpha(), oracles.series_laplace(normed.columns())[0]
+    if reduced.classification() is RamificationType.TRIVIAL:
+        assert norm.prec <= reference.prec
+        assert norm == reference.truncate(norm.prec)
+    else:
+        assert norm == reference
 
 
 def test_a_sign_flipped_one_over_alpha_fails_both_norm_checks_at_odd_p(monkeypatch):

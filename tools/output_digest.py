@@ -10,8 +10,8 @@ degree 400, at seeds 0-3, in JSON (no check draws a sample, so the four
 differ only in the echoed seed), and the ``low_prec``
 runs: every ``analyze`` configuration of seeds 1-5, in JSON, with
 ``--prec`` lowered to each of ``LOW_PRECS``, the ``large_p`` runs:
-three JSON ``analyze`` runs at p = 11 and 13 (``LARGE_P_RUNS``), where
-the Laplace expansion of the norm takes most of the time, and the
+three JSON ``analyze`` runs at p = 11 and 13 (``LARGE_P_RUNS``), the
+largest p of the digest, where the norm's orbit chain is longest, and the
 ``integral`` runs: JSON ``analyze`` runs of an f with no pole
 (``INTEGRAL_RUNS``), trivial and unramified over F_p, F_q and F_p(u),
 which reach ``classify``'s decision on the constant residue, through
