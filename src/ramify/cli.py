@@ -79,14 +79,16 @@ def make_parser():
     tw.add_argument("--n", type=int, required=True)
     tw.add_argument("--q", type=int, required=True, help="order of the residue field F_q")
     tw.add_argument("--depth", type=int, default=5)
-    tw.add_argument("--trials", type=int, default=32)
-    tw.add_argument("--seed", type=int, default=DEFAULT_SEED)
+    tw.add_argument("--trials", type=int, default=32,
+                    help="ignored: the step identity is exact (at least 1; echoed in JSON)")
+    tw.add_argument("--seed", type=int, default=DEFAULT_SEED,
+                    help="ignored: the step identity is exact (echoed in JSON)")
     tw.add_argument("--format", choices=("text", "json"), default="text")
     tw.add_argument("--csv", metavar="PATH", help="also write the level table as CSV")
 
     st = sub.add_parser("selftest", parents=[out], help="run the acceptance grid")
     st.add_argument("--seed", type=int, default=DEFAULT_SEED,
-                    help="seeds criterion 6 only")
+                    help="ignored: every criterion is exact (echoed in JSON)")
     st.add_argument("--format", choices=("text", "json"), default="text")
     return parser
 
@@ -143,7 +145,9 @@ def run_tower(args):
     spec = TowerSpec(field, args.n, args.depth)
     levels = tower_levels(spec)
     report = tower_report(spec)
-    identity = check_step_identity(spec, trials=args.trials, seed=args.seed)
+    if args.trials < 1:
+        raise InvalidSpec("trials must be at least 1")
+    identity = check_step_identity(spec)
     descent = _descent(spec, levels) if args.depth >= 2 else None
     payload = {
         "schema": SCHEMA,
@@ -152,7 +156,7 @@ def run_tower(args):
         "levels": [lv.to_json() for lv in levels],
         "report": report.to_json(),
         "principality": principality_chain(report),
-        "step_identity": encode(identity),
+        "step_identity": {**encode(identity), "trials": args.trials},
         "descent": None if descent is None else descent.to_json(),
         "pass": identity.ok,
     }
@@ -175,17 +179,14 @@ def run_tower(args):
         ]
         for lv in levels:
             lines.append(f"  {lv.index:2d}  {lv.n_i:10d}  {lv.neg_v_f}")
-        lines.append(
-            f"step identity: {'pass' if identity.ok else 'FAIL'} "
-            f"({identity.trials} trials, degree bound {identity.degree_bound}"
-            f"/{identity.sample_space})"
-        )
+        verdict = "pass" if identity.ok else f"FAIL at {identity.witness}"
+        lines.append(f"step identity: {verdict} (exact, in F_{field.order}(z', y))")
         text = "\n".join(lines)
     return text, (0 if identity.ok else 1)
 
 
 def run_selftest(args):
-    results = run_all(seed=args.seed)
+    results = run_all()
     ok = all(r.ok for r in results)
     if args.format == "json":
         payload = {

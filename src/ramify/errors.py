@@ -25,10 +25,6 @@ class NotRationalFunctionField(RamifyError):
     """d/du only exists over F_p(u)."""
 
 
-class FieldTooSmall(RamifyError):
-    """Rejection sampling could not find a valid evaluation point."""
-
-
 class AmbientMismatch(RamifyError):
     """Cut arithmetic across different value groups."""
 

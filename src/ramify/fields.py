@@ -26,22 +26,13 @@ are the only places where series coefficients become elements or
 elements become coefficients.  The F_q power of an element is the raw
 one, a table lookup exp[log(a) * n mod (q - 1)] when m >= 2.
 
-An ``Expr`` is evaluated the same way: its first evaluation over a
-field compiles the tree into a flat program over that field's raw
-operations, each distinct node once and after its operands, with every
-constant converted then, and keeps it on the root.  The program runs
-over *lanes*, lists with one entry per sample point: each step maps one
-lane operation of the field (``_lane_ops``) over its operands' lanes,
-and a division marks the lanes whose denominator vanished instead of
-raising.  Over F_q with m >= 2 a lane holds discrete logs, with -inf
-for zero, so that each step is one pass with no call per point (Zech
-logarithms; Huber, IEEE Trans. Inf. Theory 36, 1990); values enter
-through the log table and leave through the antilog table, so
-``evaluate`` takes and returns raw values.
-A single point is the one-lane case, converted to raw values on the way
-in and back to an element on the way out; ``check_identity`` evaluates
-batches of raw sample points, drawn in bulk, so it builds no element
-but a witness.
+An ``Expr`` is a rational expression over a field.  ``evaluate`` walks
+its tree once, over quotients num/den of sparse polynomials in the
+variables its ``env`` leaves unbound, with raw coefficients; with every
+variable bound the quotient is a constant and ``evaluate`` returns its
+element.  ``check_identity`` decides two expressions equal in
+F(x_1, ..., x_k) by comparing the cross products of their quotients at
+the generic point, so no verdict depends on a sample or a seed.
 
 Polynomials over F_p (the elements of F_p(u), and the field moduli) are
 tuples of ints in [0, p), lowest degree first, with no trailing zeros;
@@ -69,15 +60,11 @@ read the canonical (num, den) pair alone.
 from __future__ import annotations
 
 import operator
-import random
-from fractions import Fraction
-from itertools import islice, repeat
 from typing import NamedTuple
 
 from .errors import (
     DivisionByZero,
     FieldMismatch,
-    FieldTooSmall,
     InvalidSpec,
     NotAPthPower,
     NotRationalFunctionField,
@@ -91,9 +78,6 @@ _ONE = (1,)
 # order is at most TABLE_LIMIT.
 ORDER_LIMIT = 2 ** 64
 TABLE_LIMIT = 2 ** 16
-
-# The log of zero in the F_q tables and in the lanes that hold logs.
-_LOG_ZERO = float("-inf")
 
 # With these bases Miller-Rabin is exact below 3.3 * 10^24 (Sorenson and
 # Webster, "Strong pseudoprimes to twelve prime bases", 2017).
@@ -461,14 +445,13 @@ def _field_tables(p, m, modulus):
 
     For a primitive element g and n = q - 1: ``exp[k]`` is the code of
     g^k, stored twice over (length 2n) so that a sum of two logs indexes
-    it directly; ``log`` inverts it, with ``log[0]`` the float -inf
-    (``_LOG_ZERO``), the log of zero.  ``zech[d]`` is log(1 + g^d), so
-    -inf where 1 + g^d = 0, and g^i + g^j = g^(i + zech[j - i]); a
-    difference j - i in (-n, n) reads it through Python's negative
-    indexing, which is the reduction mod n.  The scalar operations test
-    a Zech entry with ``z >= 0`` and never read ``log[0]``; the lanes of
-    ``_run`` hold logs, where -inf stays -inf under + and under * by a
-    positive int.  ``neg`` maps a code to the code of its negative.
+    it directly; ``log`` inverts it, with ``log[0]`` the float -inf,
+    the log of zero.  ``zech[d]`` is log(1 + g^d), so -inf where
+    1 + g^d = 0, and g^i + g^j = g^(i + zech[j - i]); a difference
+    j - i in (-n, n) reads it through Python's negative indexing, which
+    is the reduction mod n.  The operations test a Zech entry with
+    ``z >= 0`` and never read ``log[0]``.  ``neg`` maps a code to the
+    code of its negative.
 
     The powers of g are walked on digit lists: g has low degree, so one
     step costs O(m) integer operations.  The walk also proves the modulus
@@ -509,7 +492,7 @@ def _field_tables(p, m, modulus):
             raise InvalidSpec("modulus is reducible over F_p")
         exp[k] = exp[k + n] = code
         log[code] = k
-    log[0] = _LOG_ZERO
+    log[0] = float("-inf")
     zech = [0] * n
     for d in range(n):
         c = exp[d]
@@ -552,7 +535,7 @@ class FieldSpec:
     __slots__ = (
         "p", "kind", "degree", "modulus", "var", "is_finite", "order",
         "_hash", "_log", "_exp", "_zech", "_neg", "_zero", "_one",
-        "_radd", "_rneg", "_rmul", "_rinv", "_rpow", "_lanes", "_base",
+        "_radd", "_rneg", "_rmul", "_rinv", "_rpow", "_base",
     )
 
     FINITE = "finite"
@@ -606,7 +589,6 @@ class FieldSpec:
             object.__setattr__(self, name, value)
         for name, value in zip(("_radd", "_rneg", "_rmul", "_rinv", "_rpow"), _raw_ops(self)):
             object.__setattr__(self, name, value)
-        object.__setattr__(self, "_lanes", _lane_ops(self))
         _INTERNED[key] = self
         return self
 
@@ -725,7 +707,7 @@ class FieldSpec:
             return self.from_vector((0, 1))
         return self.from_polys((0, 1))
 
-    # -- enumeration and sampling ----------------------------------------
+    # -- enumeration ------------------------------------------------------
 
     def element_at(self, index):
         """The index-th element of F_q in base-p digit order."""
@@ -737,21 +719,6 @@ class FieldSpec:
         if not self.is_finite:
             raise FieldMismatch("enumeration is for finite fields")
         return (self.element_at(i) for i in range(self.order))
-
-    def sample_point(self, rng, max_degree=3):
-        """A random element for identity testing.
-
-        Finite fields sample uniformly from all q elements; F_p(u)
-        samples a uniform polynomial of degree <= max_degree, giving a
-        sampling set of size p^(max_degree+1).
-        """
-        if self.is_finite:
-            return self.element_at(rng.randrange(self.order))
-        coeffs = [rng.randrange(self.p) for _ in range(max_degree + 1)]
-        return self.from_polys(coeffs)
-
-    def sample_space_size(self, max_degree=3):
-        return self.order if self.is_finite else self.p ** (max_degree + 1)
 
 
 class ResidueElem:
@@ -1021,73 +988,6 @@ def _raw_ops(field):
     return operator.add, operator.neg, operator.mul, lambda a: a.inverse(), operator.pow
 
 
-def _same(lane):
-    return lane
-
-
-def _lane_ops(field):
-    """(enter, leave, const, zero, one, neg, power, binary): how ``_run``
-    computes over lanes of ``field``.  ``enter`` turns a lane of raw
-    values into a working lane and ``leave`` turns one back; ``const``
-    makes the working value of a raw one, and ``zero`` and ``one`` are
-    the working values of 0 and 1.  ``neg(a)``, ``power(a, k)`` and each
-    ``binary[op](a, b)`` map one operation over whole working lanes;
-    ``binary["div"]`` takes a b with no zero.
-
-    F_q with m >= 2 works in the log domain: a lane holds the log of each
-    value (``_LOG_ZERO`` for zero), so * is one C-level ``map`` of int
-    addition, / adds (-log b) mod n, x^k multiplies the log by k reduced
-    into 1..n (x^0 is the constant log 0, so 0^0 = 1), - adds log(-1),
-    and + and - read the Zech table in one comprehension.  Logs are not
-    reduced mod n until ``leave``.  F_p and F_p(u) map ``_raw_ops`` over
-    raw lanes."""
-    log = field._log
-    if log is None:
-        add, neg, mul, inv, pow_ = field._radd, field._rneg, field._rmul, field._rinv, field._rpow
-        return (
-            _same, _same, _same, field._to_raw(field._zero), field._to_raw(field._one),
-            lambda a: list(map(neg, a)),
-            lambda a, k: list(map(pow_, a, repeat(k))),
-            {
-                "add": lambda a, b: list(map(add, a, b)),
-                "sub": lambda a, b: list(map(add, a, map(neg, b))),
-                "mul": lambda a, b: list(map(mul, a, b)),
-                "div": lambda a, b: list(map(mul, a, map(inv, b))),
-            },
-        )
-    exp, zech, n = field._exp, field._zech, field.order - 1
-    minus_one = log[field.p - 1]  # 0 when p = 2, where -x = x
-
-    def leave(lane):
-        return [exp[x % n] if x >= 0 else 0 for x in lane]
-
-    def neg(a):
-        return list(map(operator.add, a, repeat(minus_one))) if minus_one else a
-
-    def power(a, k):
-        if not k:
-            return [0] * len(a)
-        return list(map(operator.mul, a, repeat((k - 1) % n + 1)))
-
-    def add(a, b):
-        return [y if x < 0 else x if y < 0 else x + zech[(y - x) % n] for x, y in zip(a, b)]
-
-    def sub(a, b):
-        return [
-            y + minus_one if x < 0 else x if y < 0 else x + zech[(y + minus_one - x) % n]
-            for x, y in zip(a, b)
-        ]
-
-    def div(a, b):
-        return [x + -y % n for x, y in zip(a, b)]
-
-    return (
-        lambda lane: list(map(log.__getitem__, lane)), leave, log.__getitem__, _LOG_ZERO, 0,
-        neg, power,
-        {"add": add, "sub": sub, "mul": lambda a, b: list(map(operator.add, a, b)), "div": div},
-    )
-
-
 def dot_coeffs(field, pairs, bound):
     """The coefficients below ``bound`` of the sum of a*b, for (a, b)
     pairs of dicts from exponents to nonzero raw values of ``field``,
@@ -1316,7 +1216,7 @@ def artin_schreier_solvable(c):
 
 
 # ---------------------------------------------------------------------------
-# Multivariate expressions and randomized identity testing
+# Multivariate rational expressions and exact identity testing
 # ---------------------------------------------------------------------------
 
 
@@ -1324,24 +1224,16 @@ class Expr:
     """Expression tree over a residue field: constants, variables,
     +, -, *, /, integer powers.
 
-    Division nodes carry a nonzero-denominator obligation that is
-    checked at evaluation time (DivisionByZero propagates, and a lane
-    whose denominator vanished reads None, which the identity checker
-    counts as a miss).
-
-    An expression is compiled once per field over raw values: the first
-    ``evaluate`` over a field turns the tree into a flat program on that
-    field's raw operations and keeps it on the root, so treat an
-    ``Expr`` as immutable once built.
+    ``evaluate`` computes each distinct node of the tree once per call
+    and keeps nothing between calls.
     """
 
-    __slots__ = ("op", "args", "payload", "_compiled")
+    __slots__ = ("op", "args", "payload")
 
     def __init__(self, op, args=(), payload=None):
         self.op = op
         self.args = args
         self.payload = payload
-        self._compiled = None  # field -> program, made by the first evaluate
 
     @classmethod
     def const(cls, value):
@@ -1398,192 +1290,150 @@ class Expr:
             out |= a.variables()
         return out
 
-    def evaluate(self, env, field, lanes=None):
-        """The value over ``field`` at ``env``, a dict from variable names
-        to elements of ``field`` or ints.
+    def evaluate(self, env, field):
+        """The value over ``field`` with the variables that ``env`` binds,
+        a dict from names to elements of ``field`` or ints.
 
-        With ``lanes``, ``env`` maps each name to a list of ``lanes`` raw
-        values instead, one per sample point, and the result is the list
-        of this expression's raw values at those points, with None where
-        a denominator vanished."""
-        compiled = self._compiled
-        if compiled is None:
-            compiled = self._compiled = {}
-        program = compiled.get(field)
-        if program is None:
-            program = []
-            self._emit(field, program, {})
-            compiled[field] = program
-        if lanes is not None:
-            return _run(program, field, env, lanes)
-        to_raw = field._to_raw
-        (value,) = _run(program, field, {name: [to_raw(v)] for name, v in env.items()}, 1)
-        if value is None:
-            raise DivisionByZero("expression denominator vanished")
-        return field._from_raw(value)
-
-    def _emit(self, field, steps, index):
-        """Append to ``steps`` the steps that compute this node over
-        ``field`` that are not there yet, its operands' first, and return
-        the index of its own.  A step is (op, x, y): x is the raw value of
-        a constant, converted here once, the name of a variable, or the
-        index of the first operand's step; y is the second operand's
-        index or a power's exponent.  ``index`` maps the id of each node
-        with a step to that step's index, so a shared node has one step.
-        The steps hold no reference to the tree."""
-        at = index.get(id(self))
-        if at is not None:
-            return at
-        op = self.op
-        if op == "const":
-            step = (op, field._to_raw(self.payload), None)
-        elif op == "var":
-            step = (op, self.payload, None)
-        elif op in ("neg", "pow", "add", "sub", "mul", "div"):
-            args = [a._emit(field, steps, index) for a in self.args]
-            step = (op, args[0], args[1] if len(args) == 2 else self.payload)
-        else:
-            raise InvalidSpec(f"unknown node {op!r}")
-        at = index[id(self)] = len(steps)
-        steps.append(step)
-        return at
-
-    def degree_pair(self):
-        """(numerator degree, denominator degree) upper bounds."""
-        if self.op == "const":
-            return (0, 0)
-        if self.op == "var":
-            return (1, 0)
-        if self.op in ("add", "sub"):
-            (n1, d1), (n2, d2) = (a.degree_pair() for a in self.args)
-            return (max(n1 + d2, n2 + d1), d1 + d2)
-        if self.op == "mul":
-            (n1, d1), (n2, d2) = (a.degree_pair() for a in self.args)
-            return (n1 + n2, d1 + d2)
-        if self.op == "div":
-            (n1, d1), (n2, d2) = (a.degree_pair() for a in self.args)
-            return (n1 + d2, d1 + n2)
-        if self.op == "pow":
-            n, d = self.args[0].degree_pair()
-            return (n * self.payload, d * self.payload)
-        return self.args[0].degree_pair()
+        With every variable bound it is an element of ``field``.  With
+        some left unbound it is a quotient (num, den) of polynomials over
+        ``field`` in those variables, den nonzero and the pair not
+        reduced: each a dict from a monomial, the tuple of its (name,
+        exponent) pairs sorted by name (() for 1), to a nonzero raw
+        value.  A constant or bound value outside ``field`` raises
+        FieldMismatch, and a division by the zero polynomial
+        DivisionByZero."""
+        add, neg, one = field._radd, field._rneg, field._to_raw(field._one)
+        known = {}  # id of a node -> its (num, den)
+        free = False  # whether a variable is left unbound
+        stack = [self]  # post-order, without recursion
+        while stack:
+            node = stack[-1]
+            if id(node) in known:
+                stack.pop()
+                continue
+            waiting = [a for a in node.args if id(a) not in known]
+            if waiting:
+                stack.extend(waiting)
+                continue
+            stack.pop()
+            op = node.op
+            if op == "const":
+                value = _constant(field._to_raw(node.payload), field)
+            elif op == "var" and node.payload in env:
+                value = _constant(field._to_raw(env[node.payload]), field)
+            elif op == "var":
+                free = True
+                value = {((node.payload, 1),): one}, {(): one}
+            elif op == "neg":
+                n, d = known[id(node.args[0])]
+                value = {m: neg(c) for m, c in n.items()}, d
+            elif op == "pow":
+                n, d = known[id(node.args[0])]
+                value = _power(n, node.payload, field), _power(d, node.payload, field)
+            elif op in ("add", "sub", "mul", "div"):
+                (n1, d1), (n2, d2) = (known[id(a)] for a in node.args)
+                if op == "sub":
+                    n2 = {m: neg(c) for m, c in n2.items()}
+                if op == "mul":
+                    value = _times(n1, n2, field), _times(d1, d2, field)
+                elif op == "div":
+                    if not n2:
+                        raise DivisionByZero("division by the zero polynomial")
+                    value = _times(n1, d2, field), _times(d1, n2, field)
+                elif d1 == d2:
+                    value = _poly([*n1.items(), *n2.items()], add), d1
+                else:
+                    terms = [*_times(n1, d2, field).items(), *_times(n2, d1, field).items()]
+                    value = _poly(terms, add), _times(d1, d2, field)
+            else:
+                raise InvalidSpec(f"unknown node {op!r}")
+            known[id(node)] = value
+        num, den = known[id(self)]
+        if free:
+            return num, den
+        if not num:
+            return field._zero
+        return field._from_raw(field._rmul(num[()], field._rinv(den[()])))
 
 
-def _run(steps, field, env, width):
-    """Run the steps ``Expr._emit`` made over ``width`` lanes: ``env``
-    maps each variable to a list of ``width`` raw values, one lane per
-    point.  Each step maps one lane operation of the field
-    (``_lane_ops``) over its operands' lanes, which enter at ``var`` and
-    ``const`` steps and leave at the end.  A division records the lanes whose denominator is
-    zero and divides them by one instead, so no lane raises; the result
-    holds None there."""
-    enter, leave, const, zero, one, neg, power, binary = field._lanes
-    lanes, vanished = [], set()
-    for op, x, y in steps:
-        if op == "const":
-            value = [const(x)] * width
-        elif op == "var":
-            value = enter(env[x])
-        elif op == "neg":
-            value = neg(lanes[x])
-        elif op == "pow":
-            value = power(lanes[x], y)
-        else:
-            b = lanes[y]
-            if op == "div" and zero in b:
-                vanished.update(i for i, c in enumerate(b) if c == zero)
-                b = [one if c == zero else c for c in b]
-            value = binary[op](lanes[x], b)
-        lanes.append(value)
-    value = leave(lanes[-1])
-    if vanished:
-        value = [None if i in vanished else c for i, c in enumerate(value)]
-    return value
+def _constant(c, field):
+    """The quotient c/1 of ``Expr.evaluate`` for a raw value c."""
+    return ({(): c} if c else {}), {(): field._to_raw(field._one)}
 
 
-# The most sample points check_identity evaluates at once.
-LANES = 256
+def _poly(terms, add):
+    """The sum of ``terms``, pairs (monomial, nonzero raw value), as a
+    polynomial of ``Expr.evaluate``: a dict holding no zero."""
+    out = {}
+    for m, c in terms:
+        if m in out:
+            c = add(out[m], c)
+            if not c:
+                del out[m]
+                continue
+        out[m] = c
+    return out
+
+
+def _mono_mul(m1, m2):
+    """The product of two monomials of ``Expr.evaluate``."""
+    if not m1 or not m2:
+        return m1 or m2
+    exps = dict(m1)
+    for name, e in m2:
+        exps[name] = exps.get(name, 0) + e
+    return tuple(sorted(exps.items()))
+
+
+def _times(f, g, field):
+    """f * g for polynomials of ``Expr.evaluate``."""
+    mul = field._rmul
+    return _poly(((_mono_mul(m1, m2), mul(c1, c2)) for m1, c1 in f.items() for m2, c2 in g.items()),
+                 field._radd)
+
+
+def _power(f, k, field):
+    """f^k for a polynomial of ``Expr.evaluate`` and k >= 0.  A monomial's
+    power is one product of its exponents, so a huge k costs no loop
+    over its bits."""
+    if not k:
+        return {(): field._to_raw(field._one)}
+    if len(f) <= 1:
+        return {tuple((name, e * k) for name, e in m): field._rpow(c, k) for m, c in f.items()}
+    result = f
+    for bit in bin(k)[3:]:
+        result = _times(result, result, field)
+        if bit == "1":
+            result = _times(result, f, field)
+    return result
 
 
 class IdentityCheck(NamedTuple):
-    """Outcome of a randomized identity test."""
+    """Outcome of an exact identity test.  ``witness`` is None on a
+    pass, and otherwise the first monomial, as a dict from variable
+    names to exponents, where the two cross products differ."""
 
     ok: bool
     witness: dict | None
-    trials: int
-    degree_bound: int
-    sample_space: int
-
-    @property
-    def false_pass_bound(self):
-        """Per-trial probability bound for accepting a false identity."""
-        return min(Fraction(1), Fraction(self.degree_bound, self.sample_space))
-
-    def __repr__(self):
-        state = "pass" if self.ok else f"fail at {self.witness}"
-        return f"IdentityCheck({state}, trials={self.trials})"
 
 
-def check_identity(lhs, rhs, field, trials, seed, max_attempts=64):
-    """Randomized equality test of two rational expressions.
+def check_identity(lhs, rhs, field):
+    """Decide lhs = rhs in F(x_1, ..., x_k), F = ``field`` and x_1..x_k
+    the variables of either side.
 
-    Points are sampled with rejection past denominator zeros; after
-    ``max_attempts`` failed samples in a row the field is declared too
-    small.  A pass after t trials is wrong with probability at most
-    (degree_bound / sample_space)^t when the two sides differ.
-
-    Points are drawn up to ``LANES`` at a time, each as raw values in
-    sorted-name order, and both sides are evaluated once per batch; the
-    draws and verdicts are those of sampling one point per attempt.  An
-    F_q point's codes are drawn in bulk from the stream
-    ``rng.randrange(q)`` reads (``getrandbits`` of q's bit length, values
-    of q or more rejected); F_p(u) points come from ``sample_point``.  A
-    batch with no vanished denominator, equal sides and fewer than
-    ``max_attempts`` misses before it is accepted whole.
+    Each side is evaluated once at the generic point, where no variable
+    is bound, to a quotient n/d, and n1*d2 is compared with n2*d1.  This
+    is equality of rational functions, not agreement at the points of
+    F^k: over F_q, x^q and x differ.  A division by the zero polynomial
+    on either side raises DivisionByZero.
     """
-    if trials < 1:
-        raise InvalidSpec("trials must be at least 1")
-    rng = random.Random(seed)
-    names = sorted(lhs.variables() | rhs.variables())
-    n1, d1 = lhs.degree_pair()
-    n2, d2 = rhs.degree_pair()
-    degree_bound = max(n1 + d2, n2 + d1)
-    space = field.sample_space_size()
-    # the raw value of an F_q sample is its code, of an F_p(u) one the element
-    if field.is_finite:
-        q = field.order
-        stream = filter(q.__gt__, map(rng.getrandbits, repeat(q.bit_length())))
-
-        def draw(count):
-            return list(islice(stream, count))
-    else:
-        def draw(count):
-            return [field.sample_point(rng) for _ in range(count)]
-    done = misses = 0
-    while True:
-        width = min(LANES, trials - done)
-        drawn = draw(width * len(names))
-        env = {name: drawn[k::len(names)] for k, name in enumerate(names)}
-        a = lhs.evaluate(env, field, lanes=width)
-        b = rhs.evaluate(env, field, lanes=width)
-        if misses < max_attempts and a == b and None not in a:
-            done += width
-            misses = 0
-            if done == trials:
-                return IdentityCheck(True, None, trials, degree_bound, space)
-            continue
-        for i in range(width):
-            if misses >= max_attempts:
-                raise FieldTooSmall(
-                    f"no valid evaluation point in {max_attempts} attempts over {field!r}"
-                )
-            if a[i] is None or b[i] is None:
-                misses += 1
-                continue
-            if a[i] != b[i]:
-                witness = {name: str(field._from_raw(v[i])) for name, v in env.items()}
-                return IdentityCheck(False, witness, trials, degree_bound, space)
-            misses = 0
-            done += 1
-            if done == trials:
-                return IdentityCheck(True, None, trials, degree_bound, space)
+    # an expression with no variable evaluates to an element
+    (n1, d1), (n2, d2) = (
+        _constant(field._to_raw(v), field) if v.__class__ is ResidueElem else v
+        for v in (lhs.evaluate({}, field), rhs.evaluate({}, field))
+    )
+    left, right = _times(n1, d2, field), _times(n2, d1, field)
+    if left == right:
+        return IdentityCheck(True, None)
+    first = min(m for m in left.keys() | right.keys() if left.get(m) != right.get(m))
+    return IdentityCheck(False, dict(first))

@@ -4,8 +4,7 @@ A tower of blow-up levels presents one Artin-Schreier extension whose
 base valuation ring is the union of the level rings.  The quantitative
 content is carried by the level recursion (pole orders, parameter
 valuations) and by the limit cuts; the one-step rewriting of the
-defining equation is checked symbolically by randomized identity
-testing over F_q.
+defining equation is decided exactly, as an identity in F_q(z', y).
 """
 
 from __future__ import annotations
@@ -29,12 +28,13 @@ _DIGIT_LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 4300)
 def _printable(p, n, depth, limit):
     """Whether every integer a tower run prints has at most ``limit``
     digits.  The largest are n_depth, p^(depth + 1), the denominator of
-    v(y_depth), and the step identity's degree bound, max(2np + n + 2,
-    3np - 1)."""
+    v(y_depth), and the numerator (p - 1)^2 n - p and denominator
+    p(p - 1) of T'.  The numerator of every other cut is at most n_depth
+    (at p = 2) or T''s (at p >= 3)."""
     if depth > 4 * limit or n.bit_length() > 4 * limit:  # over 10^limit: build no power
         return False
     top = p ** depth
-    widest = max(top * n - (top - 1) // (p - 1), top * p, 2 * n * p + n + 2, 3 * n * p - 1)
+    widest = max(top * n - (top - 1) // (p - 1), top * p, (p - 1) ** 2 * n - p, p * (p - 1))
     # 2^(3.32 limit) < 10^limit, so a short widest skips building 10^limit
     return widest.bit_length() <= 3.32 * limit or widest < 10 ** limit
 
@@ -233,7 +233,8 @@ def step_identity_exprs(spec):
     return lhs, rhs
 
 
-def check_step_identity(spec, trials=32, seed=0):
-    """Randomized verification of the one-step rewrite over F_q."""
+def check_step_identity(spec):
+    """Exact verification of the one-step rewrite, as an identity in
+    F_q(z', y)."""
     lhs, rhs = step_identity_exprs(spec)
-    return check_identity(lhs, rhs, spec.field, trials, seed)
+    return check_identity(lhs, rhs, spec.field)

@@ -11,7 +11,6 @@ from ramify import series
 from ramify.errors import (
     DivisionByZero,
     FieldMismatch,
-    FieldTooSmall,
     InsufficientPrecision,
     InvalidSpec,
     NotApplicable,
@@ -32,7 +31,6 @@ from ramify.extension import (
 )
 from ramify.fields import (
     _ONE,
-    IdentityCheck,
     _digits,
     _elem,
     _frac,
@@ -71,12 +69,20 @@ from ramify.series import (
 # they drew samples, before every analyze check was decided exactly.
 
 
+def random_element(field, rng, max_degree=3):
+    """A random element of ``field``: uniform over F_q, and over F_p(u)
+    a uniform polynomial of degree at most ``max_degree``."""
+    if field.is_finite:
+        return field.element_at(rng.randrange(field.order))
+    return field.from_polys([rng.randrange(field.p) for _ in range(max_degree + 1)])
+
+
 def random_series(field, rng, lo, hi, prec, density=0.7):
     """A random series supported in [lo, hi]."""
     coeffs = {}
     for e in range(lo, hi + 1):
         if rng.random() < density:
-            c = field.sample_point(rng, max_degree=1)
+            c = random_element(field, rng, max_degree=1)
             if not c.is_zero():
                 coeffs[e] = c
     return LaurentSeries(field, coeffs, prec)
@@ -102,7 +108,8 @@ def _sampled(name, samples, seed, trial, evidence):
 
 def tree_evaluate(expr, env, field):
     """The value of an ``Expr`` by walking its tree with element
-    arithmetic at every node, independent of the lane evaluator."""
+    arithmetic at every node, independent of ``Expr.evaluate``'s
+    polynomial quotients."""
     if expr.op == "const":
         v = expr.payload
         if isinstance(v, int):
@@ -143,33 +150,6 @@ def exhaustive_identity(lhs, rhs, field):
         if a != b:
             return False
     return True
-
-
-def tree_check_identity(lhs, rhs, field, trials, seed, max_attempts=64):
-    """``check_identity`` one sample point at a time, with the tree walk
-    at every point: the same draws, verdicts and witnesses that the lane
-    evaluator must give."""
-    rng = random.Random(seed)
-    names = sorted(lhs.variables() | rhs.variables())
-    n1, d1 = lhs.degree_pair()
-    n2, d2 = rhs.degree_pair()
-    degree_bound = max(n1 + d2, n2 + d1)
-    space = field.sample_space_size()
-    for _ in range(trials):
-        for _ in range(max_attempts):
-            env = {name: field.sample_point(rng) for name in names}
-            try:
-                a = tree_evaluate(lhs, env, field)
-                b = tree_evaluate(rhs, env, field)
-            except DivisionByZero:
-                continue
-            if a != b:
-                witness = {name: str(v) for name, v in env.items()}
-                return IdentityCheck(False, witness, trials, degree_bound, space)
-            break
-        else:
-            raise FieldTooSmall("no valid evaluation point")
-    return IdentityCheck(True, None, trials, degree_bound, space)
 
 
 def geometric_inverse(s):
@@ -573,7 +553,7 @@ def integral_sample(ext, rng, span=2, terms=2):
         picks = {}
         for _ in range(terms):
             e = rng.randrange(0, span + 1)
-            c = field.sample_point(rng, max_degree=1)
+            c = random_element(field, rng, max_degree=1)
             if not c.is_zero():
                 picks[e] = c
         if picks:
@@ -719,7 +699,7 @@ def capped_integral_sample(ext, rng, span=2, terms=2):
         picks = {}
         for _ in range(terms):
             e = rng.randrange(0, span + 1)
-            c = field.sample_point(rng, max_degree=1)
+            c = random_element(field, rng, max_degree=1)
             if not c.is_zero():
                 picks[e] = c
         if picks:

@@ -334,6 +334,8 @@ def test_tower_rejects_bad_spec(capsys):
 @pytest.mark.parametrize("argv", [
     ["tower", "--p", "5", "--n", "2", "--q", "25", "--depth", "6300", "--trials", "1"],
     ["tower", "--p", "5", "--n", "1" * 4200, "--q", "25", "--depth", "200"],
+    # 4,299 digits: n and 3np - 1 print, T''s numerator 36n - 7 would not
+    ["tower", "--p", "7", "--n", str(3 * 10 ** 4298 + 2), "--q", "49", "--depth", "0"],
 ])
 def test_a_tower_too_wide_to_print_exits_two_at_once(argv, tmp_path, capsys):
     """Python refuses to print an int of over 4,300 digits, so a tower

@@ -38,6 +38,7 @@ from oracles import (
     difference_loop,
     integral_sample,
     is_integral,
+    random_element,
     random_series,
     sigma_loop,
     unit_sample,
@@ -511,7 +512,7 @@ def test_a_field_scalar_is_a_constant_of_k(field, pole):
     ext = ext_of(field, pole, prec=10)
     rng = random.Random(7)
     for _ in range(6):
-        c = field.sample_point(rng, max_degree=1)
+        c = random_element(field, rng, max_degree=1)
         const = LaurentSeries.constant(c, ext.f.prec)
         x = LElement(ext, tuple(random_series(field, rng, 0, 4, ext.f.prec) for _ in range(ext.p)))
         y = LElement(ext, tuple(random_series(field, rng, -3, 4, 8) for _ in range(ext.p)))
@@ -651,11 +652,12 @@ def test_cached_elements_leave_no_reference_cycle():
         assert integral_basis(ext).ext is ext.with_best_f()
         del ext
         assert gc.collect() == 0
-        # an expression keeps the program its first evaluate built
+        # an expression keeps nothing of its evaluations
         x = Expr.var("x")
         expr = (x + Expr.const(F3.one())) / (x * x - 2) ** 3
         assert expr.evaluate({"x": F3.from_int(1)}, F3) == F3.from_int(1)
-        assert expr._compiled
+        # (x^2 + 1)^3 = x^6 + 1 in characteristic 3
+        assert expr.evaluate({}, F3) == ({(("x", 1),): 1, (): 1}, {(("x", 6),): 1, (): 1})
         del x, expr
         assert gc.collect() == 0
         # an F_p(u) element caches its denominator's vector over the

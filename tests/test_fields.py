@@ -1,22 +1,19 @@
 import itertools
-import math
 import random
 import time
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from ramify.errors import (
     DivisionByZero,
     FieldMismatch,
-    FieldTooSmall,
     InvalidSpec,
     NotAPthPower,
     NotRationalFunctionField,
     ZeroInput,
 )
 from ramify.fields import (
-    LANES,
     Expr,
     FieldSpec,
     _padd,
@@ -41,7 +38,7 @@ from oracles import (
     exhaustive_identity,
     fpu_denominators,
     long_divmod,
-    tree_check_identity,
+    random_element,
     tree_evaluate,
 )
 
@@ -62,7 +59,7 @@ def test_f4_generator_square():
 
 def test_additive_identity():
     for field in (F2, F4, F9, F3u):
-        x = field.sample_point(random.Random(1))
+        x = random_element(field, random.Random(1))
         assert x + field.zero() == x
 
 
@@ -382,45 +379,48 @@ def test_artin_schreier_solvable_brute_force(p):
 
 def test_check_identity_true_and_false():
     x, y = Expr.var("x"), Expr.var("y")
-    res = check_identity((x + y) ** 2, x ** 2 + 2 * x * y + y ** 2, F9, 12, seed=5)
+    res = check_identity((x + y) ** 2, x ** 2 + 2 * x * y + y ** 2, F9)
     assert res.ok and res.witness is None
-    res = check_identity(x, x + 1, F9, 12, seed=5)
-    assert not res.ok and res.witness is not None
+    res = check_identity(x, x + 1, F9)
+    assert not res.ok and res.witness == {}  # the constant monomial differs
 
 
-def test_check_identity_rejection_and_field_too_small():
+def test_division_by_the_zero_polynomial_raises():
     x = Expr.var("x")
-    # denominator x(x+1) vanishes on every point of F_2
+    # x(x+1) vanishes on every point of F_2, but it is not the zero
+    # polynomial, so the quotient is a rational function like any other
     expr = Expr.const(1) / (x * (x + 1))
-    with pytest.raises(FieldTooSmall):
-        check_identity(expr, expr, F2, 2, seed=0, max_attempts=16)
+    assert check_identity(expr, expr, F2).ok
+    assert check_identity(expr * (x * x + x), Expr.const(1), F2).ok
+    for zero in (x - x, x * 0, (x + 1) ** 3 - x ** 3 - 1):  # (x+1)^3 = x^3 + 1 over F_9
+        with pytest.raises(DivisionByZero):
+            check_identity(x / zero, x, F9)
+        with pytest.raises(DivisionByZero):
+            check_identity(x, x / zero, F9)
+        with pytest.raises(DivisionByZero):
+            (x / zero).evaluate({}, F9)
 
 
 def test_check_identity_without_variables():
-    # no variable to sample: every trial evaluates both sides at the empty point
-    assert check_identity(Expr.const(2) * 2, Expr.const(1), F9, 5, 0).ok
-    res = check_identity(Expr.const(2), Expr.const(1), F9, 5, 0)
+    assert check_identity(Expr.const(2) * 2, Expr.const(1), F9).ok
+    res = check_identity(Expr.const(2), Expr.const(1), F9)
     assert not res.ok and res.witness == {}
-    with pytest.raises(FieldTooSmall):
-        check_identity(Expr.const(1) / Expr.const(0), Expr.const(1), F9, 5, 0)
+    with pytest.raises(DivisionByZero):
+        check_identity(Expr.const(1) / Expr.const(0), Expr.const(1), F9)
 
 
-def test_check_identity_false_pass_rate():
-    # planted inequality differing at exactly 2 of 9 points:
-    # lhs - rhs = (x-1)(x-2), so a single trial accepts with
-    # probability 2/9; over many seeds the rate stays near that.
-    x = Expr.var("x")
-    lhs = x ** 2
-    rhs = x ** 2 + (x - 1) * (x - 2)
-    passes = 0
-    runs = 300
-    for seed in range(runs):
-        if check_identity(lhs, rhs, F9, 1, seed=seed).ok:
-            passes += 1
-    assert passes / runs < 2 / 9 + 0.08
-    assert passes > 0  # the bound is tight enough to be exercised
-    res = check_identity(lhs, rhs, F9, 1, seed=0)
-    assert res.false_pass_bound >= passes / runs - 0.08
+@pytest.mark.parametrize("field", [F4, F9, FieldSpec.finite(5, 2)])
+def test_x_to_the_q_is_not_x(field):
+    """x^q and x agree at every point of F_q, but they are different
+    rational functions, and the check decides the latter."""
+    x, y = Expr.var("x"), Expr.var("y")
+    q = field.order
+    assert exhaustive_identity(x ** q, x, field)
+    res = check_identity(x ** q, x, field)
+    assert not res.ok and res.witness == {"x": 1}
+    res = check_identity(y * x ** q + y, y * x + y, field)
+    assert not res.ok and res.witness == {"x": 1, "y": 1}
+    assert check_identity((x + y) ** q, x ** q + y ** q, field).ok
 
 
 def test_check_identity_over_rational_field():
@@ -428,7 +428,8 @@ def test_check_identity_over_rational_field():
     u = F3u.generator()
     lhs = (x + Expr.const(u)) ** 3
     rhs = x ** 3 + Expr.const(u ** 3)  # freshman's dream in char 3
-    assert check_identity(lhs, rhs, F3u, 10, seed=2).ok
+    assert check_identity(lhs, rhs, F3u).ok
+    assert not check_identity(lhs, x ** 3 + Expr.const(u), F3u).ok
 
 
 def test_exhaustive_identity_oracle():
@@ -437,7 +438,7 @@ def test_exhaustive_identity_oracle():
     assert not exhaustive_identity(x, x + 1, F4)
 
 
-# -- the lane evaluator against the tree walk ---------------------------------------
+# -- Expr.evaluate and check_identity against the tree walk ----------------------
 
 EXPR_FIELDS = [
     F2, F3, F4, FieldSpec.finite(2, 3), F9, FieldSpec.finite(5, 2), F2u, F3u,
@@ -456,22 +457,21 @@ def field_points(field):
     )
 
 
-def expr_trees(field):
-    leaves = st.one_of(
-        st.integers(-3, 3).map(Expr.const),
-        field_points(field).map(Expr.const),
-        st.sampled_from(["x", "y"]).map(Expr.var),
-    )
+def expr_trees(field, divide=True, max_power=7):
+    """Expressions in x and y over ``field``; without ``divide``, the
+    only divisors are constants of the field, zero among them."""
+    constants = st.one_of(st.integers(-3, 3).map(Expr.const), field_points(field).map(Expr.const))
+    leaves = st.one_of(constants, st.sampled_from(["x", "y"]).map(Expr.var))
 
     def nodes(kids):
-        pairs = st.tuples(kids, kids)
+        pairs = st.tuples(kids, kids if divide else constants)
         return st.one_of(
-            pairs.map(lambda ab: ab[0] + ab[1]),
-            pairs.map(lambda ab: ab[0] - ab[1]),
-            pairs.map(lambda ab: ab[0] * ab[1]),
+            st.tuples(kids, kids).map(lambda ab: ab[0] + ab[1]),
+            st.tuples(kids, kids).map(lambda ab: ab[0] - ab[1]),
+            st.tuples(kids, kids).map(lambda ab: ab[0] * ab[1]),
             pairs.map(lambda ab: ab[0] / ab[1]),
             kids.map(lambda a: -a),
-            st.tuples(kids, st.integers(0, 7)).map(lambda an: an[0] ** an[1]),
+            st.tuples(kids, st.integers(0, max_power)).map(lambda an: an[0] ** an[1]),
         )
 
     return st.recursive(leaves, nodes, max_leaves=8)
@@ -479,9 +479,9 @@ def expr_trees(field):
 
 @settings(max_examples=200, deadline=None)
 @given(st.sampled_from(EXPR_FIELDS), st.data())
-def test_compiled_evaluate_matches_the_tree_walk(field, data):
+def test_evaluate_at_a_point_matches_the_tree_walk(field, data):
     expr = data.draw(expr_trees(field))
-    for _ in range(3):  # the later points run the cached program
+    for _ in range(3):
         env = {name: data.draw(field_points(field)) for name in ("x", "y")}
         try:
             want = tree_evaluate(expr, env, field)
@@ -493,103 +493,42 @@ def test_compiled_evaluate_matches_the_tree_walk(field, data):
         assert got == want and got.field is field
 
 
-def identity_outcome(check, lhs, rhs, field, trials, seed, max_attempts):
-    """The IdentityCheck a check returns, or FieldTooSmall if it raises that."""
+def degree(poly, name):
+    """The degree in ``name`` of a polynomial ``Expr.evaluate`` returns."""
+    return max((dict(m).get(name, 0) for m in poly), default=0)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from([F4, F9]), st.data())
+def test_check_identity_matches_exhaustive_evaluation_below_degree_q(field, data):
+    """Two polynomials whose degree in each variable is below q are
+    equal exactly when they agree on every point of F_q^2, so there the
+    exact check and the exhaustive one must agree.  The right side is
+    drawn at random or as a rewrite of the left, so both verdicts
+    occur."""
+    q = field.order
+    trees = expr_trees(field, divide=False, max_power=q - 1)
+    lhs = data.draw(trees)
+    other = data.draw(trees)
+    rewrites = [other, lhs + other, (lhs + other) - other, lhs * (other - other + 1)]
+    rhs = data.draw(st.sampled_from(rewrites))
     try:
-        return check(lhs, rhs, field, trials, seed, max_attempts)
-    except FieldTooSmall:
-        return FieldTooSmall
-
-
-def assert_identity_matches_the_tree_walk(lhs, rhs, field, trials, seed, max_attempts=64):
-    want = identity_outcome(tree_check_identity, lhs, rhs, field, trials, seed, max_attempts)
-    got = identity_outcome(check_identity, lhs, rhs, field, trials, seed, max_attempts)
-    assert got == want
-
-
-@settings(max_examples=60, deadline=None)
-@given(st.sampled_from(EXPR_FIELDS), st.data())
-def test_check_identity_matches_the_tree_walk_across_batches(field, data):
-    lhs = data.draw(expr_trees(field))
-    zero = data.draw(expr_trees(field))
-    rhs = lhs + (zero - zero)  # equal to lhs wherever zero's denominators do not vanish
-    trials = data.draw(st.sampled_from([1, LANES - 1, LANES + 1, 3 * LANES]))
-    max_attempts = data.draw(st.sampled_from([0, 2, 8, 64]))
-    seed = data.draw(st.integers(0, 2 ** 16))
-    for right in (rhs, rhs + 1):
-        assert_identity_matches_the_tree_walk(lhs, right, field, trials, seed, max_attempts)
-
-
-@pytest.mark.parametrize("seed", range(16))
-def test_check_identity_matches_the_tree_walk_at_batch_boundaries(seed):
-    x, y = Expr.var("x"), Expr.var("y")
-    # vanishes at half of F_4, so runs of misses cross batch boundaries:
-    # at seed 13, 3 * LANES trials and max_attempts 9, the one run of 9
-    # misses that raises FieldTooSmall spans two batches
-    pole = Expr.const(1) / (x * (x + 1))
-    # 1 at x = y = 0 and 0 elsewhere on F_16, so the witness is the
-    # first draw of (0, 0), about one in 256
-    F16 = FieldSpec.finite(2, 4)
-    spike = (x ** 15 - 1) * (y ** 15 - 1)
-    for trials in (LANES - 1, LANES + 1, 3 * LANES):
-        for max_attempts in (4, 9):
-            assert_identity_matches_the_tree_walk(pole, pole, F4, trials, seed, max_attempts)
-        assert_identity_matches_the_tree_walk(x, x + spike, F16, trials, seed)
-
-
-def test_check_identity_evaluates_at_most_lanes_points_at_once(monkeypatch):
-    x = Expr.var("x")
-    expr = Expr.const(1) / (x * (x + 1))
-    widths = []
-    evaluate = Expr.evaluate
-
-    def recording(self, env, field, lanes=None):
-        value = evaluate(self, env, field, lanes)
-        widths.append(len(value))
-        widths.extend(map(len, env.values()))
-        return value
-
-    monkeypatch.setattr(Expr, "evaluate", recording)
-    assert check_identity(expr, expr, F4, 5 * LANES, seed=1, max_attempts=64).ok
-    assert max(widths) == LANES
-
-
-# 1 + w + w^3 + w^12 + w^16, irreducible over F_2
-F65536_MODULUS = (1, 1, 0, 1) + (0,) * 8 + (1,) + (0,) * 3 + (1,)
-
-
-@pytest.mark.parametrize("q", [4, 8, 9, 16, 25, 27, 49, 64, 125, 2 ** 16])
-def test_check_identity_draws_the_randrange_stream(q, monkeypatch):
-    """check_identity draws F_q codes in bulk from ``getrandbits``; on
-    every Python it runs on, that must be the stream of successive
-    ``randrange(q)`` calls, in batch order and in sorted-name order."""
-    p = next(d for d in range(2, q + 1) if q % d == 0)
-    m = round(math.log(q, p))
-    field = FieldSpec.finite(p, m, F65536_MODULUS if q == 2 ** 16 else None)
-    x, y = Expr.var("x"), Expr.var("y")
-    lhs = x * y
-    envs = []
-    evaluate = Expr.evaluate
-
-    def recording(self, env, field, lanes=None):
-        if self is lhs:
-            envs.append(env)
-        return evaluate(self, env, field, lanes)
-
-    monkeypatch.setattr(Expr, "evaluate", recording)
-    trials, seed = 3 * LANES + 1, 5
-    assert check_identity(lhs, y * x, field, trials, seed).ok
-    drawn = [c for env in envs for point in zip(env["x"], env["y"]) for c in point]
-    rng = random.Random(seed)
-    assert drawn == [rng.randrange(q) for _ in range(2 * trials)]
+        sides = [side.evaluate({}, field) for side in (lhs, rhs)]
+    except DivisionByZero:  # a divisor that is the zero constant
+        assume(False)
+    for side in sides:
+        if isinstance(side, tuple):
+            assume(all(degree(side[0], name) < q for name in ("x", "y")))
+    assert check_identity(lhs, rhs, field).ok == exhaustive_identity(lhs, rhs, field)
 
 
 @pytest.mark.parametrize("field", [F4, FieldSpec.finite(2, 3), F9, FieldSpec.finite(5, 2)])
-def test_lanes_of_every_element_match_the_tree_walk_at_the_log_domain_edges(field):
-    """One batch holds every element of the field, zero among them, at
-    the cases where a log lane meets zero: 0^0 = 1, exponents that are
-    multiples of q - 1, negation (which does nothing at p = 2), sums
-    that cancel, vanished denominators, and zero constants."""
+def test_every_element_matches_the_tree_walk_at_the_table_edges(field):
+    """Point evaluation over every element of the field, zero among
+    them, at the cases where the log tables meet zero: 0^0 = 1,
+    exponents that are multiples of q - 1, negation (which does nothing
+    at p = 2), sums that cancel, vanished denominators, and zero
+    constants."""
     q = field.order
     x = Expr.var("x")
     zero = Expr.const(0)
@@ -600,15 +539,16 @@ def test_lanes_of_every_element_match_the_tree_walk_at_the_log_domain_edges(fiel
         x / (x + -x), (x + 1) / (x + 1), (x + 1) / (x - x + 1),
         zero, Expr.const(field.zero()), zero * x + x, x + zero, zero - x, zero / x,
     ]
-    codes = list(range(q))
     for expr in cases:
-        want = []
-        for c in codes:
+        for c in range(q):
+            env = {"x": field.element_at(c)}
             try:
-                want.append(tree_evaluate(expr, {"x": field.element_at(c)}, field)._a)
+                want = tree_evaluate(expr, env, field)
             except DivisionByZero:
-                want.append(None)
-        assert expr.evaluate({"x": codes}, field, lanes=q) == want
+                with pytest.raises(DivisionByZero):
+                    expr.evaluate(env, field)
+                continue
+            assert expr.evaluate(env, field) == want
 
 
 @pytest.mark.parametrize("field", [F2, F3, F4, F9, FieldSpec.finite(2, 3)])

@@ -61,6 +61,7 @@ from oracles import (
     gram_trace_dual_cut,
     integral_sample,
     lefschetz_minimum,
+    random_element,
     random_series,
     report_principality_chain,
     sampled_diagram_commutativity,
@@ -248,7 +249,7 @@ def test_a_stability_shift_never_moves_the_pole_order(field, data):
     rng = random.Random(data.draw(st.integers(0, 2**32), label="seed"))
     c = field.zero()
     while c.is_zero() or (n % p == 0 and is_pth_power(c)):  # ferocious: c not in k^p
-        c = field.sample_point(rng, max_degree=1)
+        c = random_element(field, rng, max_degree=1)
     f = mono(field, -n, c, prec) + random_series(field, rng, 1 - n, prec - 1, prec, density=0.5)
     lo = -((n - 1) // p)
     for _ in range(20):
@@ -319,10 +320,10 @@ def scan_extension(field, rng, prec):
 
 def pole_extension(field, rng, n, prec):
     """f = c*t^-n plus random terms from t^(1-n) up to t^1."""
-    coeffs = {-n: field.sample_point(rng, max_degree=1) or field.one()}
+    coeffs = {-n: random_element(field, rng, max_degree=1) or field.one()}
     for e in range(1 - n, 2):
         if rng.random() < 0.4:
-            coeffs[e] = field.sample_point(rng, max_degree=1)
+            coeffs[e] = random_element(field, rng, max_degree=1)
     return ASExtension(field, LaurentSeries(field, coeffs, prec))
 
 

@@ -46,6 +46,7 @@ from oracles import (
     fraction_valuation_coeffwise,
     generator_traces,
     integral_sample,
+    random_element,
     series_laplace,
     sigma_difference,
     walked_traces,
@@ -92,9 +93,9 @@ def truncated(s, prec):
 def coefficient(field, rng):
     """Any element of F_q; for F_p(u) also quotients, so that
     coefficients with nontrivial denominators occur."""
-    c = field.sample_point(rng, max_degree=1)
+    c = random_element(field, rng, max_degree=1)
     if not field.is_finite and rng.random() < 0.5:
-        den = field.sample_point(rng, max_degree=1)
+        den = random_element(field, rng, max_degree=1)
         if not den.is_zero():
             c = c / den
     return c
@@ -125,7 +126,7 @@ def ext_for(field, rng):
     return ASExtension(field, f)
 
 
-def random_element(ext, rng):
+def random_l_element(ext, rng):
     coeffs = tuple(
         random_series(ext.field, rng, lo=rng.randint(-4, 2), width=4, prec_range=(0, 14))
         for _ in range(ext.p)
@@ -157,7 +158,7 @@ def chain_integral_sample(ext, rng, span=2, terms=2):
         picks = {}
         for _ in range(terms):
             e = rng.randrange(0, span + 1)
-            c = field.sample_point(rng, max_degree=1)
+            c = random_element(field, rng, max_degree=1)
             if not c.is_zero():
                 picks[e] = c
         if picks:
@@ -208,7 +209,7 @@ def test_dot_over_many_denominators_at_one_exponent(field, seed, count):
     dens = (field.one(), u, u + 1, u * u, u * (u + 1))
 
     def quotient():
-        return (field.sample_point(rng, max_degree=2) or field.one()) / rng.choice(dens)
+        return (random_element(field, rng, max_degree=2) or field.one()) / rng.choice(dens)
 
     pairs = []
     for _ in range(count):
@@ -480,7 +481,7 @@ def test_integral_sample_falls_back_to_the_same_generator(spec, f, prec):
 def test_lmul_matches_schoolbook_loop(field, seed):
     rng = random.Random(seed)
     ext = ext_for(field, rng)
-    x, y = random_element(ext, rng), random_element(ext, rng)
+    x, y = random_l_element(ext, rng), random_l_element(ext, rng)
     product = x * y
     reference = schoolbook_lmul(x, y)
     assert all(same(a, b) for a, b in zip(product.coeffs, reference.coeffs))
@@ -501,7 +502,7 @@ def test_norm_matches_laplace_expansion(field, seed):
     one conjugate besides doubling."""
     rng = random.Random(seed)
     ext = ext_for(field, rng)
-    x = random_element(ext, rng)
+    x = random_l_element(ext, rng)
     norm, reference = x.norm(), series_laplace(x.columns())[0]
     assert norm.prec <= reference.prec
     assert norm == reference.truncate(norm.prec)
@@ -531,7 +532,7 @@ def test_inverse_matches_cramer_on_every_selftest_denominator(monkeypatch):
 def test_inverse_matches_conjugate_product_inverse(field, seed):
     rng = random.Random(seed)
     ext = ext_for(field, rng)
-    x = random_element(ext, rng)
+    x = random_l_element(ext, rng)
     assume(not x.norm().is_zero_known())
     inverse, reference = x.inverse(), conjugate_product_inverse(x)
     for a, b in zip(inverse.coeffs, reference.coeffs):
@@ -589,7 +590,7 @@ def test_difference_is_sigma_minus_x_for_every_k(field, seed):
     whose coordinates have uneven precisions and may be zero."""
     rng = random.Random(seed)
     ext = ext_for(field, rng)
-    x = random_element(ext, rng)
+    x = random_l_element(ext, rng)
     for k in range(ext.p + 1):
         d = x.difference(k)
         for reference in (sigma_difference(x, k), x.sigma(k) - x):
@@ -607,7 +608,7 @@ def test_integer_valuation_coeffwise_matches_the_fraction_body(field, seed, redu
     if reduced:
         ext, _ = outcome(ext.with_best_f)
         assume(ext is not None)
-    x = random_element(ext, rng)
+    x = random_l_element(ext, rng)
     got, want = outcome(x.valuation_coeffwise), outcome(fraction_valuation_coeffwise, x)
     assert got == want
     if got[0] is not None:
@@ -707,7 +708,7 @@ def test_closed_forms_match_the_products_they_replace(field, seed, prec):
             e = int(cut.value)
             mono = LaurentSeries.monomial(field, e, 1, max(bext.f.prec, e + 1))
             assert g == bext.alpha_power(i) * mono  # coordinatewise, values and prec
-    x = random_element(ext, rng)
+    x = random_l_element(ext, rng)
     for k in range(p + 1):
         for own in (0, 1):
             assert x._translate(k, own) == comb_translate(x, k, own)
@@ -720,7 +721,7 @@ def test_powers_match_the_linear_product_chain(field, seed, n):
     ``prec``, for every k <= n."""
     rng = random.Random(seed)
     ext = ext_for(field, rng)
-    x = random_element(ext, rng)
+    x = random_l_element(ext, rng)
     chain = [ext.one(), x]
     while len(chain) <= n:
         chain.append(schoolbook_lmul(chain[-1], x))
@@ -752,7 +753,7 @@ def test_l_arithmetic_without_a_start_bound_only_raises_prec(field, seed, terms)
     at or above f's precision."""
     rng = random.Random(seed)
     ext = ext_for(field, rng)
-    x, y = random_element(ext, rng), random_element(ext, rng)
+    x, y = random_l_element(ext, rng), random_l_element(ext, rng)
     assert_agrees_prec_not_lower(x * y, capped_lmul(x, y))
     for k in range(1, ext.p):
         assert_agrees_prec_not_lower(x.sigma(k), capped_sigma(x, k))
@@ -815,7 +816,7 @@ def test_an_integral_sample_is_known_past_f_precision():
 def test_columns_are_the_mul_alpha_chain_built_once(field, seed):
     rng = random.Random(seed)
     ext = ext_for(field, rng)
-    x = random_element(ext, rng)
+    x = random_l_element(ext, rng)
     expected, y = [x.coeffs], x
     for _ in range(ext.p - 1):
         y = y.mul_alpha()
@@ -825,7 +826,7 @@ def test_columns_are_the_mul_alpha_chain_built_once(field, seed):
     for col, want in zip(cols, expected):
         assert type(col) is tuple
         assert all(same(a, b) for a, b in zip(col, want))
-    x * random_element(ext, rng)
+    x * random_l_element(ext, rng)
     x.norm()
     assert x.columns() is cols
 

@@ -24,6 +24,7 @@ from oracles import (
     floor_series_in_cut,
     fraction_cut,
     geometric_inverse,
+    random_element,
     random_series,
     series_is_integral,
     termwise_series_text,
@@ -284,9 +285,9 @@ INVERSE_FIELDS = tuple(
 def nonzero_coefficient(field, rng):
     """A nonzero element; over F_p(u) sometimes a quotient."""
     while True:
-        c = field.sample_point(rng, max_degree=1)
+        c = random_element(field, rng, max_degree=1)
         if not field.is_finite and rng.random() < 0.3:
-            den = field.sample_point(rng, max_degree=1)
+            den = random_element(field, rng, max_degree=1)
             if not den.is_zero():
                 c = c / den
         if not c.is_zero():

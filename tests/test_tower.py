@@ -1,14 +1,16 @@
 import contextlib
 import io
 import math
+import random
 import re
+import time
 from fractions import Fraction
 
 import pytest
 
 from ramify.cli import main
 from ramify.errors import InvalidSpec
-from ramify.fields import FieldSpec, check_identity
+from ramify.fields import DEFAULT_MODULI, Expr, FieldSpec, check_identity, frobenius_root
 from ramify.parsing import factor_prime_power
 from ramify.series import Cut, ValueGroup
 from ramify.tower import (
@@ -24,7 +26,7 @@ from ramify.tower import (
     tower_report,
 )
 
-from oracles import exhaustive_identity, tree_check_identity
+from oracles import exhaustive_identity, random_element, tree_evaluate
 
 F4 = FieldSpec.finite(2, 2)
 F9 = FieldSpec.finite(3, 2)
@@ -89,10 +91,53 @@ def test_invalid_specs():
         TowerSpec(F9, 2, 4, a=F9.one())
 
 
+def tower_specs(q, depth):
+    """A TowerSpec for every valid pole order n < 13 over the built-in F_q."""
+    p, m = factor_prime_power(q)
+    field = FieldSpec.finite(p, m)
+    orders = [n for n in range(3 if p == 2 else 1, 13) if math.gcd(n, p) == 1]
+    return [TowerSpec(field, n, depth) for n in orders]
+
+
+BUILT_IN_ORDERS = sorted(p ** m for p, m in DEFAULT_MODULI if p ** m <= 125)
+
+
+def grid_specs():
+    """Every built-in F_q with q <= 125, every valid n <= 12, every
+    depth <= 8."""
+    for q in BUILT_IN_ORDERS:
+        for depth in range(9):
+            yield from tower_specs(q, depth)
+
+
+def mutant_step_identity_exprs(spec, mutant):
+    """``step_identity_exprs`` with one term of y_1 changed: "drop-root"
+    drops a^(1/p) y^(n(p-1)-1), "exponent" raises that y^(n(p-1)-1) to
+    y^(n(p-1))."""
+    p, n = spec.p, spec.n
+    a = Expr.const(spec.a)
+    root_a = Expr.const(frobenius_root(spec.a))
+    zp, y = Expr.var("z'"), Expr.var("y")
+    lhs = (a + y) * (1 + zp * y) / (y ** (n * p))
+    y1 = a * (zp - 1) + zp * y
+    if mutant == "exponent":
+        y1 = y1 + root_a * (y ** (n * (p - 1)))
+    c = root_a / (y ** n)
+    rhs = (a + 1 + y1) / (y ** (n * p - 1)) + (c ** p - c)
+    return lhs, rhs
+
+
 def test_step_identity_grid():
-    assert check_step_identity(TowerSpec(F9, 2, 2), trials=32, seed=1).ok
-    assert check_step_identity(TowerSpec(F4, 3, 2), trials=32, seed=1).ok
-    assert check_step_identity(TowerSpec(F25, 2, 2), trials=32, seed=1).ok
+    assert BUILT_IN_ORDERS == [4, 8, 9, 16, 25, 27, 49, 64, 81, 125]
+    for spec in grid_specs():
+        assert check_step_identity(spec) == (True, None), spec
+
+
+@pytest.mark.parametrize("mutant", ["drop-root", "exponent"])
+def test_step_identity_mutants_fail_on_the_whole_grid(mutant):
+    for spec in grid_specs():
+        lhs, rhs = mutant_step_identity_exprs(spec, mutant)
+        assert not check_identity(lhs, rhs, spec.field).ok, spec
 
 
 def test_step_identity_exhaustive_over_f4():
@@ -104,27 +149,35 @@ def test_step_identity_exhaustive_over_f4():
 def test_step_identity_detects_corruption():
     spec = TowerSpec(F9, 2, 2)
     lhs, rhs = step_identity_exprs(spec)
-    res = check_identity(lhs, rhs + 1, spec.field, trials=16, seed=0)
+    res = check_identity(lhs, rhs + 1, spec.field)
     assert not res.ok and res.witness is not None
-
-
-def tower_specs(q):
-    """A TowerSpec for every valid pole order n < 13 over F_q."""
-    p, m = factor_prime_power(q)
-    field = FieldSpec.finite(p, m)
-    return [TowerSpec(field, n, 2) for n in range(3 if p == 2 else 1, 13) if math.gcd(n, p) == 1]
 
 
 @pytest.mark.parametrize("q", [4, 8, 9, 25, 27, 49, 64, 125])
 def test_check_identity_matches_the_tree_walk_on_every_tower(q):
-    for spec in tower_specs(q):
+    """The exact verdict against the tree walk's element arithmetic at
+    seeded points with y != 0, where both sides are defined: the
+    identity agrees at every point, and the identity plus 1 at none."""
+    rng = random.Random(q)
+    for spec in tower_specs(q, 2):
         lhs, rhs = step_identity_exprs(spec)
-        for seed in (3, 4):
-            for right in (rhs, rhs + 1):
-                want = tree_check_identity(lhs, right, spec.field, 32, seed)
-                got = check_identity(lhs, right, spec.field, 32, seed)
-                assert got == want
-                assert got.ok == (right is rhs)
+        field = spec.field
+        points = [{"z'": random_element(field, rng), "y": field.element_at(rng.randrange(1, q))}
+                  for _ in range(8)]
+        for right in (rhs, rhs + 1):
+            agree = [tree_evaluate(lhs, env, field) == tree_evaluate(right, env, field)
+                     for env in points]
+            assert check_identity(lhs, right, field).ok == all(agree) == any(agree)
+            assert all(agree) == (right is rhs)
+
+
+def test_the_step_identity_of_a_huge_pole_order_takes_no_loop_over_its_digits():
+    """A monomial's power is one product of exponents: the 4,298-digit
+    n that the command line accepts at p = 2 takes about as long as a
+    small one."""
+    start = time.perf_counter()
+    assert check_step_identity(TowerSpec(F4, 10 ** 4297 + 1, 0)).ok
+    assert time.perf_counter() - start < 0.1
 
 
 def test_best_f_descent():
@@ -158,7 +211,8 @@ def test_report_json():
 
 @pytest.mark.parametrize("p, n, depth", [
     (2, 3, 12), (3, 2, 10), (5, 2, 7), (7, 3, 4),
-    (5, 10 ** 30 + 1, 0), (5, 10 ** 30 + 1, 1), (5, 10 ** 30 + 1, 3),  # degree bound widest at depth 0, 1
+    (5, 10 ** 30 + 1, 0), (5, 10 ** 30 + 1, 1), (5, 10 ** 30 + 1, 3),  # T' widest at depth 0, 1
+    (7, 3 * 10 ** 30 + 2, 0),  # T' numerator 36n - 7, a digit wider than 3np - 1
 ])
 def test_printable_bounds_the_widest_printed_integer(p, n, depth):
     """``_printable`` knows the widest integer a tower run prints: with

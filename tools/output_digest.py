@@ -17,8 +17,8 @@ largest p of the digest, where the norm's orbit chain is longest, and the
 which reach ``classify``'s decision on the constant residue, through
 the F_p(u) linear system too, and the ``tower_trials`` runs: ``tower``
 at q = 4 and 125 with ``--trials 1000`` (``TOWER_TRIAL_RUNS``), in
-JSON and in text, whose identity checks sample many more points than
-the workloads' and, at q = 4, reject about one in four.  Many
+JSON and in text; the step identity is decided exactly, so
+``--trials`` reaches only the JSON, as an echo.  Many
 ``low_prec`` runs exit 3 (missing precision), so they pin down exactly
 which inputs have enough precision, which depends on the ``prec`` every
 step reports.  Each run calls
