@@ -67,7 +67,9 @@ def make_parser():
     an = sub.add_parser("analyze", parents=[out], help="invariants of one extension")
     an.add_argument("--field", required=True, help="Fp:3 | Fq:9:w^2+1 | Fp(u):3")
     an.add_argument("--f", required=True, help="defining series, e.g. 't^-4 + u*t^-2'")
-    an.add_argument("--prec", type=int, default=24, help="series precision (default 24)")
+    an.add_argument("--prec", type=int, default=24,
+                    help="precision of the echoed f and best f (default 24); the report"
+                         " reads the exact terms of exponent <= 0 of best f, not this")
     an.add_argument("--trials", type=int, default=50,
                     help="ignored: every analyze check is exact (must be at least 1)")
     an.add_argument("--seed", type=int, default=DEFAULT_SEED,

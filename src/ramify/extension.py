@@ -263,21 +263,9 @@ class ASExtension:
 
     def norm_inverse_alpha(self):
         """N(1/alpha) as a series, memoised on the reduced presentation
-        ``with_best_f()`` whatever presentation is asked.  When swan n > 0
-        it is the norm of 1/alpha truncated at t^(2n), the furthest any
-        reader compares it (the diagram's norm face, below H^2).  The cut
-        moves 1/alpha by a delta with coordinates of valuation >= 2n, so
-        v(delta * alpha) >= n as v(alpha) = -n/p, and N(1/alpha + delta),
-        which is N(1/alpha) * N(1 + delta * alpha) with v(N(1/alpha)) = n,
-        moves only at or above t^(2n).  From prec = n on, the memo is
-        known below min(2n, prec + n); below it the cut does not bind."""
+        ``with_best_f()`` whatever presentation is asked."""
         ext = self.with_best_f()
-
-        def make():
-            x = ext.inverse_alpha()
-            return (x.truncate(2 * int(ext.swan)) if ext.swan else x).norm()
-
-        return ext._memo("norm_inverse_alpha", make)
+        return ext._memo("norm_inverse_alpha", lambda: ext.inverse_alpha().norm())
 
     def norm_inverse_alpha_times_f(self):
         """N(1/alpha) * f_best as a series, memoised on the reduced

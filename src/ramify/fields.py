@@ -1282,14 +1282,6 @@ class Expr:
     def __neg__(self):
         return Expr("neg", (self,))
 
-    def variables(self):
-        if self.op == "var":
-            return {self.payload}
-        out = set()
-        for a in self.args:
-            out |= a.variables()
-        return out
-
     def evaluate(self, env, field):
         """The value over ``field`` with the variables that ``env`` binds,
         a dict from names to elements of ``field`` or ints.

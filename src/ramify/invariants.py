@@ -25,6 +25,7 @@ from .errors import (
     TrivialExtension,
 )
 from .extension import (
+    ASExtension,
     BestCase,
     LaurentSeries,
     RamificationType,
@@ -101,9 +102,9 @@ def rsw_modulus(ext):
 
 
 class LogForm(NamedTuple):
-    """A logarithmic differential form c_t * dlog t + c_u * du with an
-    attached comparison ideal; equality means coefficientwise
-    congruence modulo that ideal."""
+    """The class of a logarithmic differential form c_t * dlog t + c_u * du
+    modulo a comparison ideal, held, printed and compared as its
+    coefficients truncated at that ideal's integer cut."""
 
     dlog_t: LaurentSeries
     du: LaurentSeries | None
@@ -119,9 +120,13 @@ class LogForm(NamedTuple):
 def refined_swan(ext):
     """The refined Swan conductor, the form
     dlog f = (t f'/f) dlog t + (f_u / f) du of the best representative
-    f, whose pole order realises the Swan conductor, modulo the
-    comparison ideal; needs a positive Swan conductor.  Memoised on
-    ``with_best_f()``, as ``inverse_f_best`` is."""
+    f, whose pole order realises the Swan conductor, as its class modulo
+    the comparison ideal: each coefficient truncated at the modulus, an
+    integer cap <= swan, with no term at or above cap computed.  Both
+    coefficients have valuation >= 0 and are known below prec + swan,
+    past cap, as f's precision prec is at least 1.  Needs a positive
+    Swan conductor.  Memoised on ``with_best_f()``, as ``inverse_f_best``
+    is."""
     if ext.swan == 0:
         raise SwanZero("the refined invariant needs swan > 0")
     ext = ext.with_best_f()
@@ -129,8 +134,10 @@ def refined_swan(ext):
     def make():
         f = ext.best.f_best
         inv_f = ext.inverse_f_best()
-        du = None if f.field.is_finite else f.u_derivative() * inv_f
-        return LogForm(f.euler_derivative() * inv_f, du, rsw_modulus(ext))
+        modulus = rsw_modulus(ext)
+        cap = int(modulus.value)
+        du = None if f.field.is_finite else dot(((f.u_derivative(), inv_f),), cap)
+        return LogForm(dot(((f.euler_derivative(), inv_f),), cap), du, modulus)
 
     return ext._memo("refined_swan", make)
 
@@ -202,11 +209,7 @@ def check_norm_ideal_identity(ext):
     alpha is a root of T^p - T - f, so N(alpha) = (-1)^(p+1) * f, which
     is f for every p (at p = 2, -1 = 1 in characteristic 2).  So
     N(1/alpha) * f is 1 on its known range, and ``generator_sign`` is 1
-    when that range reaches t^0 (``prec >= 1``), else None.  The memo
-    ``ASExtension.norm_inverse_alpha`` norms 1/alpha cut at t^(2 * swan),
-    so for swan > 0 that range stops below t^swan, at min(swan, prec):
-    the check reads N(1/alpha) * f = 1 there, and a norm wrong only at
-    or above t^(2 * swan) is past it.  1/alpha is
+    when that range reaches t^0, else None.  1/alpha is
     the closed form (alpha^(p-1) - 1) * (1/f) of
     ``ASExtension.inverse_alpha``, not an inverse in L, so the check
     takes one norm, N(1/alpha), and reads 1/f from the memo the refined
@@ -297,10 +300,8 @@ def check_norm_additivity(ext):
     determinant, so e_1(x) = Tr(x) lies in b.  Tr(B) is the A-span of
     the Tr(g_k) (Serre, *Local Fields*, III §3), and Tr(alpha^k) is 0
     for k < p - 1 and -1 at p - 1 (``LElement.trace``), so Tr(B) is
-    t^(e_(p-1)) * A, the top cut of the shape of B.  It is read there,
-    not off the series Tr(g_(p-1)), whose known range can stop below
-    e_(p-1) at a low precision.  The check passes when Tr(B) lies in b,
-    and reports b and Tr(B)."""
+    t^(e_(p-1)) * A, the top cut of the shape of B, and is read there.
+    The check passes when Tr(B) lies in b, and reports b and Tr(B)."""
     bound = restrict_cut(ideal_i_sigma(ext), Z_GROUP)
     trace = integral_basis(ext).cuts[-1]
     return CheckResult("norm_additivity", trace.subset_of(bound), {"bound": bound, "trace": trace})
@@ -324,8 +325,7 @@ def check_diagram_commutativity(ext):
     ``check_norm_ideal_identity`` reads.  Membership in H^2 and in the
     modulus, closed cuts at integers, reads only the exponents below
     them, so the norm face subtracts below 2 * swan and the form faces
-    stop at the modulus, which is at most swan; so the memo norms 1/alpha
-    cut at t^(2 * swan).  The check reports H^2 and the modulus, and on
+    stop at the modulus.  The check reports H^2 and the modulus, and on
     a failure the first face that broke."""
     ext = integral_basis(ext).ext
     form = refined_swan(ext)
@@ -440,13 +440,63 @@ class InvariantReport(NamedTuple):
         return all(c.ok for c in self.checks.values())
 
 
+def working_precision(swan):
+    """The precision W = swan + 1 of a report's ``principal_part``.  Its
+    terms are exact, so W is set by the furthest point a report reads,
+    not by the precision f is given to.  With n = swan:
+
+    - the norm-ideal identity reads N(1/alpha) * f at t^0, and the
+      diagram's norm face N(1/alpha) below H^2 = {v >= 2n}; these are
+      known below W and W + n, so W >= n suffices (and W >= 1);
+    - the refined form and the stability check stop at the modulus, an
+      integer at most n: the form is known below W + n, and each shift's
+      difference below more than W, as n + (p - 1) * lo > 0 for the
+      least valuation lo = -floor((n - 1)/p) of a shift;
+    - the product rules read v(sigma(g_i) - g_i) for the generators
+      g_i = alpha^i * t^(e_i).  Its coordinate i is zero, known below
+      max(W, e_i + 1), and must bound that valuation past its least
+      term, e_i - (i - 1) * n/p: it must be known to e_i + n/p.  Wild,
+      e_i = floor(i * n/p) + 1, and at i = p - 1 that point lies
+      strictly between n and n + 1, past e_i + 1 when n > p; ferocious
+      and unramified, e_i = i * n/p, and it is at most n.
+
+    So W = n + 1 clears every reader, and a wild extension with swan > p
+    needs all of it.
+    """
+    return int(swan) + 1
+
+
+def principal_part(ext):
+    """The extension presented by the terms of exponent <= 0 of f_best,
+    known below ``working_precision``: the one presentation every report
+    of a nontrivial extension reads, memoised on ``ext``.
+
+    Each term c*t^k with k > 0 lies in the image of x -> x^p - x on
+    A = k[[t]]: h = -sum_(j >= 0) (c*t^k)^(p^j) converges in A, and
+    h^p - h = c*t^k.  So the principal part presents the same extension
+    as f, whatever f's tail and its precision (at least 1, which
+    ``reduce_to_best`` needs to know every term below t^1).  It is
+    already reduced, and nonzero: a ramified f_best has a pole, an
+    unramified one a constant outside the image.
+    """
+    def make():
+        w = working_precision(ext.swan)
+        terms = {e: c for e, c in ext.best.f_best.coeffs.items() if e <= 0}
+        return ASExtension(ext.field, LaurentSeries(ext.field, terms, w))
+
+    return ext._memo("principal_part", make)
+
+
 def build_report(ext):
-    """Assemble the invariant bundle and run the verifiers on it."""
+    """Assemble the invariant bundle of the extension and run the
+    verifiers on it, all on its ``principal_part``: a report depends on
+    the extension, not on the precision f is given to."""
     kind = ext.classification()
     checks = {}
     report = InvariantReport(ext.best.swan, ext.best.case, kind, checks)
     if kind is RamificationType.TRIVIAL:
         return report
+    ext = principal_part(ext)
     # e is the index of K's value group in L's, and f = p / e
     e = value_group_of_l(ext).granularity.denominator
     i_cut = ideal_i_sigma(ext)

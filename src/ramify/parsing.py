@@ -17,8 +17,9 @@ from .series import LaurentSeries
 
 # the largest degree a power of an F_p(u) literal may reach
 DEGREE_LIMIT = 4096
-# the largest series precision: a series inverse holds one slot per known
-# term, and dense F_p(u) products grow faster still
+# the largest series precision an input may declare.  No report reads it (a
+# report reads the exact principal part of f), so it only keeps the range of
+# accepted inputs finite
 PREC_LIMIT = 10_000
 # the deepest nesting of parentheses a coefficient or modulus may have:
 # the grammar recurses three calls per level

@@ -137,9 +137,23 @@ def tree_evaluate(expr, env, field):
     raise InvalidSpec(f"unknown node {expr.op!r}")
 
 
+def expr_variables(*exprs):
+    """The variable names of the expressions, visiting each distinct node
+    once, so a tree that shares its nodes is walked in linear time."""
+    seen, names, stack = set(), set(), list(exprs)
+    while stack:
+        node = stack.pop()
+        if id(node) not in seen:
+            seen.add(id(node))
+            if node.op == "var":
+                names.add(node.payload)
+            stack.extend(node.args)
+    return names
+
+
 def exhaustive_identity(lhs, rhs, field):
     """Check an identity on every point of a finite field."""
-    names = sorted(lhs.variables() | rhs.variables())
+    names = sorted(expr_variables(lhs, rhs))
     for point in itertools.product(field.elements(), repeat=len(names)):
         env = dict(zip(names, point))
         try:
@@ -269,14 +283,6 @@ def chain_alpha_power(ext, i):
     the closed form: each product can lose the pole order of f in
     ``prec``.  The reference for ``alpha_power`` in value."""
     return ext.alpha().powers(i)[i]
-
-
-def uncut_norm_inverse_alpha(ext):
-    """N(1/alpha) of the reduced presentation with 1/alpha normed whole,
-    known below prec + swan: the reference for
-    ``ASExtension.norm_inverse_alpha``, which norms 1/alpha cut at
-    t^(2 * swan)."""
-    return ext.with_best_f().inverse_alpha().norm()
 
 
 _INVERSE_ALPHA = ASExtension.inverse_alpha

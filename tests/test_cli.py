@@ -256,18 +256,14 @@ def test_analyze_bad_input_exit_two(capsys):
     assert code == 2
 
 
-def test_analyze_insufficient_precision_exit_three(capsys):
-    code, out = run_cli(
-        ["analyze", "--field", "Fp:2", "--f", "t^-5", "--prec", "4", "--trials", "5"],
-        capsys,
-    )
-    # the diagram check needs N(1/alpha) below t^(2n) = t^10, and --prec
-    # below n = 5 leaves it known below t^(prec + n) = t^9
-    assert code == 3
-    assert out == (
-        "error: membership in {v >= 10} needs knowledge below t^10, "
-        "series known below t^9 (raise --prec)\n"
-    )
+def test_analyze_below_the_swan_conductor_prints_the_report_of_the_extension(capsys):
+    # --prec 4 is below the Swan conductor 5, but a report reads the exact
+    # principal part t^-5, so it is the --prec 120 report, echoes included
+    argv = ["analyze", "--field", "Fp:2", "--f", "t^-5", "--prec", "4", "--trials", "5"]
+    code, out = run_cli(argv, capsys)
+    assert code == 0, out
+    assert (code, out) == run_cli(argv[:6] + ["120"] + argv[7:], capsys)
+    assert "rsw:            (1)*dlog t  (mod {v >= 3})" in out.splitlines()
 
 
 def test_l_arithmetic_keeps_the_precision_its_operands_determine(capsys):
@@ -487,7 +483,8 @@ def _main_quietly(argv):
 @given(analyze_argv())
 def test_fuzz_main_single(argv):
     code, out = _main_quietly(argv)
-    assert code in (0, 1, 2, 3)
+    # a report reads the exact principal part, so no --prec >= 1 exits 3
+    assert code in (0, 1, 2)
     if code >= 2:
         assert out.startswith("error: ")
     elif argv[-1] == "json":
@@ -507,7 +504,7 @@ def test_fuzz_main_batch(configs):
     assert_canonical_json(out.removesuffix("\n"))
     exits = [run["exit"] for run in data["runs"]]
     assert len(exits) == len(configs)
-    assert set(exits) <= {0, 1, 2, 3}
+    assert set(exits) <= {0, 1, 2}
     assert code == max(exits)
 
 
@@ -541,18 +538,18 @@ def test_every_json_output_is_written_as_json_dumps_writes_it(tmp_path, capsys):
         "analyze --field 'Fp(u):3' --f '((u+1)/u)*t^-2 + u*t^-1 + (1/(u^2+1))*t' --prec 12"
         " --format json",
         "analyze --field 'Fp(u):2' --f 'u*t^-2' --prec 8 --format json",
-        "analyze --field Fp:2 --f t^-5 --prec 4 --format json",
+        "analyze --field Fp:2 --f t^-5 --prec 0 --format json",
         "tower --p 3 --n 2 --q 9 --depth 3 --format json",
         "selftest --format json",
     ]
     batch = tmp_path / "batch.txt"
     batch.write_text("".join(line + "\n" for line in lines))
     code, out = run_cli(["--batch", str(batch)], capsys)
-    assert code == 3
+    assert code == 2
     out = out.removesuffix("\n")
     assert_canonical_json(out)
     runs = json.loads(out)["runs"]
-    assert [run["exit"] for run in runs] == [0, 0, 0, 0, 3, 0, 0]
+    assert [run["exit"] for run in runs] == [0, 0, 0, 0, 2, 0, 0]
     for line, run in zip(lines, runs):
         alone = run_cli(shlex.split(line), capsys)
         assert alone == (run["exit"], run["output"] + "\n")

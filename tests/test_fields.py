@@ -36,6 +36,7 @@ from oracles import (
     assert_canonical,
     coprime_numerator,
     exhaustive_identity,
+    expr_variables,
     fpu_denominators,
     long_divmod,
     random_element,
@@ -436,6 +437,15 @@ def test_exhaustive_identity_oracle():
     x, y = Expr.var("x"), Expr.var("y")
     assert exhaustive_identity((x + y) ** 2, x ** 2 + 2 * x * y + y ** 2, F4)
     assert not exhaustive_identity(x, x + 1, F4)
+
+
+def test_the_oracle_collects_variables_once_per_distinct_node():
+    # 40 levels of x_k = x_(k-1) * x_(k-1) + y: about 2^40 paths, 81 nodes
+    x, y = Expr.var("x"), Expr.var("y")
+    node = x
+    for _ in range(40):
+        node = node * node + y
+    assert expr_variables(node, y + Expr.const(1)) == {"x", "y"}
 
 
 # -- Expr.evaluate and check_identity against the tree walk ----------------------

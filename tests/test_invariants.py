@@ -38,12 +38,14 @@ from ramify.invariants import (
     ideal_i_sigma,
     ideal_j,
     norm_of_j,
+    principal_part,
     principality_chain,
     refined_swan,
     restrict_cut,
     rsw_modulus,
     trace_dual_cut,
     value_group_of_l,
+    working_precision,
 )
 from ramify.parsing import parse_field_spec, parse_series
 from ramify.series import Cut, LaurentSeries, ValueGroup, series_in_cut
@@ -71,7 +73,6 @@ from oracles import (
     table_trace_dual_cut,
     tower_fields_principality_chain,
     trace_of_product,
-    uncut_norm_inverse_alpha,
 )
 
 F2 = FieldSpec.finite(2)
@@ -513,11 +514,10 @@ def test_a_moved_top_cut_fails_norm_additivity(monkeypatch, make, offset, ok):
 def test_a_perturbed_norm_of_one_over_alpha_fails_the_diagram(ext):
     """N(1/alpha) moved by t^(2n - 1) breaks the norm face of the square;
     moved by t^(2n), inside H^2, every face still holds.  The perturbed
-    value is put into the memo of a fresh extension.  It is built from
-    the uncut norm, known beyond t^(2n), so that the move at t^(2n) is
-    representable: the memo stops at t^(2n)."""
+    value is put into the memo of a fresh extension; the norm is known
+    beyond t^(2n), so that the move at t^(2n) is representable."""
     n = int(ext.swan)
-    real = uncut_norm_inverse_alpha(ext)
+    real = ext.norm_inverse_alpha()
     for e, ok in ((2 * n - 1, False), (2 * n, True)):
         fresh = ASExtension(ext.field, ext.f)
         assert real.prec > e
@@ -933,8 +933,7 @@ DIAGRAM_RUNGS_RAISE = (
 def test_the_exact_diagram_check_decides_where_the_sampled_one_raised():
     """The sampled check needed N(b/alpha) - N(b)/f below t^14 and knew
     it below t^8; at b = 1 the check needs N(1/alpha) below t^(2n) = t^14,
-    and the memo knows it below min(2n, prec + n) = 14: the uncut norm
-    is known below prec + n = 15."""
+    and the memo knows it below prec + n = 15."""
     spec, f, prec, samples, seed = DIAGRAM_RUNGS_RAISE
     field = parse_field_spec(spec)
     ext = ASExtension(field, parse_series(f, field, prec))
@@ -943,8 +942,7 @@ def test_the_exact_diagram_check_decides_where_the_sampled_one_raised():
         "membership in {v >= 14} needs knowledge below t^14, series known below t^8",
     )
     n = int(ext.swan)
-    assert ext.norm_inverse_alpha().prec == min(2 * n, prec + n) == 14
-    assert uncut_norm_inverse_alpha(ext).prec == prec + n == 15
+    assert ext.norm_inverse_alpha().prec == prec + n == 15
     assert check_diagram_commutativity(ext).ok
 
 
@@ -1119,13 +1117,13 @@ def test_report_trivial_and_unramified():
     ("Fp(u):2", "u^2*t^-4 + u*t^-3 + t"),
 ])
 def test_report_inverts_f_best_once(monkeypatch, field_spec, f):
-    # an unreduced wild presentation: the form, the stability check, the
-    # diagram check and the closed-form 1/alpha all read 1/f_best from
-    # one memoised inverse, the only series inverse of a report
+    # an unreduced wild presentation: the report reads its exact
+    # principal part, whose form, stability check, diagram check and
+    # closed-form 1/alpha all read 1/f from one memoised inverse, the
+    # only series inverse of a report
     field = parse_field_spec(field_spec)
     ext = ASExtension(field, parse_series(f, field, 24))
-    f_best = ext.best.f_best
-    assert ext.f != f_best
+    assert ext.f != ext.best.f_best
     inverted = []
     inverse = LaurentSeries.inverse
 
@@ -1136,9 +1134,12 @@ def test_report_inverts_f_best_once(monkeypatch, field_spec, f):
     monkeypatch.setattr(LaurentSeries, "inverse", counted)
     rep = build_report(ext)
     assert rep.all_checks_pass()
-    assert inverted == [f_best]
-    assert ext.inverse_f_best() == ext.with_best_f().inverse_f_best() == inverse(f_best)
-    assert inverted == [f_best]
+    exact = principal_part(ext)
+    assert exact.f.coeffs == {e: c for e, c in ext.best.f_best.coeffs.items() if e <= 0}
+    assert exact.f.prec == working_precision(ext.swan)
+    assert inverted == [exact.f]
+    assert exact.inverse_f_best() is exact.inverse_f()
+    assert inverted == [exact.f]
 
 
 @pytest.mark.parametrize("field_spec, f", [
@@ -1147,11 +1148,10 @@ def test_report_inverts_f_best_once(monkeypatch, field_spec, f):
 ])
 def test_report_builds_the_refined_form_once(monkeypatch, field_spec, f):
     # the report, the stability check and the diagram check share one
-    # LogForm, kept on the reduced presentation of an unreduced one
+    # LogForm, kept on the exact principal part of an unreduced presentation
     field = parse_field_spec(field_spec)
     ext = ASExtension(field, parse_series(f, field, 24))
-    f_best = ext.best.f_best
-    assert ext.f != f_best
+    assert ext.f != ext.best.f_best
     derived = []
     euler_derivative = LaurentSeries.euler_derivative
 
@@ -1162,9 +1162,10 @@ def test_report_builds_the_refined_form_once(monkeypatch, field_spec, f):
     monkeypatch.setattr(LaurentSeries, "euler_derivative", counted)
     rep = build_report(ext)
     assert rep.all_checks_pass()
-    assert sum(s == f_best for s in derived) == 1
-    assert refined_swan(ext) is refined_swan(ext.with_best_f()) is rep.rsw
-    assert sum(s == f_best for s in derived) == 1
+    exact = principal_part(ext)
+    assert sum(s == exact.f for s in derived) == 1
+    assert refined_swan(exact) is refined_swan(exact.with_best_f()) is rep.rsw
+    assert sum(s == exact.f for s in derived) == 1
 
 
 @pytest.mark.parametrize("field_spec, f", [
@@ -1174,10 +1175,9 @@ def test_report_builds_the_refined_form_once(monkeypatch, field_spec, f):
 ])
 def test_a_report_expands_one_determinant(monkeypatch, field_spec, f):
     """A report takes one norm, the determinant of one multiplication
-    matrix, on the reduced presentation: the norm of the closed-form
-    1/alpha cut at t^(2 * swan), which the norm-ideal identity and the
-    diagram check read from one memo.  An unramified extension norms
-    1/alpha whole.  It inverts no element of L."""
+    matrix, on its exact principal part: the norm of the closed-form
+    1/alpha, which the norm-ideal identity and the diagram check read
+    from one memo.  It inverts no element of L."""
     field = parse_field_spec(field_spec)
     ext = ASExtension(field, parse_series(f, field, 24))
     normed = []
@@ -1194,54 +1194,100 @@ def test_a_report_expands_one_determinant(monkeypatch, field_spec, f):
     monkeypatch.setattr(LElement, "inverse", no_call)
     rep = build_report(ext)
     assert rep.all_checks_pass()
-    assert len(normed) == 1
-    reduced = ext.with_best_f()
-    # swan 2 and 3 cut 1/alpha at t^4 and t^6; 1 + t is unramified
-    cut = {"Fp:3": 4, "Fp(u):2": 6, "Fp:2": None}[field_spec]
-    inverse_alpha = reduced.inverse_alpha()
-    assert cut == (2 * int(reduced.swan) or None)
-    assert normed[0] == (inverse_alpha if cut is None else inverse_alpha.truncate(cut))
-    assert ext.norm_inverse_alpha() is reduced.norm_inverse_alpha()
-    assert ext.norm_inverse_alpha_times_f() is reduced.norm_inverse_alpha_times_f()
+    exact = principal_part(ext)
+    assert normed == [exact.inverse_alpha()]
+    assert exact.norm_inverse_alpha() is exact.with_best_f().norm_inverse_alpha()
+    assert exact.norm_inverse_alpha_times_f() is exact.with_best_f().norm_inverse_alpha_times_f()
     assert len(normed) == 1
 
 
-@settings(max_examples=200, deadline=None)
-@given(st.sampled_from(RING_FIELDS), st.integers(0, 9), st.integers(1, 24), st.integers(0, 2**32))
-def test_the_cut_norm_of_one_over_alpha_is_the_uncut_norm_below_its_readers(case, n, prec, seed):
-    """On the fields of the selftest grid, for f = f_best + h^p - h with
-    a pole of order 0 to 9, N(1/alpha) is the uncut norm truncated at
-    t^(2 * swan), and N(1/alpha) * f is the uncut product truncated at
-    t^swan.  From prec = swan on, they are known below
-    min(2 * swan, prec + swan) and below swan; below it, and unramified,
-    they are the uncut ones.  A report gives the same verdicts and
-    details, or raises the same error and message, as a report whose
-    memo holds the uncut norm."""
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(RING_FIELDS), st.integers(0, 9), st.integers(0, 2**32))
+def test_a_report_depends_on_the_extension_not_on_the_precision(case, n, seed):
+    """On the fields of the selftest grid, for f = f_best + (h^p - h)
+    plus a positive tail, the report at --prec 1 is the report at
+    --prec 120 in every value, cut, form and check detail: both read the
+    exact principal part.  It is also the report of that part known
+    further, so the working precision suffices."""
     p, kind = case
     field = FieldSpec.rational(p) if kind else FieldSpec.finite(p)
     rng = random.Random(seed)
-    f_best = extension.reduce_to_best(pole_extension(field, rng, n, prec).f).f_best
-    h = random_series(field, rng, -3, -1, prec + 3 * p)
-    f = f_best + h ** p - h
-    assume(not f.is_zero_known())
-    ext = ASExtension(field, f)
-    uncut_ext = ASExtension(field, f)
-    if not ext.best.f_best.is_zero_known():
-        uncut = uncut_norm_inverse_alpha(ext)
-        uncut_times_f = uncut * ext.best.f_best
-        swan = int(ext.swan)
-        memo, times_f = ext.norm_inverse_alpha(), ext.norm_inverse_alpha_times_f()
-        if swan:
-            assert memo == uncut.truncate(2 * swan)
-            assert memo.prec == min(2 * swan, uncut.prec)
-            assert times_f == uncut_times_f.truncate(swan)
-            assert times_f.prec == min(swan, uncut_times_f.prec)
-        if swan and f.prec >= swan:
-            assert (memo.prec, times_f.prec) == (min(2 * swan, f.prec + swan), swan)
-        else:
-            assert (memo, times_f) == (uncut, uncut_times_f)
-        uncut_ext.with_best_f()._cache["norm_inverse_alpha"] = uncut
-    assert exact_outcome(build_report, ext) == exact_outcome(build_report, uncut_ext)
+    f_best = extension.reduce_to_best(pole_extension(field, rng, n, 121).f).f_best
+    h = random_series(field, rng, -3, -1, 121 + 3 * p)
+    f = f_best + h ** p - h + random_series(field, rng, 1, 8, 121)
+    assume(not f.truncate(1).is_zero_known())
+    report = build_report(ASExtension(field, f.truncate(1)))
+    assert report == build_report(ASExtension(field, f.truncate(120)))
+    assert report.all_checks_pass()
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(invariants, "working_precision", lambda swan: 3 * int(swan) + 10)
+        assert build_report(ASExtension(field, f.truncate(120))) == report
+
+
+@pytest.mark.parametrize("field_spec, f", [
+    ("Fp:2", "t^-3 + t^-1"),
+    ("Fp:3", "t^-5 + t^-1"),
+    ("Fq:4", "w*t^-5 + t^-2"),
+    ("Fp(u):2", "u*t^-3 + t"),
+])
+def test_a_wild_extension_with_swan_above_p_needs_the_whole_working_precision(
+        monkeypatch, field_spec, f):
+    """working_precision is swan + 1: one less, and the top generator's
+    difference is known too short to bound its valuation."""
+    field = parse_field_spec(field_spec)
+    ext = ASExtension(field, parse_series(f, field, 120))
+    assert ext.classification() is RamificationType.WILD and ext.swan > ext.p
+    assert build_report(ext).all_checks_pass()
+    monkeypatch.setattr(invariants, "working_precision", lambda swan: int(swan))
+    with pytest.raises(InsufficientPrecision, match="zero on its known range"):
+        build_report(ASExtension(field, parse_series(f, field, 120)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(RING_FIELDS), st.integers(1, 9), st.integers(1, 24), st.integers(0, 2**32))
+def test_f_and_f_plus_a_p_minus_a_print_one_rsw_line(case, n, prec, seed):
+    """The refined Swan conductor is printed as its class: f and
+    f + a^p - a, each at its own precision, print the same rsw line.
+
+    Over F_q a best form is unique up to the image of x -> x^p - x on A,
+    so this holds for every a the stability check decides,
+    v(a) >= -floor((swan - 1)/p).  Over F_p(u) a best form may keep a
+    p-divisible pole whose coefficient a^p moves.  The printed form is
+    df/f at the presentation's own f, which moves by
+    (f de - e df)/(f (f + e)) for e = a^p - a, of valuation
+    >= p*v(a) + swan when v(a) < 0.  So there the line stays while that
+    reaches the modulus, swan - floor(swan/p): v(a) >= -floor(swan/p^2)."""
+    p, kind = case
+    field = FieldSpec.rational(p) if kind else FieldSpec.finite(p)
+    rng = random.Random(seed)
+    ext = pole_extension(field, rng, n, 24)
+    swan = int(ext.swan)
+    assume(swan > 0)
+    lo = -((swan - 1) // p) if field.is_finite else -(swan // p ** 2)
+    a = random_series(field, rng, lo, 6, 30)
+    shifted = ASExtension(field, (ext.f + a ** p - a).truncate(prec))
+    line = f"{build_report(ext).rsw!r}"
+    assert f"{build_report(shifted).rsw!r}" == line
+    assert line.endswith(f"(mod {rsw_modulus(ext)!r})")
+
+
+@pytest.mark.parametrize("field_spec, f", [
+    ("Fp:2", "t^-5 + t^-3 + 1"),
+    ("Fp:3", "t^-4 + 2*t^-1"),
+    ("Fq:9", "w*t^-6 + t^-2"),
+    ("Fp(u):2", "u*t^-6 + t^-3"),
+    ("Fp(u):3", "(u+1)*t^-3 + u*t^-1"),
+])
+def test_the_form_is_known_to_its_modulus_at_the_least_precision(field_spec, f):
+    """refined_swan never lacks precision: at f's least precision, known
+    below t^1, both coefficients are known below 1 + swan, past the
+    modulus, so each is its truncation there, the form at --prec 120."""
+    field = parse_field_spec(field_spec)
+    form = refined_swan(ASExtension(field, parse_series(f, field, 1)))
+    cap = int(form.modulus.value)
+    assert cap > 0 and form.dlog_t.prec == cap
+    assert form.du is None or form.du.prec == cap
+    assert form == refined_swan(ASExtension(field, parse_series(f, field, 120)))
 
 
 NORM_FIELDS = (FieldSpec.finite(2), FieldSpec.finite(2, 2), F3, FieldSpec.finite(3, 2), F5,
@@ -1254,12 +1300,12 @@ NORM_FIELDS = (FieldSpec.finite(2), FieldSpec.finite(2, 2), F3, FieldSpec.finite
 def test_the_orbit_norm_of_one_over_alpha_is_the_laplace_determinant(field, n, prec, seed):
     """For f = f_best + h^p - h with a pole of order 0 to 9, over F_q and
     F_p(u), N(1/alpha) from the orbit chain is the Laplace determinant
-    of the multiplication matrix of the element it norms, 1/alpha cut at
-    t^(2 * swan) (whole when unramified), in value and ``prec``, on every
-    nontrivial extension.  No report norms 1/alpha of a trivial one
-    (``integral_basis`` raises first); there, when v(f_best) > 0, the
-    coordinates of 1/alpha are known to uneven precisions, and the chain
-    agrees below its ``prec``, which may be the lower."""
+    of the multiplication matrix of the element it norms, 1/alpha, in
+    value and ``prec``, on every nontrivial extension.  No report norms
+    1/alpha of a trivial one (``integral_basis`` raises first); there,
+    when v(f_best) > 0, the coordinates of 1/alpha are known to uneven
+    precisions, and the chain agrees below its ``prec``, which may be the
+    lower."""
     rng = random.Random(seed)
     f_best = extension.reduce_to_best(pole_extension(field, rng, n, prec).f).f_best
     h = random_series(field, rng, -3, -1, prec + 3 * field.p)
@@ -1268,9 +1314,8 @@ def test_the_orbit_norm_of_one_over_alpha_is_the_laplace_determinant(field, n, p
     ext = ASExtension(field, f)
     assume(not ext.best.f_best.is_zero_known())
     reduced = ext.with_best_f()
-    x, swan = reduced.inverse_alpha(), int(reduced.swan)
-    normed = x.truncate(2 * swan) if swan else x
-    norm, reference = ext.norm_inverse_alpha(), oracles.series_laplace(normed.columns())[0]
+    norm = ext.norm_inverse_alpha()
+    reference = oracles.series_laplace(reduced.inverse_alpha().columns())[0]
     if reduced.classification() is RamificationType.TRIVIAL:
         assert norm.prec <= reference.prec
         assert norm == reference.truncate(norm.prec)

@@ -18,10 +18,11 @@ which reach ``classify``'s decision on the constant residue, through
 the F_p(u) linear system too, and the ``tower_trials`` runs: ``tower``
 at q = 4 and 125 with ``--trials 1000`` (``TOWER_TRIAL_RUNS``), in
 JSON and in text; the step identity is decided exactly, so
-``--trials`` reaches only the JSON, as an echo.  Many
-``low_prec`` runs exit 3 (missing precision), so they pin down exactly
-which inputs have enough precision, which depends on the ``prec`` every
-step reports.  Each run calls
+``--trials`` reaches only the JSON, as an echo.  The ``low_prec`` runs
+pin that a report does not depend on ``--prec``: a report reads the
+exact principal part of f, so every run of one configuration prints the
+same report, and only the echoed ``f``, ``f_best`` and ``precision``
+differ between its nine lines.  Each run calls
 ``ramify.cli.main(argv)`` in this process, with ``ramify`` imported
 from this checkout's ``src/``.  One line per run:
 
