@@ -18,7 +18,12 @@ which reach ``classify``'s decision on the constant residue, through
 the F_p(u) linear system too, and the ``tower_trials`` runs: ``tower``
 at q = 4 and 125 with ``--trials 1000`` (``TOWER_TRIAL_RUNS``), in
 JSON and in text; the step identity is decided exactly, so
-``--trials`` reaches only the JSON, as an echo.  The ``low_prec`` runs
+``--trials`` reaches only the JSON, as an echo, and the
+``fpu_fractions`` runs: JSON ``analyze`` runs over F_p(u) at p = 2, 3,
+5 and 7 (``FPU_FRACTION_RUNS``) whose coefficients have reducible,
+repeated and shared denominators, four of them a leading coefficient
+whose denominator has degree 6 or more, so that every path that puts an
+F_p(u) fraction in lowest terms is pinned.  The ``low_prec`` runs
 pin that a report does not depend on ``--prec``: a report reads the
 exact principal part of f, so every run of one configuration prints the
 same report, and only the echoed ``f``, ``f_best`` and ``precision``
@@ -96,6 +101,38 @@ INTEGRAL_RUNS = (
 # (p, n, q) of the tower_trials runs, each at --trials 1000 --seed 1.
 TOWER_TRIAL_RUNS = ((2, 3, 4), (5, 2, 125))
 
+# (field, f) of the fpu_fractions runs, each at --prec 24 --trials 2 --seed 1.
+# Denominators are reducible ((u^2+2) = (u+1)(u+2) over F_3), repeated
+# ((u+1)^2*u) and shared between terms; some terms are p-th powers that
+# the best form folds into a lower exponent, where they meet another term.
+FPU_FRACTION_RUNS = (
+    ("Fp(u):2", "(1/(u^2+u))*t^-3 + (u/(u+1)^2)*t^-1"),
+    ("Fp(u):2", "(1/((u+1)^2*u))*t^-5 + (1/(u+1))*t^-2 + t"),
+    ("Fp(u):2", "(u/(u^3+u))*t^-3 + (1/(u^2+1))*t^-1"),
+    ("Fp(u):2", "(1/(u^2+1))*t^-4 + (1/(u^2+u))*t^-3 + (1/u)*t^-1"),
+    ("Fp(u):2", "(1/(u^2+u))*t^-7 + (u/(u^2+u+1))*t^-5 + (1/(u^2+u))*t^-1 + u*t"),
+    ("Fp(u):2", "(1/(u^6+u+1))*t^-3 + u*t^-1"),
+    ("Fp(u):2", "(1/(u^3+u+1)^2)*t^-5 + (1/(u^3+u+1))*t^-1"),
+    ("Fp(u):3", "(u/(u^2+2))*t^-4 + (1/(u^2+2))*t^-1"),
+    ("Fp(u):3", "(1/((u+1)^2*u))*t^-2 + (u/(u+2))*t^-1"),
+    ("Fp(u):3", "((u+1)/(u^3+2*u))*t^-5 + (1/(u^2+2))*t^-2 + t"),
+    ("Fp(u):3", "(1/(u^3+2*u))*t^-6 + (u/(u^2+2))*t^-4 + (1/(u+1)^2)*t^-1"),
+    ("Fp(u):3", "(1/((u^2+1)^2*(u+2)))*t^-7 + (1/(u^2+1))*t^-2"),
+    ("Fp(u):3", "(1/(u^7+2*u+1))*t^-4 + (1/u)*t^-1"),
+    ("Fp(u):5", "(1/(u^2+4))*t^-3 + (u/(u+1)^2)*t^-1"),
+    ("Fp(u):5", "(u/((u+1)^2*u^3))*t^-6 + (1/(u^2+4))*t^-2"),
+    ("Fp(u):5", "(1/(u^4+4))*t^-2 + ((u+4)/(u^2+4))*t^-1 + t"),
+    ("Fp(u):5", "(1/(u^2+4)^2)*t^-4 + (1/(u^2+4))*t^-3 + (1/(u+4))*t^-1"),
+    ("Fp(u):5", "(1/(u^5+4))*t^-10 + (1/u)*t^-3"),
+    ("Fp(u):5", "(1/((u+1)^3*(u^2+2)))*t^-7 + (1/(u^2+2))*t^-1"),
+    ("Fp(u):7", "(1/(u^2+6))*t^-3 + (1/((u+1)^2*u))*t^-1"),
+    ("Fp(u):7", "(u/(u^3+6*u))*t^-8 + (1/(u^2+6))*t^-2"),
+    ("Fp(u):7", "(1/(u^2+6)^2)*t^-5 + (1/(u+6))*t^-4 + (1/(u^2+6))*t^-1"),
+    ("Fp(u):7", "(1/(u^7+6))*t^-14 + (1/u)*t^-2"),
+    ("Fp(u):7", "((u+1)/((u^2+1)*(u+3)^2))*t^-9 + (1/(u^2+1))*t^-3 + t"),
+    ("Fp(u):7", "(1/(u^6+u+3))*t^-2 + u*t^-1"),
+)
+
 
 def runs():
     """(workload, seed, id, format, argv) of every run, in a fixed order."""
@@ -142,6 +179,11 @@ def runs():
         argv = ["tower", "--p", str(p), "--n", str(n), "--q", str(q), "--trials", "1000", "--seed", "1"]
         for fmt in ("json", "text"):
             yield "tower_trials", 1, ident, fmt, argv + ["--format", fmt]
+    for ident, (field, f) in enumerate(FPU_FRACTION_RUNS):
+        yield "fpu_fractions", 1, ident, "json", [
+            "analyze", "--field", field, "--f", f, "--prec", "24", "--trials", "2",
+            "--seed", "1", "--format", "json",
+        ]
 
 
 def digest(argv):
