@@ -15,7 +15,7 @@ over the norm: values agree, and its ``prec`` may only be higher.
 import random
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from ramify import selftest
 from ramify.errors import (
@@ -529,6 +529,10 @@ def test_inverse_matches_cramer_on_every_selftest_denominator(monkeypatch):
 
 @settings(max_examples=60, deadline=None)
 @given(fields, seeds)
+@example(F9, 1459671)
+@example(F3, 439)
+@example(F3, 1135)
+@example(F3, 2605)
 def test_inverse_matches_conjugate_product_inverse(field, seed):
     rng = random.Random(seed)
     ext = ext_for(field, rng)
