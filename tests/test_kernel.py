@@ -9,7 +9,8 @@ determinant and Cramer's rule (``oracles.series_laplace``): equal on
 the inputs a report or the selftest norms or inverts, and on uneven
 random elements equal below a ``prec`` that may only be lower.  The
 inverse is also compared with the product of the other conjugates
-over the norm: values agree, and its ``prec`` may only be higher.
+over the norm: values agree below the lesser ``prec``, where either
+may be the lower, and the chain's ``prec`` is checked for soundness.
 """
 
 import random
@@ -527,13 +528,36 @@ def test_inverse_matches_cramer_on_every_selftest_denominator(monkeypatch):
         assert inv == cramer_inverse(den)  # coordinatewise, values and prec
 
 
+def extended(s, rng, width=3):
+    """s with ``width`` random terms past its known range, known ``width``
+    exponents further."""
+    coeffs = dict(s.coeffs)
+    for e in range(s.prec, s.prec + width):
+        c = coefficient(s.field, rng)
+        if c:
+            coeffs[e] = c
+    return LaurentSeries(s.field, coeffs, s.prec + width)
+
+
 @settings(max_examples=60, deadline=None)
 @given(fields, seeds)
 @example(F9, 1459671)
 @example(F3, 439)
 @example(F3, 1135)
 @example(F3, 2605)
+@example(F5, 1839)
 def test_inverse_matches_conjugate_product_inverse(field, seed):
+    """The orbit chain's 1/x agrees with the product of the other
+    conjugates over N(x) below the lesser ``prec``, and x * (1/x) agrees
+    with 1.  The two ``prec``s are bounds read off different product
+    chains, and neither is always the higher: over seeds 0-2999, on each
+    of the six fields, they are equal on 49,963 coordinates, the chain's
+    is lower on 15 and higher on 2.  The examples pin lower ones (F9 seed
+    1459671, F3 seeds 439, 1135 and 2605) and the higher one (F5 seed
+    1839).  So the chain's ``prec`` is checked for soundness instead: an
+    element that agrees with x on every coordinate's known range, and
+    is known further, has an inverse that agrees with 1/x below each of
+    its ``prec``s and is known at least as far."""
     rng = random.Random(seed)
     ext = ext_for(field, rng)
     x = random_l_element(ext, rng)
@@ -541,8 +565,10 @@ def test_inverse_matches_conjugate_product_inverse(field, seed):
     inverse, reference = x.inverse(), conjugate_product_inverse(x)
     for a, b in zip(inverse.coeffs, reference.coeffs):
         assert a.agrees_with(b)
-        assert a.prec >= b.prec
     assert (x * inverse).agrees_with(ext.one())
+    further = LElement(ext, tuple(extended(s, rng) for s in x.coeffs)).inverse()
+    for a, b in zip(inverse.coeffs, further.coeffs):
+        assert b.prec >= a.prec and b.truncate(a.prec) == a
 
 
 def outcome(fn, *args):
