@@ -38,23 +38,15 @@ Polynomials over F_p (the elements of F_p(u), and the field moduli) are
 tuples of ints in [0, p), lowest degree first, with no trailing zeros;
 () is the zero polynomial.
 
-Each F_p(u) field keeps a coprime base (``_CoprimeBase``): monic
-polynomials over F_p, pairwise coprime but not necessarily irreducible,
-grown on demand (Bernstein, "Factoring into coprimes in essentially
-linear time", J. Algorithms 54, 2005).  Every canonical denominator is
-a product of powers of base elements, so it has an exponent *vector*
-over the base; an element caches its vector, stamped with the base's
-refinement count, so that a split of a base element invalidates it.
-The lcm of two denominators is the elementwise max of their vectors and
-the product their sum, with no gcd.  ``_CoprimeBase.cancel`` is the one
-routine that reduces an F_p(u) fraction: it divides each base factor the
-vector allows out of the numerator, and splits a base element that
-shares only a proper factor with it.  ``_rat``, element ``+`` and ``*``
-(Henrici's rules, Knuth, TAOCP vol. 2, 4.5.1: only a common factor of
-the two denominators can cancel in a sum, and ``*`` cancels each
-numerator against the other denominator) and ``dot_coeffs`` all reduce
-through it.  The base is a cache: values, equality, hashing and printing
-read the canonical (num, den) pair alone.
+An F_p(u) fraction is put in lowest terms by one gcd: ``_cancel``
+divides numerator and denominator by their monic ``_pgcd``.  ``_rat``
+and ``dot_coeffs`` reduce through it, and element ``+`` and ``*``
+follow Henrici's rules (Knuth, TAOCP vol. 2, 4.5.1), which run Euclid
+on smaller polynomials: in a sum only a factor of the gcd g of the two
+denominators can divide the numerator, so the gcd runs on that
+numerator and g, and ``*`` cancels each numerator against the other
+denominator.  Nothing is cached between operations: an element is its
+canonical (num, den) pair.
 """
 
 from __future__ import annotations
@@ -183,6 +175,14 @@ def _pgcd(a, b, p):
     return _pmonic(a, p)
 
 
+def _cancel(a, b, p):
+    """(a/g, b/g) for the monic g = gcd(a, b); b is nonzero."""
+    g = _pgcd(a, b, p)
+    if len(g) > 1:
+        return _pdivmod(a, g, p)[0], _pdivmod(b, g, p)[0]
+    return a, b
+
+
 def _proot(a, p):
     """The r with r^p = a, or None when a is not a p-th power: over F_p,
     r(u)^p = r(u^p), so r exists when every term of a has an exponent
@@ -219,199 +219,6 @@ def _prime_divisors(n):
     if n > 1:
         out.append(n)
     return out
-
-
-# Exponent vectors over a coprime base are tuples of ints without trailing
-# zeros, trimmed like polynomials by ``_trim``.
-
-
-def _vadd(v, w):
-    """The sum of two exponent vectors: the product's vector."""
-    if len(v) < len(w):
-        v, w = w, v
-    return tuple(map(operator.add, v, w)) + v[len(w):]
-
-
-def _vmax(v, w):
-    """The elementwise max of two exponent vectors: the lcm's vector."""
-    if len(v) < len(w):
-        v, w = w, v
-    return tuple(map(max, v, w)) + v[len(w):]
-
-
-def _vsub(v, w):
-    """v - w for w <= v elementwise."""
-    return _trim(tuple(map(operator.sub, v, w)) + v[len(w):])
-
-
-class _CoprimeBase:
-    """The coprime base of one F_p(u) field: ``polys``, monic squarefree
-    polynomials of positive degree over F_p, pairwise coprime.  A vector
-    v (a tuple of ints, no trailing zeros) stands for B^v, the product of
-    polys[i]^v[i].
-
-    The base only grows finer.  A new factor is appended, which leaves
-    every vector valid; a split replaces ``polys`` by a new list and adds
-    one to ``count``, which invalidates every vector made before it.  A
-    caller holding vectors across a call that may refine keeps the list
-    it read them against and translates them with ``current``.
-    """
-
-    __slots__ = ("p", "polys", "count", "_powers")
-
-    def __init__(self, p):
-        self.p = p
-        self.polys = []
-        self.count = 0
-        self._powers = {}  # (i, k) -> polys[i]^k
-
-    def _refine(self, a):
-        """Refine the base until the monic a is a product of powers of its
-        elements.  A piece with a repeated factor is split by its
-        derivative first (a p-th power by its p-th root), so elements
-        stay squarefree; a piece that shares a factor g with an element b
-        other than b itself splits b into g and b/g."""
-        p = self.p
-        n = len(self.polys)
-        polys = list(self.polys)
-        split = False
-        pending = [a]
-        while pending:
-            x = pending.pop()
-            if len(x) < 2:
-                continue
-            dx = _pderiv(x, p)
-            if not dx:
-                pending.append(_proot(x, p))
-                continue
-            g = _pgcd(x, dx, p)
-            if len(g) > 1:
-                pending += [g, _pdivmod(x, g, p)[0]]
-                continue
-            for i, b in enumerate(polys):
-                g = _pgcd(x, b, p)
-                if len(g) > 1:
-                    if g != b:
-                        del polys[i]
-                        pending += [g, _pdivmod(b, g, p)[0]]
-                        split = True
-                    pending.append(_pdivmod(x, g, p)[0])
-                    break
-            else:
-                polys.append(x)
-        if split:
-            self.polys = polys
-            self.count += 1
-            self._powers = {}
-        else:
-            self.polys += polys[n:]
-
-    def factor(self, d):
-        """The vector of the monic d, refining the base first when d has
-        a factor outside it."""
-        p = self.p
-        while True:
-            v, rest = [], d
-            for b in self.polys:
-                k = 0
-                while len(rest) >= len(b):
-                    q, r = _pdivmod(rest, b, p)
-                    if r:
-                        break
-                    rest, k = q, k + 1
-                v.append(k)
-            if len(rest) == 1:
-                return _trim(v)
-            self._refine(rest)
-
-    def vector(self, c):
-        """The vector of the denominator of the F_p(u) element c, from
-        its cache while no split has happened since it was stamped."""
-        den = c._b
-        if len(den) == 1:
-            return ()
-        cached = c._v
-        if cached is not None and cached[0] == self.count:
-            return cached[1]
-        v = self.factor(den)
-        _set_v(c, (self.count, v))
-        return v
-
-    def vectors(self, elems):
-        """``vector`` of each of elems, all against one base: factoring
-        one element may split an element another one's vector uses."""
-        while True:
-            count = self.count
-            out = [self.vector(c) for c in elems]
-            if count == self.count:
-                return out
-
-    def current(self, v, polys):
-        """v, a vector over the earlier base list ``polys``, over this
-        base.  Each earlier element is a product of powers of the
-        current ones, so factoring it refines nothing."""
-        if polys is self.polys:
-            return v
-        out = ()
-        for b, k in zip(polys, v):
-            if k:
-                out = _vadd(out, tuple(k * x for x in self.factor(b)))
-        return out
-
-    def _power(self, i, k):
-        q = self._powers.get((i, k))
-        if q is None:
-            h = k // 2
-            q = self.polys[i] if k == 1 else _pmul(self._power(i, h), self._power(i, k - h), self.p)
-            self._powers[(i, k)] = q
-        return q
-
-    def times(self, num, v):
-        """num * B^v."""
-        return _pmul(num, self.expand(v), self.p) if v else num
-
-    def expand(self, v):
-        """B^v as a polynomial."""
-        out = _ONE
-        for i, k in enumerate(v):
-            if k:
-                q = self._power(i, k)
-                out = q if out is _ONE else _pmul(out, q, self.p)
-        return out
-
-    def cancel(self, num, v):
-        """(num', v') with num'/B^v' = num/B^v in lowest terms, for a
-        nonzero num.
-
-        Each base element b with v_b > 0 is divided out of num while it
-        divides, at most v_b times.  A base element is coprime, not
-        irreducible: when the remainder r of the last division shares a
-        proper factor g = gcd(r, b) with b, b is split and the strip
-        starts again on the finer base.  (In F_3(u), u/(u^2+2) * (u+1)
-        must give u/(u+2).)"""
-        p = self.p
-        out = list(v)
-        i = 0
-        while i < len(out):
-            k = out[i]
-            if k:
-                b = self.polys[i]
-                while k:
-                    q, r = _pdivmod(num, b, p)
-                    if r:
-                        break
-                    num, k = q, k - 1
-                out[i] = k
-                if k and len(b) > 2 and len(r) > 1:
-                    g = _pgcd(b, r, p)
-                    if len(g) > 1:
-                        polys = self.polys
-                        self._refine(g)
-                        out = list(self.current(_trim(out), polys))
-                        i = 0
-                        continue
-            i += 1
-        return num, _trim(out)
 
 
 def _ppoly_str(cs, var):
@@ -528,14 +335,12 @@ class FieldSpec:
     modulus of degree m supplied at construction time.  Instances are
     immutable, hashable and interned: constructing the same field
     presentation twice returns the same object, so equality is identity.
-    The one mutable part is F_p(u)'s coprime base ``_base``, a cache that
-    no value depends on.
     """
 
     __slots__ = (
         "p", "kind", "degree", "modulus", "var", "is_finite", "order",
         "_hash", "_log", "_exp", "_zech", "_neg", "_zero", "_one",
-        "_radd", "_rneg", "_rmul", "_rinv", "_rpow", "_base",
+        "_radd", "_rneg", "_rmul", "_rinv", "_rpow",
     )
 
     FINITE = "finite"
@@ -584,7 +389,6 @@ class FieldSpec:
             ("_hash", hash(key)), ("_log", log), ("_exp", exp), ("_zech", zech), ("_neg", neg),
             ("_zero", _elem(self, 0) if finite else _elem(self, (), _ONE)),
             ("_one", _elem(self, 1) if finite else _elem(self, _ONE, _ONE)),
-            ("_base", None if finite else _CoprimeBase(p)),
         ):
             object.__setattr__(self, name, value)
         for name, value in zip(("_radd", "_rneg", "_rmul", "_rinv", "_rpow"), _raw_ops(self)):
@@ -666,14 +470,13 @@ class FieldSpec:
             raise DivisionByZero("zero denominator")
         if not num:
             return self._zero
+        if len(den) > 1:
+            num, den = _cancel(num, den, self.p)
         if den[-1] != 1:
             inv = pow(den[-1], -1, self.p)
             num = tuple((c * inv) % self.p for c in num)
             den = tuple((c * inv) % self.p for c in den)
-        if len(den) == 1:
-            return _elem(self, num, _ONE)
-        base = self._base
-        return _frac(self, *base.cancel(num, base.factor(den)))
+        return _elem(self, num, den if len(den) > 1 else _ONE)
 
     def zero(self):
         return self._zero
@@ -730,12 +533,9 @@ class ResidueElem:
     denominator, so ``==`` on representations decides field equality.
     Zero is the only element whose ``_a`` is falsy.  Elements are made
     by the field (``FieldSpec.from_int`` and friends), not directly.
-    An F_p(u) element's ``_v`` caches the vector of ``_b`` over the
-    field's coprime base as (refinement count, vector), or is None until
-    ``_CoprimeBase.vector`` first asks; it is None on F_q elements.
     """
 
-    __slots__ = ("field", "_a", "_b", "_v")
+    __slots__ = ("field", "_a", "_b")
 
     def __setattr__(self, name, value):
         raise AttributeError("ResidueElem is immutable")
@@ -782,22 +582,24 @@ class ResidueElem:
         if da == _ONE:
             if db == _ONE:
                 return _elem(f, _padd(a, b, p), _ONE)
-            return _elem(f, _padd(_pmul(a, db, p), b, p), db, other._v)
+            return _elem(f, _padd(_pmul(a, db, p), b, p), db)
         if db == _ONE:
-            return _elem(f, _padd(a, _pmul(b, da, p), p), da, self._v)
-        # Henrici: over the lcm B^L, a/da + b/db = t / B^L with
-        # t = a*B^(L-va) + b*B^(L-vb).  A base factor can divide t only
-        # where va and vb are equal: elsewhere one term is prime to it.
-        base = f._base
-        va, vb = base.vectors((self, other))
-        lcm = _vmax(va, vb)
-        t = _padd(base.times(a, _vsub(lcm, va)), base.times(b, _vsub(lcm, vb)), p)
+            return _elem(f, _padd(a, _pmul(b, da, p), p), da)
+        # Henrici: with g = gcd(da, db), a/da + b/db = t / ((da/g) * db) for
+        # t = a*(db/g) + b*(da/g), and only a factor of g can divide both
+        # t and that denominator.  So coprime denominators give lowest terms
+        # at once, and otherwise the gcd runs on t and g alone.
+        g = _pgcd(da, db, p)
+        if len(g) == 1:
+            return _elem(f, _padd(_pmul(a, db, p), _pmul(b, da, p), p), _pmul(da, db, p))
+        da = _pdivmod(da, g, p)[0]
+        t = _padd(_pmul(a, _pdivmod(db, g, p)[0], p), _pmul(b, da, p), p)
         if not t:
             return f._zero
-        common = _trim([x if x == y else 0 for x, y in zip(va, vb)])
-        polys = base.polys
-        t, kept = base.cancel(t, common)
-        return _frac(f, t, _vadd(base.current(_vsub(lcm, common), polys), kept))
+        h = _pgcd(t, g, p)
+        if len(h) > 1:
+            t, db = _pdivmod(t, h, p)[0], _pdivmod(db, h, p)[0]
+        return _elem(f, t, _pmul(da, db, p))
 
     __radd__ = __add__
 
@@ -805,7 +607,7 @@ class ResidueElem:
         f = self.field
         if self._b is None:
             return _elem(f, f._rneg(self._a))
-        return _elem(f, _pneg(self._a, f.p), self._b, self._v)
+        return _elem(f, _pneg(self._a, f.p), self._b)
 
     def __sub__(self, other):
         other = self._check(other)
@@ -827,28 +629,27 @@ class ResidueElem:
             return _elem(f, f._rmul(a, b))
         if not a or not b:
             return f._zero
-        # Henrici: a polynomial operand is cancelled against the other
-        # denominator before the product; two fractions, whose numerators
-        # are prime to their own denominators, cancel once after it.  A
-        # nonzero constant c of F_p is a unit of F_p[u]: c*n/d keeps d, its
-        # vector and its lowest terms, so it only scales n mod p.
+        # Henrici: cancel gcd(a, db) and gcd(b, da) first.  The factors
+        # left are pairwise coprime, so the product is in lowest terms, and
+        # its denominator is a product of monic polynomials.  A nonzero
+        # constant c of F_p is a unit of F_p[u]: c*n/d keeps d and its
+        # lowest terms, so it only scales n mod p.
         p = f.p
-        base = f._base
         if da == _ONE:
             if db == _ONE:
                 return _elem(f, _pmul(a, b, p), _ONE)
             if len(a) == 1:
                 c = a[0]
-                return _elem(f, tuple(c * x % p for x in b), db, other._v)
-            a, v = base.cancel(a, base.vector(other))
-        elif db == _ONE:
-            if len(b) == 1:
-                c = b[0]
-                return _elem(f, tuple(c * x % p for x in a), da, self._v)
-            b, v = base.cancel(b, base.vector(self))
-        else:
-            return _frac(f, *base.cancel(_pmul(a, b, p), _vadd(*base.vectors((self, other)))))
-        return _frac(f, _pmul(a, b, p), v)
+                return _elem(f, tuple(c * x % p for x in b), db)
+        elif db == _ONE and len(b) == 1:
+            c = b[0]
+            return _elem(f, tuple(c * x % p for x in a), da)
+        if db != _ONE:
+            a, db = _cancel(a, db, p)
+        if da != _ONE:
+            b, da = _cancel(b, da, p)
+        den = db if da == _ONE else da if db == _ONE else _pmul(da, db, p)
+        return _elem(f, _pmul(a, b, p), den)
 
     __rmul__ = __mul__
 
@@ -859,8 +660,7 @@ class ResidueElem:
         f = self.field
         if self._b is None:
             return _elem(f, f._rinv(a))
-        # b/a is in lowest terms already: only its denominator is scaled
-        # monic, and its vector is left for the first caller that needs it
+        # b/a is in lowest terms already: only its denominator is scaled monic
         if a[-1] != 1:
             inv = pow(a[-1], -1, f.p)
             return _elem(f, tuple(c * inv % f.p for c in self._b), _pmonic(a, f.p))
@@ -915,31 +715,17 @@ _new_elem = object.__new__
 _set_field = ResidueElem.field.__set__
 _set_a = ResidueElem._a.__set__
 _set_b = ResidueElem._b.__set__
-_set_v = ResidueElem._v.__set__
 
 
-def _elem(field, a, b=None, v=None):
+def _elem(field, a, b=None):
     """A ResidueElem from its representation: the code a of an F_q
-    element, or the canonical (num, den) = (a, b) of an F_p(u) element
-    and the cached ``_v`` of b.  It bypasses the immutability guard
-    through the slot descriptors."""
+    element, or the canonical (num, den) = (a, b) of an F_p(u) element.
+    It bypasses the immutability guard through the slot descriptors."""
     e = _new_elem(ResidueElem)
     _set_field(e, field)
     _set_a(e, a)
     _set_b(e, b)
-    _set_v(e, v)
     return e
-
-
-def _frac(field, num, v):
-    """The element num / B^v of F_p(u), for num / B^v in lowest terms
-    over the current base of ``field``."""
-    if not num:
-        return field._zero
-    if not v:
-        return _elem(field, num, _ONE)
-    base = field._base
-    return _elem(field, num, base.expand(v), (base.count, v))
 
 
 def _zero_pow(n):
@@ -996,21 +782,18 @@ def dot_coeffs(field, pairs, bound):
     No element arithmetic runs in the loop: F_p sums plain ints and
     reduces mod p once per output exponent; F_q (m >= 2) multiplies
     codes through the log table and adds them through the Zech table,
-    code 0 meaning "nothing yet".  F_p(u) keeps, per exponent and product
-    denominator, one list of plain ints into which each numerator
-    convolution is added unreduced; each list is reduced mod p and
-    trimmed once.  A product denominator is keyed by its vector over the
-    field's coprime base, the sum of its factors' vectors, so no
-    polynomial is multiplied to find it.  The groups are then joined over
-    the lcm, the elementwise max L of their vectors: a group of vector v
-    is multiplied by B^(L - v), a product of base powers, and one
-    ``_CoprimeBase.cancel`` per exponent reduces the sum.  Zero sums are
-    dropped.
+    code 0 meaning "nothing yet".  F_p(u) keeps, per exponent and pair
+    of factor denominators (d1, d2), one list of plain ints into which
+    each numerator convolution is added unreduced, so no polynomial is
+    multiplied to find a group; each list is reduced mod p and trimmed
+    once.  The groups are then joined over the lcm: with g = gcd(D, d),
+    N/D + n/d = (N*(d/g) + n*(D/g)) / (D*(d/g)), and one ``_rat`` per
+    exponent puts the sum in lowest terms.  Zero sums are dropped.
 
     One live pair with a one-term operand {e1: c} is a shift and a scale:
     the result is {e1 + e: c*x} over the other operand's terms below the
-    bound, a copy when c is one, with no accumulation, no coprime-base
-    vector and no cancel (a product of nonzero values is nonzero).
+    bound, a copy when c is one, with no accumulation and no gcd (a
+    product of nonzero values is nonzero).
     """
     if len(pairs) == 1:
         a, b = sorted(pairs[0], key=len)
@@ -1053,47 +836,42 @@ def dot_coeffs(field, pairs, bound):
                         e = e1 + e2
                         acc[e] = get(e, 0) + x * y
         return {e: r for e, s in acc.items() if (r := s % p)}
-    base = field._base
-    vectors = iter(base.vectors([c for ab in pairs for d in ab for c in d.values()]))
-    fracs = [[[(e, c._a, next(vectors)) for e, c in d.items()] for d in ab] for ab in pairs]
-    for a_fracs, b_fracs in fracs:
-        for e1, n1, v1 in a_fracs:
-            lim = bound - e1
-            for e2, n2, v2 in b_fracs:
+    for a, b in pairs:
+        b_fracs = [(e2, c._a, c._b) for e2, c in b.items()]
+        for e1, c1 in a.items():
+            n1, d1, lim = c1._a, c1._b, bound - e1
+            for e2, n2, d2 in b_fracs:
                 if e2 < lim:
                     e = e1 + e2
-                    den = v2 if not v1 else v1 if not v2 else _vadd(v1, v2)
                     groups = get(e)
                     if groups is None:
                         groups = acc[e] = {}
                     size = len(n1) + len(n2) - 1
-                    cur = groups.get(den)
+                    cur = groups.get((d1, d2))
                     if cur is None:
-                        cur = groups[den] = [0] * size
+                        cur = groups[d1, d2] = [0] * size
                     elif len(cur) < size:
                         cur += [0] * (size - len(cur))
                     for i, x in enumerate(n1):
                         if x:
                             for j, y in enumerate(n2, i):
                                 cur[j] += x * y
-    polys = base.polys
     out = {}
     for e, groups in acc.items():
-        terms = [(v, n) for v, cur in groups.items() if (n := _trim([c % p for c in cur]))]
-        if not terms:
-            continue
-        if base.polys is not polys:  # a cancel below split a base element
-            terms = [(base.current(v, polys), n) for v, n in terms]
-        lcm, num = terms[0]
-        if len(terms) > 1:
-            for v, _ in terms:
-                lcm = _vmax(lcm, v)
-            num = ()
-            for v, n in terms:
-                num = _padd(num, base.times(n, _vsub(lcm, v)), p)
-            if not num:
+        num, den = (), _ONE
+        for (d1, d2), cur in groups.items():
+            n = _trim([c % p for c in cur])
+            if not n:
                 continue
-        out[e] = _frac(field, *base.cancel(num, lcm)) if lcm else _elem(field, num, _ONE)
+            d = d2 if d1 == _ONE else d1 if d2 == _ONE else _pmul(d1, d2, p)
+            if not num:
+                num, den = n, d
+                continue
+            den_g, d_g = _cancel(den, d, p) if len(den) > 1 and len(d) > 1 else (den, d)
+            num = _padd(_pmul(num, d_g, p), _pmul(n, den_g, p), p)
+            den = _pmul(den, d_g, p)
+        if num:
+            out[e] = field._rat(num, den)
     return out
 
 

@@ -33,7 +33,6 @@ from ramify.fields import (
     _ONE,
     _digits,
     _elem,
-    _frac,
     _padd,
     _pgcd,
     _pmul,
@@ -42,7 +41,6 @@ from ramify.fields import (
     _prime_divisors,
     _psub,
     _trim,
-    _vadd,
 )
 from ramify.invariants import (
     Z_GROUP,
@@ -812,10 +810,11 @@ def assert_canonical(elem):
         assert poly_gcd(num, den, p) == (1,)
 
 
-# -- F_p(u) reduction by Euclid, before the coprime base -------------------------
+# -- F_p(u) reduction by Euclid, with long division -------------------------------
 # ``FieldSpec._rat`` and the F_p(u) branches of ``ResidueElem.__add__`` and
-# ``__mul__`` as they were, on (num, den) pairs, with the long division
-# ``_pdivmod`` was before it divided by linear polynomials synthetically.
+# ``__mul__`` on (num, den) pairs, without the shortcuts for a constant of
+# F_p, and with the long division ``_pdivmod`` was before it divided by
+# monic linear polynomials synthetically.
 
 _ONE = (1,)
 
@@ -891,28 +890,6 @@ def henrici_mul(p, x, y):
         b, da = euclid_cancel(b, da, p)
     den = db if da == _ONE else da if db == _ONE else _pmul(da, db, p)
     return _pmul(a, b, p), den
-
-
-def assert_base_consistent(field, elems=()):
-    """The coprime base of ``field`` is monic, squarefree and pairwise
-    coprime, and every element of ``elems`` whose cached vector is current
-    multiplies back to its denominator."""
-    p, base = field.p, field._base
-    polys = base.polys
-    for i, b in enumerate(polys):
-        assert len(b) > 1 and b[-1] == 1 and b == _trimmed(b)
-        deriv = _trimmed((k * c) % p for k, c in enumerate(b))[1:]
-        assert deriv and poly_gcd(b, deriv, p) == (1,)
-        for c in polys[i + 1:]:
-            assert poly_gcd(b, c, p) == (1,)
-    for x in elems:
-        cached = x._v
-        if cached is not None and cached[0] == base.count:
-            den = (1,)
-            for b, k in zip(polys, cached[1]):
-                for _ in range(k):
-                    den = poly_mul(den, b, p)
-            assert den == x._b
 
 
 # -- Rabin's irreducibility test, before the F_q tables certified their modulus --
@@ -1405,21 +1382,7 @@ FORMULA_CUTS = {
 
 def cancelling_mul(x, y):
     f = x.field
-    a, b = x._a, y._a
-    da, db = x._b, y._b
-    if not a or not b:
-        return f._zero
-    p = f.p
-    base = f._base
-    if da == _ONE:
-        if db == _ONE:
-            return _elem(f, _pmul(a, b, p), _ONE)
-        a, v = base.cancel(a, base.vector(y))
-    elif db == _ONE:
-        b, v = base.cancel(b, base.vector(x))
-    else:
-        return _frac(f, *base.cancel(_pmul(a, b, p), _vadd(*base.vectors((x, y)))))
-    return _frac(f, _pmul(a, b, p), v)
+    return _elem(f, *henrici_mul(f.p, (x._a, x._b), (y._a, y._b)))
 
 
 # -- the tokenizer, one match at a time -------------------------------------------------

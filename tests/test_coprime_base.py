@@ -1,11 +1,12 @@
-"""F_p(u) reduction over the per-field coprime base, against Euclid.
+"""F_p(u) fractions in lowest terms, against Euclid.
 
-``FieldSpec._rat``, element ``+`` and ``*`` and the F_p(u) kernel reduce
-through ``_CoprimeBase.cancel``; the oracles are copies of the gcd-based
-``_rat`` and Henrici ``+`` and ``*`` they replaced.  Canonical forms are
-unique, so the (num, den) pairs must be identical.  Each test starts
-from a field of its own, whose base is empty, so that the base holds
-reducible elements that a later operand forces to split.
+``FieldSpec._rat``, element ``+`` and ``*`` and the F_p(u) kernel put a
+fraction in lowest terms by gcds; the oracles are gcd-based copies of
+``_rat`` and Henrici ``+`` and ``*`` with long division and no shortcut
+for a constant of F_p.  Canonical forms are unique, so the (num, den)
+pairs must be identical.  Denominators include reducible polynomials
+(u^2+2 = (u+1)(u+2) over F_3) that an operand shares only a proper
+factor with.
 """
 
 import itertools
@@ -17,7 +18,6 @@ from ramify.fields import FieldSpec, _pdivmod, _pmul, _trim
 from ramify.series import LaurentSeries, dot
 
 from oracles import (
-    assert_base_consistent,
     assert_canonical,
     cancelling_mul,
     euclid_rat,
@@ -26,17 +26,12 @@ from oracles import (
     long_divmod,
 )
 
-_fresh = itertools.count()
-
-
-def fresh_field(p):
-    """F_p(u) under a variable name no other test uses: an empty base."""
-    return FieldSpec.rational(p, var=f"u{next(_fresh)}")
+FIELDS = {p: FieldSpec.rational(p) for p in (2, 3, 5)}
 
 
 # Small monic factors per p: linear and irreducible ones, and reducible
-# ones that a base may hold unsplit (u^2+2 = (u+1)(u+2) over F_3,
-# u^2+u = u(u+1) over F_2, u^2+4 = (u+1)(u+4) over F_5).
+# ones (u^2+2 = (u+1)(u+2) over F_3, u^2+u = u(u+1) over F_2,
+# u^2+4 = (u+1)(u+4) over F_5).
 FACTORS = {
     2: [(0, 1), (1, 1), (1, 1, 1), (1, 1, 0, 1), (0, 1, 1), (1, 0, 1, 1)],
     3: [(0, 1), (1, 1), (2, 1), (1, 0, 1), (2, 0, 1), (2, 2, 0, 1), (0, 2, 1)],
@@ -44,22 +39,13 @@ FACTORS = {
 }
 
 
-# Squarefree reducible polynomials: a base primed with their products holds
-# them unsplit until an operand shares a proper factor with one.
-REDUCIBLE = {
-    2: [(0, 1, 1), (0, 1, 1, 1), (1, 0, 0, 1)],
-    3: [(2, 0, 1), (0, 2, 1)],
-    5: [(4, 0, 1), (4, 0, 0, 1)],
-}
-
-
 @st.composite
-def factored(draw, p, max_degree=40, factors=FACTORS):
-    """A monic product of factors from factors[p], repeats included, of
+def factored(draw, p, max_degree=40):
+    """A monic product of factors from FACTORS[p], repeats included, of
     degree at most max_degree."""
     out = (1,)
     for _ in range(draw(st.integers(0, 8))):
-        f = draw(st.sampled_from(factors[p]))
+        f = draw(st.sampled_from(FACTORS[p]))
         for _ in range(draw(st.integers(1, 6))):
             if len(out) + len(f) - 2 > max_degree:
                 break
@@ -83,12 +69,9 @@ def fraction(draw, p):
 @given(data=st.data())
 @settings(max_examples=60, deadline=None)
 def test_rat_add_mul_and_dot_match_euclid(p, data):
-    """Over a base primed with products of reducible factors, ``_rat``,
-    ``+``, ``*``, the inverse and a one-pair ``dot`` give the canonical
-    pairs of the gcd-based code, and the base stays coprime."""
-    field = fresh_field(p)
-    for den in data.draw(st.lists(factored(p, 12, REDUCIBLE), max_size=2)):
-        field.from_polys((1,), den)  # the base now holds den's pieces unsplit
+    """``_rat``, ``+``, ``*``, the inverse and a one-pair ``dot`` give the
+    canonical pairs of the gcd-based code."""
+    field = FIELDS[p]
     raw = [data.draw(fraction(p)) for _ in range(3)]
     elems = []
     for num, den in raw:
@@ -120,9 +103,6 @@ def test_rat_add_mul_and_dot_match_euclid(p, data):
     }
     for c in result.coeffs.values():
         assert_canonical(c)
-        elems.append(c)
-    field._base.vectors(elems)
-    assert_base_consistent(field, elems)
 
 
 @pytest.mark.parametrize("p", [2, 3, 5])
@@ -131,98 +111,68 @@ def test_rat_add_mul_and_dot_match_euclid(p, data):
 def test_a_constant_of_f_p_scales_the_numerator_as_the_cancelling_product(p, data):
     """c * x and x * c, for c in {1, p - 1, random} of F_p and x in F_p(u),
     give the canonical pair of the product that cancelled c against x's
-    denominator; x's denominator and cached vector carry over, and the
-    vector stays valid, stamped or not."""
-    field = fresh_field(p)
-    for den in data.draw(st.lists(factored(p, 12, REDUCIBLE), max_size=2)):
-        field.from_polys((1,), den)
+    denominator, and x's denominator carries over."""
+    field = FIELDS[p]
     x = field._rat(*data.draw(fraction(p)))
-    if data.draw(st.booleans(), label="stamped"):
-        field._base.vector(x)
     c = field.from_int(data.draw(st.sampled_from([1, p - 1]) | st.integers(1, p - 1), label="c"))
-    products = []
     for left, right in ((c, x), (x, c)):
         got, want = left * right, cancelling_mul(left, right)
         assert (got._a, got._b) == (want._a, want._b)
         assert_canonical(got)
         if x:
-            assert got._b == x._b and got._v is x._v
-        products.append(got)
-    assert_base_consistent(field, [x, *products])
+            assert got._b == x._b
 
 
+F3u = FIELDS[3]
 U2_PLUS_2 = (2, 0, 1)  # (u+1)(u+2) over F_3
 
 
-def primed_f3():
-    """A fresh F_3(u) whose base is exactly {u^2+2}, unsplit, and the
-    element u/(u^2+2)."""
-    field = fresh_field(3)
-    x = field.from_polys((0, 1), U2_PLUS_2)
-    assert field._base.polys == [U2_PLUS_2]
-    assert (x._a, x._b) == ((0, 1), U2_PLUS_2)
-    return field, x
+def pair(x):
+    return x._a, x._b
 
 
 @pytest.mark.parametrize("path", ["mul", "rat", "dot"])
 def test_partial_split_of_a_reducible_base_element(path):
     """u/(u^2+2) * (u+1) = u/(u+2) over F_3: the numerator shares only
-    the factor u+1 with the base element u^2+2, which must split."""
-    field, x = primed_f3()
-    base = field._base
-    stamp = x._v
-    one_plus_u = field.from_polys((1, 1))
+    the factor u+1 with the reducible denominator u^2+2, which the gcd
+    splits into the part that cancels and the part that stays."""
+    x = F3u.from_polys((0, 1), U2_PLUS_2)
+    one_plus_u = F3u.from_polys((1, 1))
     if path == "mul":
         result = x * one_plus_u
     elif path == "rat":
-        result = field._rat((0, 1, 1), U2_PLUS_2)
+        result = F3u._rat((0, 1, 1), U2_PLUS_2)
     else:
-        # the exponent that cancels first splits u^2+2; the other one's
-        # group vectors, read before the split, are translated
-        a = LaurentSeries(field, {0: x, 1: field.from_polys((1,), U2_PLUS_2)}, 3)
-        b = LaurentSeries(field, {0: one_plus_u}, 3)
-        product = dot([(a, b)])
-        assert (product.coeff(1)._a, product.coeff(1)._b) == ((1,), (2, 1))
+        a = LaurentSeries(F3u, {0: x, 1: F3u.from_polys((1,), U2_PLUS_2)}, 3)
+        product = dot([(a, LaurentSeries(F3u, {0: one_plus_u}, 3))])
+        assert pair(product.coeff(1)) == ((1,), (2, 1))
         result = product.coeff(0)
-    assert (result._a, result._b) == ((0, 1), (2, 1))
+    assert pair(result) == ((0, 1), (2, 1))
     assert_canonical(result)
-    assert sorted(base.polys) == [(1, 1), (2, 1)] and base.count == 1
-    # x's vector was stamped before the split and is factored again
-    assert stamp[0] == 0 and x._v is stamp
-    assert base.vector(x) != stamp[1]
-    assert_base_consistent(field, [x, result])
 
 
 @pytest.mark.parametrize("path", ["add", "dot"])
 def test_a_sum_cancels_a_proper_factor_of_a_base_element(path):
     """u/(u^2+2) + 1/(u^2+2) = 1/(u+2) over F_3: both denominators are
-    the unsplit base element, and the sum shares only u+1 with it."""
-    field, x = primed_f3()
-    y = field.from_polys((1,), U2_PLUS_2)
+    the reducible u^2+2, and the sum u+1 shares only one factor with it."""
+    x, y = F3u.from_polys((0, 1), U2_PLUS_2), F3u.from_polys((1,), U2_PLUS_2)
     if path == "add":
         result = x + y
     else:
-        one = LaurentSeries(field, {0: field.one()}, 3)
-        pairs = [(LaurentSeries(field, {0: c}, 3), one) for c in (x, y)]
-        result = dot(pairs).coeff(0)
-    assert (result._a, result._b) == ((1,), (2, 1))
-    assert sorted(field._base.polys) == [(1, 1), (2, 1)]
-    field._base.vectors([x, y, result])
-    assert_base_consistent(field, [x, y, result])
+        one = LaurentSeries(F3u, {0: F3u.one()}, 3)
+        result = dot([(LaurentSeries(F3u, {0: c}, 3), one) for c in (x, y)]).coeff(0)
+    assert pair(result) == ((1,), (2, 1))
+    assert_canonical(result)
 
 
 def test_a_sum_carries_the_rest_of_its_lcm_across_a_split():
-    """1/(u^2+2) + 1/(u*(u^2+2)) = 1/(u*(u+2)) over F_3, with u after
-    u^2+2 in the base: cancelling the common part splits u^2+2, and the
-    part of the lcm that cannot cancel, u, moves to the finer base."""
-    field, _ = primed_f3()
-    y = field.from_polys((1,), (0, 2, 0, 1))  # u^3+2u = u*(u^2+2)
-    assert field._base.polys == [U2_PLUS_2, (0, 1)]
-    x = field.from_polys((1,), U2_PLUS_2)
-    result = x + y
-    assert (result._a, result._b) == ((1,), (0, 2, 1))
-    field._base.vectors([x, y, result])
-    assert_base_consistent(field, [x, y, result])
+    """1/(u^2+2) + 1/(u*(u^2+2)) = 1/(u*(u+2)) over F_3: the sum over the
+    lcm u*(u^2+2) shares u+1 with the common factor u^2+2, and the part
+    of the lcm that cannot cancel, u, stays in the denominator."""
+    x = F3u.from_polys((1,), U2_PLUS_2)
+    y = F3u.from_polys((1,), (0, 2, 0, 1))  # u^3+2u = u*(u^2+2)
+    for left, right in ((x, y), (y, x)):
+        assert pair(left + right) == ((1,), (0, 2, 1))
 
 
 @pytest.mark.parametrize("p", [2, 3, 5, 7])

@@ -660,13 +660,11 @@ def test_cached_elements_leave_no_reference_cycle():
         assert expr.evaluate({}, F3) == ({(("x", 1),): 1, (): 1}, {(("x", 6),): 1, (): 1})
         del x, expr
         assert gc.collect() == 0
-        # an F_p(u) element caches its denominator's vector over the
-        # field's coprime base; the base itself lives with the field
+        # F_p(u) arithmetic and the kernel keep nothing of their operands
         u = F2u.generator()
         x = (u + 1) / (u ** 3 + u + 1) ** 2
         s = LaurentSeries(F2u, {0: x, 1: x * x + 1 / u}, 4)
         dot([(s, s)])
-        assert x._v is not None and F2u._base.polys
         del u, x, s
         assert gc.collect() == 0
     finally:
