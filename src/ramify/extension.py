@@ -9,19 +9,24 @@ norm is coordinate 0 of x * sigma(P) and the inverse is sigma(P) over
 the norm), 1/alpha in closed form as (alpha^(p-1) - 1)/f, the trace
 from the power basis, valuations on L, the inductive difference
 operators, and the shape of the integral closure with its generators
-alpha^i * t^(A_i), one formula for every shape.  alpha^i for i < p is
+alpha^i * t^(e_i), one formula for every shape.  alpha^i for i < p is
 the i-th basis vector; it, the generators and 1/alpha are built
 coordinate by coordinate, with no product in L, each with the ``prec``
 the product rule gives its formula.  The inverse serves only the
 difference operators, which invert their denominators with it.
 
 An extension computes what it derives once, in one memo
-(``ASExtension._memo``), the shape of B included.  An element builds
-the columns of its multiplication matrix once (``LElement.columns``);
-its products, norm and inverse all read them.  ``LElement.powers`` is
-the one product chain for powers in L.  An element of L takes any
-operand of the series layer on either side: a series, or a scalar as
-a constant known below f's precision.
+(``ASExtension._memo``): its reduced presentation, its principal part,
+its classification, 1/alpha, 1/f, N(1/alpha) and N(1/alpha) * f, the
+generators of B, the refined form and the shape of B.  A report so
+inverts one series, the f of its principal part, and takes one norm,
+N(1/alpha).  The cuts of a report are not kept: ``invariants`` derives
+each from the shape on every read.  An element builds the columns of
+its multiplication matrix once (``LElement.columns``); its products,
+norm and inverse all read them.  ``LElement.powers`` is the one product
+chain for powers in L.  An element of L takes any operand of the series
+layer on either side: a series, or a scalar as a constant known below
+f's precision.
 
 One precision rule holds in L: a coordinate is known as far as the
 series it reads determine it, with no start bound.  A product
@@ -139,6 +144,12 @@ def reduce_to_best(f):
 # take 0.5 s together at p = 97 on a 2-core VM, Python 3.11
 P_LIMIT = 97
 
+# the largest Swan conductor an extension accepts, checked on the reduced
+# pole order.  A report's series hold swan + 1 terms, so its cost follows
+# swan: `t^-9999` at p = 97 takes 0.3 s and the dense
+# `t^-1 + t^-2 + ... + t^-9999` over F_2 3.6 s on a 2-core VM, Python 3.11
+SWAN_LIMIT = 10_000
+
 
 class ASExtension:
     """The extension defined by alpha^p - alpha = f, with its best form
@@ -157,6 +168,8 @@ class ASExtension:
         object.__setattr__(self, "p", field.p)
         object.__setattr__(self, "f", f)
         object.__setattr__(self, "best", reduce_to_best(f))
+        if self.best.swan > SWAN_LIMIT:
+            raise InvalidSpec(f"Swan conductor {self.best.swan} is above the limit {SWAN_LIMIT}")
         object.__setattr__(self, "_cache", {})
 
     def __setattr__(self, name, value):
@@ -250,7 +263,10 @@ class ASExtension:
         w = 1/f from ``inverse_f``, that is (-w, 0, ..., 0, w), built
         with the ``prec`` that ``dot`` gives that product for f's
         precision P: +-w below min(P + low(w), w.prec), the zeros below
-        min(P + low(w), w.prec + P)."""
+        min(P + low(w), w.prec + P).  It equals Cramer's rule on alpha in
+        value and knows each coordinate at least as far: the Laplace
+        expansion's N(alpha) loses the pole order of f, the closed form
+        does not, and it never raises where Cramer's rule succeeds."""
 
         def make():
             w = self.inverse_f()
@@ -422,9 +438,11 @@ class LElement:
         the one chain behind ``norm`` and ``inverse``.  P is built by
         doubling over the bits of p - 1, P_(a+b) = P_a * sigma^a(P_b)
         (the addition chain of Itoh and Tsujii, with sigma in place of
-        Frobenius), from ``__mul__`` and ``sigma``.  x * sigma(P) is the
-        whole orbit product N(x), which lies in K: its coordinate 0 is
-        one ``dot`` over x's columns, and the others are not formed.
+        Frobenius), from ``__mul__`` and ``sigma``: O(log p) products in
+        L, where a Laplace expansion takes 2^p - p - 1 dots.
+        x * sigma(P) is the whole orbit product N(x), which lies in K:
+        its coordinate 0 is one ``dot`` over x's columns, and the others
+        are not formed.
         On 1/alpha of a nontrivial extension and on the difference
         operators' denominators this is the Laplace determinant and
         Cramer's rule in value and ``prec``; on coordinates known to
@@ -486,21 +504,20 @@ class LElement:
             raise NotApplicable(
                 "coefficientwise valuation needs the reduced, nontrivial presentation"
             )
-        # with swan = num/den, every term times scale = p * den is an int
-        swan = self.ext.swan
-        num, scale = swan.numerator, self.ext.p * swan.denominator
+        # swan is an integer n, so every term times p is an int
+        n, p = int(self.ext.swan), self.ext.p
         least = min(
-            c.low_bound() * scale - i * num
+            c.low_bound() * p - i * n
             for i, c in enumerate(self.coeffs) if not c.is_zero_known()
         )
         for i, c in enumerate(self.coeffs):
-            bound = c.prec * scale - i * num
+            bound = c.prec * p - i * n
             if c.is_zero_known() and bound < least:
                 raise InsufficientPrecision(
                     f"coordinate {i} is zero on its known range; "
-                    f"only v >= {Fraction(bound, scale)} is certain"
+                    f"only v >= {Fraction(bound, p)} is certain"
                 )
-        return Fraction(least, scale)
+        return Fraction(least, p)
 
     def in_cut(self, cut):
         """Membership of the element in a fractional ideal of L given as
@@ -566,26 +583,35 @@ def classify(ext):
     return RamificationType.UNRAMIFIED
 
 
-class BasisDescription(NamedTuple):
-    """The shape of the integral closure B = sum_i A_i alpha^i over
-    A = k[[t]]: the one record that every ideal of B, the different and
-    the verifiers read.
+_Z = ValueGroup.discrete(1)
 
-    ``ext`` is the reduced presentation and ``group`` the value group of
-    L in v_K units.  ``cuts`` holds the coefficient ideals A_i as cuts
-    over the value group of K: wild, A_0 = A and A_i = {v > i*swan/p};
-    otherwise A_i = {v >= i*swan/p}, because B = A[alpha*t^(swan/p)] for
-    that unit.  Unramified, swan = 0 makes B = A[alpha] and every A_i is
-    A.  ``i_star`` is the index i >= 1 whose boundary element
-    alpha^i * t^(A_i) has the difference sigma(b) - b of least
-    valuation, A_i + (1-i)*swan/p.
+
+class BasisDescription(NamedTuple):
+    """The shape of the integral closure B = sum_i A * alpha^i * t^(e_i)
+    over A = k[[t]]: the one record that every ideal of B, the different
+    and the verifiers read.
+
+    ``ext`` is the reduced presentation, ``n`` its Swan conductor and
+    ``group`` the value group of L in v_K units.  ``e`` holds the
+    integer exponents of the coefficient ideals A_i = t^(e_i) * A: wild,
+    e_0 = 0 and e_i = floor(i*n/p) + 1, the least integer above i*n/p;
+    otherwise e_i = i*n/p, because B = A[alpha*t^(n/p)] for that unit.
+    Unramified, n = 0 makes B = A[alpha] and every e_i zero.  ``i_star``
+    is the index i >= 1 whose boundary element alpha^i * t^(e_i) has the
+    difference sigma(b) - b of least valuation, e_i + (1-i)*n/p.
     """
 
     kind: str
     ext: ASExtension
+    n: int
     group: ValueGroup
-    cuts: tuple
+    e: tuple
     i_star: int
+
+    @property
+    def cuts(self):
+        """The coefficient ideals A_i as cuts over the value group of K."""
+        return tuple(Cut.at_least(e, _Z) for e in self.e)
 
     def generators(self):
         """The boundary generators g_i = alpha^i * t^(e_i), with t^(e_i)
@@ -598,37 +624,37 @@ class BasisDescription(NamedTuple):
         field, prec = ext.field, ext.f.prec
         return [
             ext._basis_multiple(i, LaurentSeries.monomial(field, e, 1, max(prec, e + 1)), prec + e)
-            for i, e in enumerate(int(cut.value) for cut in self.cuts)
+            for i, e in enumerate(self.e)
         ]
 
 
 def integral_basis(ext):
-    """The one record of the shape of B, for every nontrivial extension:
-    wild cuts A_i = {v > i*swan/p} with A_0 = A, otherwise
-    A_i = {v >= i*swan/p}, which is A when unramified.  TrivialExtension
-    for a trivial extension, so it is also the guard of every operation
-    that needs a field extension.  The shape (``_shape``) is built once
-    and kept on the reduced presentation; the record, which holds the
-    extension, is rebuilt around it on each call."""
+    """The one record of the shape of B, for every nontrivial extension.
+    TrivialExtension for a trivial extension, so it is also the guard of
+    every operation that needs a field extension.  The shape (``_shape``)
+    is built once and kept on the reduced presentation; the record, which
+    holds the extension, is rebuilt around it on each call."""
     kind = ext.classification()
     if kind is RamificationType.TRIVIAL:
         raise TrivialExtension("operation needs a nontrivial extension")
     ext = ext.with_best_f()
-    shape = ext._memo("integral_basis", lambda: _shape(kind, ext.p, ext.swan / ext.p))
-    return BasisDescription(kind.value, ext, *shape)
+    n = int(ext.swan)
+    shape = ext._memo("integral_basis", lambda: _shape(kind, ext.p, n))
+    return BasisDescription(kind.value, ext, n, *shape)
 
 
-def _shape(kind, p, v0):
-    """(group, cuts, i_star) of ``integral_basis``, with v0 = swan/p."""
-    z = ValueGroup.discrete(1)
+def _shape(kind, p, n):
+    """(group, e, i_star) of ``integral_basis`` for the Swan conductor n:
+    i_star is the first index i >= 1 of least p*e_i + (1-i)*n, which is
+    p times the valuation of its boundary difference."""
     if kind is RamificationType.WILD:
         group = ValueGroup.discrete(Fraction(1, p))
-        cuts = (Cut.at_least(0, z),) + tuple(Cut.above(i * v0, z) for i in range(1, p))
+        e = (0,) + tuple(i * n // p + 1 for i in range(1, p))
     else:
-        group = z
-        cuts = tuple(Cut.at_least(i * v0, z) for i in range(p))
-    i_star = min(range(1, p), key=lambda i: cuts[i].value + (1 - i) * v0)
-    return group, cuts, i_star
+        group = _Z
+        e = tuple(i * (n // p) for i in range(p))
+    i_star = min(range(1, p), key=lambda i: p * e[i] + (1 - i) * n)
+    return group, e, i_star
 
 
 class DifferenceOperators:

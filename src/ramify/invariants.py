@@ -4,14 +4,11 @@ Cuts for ideals of B are expressed in v_K units throughout, so the
 value group of L is (1/p)Z in the wild case and Z otherwise, and
 taking norms scales cut values by p uniformly.  Every ideal of B is
 read from one record of its shape, ``integral_basis``: the value
-group, the coefficient ideals A_i of B = sum_i A_i alpha^i and the
-decisive index i_star, so no function here re-decides the shape,
-wild, ferocious or unramified (the ferocious formula with swan = 0).
-Each cut a report reads (the value group of L, H, J, I_sigma, N(J),
-the form's modulus, the different and the trace-dual cut) is derived
-from that record once per extension and kept, under its function's
-name, in the memo of the reduced presentation that keeps the shape;
-a later call, under any presentation, reads it there.
+group, the Swan conductor n, the integer exponents e_i of
+B = sum_i A * alpha^i * t^(e_i) and the decisive index i_star, so no
+function here re-decides the shape, wild, ferocious or unramified (the
+ferocious formula with n = 0).  Each cut is built from those integers
+on every call.
 """
 
 from __future__ import annotations
@@ -38,67 +35,50 @@ from .series import Cut, ValueGroup, dot, restrict_cut, series_in_cut
 Z_GROUP = ValueGroup.discrete(1)
 
 
-def _derived(ext, key, make):
-    """``make(basis)`` for the shape record ``basis = integral_basis(ext)``,
-    derived once per extension and kept under ``key`` on the reduced
-    presentation ``basis.ext``, in the memo that keeps the shape: the one
-    place a cut of a report is derived.  A read builds no record.  A
-    trivial extension raises TrivialExtension from ``integral_basis``."""
-    if ext.classification() is RamificationType.TRIVIAL:
-        integral_basis(ext)  # raises before with_best_f names a zero best form
-    reduced = ext.with_best_f()
-    return reduced._memo(key, lambda: make(integral_basis(reduced)))
-
-
 def value_group_of_l(ext):
     """Value group of L in v_K units, for a nontrivial extension."""
-    return _derived(ext, "value_group_of_l", lambda basis: basis.group)
+    return integral_basis(ext).group
 
 
 def ideal_h(ext):
     """The ideal of A generated by the inverses of the defining elements."""
     if ext.classification() is RamificationType.TRIVIAL:
         raise TrivialExtension("H is defined for nontrivial extensions")
-    return _derived(ext, "ideal_h", lambda basis: Cut.at_least(ext.swan, Z_GROUP))
+    return Cut.at_least(ext.swan, Z_GROUP)
 
 
 def ideal_j(ext):
     """The ideal of B generated by sigma(b)/b - 1; in the defectless
-    case it is generated by 1/alpha, of valuation swan/p."""
-    return _derived(ext, "ideal_j", lambda basis: Cut.at_least(ext.swan / ext.p, basis.group))
+    case it is generated by 1/alpha, of valuation n/p."""
+    basis = integral_basis(ext)
+    return Cut.at_least(Fraction(basis.n, ext.p), basis.group)
 
 
 def ideal_i_sigma(ext):
     """The ideal of B generated by sigma(b) - b.
 
     It is generated by the differences of the boundary elements
-    alpha^i * t^(A_i) of the coefficient ideals, so its value is the
-    least A_i + (1-i)*swan/p, attained at ``i_star``.  Ferocious, every
-    A_i = {v >= i*swan/p} gives swan/p, and the ideal equals J.
+    alpha^i * t^(e_i), so its value is the least e_i + (1-i)*n/p,
+    attained at ``i_star``.  Ferocious, every e_i = i*n/p gives n/p,
+    and the ideal equals J.
     """
-    def make(basis):
-        i = basis.i_star
-        return Cut.at_least(basis.cuts[i].value + (1 - i) * ext.swan / ext.p, basis.group)
-
-    return _derived(ext, "ideal_i_sigma", make)
+    basis = integral_basis(ext)
+    p, i = ext.p, basis.i_star
+    return Cut.at_least(Fraction(p * basis.e[i] + (1 - i) * basis.n, p), basis.group)
 
 
 def norm_of_j(ext):
     """The ideal of A generated by norms from J; values scale by p."""
-    return _derived(
-        ext, "norm_of_j", lambda basis: restrict_cut(ideal_j(basis.ext) ** ext.p, Z_GROUP)
-    )
+    return restrict_cut(ideal_j(ext) ** ext.p, Z_GROUP)
 
 
 def rsw_modulus(ext):
     """The comparison ideal for the differential form: all x with
-    v_K(x) >= ((p-1)/p) * swan, in the value group of K.  A trivial
-    extension has swan 0, so its modulus is A, and no record keeps it."""
-    if ext.classification() is RamificationType.TRIVIAL:
-        return Cut.at_least(0, Z_GROUP)
-    return _derived(
-        ext, "rsw_modulus", lambda basis: Cut.at_least((ext.p - 1) * ext.swan / ext.p, Z_GROUP)
-    )
+    v_K(x) >= ((p-1)/p) * n, in the value group of K, so the integer
+    cut n - floor(n/p).  A trivial extension has n = 0, so its modulus
+    is A."""
+    n = int(ext.swan)
+    return Cut.at_least(n - n // ext.p, Z_GROUP)
 
 
 class LogForm(NamedTuple):
@@ -145,20 +125,16 @@ def refined_swan(ext):
 def different_ideal(ext):
     """The different of B over A as a cut in v_K units.
 
-    Under the trace the dual of alpha^i has valuation -(p-1-i)*swan/p,
-    so the inverse different is the sum of the A_i^(-1) times these
-    duals, and the different is the cut at the largest
-    A_i + (p-1-i)*swan/p.  Ferocious, every term is (p-1)*swan/p, and
-    the different is J^(p-1).
+    Under the trace the dual of alpha^i has valuation -(p-1-i)*n/p, so
+    the inverse different is the sum of the t^(-e_i) times these duals,
+    and the different is the cut at the largest e_i + (p-1-i)*n/p.
+    Ferocious, every term is (p-1)*n/p, and the different is J^(p-1).
     """
-    def make(basis):
-        p = ext.p
-        v0 = ext.swan / p
-        return Cut.at_least(
-            max(cut.value + (p - 1 - i) * v0 for i, cut in enumerate(basis.cuts)), basis.group
-        )
-
-    return _derived(ext, "different_ideal", make)
+    basis = integral_basis(ext)
+    p, n = ext.p, basis.n
+    return Cut.at_least(
+        Fraction(max(p * e + (p - 1 - i) * n for i, e in enumerate(basis.e)), p), basis.group
+    )
 
 
 def trace_dual_cut(ext):
@@ -173,11 +149,8 @@ def trace_dual_cut(ext):
     Fields*, III §6, Cor. 2).  Taking norms scales cut values by p, so
     the different is the cut at 2 * sum e_k / p.
     """
-    def make(basis):
-        e_sum = sum(int(cut.value) for cut in basis.cuts)
-        return Cut.at_least(Fraction(2 * e_sum, ext.p), basis.group)
-
-    return _derived(ext, "trace_dual_cut", make)
+    basis = integral_basis(ext)
+    return Cut.at_least(Fraction(2 * sum(basis.e), ext.p), basis.group)
 
 
 def boundary_generator(ext):

@@ -249,7 +249,8 @@ class LaurentSeries:
     @property
     def coeffs(self):
         """A fresh dict from exponents to the nonzero coefficients as
-        ResidueElems, built on every access."""
+        ResidueElems, built on every access: changing it leaves the
+        series unchanged, and library code does not read it in a loop."""
         from_raw = self.field._from_raw
         return {e: from_raw(c) for e, c in self._raw.items()}
 

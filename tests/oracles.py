@@ -1314,9 +1314,9 @@ def fraction_cut(value, closed, group):
     return value, closed
 
 
-# -- the cuts of a report, derived on every call --------------------------------------
-# The public cut functions of ``invariants`` as they were before each cut was kept
-# on the reduced presentation: every call read the shape record again.
+# -- the cuts of a report, in Fraction arithmetic ----------------------------------------
+# The public cut functions of ``invariants`` as they read the shape record before it
+# held integer exponents: through the Fraction values of its cuts and swan/p.
 
 
 def formula_value_group_of_l(ext):

@@ -128,3 +128,67 @@ def test_the_schema_accepts_what_the_tool_writes_and_rejects_a_broken_file():
         breaks(doc)
         with pytest.raises(ValueError):
             ab.validate(doc)
+
+
+# -- work counts ------------------------------------------------------------------------
+
+
+def leaf():
+    pass
+
+
+def kernel(pairs):
+    leaf()
+
+
+def three_kernel_calls():
+    for _ in range(3):
+        kernel([({1: 1, 2: 2}, {3: 3}), ({}, {4: 4})])
+
+
+def test_the_counts_of_a_fixed_run():
+    counts = ab.count_calls(three_kernel_calls, {"kernel": kernel, "gone": None}, kernel)
+    # the run itself, three kernel calls and three leaf calls
+    assert counts == {"python_calls": 7, "pair_terms": 3 * (2 * 1 + 0 * 1),
+                      "kernel": 3, "gone": None}
+    assert ab.count_calls(three_kernel_calls, {"leaf": leaf}) == {
+        "python_calls": 7, "pair_terms": 0, "leaf": 3}
+
+
+def test_count_ratios_are_head_over_base_and_one_when_equal():
+    base = {"python_calls": 200, "pair_terms": 0, "series.dot": 0, "LElement.sigma": None}
+    head = {"python_calls": 150, "pair_terms": 0, "series.dot": 5, "LElement.sigma": 4}
+    assert ab.count_ratios(base, head) == {
+        "python_calls": 0.75, "pair_terms": 1.0, "series.dot": None, "LElement.sigma": None}
+    assert set(ab.count_ratios(base, base).values()) == {1.0, None}
+
+
+def side_counts(calls):
+    return {"python_calls": calls, "pair_terms": 10, **{name: 2 for name in ab.KERNELS}}
+
+
+def counted_bench_file():
+    doc = bench_file()
+    base, head = side_counts(100), side_counts(90)
+    doc["counts"] = {"ferocious_fpu": {"1": {
+        "base": base, "head": head, "ratio": ab.count_ratios(base, head)}}}
+    return doc
+
+
+def test_the_schema_checks_the_counts():
+    doc = counted_bench_file()
+    ab.validate(doc)
+    assert doc["counts"]["ferocious_fpu"]["1"]["ratio"]["python_calls"] == 0.9
+    for breaks in (
+        lambda doc: doc["counts"]["ferocious_fpu"].clear(),
+        lambda doc: doc["counts"]["ferocious_fpu"]["1"].pop("ratio"),
+        lambda doc: doc["counts"]["ferocious_fpu"]["1"]["base"].pop("series.dot"),
+        lambda doc: doc["counts"]["ferocious_fpu"]["1"]["head"].update(pair_terms=-1),
+        lambda doc: doc["counts"]["ferocious_fpu"]["1"]["head"].update(pair_terms=1.5),
+        lambda doc: doc["counts"]["ferocious_fpu"]["1"]["base"].update(python_calls=0),
+        lambda doc: doc["counts"]["ferocious_fpu"]["1"]["ratio"].update(python_calls=1.0),
+    ):
+        doc = copy.deepcopy(counted_bench_file())
+        breaks(doc)
+        with pytest.raises(ValueError):
+            ab.validate(doc)

@@ -15,7 +15,7 @@ from hypothesis import given, settings, strategies as st
 
 from ramify.cli import main, make_parser
 from ramify.errors import FieldLiteralError, InvalidSpec, ParseError
-from ramify.extension import P_LIMIT, ASExtension
+from ramify.extension import P_LIMIT, SWAN_LIMIT, ASExtension
 from ramify.fields import FieldSpec
 from ramify.parsing import (
     NESTING_LIMIT,
@@ -159,6 +159,27 @@ def test_large_characteristic_exits_two_at_once(capsys):
         ASExtension(big, parse_series("t^-1", big, 2))
     top = FieldSpec.finite(P_LIMIT)
     assert ASExtension(top, parse_series("t^-1", top, 2)).swan == 1
+
+
+def test_swan_conductor_above_the_limit_exits_two_at_once(capsys):
+    # a report's cost follows its Swan conductor, so an unbounded pole
+    # order would run until it is killed; the bound is on the reduced
+    # pole order, wild or ferocious
+    for field, f in (
+        ("Fp:2", f"t^-{SWAN_LIMIT + 1}"),
+        ("Fp:2", "t^-999999999999"),
+        ("Fp(u):2", f"u*t^-{SWAN_LIMIT + 2}"),
+    ):
+        start = time.perf_counter()
+        code, out = run_cli(["analyze", "--field", field, "--f", f, "--prec", "8"], capsys)
+        assert code == 2 and out.startswith("error: ") and f"above the limit {SWAN_LIMIT}" in out
+        assert time.perf_counter() - start < 1.0
+    # t^-(2^40) over F_2 reduces to t^-1, not refused for its literal
+    code, out = run_cli(["analyze", "--field", "Fp:2", "--f", "t^-1099511627776", "--prec", "8"],
+                        capsys)
+    assert code == 0 and "best f:         t^-1\n" in out
+    f3 = FieldSpec.finite(3)
+    assert ASExtension(f3, parse_series(f"t^-{SWAN_LIMIT}", f3, 2)).swan == SWAN_LIMIT
 
 
 def test_precision_above_the_limit_exits_two_at_once(capsys):

@@ -63,6 +63,7 @@ from oracles import (
     gram_trace_dual_cut,
     integral_sample,
     lefschetz_minimum,
+    per_kind_generators,
     random_element,
     random_series,
     report_principality_chain,
@@ -489,17 +490,17 @@ def test_diagram_grid():
 ], ids=["wild-Fp3", "wild-Fp5", "ferocious-Fp(u)3"])
 @pytest.mark.parametrize("offset, ok", [(-1, False), (0, True)], ids=["below", "at"])
 def test_a_moved_top_cut_fails_norm_additivity(monkeypatch, make, offset, ok):
-    """A mutant shape of B with A_(p-1) at least(I_sigma & A) + offset,
-    the other cuts and i_star kept, has Tr(B) = t^(A_(p-1)) * A: one
+    """A mutant shape of B with e_(p-1) at least(I_sigma & A) + offset,
+    the other exponents and i_star kept, has Tr(B) = t^(e_(p-1)) * A: one
     below I_sigma & A fails the additivity check, at it passes.  i_star
     is not p - 1 here, so the mutant leaves I_sigma as it was.  The shape
     is memoised, so the mutant is read by a fresh extension."""
     real_shape = extension._shape
 
-    def moved(kind, p, v0):
-        group, cuts, i_star = real_shape(kind, p, v0)
-        least = math.ceil(cuts[i_star].value + (1 - i_star) * v0)
-        return group, cuts[:-1] + (Cut.at_least(least + offset, Z),), i_star
+    def moved(kind, p, n):
+        group, e, i_star = real_shape(kind, p, n)
+        least = math.ceil(Fraction(p * e[i_star] + (1 - i_star) * n, p))
+        return group, e[:-1] + (least + offset,), i_star
 
     monkeypatch.setattr(extension, "_shape", moved)
     ext = make()
@@ -607,21 +608,21 @@ def test_the_generators_cut_out_i_sigma_and_j(ext):
     (lambda: ASExtension(F3, parse_series("2 + t", F3, 16)), 1, 1),  # unramified
 ], ids=["wild-Fp3", "wild-Fp5", "ferocious-Fp(u)3", "unramified-Fp3"])
 def test_a_moved_coefficient_ideal_fails_the_product_rules(monkeypatch, make, index, step):
-    """A mutant shape of B, with the cut A_index moved by one step of Z,
-    gives generators whose cut is not the formula's: the check fails.
-    The shape is memoised, so the mutant is read by a fresh extension."""
+    """A mutant shape of B, with the exponent e_index moved by one step
+    of Z, gives generators whose cut is not the formula's: the check
+    fails.  The shape is memoised, so the mutant is read by a fresh
+    extension."""
     real_shape = extension._shape
 
-    def moved(kind, p, v0):
-        group, cuts, i_star = real_shape(kind, p, v0)
-        cuts = list(cuts)
-        cuts[index] = Cut.at_least(cuts[index].value + step, Z)
-        return group, tuple(cuts), i_star
+    def moved(kind, p, n):
+        group, e, i_star = real_shape(kind, p, n)
+        e = list(e)
+        e[index] += step
+        return group, tuple(e), i_star
 
     monkeypatch.setattr(extension, "_shape", moved)
     ext = make()
-    assert integral_basis(ext).cuts != real_shape(
-        ext.classification(), ext.p, ext.swan / ext.p)[1]
+    assert integral_basis(ext).e != real_shape(ext.classification(), ext.p, int(ext.swan))[1]
     assert not check_difference_product_rules(ext).ok
 
 
@@ -705,8 +706,8 @@ def cut_outcome(cut_of, ext):
 )
 def test_each_kept_cut_is_the_formula_it_replaced(case, n, prec, form, seed):
     """On the fields of the selftest grid, each public cut function, read
-    twice, gives what its formula gave when every call derived it: the
-    same value, closedness and group, or the same error and message.
+    twice, gives what its Fraction formula gives: the same value,
+    closedness and group, or the same error and message.
     Poles of order 0 to 9, so unramified and trivial extensions too,
     presented by f_best (best), by f_best + h^p - h (presented) and by
     h^p - h, whose best form is zero; the reduced presentation too."""
@@ -734,6 +735,66 @@ def test_each_kept_cut_is_the_formula_it_replaced(case, n, prec, form, seed):
             want = cut_outcome(formula, ASExtension(field, asked.f))
             for _ in range(2):
                 assert cut_outcome(getattr(invariants, name), asked) == want, name
+
+
+LARGE_P = (7, 11, 13, 97)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.sampled_from(LARGE_P), st.sampled_from(["wild", "ferocious", "unramified"]),
+    st.integers(1, 300), st.integers(1, 24), st.booleans(), st.integers(0, 2**32),
+)
+@example(97, "wild", 300, 1, False, 0)
+@example(97, "ferocious", 300, 24, True, 0)
+@example(7, "unramified", 1, 1, True, 0)
+def test_each_cut_is_its_formula_at_large_p_and_swan(p, kind, n, prec, presented, seed):
+    """Beyond the selftest fields, at p up to 97 and Swan conductors up to
+    about 300, each public cut function gives what its Fraction formula
+    gives, and the generators are the per-kind ones: wild over F_p with
+    n coprime to p, ferocious over F_p(u) with n a multiple of p and
+    residue u, and unramified over F_p, each presented by f_best or by
+    f_best + h^p - h.  i_star is the first least key p*e_i + (1-i)*n:
+    wild, the keys p + n - (i*n mod p) are distinct; ferocious and
+    unramified, every key is n, so the first index, 1, is taken."""
+    rng = random.Random(seed)
+    field = FieldSpec.rational(p) if kind == "ferocious" else FieldSpec.finite(p)
+    if kind == "wild":
+        n += n % p == 0
+        coeffs = {-n: random_element(field, rng) or field.one()}
+    elif kind == "ferocious":
+        n = p * -(-n // p)
+        coeffs = {-n: field.generator()}
+    else:
+        n = 0
+        coeffs = {0: field.from_int(rng.randrange(1, p))}
+    for e in range(1 - n, 2):
+        if e and rng.random() < 0.3:
+            coeffs[e] = random_element(field, rng, max_degree=1)
+    f = LaurentSeries(field, {e: c for e, c in coeffs.items() if not c.is_zero()}, prec)
+    if presented:
+        h = random_series(field, rng, -3, -1, prec + 3 * p)
+        f = f + h ** p - h
+    ext = ASExtension(field, f)
+    assert ext.classification().value == kind and ext.swan == n
+    basis = integral_basis(ext)
+    # the shape as Fraction cuts: wild, A_0 = A and A_i = {v > i*n/p};
+    # otherwise A_i = {v >= i*n/p}
+    if kind == "wild":
+        cuts = (Cut.at_least(0, Z),) + tuple(Cut.above(Fraction(i * n, p), Z) for i in range(1, p))
+    else:
+        cuts = tuple(Cut.at_least(Fraction(i * n, p), Z) for i in range(p))
+    assert basis.cuts == cuts and basis.e == tuple(int(cut.value) for cut in cuts)
+    keys = [p * e + (1 - i) * n for i, e in enumerate(basis.e)][1:]
+    assert basis.i_star == 1 + keys.index(min(keys))
+    assert len(set(keys)) == (p - 1 if kind == "wild" else 1)
+    for name, formula in FORMULA_CUTS.items():
+        for asked in (ext, basis.ext):
+            want = cut_outcome(formula, ASExtension(field, asked.f))
+            assert cut_outcome(getattr(invariants, name), asked) == want, name
+    for got, want in zip(basis.generators(), per_kind_generators(basis), strict=True):
+        for a, b in zip(got.coeffs, want.coeffs):
+            assert a.prec >= b.prec and a.truncate(b.prec) == b
 
 
 NORM_FIELDS = tuple(

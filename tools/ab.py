@@ -1,7 +1,7 @@
 """Paired A/B runs of the benchmark between two versions of the code.
 
     python3 tools/ab.py --base REF [--head REF] --out BENCH_<pr>.json \\
-        [--workloads W1,W2] [--seeds 1,K] [--pairs N] [--seconds S]
+        [--workloads W1,W2] [--seeds 1,K] [--pairs N] [--seconds S] [--counts]
 
 Each side is ``git archive``d into its own temporary directory: ``--base``
 and ``--head`` name commits, and without ``--head`` the head side is the
@@ -27,11 +27,24 @@ line ``perfbench/run.py`` writes to stderr.  A run that times a few
 tenths of a second is moved by the machine's load, so these say how far
 its figures can be trusted.  The file also records both commits and
 trees, the Python version and the number of usable processors.
+
+With ``--counts`` the file also holds ``counts``: per workload and seed,
+one child per side runs that seed's configurations, from the side's own
+``perfbench/workloads.generate``, through ``ramify.cli.main`` under a
+counting profiler (``count_calls``).  It records the Python calls in
+total, the calls of each kernel in ``KERNELS``, and ``pair_terms``, the
+sum of len(a) * len(b) over the pairs ``fields.dot_coeffs`` receives.
+These are exact and repeat from run to run, so they resolve a change of
+work that time on a busy machine cannot; ``ratio`` is head over base,
+exactly 1 when both sides run the same code.
 """
 
 from __future__ import annotations
 
 import argparse
+import collections
+import contextlib
+import io
 import json
 import os
 import platform
@@ -46,6 +59,16 @@ RUN_TIMEOUT_S = 1800
 # fewer pairs than this claim no gain, whatever they read
 MIN_GAIN_PAIRS = 10
 SIDES = ("base", "head")
+# the kernels whose calls ``--counts`` records: name -> (module, attribute path)
+KERNELS = {
+    "series.dot": ("series", "dot"),
+    "fields.dot_coeffs": ("fields", "dot_coeffs"),
+    "series.linear_combination": ("series", "linear_combination"),
+    "LaurentSeries.inverse": ("series", "LaurentSeries.inverse"),
+    "LElement.__mul__": ("extension", "LElement.__mul__"),
+    "LElement.sigma": ("extension", "LElement.sigma"),
+}
+COUNT_KEYS = {"python_calls", "pair_terms", *KERNELS}
 
 
 def _git(*args, cwd=ROOT, text=True):
@@ -88,6 +111,89 @@ def run_once(checkout, workload, seed, seconds):
     detail = json.loads(proc.stderr.strip().splitlines()[-1])
     result["work"] = {"loop_s": detail["wall"]["loop_s"], "samples": detail["samples"]}
     return result
+
+
+def count_calls(run, kernels, dot_coeffs=None):
+    """The counts of one call of ``run()`` under a profiler that sees
+    every Python call: ``python_calls`` in total, the calls of each
+    function in ``kernels`` (name -> function, or None for a name the
+    code lacks, counted as None), and ``pair_terms``, the sum of
+    len(a) * len(b) over the (a, b) pairs each call of ``dot_coeffs``
+    receives."""
+    calls = collections.Counter()
+    pair_terms = 0
+    dot_code = getattr(dot_coeffs, "__code__", None)
+
+    def profile(frame, event, arg):
+        nonlocal pair_terms
+        if event == "call":
+            calls[frame.f_code] += 1
+            if frame.f_code is dot_code:
+                pair_terms += sum(len(a) * len(b) for a, b in frame.f_locals["pairs"])
+
+    sys.setprofile(profile)
+    try:
+        run()
+    finally:
+        sys.setprofile(None)
+    return {
+        "python_calls": sum(calls.values()),
+        "pair_terms": pair_terms,
+        **{name: None if fn is None else calls[fn.__code__] for name, fn in kernels.items()},
+    }
+
+
+def count_child(checkout, workload, seed):
+    """Print, as JSON, the counts of one pass over seed ``seed``'s
+    configurations of ``workload``, run by the code in ``checkout``."""
+    import importlib
+
+    sys.path[:0] = [str(Path(checkout, "src")), str(Path(checkout, "perfbench"))]
+    import workloads
+
+    from ramify import cli
+
+    kernels = {}
+    for name, (module, path) in KERNELS.items():
+        fn = importlib.import_module(f"ramify.{module}")
+        for attr in path.split("."):
+            fn = getattr(fn, attr, None)
+        kernels[name] = fn
+    configs = workloads.generate(workload, int(seed))
+
+    def run():
+        with contextlib.redirect_stdout(io.StringIO()):
+            for config in configs:
+                cli.main(config["argv"])
+
+    print(json.dumps(count_calls(run, kernels, kernels["fields.dot_coeffs"])))
+
+
+def run_counts(checkout, workload, seed):
+    """The counts of ``count_child`` for one side, workload and seed, in a
+    child with a fixed hash seed, so that nothing but the code moves them."""
+    code = "import sys; sys.path.insert(0, sys.argv[1]); import ab; ab.count_child(*sys.argv[2:])"
+    argv = [sys.executable, "-c", code, str(ROOT / "tools"), str(checkout), workload, str(seed)]
+    proc = subprocess.run(argv, cwd=checkout, capture_output=True, text=True,
+                          timeout=RUN_TIMEOUT_S, env={**os.environ, "PYTHONHASHSEED": "0"})
+    if proc.returncode != 0:
+        raise RuntimeError(f"counting {workload} seed {seed} in {checkout} exited "
+                           f"{proc.returncode}: {proc.stderr.strip()[-500:]}")
+    return json.loads(proc.stdout.strip().splitlines()[-1])
+
+
+def count_ratios(base, head):
+    """{name: head / base} over the counts of both sides: exactly 1 where
+    they are equal, zeros included, and None where a side lacks the count
+    or only the base's is zero."""
+    def ratio(b, h):
+        if b is None or h is None:
+            return None
+        if b == h:
+            return 1.0
+        return h / b if b else None
+
+    return {name: ratio(base[name], head[name]) for name in base}
 
 
 def order(pair):
@@ -196,6 +302,19 @@ def validate(doc):
                 need(0 <= summary["wins"] <= doc["pairs"], f"{where} {name}: bad wins")
                 need(summary["verdict"] in ("within", "worse", "unresolved"),
                      f"{where} {name}: bad verdict")
+    for workload, seeds in doc.get("counts", {}).items():
+        need(seeds, f"counts of {workload} have no seeds")
+        for seed, counts in seeds.items():
+            where = f"counts of {workload} seed {seed}"
+            need(set(counts) == {*SIDES, "ratio"}, f"{where}: bad keys")
+            for side in SIDES:
+                need(set(counts[side]) == COUNT_KEYS
+                     and all(v is None or (isinstance(v, int) and v >= 0)
+                             for v in counts[side].values())
+                     and counts[side]["python_calls"] > 0,
+                     f"{where}: bad {side} counts")
+            need(counts["ratio"] == count_ratios(counts["base"], counts["head"]),
+                 f"{where}: ratio is not head over base")
 
 
 def main(argv=None):
@@ -208,6 +327,8 @@ def main(argv=None):
     parser.add_argument("--seeds", default="1")
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seconds", type=float, default=spec["run_seconds"])
+    parser.add_argument("--counts", action="store_true",
+                        help="also record each side's deterministic work counts")
     args = parser.parse_args(argv)
     if args.pairs < 1:
         parser.error("--pairs must be at least 1")
@@ -239,6 +360,13 @@ def main(argv=None):
                                       for side in SIDES), file=sys.stderr)
                 doc["results"].setdefault(workload, {})[str(seed)] = summarize(
                     runs, spec["end_to_end"])
+                if args.counts:
+                    counts = {side: run_counts(checkouts[side], workload, seed)
+                              for side in SIDES}
+                    counts["ratio"] = count_ratios(counts["base"], counts["head"])
+                    doc.setdefault("counts", {}).setdefault(workload, {})[str(seed)] = counts
+                    print(f"{workload} seed {seed} counts: python_calls ratio "
+                          f"{counts['ratio']['python_calls']}", file=sys.stderr)
     validate(doc)
     Path(args.out).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
     return 0
