@@ -44,6 +44,7 @@ from __future__ import annotations
 import argparse
 import collections
 import contextlib
+import importlib
 import io
 import json
 import os
@@ -146,8 +147,6 @@ def count_calls(run, kernels, dot_coeffs=None):
 def count_child(checkout, workload, seed):
     """Print, as JSON, the counts of one pass over seed ``seed``'s
     configurations of ``workload``, run by the code in ``checkout``."""
-    import importlib
-
     sys.path[:0] = [str(Path(checkout, "src")), str(Path(checkout, "perfbench"))]
     import workloads
 
