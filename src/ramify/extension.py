@@ -144,11 +144,16 @@ def reduce_to_best(f):
 # take 0.5 s together at p = 97 on a 2-core VM, Python 3.11
 P_LIMIT = 97
 
-# the largest Swan conductor an extension accepts, checked on the reduced
-# pole order.  A report's series hold swan + 1 terms, so its cost follows
-# swan: `t^-9999` at p = 97 takes 0.3 s and the dense
-# `t^-1 + t^-2 + ... + t^-9999` over F_2 3.6 s on a 2-core VM, Python 3.11
-SWAN_LIMIT = 10_000
+# the largest p * swan an extension accepts, so its Swan conductor is at
+# most SIZE_LIMIT // p, checked on the reduced pole order.  An element of
+# L is p series of up to about swan terms, and the norm of 1/alpha takes
+# O(log p) products in L of p^2 series products each, so a report costs
+# about (p * swan)^2, most at the largest p.  Worst accepted cases, on a
+# 2-core VM, Python 3.11: `t^-41 + t^-40` (1/f dense) at p = 97 takes
+# 3.6 s at any --prec, random coefficients on every exponent 1.9 s at
+# p = 13 and 4.0 s at p = 97.  Over F_p(u) a coefficient's degree grows with swan as well,
+# and the bound does not cover it: `u*t^-41 + t^-40` at p = 97 takes 35 s
+SIZE_LIMIT = 4_000
 
 
 class ASExtension:
@@ -168,8 +173,11 @@ class ASExtension:
         object.__setattr__(self, "p", field.p)
         object.__setattr__(self, "f", f)
         object.__setattr__(self, "best", reduce_to_best(f))
-        if self.best.swan > SWAN_LIMIT:
-            raise InvalidSpec(f"Swan conductor {self.best.swan} is above the limit {SWAN_LIMIT}")
+        limit = SIZE_LIMIT // field.p
+        if self.best.swan > limit:
+            raise InvalidSpec(
+                f"Swan conductor {self.best.swan} is above the limit {limit} at p = {field.p}"
+            )
         object.__setattr__(self, "_cache", {})
 
     def __setattr__(self, name, value):
@@ -583,7 +591,8 @@ def classify(ext):
     return RamificationType.UNRAMIFIED
 
 
-_Z = ValueGroup.discrete(1)
+# the value group of K
+Z_GROUP = ValueGroup.discrete(1)
 
 
 class BasisDescription(NamedTuple):
@@ -611,7 +620,7 @@ class BasisDescription(NamedTuple):
     @property
     def cuts(self):
         """The coefficient ideals A_i as cuts over the value group of K."""
-        return tuple(Cut.at_least(e, _Z) for e in self.e)
+        return tuple(Cut.at_least(e, Z_GROUP) for e in self.e)
 
     def generators(self):
         """The boundary generators g_i = alpha^i * t^(e_i), with t^(e_i)
@@ -651,7 +660,7 @@ def _shape(kind, p, n):
         group = ValueGroup.discrete(Fraction(1, p))
         e = (0,) + tuple(i * n // p + 1 for i in range(1, p))
     else:
-        group = _Z
+        group = Z_GROUP
         e = tuple(i * (n // p) for i in range(p))
     i_star = min(range(1, p), key=lambda i: p * e[i] + (1 - i) * n)
     return group, e, i_star

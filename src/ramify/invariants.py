@@ -26,13 +26,12 @@ from .extension import (
     BestCase,
     LaurentSeries,
     RamificationType,
+    Z_GROUP,
     integral_basis,
     reduce_to_best,
 )
 from .records import encode
-from .series import Cut, ValueGroup, dot, restrict_cut, series_in_cut
-
-Z_GROUP = ValueGroup.discrete(1)
+from .series import Cut, dot, restrict_cut, series_in_cut
 
 
 def value_group_of_l(ext):

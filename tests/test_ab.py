@@ -85,14 +85,21 @@ METRICS = [
 ]
 
 
+def side_counts(calls):
+    return {"python_calls": calls, "pair_terms": 10, **{name: 2 for name in ab.KERNELS}}
+
+
 def bench_file():
     runs = [{"base": run_result(b), "head": run_result(h, correct=k != 3)}
             for k, (b, h) in enumerate(THROUGHPUT)]
     side = {"ref": "HEAD", "commit": "0" * 40, "tree": "1" * 40, "worktree": False}
+    base, head = side_counts(100), side_counts(90)
     return {
         "base": side, "head": dict(side, ref="working tree", worktree=True),
         "python": "3.11.7", "nproc": 2, "seconds": 20.0, "pairs": 10,
         "results": {"ferocious_fpu": {"1": ab.summarize(runs, METRICS)}},
+        "counts": {"ferocious_fpu": {"1": {
+            "base": base, "head": head, "ratio": ab.count_ratios(base, head)}}},
     }
 
 
@@ -163,24 +170,16 @@ def test_count_ratios_are_head_over_base_and_one_when_equal():
     assert set(ab.count_ratios(base, base).values()) == {1.0, None}
 
 
-def side_counts(calls):
-    return {"python_calls": calls, "pair_terms": 10, **{name: 2 for name in ab.KERNELS}}
-
-
-def counted_bench_file():
-    doc = bench_file()
-    base, head = side_counts(100), side_counts(90)
-    doc["counts"] = {"ferocious_fpu": {"1": {
-        "base": base, "head": head, "ratio": ab.count_ratios(base, head)}}}
-    return doc
-
-
 def test_the_schema_checks_the_counts():
-    doc = counted_bench_file()
+    doc = bench_file()
     ab.validate(doc)
     assert doc["counts"]["ferocious_fpu"]["1"]["ratio"]["python_calls"] == 0.9
     for breaks in (
+        lambda doc: doc.pop("counts"),
         lambda doc: doc["counts"]["ferocious_fpu"].clear(),
+        lambda doc: doc["counts"]["ferocious_fpu"].update(
+            {"2": doc["counts"]["ferocious_fpu"]["1"]}),
+        lambda doc: doc["counts"].update(tower_identity=doc["counts"]["ferocious_fpu"]),
         lambda doc: doc["counts"]["ferocious_fpu"]["1"].pop("ratio"),
         lambda doc: doc["counts"]["ferocious_fpu"]["1"]["base"].pop("series.dot"),
         lambda doc: doc["counts"]["ferocious_fpu"]["1"]["head"].update(pair_terms=-1),
@@ -188,7 +187,7 @@ def test_the_schema_checks_the_counts():
         lambda doc: doc["counts"]["ferocious_fpu"]["1"]["base"].update(python_calls=0),
         lambda doc: doc["counts"]["ferocious_fpu"]["1"]["ratio"].update(python_calls=1.0),
     ):
-        doc = copy.deepcopy(counted_bench_file())
+        doc = copy.deepcopy(bench_file())
         breaks(doc)
         with pytest.raises(ValueError):
             ab.validate(doc)

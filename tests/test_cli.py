@@ -15,7 +15,7 @@ from hypothesis import given, settings, strategies as st
 
 from ramify.cli import main, make_parser
 from ramify.errors import FieldLiteralError, InvalidSpec, ParseError
-from ramify.extension import P_LIMIT, SWAN_LIMIT, ASExtension
+from ramify.extension import P_LIMIT, SIZE_LIMIT, ASExtension
 from ramify.fields import FieldSpec
 from ramify.parsing import (
     NESTING_LIMIT,
@@ -162,24 +162,32 @@ def test_large_characteristic_exits_two_at_once(capsys):
 
 
 def test_swan_conductor_above_the_limit_exits_two_at_once(capsys):
-    # a report's cost follows its Swan conductor, so an unbounded pole
-    # order would run until it is killed; the bound is on the reduced
-    # pole order, wild or ferocious
+    # a report costs about (p * swan)^2, so an unbounded pole order would
+    # run until it is killed; the bound is SIZE_LIMIT // p on the reduced
+    # pole order, wild or ferocious, and above p = 61 it refuses every
+    # ferocious extension, whose Swan conductor is at least p
     for field, f in (
-        ("Fp:2", f"t^-{SWAN_LIMIT + 1}"),
+        ("Fp:2", f"t^-{SIZE_LIMIT // 2 + 1}"),
         ("Fp:2", "t^-999999999999"),
-        ("Fp(u):2", f"u*t^-{SWAN_LIMIT + 2}"),
+        ("Fp(u):2", f"u*t^-{SIZE_LIMIT // 2 + 2}"),
+        ("Fp:97", "t^-42 + t^-41"),
+        ("Fp(u):67", "u*t^-67"),
     ):
+        p = int(field.split(":")[1])
         start = time.perf_counter()
         code, out = run_cli(["analyze", "--field", field, "--f", f, "--prec", "8"], capsys)
-        assert code == 2 and out.startswith("error: ") and f"above the limit {SWAN_LIMIT}" in out
+        assert code == 2 and out.startswith("error: ")
+        assert f"above the limit {SIZE_LIMIT // p} at p = {p}" in out
         assert time.perf_counter() - start < 1.0
     # t^-(2^40) over F_2 reduces to t^-1, not refused for its literal
     code, out = run_cli(["analyze", "--field", "Fp:2", "--f", "t^-1099511627776", "--prec", "8"],
                         capsys)
     assert code == 0 and "best f:         t^-1\n" in out
-    f3 = FieldSpec.finite(3)
-    assert ASExtension(f3, parse_series(f"t^-{SWAN_LIMIT}", f3, 2)).swan == SWAN_LIMIT
+    for p, f in ((3, f"t^-{SIZE_LIMIT // 3}"), (97, "t^-41 + t^-40")):
+        field = FieldSpec.finite(p)
+        assert ASExtension(field, parse_series(f, field, 2)).swan == SIZE_LIMIT // p
+    fpu = FieldSpec.rational(61)
+    assert ASExtension(fpu, parse_series("u*t^-61", fpu, 2)).swan == 61
 
 
 def test_precision_above_the_limit_exits_two_at_once(capsys):

@@ -737,7 +737,7 @@ def test_each_kept_cut_is_the_formula_it_replaced(case, n, prec, form, seed):
                 assert cut_outcome(getattr(invariants, name), asked) == want, name
 
 
-LARGE_P = (7, 11, 13, 97)
+LARGE_P = (7, 11, 13, 61, 97)
 
 
 @settings(max_examples=40, deadline=None)
@@ -746,24 +746,33 @@ LARGE_P = (7, 11, 13, 97)
     st.integers(1, 300), st.integers(1, 24), st.booleans(), st.integers(0, 2**32),
 )
 @example(97, "wild", 300, 1, False, 0)
+@example(61, "ferocious", 300, 24, True, 0)
 @example(97, "ferocious", 300, 24, True, 0)
 @example(7, "unramified", 1, 1, True, 0)
 def test_each_cut_is_its_formula_at_large_p_and_swan(p, kind, n, prec, presented, seed):
     """Beyond the selftest fields, at p up to 97 and Swan conductors up to
-    about 300, each public cut function gives what its Fraction formula
-    gives, and the generators are the per-kind ones: wild over F_p with
-    n coprime to p, ferocious over F_p(u) with n a multiple of p and
-    residue u, and unramified over F_p, each presented by f_best or by
-    f_best + h^p - h.  i_star is the first least key p*e_i + (1-i)*n:
-    wild, the keys p + n - (i*n mod p) are distinct; ferocious and
-    unramified, every key is n, so the first index, 1, is taken."""
+    the bound SIZE_LIMIT // p (571 at p = 7, 41 at p = 97), each public
+    cut function gives what its Fraction formula gives, and the
+    generators are the per-kind ones: wild over F_p with n coprime to p,
+    ferocious over F_p(u) with n a multiple of p and residue u, and
+    unramified over F_p, each presented by f_best or by f_best + h^p - h.
+    A ferocious n is at least p, so above p = 61 none is accepted.
+    i_star is the first least key p*e_i + (1-i)*n: wild, the keys
+    p + n - (i*n mod p) are distinct; ferocious and unramified, every
+    key is n, so the first index, 1, is taken."""
     rng = random.Random(seed)
     field = FieldSpec.rational(p) if kind == "ferocious" else FieldSpec.finite(p)
+    n = min(n, extension.SIZE_LIMIT // p)
     if kind == "wild":
-        n += n % p == 0
+        n -= n % p == 0
         coeffs = {-n: random_element(field, rng) or field.one()}
     elif kind == "ferocious":
-        n = p * -(-n // p)
+        if p * p > extension.SIZE_LIMIT:
+            limit = extension.SIZE_LIMIT // p
+            with pytest.raises(InvalidSpec, match=f"above the limit {limit} at p = {p}"):
+                ASExtension(field, LaurentSeries.monomial(field, -p, field.generator(), prec))
+            return
+        n = p * max(1, n // p)
         coeffs = {-n: field.generator()}
     else:
         n = 0

@@ -1,7 +1,7 @@
 """Paired A/B runs of the benchmark between two versions of the code.
 
     python3 tools/ab.py --base REF [--head REF] --out BENCH_<pr>.json \\
-        [--workloads W1,W2] [--seeds 1,K] [--pairs N] [--seconds S] [--counts]
+        [--workloads W1,W2] [--seeds 1,K] [--pairs N] [--seconds S]
 
 Each side is ``git archive``d into its own temporary directory: ``--base``
 and ``--head`` name commits, and without ``--head`` the head side is the
@@ -28,8 +28,8 @@ tenths of a second is moved by the machine's load, so these say how far
 its figures can be trusted.  The file also records both commits and
 trees, the Python version and the number of usable processors.
 
-With ``--counts`` the file also holds ``counts``: per workload and seed,
-one child per side runs that seed's configurations, from the side's own
+The file also holds ``counts``: per workload and seed, one child per
+side runs that seed's configurations, from the side's own
 ``perfbench/workloads.generate``, through ``ramify.cli.main`` under a
 counting profiler (``count_calls``).  It records the Python calls in
 total, the calls of each kernel in ``KERNELS``, and ``pair_terms``, the
@@ -60,7 +60,7 @@ RUN_TIMEOUT_S = 1800
 # fewer pairs than this claim no gain, whatever they read
 MIN_GAIN_PAIRS = 10
 SIDES = ("base", "head")
-# the kernels whose calls ``--counts`` records: name -> (module, attribute path)
+# the kernels whose calls ``counts`` records: name -> (module, attribute path)
 KERNELS = {
     "series.dot": ("series", "dot"),
     "fields.dot_coeffs": ("fields", "dot_coeffs"),
@@ -271,7 +271,8 @@ def validate(doc):
         if not ok:
             raise ValueError(f"BENCH file: {what}")
 
-    need(set(doc) >= {"base", "head", "python", "nproc", "seconds", "pairs", "results"},
+    need(set(doc) >= {"base", "head", "python", "nproc", "seconds", "pairs", "results",
+                      "counts"},
          "missing top-level keys")
     for side in SIDES:
         need(set(doc[side]) == {"ref", "commit", "tree", "worktree"}, f"bad {side} record")
@@ -301,8 +302,10 @@ def validate(doc):
                 need(0 <= summary["wins"] <= doc["pairs"], f"{where} {name}: bad wins")
                 need(summary["verdict"] in ("within", "worse", "unresolved"),
                      f"{where} {name}: bad verdict")
-    for workload, seeds in doc.get("counts", {}).items():
-        need(seeds, f"counts of {workload} have no seeds")
+    need({w: set(seeds) for w, seeds in doc["counts"].items()}
+         == {w: set(seeds) for w, seeds in doc["results"].items()},
+         "counts are not one entry per workload and seed of the results")
+    for workload, seeds in doc["counts"].items():
         for seed, counts in seeds.items():
             where = f"counts of {workload} seed {seed}"
             need(set(counts) == {*SIDES, "ratio"}, f"{where}: bad keys")
@@ -326,8 +329,6 @@ def main(argv=None):
     parser.add_argument("--seeds", default="1")
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seconds", type=float, default=spec["run_seconds"])
-    parser.add_argument("--counts", action="store_true",
-                        help="also record each side's deterministic work counts")
     args = parser.parse_args(argv)
     if args.pairs < 1:
         parser.error("--pairs must be at least 1")
@@ -341,6 +342,7 @@ def main(argv=None):
         "seconds": args.seconds,
         "pairs": args.pairs,
         "results": {},
+        "counts": {},
     }
     with tempfile.TemporaryDirectory(prefix="ab-") as tmp:
         checkouts = {side: Path(tmp, side) for side in SIDES}
@@ -359,13 +361,11 @@ def main(argv=None):
                                       for side in SIDES), file=sys.stderr)
                 doc["results"].setdefault(workload, {})[str(seed)] = summarize(
                     runs, spec["end_to_end"])
-                if args.counts:
-                    counts = {side: run_counts(checkouts[side], workload, seed)
-                              for side in SIDES}
-                    counts["ratio"] = count_ratios(counts["base"], counts["head"])
-                    doc.setdefault("counts", {}).setdefault(workload, {})[str(seed)] = counts
-                    print(f"{workload} seed {seed} counts: python_calls ratio "
-                          f"{counts['ratio']['python_calls']}", file=sys.stderr)
+                counts = {side: run_counts(checkouts[side], workload, seed) for side in SIDES}
+                counts["ratio"] = count_ratios(counts["base"], counts["head"])
+                doc["counts"].setdefault(workload, {})[str(seed)] = counts
+                print(f"{workload} seed {seed} counts: python_calls ratio "
+                      f"{counts['ratio']['python_calls']}", file=sys.stderr)
     validate(doc)
     Path(args.out).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
     return 0
