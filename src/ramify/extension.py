@@ -144,15 +144,14 @@ def reduce_to_best(f):
 # take 0.5 s together at p = 97 on a 2-core VM, Python 3.11
 P_LIMIT = 97
 
-# the largest p * swan an extension accepts, so its Swan conductor is at
-# most SIZE_LIMIT // p, checked on the reduced pole order.  An element of
-# L is p series of up to about swan terms, and the norm of 1/alpha takes
-# O(log p) products in L of p^2 series products each, so a report costs
-# about (p * swan)^2, most at the largest p.  Worst accepted cases, on a
-# 2-core VM, Python 3.11: `t^-41 + t^-40` (1/f dense) at p = 97 takes
-# 3.6 s at any --prec, random coefficients on every exponent 1.9 s at
-# p = 13 and 4.0 s at p = 97.  Over F_p(u) a coefficient's degree grows with swan as well,
-# and the bound does not cover it: `u*t^-41 + t^-40` at p = 97 takes 35 s
+# the largest p * swan an extension accepts, checked on the reduced pole
+# order.  An element of L is p series of up to about swan terms, and the
+# norm takes O(log p) products in L of p^2 series products each, so a
+# report costs about (p * swan)^2.  Worst accepted cases on a 2-core VM,
+# Python 3.11: at p = 97, `t^-41 + t^-40` (1/f dense) takes 3.6 s at any
+# --prec and random coefficients on every exponent 4.0 s.  Over F_p(u)
+# coefficient degrees grow with swan too, which the bound does not
+# cover: `u*t^-41 + t^-40` at p = 97 takes 35 s
 SIZE_LIMIT = 4_000
 
 
