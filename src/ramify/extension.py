@@ -6,20 +6,20 @@ arithmetic in L with the Galois action and sigma^k(x) - x in one pass,
 the norm and the inverse from one chain of conjugate products (the
 product P of x, sigma(x), ..., sigma^(p-2)(x) built by doubling; the
 norm is coordinate 0 of x * sigma(P) and the inverse is sigma(P) over
-the norm), 1/alpha in closed form as (alpha^(p-1) - 1)/f, the trace
-from the power basis, valuations on L, the inductive difference
-operators, and the shape of the integral closure with its generators
-alpha^i * t^(e_i), one formula for every shape.  alpha^i for i < p is
-the i-th basis vector; it, the generators and 1/alpha are built
-coordinate by coordinate, with no product in L, each with the ``prec``
-the product rule gives its formula.  The inverse serves only the
-difference operators, which invert their denominators with it.
+the norm), the trace from the power basis, valuations on L, the
+inductive difference operators, and the shape of the integral closure
+with its generators alpha^i * t^(e_i), one formula for every shape.
+alpha^i for i < p is the i-th basis vector; it and the generators are
+built coordinate by coordinate, with no product in L, each with the
+``prec`` the product rule gives its formula.  The inverse serves only
+the difference operators, which invert their denominators with it.
 
 An extension computes what it derives once, in one memo
 (``ASExtension._memo``): its reduced presentation, its principal part,
-its classification, 1/alpha, 1/f, N(1/alpha) and N(1/alpha) * f, the
-generators of B, the refined form and the shape of B.  A report so
-inverts one series, the f of its principal part, and takes one norm,
+its classification, 1/f, N(alpha), the generators of B, the refined
+form and the shape of B.  A report so takes one norm, N(alpha), the
+norm of a sparse element, and inverts two series: the f of its
+principal part and N(alpha), which the diagram check reads as
 N(1/alpha).  The cuts of a report are not kept: ``invariants`` derives
 each from the shape on every read.  An element builds the columns of
 its multiplication matrix once (``LElement.columns``); its products,
@@ -141,17 +141,20 @@ def reduce_to_best(f):
 # the largest p an extension accepts.  No step is exponential in p (the
 # norm is O(log p) products in L of p^2 dots each); the bound keeps a
 # report small: `t^-7 + 3t^-5 + t^-2 + 5t --prec 60` and `t^-1 --prec 392`
-# take 0.5 s together at p = 97 on a 2-core VM, Python 3.11
+# each take 0.24 s at p = 97, 0.15 s above a `t^-1` report at p = 2, in
+# one `analyze` process on a 2-core VM, Python 3.11
 P_LIMIT = 97
 
 # the largest p * swan an extension accepts, checked on the reduced pole
-# order.  An element of L is p series of up to about swan terms, and the
-# norm takes O(log p) products in L of p^2 series products each, so a
-# report costs about (p * swan)^2.  Worst accepted cases on a 2-core VM,
-# Python 3.11: at p = 97, `t^-41 + t^-40` (1/f dense) takes 3.6 s at any
-# --prec and random coefficients on every exponent 4.0 s.  Over F_p(u)
-# coefficient degrees grow with swan too, which the bound does not
-# cover: `u*t^-41 + t^-40` at p = 97 takes 35 s
+# order.  An element of L is p series of up to about swan terms; sigma on
+# the p generators of B forms p^2 linear combinations of them, and the
+# norm of alpha O(log p) products in L of p^2 series products each.
+# Worst accepted cases, one `analyze --prec 8` process each on a 2-core
+# VM, Python 3.11: at p = 97, `t^-41 + t^-40` and random coefficients on
+# every exponent from t^-41 to t^0 take 0.23 s.  Over F_p(u) coefficient
+# degrees grow with swan, in 1/f and 1/N(alpha) above all:
+# `u*t^-41 + t^-40` at p = 97 takes 0.27 s, `u*t^-799 + t^-798` at p = 5
+# 0.81 s
 SIZE_LIMIT = 4_000
 
 
@@ -264,39 +267,14 @@ class ASExtension:
         gens = ext._memo("integral_generators", lambda: [g.coeffs for g in basis.generators()])
         return [LElement(ext, c) for c in gens]
 
-    def inverse_alpha(self):
-        """1/alpha in closed form, memoised: alpha * (alpha^(p-1) - 1) is
-        alpha^p - alpha = f, so 1/alpha = (alpha^(p-1) - 1) * w with
-        w = 1/f from ``inverse_f``, that is (-w, 0, ..., 0, w), built
-        with the ``prec`` that ``dot`` gives that product for f's
-        precision P: +-w below min(P + low(w), w.prec), the zeros below
-        min(P + low(w), w.prec + P).  It equals Cramer's rule on alpha in
-        value and knows each coordinate at least as far: the Laplace
-        expansion's N(alpha) loses the pole order of f, the closed form
-        does not, and it never raises where Cramer's rule succeeds."""
-
-        def make():
-            w = self.inverse_f()
-            prec, low = self.f.prec, w.low_bound()
-            top = w.truncate(min(prec + low, w.prec))
-            z = LaurentSeries.zero(self.field, min(prec + low, w.prec + prec))
-            return (-top,) + (z,) * (self.p - 2) + (top,)
-
-        return LElement(self, self._memo("inverse_alpha", make))
-
-    def norm_inverse_alpha(self):
-        """N(1/alpha) as a series, memoised on the reduced presentation
-        ``with_best_f()`` whatever presentation is asked."""
+    def norm_alpha(self):
+        """N(alpha) as a series, memoised on the reduced presentation
+        ``with_best_f()`` whatever presentation is asked: the orbit
+        chain's norm of alpha, whose value is (-1)^(p+1) * f_best =
+        f_best, known below a ``prec`` that loses at least the pole
+        order of f_best."""
         ext = self.with_best_f()
-        return ext._memo("norm_inverse_alpha", lambda: ext.inverse_alpha().norm())
-
-    def norm_inverse_alpha_times_f(self):
-        """N(1/alpha) * f_best as a series, memoised on the reduced
-        presentation ``with_best_f()`` whatever presentation is asked."""
-        ext = self.with_best_f()
-        return ext._memo(
-            "norm_inverse_alpha_times_f", lambda: ext.norm_inverse_alpha() * ext.best.f_best
-        )
+        return ext._memo("norm_alpha", lambda: ext.alpha().norm())
 
     def inverse_f(self):
         """1/f as a series, memoised: the one series inverse of f in
@@ -450,10 +428,10 @@ class LElement:
         x * sigma(P) is the whole orbit product N(x), which lies in K:
         its coordinate 0 is one ``dot`` over x's columns, and the others
         are not formed.
-        On 1/alpha of a nontrivial extension and on the difference
-        operators' denominators this is the Laplace determinant and
-        Cramer's rule in value and ``prec``; on coordinates known to
-        uneven precisions it can know less, never more."""
+        On alpha of a principal part and on the difference operators'
+        denominators this is the Laplace determinant and Cramer's rule in
+        value and ``prec``; on coordinates known to uneven precisions it
+        can know less, never more."""
         p = self.ext.p
         prod, k = self, 1
         for bit in bin(p - 1)[3:]:

@@ -176,23 +176,22 @@ class CheckResult(NamedTuple):
 
 def check_norm_ideal_identity(ext):
     """Exact comparison of the norm ideal of J with H, together with the
-    generator identity: the norm of 1/alpha times best f is 1.
+    generator identity: the norm of alpha is best f.
 
     alpha is a root of T^p - T - f, so N(alpha) = (-1)^(p+1) * f, which
-    is f for every p (at p = 2, -1 = 1 in characteristic 2).  So
-    N(1/alpha) * f is 1 on its known range, and ``generator_sign`` is 1
-    when that range reaches t^0, else None.  1/alpha is
-    the closed form (alpha^(p-1) - 1) * (1/f) of
-    ``ASExtension.inverse_alpha``, not an inverse in L, so the check
-    takes one norm, N(1/alpha), and reads 1/f from the memo the refined
-    form reads."""
+    is f for every p (at p = 2, -1 = 1 in characteristic 2).  The check
+    takes N(alpha) through the orbit chain (``ASExtension.norm_alpha``)
+    and decides N(alpha) - f = 0 on its known range: ``generator_sign``
+    is 1 when it is zero there and that range reaches t^0, else None.
+    Called outside a report, on f known short of its principal part,
+    N(alpha) may be known short of t^0, and the identity then fails
+    with the sign None."""
     ext = ext.with_best_f()
     h = ideal_h(ext)
     nj = norm_of_j(ext)
     cuts_equal = h == nj
-    product = ext.norm_inverse_alpha_times_f()
-    one = LaurentSeries.one(ext.field, product.prec)
-    sign = 1 if (product - one).is_zero_known() and product.prec >= 1 else None
+    gap = ext.norm_alpha() - ext.best.f_best
+    sign = 1 if gap.is_zero_known() and gap.prec >= 1 else None
     ok = cuts_equal and sign is not None
     return CheckResult(
         "norm_ideal_identity",
@@ -293,22 +292,35 @@ def check_diagram_commutativity(ext):
     Each face is N(b) times its value at b = 1, and v(N(b)) >= 0 on B,
     so each holds for every b in B exactly when it holds at b = 1:
     N(1/alpha) - 1/f in H^2, and (N(1/alpha) * f - 1) * dlog f in the
-    modulus.  N(1/alpha) and N(1/alpha) * f are the memos
-    ``check_norm_ideal_identity`` reads.  Membership in H^2 and in the
-    modulus, closed cuts at integers, reads only the exponents below
-    them, so the norm face subtracts below 2 * swan and the form faces
-    stop at the modulus.  The check reports H^2 and the modulus, and on
-    a failure the first face that broke."""
+    modulus.  The norm is multiplicative, N(alpha) * N(1/alpha) =
+    N(1) = 1 (Serre, *Local Fields*, III §3), so N(1/alpha) is read as
+    1/N(alpha), from the memo ``check_norm_ideal_identity`` reads, and
+    N(1/alpha) * f - 1 as (f - N(alpha)) * N(1/alpha), a product by a
+    series that is zero wherever the identity N(alpha) = f holds.
+    N(alpha) known below t^1 makes 1/N(alpha) known below 2 * swan + 1
+    and that product below swan + 1, past every point the faces read;
+    known short of t^1, which only a presentation outside a report can
+    give, the check raises InsufficientPrecision.  Membership in H^2 and
+    in the modulus, closed cuts at integers, reads only the exponents
+    below them, so the norm face subtracts below 2 * swan and the form
+    faces stop at the modulus.  The check reports H^2 and the modulus,
+    and on a failure the first face that broke."""
     ext = integral_basis(ext).ext
     form = refined_swan(ext)
+    norm = ext.norm_alpha()
+    if norm.prec < 1:
+        raise InsufficientPrecision(
+            f"the diagram check needs N(alpha) known through t^0, known below t^{norm.prec}"
+        )
+    inverse_norm = norm.inverse()
     least = 2 * ext.swan
     h_squared = Cut.at_least(least, Z_GROUP)
     detail = {"h_squared": h_squared, "modulus": form.modulus}
-    norm_face = ext.norm_inverse_alpha().truncate(least) - ext.inverse_f_best().truncate(least)
+    norm_face = inverse_norm.truncate(least) - ext.inverse_f_best().truncate(least)
     if not series_in_cut(norm_face, h_squared):
         detail["face"] = "norm"
     else:
-        scalar = ext.norm_inverse_alpha_times_f() - 1
+        scalar = (ext.best.f_best - norm) * inverse_norm
         cap = int(form.modulus.value)
         for face, part in (("dlog_t", form.dlog_t), ("du", form.du)):
             if part is not None and not series_in_cut(dot(((scalar, part),), cap), form.modulus):
@@ -417,9 +429,11 @@ def working_precision(swan):
     terms are exact, so W is set by the furthest point a report reads,
     not by the precision f is given to.  With n = swan:
 
-    - the norm-ideal identity reads N(1/alpha) * f at t^0, and the
-      diagram's norm face N(1/alpha) below H^2 = {v >= 2n}; these are
-      known below W and W + n, so W >= n suffices (and W >= 1);
+    - the norm-ideal identity reads N(alpha) - f through t^0, and the
+      diagram reads N(alpha) there too, as 1/N(alpha) below
+      H^2 = {v >= 2n} and (f - N(alpha))/N(alpha) below the modulus.
+      The orbit chain knows N(alpha) below W - n, so W >= n + 1
+      suffices, and 1/N(alpha) is then known below W + n;
     - the refined form and the stability check stop at the modulus, an
       integer at most n: the form is known below W + n, and each shift's
       difference below more than W, as n + (p - 1) * lo > 0 for the
@@ -432,8 +446,8 @@ def working_precision(swan):
       strictly between n and n + 1, past e_i + 1 when n > p; ferocious
       and unramified, e_i = i * n/p, and it is at most n.
 
-    So W = n + 1 clears every reader, and a wild extension with swan > p
-    needs all of it.
+    So W = n + 1 clears every reader.  The norm checks need all of it,
+    and so does the product rule of a wild extension with swan > p.
     """
     return int(swan) + 1
 

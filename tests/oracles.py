@@ -270,9 +270,16 @@ def sigma_difference(x, k=1):
 def cramer_inverse_alpha(ext):
     """1/alpha by Cramer's rule (``cramer_inverse``): one Laplace
     expansion of alpha's multiplication matrix and a series inverse of
-    the norm, the reference for the closed form
-    ``ASExtension.inverse_alpha``."""
+    the norm, the reference for the orbit chain's ``alpha().inverse()``."""
     return cramer_inverse(ext.alpha())
+
+
+def closed_form_inverse_alpha(ext):
+    """1/alpha in closed form: alpha * (alpha^(p-1) - 1) is
+    alpha^p - alpha = f, so 1/alpha = (alpha^(p-1) - 1) * (1/f), which
+    knows each coordinate at least as far as Cramer's rule does.  The
+    sampled diagram check reads the logarithmic generator from it."""
+    return (ext.alpha_power(ext.p - 1) - 1) * ext.inverse_f()
 
 
 def chain_alpha_power(ext, i):
@@ -283,16 +290,21 @@ def chain_alpha_power(ext, i):
     return ext.alpha().powers(i)[i]
 
 
-_INVERSE_ALPHA = ASExtension.inverse_alpha
+_MUL_ALPHA = LElement.mul_alpha
 
 
-def negated_inverse_alpha(self):
-    """A mutant closed form that gives -1/alpha.  Its norm is
-    (-1)^p * N(1/alpha), which is N(1/alpha) only at p = 2."""
-    return -_INVERSE_ALPHA(self)
+def mul_alpha_by_twice_f(self):
+    """A mutant ``LElement.mul_alpha`` that reduces by alpha^p = alpha + 2f.
+    It mutates the path the norm identity now reads: the columns of
+    alpha's multiplication matrix, so N(alpha) is 2f, which is f only at
+    p = 2, where the mutant reduces by alpha^2 = alpha and L is no
+    field."""
+    out = _MUL_ALPHA(self)
+    extra = self.coeffs[-1] * self.ext.f
+    return LElement(self.ext, (out.coeffs[0] + extra,) + out.coeffs[1:])
 
 
-INVERSE_ALPHA_SIGN_MUTANT = (ASExtension, "inverse_alpha", negated_inverse_alpha)
+TWICE_F_MUTANT = (LElement, "mul_alpha", mul_alpha_by_twice_f)
 
 
 def fraction_valuation_coeffwise(x):
@@ -996,7 +1008,7 @@ def sampled_diagram_commutativity(ext, samples=100, seed=0):
     form = refined_swan(ext)
     inv_f = ext.inverse_f_best()
     alpha = ext.alpha()
-    log_gen = alpha.sigma(1) * ext.inverse_alpha() - 1  # sigma(alpha)/alpha - 1
+    log_gen = alpha.sigma(1) * closed_form_inverse_alpha(ext) - 1  # sigma(alpha)/alpha - 1
     rung = 2 * int(ext.swan) + 2
 
     def trial(rng, i):

@@ -180,7 +180,7 @@ def test_a_zero_best_form_raises_trivial_extension():
     ext = ASExtension(F3, LaurentSeries(F3, {-3: 1, -1: 2}, 8))
     assert ext.best.f_best.is_zero_known()
     assert classify(ext) is RamificationType.TRIVIAL
-    for method in (ext.with_best_f, ext.inverse_f_best, ext.norm_inverse_alpha,
+    for method in (ext.with_best_f, ext.inverse_f_best, ext.norm_alpha,
                    ext.integral_generators):
         with pytest.raises(TrivialExtension):
             method()
@@ -638,7 +638,7 @@ def test_cached_elements_leave_no_reference_cycle():
         ext = ext_of(F3, -2, prec=12)
         ext.alpha_power(2)
         ext.integral_generators()
-        ext.inverse_alpha()
+        ext.norm_alpha()
         ext.with_best_f()
         del ext
         assert gc.collect() == 0

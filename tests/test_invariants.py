@@ -55,8 +55,8 @@ from oracles import (
     DU_MUTANT,
     D_DT_MUTANT,
     FORMULA_CUTS,
-    INVERSE_ALPHA_SIGN_MUTANT,
     THETA_MUTANT,
+    TWICE_F_MUTANT,
     candidate_traces,
     element_trace_dual_cut,
     every_face_refined_swan_stability,
@@ -468,7 +468,7 @@ def test_diagram_unit_case():
     ext = ext_of(F3, -2)
     f = ext.best.f_best
     one = ext.one()
-    z = one * (ext.alpha().sigma(1) * ext.inverse_alpha() - one)
+    z = one * (ext.alpha().sigma(1) * ext.alpha().inverse() - one)
     prod = z.norm() * f
     target = LaurentSeries.one(F3, prod.prec)
     assert (prod - target).is_zero_known()
@@ -513,16 +513,23 @@ def test_a_moved_top_cut_fails_norm_additivity(monkeypatch, make, offset, ok):
 
 @pytest.mark.parametrize("ext", GRID, ids=lambda ext: f"p{ext.p}-{ext.f}")
 def test_a_perturbed_norm_of_one_over_alpha_fails_the_diagram(ext):
-    """N(1/alpha) moved by t^(2n - 1) breaks the norm face of the square;
-    moved by t^(2n), inside H^2, every face still holds.  The perturbed
-    value is put into the memo of a fresh extension; the norm is known
-    beyond t^(2n), so that the move at t^(2n) is representable."""
+    """N(1/alpha), which the check reads as 1/N(alpha), moved by
+    t^e + t^(e+1) at e = 2n - 1 breaks the norm face of the square;
+    moved at e = 2n, inside H^2, every face still holds.  The perturbed
+    value is put into the N(alpha) memo of a fresh extension as
+    1/(N(1/alpha) + t^e + t^(e+1)); the inverse is known beyond
+    t^(2n + 1), so that the move at e = 2n is representable, and
+    inverting twice gives back its value and ``prec``.  The move has
+    two terms so that it leaves a term to invert at p = 2, f = t^-1,
+    where N(1/alpha) = t and t^1 alone would cancel it."""
     n = int(ext.swan)
-    real = ext.norm_inverse_alpha()
+    real = ext.norm_alpha().inverse()
     for e, ok in ((2 * n - 1, False), (2 * n, True)):
         fresh = ASExtension(ext.field, ext.f)
-        assert real.prec > e
-        fresh._cache["norm_inverse_alpha"] = real + mono(ext.field, e, 1, real.prec)
+        assert real.prec > e + 1
+        moved = real + mono(ext.field, e, 1, real.prec) + mono(ext.field, e + 1, 1, real.prec)
+        fresh._cache["norm_alpha"] = moved.inverse()
+        assert fresh.norm_alpha().inverse() == moved
         result = check_diagram_commutativity(fresh)
         assert result.ok is ok
         assert result.detail.get("face") == (None if ok else "norm")
@@ -670,8 +677,10 @@ def test_sigma_is_a_ring_homomorphism_on_l(case, n, prec, data):
 def test_the_norm_is_additive_modulo_the_trace_of_b(case, n, prec, seed):
     """On the fields of the selftest grid, for integral x and y,
     N(x + y) - N(x) - N(y) lies in Tr(B) = t^(A_(p-1)) * A on its known
-    range, and N(b/alpha) agrees with N(b) * N(1/alpha): the engine
-    consistency that the sampled norm checks exercised."""
+    range, and N(b * alpha) agrees with N(b) * N(alpha): the engine
+    consistency that the sampled norm checks exercised, and the
+    multiplicativity by which the diagram check reads N(1/alpha) as
+    1/N(alpha)."""
     p, kind = case
     field = FieldSpec.rational(p) if kind else FieldSpec.finite(p)
     rng = random.Random(seed)
@@ -682,11 +691,7 @@ def test_the_norm_is_additive_modulo_the_trace_of_b(case, n, prec, seed):
     x, y, b = (integral_sample(ext, rng) for _ in range(3))
     mixed = (x + y).norm() - x.norm() - y.norm()
     assert mixed.truncate(int(basis.cuts[-1].value)).is_zero_known()
-    try:
-        inverse_alpha = ext.inverse_alpha()
-    except InsufficientPrecision:  # N(alpha) = f is known too short to invert
-        return
-    assert (b * inverse_alpha).norm().agrees_with(b.norm() * ext.norm_inverse_alpha())
+    assert (b * ext.alpha()).norm().agrees_with(b.norm() * ext.norm_alpha())
 
 
 def cut_outcome(cut_of, ext):
@@ -822,7 +827,12 @@ NORM_FIELDS = tuple(
 def test_norm_checks_match_the_sampled_oracles(field, draw, n, prec, samples, seed):
     """Where the sampled oracle of a norm check decides, the exact check
     gives its verdict, or raises what the oracle raised; where the exact
-    check cannot decide, neither could the oracle."""
+    check cannot decide, neither could the oracle.  The one exception is
+    the precision rule of the diagram check: the oracle reads the closed
+    form of 1/alpha, which keeps the pole order of f, and the check reads
+    N(alpha) from the orbit chain, which loses it, so on f known short of
+    its principal part the check raises InsufficientPrecision exactly
+    when N(alpha) is known short of t^0."""
     ext = pole_extension(field, random.Random(draw), n, prec)
     for check, oracle in (
         (check_norm_additivity, sampled_norm_additivity),
@@ -831,7 +841,10 @@ def test_norm_checks_match_the_sampled_oracles(field, draw, n, prec, samples, se
         got = exact_outcome(check, ext)
         want = rule_outcome(oracle, ext, samples, seed)
         if isinstance(want, CheckResult):
-            assert isinstance(got, CheckResult) and got.ok == want.ok
+            if check is check_diagram_commutativity and ext.norm_alpha().prec < 1:
+                assert got[0] is InsufficientPrecision and "through t^0" in got[1]
+            else:
+                assert isinstance(got, CheckResult) and got.ok == want.ok
         elif want[0] is InsufficientPrecision:
             assert isinstance(got, CheckResult) or got[0] is InsufficientPrecision
         else:
@@ -1000,10 +1013,33 @@ DIAGRAM_RUNGS_RAISE = (
 )
 
 
+def test_the_norm_checks_outside_a_report_need_n_alpha_through_t0():
+    """Called on f = t^-7 over F_5 known below t^4, short of its
+    principal part, the orbit chain knows N(alpha) below t^-8, with no
+    known term.  The diagram check then raises InsufficientPrecision
+    that names what it needs, not the ZeroSeries of inverting N(alpha),
+    and the norm-ideal identity fails with no sign.  A report reads the
+    principal part, where N(alpha) is known below t^1, and passes."""
+    ext = ext_of(F5, -7, prec=4)
+    norm = ext.norm_alpha()
+    assert norm.is_zero_known() and norm.prec == -8
+    with pytest.raises(InsufficientPrecision) as raised:
+        check_diagram_commutativity(ext)
+    assert raised.type is InsufficientPrecision
+    assert str(raised.value) == (
+        "the diagram check needs N(alpha) known through t^0, known below t^-8"
+    )
+    identity = check_norm_ideal_identity(ext)
+    assert not identity.ok and identity.detail["generator_sign"] is None
+    assert principal_part(ext).norm_alpha().prec == 1
+    assert build_report(ext).all_checks_pass()
+
+
 def test_the_exact_diagram_check_decides_where_the_sampled_one_raised():
     """The sampled check needed N(b/alpha) - N(b)/f below t^14 and knew
     it below t^8; at b = 1 the check needs N(1/alpha) below t^(2n) = t^14,
-    and the memo knows it below prec + n = 15."""
+    and 1/N(alpha), with N(alpha) known below prec - n = 1, knows it
+    below prec + n = 15."""
     spec, f, prec, samples, seed = DIAGRAM_RUNGS_RAISE
     field = parse_field_spec(spec)
     ext = ASExtension(field, parse_series(f, field, prec))
@@ -1012,7 +1048,8 @@ def test_the_exact_diagram_check_decides_where_the_sampled_one_raised():
         "membership in {v >= 14} needs knowledge below t^14, series known below t^8",
     )
     n = int(ext.swan)
-    assert ext.norm_inverse_alpha().prec == prec + n == 15
+    assert ext.norm_alpha().prec == prec - n == 1
+    assert ext.norm_alpha().inverse().prec == prec + n == 15
     assert check_diagram_commutativity(ext).ok
 
 
@@ -1188,9 +1225,9 @@ def test_report_trivial_and_unramified():
 ])
 def test_report_inverts_f_best_once(monkeypatch, field_spec, f):
     # an unreduced wild presentation: the report reads its exact
-    # principal part, whose form, stability check, diagram check and
-    # closed-form 1/alpha all read 1/f from one memoised inverse, the
-    # only series inverse of a report
+    # principal part, whose form, stability check and diagram check all
+    # read 1/f from one memoised inverse; the one other series inverse
+    # of a report is the diagram check's N(1/alpha) = 1/N(alpha)
     field = parse_field_spec(field_spec)
     ext = ASExtension(field, parse_series(f, field, 24))
     assert ext.f != ext.best.f_best
@@ -1207,9 +1244,9 @@ def test_report_inverts_f_best_once(monkeypatch, field_spec, f):
     exact = principal_part(ext)
     assert exact.f.coeffs == {e: c for e, c in ext.best.f_best.coeffs.items() if e <= 0}
     assert exact.f.prec == working_precision(ext.swan)
-    assert inverted == [exact.f]
+    assert inverted == [exact.f, exact.norm_alpha()]
     assert exact.inverse_f_best() is exact.inverse_f()
-    assert inverted == [exact.f]
+    assert len(inverted) == 2
 
 
 @pytest.mark.parametrize("field_spec, f", [
@@ -1245,9 +1282,9 @@ def test_report_builds_the_refined_form_once(monkeypatch, field_spec, f):
 ])
 def test_a_report_expands_one_determinant(monkeypatch, field_spec, f):
     """A report takes one norm, the determinant of one multiplication
-    matrix, on its exact principal part: the norm of the closed-form
-    1/alpha, which the norm-ideal identity and the diagram check read
-    from one memo.  It inverts no element of L."""
+    matrix, on its exact principal part: N(alpha), which the norm-ideal
+    identity and the diagram check read from one memo.  It inverts no
+    element of L."""
     field = parse_field_spec(field_spec)
     ext = ASExtension(field, parse_series(f, field, 24))
     normed = []
@@ -1265,9 +1302,8 @@ def test_a_report_expands_one_determinant(monkeypatch, field_spec, f):
     rep = build_report(ext)
     assert rep.all_checks_pass()
     exact = principal_part(ext)
-    assert normed == [exact.inverse_alpha()]
-    assert exact.norm_inverse_alpha() is exact.with_best_f().norm_inverse_alpha()
-    assert exact.norm_inverse_alpha_times_f() is exact.with_best_f().norm_inverse_alpha_times_f()
+    assert normed == [exact.alpha()]
+    assert exact.norm_alpha() is exact.with_best_f().norm_alpha()
     assert len(normed) == 1
 
 
@@ -1302,14 +1338,22 @@ def test_a_report_depends_on_the_extension_not_on_the_precision(case, n, seed):
 ])
 def test_a_wild_extension_with_swan_above_p_needs_the_whole_working_precision(
         monkeypatch, field_spec, f):
-    """working_precision is swan + 1: one less, and the top generator's
-    difference is known too short to bound its valuation."""
+    """working_precision is swan + 1: one less, and N(alpha) is known
+    short of t^0, so the norm-ideal identity fails with no sign and the
+    diagram check raises, and the top generator's difference is known
+    too short to bound its valuation."""
     field = parse_field_spec(field_spec)
     ext = ASExtension(field, parse_series(f, field, 120))
     assert ext.classification() is RamificationType.WILD and ext.swan > ext.p
     assert build_report(ext).all_checks_pass()
     monkeypatch.setattr(invariants, "working_precision", lambda swan: int(swan))
+    short = principal_part(ASExtension(field, parse_series(f, field, 120)))
+    assert check_norm_ideal_identity(short).detail["generator_sign"] is None
+    with pytest.raises(InsufficientPrecision, match=r"needs N\(alpha\) known through t\^0"):
+        check_diagram_commutativity(short)
     with pytest.raises(InsufficientPrecision, match="zero on its known range"):
+        check_difference_product_rules(short)
+    with pytest.raises(InsufficientPrecision):
         build_report(ASExtension(field, parse_series(f, field, 120)))
 
 
@@ -1360,61 +1404,68 @@ def test_the_form_is_known_to_its_modulus_at_the_least_precision(field_spec, f):
     assert form == refined_swan(ASExtension(field, parse_series(f, field, 120)))
 
 
-NORM_FIELDS = (FieldSpec.finite(2), FieldSpec.finite(2, 2), F3, FieldSpec.finite(3, 2), F5,
-               FieldSpec.finite(5, 2), FieldSpec.finite(7), F2u, F3u)
+PRINCIPAL_PART_FIELDS = (
+    FieldSpec.finite(2), FieldSpec.finite(2, 2), F3, FieldSpec.finite(3, 2), F5,
+    FieldSpec.finite(5, 2), FieldSpec.finite(7), F2u, F3u, FieldSpec.rational(5),
+    FieldSpec.rational(7),
+)
 
 
 @settings(max_examples=300, deadline=None)
-@given(st.sampled_from(NORM_FIELDS), st.integers(0, 9), st.integers(1, 24), st.integers(0, 2**32))
-@example(FieldSpec.finite(7), 7, 2, 7009)  # trivial, f_best = 2t
-def test_the_orbit_norm_of_one_over_alpha_is_the_laplace_determinant(field, n, prec, seed):
-    """For f = f_best + h^p - h with a pole of order 0 to 9, over F_q and
-    F_p(u), N(1/alpha) from the orbit chain is the Laplace determinant
-    of the multiplication matrix of the element it norms, 1/alpha, in
-    value and ``prec``, on every nontrivial extension.  No report norms
-    1/alpha of a trivial one (``integral_basis`` raises first); there,
-    when v(f_best) > 0, the coordinates of 1/alpha are known to uneven
-    precisions, and the chain agrees below its ``prec``, which may be the
-    lower."""
+@given(st.sampled_from(PRINCIPAL_PART_FIELDS), st.integers(0, 9), st.integers(1, 24),
+       st.integers(0, 2**32))
+def test_the_orbit_norm_of_alpha_on_a_principal_part_is_the_laplace_determinant_and_f(
+        field, n, prec, seed):
+    """For f = f_best + h^p - h with a pole of order 0 to 9, over F_p,
+    F_q and F_p(u) with p <= 7, N(alpha) from the orbit chain on the
+    principal part that a report reads is the Laplace determinant of
+    alpha's multiplication matrix in value and ``prec``, is known below
+    t^1, and equals f_best there: the identity the norm checks decide.
+    The memo ``norm_alpha`` holds that norm."""
     rng = random.Random(seed)
     f_best = extension.reduce_to_best(pole_extension(field, rng, n, prec).f).f_best
     h = random_series(field, rng, -3, -1, prec + 3 * field.p)
     f = f_best + h ** field.p - h
     assume(not f.is_zero_known())
     ext = ASExtension(field, f)
-    assume(not ext.best.f_best.is_zero_known())
-    reduced = ext.with_best_f()
-    norm = ext.norm_inverse_alpha()
-    reference = oracles.series_laplace(reduced.inverse_alpha().columns())[0]
-    if reduced.classification() is RamificationType.TRIVIAL:
-        assert norm.prec <= reference.prec
-        assert norm == reference.truncate(norm.prec)
-    else:
-        assert norm == reference
+    assume(ext.classification() is not RamificationType.TRIVIAL)
+    exact = principal_part(ext)
+    norm = exact.alpha().norm()
+    assert norm == oracles.series_laplace(exact.alpha().columns())[0]
+    assert norm.prec == 1
+    assert norm == exact.best.f_best.truncate(1)
+    assert exact.norm_alpha() == norm
 
 
-def test_a_sign_flipped_one_over_alpha_fails_both_norm_checks_at_odd_p(monkeypatch):
-    """A closed form that gives -1/alpha has norm (-1)^p * N(1/alpha): at
-    odd p, N(1/alpha) * f reads -1 at t^0, below t^swan, and the norm
-    face reads -2/f at t^swan, below t^(2 * swan).  So on the 46 analyze
-    configurations of seeds 1-2 the mutant fails the norm-ideal identity
-    and the diagram's norm face on the 28 at odd p, and passes both on
-    the 18 at p = 2, where -1 = 1.  A norm that is wrong only at or
-    above t^(2 * swan) is past what either check reads."""
-    monkeypatch.setattr(*INVERSE_ALPHA_SIGN_MUTANT)
+def test_a_mul_alpha_reducing_by_twice_f_fails_both_norm_checks(monkeypatch):
+    """A ``mul_alpha`` that reduces by alpha^p = alpha + 2f gives the
+    columns of alpha's multiplication matrix, and so N(alpha), of the
+    extension of 2f: N(alpha) reads 2f, which at odd p differs from f at
+    t^-swan, and the norm face reads 1/(2f) - 1/f there, below
+    t^(2 * swan).  So on the analyze configurations of seeds 1-2 at
+    p >= 5, where 2 is neither 1 nor -1 (at p = 3 the mutant is the
+    alpha^p = alpha - f one, and at p = 2 it makes L no field), the
+    mutant fails the norm-ideal identity with no sign and the diagram's
+    norm face, and passes every other check, none of which forms a
+    product in L."""
+    monkeypatch.setattr(*TWICE_F_MUTANT)
     failing = 0
     for workload in ("wild_small_p", "wild_large_p", "ferocious_fpu"):
         for seed in (1, 2):
             for argv in analyze_configs(monkeypatch, workload, seed):
                 args = dict(zip(argv[1::2], argv[2::2]))
                 field = parse_field_spec(args["--field"])
+                if field.p < 5:
+                    continue
                 ext = ASExtension(field, parse_series(args["--f"], field, int(args["--prec"])))
-                identity = check_norm_ideal_identity(ext)
-                diagram = check_diagram_commutativity(ext)
-                assert identity.ok == diagram.ok == (field.p == 2), argv
-                assert diagram.detail.get("face") == (None if diagram.ok else "norm"), argv
-                failing += not identity.ok
-    assert failing == 28
+                checks = build_report(ext).checks
+                assert {name for name, c in checks.items() if not c.ok} == {
+                    "norm_ideal_identity", "diagram_commutativity",
+                }, argv
+                assert checks["norm_ideal_identity"].detail["generator_sign"] is None, argv
+                assert checks["diagram_commutativity"].detail["face"] == "norm", argv
+                failing += 1
+    assert failing == 14
 
 
 @pytest.mark.parametrize("field_spec, f", [
@@ -1423,41 +1474,42 @@ def test_a_sign_flipped_one_over_alpha_fails_both_norm_checks_at_odd_p(monkeypat
 ])
 def test_the_diagram_check_reuses_the_product_and_stops_at_the_modulus(
         monkeypatch, field_spec, f):
-    """Once the norm-ideal identity has run, the diagram check multiplies
-    no series: it reads N(1/alpha) * f from the memo, and each form face
-    is one ``dot`` capped at the modulus.  The norm face subtracts
-    N(1/alpha) and 1/f_best only below 2 * swan, where H^2 is read."""
+    """Once the norm-ideal identity has run, the diagram check takes no
+    norm: it reads the orbit product N(alpha) from the memo and inverts
+    it, the one series it inverts.  It multiplies one pair of series,
+    (f - N(alpha)) * N(1/alpha), whose left factor is zero on its known
+    range, and each form face is one ``dot`` capped at the modulus.  The
+    norm face subtracts N(1/alpha) and 1/f_best only below 2 * swan,
+    where H^2 is read."""
     field = parse_field_spec(field_spec)
     ext = ASExtension(field, parse_series(f, field, 24))
     assert check_norm_ideal_identity(ext).ok
     form = refined_swan(ext)
-    products = []
-    capped = []
-    differences = []
-    mul = LaurentSeries.__mul__
-    sub = LaurentSeries.__sub__
-    real_dot = invariants.dot
+    norm = ext.norm_alpha()
+    calls = {"norm": [], "inverse": [], "mul": [], "sub": [], "dot": []}
 
-    def counted_mul(a, b):
-        products.append((a, b))
-        return mul(a, b)
+    def counted(key, real, record=lambda *args: args):
+        def call(*args, **kwargs):
+            calls[key].append(record(*args, **kwargs))
+            return real(*args, **kwargs)
+        return call
 
-    def counted_sub(a, b):
-        differences.append((a, b))
-        return sub(a, b)
-
-    def counted_dot(pairs, cap=None):
-        capped.append(cap)
-        return real_dot(pairs, cap)
-
-    monkeypatch.setattr(LaurentSeries, "__mul__", counted_mul)
-    monkeypatch.setattr(LaurentSeries, "__sub__", counted_sub)
-    monkeypatch.setattr(invariants, "dot", counted_dot)
+    monkeypatch.setattr(LElement, "norm", counted("norm", LElement.norm))
+    monkeypatch.setattr(LaurentSeries, "inverse", counted("inverse", LaurentSeries.inverse))
+    monkeypatch.setattr(LaurentSeries, "__mul__", counted("mul", LaurentSeries.__mul__))
+    monkeypatch.setattr(LaurentSeries, "__sub__", counted("sub", LaurentSeries.__sub__))
+    monkeypatch.setattr(invariants, "dot", counted(
+        "dot", invariants.dot, lambda pairs, cap=None: cap,
+    ))
     assert check_diagram_commutativity(ext).ok
-    assert products == []
-    assert capped == [int(form.modulus.value)] * (1 if form.du is None else 2)
-    norm_face = [(a, b) for a, b in differences if isinstance(b, LaurentSeries)]
-    assert [(a.prec, b.prec) for a, b in norm_face] == [(2 * ext.swan, 2 * ext.swan)]
+    assert calls["norm"] == []
+    assert calls["inverse"] == [(norm,)]
+    [(gap, inverse_norm)] = calls["mul"]
+    assert gap.is_zero_known() and inverse_norm == norm.inverse()
+    assert calls["dot"] == [int(form.modulus.value)] * (1 if form.du is None else 2)
+    least = 2 * ext.swan
+    norm_face = [(a, b) for a, b in calls["sub"] if isinstance(b, LaurentSeries)][0]
+    assert [s.prec for s in norm_face] == [least, least]
 
 
 def test_e_f_defect_product():
