@@ -27,12 +27,13 @@ elements become coefficients.  The F_q power of an element is the raw
 one, a table lookup exp[log(a) * n mod (q - 1)] when m >= 2.
 
 An ``Expr`` is a rational expression over a field.  ``evaluate`` walks
-its tree once, over quotients num/den of sparse polynomials in the
-variables its ``env`` leaves unbound, with raw coefficients; with every
-variable bound the quotient is a constant and ``evaluate`` returns its
+its tree once, over sparse Laurent polynomials in the variables its
+``env`` leaves unbound, with raw coefficients, and keeps a polynomial
+denominator only where a divisor has two or more terms; with every
+variable bound the value is a constant and ``evaluate`` returns its
 element.  ``check_identity`` decides two expressions equal in
-F(x_1, ..., x_k) by comparing the cross products of their quotients at
-the generic point, so no verdict depends on a sample or a seed.
+F(x_1, ..., x_k) by evaluating their difference at the generic point,
+so no verdict depends on a sample or a seed.
 
 Polynomials over F_p (the elements of F_p(u), and the field moduli) are
 tuples of ints in [0, p), lowest degree first, with no trailing zeros;
@@ -52,6 +53,7 @@ canonical (num, den) pair.
 from __future__ import annotations
 
 import operator
+from itertools import filterfalse
 from typing import NamedTuple
 
 from .errors import (
@@ -1071,117 +1073,131 @@ class Expr:
         exponent) pairs sorted by name (() for 1), to a nonzero raw
         value.  A constant or bound value outside ``field`` raises
         FieldMismatch, and a division by the zero polynomial
-        DivisionByZero."""
-        add, neg, one = field._radd, field._rneg, field._to_raw(field._one)
-        known = {}  # id of a node -> its (num, den)
-        free = False  # whether a variable is left unbound
-        stack = [self]  # post-order, without recursion
+        DivisionByZero.
+
+        The tree is flattened to its distinct nodes in post-order, and one
+        pass over them computes each node once, as a Laurent polynomial n
+        over exponent vectors (one exponent per unbound variable, in name
+        order), or as n/d once a divisor of two or more terms has left a
+        polynomial d.  A divisor of one term
+        divides out: its exponents subtract and its coefficient is
+        inverted, so the sum of two quotients over one d merges their
+        terms and never cross-multiplies.  The negative exponents of the
+        result are cleared into den."""
+        order, free, stack = {}, set(), [self]  # the distinct nodes, in post-order
         while stack:
             node = stack[-1]
-            if id(node) in known:
+            if node in order:
                 stack.pop()
                 continue
-            waiting = [a for a in node.args if id(a) not in known]
-            if waiting:
-                stack.extend(waiting)
+            size = len(stack)
+            stack.extend(filterfalse(order.__contains__, node.args))  # the children not yet done
+            if len(stack) > size:
                 continue
             stack.pop()
-            op = node.op
-            if op == "const":
-                value = _constant(field._to_raw(node.payload), field)
-            elif op == "var" and node.payload in env:
-                value = _constant(field._to_raw(env[node.payload]), field)
+            order[node] = None
+            if node.op == "var" and node.payload not in env:
+                free.add(node.payload)
+        names = sorted(free)
+        zero = (0,) * len(names)
+        one, neg = field._to_raw(field._one), field._rneg
+        known = {}  # node -> (n, d), d None for 1
+        for node in order:
+            op, args = node.op, node.args
+            if op == "const" or op == "var" and node.payload in env:
+                c = field._to_raw(node.payload if op == "const" else env[node.payload])
+                value = ({zero: c} if c else {}), None
             elif op == "var":
-                free = True
-                value = {((node.payload, 1),): one}, {(): one}
+                value = {tuple([int(name == node.payload) for name in names]): one}, None
             elif op == "neg":
-                n, d = known[id(node.args[0])]
+                n, d = known[args[0]]
                 value = {m: neg(c) for m, c in n.items()}, d
+            elif op == "pow" and not node.payload:
+                value = {zero: one}, None
             elif op == "pow":
-                n, d = known[id(node.args[0])]
-                value = _power(n, node.payload, field), _power(d, node.payload, field)
+                n, d = known[args[0]]
+                value = _laurent_pow(n, node.payload, field), d and _laurent_pow(d, node.payload, field)
             elif op in ("add", "sub", "mul", "div"):
-                (n1, d1), (n2, d2) = (known[id(a)] for a in node.args)
-                if op == "sub":
-                    n2 = {m: neg(c) for m, c in n2.items()}
+                (n1, d1), (n2, d2) = known[args[0]], known[args[1]]
                 if op == "mul":
-                    value = _times(n1, n2, field), _times(d1, d2, field)
+                    value = _laurent_mul(n1, n2, field), (d1 or d2) and _laurent_mul(d1, d2, field)
+                elif op == "div" and not n2:
+                    raise DivisionByZero("division by the zero polynomial")
+                elif op == "div" and len(n2) == 1:
+                    (m, c), = n2.items()
+                    term = {tuple(map(operator.neg, m)): field._rinv(c)}
+                    value = _laurent_mul(_laurent_mul(n1, d2, field), term, field), d1
                 elif op == "div":
-                    if not n2:
-                        raise DivisionByZero("division by the zero polynomial")
-                    value = _times(n1, d2, field), _times(d1, n2, field)
-                elif d1 == d2:
-                    value = _poly([*n1.items(), *n2.items()], add), d1
+                    value = _laurent_mul(n1, d2, field), _laurent_mul(d1, n2, field)
                 else:
-                    terms = [*_times(n1, d2, field).items(), *_times(n2, d1, field).items()]
-                    value = _poly(terms, add), _times(d1, d2, field)
+                    if op == "sub":
+                        n2 = {m: neg(c) for m, c in n2.items()}
+                    if d1 != d2:
+                        n1, n2 = _laurent_mul(n1, d2, field), _laurent_mul(n2, d1, field)
+                        d1 = _laurent_mul(d1, d2, field)
+                    value = _laurent_sum(n1, n2.items(), field._radd), d1
             else:
                 raise InvalidSpec(f"unknown node {op!r}")
-            known[id(node)] = value
-        num, den = known[id(self)]
-        if free:
-            return num, den
+            known[node] = value
+        num, den = known[self]
+        if not names:  # each divisor was one constant term, so den is 1
+            return field._from_raw(num[()]) if num else field._zero
         if not num:
-            return field._zero
-        return field._from_raw(field._rmul(num[()], field._rinv(den[()])))
+            return {}, {(): one}
+        den = den or {zero: one}
+        low = [min(0, *es) for es in zip(*num, *den)]
+
+        def cleared(poly):
+            return {tuple([(name, e - lo) for name, e, lo in zip(names, m, low) if e != lo]): c
+                    for m, c in poly.items()}
+
+        return cleared(num), cleared(den)
 
 
-def _constant(c, field):
-    """The quotient c/1 of ``Expr.evaluate`` for a raw value c."""
-    return ({(): c} if c else {}), {(): field._to_raw(field._one)}
-
-
-def _poly(terms, add):
-    """The sum of ``terms``, pairs (monomial, nonzero raw value), as a
-    polynomial of ``Expr.evaluate``: a dict holding no zero."""
-    out = {}
+def _laurent_sum(f, terms, add):
+    """f plus ``terms``, pairs (monomial, nonzero raw value), as a
+    Laurent polynomial of ``Expr.evaluate``: a new dict holding no zero."""
+    out = dict(f)
     for m, c in terms:
         if m in out:
-            c = add(out[m], c)
+            c = add(out.pop(m), c)
             if not c:
-                del out[m]
                 continue
         out[m] = c
     return out
 
 
-def _mono_mul(m1, m2):
-    """The product of two monomials of ``Expr.evaluate``."""
-    if not m1 or not m2:
-        return m1 or m2
-    exps = dict(m1)
-    for name, e in m2:
-        exps[name] = exps.get(name, 0) + e
-    return tuple(sorted(exps.items()))
+def _laurent_mul(f, g, field):
+    """f * g for Laurent polynomials of ``Expr.evaluate``, None for 1.
+    A factor of one term shifts and scales the other: no two of the
+    products meet and none vanishes."""
+    if f is None or g is None:
+        return g if f is None else f
+    if len(f) > len(g):
+        f, g = g, f
+    mul, add = field._rmul, operator.add
+    terms = [(tuple(map(add, m, e)), mul(c, b)) for m, c in f.items() for e, b in g.items()]
+    return dict(terms) if len(f) == 1 else _laurent_sum({}, terms, field._radd)
 
 
-def _times(f, g, field):
-    """f * g for polynomials of ``Expr.evaluate``."""
-    mul = field._rmul
-    return _poly(((_mono_mul(m1, m2), mul(c1, c2)) for m1, c1 in f.items() for m2, c2 in g.items()),
-                 field._radd)
-
-
-def _power(f, k, field):
-    """f^k for a polynomial of ``Expr.evaluate`` and k >= 0.  A monomial's
-    power is one product of its exponents, so a huge k costs no loop
-    over its bits."""
-    if not k:
-        return {(): field._to_raw(field._one)}
+def _laurent_pow(f, k, field):
+    """f^k for a Laurent polynomial of ``Expr.evaluate`` and k >= 1.  A
+    term's power is one product of its exponents, so a huge k costs no
+    loop over its bits."""
     if len(f) <= 1:
-        return {tuple((name, e * k) for name, e in m): field._rpow(c, k) for m, c in f.items()}
+        return {tuple(map(k.__mul__, m)): field._rpow(c, k) for m, c in f.items()}
     result = f
     for bit in bin(k)[3:]:
-        result = _times(result, result, field)
+        result = _laurent_mul(result, result, field)
         if bit == "1":
-            result = _times(result, f, field)
+            result = _laurent_mul(result, f, field)
     return result
 
 
 class IdentityCheck(NamedTuple):
     """Outcome of an exact identity test.  ``witness`` is None on a
-    pass, and otherwise the first monomial, as a dict from variable
-    names to exponents, where the two cross products differ."""
+    pass, and otherwise the least monomial of the numerator of
+    lhs - rhs, as a dict from variable names to exponents."""
 
     ok: bool
     witness: dict | None
@@ -1191,19 +1207,17 @@ def check_identity(lhs, rhs, field):
     """Decide lhs = rhs in F(x_1, ..., x_k), F = ``field`` and x_1..x_k
     the variables of either side.
 
-    Each side is evaluated once at the generic point, where no variable
-    is bound, to a quotient n/d, and n1*d2 is compared with n2*d1.  This
-    is equality of rational functions, not agreement at the points of
-    F^k: over F_q, x^q and x differ.  A division by the zero polynomial
-    on either side raises DivisionByZero.
+    ``Expr.evaluate`` walks lhs - rhs once at the generic point, where no
+    variable is bound, so a node the two sides share is computed once;
+    the identity holds exactly when the numerator it returns is the zero
+    polynomial, and a failure's witness is that numerator's least
+    monomial.  This is equality of rational functions, not agreement
+    at the points of F^k: over F_q, x^q and x differ.  A division by the
+    zero polynomial on either side raises DivisionByZero.
     """
+    value = (lhs - rhs).evaluate({}, field)
     # an expression with no variable evaluates to an element
-    (n1, d1), (n2, d2) = (
-        _constant(field._to_raw(v), field) if v.__class__ is ResidueElem else v
-        for v in (lhs.evaluate({}, field), rhs.evaluate({}, field))
-    )
-    left, right = _times(n1, d2, field), _times(n2, d1, field)
-    if left == right:
+    num = value[0] if value.__class__ is tuple else () if value.is_zero() else [()]
+    if not num:
         return IdentityCheck(True, None)
-    first = min(m for m in left.keys() | right.keys() if left.get(m) != right.get(m))
-    return IdentityCheck(False, dict(first))
+    return IdentityCheck(False, dict(min(num)))

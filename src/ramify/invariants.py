@@ -303,8 +303,10 @@ def check_diagram_commutativity(ext):
     give, the check raises InsufficientPrecision.  Membership in H^2 and
     in the modulus, closed cuts at integers, reads only the exponents
     below them, so the norm face subtracts below 2 * swan and the form
-    faces stop at the modulus.  The check reports H^2 and the modulus,
-    and on a failure the first face that broke."""
+    faces stop at the modulus.  N(alpha) zero through t^0, where f has
+    its pole, fails the norm face without inverting it.  The check
+    reports H^2 and the modulus, and on a failure the first face that
+    broke."""
     ext = integral_basis(ext).ext
     form = refined_swan(ext)
     norm = ext.norm_alpha()
@@ -312,10 +314,13 @@ def check_diagram_commutativity(ext):
         raise InsufficientPrecision(
             f"the diagram check needs N(alpha) known through t^0, known below t^{norm.prec}"
         )
-    inverse_norm = norm.inverse()
     least = 2 * ext.swan
     h_squared = Cut.at_least(least, Z_GROUP)
     detail = {"h_squared": h_squared, "modulus": form.modulus}
+    if norm.is_zero_known():
+        detail["face"] = "norm"
+        return CheckResult("diagram_commutativity", False, detail)
+    inverse_norm = norm.inverse()
     norm_face = inverse_norm.truncate(least) - ext.inverse_f_best().truncate(least)
     if not series_in_cut(norm_face, h_squared):
         detail["face"] = "norm"

@@ -115,7 +115,7 @@ class Cut:
     closed, so one ideal has one value, hash and repr.  That multiple is
     found in integers: with v = num/den and g = gn/gd, v/g is
     (num*gd)/(den*gn), whose floor or ceiling k gives the value
-    k*gn/gd.  Z[1/p] and dense groups keep the value as given.
+    k*gn/gd.  Z[1/p] and dense groups keep the value as given, as a Fraction.
     """
 
     __slots__ = ("value", "closed", "group")
@@ -127,7 +127,7 @@ class Cut:
             gn, gd = group.granularity.numerator, group.granularity.denominator
             k = _least_admitted(value.numerator * gd, value.denominator * gn, closed)
             value, closed = Fraction(k * gn, gd), True
-        else:
+        elif value.__class__ is not Fraction:
             value = Fraction(value)
         self.value = value
         self.closed = closed

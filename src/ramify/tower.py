@@ -10,6 +10,7 @@ defining equation is decided exactly, as an identity in F_q(z', y).
 from __future__ import annotations
 
 import math
+import operator
 import sys
 from fractions import Fraction
 from typing import NamedTuple
@@ -94,15 +95,15 @@ class TowerLevel(NamedTuple):
 
 def tower_levels(spec):
     """Levels 0..spec.depth via the recursion n_{i+1} = p*n_i - 1, with
-    the parameter valuations v(x_i) = 1/p^i and v(y_i) = 1/p^(i+1)."""
+    the parameter valuations v(x_i) = 1/p^i and v(y_i) = 1/p^(i+1) =
+    v(x_(i+1)), and -v(f_i) = n_i/p^i."""
     p = spec.p
     levels = []
-    n_i = spec.n
+    n_i, top, v_x = spec.n, 1, Fraction(1)  # top = p^i
     for i in range(spec.depth + 1):
-        v_x = Fraction(1, p ** i)
-        v_y = Fraction(1, p ** (i + 1))
-        levels.append(TowerLevel(i, n_i, i % p, v_x, v_y, n_i * v_x))
-        n_i = p * n_i - 1
+        v_y = Fraction(1, top * p)
+        levels.append(TowerLevel(i, n_i, i % p, v_x, v_y, Fraction(n_i, top)))
+        n_i, top, v_x = p * n_i - 1, top * p, v_y
     return levels
 
 
@@ -206,10 +207,9 @@ def best_f_descent(spec):
 def _descent(spec, levels):
     """``best_f_descent`` of spec, read off its ``tower_levels``."""
     values = [lv.neg_v_f for lv in levels]
-    monotone = all(a > b for a, b in zip(values, values[1:]))
+    monotone = all(map(operator.gt, values, values[1:]))
     infimum = spec.n - Fraction(1, spec.p - 1)
-    attained = any(v == infimum for v in values)
-    return DescentReport(monotone, infimum, attained, values)
+    return DescentReport(monotone, infimum, infimum in values, values)
 
 
 def step_identity_exprs(spec):

@@ -31,6 +31,8 @@ from ramify.extension import (
 )
 from ramify.fields import (
     _ONE,
+    IdentityCheck,
+    ResidueElem,
     _digits,
     _elem,
     _padd,
@@ -133,6 +135,136 @@ def tree_evaluate(expr, env, field):
     if expr.op == "neg":
         return -vals[0]
     raise InvalidSpec(f"unknown node {expr.op!r}")
+
+
+# -- the quotient walk ----------------------------------------------------------------
+# The symbolic reference for ``Expr.evaluate`` and ``check_identity``: the walk the
+# library ran before it held a quotient by one term as a Laurent polynomial.  Every
+# node is an unreduced quotient of polynomials in the (name, exponent) monomial
+# format, a sum over two denominators cross-multiplies, and an identity compares
+# n1 * d2 with n2 * d1.
+
+
+def quotient_evaluate(expr, env, field):
+    """``Expr.evaluate``'s contract by the quotient walk: an element of
+    ``field`` with every variable bound, else an unreduced (num, den)."""
+    add, neg, one = field._radd, field._rneg, field._to_raw(field._one)
+    known = {}  # id of a node -> its (num, den)
+    free = False  # whether a variable is left unbound
+    stack = [expr]  # post-order, without recursion
+    while stack:
+        node = stack[-1]
+        if id(node) in known:
+            stack.pop()
+            continue
+        waiting = [a for a in node.args if id(a) not in known]
+        if waiting:
+            stack.extend(waiting)
+            continue
+        stack.pop()
+        op = node.op
+        if op == "const":
+            value = _constant(field._to_raw(node.payload), field)
+        elif op == "var" and node.payload in env:
+            value = _constant(field._to_raw(env[node.payload]), field)
+        elif op == "var":
+            free = True
+            value = {((node.payload, 1),): one}, {(): one}
+        elif op == "neg":
+            n, d = known[id(node.args[0])]
+            value = {m: neg(c) for m, c in n.items()}, d
+        elif op == "pow":
+            n, d = known[id(node.args[0])]
+            value = _power(n, node.payload, field), _power(d, node.payload, field)
+        elif op in ("add", "sub", "mul", "div"):
+            (n1, d1), (n2, d2) = (known[id(a)] for a in node.args)
+            if op == "sub":
+                n2 = {m: neg(c) for m, c in n2.items()}
+            if op == "mul":
+                value = poly_times(n1, n2, field), poly_times(d1, d2, field)
+            elif op == "div":
+                if not n2:
+                    raise DivisionByZero("division by the zero polynomial")
+                value = poly_times(n1, d2, field), poly_times(d1, n2, field)
+            elif d1 == d2:
+                value = _poly([*n1.items(), *n2.items()], add), d1
+            else:
+                terms = [*poly_times(n1, d2, field).items(), *poly_times(n2, d1, field).items()]
+                value = _poly(terms, add), poly_times(d1, d2, field)
+        else:
+            raise InvalidSpec(f"unknown node {op!r}")
+        known[id(node)] = value
+    num, den = known[id(expr)]
+    if free:
+        return num, den
+    if not num:
+        return field._zero
+    return field._from_raw(field._rmul(num[()], field._rinv(den[()])))
+
+
+def cross_product_identity(lhs, rhs, field):
+    """``check_identity`` by the quotient walk: each side evaluated once
+    to n/d, n1 * d2 compared with n2 * d1, and the witness the least
+    monomial where the two differ."""
+    (n1, d1), (n2, d2) = (
+        _constant(field._to_raw(v), field) if v.__class__ is ResidueElem else v
+        for v in (quotient_evaluate(lhs, {}, field), quotient_evaluate(rhs, {}, field))
+    )
+    left, right = poly_times(n1, d2, field), poly_times(n2, d1, field)
+    if left == right:
+        return IdentityCheck(True, None)
+    first = min(m for m in left.keys() | right.keys() if left.get(m) != right.get(m))
+    return IdentityCheck(False, dict(first))
+
+
+def _constant(c, field):
+    """The quotient c/1 for a raw value c."""
+    return ({(): c} if c else {}), {(): field._to_raw(field._one)}
+
+
+def _poly(terms, add):
+    """The sum of ``terms``, pairs (monomial, nonzero raw value), as a
+    dict holding no zero."""
+    out = {}
+    for m, c in terms:
+        if m in out:
+            c = add(out[m], c)
+            if not c:
+                del out[m]
+                continue
+        out[m] = c
+    return out
+
+
+def _mono_mul(m1, m2):
+    """The product of two (name, exponent) monomials."""
+    if not m1 or not m2:
+        return m1 or m2
+    exps = dict(m1)
+    for name, e in m2:
+        exps[name] = exps.get(name, 0) + e
+    return tuple(sorted(exps.items()))
+
+
+def poly_times(f, g, field):
+    """f * g for polynomials in the (name, exponent) monomial format."""
+    mul = field._rmul
+    return _poly(((_mono_mul(m1, m2), mul(c1, c2)) for m1, c1 in f.items() for m2, c2 in g.items()),
+                 field._radd)
+
+
+def _power(f, k, field):
+    """f^k for a polynomial and k >= 0."""
+    if not k:
+        return {(): field._to_raw(field._one)}
+    if len(f) <= 1:
+        return {tuple((name, e * k) for name, e in m): field._rpow(c, k) for m, c in f.items()}
+    result = f
+    for bit in bin(k)[3:]:
+        result = poly_times(result, result, field)
+        if bit == "1":
+            result = poly_times(result, f, field)
+    return result
 
 
 def expr_variables(*exprs):

@@ -16,6 +16,7 @@ from ramify.errors import (
 from ramify.fields import (
     Expr,
     FieldSpec,
+    IdentityCheck,
     _padd,
     _pdivmod,
     _pgcd,
@@ -34,10 +35,13 @@ from oracles import (
     _pirreducible,
     assert_canonical,
     coprime_numerator,
+    cross_product_identity,
     exhaustive_identity,
     expr_variables,
     fpu_denominators,
     long_divmod,
+    poly_times,
+    quotient_evaluate,
     random_element,
     tree_evaluate,
 )
@@ -528,6 +532,63 @@ def test_check_identity_matches_exhaustive_evaluation_below_degree_q(field, data
         if isinstance(side, tuple):
             assume(all(degree(side[0], name) < q for name in ("x", "y")))
     assert check_identity(lhs, rhs, field).ok == exhaustive_identity(lhs, rhs, field)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(EXPR_FIELDS), st.data())
+def test_evaluate_and_check_identity_match_the_quotient_walk(field, data):
+    """At the generic point ``Expr.evaluate`` gives the rational function
+    of the quotient walk, n * d_ref == n_ref * d, with no negative
+    exponent, and raises DivisionByZero exactly where the walk does;
+    ``check_identity`` gives the verdict of the walk's cross products,
+    and its witness too when no denominator holds a variable.  The right
+    side is drawn at random or as a rewrite of the left, so both
+    verdicts occur."""
+    lhs = data.draw(expr_trees(field))
+    other = data.draw(expr_trees(field))
+    rhs = data.draw(st.sampled_from([other, (lhs + other) - other, lhs * other / other]))
+    refs = []
+    for expr in (lhs, rhs):
+        try:
+            want = quotient_evaluate(expr, {}, field)
+        except DivisionByZero:
+            with pytest.raises(DivisionByZero):
+                expr.evaluate({}, field)
+            continue
+        got = expr.evaluate({}, field)
+        if isinstance(want, tuple):
+            (n, d), (n_ref, d_ref) = got, want
+            assert poly_times(n, d_ref, field) == poly_times(n_ref, d, field)
+            assert d and all(e > 0 for m in (*n, *d) for _, e in m)
+            refs.append(d_ref)
+        else:
+            assert got == want and got.field is field
+    try:
+        want = cross_product_identity(lhs, rhs, field)
+    except DivisionByZero:
+        with pytest.raises(DivisionByZero):
+            check_identity(lhs, rhs, field)
+        return
+    got = check_identity(lhs, rhs, field)
+    assert got.ok == want.ok
+    if all(d_ref.keys() == {()} for d_ref in refs):
+        assert got == want
+
+
+def test_the_witness_is_the_least_monomial_of_the_cleared_numerator():
+    """A pair has its negative exponents cleared into den, and a failing
+    identity names the least monomial of the numerator of lhs - rhs.
+    Over a variable denominator that can differ from where the cross
+    products differ first: 1/x - 2/x = -1/x and x/y - (x/y + 1) = -1
+    both have the numerator -1, where n1 * d2 and n2 * d1 part at x and
+    at y^2."""
+    x, y = Expr.var("x"), Expr.var("y")
+    assert ((x + 1) / x).evaluate({}, F9) == ({(("x", 1),): 1, (): 1}, {(("x", 1),): 1})
+    assert (1 / (1 / x + 1)).evaluate({}, F9) == ({(("x", 1),): 1}, {(("x", 1),): 1, (): 1})
+    assert check_identity(1 / x, 2 / x, F9) == IdentityCheck(False, {})
+    assert cross_product_identity(1 / x, 2 / x, F9) == IdentityCheck(False, {"x": 1})
+    assert check_identity(x / y, x / y + 1, F9) == IdentityCheck(False, {})
+    assert cross_product_identity(x / y, x / y + 1, F9) == IdentityCheck(False, {"y": 2})
 
 
 @pytest.mark.parametrize("field", [F4, FieldSpec.finite(2, 3), F9, FieldSpec.finite(5, 2)])

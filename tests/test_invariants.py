@@ -1,4 +1,5 @@
 import importlib.util
+import json
 import math
 import random
 import sys
@@ -8,7 +9,7 @@ from pathlib import Path
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from ramify import extension, invariants, selftest, series
+from ramify import cli, extension, invariants, selftest, series
 from ramify.errors import (
     InsufficientPrecision,
     InvalidSpec,
@@ -1466,6 +1467,31 @@ def test_a_mul_alpha_reducing_by_twice_f_fails_both_norm_checks(monkeypatch):
                 assert checks["diagram_commutativity"].detail["face"] == "norm", argv
                 failing += 1
     assert failing == 14
+
+
+def test_a_mul_alpha_reducing_by_twice_f_fails_both_norm_checks_at_p_2(monkeypatch, capsys):
+    """At p = 2 the mutant reduces by alpha^2 = alpha, so N(alpha), 2f,
+    is zero through t^0: the diagram check fails its norm face rather
+    than inverting it, and each analyze configuration of seeds 1-2 in
+    characteristic 2 exits 1 with both norm checks failed and every
+    other check passed."""
+    monkeypatch.setattr(*TWICE_F_MUTANT)
+    failing = 0
+    for workload in ("wild_small_p", "wild_large_p", "ferocious_fpu"):
+        for seed in (1, 2):
+            for argv in analyze_configs(monkeypatch, workload, seed):
+                args = dict(zip(argv[1::2], argv[2::2]))
+                if parse_field_spec(args["--field"]).p != 2:
+                    continue
+                capsys.readouterr()
+                assert cli.main(argv) == 1, argv  # the configurations print JSON
+                checks = json.loads(capsys.readouterr().out)["report"]["checks"]
+                assert {name for name, c in checks.items() if not c["ok"]} == {
+                    "norm_ideal_identity", "diagram_commutativity",
+                }, argv
+                assert checks["diagram_commutativity"]["face"] == "norm", argv
+                failing += 1
+    assert failing == 18
 
 
 @pytest.mark.parametrize("field_spec, f", [

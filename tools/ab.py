@@ -68,6 +68,7 @@ KERNELS = {
     "LaurentSeries.inverse": ("series", "LaurentSeries.inverse"),
     "LElement.__mul__": ("extension", "LElement.__mul__"),
     "LElement.sigma": ("extension", "LElement.sigma"),
+    "Expr.evaluate": ("fields", "Expr.evaluate"),
 }
 COUNT_KEYS = {"python_calls", "pair_terms", *KERNELS}
 
