@@ -53,7 +53,6 @@ canonical (num, den) pair.
 from __future__ import annotations
 
 import operator
-from itertools import filterfalse
 from typing import NamedTuple
 
 from .errors import (
@@ -1086,15 +1085,13 @@ class Expr:
         result are cleared into den."""
         order, free, stack = {}, set(), [self]  # the distinct nodes, in post-order
         while stack:
-            node = stack[-1]
+            node = stack.pop()
             if node in order:
-                stack.pop()
                 continue
-            size = len(stack)
-            stack.extend(filterfalse(order.__contains__, node.args))  # the children not yet done
-            if len(stack) > size:
+            if not all(map(order.__contains__, node.args)):  # the children come first
+                stack.append(node)
+                stack.extend(node.args)
                 continue
-            stack.pop()
             order[node] = None
             if node.op == "var" and node.payload not in env:
                 free.add(node.payload)
