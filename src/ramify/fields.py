@@ -32,8 +32,8 @@ its tree once, over sparse Laurent polynomials in the variables its
 denominator only where a divisor has two or more terms; with every
 variable bound the value is a constant and ``evaluate`` returns its
 element.  ``check_identity`` decides two expressions equal in
-F(x_1, ..., x_k) by evaluating their difference at the generic point,
-so no verdict depends on a sample or a seed.
+F(x_1, ..., x_k) from their values at the generic point, so no verdict
+depends on a sample or a seed.
 
 Polynomials over F_p (the elements of F_p(u), and the field moduli) are
 tuples of ints in [0, p), lowest degree first, with no trailing zeros;
@@ -53,6 +53,7 @@ canonical (num, den) pair.
 from __future__ import annotations
 
 import operator
+from itertools import compress
 from typing import NamedTuple
 
 from .errors import (
@@ -1078,19 +1079,18 @@ class Expr:
         pass over them computes each node once, as a Laurent polynomial n
         over exponent vectors (one exponent per unbound variable, in name
         order), or as n/d once a divisor of two or more terms has left a
-        polynomial d.  A divisor of one term
-        divides out: its exponents subtract and its coefficient is
-        inverted, so the sum of two quotients over one d merges their
-        terms and never cross-multiplies.  The negative exponents of the
-        result are cleared into den."""
+        polynomial d.  A divisor of one term divides out: its exponents
+        subtract and its coefficient is inverted, so the sum of two
+        quotients over one d merges their terms and never
+        cross-multiplies.  The negative exponents of the result are
+        cleared into den."""
         order, free, stack = {}, set(), [self]  # the distinct nodes, in post-order
         while stack:
             node = stack.pop()
             if node in order:
                 continue
             if not all(map(order.__contains__, node.args)):  # the children come first
-                stack.append(node)
-                stack.extend(node.args)
+                stack.extend((node, *node.args))
                 continue
             order[node] = None
             if node.op == "var" and node.payload not in env:
@@ -1105,7 +1105,7 @@ class Expr:
                 c = field._to_raw(node.payload if op == "const" else env[node.payload])
                 value = ({zero: c} if c else {}), None
             elif op == "var":
-                value = {tuple([int(name == node.payload) for name in names]): one}, None
+                value = {tuple(map(int, map(node.payload.__eq__, names))): one}, None
             elif op == "neg":
                 n, d = known[args[0]]
                 value = {m: neg(c) for m, c in n.items()}, d
@@ -1141,14 +1141,15 @@ class Expr:
             return field._from_raw(num[()]) if num else field._zero
         if not num:
             return {}, {(): one}
-        den = den or {zero: one}
-        low = [min(0, *es) for es in zip(*num, *den)]
+        low = [min(0, *es) for es in zip(*num, *(den or ()))]  # den None is 1
 
-        def cleared(poly):
-            return {tuple([(name, e - lo) for name, e, lo in zip(names, m, low) if e != lo]): c
+        def cleared(poly):  # (name, e - lo) for each e != lo, built without a Python call
+            sub, ne = operator.sub, operator.ne
+            return {tuple(compress(zip(names, map(sub, m, low)), map(ne, m, low))): c
                     for m, c in poly.items()}
 
-        return cleared(num), cleared(den)
+        den = cleared(den) if den else {tuple(compress(zip(names, map(operator.neg, low)), low)): one}
+        return cleared(num), den
 
 
 def _laurent_sum(f, terms, add):
@@ -1204,17 +1205,20 @@ def check_identity(lhs, rhs, field):
     """Decide lhs = rhs in F(x_1, ..., x_k), F = ``field`` and x_1..x_k
     the variables of either side.
 
-    ``Expr.evaluate`` walks lhs - rhs once at the generic point, where no
-    variable is bound, so a node the two sides share is computed once;
-    the identity holds exactly when the numerator it returns is the zero
-    polynomial, and a failure's witness is that numerator's least
-    monomial.  This is equality of rational functions, not agreement
-    at the points of F^k: over F_q, x^q and x differ.  A division by the
-    zero polynomial on either side raises DivisionByZero.
+    ``Expr.evaluate`` takes lhs and then rhs at the generic point, where
+    no variable is bound, so DivisionByZero and FieldMismatch come from
+    the first side that raises one.  Two equal values pass at once; that
+    is how an identity holds whose divisors are single terms, as each
+    side's value is then the one pair of its rational function.
+    Otherwise lhs - rhs is walked once more: the identity holds exactly
+    when the numerator it returns is the zero polynomial, and a
+    failure's witness is that numerator's least monomial.  This is
+    equality of rational functions, not agreement at the points of F^k:
+    over F_q, x^q and x differ.
     """
-    value = (lhs - rhs).evaluate({}, field)
-    # an expression with no variable evaluates to an element
-    num = value[0] if value.__class__ is tuple else () if value.is_zero() else [()]
-    if not num:
+    if lhs.evaluate({}, field) == rhs.evaluate({}, field):
         return IdentityCheck(True, None)
-    return IdentityCheck(False, dict(min(num)))
+    value = (lhs - rhs).evaluate({}, field)
+    if value.__class__ is not tuple:  # two unequal elements: neither side has a variable
+        return IdentityCheck(False, {})
+    return IdentityCheck(False, dict(min(value[0]))) if value[0] else IdentityCheck(True, None)

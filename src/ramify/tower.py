@@ -10,7 +10,6 @@ defining equation is decided exactly, as an identity in F_q(z', y).
 from __future__ import annotations
 
 import math
-import operator
 import sys
 from fractions import Fraction
 from typing import NamedTuple
@@ -207,9 +206,10 @@ def best_f_descent(spec):
 def _descent(spec, levels):
     """``best_f_descent`` of spec, read off its ``tower_levels``."""
     values = [lv.neg_v_f for lv in levels]
-    monotone = all(map(operator.gt, values, values[1:]))
+    monotone = all(a > b for a, b in zip(values, values[1:]))
     infimum = spec.n - Fraction(1, spec.p - 1)
-    return DescentReport(monotone, infimum, infimum in values, values)
+    attained = any(v == infimum for v in values)
+    return DescentReport(monotone, infimum, attained, values)
 
 
 def step_identity_exprs(spec):

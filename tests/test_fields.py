@@ -412,6 +412,22 @@ def test_check_identity_without_variables():
         check_identity(Expr.const(1) / Expr.const(0), Expr.const(1), F9)
 
 
+def test_check_identity_evaluates_lhs_then_rhs(monkeypatch):
+    """Each side is evaluated on its own, lhs first, so the first side
+    that raises names the error.  An identity whose divisors are single
+    terms passes on the two values alone, with no walk of lhs - rhs."""
+    x, y = Expr.var("x"), Expr.var("y")
+    foreign = Expr.const(F4.element_at(2))
+    with pytest.raises(DivisionByZero):
+        check_identity(1 / (x - x), foreign, F9)
+    with pytest.raises(FieldMismatch):
+        check_identity(foreign, 1 / (x - x), F9)
+    seen, evaluate = [], Expr.evaluate
+    monkeypatch.setattr(Expr, "evaluate", lambda expr, *args: seen.append(expr) or evaluate(expr, *args))
+    lhs, rhs = (x + y) / y ** 2, x / y ** 2 + 1 / y
+    assert check_identity(lhs, rhs, F9).ok and seen == [lhs, rhs]
+
+
 @pytest.mark.parametrize("field", [F4, F9, FieldSpec.finite(5, 2)])
 def test_x_to_the_q_is_not_x(field):
     """x^q and x agree at every point of F_q, but they are different
