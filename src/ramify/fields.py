@@ -434,7 +434,7 @@ class FieldSpec:
         if c.__class__ is not ResidueElem:
             if not isinstance(c, int):
                 raise FieldMismatch(f"cannot use {type(c).__name__} as an element of {self!r}")
-            c = self.from_int(c)
+            return c % self.p if self.is_finite else self.from_int(c)
         elif c.field is not self:
             raise FieldMismatch(f"{c.field!r} vs {self!r}")
         return c._a if self.is_finite else c
@@ -1108,7 +1108,7 @@ class Expr:
                 value = {tuple(map(int, map(node.payload.__eq__, names))): one}, None
             elif op == "neg":
                 n, d = known[args[0]]
-                value = {m: neg(c) for m, c in n.items()}, d
+                value = dict(zip(n, map(neg, n.values()))), d
             elif op == "pow" and not node.payload:
                 value = {zero: one}, None
             elif op == "pow":
@@ -1123,12 +1123,12 @@ class Expr:
                 elif op == "div" and len(n2) == 1:
                     (m, c), = n2.items()
                     term = {tuple(map(operator.neg, m)): field._rinv(c)}
-                    value = _laurent_mul(_laurent_mul(n1, d2, field), term, field), d1
+                    value = _laurent_mul(n1, _laurent_mul(term, d2, field) if d2 else term, field), d1
                 elif op == "div":
                     value = _laurent_mul(n1, d2, field), _laurent_mul(d1, n2, field)
                 else:
                     if op == "sub":
-                        n2 = {m: neg(c) for m, c in n2.items()}
+                        n2 = dict(zip(n2, map(neg, n2.values())))
                     if d1 != d2:
                         n1, n2 = _laurent_mul(n1, d2, field), _laurent_mul(n2, d1, field)
                         d1 = _laurent_mul(d1, d2, field)
@@ -1141,7 +1141,7 @@ class Expr:
             return field._from_raw(num[()]) if num else field._zero
         if not num:
             return {}, {(): one}
-        low = [min(0, *es) for es in zip(*num, *(den or ()))]  # den None is 1
+        low = list(map(min, zip(zero, *num, *(den or ()))))  # den None is 1
 
         def cleared(poly):  # (name, e - lo) for each e != lo, built without a Python call
             sub, ne = operator.sub, operator.ne
